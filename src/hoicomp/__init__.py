@@ -6,7 +6,7 @@ multi-branch classifier on real plus composited samples, and evaluates with
 IoU-matched per-class average precision, including zero-shot splits.
 """
 
-from .composer import ComposeConfig, CompositedInstance, compose_batch
+from .composer import ComposeConfig, compose_batch
 from .evaluator import (
     Detection,
     EvalReport,

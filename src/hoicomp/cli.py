@@ -32,6 +32,7 @@ from .evaluator import (
 from .experiments import (
     DEFAULT_RARE_THRESHOLD,
     branch_ablation,
+    default_dataset_config,
     lambda_sweep,
     run_training,
     with_compose_mode,
@@ -39,14 +40,7 @@ from .experiments import (
 from .label_algebra import compose, decompose
 from .network import LossWeights, NetworkConfig, load_params, save_params
 from .spatial import ascii_art, encode_spatial_map
-from .synthdata import (
-    DatasetConfig,
-    class_counts,
-    generate,
-    load_dataset,
-    random_hoi_defs,
-    save_dataset,
-)
+from .synthdata import class_counts, generate, load_dataset, save_dataset
 from .trainer import TrainConfig, make_minibatch, write_metrics_log
 from .zeroshot import (
     frequency_partition,
@@ -246,27 +240,6 @@ _EVAL_KEYS = (
 )
 
 
-def _dataset_config(args) -> DatasetConfig:
-    defs = random_hoi_defs(
-        args.num_verbs, args.num_objects, args.num_hois,
-        rngmod.stream(args.seed, "space-defs"),
-    )
-    return DatasetConfig(
-        num_verbs=args.num_verbs,
-        num_objects=args.num_objects,
-        hoi_defs=defs,
-        zipf_exponent=args.zipf_exponent,
-        n_train=args.n_train,
-        n_test=args.n_test,
-        feature_dim=args.feature_dim,
-        class_sep=args.class_sep,
-        noise_sigma=args.noise_sigma,
-        seed=args.seed,
-        multi_label_frac=args.multi_label_frac,
-        max_instances_per_image=args.max_instances_per_image,
-    )
-
-
 def _train_config(args, unseen_ids=frozenset()) -> TrainConfig:
     compose_cfg = ComposeConfig(
         mode=args.compose,
@@ -311,7 +284,7 @@ def _report_files(report, space, counts, out_dir: Path, stem: str = "report"):
 
 def _cmd_gen_data(args) -> int:
     _require(args, "out")
-    cfg = _dataset_config(args)
+    cfg = default_dataset_config(**{key: getattr(args, key) for key in _DATASET_KEYS})
     train_set, test_set, space = generate(cfg)
     out = Path(args.out)
     test_out = Path(args.test_out) if args.test_out else out.with_suffix(out.suffix + ".test")
@@ -425,7 +398,8 @@ def _cmd_compose_demo(args) -> int:
             print(ascii_art(encode_spatial_map(inst.human_box, inst.object_box)))
     print(f"{len(composed)} feasible compositions (mode={args.mode})")
     for comp in composed[: args.limit]:
-        i, j, kind = comp.provenance
+        i, j = comp.verb_src, comp.object_src
+        kind = "within" if batch[i].image_id == batch[j].image_id else "between"
         names = [space.hoi_names[c] for c in np.flatnonzero(comp.label)]
         print(f"  verb[{i}] + object[{j}] ({kind}) -> {names}")
     return 0

@@ -3,8 +3,8 @@
 Every ordered pair of distinct instances donates the verb feature of one and
 the object feature of the other; the pair's label is recomposed through the
 label space and infeasible combinations (no matching class) are dropped.
-Within-image and between-image pairs run through the same path and differ
-only in a provenance flag.
+All pairs are labelled at once by broadcasting; the mode keeps pairs from the
+same image (within), from different images (between) or both.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import EmptyBatch, InvalidConfig
 from .label_algebra import HoiLabelSpace, decompose
+from .network import CompBatch
 from .synthdata import Instance
 
 MODES = ("within", "between", "both", "off")
@@ -43,71 +44,43 @@ class ComposeConfig:
             raise InvalidConfig("interactions_per_minibatch must be >= 1")
 
 
-@dataclass(frozen=True)
-class CompositedInstance:
-    """A stitched sample: verb feature from one instance, object feature from another."""
-
-    verb_feat: np.ndarray
-    object_feat: np.ndarray
-    label: np.ndarray
-    provenance: tuple  # (verb source index, object source index, "within"|"between")
-
-
 def compose_batch(
     batch: list[Instance],
     space: HoiLabelSpace,
     cfg: ComposeConfig,
     rng: np.random.Generator,
-) -> list[CompositedInstance]:
+) -> CompBatch:
     """Enumerate, label, filter, and optionally balance composited samples.
 
     Candidates are all ordered (verb source i, object source j) pairs with
     i != j permitted by ``cfg.mode`` (within: same image, between: different
-    images, both: all). Each candidate's label is the recomposition of
-    instance j's object with instance i's verbs; infeasible candidates are
-    removed. With ``balance``, at most one composited sample per real
-    interaction in the batch survives, chosen uniformly without replacement.
+    images, both: all), in row-major order of (i, j). Each candidate's label
+    is the recomposition of instance j's object with instance i's verbs;
+    infeasible candidates are removed. With ``balance``, at most one
+    composited sample per real interaction in the batch survives, chosen
+    uniformly without replacement.
     """
     cfg.validate()
-    if len(batch) == 0:
+    n = len(batch)
+    if n == 0:
         raise EmptyBatch("compose_batch needs at least one instance")
-    if cfg.mode == "off":
-        return []
-
-    labels = np.stack([inst.label for inst in batch])
-    _, l_v = decompose(labels, space)
+    _, l_v = decompose(np.stack([inst.label for inst in batch]), space)
     # class hits per instance for its verbs / its object
     verb_hits = (l_v.astype(np.int64) @ space.verb_hoi.astype(np.int64)) > 0
-    obj_by_hoi = space.objects_by_hoi()
-    object_hits = np.stack([obj_by_hoi == inst.object_id for inst in batch])
-
-    n = len(batch)
+    object_ids = np.array([inst.object_id for inst in batch])
+    object_hits = space.objects_by_hoi()[None, :] == object_ids[:, None]
+    hits = verb_hits[:, None, :] & object_hits[None, :, :]  # (verb src, object src, class)
     unseen = sorted(cfg.unseen_ids)
-    candidates = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            same_image = batch[i].image_id == batch[j].image_id
-            if cfg.mode == "within" and not same_image:
-                continue
-            if cfg.mode == "between" and same_image:
-                continue
-            label = (verb_hits[i] & object_hits[j]).astype(np.uint8)
-            if not cfg.unseen_allowed and unseen:
-                label[unseen] = 0
-            if not label.any():
-                continue
-            candidates.append(
-                CompositedInstance(
-                    verb_feat=batch[i].verb_feat,
-                    object_feat=batch[j].object_feat,
-                    label=label,
-                    provenance=(i, j, "within" if same_image else "between"),
-                )
-            )
+    if not cfg.unseen_allowed and unseen:
+        hits[:, :, unseen] = False
 
-    if cfg.balance and len(candidates) > n:
-        keep = np.sort(rng.choice(len(candidates), size=n, replace=False))
-        candidates = [candidates[int(k)] for k in keep]
-    return candidates
+    image_ids = np.array([inst.image_id for inst in batch])
+    same_image = image_ids[:, None] == image_ids[None, :]
+    allowed = {"within": same_image, "between": ~same_image, "both": True, "off": False}
+    keep = hits.any(axis=2) & ~np.eye(n, dtype=bool) & allowed[cfg.mode]
+    i, j = np.nonzero(keep)  # row-major: the balance draw indexes into this order
+
+    if cfg.balance and len(i) > n:
+        pick = np.sort(rng.choice(len(i), size=n, replace=False))
+        i, j = i[pick], j[pick]
+    return CompBatch.from_composited(batch, i, j, hits[i, j])

@@ -21,8 +21,10 @@ from .label_algebra import HoiLabelSpace
 from .network import (
     BRANCH_MODES,
     ModelParams,
+    Scores,
     forward_spatial_human,
     forward_verb_object,
+    fuse_scores,
     sigmoid,
 )
 from .spatial import Box2D, spatial_vector
@@ -292,14 +294,16 @@ def detections_from_model(
         verb = np.stack([i.verb_feat for i in chunk])
         obj = np.stack([i.object_feat for i in chunk])
         smap = np.stack([spatial_vector(i.human_box, i.object_box) for i in chunk])
-        s_vo = sigmoid(forward_verb_object(verb, obj, params))
-        s_sp = sigmoid(forward_spatial_human(human, smap, params))
-        if branch_mode == "vo_only":
-            s_sp = np.ones_like(s_sp)
-        elif branch_mode == "sp_only":
-            s_vo = np.ones_like(s_vo)
-        conf = np.array([i.human_score * i.object_score for i in chunk])
-        fused = conf[:, None] * s_vo * s_sp
+        scores = Scores(
+            s_sp=sigmoid(forward_spatial_human(human, smap, params)),
+            s_verb_obj=sigmoid(forward_verb_object(verb, obj, params)),
+        )
+        fused = fuse_scores(
+            np.array([i.human_score for i in chunk]),
+            np.array([i.object_score for i in chunk]),
+            scores,
+            branch_mode,
+        )
         for k, inst in enumerate(chunk):
             row = fused[k]
             for c in range(num_hois):

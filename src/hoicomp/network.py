@@ -16,17 +16,18 @@ instances. The total is ``L_sp + lambda1 * L_vo + lambda2 * L_comp``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import operator
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .composer import CompositedInstance
 from .errors import (
     DimensionMismatch,
     NonFiniteGradient,
     NonFiniteInput,
     NonFiniteLoss,
     OutOfRange,
+    ParseError,
 )
 from .spatial import GRID_SIZE, SpatialMap, spatial_vector
 from .synthdata import Instance
@@ -93,31 +94,31 @@ class ModelParams:
         return self.sp_w1.shape[0] - self.hidden
 
 
-def _fan_in_uniform(rng: np.random.Generator, shape) -> np.ndarray:
-    bound = 1.0 / np.sqrt(shape[0])
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def _bias_uniform(rng: np.random.Generator, fan_in: int, size: int) -> np.ndarray:
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=size)
-
-
-def init_params(cfg: NetworkConfig, rng: np.random.Generator) -> ModelParams:
-    """Uniform init scaled by fan-in, weights and biases alike."""
+def block_shapes(cfg: NetworkConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of every parameter block, in ``BLOCK_NAMES`` order."""
     d, h, q, p, s, c = (
         cfg.feature_dim, cfg.hidden, cfg.vo_hidden, cfg.sp_hidden,
         cfg.spatial_dim, cfg.num_hois,
     )
-    return ModelParams(
-        shared_w=_fan_in_uniform(rng, (d, h)), shared_b=_bias_uniform(rng, d, h),
-        obj_w=_fan_in_uniform(rng, (d, h)), obj_b=_bias_uniform(rng, d, h),
-        sp_w1=_fan_in_uniform(rng, (h + s, p)), sp_b1=_bias_uniform(rng, h + s, p),
-        sp_w2=_fan_in_uniform(rng, (p, c)), sp_b2=_bias_uniform(rng, p, c),
-        vo_w1=_fan_in_uniform(rng, (2 * h, q)), vo_b1=_bias_uniform(rng, 2 * h, q),
-        vo_w2=_fan_in_uniform(rng, (q, q)), vo_b2=_bias_uniform(rng, q, q),
-        vo_w3=_fan_in_uniform(rng, (q, c)), vo_b3=_bias_uniform(rng, q, c),
-    )
+    return {
+        "shared_w": (d, h), "shared_b": (h,),
+        "obj_w": (d, h), "obj_b": (h,),
+        "sp_w1": (h + s, p), "sp_b1": (p,), "sp_w2": (p, c), "sp_b2": (c,),
+        "vo_w1": (2 * h, q), "vo_b1": (q,), "vo_w2": (q, q), "vo_b2": (q,),
+        "vo_w3": (q, c), "vo_b3": (c,),
+    }
+
+
+def init_params(cfg: NetworkConfig, rng: np.random.Generator) -> ModelParams:
+    """Uniform init scaled by fan-in, weights and biases alike; blocks are
+    drawn in ``BLOCK_NAMES`` order."""
+    shapes = block_shapes(cfg)
+    blocks = {}
+    for name, shape in shapes.items():
+        fan_in = shapes[name.replace("_b", "_w")][0]  # a bias takes its weight's fan-in
+        bound = 1.0 / np.sqrt(fan_in)
+        blocks[name] = rng.uniform(-bound, bound, size=shape)
+    return ModelParams(**blocks)
 
 
 def zero_like_params(params: ModelParams) -> dict[str, np.ndarray]:
@@ -198,23 +199,32 @@ class RealBatch:
 
 @dataclass(frozen=True)
 class CompBatch:
-    """Columnar view of composited samples (verb/object features only)."""
+    """Composited samples as arrays: row k stitches the verb feature of real
+    instance ``verb_src[k]`` to the object feature of ``object_src[k]``."""
 
-    verb_feat: np.ndarray
-    object_feat: np.ndarray
-    label: np.ndarray
+    verb_feat: np.ndarray    # (m, D)
+    object_feat: np.ndarray  # (m, D)
+    label: np.ndarray        # (m, C) float
+    verb_src: np.ndarray     # (m,) int, index into the real minibatch
+    object_src: np.ndarray   # (m,) int, index into the real minibatch
 
     def __len__(self) -> int:
         return self.verb_feat.shape[0]
 
+    def __getitem__(self, rows) -> "CompBatch":
+        """The selected rows (an index, slice or index array) of every field."""
+        return CompBatch(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
+
     @classmethod
-    def from_composited(cls, comp: list[CompositedInstance]) -> "CompBatch":
-        if not comp:
-            return cls(*(np.zeros((0, 0)),) * 3)
+    def from_composited(cls, batch: list[Instance], verb_src, object_src, label) -> "CompBatch":
+        """Gather the composited pairs (``verb_src[k]``, ``object_src[k]``) of
+        the real minibatch ``batch``, labelled ``label[k]``."""
         return cls(
-            verb_feat=np.stack([c.verb_feat for c in comp]).astype(np.float64),
-            object_feat=np.stack([c.object_feat for c in comp]).astype(np.float64),
-            label=np.stack([c.label for c in comp]).astype(np.float64),
+            verb_feat=np.stack([b.verb_feat for b in batch]).astype(np.float64)[verb_src],
+            object_feat=np.stack([b.object_feat for b in batch]).astype(np.float64)[object_src],
+            label=np.asarray(label, dtype=np.float64),
+            verb_src=verb_src,
+            object_src=object_src,
         )
 
 
@@ -352,29 +362,12 @@ def _sp_backward(g_out: np.ndarray, cache, p: ModelParams, grads: dict):
     grads["shared_b"] += g_sh.sum(axis=0)
 
 
-def _coerce_real(real) -> RealBatch:
-    if isinstance(real, RealBatch):
-        return real
-    return RealBatch.from_instances(list(real))
+def _forward(real: RealBatch, comp: CompBatch | None, params: ModelParams, lw: LossWeights):
+    """Loss terms of one minibatch plus what the backward pass needs.
 
-
-def _coerce_comp(comp) -> CompBatch:
-    if comp is None:
-        return CompBatch.from_composited([])
-    if isinstance(comp, CompBatch):
-        return comp
-    return CompBatch.from_composited(list(comp))
-
-
-def loss_and_grads(real, comp, params: ModelParams, lw: LossWeights):
-    """Joint forward/backward over one minibatch.
-
-    Returns:
-        (total_loss, components, grads) where components maps
-        L_sp / L_vo / L_comp to floats and grads maps block names to arrays.
+    Returns (total, components, w, terms) where terms lists, per loss term,
+    (backward function, logits, cache, targets, coefficient).
     """
-    real = _coerce_real(real)
-    comp = _coerce_comp(comp)
     if len(real) == 0:
         raise NonFiniteLoss("real batch is empty")
     c = params.num_hois
@@ -385,52 +378,48 @@ def loss_and_grads(real, comp, params: ModelParams, lw: LossWeights):
     sp_logits, sp_cache = _sp_forward(real.human_feat, real.spatial, params)
     loss_sp = _weighted_bce(sp_logits, real.label, w)
     loss_vo = _weighted_bce(vo_logits, real.label, w)
+    terms = [
+        (_sp_backward, sp_logits, sp_cache, real.label, 1.0),
+        (_vo_backward, vo_logits, vo_cache, real.label, lw.lambda1),
+    ]
 
-    if len(comp):
+    if comp is not None and len(comp):
         comp_logits, comp_cache = _vo_forward(comp.verb_feat, comp.object_feat, params)
         loss_comp = _weighted_bce(comp_logits, comp.label, w)
+        terms.append((_vo_backward, comp_logits, comp_cache, comp.label, lw.lambda2))
     else:
         loss_comp = 0.0
 
     total = loss_sp + lw.lambda1 * loss_vo + lw.lambda2 * loss_comp
     if not np.isfinite(total):
         raise NonFiniteLoss(f"loss is {total}")
+    components = {"L_sp": loss_sp, "L_vo": loss_vo, "L_comp": loss_comp}
+    return total, components, w, terms
 
+
+def loss_and_grads(real: RealBatch, comp: CompBatch | None, params: ModelParams,
+                   lw: LossWeights):
+    """Joint forward/backward over one minibatch; ``comp`` may be None.
+
+    Returns:
+        (total_loss, components, grads) where components maps
+        L_sp / L_vo / L_comp to floats and grads maps block names to arrays.
+    """
+    total, components, w, terms = _forward(real, comp, params, lw)
     grads = zero_like_params(params)
-    _sp_backward(_bce_grad(sp_logits, real.label, w, 1.0), sp_cache, params, grads)
-    _vo_backward(_bce_grad(vo_logits, real.label, w, lw.lambda1), vo_cache, params, grads)
-    if len(comp):
-        _vo_backward(
-            _bce_grad(comp_logits, comp.label, w, lw.lambda2), comp_cache, params, grads
-        )
+    for backward_fn, logits, cache, targets, coef in terms:
+        backward_fn(_bce_grad(logits, targets, w, coef), cache, params, grads)
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradient(f"gradient block {name} is non-finite")
 
-    components = {"L_sp": loss_sp, "L_vo": loss_vo, "L_comp": loss_comp}
     return total, components, grads
 
 
-def loss_total(real, comp, params: ModelParams, lw: LossWeights) -> float:
+def loss_total(real: RealBatch, comp: CompBatch | None, params: ModelParams,
+               lw: LossWeights) -> float:
     """Scalar training loss; see ``loss_and_grads`` for the pieces."""
-    real = _coerce_real(real)
-    comp = _coerce_comp(comp)
-    if len(real) == 0:
-        raise NonFiniteLoss("real batch is empty")
-    c = params.num_hois
-    lw.validate(num_hois=c)
-    w = lw.resolved_weights(c)
-    vo_logits, _ = _vo_forward(real.verb_feat, real.object_feat, params)
-    sp_logits, _ = _sp_forward(real.human_feat, real.spatial, params)
-    total = _weighted_bce(sp_logits, real.label, w) + lw.lambda1 * _weighted_bce(
-        vo_logits, real.label, w
-    )
-    if len(comp):
-        comp_logits, _ = _vo_forward(comp.verb_feat, comp.object_feat, params)
-        total += lw.lambda2 * _weighted_bce(comp_logits, comp.label, w)
-    if not np.isfinite(total):
-        raise NonFiniteLoss(f"loss is {total}")
-    return float(total)
+    return float(_forward(real, comp, params, lw)[0])
 
 
 def backward(real, comp, params: ModelParams, lw: LossWeights) -> dict[str, np.ndarray]:
@@ -450,17 +439,22 @@ def branch_scores(params: ModelParams, human_feat, verb_feat, object_feat, smap)
     )
 
 
-def fuse_scores(s_h: float, s_o: float, scores: Scores, branch_mode: str = "both") -> np.ndarray:
+def fuse_scores(s_h, s_o, scores: Scores, branch_mode: str = "both") -> np.ndarray:
     """Final per-class score: product of detector confidences and branch scores.
 
-    Ablation modes replace one branch's factor with 1: ``vo_only`` ignores
-    the spatial-human branch, ``sp_only`` ignores the verb-object branch.
+    Takes one pair (scalar confidences, ``(C,)`` branch scores) or a batch
+    (``(n,)`` confidences, ``(n, C)`` branch scores). Ablation modes replace
+    one branch's factor with 1: ``vo_only`` ignores the spatial-human branch,
+    ``sp_only`` ignores the verb-object branch.
     """
     if branch_mode not in BRANCH_MODES:
         raise OutOfRange(f"branch_mode must be one of {BRANCH_MODES}")
+    s_h = np.asarray(s_h, dtype=np.float64)
+    s_o = np.asarray(s_o, dtype=np.float64)
     for name, val in (("s_h", s_h), ("s_o", s_o)):
-        if not 0.0 <= val <= 1.0:
-            raise OutOfRange(f"{name}={val} outside [0, 1]")
+        bad = ~((0.0 <= val) & (val <= 1.0))
+        if bad.any():
+            raise OutOfRange(f"{name}={val[bad].flat[0]} outside [0, 1]")
     s_sp = np.asarray(scores.s_sp, dtype=np.float64)
     s_vo = np.asarray(scores.s_verb_obj, dtype=np.float64)
     for name, arr in (("s_sp", s_sp), ("s_verb_obj", s_vo)):
@@ -470,7 +464,7 @@ def fuse_scores(s_h: float, s_o: float, scores: Scores, branch_mode: str = "both
         s_sp = np.ones_like(s_sp)
     elif branch_mode == "sp_only":
         s_vo = np.ones_like(s_vo)
-    return s_h * s_o * s_vo * s_sp
+    return s_h[..., None] * s_o[..., None] * s_vo * s_sp
 
 
 # ---- checkpoint file ----
@@ -498,6 +492,30 @@ def save_params(params: ModelParams, path, meta: dict | None = None):
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
+def _header_shapes(entries) -> dict[str, tuple[int, ...]]:
+    """Block shapes from a checkpoint header: every block of ``BLOCK_NAMES``,
+    in order, shaped as ``block_shapes`` gives for one network."""
+    try:
+        names = [name for name, _ in entries]
+        shapes = {name: tuple(operator.index(n) for n in shape) for name, shape in entries}
+    except (TypeError, ValueError):
+        raise DimensionMismatch("checkpoint block list is malformed") from None
+    if names != list(BLOCK_NAMES):
+        raise DimensionMismatch(f"checkpoint blocks {names}, expected {list(BLOCK_NAMES)}")
+    try:
+        h = shapes["shared_b"][0]
+        cfg = NetworkConfig(
+            num_hois=shapes["vo_b3"][0], feature_dim=shapes["shared_w"][0], hidden=h,
+            vo_hidden=shapes["vo_b1"][0], sp_hidden=shapes["sp_b1"][0],
+            spatial_dim=shapes["sp_w1"][0] - h,
+        )
+    except IndexError:
+        raise DimensionMismatch("checkpoint has a block with too few dimensions") from None
+    if shapes != block_shapes(cfg) or min(astuple(cfg)) < 0:
+        raise DimensionMismatch(f"checkpoint block shapes {shapes} do not fit one network")
+    return shapes
+
+
 def load_params(path) -> tuple[ModelParams, dict]:
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -507,16 +525,21 @@ def load_params(path) -> tuple[ModelParams, dict]:
     header_bytes, sep, data = rest.partition(_DATA_MARKER)
     if not sep:
         raise DimensionMismatch("checkpoint missing data section")
-    header = json.loads(header_bytes.decode())
-    if header.get("version") != CHECKPOINT_VERSION:
-        raise DimensionMismatch(f"unsupported checkpoint version {header.get('version')}")
+    try:
+        header = json.loads(header_bytes.decode())
+    except ValueError as exc:  # also covers bytes that are not UTF-8
+        raise ParseError(f"checkpoint header is not JSON: {exc}") from None
+    if not isinstance(header, dict) or header.get("version") != CHECKPOINT_VERSION:
+        raise DimensionMismatch(f"not a version-{CHECKPOINT_VERSION} checkpoint header")
     blocks = {}
     offset = 0
-    for name, shape in header["blocks"]:
-        n = int(np.prod(shape)) if shape else 1
+    for name, shape in _header_shapes(header.get("blocks")).items():
+        n = int(np.prod(shape))
         raw = data[offset : offset + 8 * n]
         if len(raw) != 8 * n:
             raise DimensionMismatch(f"checkpoint truncated in block {name}")
         blocks[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
         offset += 8 * n
+    if offset != len(data):
+        raise DimensionMismatch(f"checkpoint has {len(data) - offset} bytes after its last block")
     return ModelParams(**blocks), header.get("meta", {})

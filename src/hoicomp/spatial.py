@@ -16,10 +16,6 @@ import numpy as np
 from .errors import DegenerateBox, InvalidBox
 
 GRID_SIZE = 64
-# Rasterization rule ("center" membership, half-open edges). Recorded as a
-# constant in case bit-compatibility with an external dump ever requires
-# an any-overlap rule instead.
-RASTER_RULE = "cell-center"
 
 
 @dataclass(frozen=True)

@@ -181,10 +181,12 @@ def train(
     log: list[dict] = []
     for it in range(cfg.iterations):
         batch = make_minibatch(train_set, cfg, batch_rng, groups=groups)
-        comp = compose_batch(batch, space, cfg.compose, comp_rng) if use_comp else []
+        comp: CompBatch | None = None
+        if use_comp:
+            comp = compose_batch(batch, space, cfg.compose, comp_rng)
         real = RealBatch.from_instances(batch)
         try:
-            total, comps, grads = loss_and_grads(real, CompBatch.from_composited(comp), params, lw)
+            total, comps, grads = loss_and_grads(real, comp, params, lw)
             sgd_step(params, grads, state, cfg)
         except (NonFiniteLoss, NonFiniteGradient, NonFiniteUpdate) as exc:
             raise DivergedTraining(str(exc), iteration=it) from exc

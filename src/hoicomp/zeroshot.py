@@ -187,7 +187,10 @@ def load_split(path, space: HoiLabelSpace) -> ZeroShotSplit:
                 if parts[0] == "strategy":
                     strategy = parts[1]
                 elif parts[0] == "seed":
-                    seed = int(parts[1])
+                    try:
+                        seed = int(parts[1])
+                    except ValueError:
+                        raise ParseError(f"bad seed {parts[1]!r}", line=lineno) from None
     if strategy not in STRATEGIES:
         raise ParseError(f"missing or unknown strategy {strategy!r}")
     unseen_set = frozenset(unseen)

@@ -157,6 +157,15 @@ class TestErrors:
         assert err.startswith("error:")
         assert len(err.strip().split("\n")) == 1
 
+    def test_malformed_checkpoint_is_one_line_error(self, dataset, tmp_path, capsys):
+        _, test = dataset
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(b"HOICOMP-CKPT\n{not json\n[data]\n")
+        assert run("eval", "--data", test, "--checkpoint", bad, "--out", tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert len(err.strip().split("\n")) == 1
+
     def test_missing_required_flag(self, tmp_path, capsys):
         assert run("gen-data") == 1
         assert "--out" in capsys.readouterr().err

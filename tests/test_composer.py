@@ -1,10 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from hoicomp.composer import ComposeConfig, compose_batch
+from hoicomp.composer import MODES, ComposeConfig, compose_batch
 from hoicomp.errors import EmptyBatch, InvalidConfig
-from hoicomp.synthdata import random_hoi_defs
-from hoicomp.label_algebra import build_space
+from hoicomp.label_algebra import build_space, decompose
 
 from conftest import TOY_DEFS, draw_space, make_instance
 
@@ -36,10 +37,50 @@ def brute_candidates(batch, defs, mode, unseen=frozenset(), unseen_allowed=False
     return out
 
 
+def legacy_compose(batch, space, cfg, rng):
+    """Reference composer: one Python iteration per ordered pair, returning
+    (verb source i, object source j, uint8 label) rows in loop order."""
+    cfg.validate()
+    if len(batch) == 0:
+        raise EmptyBatch("compose_batch needs at least one instance")
+    if cfg.mode == "off":
+        return []
+
+    labels = np.stack([inst.label for inst in batch])
+    _, l_v = decompose(labels, space)
+    verb_hits = (l_v.astype(np.int64) @ space.verb_hoi.astype(np.int64)) > 0
+    obj_by_hoi = space.objects_by_hoi()
+    object_hits = np.stack([obj_by_hoi == inst.object_id for inst in batch])
+
+    n = len(batch)
+    unseen = sorted(cfg.unseen_ids)
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            same_image = batch[i].image_id == batch[j].image_id
+            if cfg.mode == "within" and not same_image:
+                continue
+            if cfg.mode == "between" and same_image:
+                continue
+            label = (verb_hits[i] & object_hits[j]).astype(np.uint8)
+            if not cfg.unseen_allowed and unseen:
+                label[unseen] = 0
+            if not label.any():
+                continue
+            rows.append((i, j, label))
+
+    if cfg.balance and len(rows) > n:
+        keep = np.sort(rng.choice(len(rows), size=n, replace=False))
+        rows = [rows[int(k)] for k in keep]
+    return rows
+
+
 def as_triples(composed):
     return [
-        (c.provenance[0], c.provenance[1], frozenset(int(k) for k in np.flatnonzero(c.label)))
-        for c in composed
+        (int(i), int(j), frozenset(int(k) for k in np.flatnonzero(label)))
+        for i, j, label in zip(composed.verb_src, composed.object_src, composed.label)
     ]
 
 
@@ -53,15 +94,18 @@ class TestComposeBatch:
         cfg = ComposeConfig(mode="between", balance=False)
         out = compose_batch(batch, toy_space, cfg, np.random.default_rng(0))
         assert len(out) == 1
-        comp = out[0]
-        assert comp.provenance == (1, 0, "between")  # ride verbs onto the horse
-        assert np.flatnonzero(comp.label).tolist() == [0]  # ride-horse
-        np.testing.assert_array_equal(comp.verb_feat, batch[1].verb_feat)
-        np.testing.assert_array_equal(comp.object_feat, batch[0].object_feat)
+        assert (out.verb_src.tolist(), out.object_src.tolist()) == ([1], [0])  # ride verbs onto the horse
+        assert np.flatnonzero(out.label[0]).tolist() == [0]  # ride-horse
+        np.testing.assert_array_equal(out.verb_feat[0], batch[1].verb_feat)
+        np.testing.assert_array_equal(out.object_feat[0], batch[0].object_feat)
 
     def test_mode_off(self, toy_space):
-        batch = [make_instance(toy_space, [0])]
-        assert compose_batch(batch, toy_space, ComposeConfig(mode="off"), np.random.default_rng(0)) == []
+        rng = np.random.default_rng(0)
+        batch = [make_instance(toy_space, [0], image_id=0, rng=rng),
+                 make_instance(toy_space, [1], image_id=0, rng=rng)]
+        out = compose_batch(batch, toy_space, ComposeConfig(mode="off"), np.random.default_rng(0))
+        assert len(out) == 0
+        assert out.label.shape == (0, toy_space.num_hois)
 
     def test_empty_batch(self, toy_space):
         with pytest.raises(EmptyBatch):
@@ -137,14 +181,41 @@ class TestComposeBatch:
         rng = np.random.default_rng(2)
         batch = [make_instance(toy_space, [0], image_id=0, rng=rng) for _ in range(4)]
         out = compose_batch(batch, toy_space, ComposeConfig(mode="both", balance=False), np.random.default_rng(0))
-        assert all(c.provenance[0] != c.provenance[1] for c in out)
+        assert len(out) > 0
+        assert np.all(out.verb_src != out.object_src)
 
     def test_every_label_feasible(self):
         rng = np.random.default_rng(13)
         space, defs = draw_space(rng, max_verbs=6, max_objects=5, max_hois=12)
         batch = self._random_batch(rng, space, defs)
         out = compose_batch(batch, space, ComposeConfig(mode="both", balance=False), np.random.default_rng(0))
-        assert all(c.label.any() for c in out)
+        assert out.label.any(axis=1).all()
+
+    def test_matches_legacy_loop(self):
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            space, defs = draw_space(rng, max_verbs=6, max_objects=5, max_hois=12)
+            batch = self._random_batch(rng, space, defs, size=int(rng.integers(1, 11)))
+            unseen = frozenset(int(c) for c in np.flatnonzero(rng.random(space.num_hois) < 0.3))
+            verb_feat = np.stack([b.verb_feat for b in batch])
+            object_feat = np.stack([b.object_feat for b in batch])
+            for mode, balance, unseen_allowed in itertools.product(MODES, (True, False), (True, False)):
+                cfg = ComposeConfig(mode=mode, balance=balance,
+                                    unseen_allowed=unseen_allowed, unseen_ids=unseen)
+                seed = int(rng.integers(1 << 30))
+                rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = compose_batch(batch, space, cfg, rng_new)
+                want = legacy_compose(batch, space, cfg, rng_old)
+                i = [r[0] for r in want]
+                j = [r[1] for r in want]
+                assert got.verb_src.tolist() == i and got.object_src.tolist() == j
+                assert got.verb_feat.tobytes() == verb_feat[i].tobytes()
+                assert got.object_feat.tobytes() == object_feat[j].tobytes()
+                assert got.label.dtype == np.float64
+                np.testing.assert_array_equal(
+                    got.label, np.array([r[2] for r in want]).reshape(len(want), space.num_hois)
+                )
+                assert rng_new.bit_generator.state == rng_old.bit_generator.state
 
 
 class TestUnseenHandling:
@@ -157,7 +228,7 @@ class TestUnseenHandling:
         # ride-horse (class 0) is unseen: the only composition dies entirely
         cfg = ComposeConfig(mode="between", balance=False, unseen_allowed=False,
                             unseen_ids=frozenset({0}))
-        assert compose_batch(batch, toy_space, cfg, np.random.default_rng(0)) == []
+        assert len(compose_batch(batch, toy_space, cfg, np.random.default_rng(0))) == 0
 
     def test_unseen_bits_kept_when_allowed(self, toy_space):
         rng = np.random.default_rng(0)
@@ -169,7 +240,7 @@ class TestUnseenHandling:
                             unseen_ids=frozenset({0}))
         out = compose_batch(batch, toy_space, cfg, np.random.default_rng(0))
         assert len(out) == 1
-        assert np.flatnonzero(out[0].label).tolist() == [0]
+        assert np.flatnonzero(out.label[0]).tolist() == [0]
 
     def test_seen_bits_survive_partial_zeroing(self):
         # two classes share the object; only one is unseen
@@ -184,5 +255,5 @@ class TestUnseenHandling:
                             unseen_ids=frozenset({0}))
         out = compose_batch(batch, space, cfg, np.random.default_rng(0))
         # verb source 0 carries both verbs; composition onto object 0 keeps class 1 only
-        labels = {(c.provenance[0], c.provenance[1]): np.flatnonzero(c.label).tolist() for c in out}
+        labels = {(i, j): sorted(classes) for i, j, classes in as_triples(out)}
         assert labels[(0, 1)] == [1]

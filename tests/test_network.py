@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from hoicomp.errors import (
     NonFiniteInput,
     NonFiniteLoss,
     OutOfRange,
+    ParseError,
 )
 from hoicomp.network import (
     BLOCK_NAMES,
@@ -50,6 +53,8 @@ def random_comp(rng, m, cfg=TINY):
         verb_feat=rng.standard_normal((m, cfg.feature_dim)),
         object_feat=rng.standard_normal((m, cfg.feature_dim)),
         label=(rng.random((m, cfg.num_hois)) < 0.4).astype(np.float64),
+        verb_src=np.arange(m),
+        object_src=np.arange(m)[::-1],
     )
 
 
@@ -260,7 +265,8 @@ class TestLoss:
         rng = np.random.default_rng(9)
         p = tiny_params(9)
         real = random_real(rng, n=3)
-        twin = CompBatch(verb_feat=real.verb_feat, object_feat=real.object_feat, label=real.label)
+        twin = CompBatch(verb_feat=real.verb_feat, object_feat=real.object_feat, label=real.label,
+                         verb_src=np.arange(3), object_src=np.arange(3))
         lw = LossWeights(lambda1=1.0, lambda2=1.0, class_weights=np.ones(5))
         _, comps, _ = loss_and_grads(real, twin, p, lw)
         assert comps["L_comp"] == pytest.approx(comps["L_vo"], rel=1e-12)
@@ -300,6 +306,8 @@ class TestBackward:
             verb_feat=rng.random((2, 3)) + 0.1,
             object_feat=rng.random((2, 3)) + 0.1,
             label=(rng.random((2, 5)) < 0.4).astype(np.float64),
+            verb_src=np.array([0, 1]),
+            object_src=np.array([1, 0]),
         )
         lw = LossWeights(lambda1=1.0, lambda2=1.0, class_weights=np.ones(5))
         both = backward(real, comp, p, lw)
@@ -396,9 +404,21 @@ class TestFuseScores:
             assert np.all(hi >= lo)
             assert np.argmax(lo) == np.argmax(fuse_scores(0.77, 0.11, s))
 
+    def test_batch_matches_rows(self):
+        rng = np.random.default_rng(16)
+        s_h, s_o = rng.random(4), rng.random(4)
+        s = Scores(s_sp=rng.random((4, 6)), s_verb_obj=rng.random((4, 6)))
+        for mode in ("both", "vo_only", "sp_only"):
+            fused = fuse_scores(s_h, s_o, s, mode)
+            for k in range(4):
+                row = Scores(s_sp=s.s_sp[k], s_verb_obj=s.s_verb_obj[k])
+                assert fused[k].tobytes() == fuse_scores(s_h[k], s_o[k], row, mode).tobytes()
+
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
             fuse_scores(1.5, 0.5, self._scores())
+        with pytest.raises(OutOfRange):
+            fuse_scores(np.array([0.5, np.nan]), np.array([0.5, 0.5]), self._scores())
         with pytest.raises(OutOfRange):
             fuse_scores(0.5, 0.5, Scores(s_sp=np.array([1.2]), s_verb_obj=np.array([0.1])))
         with pytest.raises(OutOfRange):
@@ -427,3 +447,45 @@ class TestCheckpoint:
         save_params(p, a, meta={"seed": 22})
         save_params(p, b, meta={"seed": 22})
         assert a.read_bytes() == b.read_bytes()
+
+    def _saved(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_params(tiny_params(23), path)
+        return path, path.read_bytes()
+
+    def _rewrite_header(self, path, blob, edit):
+        magic, header, data = blob.split(b"\n", 2)
+        header = json.loads(header)
+        edit(header)
+        path.write_bytes(magic + b"\n" + json.dumps(header).encode() + b"\n" + data)
+
+    def test_malformed_header(self, tmp_path):
+        path, blob = self._saved(tmp_path)
+        path.write_bytes(blob.replace(b'"version"', b"version", 1))
+        with pytest.raises(ParseError):
+            load_params(path)
+
+    def test_renamed_block(self, tmp_path):
+        path, blob = self._saved(tmp_path)
+        path.write_bytes(blob.replace(b'"sp_w1"', b'"sp_wX"', 1))
+        with pytest.raises(DimensionMismatch):
+            load_params(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        path, blob = self._saved(tmp_path)
+        path.write_bytes(blob + bytes(8))
+        with pytest.raises(DimensionMismatch):
+            load_params(path)
+
+    def test_shapes_that_fit_no_network(self, tmp_path):
+        path, blob = self._saved(tmp_path)
+
+        def move_bias_entries(header):
+            # same total size, so only the layout check can notice
+            shapes = dict(header["blocks"])
+            shapes["shared_b"], shapes["vo_b3"] = [1], [7]
+            header["blocks"] = [[name, shapes[name]] for name in BLOCK_NAMES]
+
+        self._rewrite_header(path, blob, move_bias_entries)
+        with pytest.raises(DimensionMismatch):
+            load_params(path)

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from hoicomp import rng as rngmod
+from hoicomp import trainer
 from hoicomp.composer import ComposeConfig, compose_batch
 from hoicomp.errors import DivergedTraining, InvalidConfig
-from hoicomp.network import LossWeights, NetworkConfig, init_params
+from hoicomp.network import CompBatch, LossWeights, NetworkConfig, init_params
 from hoicomp.synthdata import DatasetConfig, generate, random_hoi_defs
 from hoicomp.trainer import (
     TrainConfig,
@@ -19,6 +20,7 @@ from hoicomp.trainer import (
 )
 
 from conftest import make_instance
+from test_composer import legacy_compose
 
 NET = NetworkConfig(num_hois=8, feature_dim=8, hidden=8, vo_hidden=8, sp_hidden=8)
 
@@ -46,7 +48,7 @@ class TestMakeMinibatch:
         batch = make_minibatch(insts, cfg, np.random.default_rng(0))
         assert len(batch) == 1
         comps = compose_batch(batch, toy_space, ComposeConfig(mode="between"), np.random.default_rng(0))
-        assert comps == []
+        assert len(comps) == 0
 
     def test_batch_spans_two_images(self, toy_space):
         insts = [make_instance(toy_space, [i % 3], image_id=i % 5) for i in range(20)]
@@ -202,6 +204,26 @@ class TestTrain:
         assert len(calls) == 2
         assert "mAP_full" in log[3] and "mAP_full" in log[7]
         assert "mAP_full" not in log[0]
+
+    def test_legacy_composer_gives_same_run(self, monkeypatch):
+        train_set, _, space = tiny_dataset()
+        compose = ComposeConfig(mode="both", unseen_allowed=True, unseen_ids=frozenset({1, 5}))
+        cfg = TrainConfig(iterations=30, interactions_per_minibatch=6, compose=compose, seed=9)
+        p_new, log_new = train(train_set, space, cfg, net_cfg=NET)
+
+        def legacy_batch(batch, space, cfg, rng):
+            rows = legacy_compose(batch, space, cfg, rng)
+            i = np.array([r[0] for r in rows], dtype=np.int64)
+            j = np.array([r[1] for r in rows], dtype=np.int64)
+            label = np.array([r[2] for r in rows]).reshape(len(rows), space.num_hois)
+            return CompBatch.from_composited(batch, i, j, label)
+
+        monkeypatch.setattr(trainer, "compose_batch", legacy_batch)
+        p_old, log_old = train(train_set, space, cfg, net_cfg=NET)
+        assert format_metrics_log(log_new) == format_metrics_log(log_old)
+        assert any(e["L_comp"] > 0 for e in log_old)
+        for name in p_new.blocks():
+            assert p_new.blocks()[name].tobytes() == p_old.blocks()[name].tobytes()
 
     def test_validate_rejects_bad_config(self):
         train_set, _, space = tiny_dataset()

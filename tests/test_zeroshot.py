@@ -225,6 +225,12 @@ class TestSplitFile:
         with pytest.raises(ParseError):
             load_split(path, toy_space)
 
+    def test_bad_seed(self, toy_space, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("strategy\trare_first\nseed\tabc\n[unseen]\n1\n")
+        with pytest.raises(ParseError):
+            load_split(path, toy_space)
+
     def test_missing_strategy(self, toy_space, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("[unseen]\n1\n")
