@@ -31,7 +31,6 @@ from .network import (
     ModelParams,
     NetworkConfig,
     Scores,
-    backward,
     branch_scores,
     forward_spatial_human,
     forward_verb_object,

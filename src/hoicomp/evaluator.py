@@ -287,7 +287,7 @@ def detections_from_model(
         surviving.extend(kept)
 
     detections: list[Detection] = []
-    num_hois = params.num_hois
+    num_hois = params.cfg.num_hois
     for start in range(0, len(surviving), 512):
         chunk = surviving[start : start + 512]
         human = np.stack([i.human_feat for i in chunk])

@@ -149,10 +149,7 @@ def run_training(
                 out[f"mAP_{name}"] = 100.0 * report.means[name]
             return out
 
-    params, log = train(
-        effective_train, space, train_cfg, net_cfg=net_cfg,
-        test_set=test_set, eval_fn=eval_fn,
-    )
+    params, log = train(effective_train, space, train_cfg, net_cfg=net_cfg, eval_fn=eval_fn)
     report = evaluate_params(
         params, test_set, space, counts,
         thresholds=thresholds, partition=partition,

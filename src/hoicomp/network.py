@@ -6,7 +6,8 @@ feature; its weight block exists once, so gradients accumulate from both
 paths. The verb-object head classifies the concatenated verb/object stream
 outputs, and the composition branch reuses that exact head on composited
 samples, so composited and real features with identical values produce
-identical logits.
+identical logits. All blocks live in one flat float64 buffer; gradients and
+momentum are buffers of the same layout, and the checkpoint stores it as is.
 
 Targets are multi-label, so every loss term is per-class sigmoid binary
 cross entropy, class-reweighted, summed over classes and averaged over
@@ -18,6 +19,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import astuple, dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,41 +59,42 @@ class NetworkConfig:
 
 @dataclass
 class ModelParams:
-    """All learnable blocks. ``shared_w``/``shared_b`` is physically one
-    block used by both the human path and the verb path."""
+    """All learnable blocks, held in one float64 buffer ``flat`` in
+    ``BLOCK_NAMES`` order. Each block name (``params.sp_w1``, ...) and
+    ``blocks()`` give reshaped views of ``flat``, so writing to a block
+    writes to the buffer. Gradients and momentum use the same type and
+    layout. ``shared_w``/``shared_b`` is one block used by both the human
+    path and the verb path."""
 
-    shared_w: np.ndarray
-    shared_b: np.ndarray
-    obj_w: np.ndarray
-    obj_b: np.ndarray
-    sp_w1: np.ndarray
-    sp_b1: np.ndarray
-    sp_w2: np.ndarray
-    sp_b2: np.ndarray
-    vo_w1: np.ndarray
-    vo_b1: np.ndarray
-    vo_w2: np.ndarray
-    vo_b2: np.ndarray
-    vo_w3: np.ndarray
-    vo_b3: np.ndarray
+    cfg: NetworkConfig
+    flat: np.ndarray
+
+    def __post_init__(self):
+        size = _flat_size(self.cfg)
+        if self.flat.shape != (size,):
+            raise DimensionMismatch(f"flat buffer has shape {self.flat.shape}, expected ({size},)")
 
     def blocks(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in BLOCK_NAMES}
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(**{k: v.copy() for k, v in self.blocks().items()})
+    def block_at(self, index: int) -> str:
+        """Name of the block that holds element ``index`` of ``flat``."""
+        return next(name for name, (_, stop, _) in _layout(self.cfg).items() if index < stop)
 
-    @property
-    def hidden(self) -> int:
-        return self.shared_w.shape[1]
 
-    @property
-    def num_hois(self) -> int:
-        return self.vo_w3.shape[1]
+def _block_view(name: str) -> property:
+    def view(self: ModelParams) -> np.ndarray:
+        start, stop, shape = _layout(self.cfg)[name]
+        return self.flat[start:stop].reshape(shape)
 
-    @property
-    def spatial_dim(self) -> int:
-        return self.sp_w1.shape[0] - self.hidden
+    def assign(self: ModelParams, value):
+        view(self)[...] = value
+
+    return property(view, assign, doc=f"The ``{name}`` block, a view of ``flat``.")
+
+
+for _name in BLOCK_NAMES:
+    setattr(ModelParams, _name, _block_view(_name))
 
 
 def block_shapes(cfg: NetworkConfig) -> dict[str, tuple[int, ...]]:
@@ -109,20 +112,32 @@ def block_shapes(cfg: NetworkConfig) -> dict[str, tuple[int, ...]]:
     }
 
 
+@lru_cache(maxsize=16)
+def _layout(cfg: NetworkConfig) -> dict[str, tuple[int, int, tuple[int, ...]]]:
+    """(start, stop, shape) of every block within the flat buffer, in
+    ``BLOCK_NAMES`` order. Shared between callers: do not mutate."""
+    layout, start = {}, 0
+    for name, shape in block_shapes(cfg).items():
+        stop = start + int(np.prod(shape))
+        layout[name] = (start, stop, shape)
+        start = stop
+    return layout
+
+
+def _flat_size(cfg: NetworkConfig) -> int:
+    return _layout(cfg)[BLOCK_NAMES[-1]][1]
+
+
 def init_params(cfg: NetworkConfig, rng: np.random.Generator) -> ModelParams:
     """Uniform init scaled by fan-in, weights and biases alike; blocks are
     drawn in ``BLOCK_NAMES`` order."""
     shapes = block_shapes(cfg)
-    blocks = {}
-    for name, shape in shapes.items():
+    params = ModelParams(cfg, np.empty(_flat_size(cfg)))
+    for name, block in params.blocks().items():
         fan_in = shapes[name.replace("_b", "_w")][0]  # a bias takes its weight's fan-in
         bound = 1.0 / np.sqrt(fan_in)
-        blocks[name] = rng.uniform(-bound, bound, size=shape)
-    return ModelParams(**blocks)
-
-
-def zero_like_params(params: ModelParams) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(arr) for name, arr in params.blocks().items()}
+        block[...] = rng.uniform(-bound, bound, size=block.shape)
+    return params
 
 
 @dataclass(frozen=True)
@@ -280,7 +295,7 @@ def spatial_input_scale(params: ModelParams) -> float:
     it by sqrt(hidden / spatial_dim) balances the two sources' contribution
     to the head's pre-activations.
     """
-    return float(np.sqrt(params.hidden / params.spatial_dim))
+    return float(np.sqrt(params.cfg.hidden / params.cfg.spatial_dim))
 
 
 def _sp_forward(human_x: np.ndarray, smap_x: np.ndarray, p: ModelParams):
@@ -306,7 +321,7 @@ def forward_verb_object(verb_feat, object_feat, params: ModelParams) -> np.ndarr
 def forward_spatial_human(human_feat, smap, params: ModelParams) -> np.ndarray:
     """Logits of the spatial-human head; ``smap`` may be a SpatialMap or a flat vector."""
     d = params.shared_w.shape[0]
-    s = params.spatial_dim
+    s = params.cfg.spatial_dim
     human_x, single = _as_2d(human_feat, d, "human feature")
     smap_x, _ = _as_2d(_spatial_input(smap), s, "spatial map")
     if smap_x.shape[0] == 1 and human_x.shape[0] > 1:
@@ -330,7 +345,7 @@ def _bce_grad(logits, targets, w, coef: float) -> np.ndarray:
 
 def _vo_backward(g_out: np.ndarray, cache, p: ModelParams, grads: dict):
     verb_x, obj_x, sv_pre, so_pre, z, h1_pre, h1, h2_pre, h2 = cache
-    h = p.hidden
+    h = p.cfg.hidden
     grads["vo_w3"] += h2.T @ g_out
     grads["vo_b3"] += g_out.sum(axis=0)
     g2 = (g_out @ p.vo_w3.T) * (h2_pre > 0)
@@ -350,7 +365,7 @@ def _vo_backward(g_out: np.ndarray, cache, p: ModelParams, grads: dict):
 
 def _sp_backward(g_out: np.ndarray, cache, p: ModelParams, grads: dict):
     human_x, sh_pre, z, h_pre, h_act = cache
-    h = p.hidden
+    h = p.cfg.hidden
     grads["sp_w2"] += h_act.T @ g_out
     grads["sp_b2"] += g_out.sum(axis=0)
     g1 = (g_out @ p.sp_w2.T) * (h_pre > 0)
@@ -370,7 +385,7 @@ def _forward(real: RealBatch, comp: CompBatch | None, params: ModelParams, lw: L
     """
     if len(real) == 0:
         raise NonFiniteLoss("real batch is empty")
-    c = params.num_hois
+    c = params.cfg.num_hois
     lw.validate(num_hois=c)
     w = lw.resolved_weights(c)
 
@@ -403,15 +418,17 @@ def loss_and_grads(real: RealBatch, comp: CompBatch | None, params: ModelParams,
 
     Returns:
         (total_loss, components, grads) where components maps
-        L_sp / L_vo / L_comp to floats and grads maps block names to arrays.
+        L_sp / L_vo / L_comp to floats and grads is a ``ModelParams`` in the
+        layout of ``params``.
     """
     total, components, w, terms = _forward(real, comp, params, lw)
-    grads = zero_like_params(params)
+    grads = ModelParams(params.cfg, np.zeros_like(params.flat))
+    blocks = grads.blocks()
     for backward_fn, logits, cache, targets, coef in terms:
-        backward_fn(_bce_grad(logits, targets, w, coef), cache, params, grads)
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradient(f"gradient block {name} is non-finite")
+        backward_fn(_bce_grad(logits, targets, w, coef), cache, params, blocks)
+    finite = np.isfinite(grads.flat)
+    if not finite.all():
+        raise NonFiniteGradient(f"gradient block {grads.block_at(np.argmin(finite))} is non-finite")
 
     return total, components, grads
 
@@ -420,12 +437,6 @@ def loss_total(real: RealBatch, comp: CompBatch | None, params: ModelParams,
                lw: LossWeights) -> float:
     """Scalar training loss; see ``loss_and_grads`` for the pieces."""
     return float(_forward(real, comp, params, lw)[0])
-
-
-def backward(real, comp, params: ModelParams, lw: LossWeights) -> dict[str, np.ndarray]:
-    """Analytic gradients of ``loss_total`` for every parameter block."""
-    _, _, grads = loss_and_grads(real, comp, params, lw)
-    return grads
 
 
 # ---- inference-time scoring ----
@@ -469,8 +480,8 @@ def fuse_scores(s_h, s_o, scores: Scores, branch_mode: str = "both") -> np.ndarr
 
 # ---- checkpoint file ----
 # Versioned text header (block names, shapes, optional meta) followed by the
-# raw little-endian float64 bytes of every block in header order. Round-trips
-# exactly and is byte-stable across reruns.
+# flat parameter buffer as raw little-endian float64 bytes, so every block in
+# header order. Round-trips exactly and is byte-stable across reruns.
 
 CHECKPOINT_MAGIC = "HOICOMP-CKPT"
 CHECKPOINT_VERSION = 1
@@ -481,20 +492,19 @@ def save_params(params: ModelParams, path, meta: dict | None = None):
     """Write a versioned checkpoint; round-trips exactly."""
     header = {
         "version": CHECKPOINT_VERSION,
-        "blocks": [[name, list(arr.shape)] for name, arr in params.blocks().items()],
+        "blocks": [[name, list(shape)] for name, shape in block_shapes(params.cfg).items()],
         "meta": meta or {},
     }
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC.encode() + b"\n")
         fh.write(json.dumps(header, sort_keys=True).encode())
         fh.write(_DATA_MARKER)
-        for arr in params.blocks().values():
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fh.write(params.flat.astype("<f8", copy=False).tobytes())
 
 
-def _header_shapes(entries) -> dict[str, tuple[int, ...]]:
-    """Block shapes from a checkpoint header: every block of ``BLOCK_NAMES``,
-    in order, shaped as ``block_shapes`` gives for one network."""
+def _header_config(entries) -> NetworkConfig:
+    """The network a checkpoint header describes: every block of
+    ``BLOCK_NAMES``, in order, shaped as ``block_shapes`` gives for it."""
     try:
         names = [name for name, _ in entries]
         shapes = {name: tuple(operator.index(n) for n in shape) for name, shape in entries}
@@ -513,7 +523,7 @@ def _header_shapes(entries) -> dict[str, tuple[int, ...]]:
         raise DimensionMismatch("checkpoint has a block with too few dimensions") from None
     if shapes != block_shapes(cfg) or min(astuple(cfg)) < 0:
         raise DimensionMismatch(f"checkpoint block shapes {shapes} do not fit one network")
-    return shapes
+    return cfg
 
 
 def load_params(path) -> tuple[ModelParams, dict]:
@@ -531,15 +541,9 @@ def load_params(path) -> tuple[ModelParams, dict]:
         raise ParseError(f"checkpoint header is not JSON: {exc}") from None
     if not isinstance(header, dict) or header.get("version") != CHECKPOINT_VERSION:
         raise DimensionMismatch(f"not a version-{CHECKPOINT_VERSION} checkpoint header")
-    blocks = {}
-    offset = 0
-    for name, shape in _header_shapes(header.get("blocks")).items():
-        n = int(np.prod(shape))
-        raw = data[offset : offset + 8 * n]
-        if len(raw) != 8 * n:
-            raise DimensionMismatch(f"checkpoint truncated in block {name}")
-        blocks[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
-        offset += 8 * n
-    if offset != len(data):
-        raise DimensionMismatch(f"checkpoint has {len(data) - offset} bytes after its last block")
-    return ModelParams(**blocks), header.get("meta", {})
+    cfg = _header_config(header.get("blocks"))
+    size = 8 * _flat_size(cfg)
+    if len(data) != size:  # truncated, or bytes after the last block
+        raise DimensionMismatch(f"checkpoint has {len(data)} data bytes, expected {size}")
+    flat = np.frombuffer(data, dtype="<f8").astype(np.float64)
+    return ModelParams(cfg, flat), header.get("meta", {})

@@ -372,6 +372,9 @@ def parse_instance(line: str, lineno: int, space: HoiLabelSpace, feature_dim: in
         s_o = float(parts[4])
     except ValueError:
         raise ParseError("bad score field", line=lineno, column=4) from None
+    for column, score in ((4, s_h), (5, s_o)):
+        if not 0.0 <= score <= 1.0:  # also rejects nan
+            raise ParseError(f"detector score {score} outside [0, 1]", line=lineno, column=column)
     try:
         hoi_ids = [int(p) for p in parts[6].split(",") if p]
     except ValueError:

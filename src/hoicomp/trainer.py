@@ -113,28 +113,24 @@ def make_minibatch(
     return [train[i] for i in chosen[:k]]
 
 
-def init_momentum(params: ModelParams) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(arr) for name, arr in params.blocks().items()}
-
-
-def sgd_step(
-    params: ModelParams,
-    grads: dict[str, np.ndarray],
-    state: dict[str, np.ndarray],
-    cfg: TrainConfig,
-):
+def sgd_step(params: ModelParams, grads: ModelParams, state: ModelParams, cfg: TrainConfig):
     """One SGD step with momentum and decoupled-from-nothing weight decay:
     v <- momentum * v + grad + weight_decay * param; param <- param - lr * v.
-    Updates arrays in place and returns (params, state)."""
-    for name, param in params.blocks().items():
-        v = state[name]
-        v *= cfg.momentum
-        v += grads[name]
-        if cfg.weight_decay:
-            v += cfg.weight_decay * param
-        param -= cfg.lr * v
-        if not np.all(np.isfinite(param)):
-            raise NonFiniteUpdate(f"parameter block {name} became non-finite")
+    ``state`` advances in place; the new parameters replace ``params.flat``
+    only if all are finite, so on ``NonFiniteUpdate`` the model is unchanged.
+    Returns (params, state)."""
+    v = state.flat
+    v *= cfg.momentum
+    v += grads.flat
+    if cfg.weight_decay:
+        v += cfg.weight_decay * params.flat
+    new = cfg.lr * v
+    np.subtract(params.flat, new, out=new)
+    finite = np.isfinite(new)
+    if not finite.all():
+        bad = params.block_at(np.argmin(finite))
+        raise NonFiniteUpdate(f"parameter block {bad} became non-finite")
+    params.flat = new
     return params, state
 
 
@@ -149,7 +145,6 @@ def train(
     space: HoiLabelSpace,
     cfg: TrainConfig,
     net_cfg: NetworkConfig | None = None,
-    test_set: list[Instance] | None = None,
     eval_fn=None,
 ):
     """Run the full loop and return (params, metrics log).
@@ -172,7 +167,7 @@ def train(
             num_hois=space.num_hois, feature_dim=len(train_set[0].human_feat)
         )
     params = init_params(net_cfg, rngmod.stream(cfg.seed, "init"))
-    state = init_momentum(params)
+    state = ModelParams(net_cfg, np.zeros_like(params.flat))
     batch_rng = rngmod.stream(cfg.seed, "batch")
     comp_rng = rngmod.stream(cfg.seed, "compose")
     groups = group_by_image(train_set)

@@ -193,6 +193,13 @@ def load_split(path, space: HoiLabelSpace) -> ZeroShotSplit:
                         raise ParseError(f"bad seed {parts[1]!r}", line=lineno) from None
     if strategy not in STRATEGIES:
         raise ParseError(f"missing or unknown strategy {strategy!r}")
+    seen = np.ones(space.num_hois, dtype=bool)
+    seen[sorted(unseen)] = False
+    for kind, hits, names in (("verb", space.verb_hoi, space.verb_names),
+                              ("object", space.object_hoi, space.object_names)):
+        uncovered = np.flatnonzero(~hits[:, seen].any(axis=1))
+        if uncovered.size:
+            raise InfeasibleSplit(f"split leaves {kind} {names[uncovered[0]]!r} in no seen class")
     unseen_set = frozenset(unseen)
     return ZeroShotSplit(
         unseen=unseen_set,

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from hoicomp.network import (
     NetworkConfig,
     RealBatch,
     Scores,
-    backward,
+    block_shapes,
     forward_spatial_human,
     forward_verb_object,
     fuse_scores,
@@ -147,10 +148,30 @@ def active_params(seed=0, cfg=TINY):
     return p
 
 
+class TestLayout:
+    def test_blocks_are_views_of_flat_in_order(self):
+        p = tiny_params()
+        assert [f.name for f in fields(ModelParams)] == ["cfg", "flat"]
+        blocks = p.blocks()
+        assert list(blocks) == list(BLOCK_NAMES)
+        assert {k: v.shape for k, v in blocks.items()} == block_shapes(TINY)
+        assert np.concatenate([b.ravel() for b in blocks.values()]).tobytes() == p.flat.tobytes()
+        before = p.flat.copy()
+        p.vo_w1 += 1.0
+        changed = np.flatnonzero(p.flat != before)
+        start = sum(blocks[n].size for n in BLOCK_NAMES[:BLOCK_NAMES.index("vo_w1")])
+        np.testing.assert_array_equal(changed, start + np.arange(blocks["vo_w1"].size))
+        assert p.block_at(start) == "vo_w1" and p.block_at(start - 1) == "sp_b2"
+
+    def test_wrong_buffer_size(self):
+        with pytest.raises(DimensionMismatch):
+            ModelParams(TINY, np.zeros(tiny_params().flat.size + 1))
+
+
 class TestForward:
     def test_zero_weights_give_half_probability(self):
         p = tiny_params()
-        zero = ModelParams(**{k: np.zeros_like(v) for k, v in p.blocks().items()})
+        zero = ModelParams(p.cfg, np.zeros_like(p.flat))
         rng = np.random.default_rng(0)
         logits = forward_verb_object(rng.standard_normal(3), rng.standard_normal(3), zero)
         np.testing.assert_array_equal(logits, np.zeros(5))
@@ -217,7 +238,7 @@ class TestLoss:
 
     def test_zero_logits_closed_form(self):
         cfg = TINY
-        zero = ModelParams(**{k: np.zeros_like(v) for k, v in tiny_params().blocks().items()})
+        zero = ModelParams(TINY, np.zeros_like(tiny_params().flat))
         real = RealBatch(
             human_feat=np.zeros((1, 3)),
             verb_feat=np.zeros((1, 3)),
@@ -287,10 +308,10 @@ class TestBackward:
             real = random_real(rng, n=int(rng.integers(1, 4)))
             comp = random_comp(rng, int(rng.integers(0, 4)))
             lw = random_weights(rng)
-            analytic = backward(real, comp, p, lw)
+            analytic = loss_and_grads(real, comp, p, lw)[2]
             numeric = fd_grads(real, comp, p, lw)
             for name in BLOCK_NAMES:
-                assert rel_err(analytic[name], numeric[name]) < 1e-3, name
+                assert rel_err(getattr(analytic, name), numeric[name]) < 1e-3, name
 
     def test_shared_block_accumulates_from_both_paths(self):
         rng = np.random.default_rng(11)
@@ -310,11 +331,11 @@ class TestBackward:
             object_src=np.array([1, 0]),
         )
         lw = LossWeights(lambda1=1.0, lambda2=1.0, class_weights=np.ones(5))
-        both = backward(real, comp, p, lw)
-        human_only = backward(real, comp, p, LossWeights(0.0, 0.0, np.ones(5)))
+        both = loss_and_grads(real, comp, p, lw)[2]
+        human_only = loss_and_grads(real, comp, p, LossWeights(0.0, 0.0, np.ones(5)))[2]
         # freezing the verb paths still leaves the human-path contribution
-        assert np.linalg.norm(human_only["shared_w"]) > 0
-        assert np.linalg.norm(both["shared_w"] - human_only["shared_w"]) > 0
+        assert np.linalg.norm(human_only.shared_w) > 0
+        assert np.linalg.norm(both.shared_w - human_only.shared_w) > 0
 
     def test_weight_scaling_limit(self):
         rng = np.random.default_rng(12)
@@ -323,10 +344,11 @@ class TestBackward:
         lw = random_weights(rng)
         eps = 1e-9
         scaled = LossWeights(lw.lambda1, lw.lambda2, lw.class_weights * eps)
-        g = backward(real, None, p, lw)
-        g_eps = backward(real, None, p, scaled)
+        g = loss_and_grads(real, None, p, lw)[2]
+        g_eps = loss_and_grads(real, None, p, scaled)[2]
         for name in BLOCK_NAMES:
-            np.testing.assert_allclose(g_eps[name], eps * g[name], rtol=1e-9, atol=1e-18)
+            np.testing.assert_allclose(getattr(g_eps, name), eps * getattr(g, name),
+                                       rtol=1e-9, atol=1e-18)
 
     def test_descent_step_reduces_loss(self):
         rng = np.random.default_rng(13)
@@ -334,8 +356,7 @@ class TestBackward:
         real = random_real(rng, n=4)
         lw = random_weights(rng)
         total, _, grads = loss_and_grads(real, None, p, lw)
-        for name, arr in p.blocks().items():
-            arr -= 1e-3 * grads[name]
+        p.flat -= 1e-3 * grads.flat
         assert loss_total(real, None, p, lw) < total
 
     def test_sharing_observable(self):
@@ -470,6 +491,19 @@ class TestCheckpoint:
         path.write_bytes(blob.replace(b'"sp_w1"', b'"sp_wX"', 1))
         with pytest.raises(DimensionMismatch):
             load_params(path)
+
+    def test_data_section_is_blocks_in_order(self, tmp_path):
+        path, blob = self._saved(tmp_path)
+        p = tiny_params(23)
+        data = blob.split(b"\n[data]\n", 1)[1]
+        assert data == b"".join(getattr(p, name).astype("<f8").tobytes() for name in BLOCK_NAMES)
+
+    def test_truncated_data(self, tmp_path):
+        path, blob = self._saved(tmp_path)
+        for cut in (1, 8, 8 * tiny_params().sp_b2.size + 3):
+            path.write_bytes(blob[:-cut])
+            with pytest.raises(DimensionMismatch):
+                load_params(path)
 
     def test_trailing_bytes(self, tmp_path):
         path, blob = self._saved(tmp_path)

@@ -232,6 +232,20 @@ class TestFileFormat:
             load_dataset(path)
         assert err.value.line == len(lines)
 
+    @pytest.mark.parametrize("column", [4, 5])
+    @pytest.mark.parametrize("score", ["1.5", "nan", "-0.2"])
+    def test_score_out_of_range(self, tmp_path, toy_space, column, score):
+        path = tmp_path / "bad.tsv"
+        save_dataset([make_instance(toy_space, [0]), make_instance(toy_space, [1])], toy_space, path)
+        lines = path.read_text().splitlines()
+        fields = lines[-1].split("\t")
+        fields[column - 1] = score
+        lines[-1] = "\t".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_dataset(path)
+        assert (err.value.line, err.value.column) == (len(lines), column)
+
     def test_inconsistent_label(self, tmp_path, toy_space):
         inst = make_instance(toy_space, [0])
         path = tmp_path / "bad.tsv"

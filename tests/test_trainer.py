@@ -4,14 +4,13 @@ import pytest
 from hoicomp import rng as rngmod
 from hoicomp import trainer
 from hoicomp.composer import ComposeConfig, compose_batch
-from hoicomp.errors import DivergedTraining, InvalidConfig
-from hoicomp.network import CompBatch, LossWeights, NetworkConfig, init_params
+from hoicomp.errors import DivergedTraining, InvalidConfig, NonFiniteUpdate
+from hoicomp.network import CompBatch, LossWeights, ModelParams, NetworkConfig, init_params
 from hoicomp.synthdata import DatasetConfig, generate, random_hoi_defs
 from hoicomp.trainer import (
     TrainConfig,
     format_metrics_log,
     group_by_image,
-    init_momentum,
     make_minibatch,
     read_metrics_log,
     sgd_step,
@@ -84,45 +83,51 @@ class TestSgdStep:
     def _params(self):
         return init_params(NET, np.random.default_rng(0))
 
+    def _like(self, p, value):
+        return ModelParams(p.cfg, np.full_like(p.flat, value))
+
     def test_plain_gradient_descent(self):
         p = self._params()
-        before = {k: v.copy() for k, v in p.blocks().items()}
-        grads = {k: np.ones_like(v) for k, v in p.blocks().items()}
+        before = p.flat.copy()
         cfg = TrainConfig(lr=0.1, momentum=0.0, weight_decay=0.0)
-        sgd_step(p, grads, init_momentum(p), cfg)
-        for name, arr in p.blocks().items():
-            np.testing.assert_allclose(arr, before[name] - 0.1)
+        sgd_step(p, self._like(p, 1.0), self._like(p, 0.0), cfg)
+        np.testing.assert_allclose(p.flat, before - 0.1)
 
     def test_zero_grads_keep_params(self):
         p = self._params()
-        before = {k: v.copy() for k, v in p.blocks().items()}
-        grads = {k: np.zeros_like(v) for k, v in p.blocks().items()}
+        before = p.flat.copy()
         cfg = TrainConfig(lr=0.1, momentum=0.9, weight_decay=0.0)
-        sgd_step(p, grads, init_momentum(p), cfg)
-        for name, arr in p.blocks().items():
-            np.testing.assert_array_equal(arr, before[name])
+        sgd_step(p, self._like(p, 0.0), self._like(p, 0.0), cfg)
+        np.testing.assert_array_equal(p.flat, before)
 
     def test_two_steps_constant_grad_closed_form(self):
         # v1 = g, v2 = (1 + m) g  =>  total displacement -lr (2 + m) g
         p = self._params()
-        before = {k: v.copy() for k, v in p.blocks().items()}
-        grads = {k: np.full_like(v, 0.5) for k, v in p.blocks().items()}
+        before = p.flat.copy()
+        grads = self._like(p, 0.5)
         m = 0.9
         cfg = TrainConfig(lr=0.01, momentum=m, weight_decay=0.0)
-        state = init_momentum(p)
+        state = self._like(p, 0.0)
         sgd_step(p, grads, state, cfg)
         sgd_step(p, grads, state, cfg)
-        for name, arr in p.blocks().items():
-            np.testing.assert_allclose(arr, before[name] - 0.01 * (2 + m) * 0.5, rtol=1e-12)
+        np.testing.assert_allclose(p.flat, before - 0.01 * (2 + m) * 0.5, rtol=1e-12)
 
     def test_weight_decay_pulls_to_zero(self):
         p = self._params()
-        before = {k: v.copy() for k, v in p.blocks().items()}
-        grads = {k: np.zeros_like(v) for k, v in p.blocks().items()}
+        before = p.flat.copy()
         cfg = TrainConfig(lr=0.1, momentum=0.0, weight_decay=0.5)
-        sgd_step(p, grads, init_momentum(p), cfg)
-        for name, arr in p.blocks().items():
-            np.testing.assert_allclose(arr, before[name] * (1 - 0.1 * 0.5), rtol=1e-12)
+        sgd_step(p, self._like(p, 0.0), self._like(p, 0.0), cfg)
+        np.testing.assert_allclose(p.flat, before * (1 - 0.1 * 0.5), rtol=1e-12)
+
+    def test_overflow_in_last_block_leaves_params_unchanged(self):
+        p = self._params()
+        before = p.flat.tobytes()
+        grads = self._like(p, 0.5)
+        grads.vo_b3[-1] = 1e308
+        cfg = TrainConfig(lr=10.0, momentum=0.9, weight_decay=0.0005)
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteUpdate, match="vo_b3"):
+            sgd_step(p, grads, self._like(p, 0.0), cfg)
+        assert p.flat.tobytes() == before
 
 
 class TestTrain:
@@ -132,8 +137,8 @@ class TestTrain:
         params, log = train(train_set, space, cfg, net_cfg=NET)
         fresh = init_params(NET, rngmod.stream(7, "init"))
         assert log == []
-        for name, arr in params.blocks().items():
-            np.testing.assert_array_equal(arr, fresh.blocks()[name])
+        assert params.cfg == fresh.cfg
+        np.testing.assert_array_equal(params.flat, fresh.flat)
 
     def test_compose_off_matches_lambda2_zero(self):
         train_set, _, space = tiny_dataset()
@@ -151,8 +156,8 @@ class TestTrain:
         p_off, log_off = train(train_set, space, cfg_off, net_cfg=NET)
         p_zero, log_zero = train(train_set, space, cfg_zero, net_cfg=NET)
         assert format_metrics_log(log_off) == format_metrics_log(log_zero)
-        for name in p_off.blocks():
-            np.testing.assert_array_equal(p_off.blocks()[name], p_zero.blocks()[name])
+        assert p_off.cfg == p_zero.cfg
+        np.testing.assert_array_equal(p_off.flat, p_zero.flat)
 
     def test_descent_on_toy_data(self):
         train_set, _, space = tiny_dataset()
@@ -181,8 +186,8 @@ class TestTrain:
         p1, log1 = train(train_set, space, cfg, net_cfg=NET)
         p2, log2 = train(train_set, space, cfg, net_cfg=NET)
         assert format_metrics_log(log1) == format_metrics_log(log2)
-        for name in p1.blocks():
-            np.testing.assert_array_equal(p1.blocks()[name], p2.blocks()[name])
+        assert p1.cfg == p2.cfg
+        np.testing.assert_array_equal(p1.flat, p2.flat)
 
     def test_diverged_training_reports_iteration(self):
         train_set, _, space = tiny_dataset()
@@ -192,7 +197,7 @@ class TestTrain:
         assert err.value.iteration >= 0
 
     def test_eval_hook_runs_on_schedule(self):
-        train_set, test_set, space = tiny_dataset()
+        train_set, _, space = tiny_dataset()
         calls = []
 
         def fake_eval(params):
@@ -200,7 +205,7 @@ class TestTrain:
             return {"mAP_full": 12.5}
 
         cfg = TrainConfig(iterations=10, eval_every=4, seed=3)
-        _, log = train(train_set, space, cfg, net_cfg=NET, test_set=test_set, eval_fn=fake_eval)
+        _, log = train(train_set, space, cfg, net_cfg=NET, eval_fn=fake_eval)
         assert len(calls) == 2
         assert "mAP_full" in log[3] and "mAP_full" in log[7]
         assert "mAP_full" not in log[0]
@@ -222,8 +227,8 @@ class TestTrain:
         p_old, log_old = train(train_set, space, cfg, net_cfg=NET)
         assert format_metrics_log(log_new) == format_metrics_log(log_old)
         assert any(e["L_comp"] > 0 for e in log_old)
-        for name in p_new.blocks():
-            assert p_new.blocks()[name].tobytes() == p_old.blocks()[name].tobytes()
+        assert p_new.cfg == p_old.cfg
+        assert p_new.flat.tobytes() == p_old.flat.tobytes()
 
     def test_validate_rejects_bad_config(self):
         train_set, _, space = tiny_dataset()

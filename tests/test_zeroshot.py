@@ -215,9 +215,18 @@ class TestSplitFile:
 
     def test_external_list_import(self, toy_space, tmp_path):
         path = tmp_path / "imported.txt"
-        path.write_text("strategy\trare_first\nseed\t0\n[unseen]\n2\n")
+        path.write_text("strategy\trare_first\nseed\t0\n[unseen]\n0\n")
         loaded = load_split(path, toy_space)
-        assert loaded.unseen == {2}
+        assert loaded.unseen == {0}
+
+    @pytest.mark.parametrize("ids, missing", [
+        ("0\n1\n", "verb 'feed'"), ("0\n2\n", "verb 'ride'"), ("2\n", "object 'bicycle'"),
+    ])
+    def test_uncovered_split(self, toy_space, tmp_path, ids, missing):
+        path = tmp_path / "uncovered.txt"
+        path.write_text("strategy\trare_first\nseed\t0\n[unseen]\n" + ids)
+        with pytest.raises(InfeasibleSplit, match=missing):
+            load_split(path, toy_space)
 
     def test_bad_id(self, toy_space, tmp_path):
         path = tmp_path / "bad.txt"
