@@ -42,8 +42,8 @@ from .network import (
 )
 from .spatial import Box2D, SpatialMap, encode_spatial_map
 from .synthdata import (
+    Dataset,
     DatasetConfig,
-    Instance,
     class_counts,
     generate,
     load_dataset,

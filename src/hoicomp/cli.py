@@ -18,7 +18,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .composer import ComposeConfig, compose_batch
-from .errors import HoicompError
+from .errors import HoicompError, ParseError, read_text_lines
 from .evaluator import (
     ThresholdConfig,
     detections_from_model,
@@ -37,9 +37,8 @@ from .experiments import (
     run_training,
     with_compose_mode,
 )
-from .label_algebra import compose, decompose
 from .network import LossWeights, NetworkConfig, load_params, save_params
-from .spatial import ascii_art, encode_spatial_map
+from .spatial import Box2D, ascii_art, encode_spatial_map
 from .synthdata import class_counts, generate, load_dataset, save_dataset
 from .trainer import TrainConfig, make_minibatch, write_metrics_log
 from .zeroshot import (
@@ -173,25 +172,25 @@ def _require(args, *names):
 
 def load_flat_config(path) -> dict[str, str]:
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise HoicompError(f"bad config line (expected key=value): {line!r}")
-            key, val = line.split("=", 1)
-            values[key.strip()] = val.strip()
+    for lineno, raw in enumerate(read_text_lines(path), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ParseError(f"bad config line (expected key=value): {line!r}", line=lineno)
+        key, val = line.split("=", 1)
+        values[key.strip()] = val.strip()
     return values
 
 
-def _apply_config(parser: argparse.ArgumentParser, overrides: dict[str, str]):
-    """Convert file values with each flag's own type and install as defaults."""
+def _apply_config(parser: argparse.ArgumentParser, overrides: dict[str, str]) -> set[str]:
+    """Convert file values with each flag's own type and install them as
+    defaults; returns the keys the parser and its subparsers know."""
     known = set()
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             for sp in action.choices.values():
-                _apply_config(sp, overrides)
+                known |= _apply_config(sp, overrides)
             continue
         if action.dest in ("help", "command"):
             continue
@@ -202,10 +201,14 @@ def _apply_config(parser: argparse.ArgumentParser, overrides: dict[str, str]):
         if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
             value = raw.lower() in ("1", "true", "yes", "on")
         elif action.type is not None:
-            value = action.type(raw)
+            try:
+                value = action.type(raw)
+            except ValueError:
+                raise HoicompError(f"bad config value {action.dest}={raw!r}") from None
         else:
             value = raw
         parser.set_defaults(**{action.dest: value})
+    return known
 
 
 def _spec_lines(args: argparse.Namespace, keys) -> str:
@@ -282,6 +285,10 @@ def _report_files(report, space, counts, out_dir: Path, stem: str = "report"):
     )
 
 
+def _spatial_art(data, k: int) -> str:
+    return ascii_art(encode_spatial_map(Box2D(*data.human_box[k]), Box2D(*data.object_box[k])))
+
+
 def _cmd_gen_data(args) -> int:
     _require(args, "out")
     cfg = default_dataset_config(**{key: getattr(args, key) for key in _DATASET_KEYS})
@@ -293,16 +300,16 @@ def _cmd_gen_data(args) -> int:
     _write_spec(args, _DATASET_KEYS + ("out", "test_out"), str(out) + ".spec")
     print(f"wrote {len(train_set)} train instances to {out}")
     print(f"wrote {len(test_set)} test instances to {test_out}")
-    for inst in train_set[: args.show_spatial]:
-        print(f"image {inst.image_id} object {space.object_names[inst.object_id]}")
-        print(ascii_art(encode_spatial_map(inst.human_box, inst.object_box)))
+    for k in range(len(train_set))[: args.show_spatial]:
+        print(f"image {train_set.image_id[k]} object {space.object_names[train_set.object_id[k]]}")
+        print(_spatial_art(train_set, k))
     return 0
 
 
 def _cmd_make_splits(args) -> int:
     _require(args, "data", "n_unseen", "out")
-    instances, space = load_dataset(args.data)
-    counts = class_counts(instances, space)
+    data, space = load_dataset(args.data)
+    counts = class_counts(data, space)
     split = make_split(counts, space, args.n_unseen, args.strategy, tie_break_seed=args.seed)
     save_split(split, args.out)
     _write_spec(args, ("data", "n_unseen", "strategy", "seed", "out"), str(args.out) + ".spec")
@@ -313,10 +320,10 @@ def _cmd_make_splits(args) -> int:
 def _run_and_dump(args, out_dir: Path, train_set, test_set, space, split=None) -> None:
     unseen_ids = split.unseen if split is not None else frozenset()
     train_cfg = _train_config(args, unseen_ids=unseen_ids)
-    net_cfg = _net_config(args, space, len(train_set[0].human_feat))
+    net_cfg = _net_config(args, space, train_set.human_feat.shape[1])
     partition = zeroshot_partition(split) if split is not None else None
     result = run_training(
-        train_set, test_set or [], space, train_cfg, net_cfg=net_cfg,
+        train_set, test_set, space, train_cfg, net_cfg=net_cfg,
         thresholds=_thresholds(args), partition=partition,
         branch_mode=args.branch, eval_mode=args.eval_mode,
         rare_threshold=args.rare_threshold, split=split,
@@ -334,7 +341,7 @@ def _cmd_train(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     train_set, space = load_dataset(args.data)
-    test_set = load_dataset(args.test)[0] if args.test else []
+    test_set = load_dataset(args.test)[0] if args.test else train_set[:0]
     split = load_split(args.split, space) if args.split else None
     _write_spec(
         args,
@@ -384,22 +391,22 @@ def _cmd_eval(args) -> int:
 
 def _cmd_compose_demo(args) -> int:
     _require(args, "data")
-    instances, space = load_dataset(args.data)
+    data, space = load_dataset(args.data)
     cfg = TrainConfig(interactions_per_minibatch=args.batch_size, seed=args.seed)
-    batch = make_minibatch(instances, cfg, rngmod.stream(args.seed, "batch"))
+    batch = data[make_minibatch(data, cfg, rngmod.stream(args.seed, "batch"))]
     compose_cfg = ComposeConfig(mode=args.mode, balance=False)
     composed = compose_batch(batch, space, compose_cfg, rngmod.stream(args.seed, "compose"))
     print(f"batch of {len(batch)} real instances over "
-          f"{len({b.image_id for b in batch})} images")
-    for idx, inst in enumerate(batch):
-        names = [space.hoi_names[c] for c in np.flatnonzero(inst.label)]
-        print(f"  real[{idx}] image={inst.image_id} labels={names}")
+          f"{len(np.unique(batch.image_id))} images")
+    for idx in range(len(batch)):
+        names = [space.hoi_names[c] for c in np.flatnonzero(batch.label[idx])]
+        print(f"  real[{idx}] image={batch.image_id[idx]} labels={names}")
         if idx < args.show_spatial:
-            print(ascii_art(encode_spatial_map(inst.human_box, inst.object_box)))
+            print(_spatial_art(batch, idx))
     print(f"{len(composed)} feasible compositions (mode={args.mode})")
     for comp in composed[: args.limit]:
         i, j = comp.verb_src, comp.object_src
-        kind = "within" if batch[i].image_id == batch[j].image_id else "between"
+        kind = "within" if batch.image_id[i] == batch.image_id[j] else "between"
         names = [space.hoi_names[c] for c in np.flatnonzero(comp.label)]
         print(f"  verb[{i}] + object[{j}] ({kind}) -> {names}")
     return 0
@@ -415,7 +422,7 @@ def _cmd_sweep(args) -> int:
     base_cfg = _train_config(args)
     rows = lambda_sweep(
         train_set, test_set, space, base_cfg, args.param, values,
-        net_cfg=_net_config(args, space, len(train_set[0].human_feat)),
+        net_cfg=_net_config(args, space, train_set.human_feat.shape[1]),
         thresholds=_thresholds(args), rare_threshold=args.rare_threshold,
     )
     _write_spec(args, _TRAIN_KEYS + _EVAL_KEYS + ("data", "test", "param", "values"),
@@ -438,7 +445,7 @@ def _cmd_ablate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     train_set, space = load_dataset(args.data)
     test_set, _ = load_dataset(args.test)
-    net_cfg = _net_config(args, space, len(train_set[0].human_feat))
+    net_cfg = _net_config(args, space, train_set.human_feat.shape[1])
     base_cfg = _train_config(args)
     _write_spec(args, _TRAIN_KEYS + _EVAL_KEYS + ("data", "test"), out_dir / "spec.txt")
 
@@ -484,10 +491,14 @@ def main(argv=None) -> int:
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
-    if known.config:
-        _apply_config(parser, load_flat_config(known.config))
-    args = parser.parse_args(argv)
     try:
+        if known.config:
+            overrides = load_flat_config(known.config)
+            # spec files also record ``command``, the one key that names no flag
+            unknown = sorted(set(overrides) - _apply_config(parser, overrides) - {"command"})
+            if unknown:
+                raise HoicompError(f"unknown config key {unknown[0]!r} in {known.config}")
+        args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except (HoicompError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

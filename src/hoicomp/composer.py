@@ -16,7 +16,7 @@ import numpy as np
 from .errors import EmptyBatch, InvalidConfig
 from .label_algebra import HoiLabelSpace, decompose
 from .network import CompBatch
-from .synthdata import Instance
+from .synthdata import Dataset
 
 MODES = ("within", "between", "both", "off")
 
@@ -45,7 +45,7 @@ class ComposeConfig:
 
 
 def compose_batch(
-    batch: list[Instance],
+    batch: Dataset,
     space: HoiLabelSpace,
     cfg: ComposeConfig,
     rng: np.random.Generator,
@@ -64,18 +64,16 @@ def compose_batch(
     n = len(batch)
     if n == 0:
         raise EmptyBatch("compose_batch needs at least one instance")
-    _, l_v = decompose(np.stack([inst.label for inst in batch]), space)
+    _, l_v = decompose(batch.label, space)
     # class hits per instance for its verbs / its object
     verb_hits = (l_v.astype(np.int64) @ space.verb_hoi.astype(np.int64)) > 0
-    object_ids = np.array([inst.object_id for inst in batch])
-    object_hits = space.objects_by_hoi()[None, :] == object_ids[:, None]
+    object_hits = space.objects_by_hoi()[None, :] == batch.object_id[:, None]
     hits = verb_hits[:, None, :] & object_hits[None, :, :]  # (verb src, object src, class)
     unseen = sorted(cfg.unseen_ids)
     if not cfg.unseen_allowed and unseen:
         hits[:, :, unseen] = False
 
-    image_ids = np.array([inst.image_id for inst in batch])
-    same_image = image_ids[:, None] == image_ids[None, :]
+    same_image = batch.image_id[:, None] == batch.image_id[None, :]
     allowed = {"within": same_image, "between": ~same_image, "both": True, "off": False}
     keep = hits.any(axis=2) & ~np.eye(n, dtype=bool) & allowed[cfg.mode]
     i, j = np.nonzero(keep)  # row-major: the balance draw indexes into this order

@@ -1,4 +1,5 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and the text-file reader that
+turns bytes which are not UTF-8 into one of them."""
 
 
 class HoicompError(Exception):
@@ -105,3 +106,20 @@ class InfeasibleSplit(HoicompError):
 
 class UnknownHoiId(HoicompError):
     """A detection or ground truth refers to an interaction id outside the label space."""
+
+
+def read_text_lines(path) -> list[str]:
+    """Lines of a UTF-8 text file, as ``readlines`` gives them; bytes that are
+    not UTF-8 raise ``ParseError`` naming their line."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError as exc:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        try:
+            blob.decode("utf-8")
+        except UnicodeDecodeError as whole:
+            exc = whole  # the reader decodes in chunks; this offset is the file's
+        line = blob.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"not UTF-8 text: {exc.reason}", line=line) from None

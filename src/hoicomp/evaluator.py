@@ -12,23 +12,16 @@ contains that class's object category.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidConfig, ParseError, UnknownHoiId
+from .errors import InvalidConfig, ParseError, UnknownHoiId, read_text_lines
 from .label_algebra import HoiLabelSpace
-from .network import (
-    BRANCH_MODES,
-    ModelParams,
-    Scores,
-    forward_spatial_human,
-    forward_verb_object,
-    fuse_scores,
-    sigmoid,
-)
+from .network import BRANCH_MODES, ModelParams, branch_scores, fuse_scores
 from .spatial import Box2D, spatial_vector
-from .synthdata import Instance
+from .synthdata import Dataset
 
 EVAL_MODES = ("default", "known_object")
 IOU_THRESHOLD = 0.5
@@ -218,20 +211,21 @@ def _nan_mean(values: np.ndarray) -> float:
     return float(valid.mean())
 
 
-def ground_truths_from_instances(instances: list[Instance]) -> list[GroundTruth]:
-    """One ground truth per active label bit of each instance."""
-    gts = []
-    for inst in instances:
-        for c in np.flatnonzero(inst.label):
-            gts.append(
-                GroundTruth(
-                    image_id=inst.image_id,
-                    human_box=inst.human_box,
-                    object_box=inst.object_box,
-                    hoi_id=int(c),
-                )
-            )
-    return gts
+def _boxes(data: Dataset) -> tuple[list[Box2D], list[Box2D]]:
+    """One human and one object ``Box2D`` per row."""
+    return ([Box2D(*b) for b in data.human_box.tolist()],
+            [Box2D(*b) for b in data.object_box.tolist()])
+
+
+def ground_truths_from_instances(data: Dataset) -> list[GroundTruth]:
+    """One ground truth per active label bit of each instance, in row order."""
+    humans, objects = _boxes(data)
+    image_ids = data.image_id.tolist()
+    rows, classes = np.nonzero(data.label)
+    return [
+        GroundTruth(image_id=image_ids[r], human_box=humans[r], object_box=objects[r], hoi_id=c)
+        for r, c in zip(rows.tolist(), classes.tolist())
+    ]
 
 
 @dataclass(frozen=True)
@@ -253,14 +247,30 @@ class ThresholdConfig:
             raise InvalidConfig("fallback factor must lie in [0, 1]")
 
 
+def _surviving_rows(test: Dataset, thresholds: ThresholdConfig) -> np.ndarray:
+    """Rows that pass the detector cutoffs, grouped by image id in ascending
+    order; an image none of whose rows pass is retried once with both cutoffs
+    scaled by the fallback factor."""
+    order = np.argsort(test.image_id, kind="stable")
+    ids = test.image_id[order]
+    s_h, s_o = test.human_score[order], test.object_score[order]
+    image_of = np.cumsum(np.diff(ids, prepend=ids[:1]) != 0)  # image index of each row
+    strict = (s_h >= thresholds.human) & (s_o >= thresholds.object)
+    relaxed = ((s_h >= thresholds.human * thresholds.fallback)
+               & (s_o >= thresholds.object * thresholds.fallback))
+    image_passes = np.zeros(len(ids), dtype=bool)
+    image_passes[image_of[strict]] = True
+    return order[np.where(image_passes[image_of], strict, relaxed)]
+
+
 def detections_from_model(
-    test: list[Instance],
+    test: Dataset,
     params: ModelParams,
     thresholds: ThresholdConfig | None = None,
     branch_mode: str = "both",
 ) -> list[Detection]:
     """Score surviving test pairs with the fused model and emit one
-    detection per class.
+    detection per class, pairs in image-id order.
 
     Pairs are filtered by detector confidence; an image whose pairs all fail
     the cutoffs is retried once with both cutoffs scaled by the fallback
@@ -270,52 +280,21 @@ def detections_from_model(
         raise InvalidConfig(f"branch_mode must be one of {BRANCH_MODES}")
     thresholds = thresholds or ThresholdConfig()
     thresholds.validate()
-
-    by_image: dict[int, list[Instance]] = {}
-    for inst in test:
-        by_image.setdefault(inst.image_id, []).append(inst)
-
-    surviving: list[Instance] = []
-    for image_id in sorted(by_image):
-        insts = by_image[image_id]
-        th, to = thresholds.human, thresholds.object
-        kept = [i for i in insts if i.human_score >= th and i.object_score >= to]
-        if not kept:
-            th *= thresholds.fallback
-            to *= thresholds.fallback
-            kept = [i for i in insts if i.human_score >= th and i.object_score >= to]
-        surviving.extend(kept)
+    surviving = _surviving_rows(test, thresholds)
 
     detections: list[Detection] = []
-    num_hois = params.cfg.num_hois
+    classes = range(params.cfg.num_hois)
     for start in range(0, len(surviving), 512):
-        chunk = surviving[start : start + 512]
-        human = np.stack([i.human_feat for i in chunk])
-        verb = np.stack([i.verb_feat for i in chunk])
-        obj = np.stack([i.object_feat for i in chunk])
-        smap = np.stack([spatial_vector(i.human_box, i.object_box) for i in chunk])
-        scores = Scores(
-            s_sp=sigmoid(forward_spatial_human(human, smap, params)),
-            s_verb_obj=sigmoid(forward_verb_object(verb, obj, params)),
-        )
-        fused = fuse_scores(
-            np.array([i.human_score for i in chunk]),
-            np.array([i.object_score for i in chunk]),
-            scores,
-            branch_mode,
-        )
-        for k, inst in enumerate(chunk):
-            row = fused[k]
-            for c in range(num_hois):
-                detections.append(
-                    Detection(
-                        image_id=inst.image_id,
-                        human_box=inst.human_box,
-                        object_box=inst.object_box,
-                        hoi_id=c,
-                        score=float(row[c]),
-                    )
-                )
+        chunk = test[surviving[start : start + 512]]
+        smap = spatial_vector(chunk.human_box, chunk.object_box)
+        scores = branch_scores(params, chunk.human_feat, chunk.verb_feat, chunk.object_feat, smap)
+        fused = fuse_scores(chunk.human_score, chunk.object_score, scores, branch_mode)
+        humans, objects = _boxes(chunk)
+        for image_id, human, obj, row in zip(chunk.image_id.tolist(), humans, objects, fused.tolist()):
+            detections.extend(
+                Detection(image_id=image_id, human_box=human, object_box=obj, hoi_id=c, score=row[c])
+                for c in classes
+            )
     return detections
 
 
@@ -338,32 +317,28 @@ def save_detections(dets: list[Detection], path):
 
 def load_detections(path) -> list[Detection]:
     dets = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            parts = raw.rstrip("\n").split("\t")
-            if len(parts) != 5:
-                raise ParseError(f"expected 5 fields, got {len(parts)}", line=lineno)
-            try:
-                image_id = int(parts[0])
-                hoi_id = int(parts[1])
-                score = float(parts[2])
-                hbox = [float(v) for v in parts[3].split(",")]
-                obox = [float(v) for v in parts[4].split(",")]
-            except ValueError:
-                raise ParseError("bad field value", line=lineno) from None
-            if len(hbox) != 4 or len(obox) != 4:
-                raise ParseError("boxes need 4 coordinates", line=lineno)
-            dets.append(
-                Detection(
-                    image_id=image_id,
-                    human_box=Box2D(*hbox),
-                    object_box=Box2D(*obox),
-                    hoi_id=hoi_id,
-                    score=score,
-                )
-            )
+    for lineno, raw in enumerate(read_text_lines(path), start=1):
+        if not raw.strip():
+            continue
+        parts = raw.rstrip("\n").split("\t")
+        if len(parts) != 5:
+            raise ParseError(f"expected 5 fields, got {len(parts)}", line=lineno)
+        try:
+            image_id = int(parts[0])
+            hoi_id = int(parts[1])
+            score = float(parts[2])
+            hbox = [float(v) for v in parts[3].split(",")]
+            obox = [float(v) for v in parts[4].split(",")]
+        except ValueError:
+            raise ParseError("bad field value", line=lineno) from None
+        if not math.isfinite(score):
+            raise ParseError(f"non-finite score {parts[2]!r}", line=lineno, column=3)
+        if len(hbox) != 4 or len(obox) != 4:
+            raise ParseError("boxes need 4 coordinates", line=lineno)
+        dets.append(
+            Detection(image_id=image_id, human_box=Box2D(*hbox), object_box=Box2D(*obox),
+                      hoi_id=hoi_id, score=score)
+        )
     return dets
 
 

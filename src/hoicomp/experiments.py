@@ -22,7 +22,7 @@ from .evaluator import (
 )
 from .label_algebra import HoiLabelSpace
 from .network import ModelParams, NetworkConfig
-from .synthdata import DatasetConfig, Instance, class_counts, generate, random_hoi_defs
+from .synthdata import Dataset, DatasetConfig, class_counts, generate, random_hoi_defs
 from .trainer import TrainConfig, train
 from .zeroshot import (
     ZeroShotSplit,
@@ -90,7 +90,7 @@ class RunResult:
 
 def evaluate_params(
     params: ModelParams,
-    test_set: list[Instance],
+    test_set: Dataset,
     space: HoiLabelSpace,
     counts,
     thresholds: ThresholdConfig | None = None,
@@ -110,8 +110,8 @@ def evaluate_params(
 
 
 def run_training(
-    train_set: list[Instance],
-    test_set: list[Instance],
+    train_set: Dataset,
+    test_set: Dataset,
     space: HoiLabelSpace,
     train_cfg: TrainConfig,
     net_cfg: NetworkConfig | None = None,
@@ -231,7 +231,7 @@ def zero_shot_comparison(
 
 def branch_ablation(
     result: RunResult,
-    test_set: list[Instance],
+    test_set: Dataset,
     thresholds: ThresholdConfig | None = None,
     partition: dict | None = None,
 ) -> dict[str, EvalReport]:

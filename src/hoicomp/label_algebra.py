@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DanglingId, DuplicateHoi, EmptyDefinition, ParseError, ShapeMismatch
+from .errors import read_text_lines
 
 
 @dataclass(frozen=True)
@@ -203,15 +204,6 @@ def is_feasible(y) -> bool | np.ndarray:
     return np.any(y, axis=-1)
 
 
-def object_onehot(object_id: int, space: HoiLabelSpace) -> np.ndarray:
-    """One-hot object indicator vector for a single object id."""
-    if not 0 <= object_id < space.num_objects:
-        raise ShapeMismatch(f"object id {object_id} outside [0, {space.num_objects})")
-    vec = np.zeros(space.num_objects, dtype=np.uint8)
-    vec[object_id] = 1
-    return vec
-
-
 # ---- line-oriented label-space file ----
 # One class per line: hoi_id<TAB>verb_name[,verb_name...]<TAB>object_name
 # Ids are dense from 0; verb/object id tables follow first appearance order.
@@ -277,5 +269,4 @@ def parse_space(lines, start_line=1) -> HoiLabelSpace:
 
 
 def load_space(path) -> HoiLabelSpace:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_space(fh.readlines())
+    return parse_space(read_text_lines(path))

@@ -32,7 +32,7 @@ from .errors import (
     ParseError,
 )
 from .spatial import GRID_SIZE, SpatialMap, spatial_vector
-from .synthdata import Instance
+from .synthdata import Dataset
 
 BRANCH_MODES = ("both", "vo_only", "sp_only")
 
@@ -188,7 +188,8 @@ class Scores:
 
 @dataclass(frozen=True)
 class RealBatch:
-    """Columnar view of a minibatch of real instances."""
+    """Network inputs of a minibatch of real instances: the feature columns
+    of its ``Dataset`` rows, their rasterized box pairs and float labels."""
 
     human_feat: np.ndarray   # (n, D)
     verb_feat: np.ndarray    # (n, D)
@@ -200,15 +201,13 @@ class RealBatch:
         return self.human_feat.shape[0]
 
     @classmethod
-    def from_instances(cls, batch: list[Instance]) -> "RealBatch":
+    def from_instances(cls, batch: Dataset) -> "RealBatch":
         return cls(
-            human_feat=np.stack([b.human_feat for b in batch]).astype(np.float64),
-            verb_feat=np.stack([b.verb_feat for b in batch]).astype(np.float64),
-            object_feat=np.stack([b.object_feat for b in batch]).astype(np.float64),
-            spatial=np.stack(
-                [spatial_vector(b.human_box, b.object_box) for b in batch]
-            ),
-            label=np.stack([b.label for b in batch]).astype(np.float64),
+            human_feat=batch.human_feat,
+            verb_feat=batch.verb_feat,
+            object_feat=batch.object_feat,
+            spatial=spatial_vector(batch.human_box, batch.object_box),
+            label=batch.label.astype(np.float64),
         )
 
 
@@ -231,12 +230,12 @@ class CompBatch:
         return CompBatch(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
 
     @classmethod
-    def from_composited(cls, batch: list[Instance], verb_src, object_src, label) -> "CompBatch":
+    def from_composited(cls, batch: Dataset, verb_src, object_src, label) -> "CompBatch":
         """Gather the composited pairs (``verb_src[k]``, ``object_src[k]``) of
         the real minibatch ``batch``, labelled ``label[k]``."""
         return cls(
-            verb_feat=np.stack([b.verb_feat for b in batch]).astype(np.float64)[verb_src],
-            object_feat=np.stack([b.object_feat for b in batch]).astype(np.float64)[object_src],
+            verb_feat=batch.verb_feat[verb_src],
+            object_feat=batch.object_feat[object_src],
             label=np.asarray(label, dtype=np.float64),
             verb_src=verb_src,
             object_src=object_src,

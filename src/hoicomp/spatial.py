@@ -1,9 +1,10 @@
-"""Two-channel binary spatial maps for a human/object box pair.
+"""Two-channel binary spatial maps for batches of human/object box pairs.
 
-Both boxes are re-expressed in the frame of their union box (the tight box
-enclosing both) and rasterized onto a 64x64 grid, one channel per box. A cell
-is set iff its center lies inside the transformed box, with half-open edges
-[x1, x2) x [y1, y2) so adjacent boxes tile without overlap.
+Both boxes of a pair are re-expressed in the frame of their union box (the
+tight box enclosing both) and rasterized onto a 64x64 grid, one channel per
+box. A cell is set iff its center lies inside the transformed box, with
+half-open edges [x1, x2) x [y1, y2) so adjacent boxes tile without overlap.
+One broadcast rasterizes a whole batch; a single pair is a batch of one.
 """
 
 from __future__ import annotations
@@ -52,13 +53,6 @@ class Box2D:
         return (self.x1, self.y1, self.x2, self.y2)
 
 
-def union_box(a: Box2D, b: Box2D) -> Box2D:
-    """Tight box enclosing both inputs."""
-    return Box2D(
-        min(a.x1, b.x1), min(a.y1, b.y1), max(a.x2, b.x2), max(a.y2, b.y2)
-    )
-
-
 @dataclass(frozen=True)
 class SpatialMap:
     """Binary person/object channels on the GRID_SIZE x GRID_SIZE grid."""
@@ -77,43 +71,40 @@ class SpatialMap:
         ).astype(np.float64)
 
 
-def _rasterize(box: Box2D, frame: Box2D, size: int) -> np.ndarray:
-    sx = size / frame.width
-    sy = size / frame.height
-    gx1 = (box.x1 - frame.x1) * sx
-    gx2 = (box.x2 - frame.x1) * sx
-    gy1 = (box.y1 - frame.y1) * sy
-    gy2 = (box.y2 - frame.y1) * sy
+def spatial_vector(human_boxes, object_boxes, size: int = GRID_SIZE) -> np.ndarray:
+    """Rasterize n human/object box pairs, given as (n, 4) arrays, into their
+    union-box frames: an (n, 2 * size**2) float64 array whose row k holds the
+    flattened human channel, then the object channel, of pair k.
+
+    Raises:
+        DegenerateBox: a box so thin relative to its union that no cell
+            center falls inside it. Callers must supply usable boxes.
+    """
+    boxes = np.stack([human_boxes, object_boxes], axis=1).astype(np.float64)  # (n, 2, 4)
+    frame_lo = np.minimum(boxes[:, 0, :2], boxes[:, 1, :2])[:, None]  # union x1, y1
+    frame_hi = np.maximum(boxes[:, 0, 2:], boxes[:, 1, 2:])[:, None]  # union x2, y2
+    scale = size / (frame_hi - frame_lo)
+    lo = (boxes[..., :2] - frame_lo) * scale  # (n, 2, 2): grid x1, y1 per channel
+    hi = (boxes[..., 2:] - frame_lo) * scale
     centers = np.arange(size) + 0.5
-    cols = (centers >= gx1) & (centers < gx2)
-    rows = (centers >= gy1) & (centers < gy2)
-    grid = (rows[:, None] & cols[None, :]).astype(np.uint8)
-    if not grid.any():
-        raise DegenerateBox(f"box {box.as_tuple()} covers no cell center in frame {frame.as_tuple()}")
-    return grid
+    inside = (centers >= lo[..., None]) & (centers < hi[..., None])  # (n, 2, 2, size)
+    cols, rows = inside[:, :, 0], inside[:, :, 1]
+    empty = ~(cols.any(axis=-1) & rows.any(axis=-1))
+    if empty.any():
+        k, channel = np.argwhere(empty)[0]
+        box = tuple(boxes[k, channel].tolist())
+        raise DegenerateBox(f"pair {k}: box {box} covers no cell center in its union frame")
+    grids = rows[..., :, None] & cols[..., None, :]
+    return grids.reshape(len(boxes), -1).astype(np.float64)
 
 
 def encode_spatial_map(human: Box2D, obj: Box2D, size: int = GRID_SIZE) -> SpatialMap:
-    """Rasterize a human/object box pair into its union-box frame.
-
-    Channel 0 marks the human box, channel 1 the object box. The union frame
-    makes the encoding invariant to translating or uniformly scaling both
-    boxes together.
-
-    Raises:
-        DegenerateBox: a box so thin relative to the union that no cell
-            center falls inside it. Callers must supply usable boxes.
-    """
-    frame = union_box(human, obj)
-    return SpatialMap(
-        person_channel=_rasterize(human, frame, size),
-        object_channel=_rasterize(obj, frame, size),
-    )
-
-
-def spatial_vector(human: Box2D, obj: Box2D, size: int = GRID_SIZE) -> np.ndarray:
-    """Shorthand for ``encode_spatial_map(...).as_vector()``."""
-    return encode_spatial_map(human, obj, size).as_vector()
+    """``spatial_vector`` of one pair, as a map. Channel 0 marks the human
+    box, channel 1 the object box. The union frame makes the encoding
+    invariant to translating or uniformly scaling both boxes together."""
+    vec = spatial_vector([human.as_tuple()], [obj.as_tuple()], size)
+    person, obj_channel = vec.reshape(2, size, size).astype(np.uint8)
+    return SpatialMap(person_channel=person, object_channel=obj_channel)
 
 
 def ascii_art(smap: SpatialMap) -> str:

@@ -1,8 +1,9 @@
 """Seeded synthetic long-tail interaction datasets in feature space.
 
-Stands in for an image backbone: each instance carries detector-style boxes
-and scores plus human/verb/object feature vectors drawn from class-conditional
-isotropic Gaussians. Verb-conditioned generators depend only on the verb set
+Stands in for an image backbone: a dataset is one ``Dataset`` of columns, and
+row k is one human-object pair with detector-style boxes and scores plus
+human/verb/object feature vectors drawn from class-conditional isotropic
+Gaussians. Verb-conditioned generators depend only on the verb set
 and object-conditioned generators only on the object, so features are
 shareable across interaction classes by construction. Class frequencies
 follow a Zipf law over class rank, giving the long tail.
@@ -11,7 +12,7 @@ follow a Zipf law over class rank, giving the long tail.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -19,8 +20,10 @@ from . import rng as rngmod
 from .errors import (
     DimensionMismatch,
     InconsistentLabel,
+    InvalidBox,
     InvalidConfig,
     ParseError,
+    read_text_lines,
 )
 from .label_algebra import (
     HoiLabelSpace,
@@ -33,19 +36,46 @@ from .spatial import Box2D
 
 
 @dataclass(frozen=True)
-class Instance:
-    """One human-object pair: boxes, detection scores, features, label."""
+class Dataset:
+    """Human-object pairs as columns; row k of every column is pair k.
 
-    image_id: int
-    human_box: Box2D
-    object_box: Box2D
-    human_score: float
-    object_score: float
-    human_feat: np.ndarray
-    verb_feat: np.ndarray
-    object_feat: np.ndarray
-    label: np.ndarray
-    object_id: int
+    Boxes are (x1, y1, x2, y2) rows that satisfy ``Box2D``'s checks, and each
+    label row is a multi-hot vector over the label space's classes.
+    """
+
+    image_id: np.ndarray      # (N,) int64
+    human_box: np.ndarray     # (N, 4) float64
+    object_box: np.ndarray    # (N, 4) float64
+    human_score: np.ndarray   # (N,) float64
+    object_score: np.ndarray  # (N,) float64
+    human_feat: np.ndarray    # (N, D) float64
+    verb_feat: np.ndarray     # (N, D) float64
+    object_feat: np.ndarray   # (N, D) float64
+    label: np.ndarray         # (N, C) uint8
+    object_id: np.ndarray     # (N,) int64
+
+    def __len__(self) -> int:
+        return self.image_id.shape[0]
+
+    def __getitem__(self, rows) -> "Dataset":
+        """The selected rows (an index, slice, mask or index array) of every column."""
+        return Dataset(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
+
+
+def empty_dataset(n: int, feature_dim: int, num_hois: int) -> Dataset:
+    """A zero-filled dataset of ``n`` rows, to be written row by row."""
+    return Dataset(
+        image_id=np.zeros(n, dtype=np.int64),
+        human_box=np.zeros((n, 4)),
+        object_box=np.zeros((n, 4)),
+        human_score=np.zeros(n),
+        object_score=np.zeros(n),
+        human_feat=np.zeros((n, feature_dim)),
+        verb_feat=np.zeros((n, feature_dim)),
+        object_feat=np.zeros((n, feature_dim)),
+        label=np.zeros((n, num_hois), dtype=np.uint8),
+        object_id=np.zeros(n, dtype=np.int64),
+    )
 
 
 @dataclass(frozen=True)
@@ -224,26 +254,25 @@ def _generate_split(
     model: _FeatureModel,
     rng: np.random.Generator,
     image_id_start: int,
-) -> list[Instance]:
+) -> Dataset:
     num_hois = space.num_hois
     probs = zipf_probs(num_hois, cfg.zipf_exponent)
     primary = rng.choice(num_hois, size=n, p=probs) if n else np.empty(0, dtype=int)
     obj_by_hoi = space.objects_by_hoi()
+    data = empty_dataset(n, cfg.feature_dim, num_hois)
 
     # pack consecutive instances into images of random size
-    image_ids = np.empty(n, dtype=np.int64)
     pos = 0
     next_image = image_id_start
     while pos < n:
         take = int(rng.integers(1, cfg.max_instances_per_image + 1))
-        image_ids[pos : pos + take] = next_image
+        data.image_id[pos : pos + take] = next_image
         next_image += 1
         pos += take
 
-    instances = []
     for i in range(n):
         c = int(primary[i])
-        label = np.zeros(num_hois, dtype=np.uint8)
+        label = data.label[i]
         label[c] = 1
         u = rng.random()
         if u < cfg.multi_label_frac and model.same_object[c].size:
@@ -253,29 +282,18 @@ def _generate_split(
         verbs = sorted({v for a in active for v in space.verbs_of(int(a))})
         obj = int(obj_by_hoi[c])
 
-        verb_feat = model.verb_set_mean(verbs, model.verb_means) + cfg.noise_sigma * rng.standard_normal(cfg.feature_dim)
-        human_feat = model.verb_set_mean(verbs, model.human_means) + cfg.noise_sigma * rng.standard_normal(cfg.feature_dim)
-        object_feat = model.object_means[obj] + cfg.noise_sigma * rng.standard_normal(cfg.feature_dim)
+        data.verb_feat[i] = model.verb_set_mean(verbs, model.verb_means) + cfg.noise_sigma * rng.standard_normal(cfg.feature_dim)
+        data.human_feat[i] = model.verb_set_mean(verbs, model.human_means) + cfg.noise_sigma * rng.standard_normal(cfg.feature_dim)
+        data.object_feat[i] = model.object_means[obj] + cfg.noise_sigma * rng.standard_normal(cfg.feature_dim)
 
         geometry_verb = min(space.verbs_of(c))
         human_box, object_box = _sample_boxes(geometry_verb, obj, cfg, model, rng)
-        s_h = rng.uniform(cfg.score_low, cfg.score_high)
-        s_o = rng.uniform(cfg.score_low, cfg.score_high)
-        instances.append(
-            Instance(
-                image_id=int(image_ids[i]),
-                human_box=human_box,
-                object_box=object_box,
-                human_score=float(s_h),
-                object_score=float(s_o),
-                human_feat=human_feat,
-                verb_feat=verb_feat,
-                object_feat=object_feat,
-                label=label,
-                object_id=obj,
-            )
-        )
-    return instances
+        data.human_box[i] = human_box.as_tuple()
+        data.object_box[i] = object_box.as_tuple()
+        data.human_score[i] = rng.uniform(cfg.score_low, cfg.score_high)
+        data.object_score[i] = rng.uniform(cfg.score_low, cfg.score_high)
+        data.object_id[i] = obj
+    return data
 
 
 def generate(cfg: DatasetConfig):
@@ -292,17 +310,16 @@ def generate(cfg: DatasetConfig):
     )
     model = _FeatureModel(space, cfg)
     train = _generate_split(cfg.n_train, space, cfg, model, rngmod.stream(cfg.seed, "train-data"), 0)
-    test_start = train[-1].image_id + 1 if train else 0
+    test_start = int(train.image_id[-1]) + 1 if len(train) else 0
     test = _generate_split(cfg.n_test, space, cfg, model, rngmod.stream(cfg.seed, "test-data"), test_start)
     return train, test, space
 
 
-def class_counts(instances: list[Instance], space: HoiLabelSpace) -> np.ndarray:
+def class_counts(data: Dataset, space: HoiLabelSpace) -> np.ndarray:
     """Training instances per class; a multi-label instance counts once per active bit."""
-    counts = np.zeros(space.num_hois, dtype=np.int64)
-    for inst in instances:
-        counts += inst.label
-    return counts
+    if data.label.shape[1] != space.num_hois:
+        raise DimensionMismatch(f"labels have {data.label.shape[1]} classes, space has {space.num_hois}")
+    return data.label.sum(axis=0, dtype=np.int64)
 
 
 # ---- dataset file format ----
@@ -316,47 +333,51 @@ def _fmt_floats(values) -> str:
     return ",".join(repr(float(v)) for v in values)
 
 
-def format_instance(inst: Instance) -> str:
+def format_row(data: Dataset, k: int) -> str:
+    """Row ``k`` of ``data`` as one dataset file line, without the newline."""
     return "\t".join(
         [
-            str(inst.image_id),
-            _fmt_floats(inst.human_box.as_tuple()),
-            _fmt_floats(inst.object_box.as_tuple()),
-            repr(float(inst.human_score)),
-            repr(float(inst.object_score)),
-            str(inst.object_id),
-            ",".join(str(int(c)) for c in np.flatnonzero(inst.label)),
-            _fmt_floats(inst.human_feat),
-            _fmt_floats(inst.verb_feat),
-            _fmt_floats(inst.object_feat),
+            str(data.image_id[k]),
+            _fmt_floats(data.human_box[k]),
+            _fmt_floats(data.object_box[k]),
+            repr(float(data.human_score[k])),
+            repr(float(data.object_score[k])),
+            str(data.object_id[k]),
+            ",".join(str(c) for c in np.flatnonzero(data.label[k])),
+            _fmt_floats(data.human_feat[k]),
+            _fmt_floats(data.verb_feat[k]),
+            _fmt_floats(data.object_feat[k]),
         ]
     )
 
 
-def save_dataset(instances: list[Instance], space: HoiLabelSpace, path):
-    dim = len(instances[0].human_feat) if instances else 0
+def save_dataset(data: Dataset, space: HoiLabelSpace, path):
+    dim = data.human_feat.shape[1] if len(data) else 0
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"feature_dim\t{dim}\n")
-        fh.write(f"num_instances\t{len(instances)}\n")
+        fh.write(f"num_instances\t{len(data)}\n")
         fh.write("[space]\n")
         fh.write(format_space(space))
         fh.write("[instances]\n")
-        for inst in instances:
-            fh.write(format_instance(inst) + "\n")
+        for k in range(len(data)):
+            fh.write(format_row(data, k) + "\n")
 
 
-def _parse_floats(text: str, lineno: int, column: int, expect=None) -> np.ndarray:
+def _parse_floats(text: str, lineno: int, column: int, expect: int) -> list[float]:
     parts = text.split(",") if text else []
     try:
-        vals = np.array([float(p) for p in parts], dtype=np.float64)
+        vals = list(map(float, parts))
     except ValueError:
         raise ParseError(f"bad float in {text!r}", line=lineno, column=column) from None
-    if expect is not None and len(vals) != expect:
+    if len(vals) != expect:
         raise DimensionMismatch(f"line {lineno}: expected {expect} floats, got {len(vals)}")
     return vals
 
 
-def parse_instance(line: str, lineno: int, space: HoiLabelSpace, feature_dim: int) -> Instance:
+def _parse_row(line: str, lineno: int, objects: list[int], feature_dim: int) -> tuple:
+    """One dataset file line as a tuple of ``Dataset`` column values, in
+    field order; the label is given as its list of active class ids.
+    ``objects[c]`` is the object id of class c."""
     parts = line.rstrip("\n").split("\t")
     if len(parts) != 10:
         raise ParseError(f"expected 10 tab-separated fields, got {len(parts)}", line=lineno)
@@ -365,8 +386,14 @@ def parse_instance(line: str, lineno: int, space: HoiLabelSpace, feature_dim: in
         object_id = int(parts[5])
     except ValueError:
         raise ParseError("bad integer field", line=lineno) from None
-    hbox = _parse_floats(parts[1], lineno, 2, expect=4)
-    obox = _parse_floats(parts[2], lineno, 3, expect=4)
+    if not -(2**63) <= image_id < 2**63:
+        raise ParseError("image id outside the int64 range", line=lineno, column=1)
+    boxes = [_parse_floats(parts[column - 1], lineno, column, expect=4) for column in (2, 3)]
+    for column, box in zip((2, 3), boxes):
+        try:
+            Box2D(*box)
+        except InvalidBox as exc:
+            raise InvalidBox(f"line {lineno}, column {column}: {exc}") from None
     try:
         s_h = float(parts[3])
         s_o = float(parts[4])
@@ -381,33 +408,30 @@ def parse_instance(line: str, lineno: int, space: HoiLabelSpace, feature_dim: in
         raise ParseError(f"bad interaction id list {parts[6]!r}", line=lineno, column=7) from None
     if not hoi_ids:
         raise InconsistentLabel(f"line {lineno}: instance without active interaction")
-    label = np.zeros(space.num_hois, dtype=np.uint8)
     for c in hoi_ids:
-        if not 0 <= c < space.num_hois:
+        if not 0 <= c < len(objects):
             raise ParseError(f"interaction id {c} outside label space", line=lineno, column=7)
-        if space.object_of(c) != object_id:
+        if objects[c] != object_id:
             raise InconsistentLabel(
-                f"line {lineno}: interaction {c} has object {space.object_of(c)}, instance says {object_id}"
+                f"line {lineno}: interaction {c} has object {objects[c]}, instance says {object_id}"
             )
-        label[c] = 1
-    return Instance(
-        image_id=image_id,
-        human_box=Box2D(*hbox),
-        object_box=Box2D(*obox),
-        human_score=s_h,
-        object_score=s_o,
-        human_feat=_parse_floats(parts[7], lineno, 8, expect=feature_dim),
-        verb_feat=_parse_floats(parts[8], lineno, 9, expect=feature_dim),
-        object_feat=_parse_floats(parts[9], lineno, 10, expect=feature_dim),
-        label=label,
-        object_id=object_id,
+    return (
+        image_id,
+        boxes[0],
+        boxes[1],
+        s_h,
+        s_o,
+        _parse_floats(parts[7], lineno, 8, expect=feature_dim),
+        _parse_floats(parts[8], lineno, 9, expect=feature_dim),
+        _parse_floats(parts[9], lineno, 10, expect=feature_dim),
+        hoi_ids,
+        object_id,
     )
 
 
 def load_dataset(path):
-    """Load (instances, space) from a dataset file; see ``save_dataset``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
+    """Load (dataset, space) from a dataset file; see ``save_dataset``."""
+    lines = read_text_lines(path)
 
     header = {}
     idx = 0
@@ -439,15 +463,20 @@ def load_dataset(path):
     space = parse_space(lines[space_start:idx], start_line=space_start + 1)
     idx += 1
 
-    instances = []
-    for lineno in range(idx, len(lines)):
-        line = lines[lineno]
-        if not line.strip():
-            continue
-        instances.append(parse_instance(line, lineno + 1, space, feature_dim))
-    if len(instances) != num_instances:
+    objects = space.objects_by_hoi().tolist()
+    body = [lineno for lineno in range(idx, len(lines)) if lines[lineno].strip()]
+    if body:  # confirm feature_dim on the first row before allocating by it
+        _parse_row(lines[body[0]], body[0] + 1, objects, feature_dim)
+    data = empty_dataset(len(body), feature_dim if body else 0, space.num_hois)
+    for k, lineno in enumerate(body):
+        row = _parse_row(lines[lineno], lineno + 1, objects, feature_dim)
+        (data.image_id[k], data.human_box[k], data.object_box[k], data.human_score[k],
+         data.object_score[k], data.human_feat[k], data.verb_feat[k], data.object_feat[k],
+         hoi_ids, data.object_id[k]) = row
+        data.label[k, hoi_ids] = 1
+    if len(body) != num_instances:
         raise ParseError(
-            f"header declares {num_instances} instances, file holds {len(instances)}",
+            f"header declares {num_instances} instances, file holds {len(body)}",
             line=len(lines),
         )
-    return instances, space
+    return data, space

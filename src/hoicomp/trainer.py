@@ -33,7 +33,7 @@ from .network import (
     inverse_log_weights,
     loss_and_grads,
 )
-from .synthdata import Instance, class_counts
+from .synthdata import Dataset, class_counts
 
 
 @dataclass(frozen=True)
@@ -65,42 +65,37 @@ class TrainConfig:
         self.loss_weights.validate()
 
 
-def group_by_image(train: list[Instance]) -> list[np.ndarray]:
-    """Instance indices per image, ordered by image id."""
-    by_image: dict[int, list[int]] = {}
-    for idx, inst in enumerate(train):
-        by_image.setdefault(inst.image_id, []).append(idx)
-    return [np.array(by_image[k], dtype=np.int64) for k in sorted(by_image)]
+def group_by_image(train: Dataset) -> list[np.ndarray]:
+    """Row indices per image, ordered by image id; rows keep their order."""
+    order = np.argsort(train.image_id, kind="stable")
+    ids = train.image_id[order]
+    return np.split(order, np.flatnonzero(ids[1:] != ids[:-1]) + 1) if len(order) else []
 
 
-def _interleave(a: np.ndarray, b: np.ndarray) -> list[int]:
-    out = []
-    for k in range(max(len(a), len(b))):
-        if k < len(a):
-            out.append(int(a[k]))
-        if k < len(b):
-            out.append(int(b[k]))
-    return out
+def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[0], b[0], a[1], b[1], ..., then the rest of the longer one."""
+    m = min(len(a), len(b))
+    return np.concatenate([np.column_stack([a[:m], b[:m]]).ravel(), a[m:], b[m:]])
 
 
 def make_minibatch(
-    train: list[Instance],
+    train: Dataset,
     cfg: TrainConfig,
     rng: np.random.Generator,
     groups: list[np.ndarray] | None = None,
-) -> list[Instance]:
-    """Draw ``interactions_per_minibatch`` instances as image pairs.
+) -> np.ndarray:
+    """Row indices of ``interactions_per_minibatch`` instances drawn as image pairs.
 
     Each draw picks two distinct images (when the dataset has at least two)
     and interleaves their instances, so any batch of size >= 2 spans two
     images and between-image composition has partners.
     """
-    if not train:
+    if not len(train):
         raise InvalidConfig("training set is empty")
     if groups is None:
         groups = group_by_image(train)
     k = cfg.interactions_per_minibatch
-    chosen: list[int] = []
+    chosen = np.empty(0, dtype=np.int64)
     while len(chosen) < k:
         if len(groups) >= 2:
             ia, ib = rng.choice(len(groups), size=2, replace=False)
@@ -108,9 +103,9 @@ def make_minibatch(
                 rng.permutation(groups[int(ia)]), rng.permutation(groups[int(ib)])
             )
         else:
-            merged = [int(i) for i in rng.permutation(groups[0])]
-        chosen.extend(merged)
-    return [train[i] for i in chosen[:k]]
+            merged = rng.permutation(groups[0])
+        chosen = np.concatenate([chosen, merged])
+    return chosen[:k]
 
 
 def sgd_step(params: ModelParams, grads: ModelParams, state: ModelParams, cfg: TrainConfig):
@@ -141,7 +136,7 @@ def _resolve_class_weights(lw: LossWeights, counts: np.ndarray) -> LossWeights:
 
 
 def train(
-    train_set: list[Instance],
+    train_set: Dataset,
     space: HoiLabelSpace,
     cfg: TrainConfig,
     net_cfg: NetworkConfig | None = None,
@@ -156,7 +151,7 @@ def train(
     is off or its loss weight is zero; both disable it identically.
     """
     cfg.validate()
-    if not train_set:
+    if not len(train_set):
         raise InvalidConfig("training set is empty")
     counts = class_counts(train_set, space)
     lw = _resolve_class_weights(cfg.loss_weights, counts)
@@ -164,7 +159,7 @@ def train(
 
     if net_cfg is None:
         net_cfg = NetworkConfig(
-            num_hois=space.num_hois, feature_dim=len(train_set[0].human_feat)
+            num_hois=space.num_hois, feature_dim=train_set.human_feat.shape[1]
         )
     params = init_params(net_cfg, rngmod.stream(cfg.seed, "init"))
     state = ModelParams(net_cfg, np.zeros_like(params.flat))
@@ -175,7 +170,7 @@ def train(
     use_comp = cfg.compose.mode != "off" and lw.lambda2 != 0.0
     log: list[dict] = []
     for it in range(cfg.iterations):
-        batch = make_minibatch(train_set, cfg, batch_rng, groups=groups)
+        batch = train_set[make_minibatch(train_set, cfg, batch_rng, groups=groups)]
         comp: CompBatch | None = None
         if use_comp:
             comp = compose_batch(batch, space, cfg.compose, comp_rng)

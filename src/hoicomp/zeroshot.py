@@ -11,14 +11,14 @@ split can be exported/imported as a small text file so runs stay comparable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import rng as rngmod
-from .errors import InfeasibleSplit, InvalidConfig, ParseError
+from .errors import InfeasibleSplit, InvalidConfig, ParseError, read_text_lines
 from .label_algebra import HoiLabelSpace
-from .synthdata import Instance
+from .synthdata import Dataset
 
 STRATEGIES = ("rare_first", "nonrare_first")
 
@@ -102,31 +102,18 @@ def make_split(
     )
 
 
-def apply_split(train: list[Instance], split: ZeroShotSplit) -> list[Instance]:
+def apply_split(train: Dataset, split: ZeroShotSplit) -> Dataset:
     """Strip unseen label bits from the training set.
 
     Instances whose labels are entirely unseen are dropped; mixed-label
     instances keep their seen bits. The number of dropped instances is
-    recorded on the split.
+    recorded on the split. The input is left unchanged.
     """
-    unseen = sorted(split.unseen)
-    kept: list[Instance] = []
-    removed = 0
-    for inst in train:
-        if not unseen:
-            kept.append(inst)
-            continue
-        label = inst.label.copy()
-        label[unseen] = 0
-        if not label.any():
-            removed += 1
-            continue
-        if label.sum() == inst.label.sum():
-            kept.append(inst)
-        else:
-            kept.append(dc_replace(inst, label=label))
-    split.removed_instance_count = removed
-    return kept
+    label = train.label.copy()
+    label[:, sorted(split.unseen)] = 0
+    keep = label.any(axis=1)
+    split.removed_instance_count = int(len(train) - keep.sum())
+    return replace(train, label=label)[keep]
 
 
 # ---- reporting partitions ----
@@ -164,33 +151,32 @@ def load_split(path, space: HoiLabelSpace) -> ZeroShotSplit:
     seed = 0
     unseen: set[int] = set()
     in_ids = False
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line == "[unseen]":
-                in_ids = True
-                continue
-            if in_ids:
+    for lineno, raw in enumerate(read_text_lines(path), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line == "[unseen]":
+            in_ids = True
+            continue
+        if in_ids:
+            try:
+                c = int(line)
+            except ValueError:
+                raise ParseError(f"bad class id {line!r}", line=lineno) from None
+            if not 0 <= c < space.num_hois:
+                raise ParseError(f"class id {c} outside label space", line=lineno)
+            unseen.add(c)
+        else:
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise ParseError("bad header line", line=lineno)
+            if parts[0] == "strategy":
+                strategy = parts[1]
+            elif parts[0] == "seed":
                 try:
-                    c = int(line)
+                    seed = int(parts[1])
                 except ValueError:
-                    raise ParseError(f"bad class id {line!r}", line=lineno) from None
-                if not 0 <= c < space.num_hois:
-                    raise ParseError(f"class id {c} outside label space", line=lineno)
-                unseen.add(c)
-            else:
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise ParseError("bad header line", line=lineno)
-                if parts[0] == "strategy":
-                    strategy = parts[1]
-                elif parts[0] == "seed":
-                    try:
-                        seed = int(parts[1])
-                    except ValueError:
-                        raise ParseError(f"bad seed {parts[1]!r}", line=lineno) from None
+                    raise ParseError(f"bad seed {parts[1]!r}", line=lineno) from None
     if strategy not in STRATEGIES:
         raise ParseError(f"missing or unknown strategy {strategy!r}")
     seen = np.ones(space.num_hois, dtype=bool)

@@ -1,9 +1,10 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from hoicomp.label_algebra import build_space
-from hoicomp.spatial import Box2D
-from hoicomp.synthdata import Instance, random_hoi_defs
+from hoicomp.synthdata import Dataset, random_hoi_defs
 
 # toy space used across modules:
 #   class 0 = ride-horse, class 1 = feed-horse, class 2 = ride-bicycle
@@ -31,32 +32,44 @@ def draw_space(rng, max_verbs=10, max_objects=8, max_hois=40):
     return build_space(defs), defs
 
 
-def make_instance(
+def make_row(
     space,
     hoi_ids,
     image_id=0,
     rng=None,
     dim=4,
-    human_box=None,
-    object_box=None,
+    human_box=(10, 10, 110, 210),
+    object_box=(120, 40, 260, 180),
     human_score=0.9,
     object_score=0.8,
 ):
-    """Instance with the given active classes and random features."""
+    """One-row dataset with the given active classes and random features."""
     rng = rng or np.random.default_rng(0)
-    label = np.zeros(space.num_hois, dtype=np.uint8)
-    for c in hoi_ids:
-        label[c] = 1
-    object_id = space.object_of(hoi_ids[0])
-    return Instance(
-        image_id=image_id,
-        human_box=human_box or Box2D(10, 10, 110, 210),
-        object_box=object_box or Box2D(120, 40, 260, 180),
-        human_score=human_score,
-        object_score=object_score,
-        human_feat=rng.standard_normal(dim),
-        verb_feat=rng.standard_normal(dim),
-        object_feat=rng.standard_normal(dim),
+    label = np.zeros((1, space.num_hois), dtype=np.uint8)
+    label[0, list(hoi_ids)] = 1
+    human_feat, verb_feat, object_feat = (rng.standard_normal((1, dim)) for _ in range(3))
+    return Dataset(
+        image_id=np.array([image_id], dtype=np.int64),
+        human_box=np.array([human_box], dtype=np.float64),
+        object_box=np.array([object_box], dtype=np.float64),
+        human_score=np.array([human_score], dtype=np.float64),
+        object_score=np.array([object_score], dtype=np.float64),
+        human_feat=human_feat,
+        verb_feat=verb_feat,
+        object_feat=object_feat,
         label=label,
-        object_id=object_id,
+        object_id=np.array([space.object_of(hoi_ids[0])], dtype=np.int64),
     )
+
+
+def make_dataset(rows):
+    """The one-row datasets of ``rows`` stacked in order."""
+    return Dataset(**{f.name: np.concatenate([getattr(r, f.name) for r in rows]) for f in fields(Dataset)})
+
+
+def assert_datasets_equal(a, b):
+    """Every column equal in dtype, shape and value."""
+    for f in fields(Dataset):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert x.dtype == y.dtype, f.name
+        np.testing.assert_array_equal(x, y, err_msg=f.name)

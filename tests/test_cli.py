@@ -104,8 +104,9 @@ class TestEval:
         data, test = dataset
         insts, space = load_dataset(test)
         dets = [
-            Detection(inst.image_id, inst.human_box, inst.object_box, int(np.flatnonzero(inst.label)[0]), 0.9)
-            for inst in insts
+            Detection(int(insts.image_id[k]), Box2D(*insts.human_box[k]), Box2D(*insts.object_box[k]),
+                      int(np.flatnonzero(insts.label[k])[0]), 0.9)
+            for k in range(len(insts))
         ]
         dets_path = tmp_path / "dets.tsv"
         save_detections(dets, dets_path)
@@ -169,3 +170,29 @@ class TestErrors:
     def test_missing_required_flag(self, tmp_path, capsys):
         assert run("gen-data") == 1
         assert "--out" in capsys.readouterr().err
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("text", [
+        "iterations 5\n",       # no '='
+        "iterations=abc\n",     # not an int
+        "iteration=5\n",        # names no flag
+    ])
+    def test_bad_config_is_one_line_error(self, tmp_path, capsys, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert run("--config", cfg, "gen-data", "--out", tmp_path / "d.tsv") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().split("\n")) == 1
+        assert not (tmp_path / "d.tsv").exists()
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        assert run("--config", tmp_path / "nope.cfg", "gen-data", "--out", tmp_path / "d.tsv") == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_non_utf8_data_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(b"feature_dim\t4\nnum_instances\t0\n[space]\n0\tride\thorse\xff\n[instances]\n")
+        assert run("make-splits", "--data", bad, "--n-unseen", 1, "--out", tmp_path / "s.txt") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "line 4" in err

@@ -7,20 +7,20 @@ from hoicomp.composer import MODES, ComposeConfig, compose_batch
 from hoicomp.errors import EmptyBatch, InvalidConfig
 from hoicomp.label_algebra import build_space, decompose
 
-from conftest import TOY_DEFS, draw_space, make_instance
+from conftest import TOY_DEFS, draw_space, make_dataset, make_row
 
 
 def brute_candidates(batch, defs, mode, unseen=frozenset(), unseen_allowed=False):
     """Set-logic oracle over raw definitions: all ordered pairs i != j."""
     out = []
-    for i, verb_src in enumerate(batch):
+    for i in range(len(batch)):
         verbs = set()
-        for c in np.flatnonzero(verb_src.label):
+        for c in np.flatnonzero(batch.label[i]):
             verbs.update(defs[c][0])
-        for j, obj_src in enumerate(batch):
+        for j in range(len(batch)):
             if i == j:
                 continue
-            same = verb_src.image_id == obj_src.image_id
+            same = batch.image_id[i] == batch.image_id[j]
             if mode == "within" and not same:
                 continue
             if mode == "between" and same:
@@ -28,7 +28,7 @@ def brute_candidates(batch, defs, mode, unseen=frozenset(), unseen_allowed=False
             classes = {
                 c
                 for c in range(len(defs))
-                if defs[c][1] == obj_src.object_id and set(defs[c][0]) & verbs
+                if defs[c][1] == batch.object_id[j] and set(defs[c][0]) & verbs
             }
             if not unseen_allowed:
                 classes -= set(unseen)
@@ -46,11 +46,10 @@ def legacy_compose(batch, space, cfg, rng):
     if cfg.mode == "off":
         return []
 
-    labels = np.stack([inst.label for inst in batch])
-    _, l_v = decompose(labels, space)
+    _, l_v = decompose(batch.label, space)
     verb_hits = (l_v.astype(np.int64) @ space.verb_hoi.astype(np.int64)) > 0
     obj_by_hoi = space.objects_by_hoi()
-    object_hits = np.stack([obj_by_hoi == inst.object_id for inst in batch])
+    object_hits = np.stack([obj_by_hoi == batch.object_id[i] for i in range(len(batch))])
 
     n = len(batch)
     unseen = sorted(cfg.unseen_ids)
@@ -59,7 +58,7 @@ def legacy_compose(batch, space, cfg, rng):
         for j in range(n):
             if i == j:
                 continue
-            same_image = batch[i].image_id == batch[j].image_id
+            same_image = batch.image_id[i] == batch.image_id[j]
             if cfg.mode == "within" and not same_image:
                 continue
             if cfg.mode == "between" and same_image:
@@ -87,10 +86,10 @@ def as_triples(composed):
 class TestComposeBatch:
     def test_new_concept_between_images(self, toy_space):
         rng = np.random.default_rng(0)
-        batch = [
-            make_instance(toy_space, [1], image_id=1, rng=rng),  # feed-horse
-            make_instance(toy_space, [2], image_id=2, rng=rng),  # ride-bicycle
-        ]
+        batch = make_dataset([
+            make_row(toy_space, [1], image_id=1, rng=rng),  # feed-horse
+            make_row(toy_space, [2], image_id=2, rng=rng),  # ride-bicycle
+        ])
         cfg = ComposeConfig(mode="between", balance=False)
         out = compose_batch(batch, toy_space, cfg, np.random.default_rng(0))
         assert len(out) == 1
@@ -101,18 +100,18 @@ class TestComposeBatch:
 
     def test_mode_off(self, toy_space):
         rng = np.random.default_rng(0)
-        batch = [make_instance(toy_space, [0], image_id=0, rng=rng),
-                 make_instance(toy_space, [1], image_id=0, rng=rng)]
+        batch = make_dataset([make_row(toy_space, [0], image_id=0, rng=rng),
+                              make_row(toy_space, [1], image_id=0, rng=rng)])
         out = compose_batch(batch, toy_space, ComposeConfig(mode="off"), np.random.default_rng(0))
         assert len(out) == 0
         assert out.label.shape == (0, toy_space.num_hois)
 
     def test_empty_batch(self, toy_space):
         with pytest.raises(EmptyBatch):
-            compose_batch([], toy_space, ComposeConfig(), np.random.default_rng(0))
+            compose_batch(make_row(toy_space, [0])[:0], toy_space, ComposeConfig(), np.random.default_rng(0))
 
     def test_bad_config(self, toy_space):
-        batch = [make_instance(toy_space, [0])]
+        batch = make_row(toy_space, [0])
         with pytest.raises(InvalidConfig):
             compose_batch(batch, toy_space, ComposeConfig(mode="sideways"), np.random.default_rng(0))
         with pytest.raises(InvalidConfig):
@@ -125,9 +124,9 @@ class TestComposeBatch:
         for k in range(size):
             c = int(rng.integers(space.num_hois))
             batch.append(
-                make_instance(space, [c], image_id=int(rng.integers(4)), rng=rng)
+                make_row(space, [c], image_id=int(rng.integers(4)), rng=rng)
             )
-        return batch
+        return make_dataset(batch)
 
     def test_random_against_bruteforce(self):
         rng = np.random.default_rng(17)
@@ -157,10 +156,10 @@ class TestComposeBatch:
     def test_balance_caps_at_real_count(self):
         rng = np.random.default_rng(3)
         space = build_space(TOY_DEFS)
-        batch = [
-            make_instance(space, [int(rng.integers(3))], image_id=int(rng.integers(3)), rng=rng)
+        batch = make_dataset([
+            make_row(space, [int(rng.integers(3))], image_id=int(rng.integers(3)), rng=rng)
             for _ in range(6)
-        ]
+        ])
         balanced = compose_batch(space=space, batch=batch, cfg=ComposeConfig(mode="both", balance=True), rng=np.random.default_rng(5))
         unbalanced = compose_batch(batch, space, ComposeConfig(mode="both", balance=False), np.random.default_rng(5))
         assert len(balanced) == min(len(unbalanced), len(batch))
@@ -168,10 +167,10 @@ class TestComposeBatch:
 
     def test_deterministic(self, toy_space):
         rng = np.random.default_rng(1)
-        batch = [
-            make_instance(toy_space, [int(rng.integers(3))], image_id=int(rng.integers(2)), rng=rng)
+        batch = make_dataset([
+            make_row(toy_space, [int(rng.integers(3))], image_id=int(rng.integers(2)), rng=rng)
             for _ in range(7)
-        ]
+        ])
         cfg = ComposeConfig(mode="both", balance=True)
         a = as_triples(compose_batch(batch, toy_space, cfg, np.random.default_rng(42)))
         b = as_triples(compose_batch(batch, toy_space, cfg, np.random.default_rng(42)))
@@ -179,7 +178,7 @@ class TestComposeBatch:
 
     def test_no_self_pairs(self, toy_space):
         rng = np.random.default_rng(2)
-        batch = [make_instance(toy_space, [0], image_id=0, rng=rng) for _ in range(4)]
+        batch = make_dataset([make_row(toy_space, [0], image_id=0, rng=rng) for _ in range(4)])
         out = compose_batch(batch, toy_space, ComposeConfig(mode="both", balance=False), np.random.default_rng(0))
         assert len(out) > 0
         assert np.all(out.verb_src != out.object_src)
@@ -197,8 +196,7 @@ class TestComposeBatch:
             space, defs = draw_space(rng, max_verbs=6, max_objects=5, max_hois=12)
             batch = self._random_batch(rng, space, defs, size=int(rng.integers(1, 11)))
             unseen = frozenset(int(c) for c in np.flatnonzero(rng.random(space.num_hois) < 0.3))
-            verb_feat = np.stack([b.verb_feat for b in batch])
-            object_feat = np.stack([b.object_feat for b in batch])
+            verb_feat, object_feat = batch.verb_feat, batch.object_feat
             for mode, balance, unseen_allowed in itertools.product(MODES, (True, False), (True, False)):
                 cfg = ComposeConfig(mode=mode, balance=balance,
                                     unseen_allowed=unseen_allowed, unseen_ids=unseen)
@@ -221,10 +219,10 @@ class TestComposeBatch:
 class TestUnseenHandling:
     def test_unseen_bits_zeroed_when_disallowed(self, toy_space):
         rng = np.random.default_rng(0)
-        batch = [
-            make_instance(toy_space, [1], image_id=1, rng=rng),  # feed-horse
-            make_instance(toy_space, [2], image_id=2, rng=rng),  # ride-bicycle
-        ]
+        batch = make_dataset([
+            make_row(toy_space, [1], image_id=1, rng=rng),  # feed-horse
+            make_row(toy_space, [2], image_id=2, rng=rng),  # ride-bicycle
+        ])
         # ride-horse (class 0) is unseen: the only composition dies entirely
         cfg = ComposeConfig(mode="between", balance=False, unseen_allowed=False,
                             unseen_ids=frozenset({0}))
@@ -232,10 +230,10 @@ class TestUnseenHandling:
 
     def test_unseen_bits_kept_when_allowed(self, toy_space):
         rng = np.random.default_rng(0)
-        batch = [
-            make_instance(toy_space, [1], image_id=1, rng=rng),
-            make_instance(toy_space, [2], image_id=2, rng=rng),
-        ]
+        batch = make_dataset([
+            make_row(toy_space, [1], image_id=1, rng=rng),
+            make_row(toy_space, [2], image_id=2, rng=rng),
+        ])
         cfg = ComposeConfig(mode="between", balance=False, unseen_allowed=True,
                             unseen_ids=frozenset({0}))
         out = compose_batch(batch, toy_space, cfg, np.random.default_rng(0))
@@ -247,10 +245,10 @@ class TestUnseenHandling:
         defs = (((0,), 0), ((1,), 0))
         space = build_space(defs)
         rng = np.random.default_rng(4)
-        batch = [
-            make_instance(space, [0, 1], image_id=0, rng=rng),
-            make_instance(space, [0], image_id=1, rng=rng),
-        ]
+        batch = make_dataset([
+            make_row(space, [0, 1], image_id=0, rng=rng),
+            make_row(space, [0], image_id=1, rng=rng),
+        ])
         cfg = ComposeConfig(mode="both", balance=False, unseen_allowed=False,
                             unseen_ids=frozenset({0}))
         out = compose_batch(batch, space, cfg, np.random.default_rng(0))

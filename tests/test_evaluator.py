@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hoicomp.errors import InvalidConfig, UnknownHoiId
+from hoicomp.errors import InvalidConfig, ParseError, UnknownHoiId
 from hoicomp.evaluator import (
     Detection,
     GroundTruth,
@@ -18,10 +18,10 @@ from hoicomp.evaluator import (
 )
 from hoicomp.label_algebra import build_space
 from hoicomp.network import NetworkConfig, branch_scores, fuse_scores, init_params
-from hoicomp.spatial import Box2D, spatial_vector
+from hoicomp.spatial import Box2D, encode_spatial_map
 from hoicomp.synthdata import DatasetConfig, generate, random_hoi_defs
 
-from conftest import make_instance
+from conftest import make_dataset, make_row
 
 
 def shift(box, dx=0.0, dy=0.0):
@@ -322,8 +322,8 @@ class TestDetectionsFromModel:
         dets = detections_from_model(test, params, thr)
         want = []
         by_image = {}
-        for inst in test:
-            by_image.setdefault(inst.image_id, []).append(inst)
+        for k in range(len(test)):
+            by_image.setdefault(int(test.image_id[k]), []).append(test[k])
         for image_id in sorted(by_image):
             insts = by_image[image_id]
             th, to = thr.human, thr.object
@@ -336,7 +336,7 @@ class TestDetectionsFromModel:
             for inst in kept:
                 scores = branch_scores(
                     params, inst.human_feat, inst.verb_feat, inst.object_feat,
-                    spatial_vector(inst.human_box, inst.object_box),
+                    encode_spatial_map(Box2D(*inst.human_box), Box2D(*inst.object_box)),
                 )
                 fused = fuse_scores(inst.human_score, inst.object_score, scores)
                 for c in range(space.num_hois):
@@ -357,10 +357,10 @@ class TestDetectionsFromModel:
 
     def test_fallback_rescues_empty_image(self, toy_space):
         # both pairs in the image fail the cut; relaxed cut admits the stronger one
-        insts = [
-            make_instance(toy_space, [0], image_id=0, human_score=0.5, object_score=0.9),
-            make_instance(toy_space, [1], image_id=0, human_score=0.3, object_score=0.9),
-        ]
+        insts = make_dataset([
+            make_row(toy_space, [0], image_id=0, human_score=0.5, object_score=0.9),
+            make_row(toy_space, [1], image_id=0, human_score=0.3, object_score=0.9),
+        ])
         net = NetworkConfig(num_hois=3, feature_dim=4, hidden=4, vo_hidden=4, sp_hidden=4)
         params = init_params(net, np.random.default_rng(0))
         thr = ThresholdConfig(human=0.8, object=0.3, fallback=0.5)
@@ -369,7 +369,7 @@ class TestDetectionsFromModel:
         assert len(dets) == 1 * 3
 
     def test_branch_mode_validated(self, toy_space):
-        insts = [make_instance(toy_space, [0])]
+        insts = make_row(toy_space, [0])
         net = NetworkConfig(num_hois=3, feature_dim=4, hidden=4, vo_hidden=4, sp_hidden=4)
         params = init_params(net, np.random.default_rng(0))
         with pytest.raises(InvalidConfig):
@@ -385,11 +385,24 @@ class TestFiles:
         loaded = load_detections(path)
         assert loaded == dets
 
+    def test_non_finite_score_rejected(self, tmp_path):
+        # loaded, the nan broke the score sort and gave class 0 an AP of 1.0, not 0.5
+        gt = "0.0,0.0,10.0,10.0\t10.0,0.0,20.0,10.0"
+        far = "50.0,50.0,60.0,60.0\t50.0,50.0,60.0,60.0"
+        path = tmp_path / "dets.tsv"
+        for first, line in (("nan", 1), ("-inf", 1), ("0.1", 3)):
+            path.write_text(f"0\t0\t{first}\t{far}\n0\t0\t0.5\t{gt}\n0\t0\tinf\t{far}\n")
+            with pytest.raises(ParseError) as err:
+                load_detections(path)
+            assert (err.value.line, err.value.column) == (line, 3)
+
     def test_ground_truths_from_instances(self, toy_space):
-        inst = make_instance(toy_space, [0, 1], image_id=5)
-        gts = ground_truths_from_instances([inst])
+        inst = make_row(toy_space, [0, 1], image_id=5)
+        gts = ground_truths_from_instances(inst)
         assert [g.hoi_id for g in gts] == [0, 1]
         assert all(g.image_id == 5 for g in gts)
+        assert all(g.human_box == Box2D(10, 10, 110, 210) for g in gts)
+        assert all(g.object_box == Box2D(120, 40, 260, 180) for g in gts)
 
     def test_report_formats(self, toy_space):
         space = micro_space(2)

@@ -17,7 +17,6 @@ from hoicomp.label_algebra import (
     format_space,
     is_feasible,
     load_space,
-    object_onehot,
     parse_space,
     save_space,
 )
@@ -143,11 +142,11 @@ class TestDecompose:
 class TestCompose:
     def test_new_concept(self, toy_space):
         # ride-horse assembled although only feed-horse / ride-bicycle exist as sources
-        y = compose(object_onehot(0, toy_space), set_to_bits({0}, 2), toy_space)
+        y = compose(set_to_bits({0}, toy_space.num_objects), set_to_bits({0}, 2), toy_space)
         assert bits_to_set(y) == {0}
 
     def test_absent_pair(self, toy_space):
-        y = compose(object_onehot(1, toy_space), set_to_bits({1}, 2), toy_space)
+        y = compose(set_to_bits({1}, toy_space.num_objects), set_to_bits({1}, 2), toy_space)
         assert not y.any()
         assert not is_feasible(y)
 
@@ -175,7 +174,7 @@ class TestIsFeasible:
         feasible = 0
         for v in range(toy_space.num_verbs):
             for o in range(toy_space.num_objects):
-                y = compose(object_onehot(o, toy_space), set_to_bits({v}, 2), toy_space)
+                y = compose(set_to_bits({o}, toy_space.num_objects), set_to_bits({v}, 2), toy_space)
                 feasible += int(is_feasible(y))
         assert feasible == 3  # of 4 verb-object pairs
 

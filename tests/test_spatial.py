@@ -8,8 +8,13 @@ from hoicomp.spatial import (
     SpatialMap,
     ascii_art,
     encode_spatial_map,
-    union_box,
+    spatial_vector,
 )
+
+
+def union_frame(a, b):
+    """Tight box enclosing both inputs."""
+    return Box2D(min(a.x1, b.x1), min(a.y1, b.y1), max(a.x2, b.x2), max(a.y2, b.y2))
 
 
 def brute_rasterize(box, frame, size=GRID_SIZE):
@@ -40,10 +45,6 @@ class TestBox2D:
         with pytest.raises(InvalidBox):
             Box2D(*coords)
 
-    def test_union(self):
-        u = union_box(Box2D(0, 0, 10, 10), Box2D(5, 2, 20, 8))
-        assert u.as_tuple() == (0, 0, 20, 10)
-
 
 class TestEncode:
     def test_full_coverage(self):
@@ -60,7 +61,7 @@ class TestEncode:
 
     def test_counts_match_bruteforce(self):
         human, obj = Box2D(0, 0, 10, 10), Box2D(10, 0, 20, 10)
-        frame = union_box(human, obj)
+        frame = union_frame(human, obj)
         smap = encode_spatial_map(human, obj)
         np.testing.assert_array_equal(smap.person_channel, brute_rasterize(human, frame))
         np.testing.assert_array_equal(smap.object_channel, brute_rasterize(obj, frame))
@@ -72,7 +73,7 @@ class TestEncode:
             human = Box2D(x1, y1, x1 + rng.uniform(5, 60), y1 + rng.uniform(5, 60))
             x1, y1 = rng.uniform(0, 50, 2)
             obj = Box2D(x1, y1, x1 + rng.uniform(5, 60), y1 + rng.uniform(5, 60))
-            frame = union_box(human, obj)
+            frame = union_frame(human, obj)
             smap = encode_spatial_map(human, obj)
             np.testing.assert_array_equal(smap.person_channel, brute_rasterize(human, frame))
             np.testing.assert_array_equal(smap.object_channel, brute_rasterize(obj, frame))
@@ -124,6 +125,36 @@ class TestEncode:
         smap = encode_spatial_map(Box2D(0, 0, 5, 5), Box2D(100, 100, 105, 105))
         assert smap.person_channel.any()
         assert smap.object_channel.any()
+
+
+def random_boxes(rng, n):
+    corner = rng.uniform(0, 500, (n, 2))
+    return np.concatenate([corner, corner + rng.uniform(5, 300, (n, 2))], axis=1)
+
+
+class TestBatch:
+    def test_rows_match_single_pair_maps(self):
+        rng = np.random.default_rng(23)
+        for n in (1, 2, 7, 40):
+            human, obj = random_boxes(rng, n), random_boxes(rng, n)
+            got = spatial_vector(human, obj)
+            want = np.stack([
+                encode_spatial_map(Box2D(*human[k]), Box2D(*obj[k])).as_vector() for k in range(n)
+            ])
+            assert got.dtype == np.float64 and got.shape == (n, 2 * GRID_SIZE * GRID_SIZE)
+            assert got.tobytes() == want.tobytes()
+
+    def test_one_degenerate_row_anywhere_raises(self):
+        rng = np.random.default_rng(24)
+        human, obj = random_boxes(rng, 6), random_boxes(rng, 6)
+        spatial_vector(human, obj)
+        for k in range(6):
+            for channel in (0, 1):
+                pair = [human.copy(), obj.copy()]
+                pair[channel][k] = (0, 0, 0.01, 0.01)  # too thin for the union frame
+                pair[1 - channel][k] = (0, 0, 1000, 1000)
+                with pytest.raises(DegenerateBox, match=f"pair {k}"):
+                    spatial_vector(*pair)
 
 
 class TestRendering:

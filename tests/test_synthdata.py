@@ -4,6 +4,7 @@ import pytest
 from hoicomp.errors import (
     DimensionMismatch,
     InconsistentLabel,
+    InvalidBox,
     InvalidConfig,
     ParseError,
 )
@@ -11,7 +12,7 @@ from hoicomp.label_algebra import is_feasible
 from hoicomp.synthdata import (
     DatasetConfig,
     class_counts,
-    format_instance,
+    format_row,
     generate,
     load_dataset,
     random_hoi_defs,
@@ -19,7 +20,7 @@ from hoicomp.synthdata import (
     zipf_probs,
 )
 
-from conftest import TOY_DEFS, make_instance
+from conftest import TOY_DEFS, assert_datasets_equal, make_dataset, make_row
 
 
 def small_config(**overrides):
@@ -37,28 +38,6 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return DatasetConfig(**base)
-
-
-def instances_equal(a, b):
-    if len(a) != len(b):
-        return False
-    for x, y in zip(a, b):
-        if x.image_id != y.image_id or x.object_id != y.object_id:
-            return False
-        if x.human_box != y.human_box or x.object_box != y.object_box:
-            return False
-        if (x.human_score, x.object_score) != (y.human_score, y.object_score):
-            return False
-        for fa, fb in (
-            (x.human_feat, y.human_feat),
-            (x.verb_feat, y.verb_feat),
-            (x.object_feat, y.object_feat),
-        ):
-            if not np.array_equal(fa, fb):
-                return False
-        if not np.array_equal(x.label, y.label):
-            return False
-    return True
 
 
 class TestConfig:
@@ -122,33 +101,33 @@ class TestGenerate:
         cfg = small_config()
         a = generate(cfg)
         b = generate(cfg)
-        assert instances_equal(a[0], b[0])
-        assert instances_equal(a[1], b[1])
+        assert_datasets_equal(a[0], b[0])
+        assert_datasets_equal(a[1], b[1])
 
     def test_train_test_streams_disjoint(self):
         train_a, _, _ = generate(small_config(n_test=10))
         train_b, _, _ = generate(small_config(n_test=200))
-        assert instances_equal(train_a, train_b)
+        assert_datasets_equal(train_a, train_b)
 
     def test_labels_feasible_and_consistent(self):
         train, test, space = generate(small_config(multi_label_frac=0.5))
-        for inst in train + test:
-            assert is_feasible(inst.label)
-            for c in np.flatnonzero(inst.label):
-                assert space.object_of(int(c)) == inst.object_id
+        for data in (train, test):
+            for k in range(len(data)):
+                assert is_feasible(data.label[k])
+                for c in np.flatnonzero(data.label[k]):
+                    assert space.object_of(int(c)) == data.object_id[k]
 
     def test_scores_in_range(self):
         train, _, _ = generate(small_config())
-        for inst in train:
-            assert 0.5 <= inst.human_score <= 1.0
-            assert 0.5 <= inst.object_score <= 1.0
+        for scores in (train.human_score, train.object_score):
+            assert np.all((0.5 <= scores) & (scores <= 1.0))
 
     def test_images_grouped(self):
         cfg = small_config(max_instances_per_image=3)
         train, _, _ = generate(cfg)
         sizes = {}
-        for inst in train:
-            sizes[inst.image_id] = sizes.get(inst.image_id, 0) + 1
+        for image_id in train.image_id.tolist():
+            sizes[image_id] = sizes.get(image_id, 0) + 1
         assert max(sizes.values()) <= 3
         assert any(v >= 2 for v in sizes.values())
 
@@ -162,10 +141,10 @@ class TestGenerate:
         )
         train, _, space = generate(cfg)
         groups = {0: [], 1: []}
-        for inst in train:
-            c = int(np.flatnonzero(inst.label)[0])
+        for k in range(len(train)):
+            c = int(np.flatnonzero(train.label[k])[0])
             if c in groups:
-                groups[c].append(inst.verb_feat)
+                groups[c].append(train.verb_feat[k])
         m0 = np.mean(groups[0], axis=0)
         m1 = np.mean(groups[1], axis=0)
         n_min = min(len(groups[0]), len(groups[1]))
@@ -176,55 +155,61 @@ class TestGenerate:
 
 class TestCounts:
     def test_empty(self, toy_space):
-        assert class_counts([], toy_space).tolist() == [0, 0, 0]
+        assert class_counts(make_row(toy_space, [0])[:0], toy_space).tolist() == [0, 0, 0]
 
     def test_three_identical(self, toy_space):
-        insts = [make_instance(toy_space, [0]) for _ in range(3)]
+        insts = make_dataset([make_row(toy_space, [0]) for _ in range(3)])
         assert class_counts(insts, toy_space).tolist() == [3, 0, 0]
 
     def test_recount_oracle(self):
         train, _, space = generate(small_config(multi_label_frac=0.3))
         counts = class_counts(train, space)
         recount = np.zeros(space.num_hois, dtype=int)
-        for inst in train:
-            for c in np.flatnonzero(inst.label):
+        for k in range(len(train)):
+            for c in np.flatnonzero(train.label[k]):
                 recount[c] += 1
         np.testing.assert_array_equal(counts, recount)
-        assert counts.sum() == sum(int(i.label.sum()) for i in train)
+        assert counts.dtype == np.int64
+        assert counts.sum() == sum(int(train.label[k].sum()) for k in range(len(train)))
 
 
 class TestFileFormat:
     def test_roundtrip(self, tmp_path):
-        train, _, space = generate(small_config(multi_label_frac=0.3))
-        path = tmp_path / "train.tsv"
-        save_dataset(train, space, path)
-        loaded, loaded_space = load_dataset(path)
-        assert instances_equal(train, loaded)
-        np.testing.assert_array_equal(loaded_space.verb_hoi, space.verb_hoi)
-        np.testing.assert_array_equal(loaded_space.object_hoi, space.object_hoi)
+        train, test, space = generate(small_config(multi_label_frac=0.3))
+        for name, data in (("train", train), ("test", test)):
+            path = tmp_path / f"{name}.tsv"
+            save_dataset(data, space, path)
+            loaded, loaded_space = load_dataset(path)
+            assert_datasets_equal(data, loaded)  # equal dtypes too
+            assert loaded.image_id.dtype == np.int64 and loaded.label.dtype == np.uint8
+            assert loaded.human_box.shape == (len(data), 4)
+            np.testing.assert_array_equal(loaded_space.verb_hoi, space.verb_hoi)
+            np.testing.assert_array_equal(loaded_space.object_hoi, space.object_hoi)
+            save_dataset(loaded, space, tmp_path / "again.tsv")
+            assert (tmp_path / "again.tsv").read_bytes() == path.read_bytes()
 
     def test_empty_instances(self, tmp_path, toy_space):
         path = tmp_path / "empty.tsv"
-        save_dataset([], toy_space, path)
+        save_dataset(make_row(toy_space, [0])[:0], toy_space, path)
         # header declares dim 0, so patch it to a real one for the loader
         text = path.read_text().replace("feature_dim\t0", "feature_dim\t4")
         path.write_text(text)
         loaded, space = load_dataset(path)
-        assert loaded == []
+        assert len(loaded) == 0 and loaded.label.shape == (0, 3)
         assert space.num_hois == 3
 
     def test_single_instance_label(self, tmp_path, toy_space):
-        inst = make_instance(toy_space, [1])  # feed-horse
+        inst = make_row(toy_space, [1])  # feed-horse
         path = tmp_path / "one.tsv"
-        save_dataset([inst], toy_space, path)
+        save_dataset(inst, toy_space, path)
         loaded, space = load_dataset(path)
-        assert loaded[0].label.tolist() == [0, 1, 0]
-        assert loaded[0].object_id == 0
+        assert loaded.label.tolist() == [[0, 1, 0]]
+        assert loaded.object_id.tolist() == [0]
 
     def test_parse_error_reports_line(self, tmp_path, toy_space):
-        inst = make_instance(toy_space, [0])
+        inst = make_row(toy_space, [0])
         path = tmp_path / "bad.tsv"
-        save_dataset([inst], toy_space, path)
+        save_dataset(inst, toy_space, path)
         lines = path.read_text().splitlines()
         lines[-1] = lines[-1].replace("\t", " ", 1)  # break the field count
         path.write_text("\n".join(lines) + "\n")
@@ -236,7 +221,7 @@ class TestFileFormat:
     @pytest.mark.parametrize("score", ["1.5", "nan", "-0.2"])
     def test_score_out_of_range(self, tmp_path, toy_space, column, score):
         path = tmp_path / "bad.tsv"
-        save_dataset([make_instance(toy_space, [0]), make_instance(toy_space, [1])], toy_space, path)
+        save_dataset(make_dataset([make_row(toy_space, [0]), make_row(toy_space, [1])]), toy_space, path)
         lines = path.read_text().splitlines()
         fields = lines[-1].split("\t")
         fields[column - 1] = score
@@ -246,10 +231,33 @@ class TestFileFormat:
             load_dataset(path)
         assert (err.value.line, err.value.column) == (len(lines), column)
 
-    def test_inconsistent_label(self, tmp_path, toy_space):
-        inst = make_instance(toy_space, [0])
+    @pytest.mark.parametrize("column", [2, 3])
+    @pytest.mark.parametrize("box", ["-1.0,0.0,5.0,5.0", "5.0,0.0,1.0,5.0", "0.0,0.0,inf,5.0", "0.0,nan,5.0,5.0"])
+    def test_bad_box(self, tmp_path, toy_space, column, box):
         path = tmp_path / "bad.tsv"
-        save_dataset([inst], toy_space, path)
+        save_dataset(make_dataset([make_row(toy_space, [0]), make_row(toy_space, [1])]), toy_space, path)
+        lines = path.read_text().splitlines()
+        fields = lines[-2].split("\t")
+        fields[column - 1] = box
+        lines[-2] = "\t".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidBox, match=f"line {len(lines) - 1}, column {column}"):
+            load_dataset(path)
+
+    def test_image_id_outside_int64(self, tmp_path, toy_space):
+        path = tmp_path / "bad.tsv"
+        save_dataset(make_row(toy_space, [0]), toy_space, path)
+        lines = path.read_text().splitlines()
+        lines[-1] = str(2**63) + lines[-1][1:]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_dataset(path)
+        assert (err.value.line, err.value.column) == (len(lines), 1)
+
+    def test_inconsistent_label(self, tmp_path, toy_space):
+        inst = make_row(toy_space, [0])
+        path = tmp_path / "bad.tsv"
+        save_dataset(inst, toy_space, path)
         text = path.read_text()
         fields = text.splitlines()[-1].split("\t")
         fields[5] = "1"  # object says bicycle, label says ride-horse
@@ -258,9 +266,9 @@ class TestFileFormat:
             load_dataset(path)
 
     def test_dimension_mismatch(self, tmp_path, toy_space):
-        inst = make_instance(toy_space, [0], dim=4)
+        inst = make_row(toy_space, [0], dim=4)
         path = tmp_path / "bad.tsv"
-        save_dataset([inst], toy_space, path)
+        save_dataset(inst, toy_space, path)
         text = path.read_text().replace("feature_dim\t4", "feature_dim\t5")
         path.write_text(text)
         with pytest.raises(DimensionMismatch):
@@ -268,7 +276,7 @@ class TestFileFormat:
 
     def test_format_instance_full_precision(self, toy_space):
         rng = np.random.default_rng(8)
-        inst = make_instance(toy_space, [0], rng=rng)
-        line = format_instance(inst)
+        inst = make_row(toy_space, [0], rng=rng)
+        line = format_row(inst, 0)
         human_feat = [float(v) for v in line.split("\t")[7].split(",")]
-        np.testing.assert_array_equal(np.array(human_feat), inst.human_feat)
+        np.testing.assert_array_equal(np.array(human_feat), inst.human_feat[0])

@@ -18,7 +18,7 @@ from hoicomp.trainer import (
     write_metrics_log,
 )
 
-from conftest import make_instance
+from conftest import make_dataset, make_row
 from test_composer import legacy_compose
 
 NET = NetworkConfig(num_hois=8, feature_dim=8, hidden=8, vo_hidden=8, sp_hidden=8)
@@ -42,41 +42,56 @@ def tiny_dataset(seed=5, n_train=160):
 
 class TestMakeMinibatch:
     def test_single_interaction_has_no_partner(self, toy_space):
-        insts = [make_instance(toy_space, [0], image_id=i) for i in range(4)]
+        insts = make_dataset([make_row(toy_space, [0], image_id=i) for i in range(4)])
         cfg = TrainConfig(interactions_per_minibatch=1)
-        batch = make_minibatch(insts, cfg, np.random.default_rng(0))
+        batch = insts[make_minibatch(insts, cfg, np.random.default_rng(0))]
         assert len(batch) == 1
         comps = compose_batch(batch, toy_space, ComposeConfig(mode="between"), np.random.default_rng(0))
         assert len(comps) == 0
 
     def test_batch_spans_two_images(self, toy_space):
-        insts = [make_instance(toy_space, [i % 3], image_id=i % 5) for i in range(20)]
+        insts = make_dataset([make_row(toy_space, [i % 3], image_id=i % 5) for i in range(20)])
         cfg = TrainConfig(interactions_per_minibatch=5)
         rng = np.random.default_rng(1)
         for _ in range(20):
-            batch = make_minibatch(insts, cfg, rng)
-            assert len(batch) == 5
-            assert len({b.image_id for b in batch}) >= 2
+            rows = make_minibatch(insts, cfg, rng)
+            assert rows.dtype == np.int64 and len(rows) == 5
+            assert len(set(insts.image_id[rows].tolist())) >= 2
 
     def test_replay_identical(self, toy_space):
-        insts = [make_instance(toy_space, [i % 3], image_id=i % 6) for i in range(30)]
-        where = {id(inst): k for k, inst in enumerate(insts)}
+        insts = make_dataset([make_row(toy_space, [i % 3], image_id=i % 6) for i in range(30)])
         cfg = TrainConfig(interactions_per_minibatch=4)
         rng1 = rngmod.stream(3, "batch")
         rng2 = rngmod.stream(3, "batch")
         for _ in range(10):
-            a = [where[id(x)] for x in make_minibatch(insts, cfg, rng1)]
-            b = [where[id(x)] for x in make_minibatch(insts, cfg, rng2)]
+            a = make_minibatch(insts, cfg, rng1).tolist()
+            b = make_minibatch(insts, cfg, rng2).tolist()
             assert a == b
 
     def test_groups_cover_all(self, toy_space):
-        insts = [make_instance(toy_space, [0], image_id=i % 3) for i in range(7)]
+        insts = make_dataset([make_row(toy_space, [0], image_id=i % 3) for i in range(7)])
         groups = group_by_image(insts)
         assert sorted(int(i) for g in groups for i in g) == list(range(7))
 
+    def test_groups_match_dict_reference(self, toy_space):
+        rng = np.random.default_rng(12)
+        for n in (0, 1, 2, 9, 40):
+            image_ids = rng.integers(0, max(n // 2, 1), size=n) * 7 - 5  # unsorted, negative too
+            rows = [make_row(toy_space, [0], image_id=int(i)) for i in image_ids]
+            insts = make_dataset(rows) if rows else make_row(toy_space, [0])[:0]
+            by_image: dict[int, list[int]] = {}
+            for idx, image_id in enumerate(insts.image_id.tolist()):
+                by_image.setdefault(image_id, []).append(idx)
+            want = [np.array(by_image[k], dtype=np.int64) for k in sorted(by_image)]
+            got = group_by_image(insts)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.dtype == np.int64
+                np.testing.assert_array_equal(g, w)
+
     def test_empty_train(self, toy_space):
         with pytest.raises(InvalidConfig):
-            make_minibatch([], TrainConfig(), np.random.default_rng(0))
+            make_minibatch(make_row(toy_space, [0])[:0], TrainConfig(), np.random.default_rng(0))
 
 
 class TestSgdStep:

@@ -16,7 +16,7 @@ from hoicomp.zeroshot import (
     zeroshot_partition,
 )
 
-from conftest import TOY_DEFS, draw_space, make_instance
+from conftest import TOY_DEFS, assert_datasets_equal, draw_space, make_dataset, make_row
 
 
 def covers(space, unseen):
@@ -132,57 +132,58 @@ class TestMakeSplit:
 
 class TestApplySplit:
     def test_empty_unseen_unchanged(self, toy_space):
-        insts = [make_instance(toy_space, [0]) for _ in range(3)]
+        insts = make_dataset([make_row(toy_space, [0]) for _ in range(3)])
         split = ZeroShotSplit(unseen=frozenset(), seen=frozenset({0, 1, 2}), strategy="rare_first")
         out = apply_split(insts, split)
-        assert out == insts
+        assert_datasets_equal(out, insts)
         assert split.removed_instance_count == 0
 
     def test_pure_unseen_dropped(self, toy_space):
-        insts = [make_instance(toy_space, [0]), make_instance(toy_space, [1])]
+        insts = make_dataset([make_row(toy_space, [0]), make_row(toy_space, [1])])
         split = ZeroShotSplit(unseen=frozenset({0}), seen=frozenset({1, 2}), strategy="rare_first")
         out = apply_split(insts, split)
         assert len(out) == 1
-        assert out[0].label.tolist() == [0, 1, 0]
+        assert out.label.tolist() == [[0, 1, 0]]
+        assert_datasets_equal(out, insts[1:])
         assert split.removed_instance_count == 1
 
     def test_mixed_label_keeps_seen_bits(self, toy_space):
-        inst = make_instance(toy_space, [0, 1])  # ride-horse + feed-horse
+        inst = make_row(toy_space, [0, 1])  # ride-horse + feed-horse
         split = ZeroShotSplit(unseen=frozenset({0}), seen=frozenset({1, 2}), strategy="rare_first")
-        out = apply_split([inst], split)
-        assert out[0].label.tolist() == [0, 1, 0]
+        out = apply_split(inst, split)
+        assert out.label.tolist() == [[0, 1, 0]]
         assert split.removed_instance_count == 0
-        assert inst.label.tolist() == [1, 1, 0]  # input untouched
+        assert inst.label.tolist() == [[1, 1, 0]]  # input untouched
 
     def test_removed_count_matches_bruteforce(self):
         rng = np.random.default_rng(6)
         space, _ = draw_space(rng, max_verbs=6, max_objects=5, max_hois=16)
-        insts = [
-            make_instance(space, [int(rng.integers(space.num_hois))], image_id=i, rng=rng)
+        insts = make_dataset([
+            make_row(space, [int(rng.integers(space.num_hois))], image_id=i, rng=rng)
             for i in range(200)
-        ]
+        ])
         counts = class_counts(insts, space)
         split = make_split(counts, space, space.num_hois // 5, "rare_first", tie_break_seed=3)
         out = apply_split(insts, split)
-        drop = sum(1 for i in insts if set(np.flatnonzero(i.label)) <= split.unseen)
+        drop = sum(1 for label in insts.label if set(np.flatnonzero(label)) <= split.unseen)
         assert split.removed_instance_count == drop
         assert len(out) == len(insts) - drop
-        for inst in out:
-            active = set(int(c) for c in np.flatnonzero(inst.label))
+        for label in out.label:
+            active = set(int(c) for c in np.flatnonzero(label))
             assert active and active <= split.seen
 
     def test_coverage_survives_in_training_set(self):
         rng = np.random.default_rng(7)
         space, _ = draw_space(rng, max_verbs=5, max_objects=4, max_hois=14)
         # one instance per class guarantees pre-split coverage
-        insts = [make_instance(space, [c], image_id=c, rng=rng) for c in range(space.num_hois)]
+        insts = make_dataset([make_row(space, [c], image_id=c, rng=rng) for c in range(space.num_hois)])
         counts = class_counts(insts, space)
         split = make_split(counts, space, space.num_hois // 4, "rare_first", tie_break_seed=4)
         out = apply_split(insts, split)
         verbs = set()
         objects = set()
-        for inst in out:
-            for c in np.flatnonzero(inst.label):
+        for label in out.label:
+            for c in np.flatnonzero(label):
                 verbs.update(space.verbs_of(int(c)))
                 objects.add(space.object_of(int(c)))
         assert verbs == set(range(space.num_verbs))
