@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from .evaluator import (
 )
 from .experiments import (
     DEFAULT_RARE_THRESHOLD,
+    DEFAULT_SPACE_SIZE,
     branch_ablation,
     default_dataset_config,
     lambda_sweep,
@@ -39,7 +41,7 @@ from .experiments import (
 )
 from .network import LossWeights, NetworkConfig, load_params, save_params
 from .spatial import Box2D, ascii_art, encode_spatial_map
-from .synthdata import class_counts, generate, load_dataset, save_dataset
+from .synthdata import DatasetConfig, class_counts, generate, load_dataset, save_dataset
 from .trainer import TrainConfig, make_minibatch, write_metrics_log
 from .zeroshot import (
     frequency_partition,
@@ -51,17 +53,9 @@ from .zeroshot import (
 
 
 def _add_dataset_flags(p: argparse.ArgumentParser):
-    p.add_argument("--num-verbs", type=int, default=12)
-    p.add_argument("--num-objects", type=int, default=10)
-    p.add_argument("--num-hois", type=int, default=60)
-    p.add_argument("--zipf-exponent", type=float, default=1.5)
-    p.add_argument("--n-train", type=int, default=20000)
-    p.add_argument("--n-test", type=int, default=3000)
-    p.add_argument("--feature-dim", type=int, default=32)
-    p.add_argument("--class-sep", type=float, default=6.0)
-    p.add_argument("--noise-sigma", type=float, default=1.0)
-    p.add_argument("--multi-label-frac", type=float, default=0.1)
-    p.add_argument("--max-instances-per-image", type=int, default=3)
+    defaults = {f.name: f.default for f in fields(DatasetConfig)} | DEFAULT_SPACE_SIZE
+    for key in _DATASET_FLAGS:
+        p.add_argument("--" + key.replace("_", "-"), type=type(defaults[key]), default=defaults[key])
 
 
 def _add_train_flags(p: argparse.ArgumentParser):
@@ -228,11 +222,11 @@ def _write_spec(args, keys, path):
         fh.write(_spec_lines(args, keys))
 
 
-_DATASET_KEYS = (
-    "seed", "num_verbs", "num_objects", "num_hois", "zipf_exponent", "n_train",
-    "n_test", "feature_dim", "class_sep", "noise_sigma", "multi_label_frac",
-    "max_instances_per_image",
+_DATASET_FLAGS = (
+    "num_verbs", "num_objects", "num_hois", "zipf_exponent", "n_train", "n_test",
+    "feature_dim", "class_sep", "noise_sigma", "multi_label_frac", "max_instances_per_image",
 )
+_DATASET_KEYS = ("seed",) + _DATASET_FLAGS
 _TRAIN_KEYS = (
     "iterations", "lr", "momentum", "weight_decay", "interactions", "lambda1",
     "lambda2", "compose", "no_balance", "unseen_allowed", "hidden", "vo_hidden",

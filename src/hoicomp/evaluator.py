@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidConfig, ParseError, UnknownHoiId, read_text_lines
+from .errors import InvalidBox, InvalidConfig, ParseError, UnknownHoiId, read_text_lines
 from .label_algebra import HoiLabelSpace
 from .network import BRANCH_MODES, ModelParams, branch_scores, fuse_scores
 from .spatial import Box2D, spatial_vector
@@ -27,7 +27,7 @@ EVAL_MODES = ("default", "known_object")
 IOU_THRESHOLD = 0.5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Detection:
     image_id: int
     human_box: Box2D
@@ -36,7 +36,7 @@ class Detection:
     score: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroundTruth:
     image_id: int
     human_box: Box2D
@@ -335,8 +335,14 @@ def load_detections(path) -> list[Detection]:
             raise ParseError(f"non-finite score {parts[2]!r}", line=lineno, column=3)
         if len(hbox) != 4 or len(obox) != 4:
             raise ParseError("boxes need 4 coordinates", line=lineno)
+        boxes = []
+        for column, coords in ((4, hbox), (5, obox)):
+            try:
+                boxes.append(Box2D(*coords))
+            except InvalidBox as exc:
+                raise InvalidBox(f"line {lineno}, column {column}: {exc}") from None
         dets.append(
-            Detection(image_id=image_id, human_box=Box2D(*hbox), object_box=Box2D(*obox),
+            Detection(image_id=image_id, human_box=boxes[0], object_box=boxes[1],
                       hoi_id=hoi_id, score=score)
         )
     return dets

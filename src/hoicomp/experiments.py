@@ -36,12 +36,16 @@ DEFAULT_RARE_THRESHOLD = 25
 COMPOSE_MODES = ("off", "within", "between", "both")
 
 
+# the desk-scale label space; every other dataset default is DatasetConfig's
+DEFAULT_SPACE_SIZE = {"num_verbs": 12, "num_objects": 10, "num_hois": 60}
+
+
 def default_dataset_config(seed: int = 0, **overrides) -> DatasetConfig:
     """Desk-scale long-tail benchmark config; the label space is drawn
     deterministically from the same seed."""
-    num_verbs = overrides.pop("num_verbs", 12)
-    num_objects = overrides.pop("num_objects", 10)
-    num_hois = overrides.pop("num_hois", 60)
+    num_verbs, num_objects, num_hois = (
+        overrides.pop(key, value) for key, value in DEFAULT_SPACE_SIZE.items()
+    )
     defs = overrides.pop("hoi_defs", None)
     if defs is None:
         defs = random_hoi_defs(
@@ -51,12 +55,6 @@ def default_dataset_config(seed: int = 0, **overrides) -> DatasetConfig:
         num_verbs=num_verbs,
         num_objects=num_objects,
         hoi_defs=defs,
-        zipf_exponent=overrides.pop("zipf_exponent", 1.5),
-        n_train=overrides.pop("n_train", 20000),
-        n_test=overrides.pop("n_test", 3000),
-        feature_dim=overrides.pop("feature_dim", 32),
-        class_sep=overrides.pop("class_sep", 6.0),
-        noise_sigma=overrides.pop("noise_sigma", 1.0),
         seed=seed,
         **overrides,
     )

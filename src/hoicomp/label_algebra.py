@@ -223,17 +223,13 @@ def save_space(space: HoiLabelSpace, path):
         fh.write(format_space(space))
 
 
-def parse_space(lines, start_line=1) -> HoiLabelSpace:
-    """Parse label-space lines (see ``format_space``) into a space.
-
-    ``start_line`` is the 1-based file line of ``lines[0]``, used for error
-    reporting when the section is embedded in a larger file.
-    """
+def parse_space(lines) -> HoiLabelSpace:
+    """Parse label-space lines (see ``format_space``) into a space; errors
+    name the 1-based line."""
     verb_ids: dict[str, int] = {}
     object_ids: dict[str, int] = {}
     entries = {}
-    for offset, raw in enumerate(lines):
-        lineno = start_line + offset
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
         if not line.strip():
             continue
@@ -256,11 +252,11 @@ def parse_space(lines, start_line=1) -> HoiLabelSpace:
         entries[hoi_id] = (frozenset(verb_ids[v] for v in verb_list), object_ids[obj_name])
 
     if not entries:
-        raise ParseError("no interaction definitions found", line=start_line)
+        raise ParseError("no interaction definitions found", line=1)
     num_hois = len(entries)
     missing = sorted(set(range(num_hois)) - set(entries))
     if missing:
-        raise ParseError(f"interaction ids not dense from 0: missing {missing[0]}", line=start_line)
+        raise ParseError(f"interaction ids not dense from 0: missing {missing[0]}", line=1)
 
     verb_names = tuple(sorted(verb_ids, key=verb_ids.get))
     object_names = tuple(sorted(object_ids, key=object_ids.get))

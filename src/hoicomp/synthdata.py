@@ -12,6 +12,8 @@ follow a Zipf law over class rank, giving the long tail.
 from __future__ import annotations
 
 import math
+import zipfile
+import zlib
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -23,7 +25,6 @@ from .errors import (
     InvalidBox,
     InvalidConfig,
     ParseError,
-    read_text_lines,
 )
 from .label_algebra import (
     HoiLabelSpace,
@@ -322,161 +323,125 @@ def class_counts(data: Dataset, space: HoiLabelSpace) -> np.ndarray:
     return data.label.sum(axis=0, dtype=np.int64)
 
 
-# ---- dataset file format ----
-# Header: key<TAB>value lines, then a [space] section holding the label-space
-# lines, then [instances] with one instance per line:
-# image_id  hbox  obox  s_h  s_o  object_id  hoi_ids  human_feat  verb_feat  object_feat
-# (tab separated; boxes and feature vectors comma separated, full precision)
+# ---- dataset file ----
+# One uncompressed ``np.savez`` archive (a zip of ``.npy`` entries). Each
+# ``Dataset`` column is an entry named after its field, with the dtype and
+# shape ``empty_dataset`` gives it: N rows, feature width D, C classes.
+#   image_id, object_id                   (N,)    int64
+#   human_box, object_box                 (N, 4)  float64
+#   human_score, object_score             (N,)    float64
+#   human_feat, verb_feat, object_feat    (N, D)  float64
+#   label                                 (N, C)  uint8
+# The entry ``space`` is a 0-d unicode array holding ``format_space(space)``.
 
-
-def _fmt_floats(values) -> str:
-    return ",".join(repr(float(v)) for v in values)
-
-
-def format_row(data: Dataset, k: int) -> str:
-    """Row ``k`` of ``data`` as one dataset file line, without the newline."""
-    return "\t".join(
-        [
-            str(data.image_id[k]),
-            _fmt_floats(data.human_box[k]),
-            _fmt_floats(data.object_box[k]),
-            repr(float(data.human_score[k])),
-            repr(float(data.object_score[k])),
-            str(data.object_id[k]),
-            ",".join(str(c) for c in np.flatnonzero(data.label[k])),
-            _fmt_floats(data.human_feat[k]),
-            _fmt_floats(data.verb_feat[k]),
-            _fmt_floats(data.object_feat[k]),
-        ]
-    )
+COLUMNS = tuple(f.name for f in fields(Dataset))
+ENTRIES = COLUMNS + ("space",)
+_ZIP_MAGIC = b"PK\x03\x04"
+# what np.load and the zip reader raise on bytes that are not a valid archive;
+# an entry's header may declare any shape, hence OverflowError and MemoryError
+_ARCHIVE_ERRORS = (
+    ValueError, OSError, EOFError, zipfile.BadZipFile, zlib.error, NotImplementedError,
+    OverflowError, MemoryError,
+)
 
 
 def save_dataset(data: Dataset, space: HoiLabelSpace, path):
-    dim = data.human_feat.shape[1] if len(data) else 0
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"feature_dim\t{dim}\n")
-        fh.write(f"num_instances\t{len(data)}\n")
-        fh.write("[space]\n")
-        fh.write(format_space(space))
-        fh.write("[instances]\n")
-        for k in range(len(data)):
-            fh.write(format_row(data, k) + "\n")
+    """Write ``data`` and its label space to ``path`` as one archive, with
+    the entries listed above. The bytes depend only on the values: numpy
+    writes every zip entry with the same fixed timestamp."""
+    # a file handle, because np.savez appends ".npz" to a path without it
+    with open(path, "wb") as fh:
+        columns = {name: getattr(data, name) for name in COLUMNS}
+        np.savez(fh, **columns, space=np.array(format_space(space)))
 
 
-def _parse_floats(text: str, lineno: int, column: int, expect: int) -> list[float]:
-    parts = text.split(",") if text else []
-    try:
-        vals = list(map(float, parts))
-    except ValueError:
-        raise ParseError(f"bad float in {text!r}", line=lineno, column=column) from None
-    if len(vals) != expect:
-        raise DimensionMismatch(f"line {lineno}: expected {expect} floats, got {len(vals)}")
-    return vals
-
-
-def _parse_row(line: str, lineno: int, objects: list[int], feature_dim: int) -> tuple:
-    """One dataset file line as a tuple of ``Dataset`` column values, in
-    field order; the label is given as its list of active class ids.
-    ``objects[c]`` is the object id of class c."""
-    parts = line.rstrip("\n").split("\t")
-    if len(parts) != 10:
-        raise ParseError(f"expected 10 tab-separated fields, got {len(parts)}", line=lineno)
-    try:
-        image_id = int(parts[0])
-        object_id = int(parts[5])
-    except ValueError:
-        raise ParseError("bad integer field", line=lineno) from None
-    if not -(2**63) <= image_id < 2**63:
-        raise ParseError("image id outside the int64 range", line=lineno, column=1)
-    boxes = [_parse_floats(parts[column - 1], lineno, column, expect=4) for column in (2, 3)]
-    for column, box in zip((2, 3), boxes):
+def _read_archive(path) -> dict[str, np.ndarray]:
+    """Every entry of the archive at ``path``; anything that is not an
+    archive of exactly ``ENTRIES`` raises ``ParseError``."""
+    with open(path, "rb") as fh:
+        # np.load would also take a lone .npy array or a pickle
+        if fh.read(len(_ZIP_MAGIC)) != _ZIP_MAGIC:
+            raise ParseError("not a dataset archive (a zip of .npy entries)")
+        fh.seek(0)
         try:
-            Box2D(*box)
-        except InvalidBox as exc:
-            raise InvalidBox(f"line {lineno}, column {column}: {exc}") from None
-    try:
-        s_h = float(parts[3])
-        s_o = float(parts[4])
-    except ValueError:
-        raise ParseError("bad score field", line=lineno, column=4) from None
-    for column, score in ((4, s_h), (5, s_o)):
-        if not 0.0 <= score <= 1.0:  # also rejects nan
-            raise ParseError(f"detector score {score} outside [0, 1]", line=lineno, column=column)
-    try:
-        hoi_ids = [int(p) for p in parts[6].split(",") if p]
-    except ValueError:
-        raise ParseError(f"bad interaction id list {parts[6]!r}", line=lineno, column=7) from None
-    if not hoi_ids:
-        raise InconsistentLabel(f"line {lineno}: instance without active interaction")
-    for c in hoi_ids:
-        if not 0 <= c < len(objects):
-            raise ParseError(f"interaction id {c} outside label space", line=lineno, column=7)
-        if objects[c] != object_id:
-            raise InconsistentLabel(
-                f"line {lineno}: interaction {c} has object {objects[c]}, instance says {object_id}"
-            )
-    return (
-        image_id,
-        boxes[0],
-        boxes[1],
-        s_h,
-        s_o,
-        _parse_floats(parts[7], lineno, 8, expect=feature_dim),
-        _parse_floats(parts[8], lineno, 9, expect=feature_dim),
-        _parse_floats(parts[9], lineno, 10, expect=feature_dim),
-        hoi_ids,
-        object_id,
-    )
+            # allow_pickle=False: an object array would unpickle, and so run,
+            # code taken from the file
+            with np.load(fh, allow_pickle=False) as archive:
+                if sorted(archive.files) != sorted(ENTRIES):
+                    raise ParseError(f"archive entries {sorted(archive.files)}, expected {sorted(ENTRIES)}")
+                arrays = {name: archive[name] for name in ENTRIES}
+        except _ARCHIVE_ERRORS as exc:
+            raise ParseError(f"not a dataset archive: {exc}") from None
+    for name, arr in arrays.items():
+        if not isinstance(arr, np.ndarray):
+            raise ParseError(f"entry {name!r} is not a .npy array")
+    return arrays
+
+
+def _check_rows(bad: np.ndarray, error, name: str, what: str, shown=None):
+    """Raise ``error`` naming entry ``name`` and the first row where the
+    mask ``bad`` holds; ``shown[row]`` is quoted if given."""
+    if not bad.any():
+        return
+    k = int(np.argmax(bad.reshape(len(bad), -1).any(axis=1)))
+    quoted = f" {shown[k].tolist()}" if shown is not None else ""
+    raise error(f"entry {name!r}, row {k}: {what}{quoted}")
 
 
 def load_dataset(path):
-    """Load (dataset, space) from a dataset file; see ``save_dataset``."""
-    lines = read_text_lines(path)
+    """Load (dataset, space) from a file ``save_dataset`` wrote.
 
-    header = {}
-    idx = 0
-    while idx < len(lines) and not lines[idx].startswith("["):
-        line = lines[idx].rstrip("\n")
-        if line.strip():
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ParseError("bad header line", line=idx + 1)
-            header[parts[0]] = parts[1]
-        idx += 1
-    for key in ("feature_dim", "num_instances"):
-        if key not in header:
-            raise ParseError(f"missing header key {key!r}", line=idx + 1)
+    The archive must hold exactly the entries above, and every column is
+    checked whole:
+      - ``DimensionMismatch``: a dtype or shape differs from the table, or the
+        columns disagree on N or D, or ``label`` on C;
+      - ``ParseError``: a detector score is outside [0, 1] (or ``nan``), or a
+        feature is not finite;
+      - ``InvalidBox``: a box is not finite, negative, or not ordered
+        (``x1 < x2``, ``y1 < y2``), as ``Box2D`` requires;
+      - ``InconsistentLabel``: a label value is not 0/1, a row has no active
+        class, or an active class's object differs from ``object_id``.
+    Each error names the entry; the value checks also name its first bad row.
+    Bytes that are not such an archive raise ``ParseError``.
+    """
+    arrays = _read_archive(path)
+    text = arrays["space"]
+    if text.ndim != 0 or text.dtype.kind != "U":
+        raise ParseError(f"entry 'space' is {text.dtype} {text.shape}, expected a unicode string")
     try:
-        feature_dim = int(header["feature_dim"])
-        num_instances = int(header["num_instances"])
-    except ValueError:
-        raise ParseError("non-integer header value", line=1) from None
+        space = parse_space(text.item().splitlines(keepends=True))
+    except ParseError as exc:
+        raise ParseError(f"entry 'space': {exc}") from None
 
-    if idx >= len(lines) or lines[idx].rstrip("\n") != "[space]":
-        raise ParseError("expected [space] section", line=idx + 1)
-    idx += 1
-    space_start = idx
-    while idx < len(lines) and lines[idx].rstrip("\n") != "[instances]":
-        idx += 1
-    if idx >= len(lines):
-        raise ParseError("expected [instances] section", line=idx)
-    space = parse_space(lines[space_start:idx], start_line=space_start + 1)
-    idx += 1
+    ids, feat = arrays["image_id"], arrays["human_feat"]
+    n = ids.shape[0] if ids.ndim else 0
+    template = empty_dataset(0, feat.shape[1] if feat.ndim == 2 else 0, space.num_hois)
+    for name in COLUMNS:
+        arr, want = arrays[name], getattr(template, name)
+        shape = (n,) + want.shape[1:]
+        if arr.dtype != want.dtype or arr.shape != shape:
+            raise DimensionMismatch(
+                f"entry {name!r} is {arr.dtype} {arr.shape}, expected {want.dtype} {shape}"
+            )
+    data = Dataset(**{name: arrays[name] for name in COLUMNS})
 
-    objects = space.objects_by_hoi().tolist()
-    body = [lineno for lineno in range(idx, len(lines)) if lines[lineno].strip()]
-    if body:  # confirm feature_dim on the first row before allocating by it
-        _parse_row(lines[body[0]], body[0] + 1, objects, feature_dim)
-    data = empty_dataset(len(body), feature_dim if body else 0, space.num_hois)
-    for k, lineno in enumerate(body):
-        row = _parse_row(lines[lineno], lineno + 1, objects, feature_dim)
-        (data.image_id[k], data.human_box[k], data.object_box[k], data.human_score[k],
-         data.object_score[k], data.human_feat[k], data.verb_feat[k], data.object_feat[k],
-         hoi_ids, data.object_id[k]) = row
-        data.label[k, hoi_ids] = 1
-    if len(body) != num_instances:
-        raise ParseError(
-            f"header declares {num_instances} instances, file holds {len(body)}",
-            line=len(lines),
-        )
+    for name in ("human_score", "object_score"):
+        score = getattr(data, name)
+        outside = ~((0.0 <= score) & (score <= 1.0))  # also nan
+        _check_rows(outside, ParseError, name, "detector score outside [0, 1]:", score)
+    for name in ("human_feat", "verb_feat", "object_feat"):
+        _check_rows(~np.isfinite(getattr(data, name)), ParseError, name, "non-finite feature")
+    for name in ("human_box", "object_box"):
+        box = getattr(data, name)
+        _check_rows(~np.isfinite(box), InvalidBox, name, "non-finite coordinates", box)
+        _check_rows(box < 0, InvalidBox, name, "negative coordinates", box)
+        _check_rows(~(box[:, :2] < box[:, 2:]), InvalidBox, name, "box not properly ordered", box)
+
+    _check_rows(data.label > 1, InconsistentLabel, "label", "value other than 0 or 1")
+    active = data.label.view(np.bool_)
+    _check_rows(~active.any(axis=1), InconsistentLabel, "label", "no active interaction")
+    wrong = np.not_equal(space.objects_by_hoi(), data.object_id[:, None])
+    wrong &= active
+    _check_rows(wrong, InconsistentLabel, "label", "an active class's object differs from object_id",
+                data.object_id)
     return data, space

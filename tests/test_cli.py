@@ -190,9 +190,18 @@ class TestConfigFile:
         assert run("--config", tmp_path / "nope.cfg", "gen-data", "--out", tmp_path / "d.tsv") == 1
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_non_utf8_data_file(self, tmp_path, capsys):
-        bad = tmp_path / "bad.tsv"
-        bad.write_bytes(b"feature_dim\t4\nnum_instances\t0\n[space]\n0\tride\thorse\xff\n[instances]\n")
-        assert run("make-splits", "--data", bad, "--n-unseen", 1, "--out", tmp_path / "s.txt") == 1
+    def test_non_utf8_split_file(self, dataset, tmp_path, capsys):
+        data, _ = dataset
+        bad = tmp_path / "split.txt"
+        bad.write_bytes(b"strategy\trare_first\nseed\t0\n[unseen]\n0\xff\n")
+        assert run("train", "--data", data, "--split", bad, "--out", tmp_path / "o", *TINY_TRAIN) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "line 4" in err
+
+    def test_text_format_data_file(self, tmp_path, capsys):
+        old = tmp_path / "old.tsv"  # the tab-separated format that preceded the archive
+        old.write_bytes(b"feature_dim\t4\nnum_instances\t0\n[space]\n0\tride\thorse\n[instances]\n")
+        assert run("make-splits", "--data", old, "--n-unseen", 1, "--out", tmp_path / "s.txt") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not a dataset archive" in err
+        assert len(err.strip().split("\n")) == 1

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hoicomp.errors import InvalidConfig, ParseError, UnknownHoiId
+from hoicomp.errors import InvalidBox, InvalidConfig, ParseError, UnknownHoiId
 from hoicomp.evaluator import (
     Detection,
     GroundTruth,
@@ -395,6 +395,16 @@ class TestFiles:
             with pytest.raises(ParseError) as err:
                 load_detections(path)
             assert (err.value.line, err.value.column) == (line, 3)
+
+    @pytest.mark.parametrize("column", [4, 5])
+    def test_bad_box_names_line_and_column(self, tmp_path, column):
+        good = "0.0,0.0,10.0,10.0"
+        fields = [good, good]
+        fields[column - 4] = "-1.0,0.0,10.0,10.0"
+        path = tmp_path / "dets.tsv"
+        path.write_text(f"0\t0\t0.5\t{good}\t{good}\n0\t0\t0.5\t" + "\t".join(fields) + "\n")
+        with pytest.raises(InvalidBox, match=f"line 2, column {column}: negative coordinates"):
+            load_detections(path)
 
     def test_ground_truths_from_instances(self, toy_space):
         inst = make_row(toy_space, [0, 1], image_id=5)

@@ -8,11 +8,12 @@ from hoicomp.errors import (
     InvalidConfig,
     ParseError,
 )
-from hoicomp.label_algebra import is_feasible
+from hoicomp.label_algebra import format_space, is_feasible
 from hoicomp.synthdata import (
+    COLUMNS,
+    ENTRIES,
     DatasetConfig,
     class_counts,
-    format_row,
     generate,
     load_dataset,
     random_hoi_defs,
@@ -173,6 +174,33 @@ class TestCounts:
         assert counts.sum() == sum(int(train.label[k].sum()) for k in range(len(train)))
 
 
+# a dataset in the tab-separated text format that preceded the archive
+OLD_TEXT_FORMAT = b"feature_dim\t4\nnum_instances\t0\n[space]\n0\tride\thorse\n[instances]\n"
+
+
+def replace_entry(path, name, value):
+    """Rewrite the archive at ``path`` with entry ``name`` set to ``value``,
+    or without it if ``value`` is None."""
+    with np.load(path) as archive:
+        arrays = {key: archive[key] for key in archive.files}
+    arrays[name] = value
+    if value is None:
+        del arrays[name]
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def edited(path, column, row, value):
+    """Set one cell of a saved dataset: ``column`` counts the Dataset
+    fields from 1, ``row`` indexes the rows (a cell or a whole box)."""
+    name = COLUMNS[column - 1]
+    with np.load(path) as archive:
+        array = archive[name]
+    array[row] = value
+    replace_entry(path, name, array)
+    return name
+
+
 class TestFileFormat:
     def test_roundtrip(self, tmp_path):
         train, test, space = generate(small_config(multi_label_frac=0.3))
@@ -187,13 +215,13 @@ class TestFileFormat:
             np.testing.assert_array_equal(loaded_space.object_hoi, space.object_hoi)
             save_dataset(loaded, space, tmp_path / "again.tsv")
             assert (tmp_path / "again.tsv").read_bytes() == path.read_bytes()
+            with np.load(path) as archive:  # a plain numpy archive, names as given
+                assert archive.files == list(ENTRIES)
+                assert archive["space"].item() == format_space(space)
 
     def test_empty_instances(self, tmp_path, toy_space):
         path = tmp_path / "empty.tsv"
         save_dataset(make_row(toy_space, [0])[:0], toy_space, path)
-        # header declares dim 0, so patch it to a real one for the loader
-        text = path.read_text().replace("feature_dim\t0", "feature_dim\t4")
-        path.write_text(text)
         loaded, space = load_dataset(path)
         assert len(loaded) == 0 and loaded.label.shape == (0, 3)
         assert space.num_hois == 3
@@ -206,77 +234,68 @@ class TestFileFormat:
         assert loaded.label.tolist() == [[0, 1, 0]]
         assert loaded.object_id.tolist() == [0]
 
-    def test_parse_error_reports_line(self, tmp_path, toy_space):
-        inst = make_row(toy_space, [0])
+    @pytest.fixture
+    def two_rows(self, tmp_path, toy_space):
         path = tmp_path / "bad.tsv"
-        save_dataset(inst, toy_space, path)
-        lines = path.read_text().splitlines()
-        lines[-1] = lines[-1].replace("\t", " ", 1)  # break the field count
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError) as err:
-            load_dataset(path)
-        assert err.value.line == len(lines)
+        save_dataset(make_dataset([make_row(toy_space, [0]), make_row(toy_space, [1])]), toy_space, path)
+        return path
+
+    @pytest.mark.parametrize("name, value", [("object_id", None), ("extra", np.zeros(2))],
+                             ids=["missing", "extra"])
+    def test_entries_must_match(self, two_rows, name, value):
+        replace_entry(two_rows, name, value)
+        with pytest.raises(ParseError, match="archive entries"):
+            load_dataset(two_rows)
+
+    @pytest.mark.parametrize("content", ["empty", "npy", "text", "truncated"])
+    def test_not_an_archive(self, two_rows, content):
+        if content == "npy":
+            with open(two_rows, "wb") as fh:
+                np.save(fh, np.zeros((2, 4)))
+        else:
+            blob = two_rows.read_bytes()
+            two_rows.write_bytes({"empty": b"", "text": OLD_TEXT_FORMAT, "truncated": blob[: len(blob) // 2]}[content])
+        with pytest.raises(ParseError, match="not a dataset archive"):
+            load_dataset(two_rows)
 
     @pytest.mark.parametrize("column", [4, 5])
     @pytest.mark.parametrize("score", ["1.5", "nan", "-0.2"])
-    def test_score_out_of_range(self, tmp_path, toy_space, column, score):
-        path = tmp_path / "bad.tsv"
-        save_dataset(make_dataset([make_row(toy_space, [0]), make_row(toy_space, [1])]), toy_space, path)
-        lines = path.read_text().splitlines()
-        fields = lines[-1].split("\t")
-        fields[column - 1] = score
-        lines[-1] = "\t".join(fields)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError) as err:
-            load_dataset(path)
-        assert (err.value.line, err.value.column) == (len(lines), column)
+    def test_score_out_of_range(self, two_rows, column, score):
+        name = edited(two_rows, column, 1, float(score))
+        with pytest.raises(ParseError, match=f"entry '{name}', row 1: detector score outside"):
+            load_dataset(two_rows)
+
+    @pytest.mark.parametrize("column", [6, 7, 8])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature(self, two_rows, column, value):
+        name = edited(two_rows, column, (1, 2), float(value))
+        with pytest.raises(ParseError, match=f"entry '{name}', row 1: non-finite feature"):
+            load_dataset(two_rows)
 
     @pytest.mark.parametrize("column", [2, 3])
     @pytest.mark.parametrize("box", ["-1.0,0.0,5.0,5.0", "5.0,0.0,1.0,5.0", "0.0,0.0,inf,5.0", "0.0,nan,5.0,5.0"])
-    def test_bad_box(self, tmp_path, toy_space, column, box):
-        path = tmp_path / "bad.tsv"
-        save_dataset(make_dataset([make_row(toy_space, [0]), make_row(toy_space, [1])]), toy_space, path)
-        lines = path.read_text().splitlines()
-        fields = lines[-2].split("\t")
-        fields[column - 1] = box
-        lines[-2] = "\t".join(fields)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(InvalidBox, match=f"line {len(lines) - 1}, column {column}"):
-            load_dataset(path)
+    def test_bad_box(self, two_rows, column, box):
+        name = edited(two_rows, column, 0, [float(v) for v in box.split(",")])
+        with pytest.raises(InvalidBox, match=f"entry '{name}', row 0"):
+            load_dataset(two_rows)
 
-    def test_image_id_outside_int64(self, tmp_path, toy_space):
-        path = tmp_path / "bad.tsv"
-        save_dataset(make_row(toy_space, [0]), toy_space, path)
-        lines = path.read_text().splitlines()
-        lines[-1] = str(2**63) + lines[-1][1:]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError) as err:
-            load_dataset(path)
-        assert (err.value.line, err.value.column) == (len(lines), 1)
+    def test_image_id_wrong_dtype(self, two_rows):
+        replace_entry(two_rows, "image_id", np.zeros(2))
+        with pytest.raises(DimensionMismatch, match="entry 'image_id' is float64"):
+            load_dataset(two_rows)
 
-    def test_inconsistent_label(self, tmp_path, toy_space):
-        inst = make_row(toy_space, [0])
-        path = tmp_path / "bad.tsv"
-        save_dataset(inst, toy_space, path)
-        text = path.read_text()
-        fields = text.splitlines()[-1].split("\t")
-        fields[5] = "1"  # object says bicycle, label says ride-horse
-        path.write_text("\n".join(text.splitlines()[:-1] + ["\t".join(fields)]) + "\n")
-        with pytest.raises(InconsistentLabel):
-            load_dataset(path)
+    def test_inconsistent_label(self, two_rows):
+        edited(two_rows, 10, 0, 1)  # object says bicycle, label says ride-horse
+        with pytest.raises(InconsistentLabel, match="entry 'label', row 0"):
+            load_dataset(two_rows)
 
-    def test_dimension_mismatch(self, tmp_path, toy_space):
-        inst = make_row(toy_space, [0], dim=4)
-        path = tmp_path / "bad.tsv"
-        save_dataset(inst, toy_space, path)
-        text = path.read_text().replace("feature_dim\t4", "feature_dim\t5")
-        path.write_text(text)
-        with pytest.raises(DimensionMismatch):
-            load_dataset(path)
+    @pytest.mark.parametrize("value, what", [(2, "value other than 0 or 1"), (0, "no active interaction")])
+    def test_bad_label_values(self, two_rows, value, what):
+        edited(two_rows, 9, 1, value)
+        with pytest.raises(InconsistentLabel, match=f"entry 'label', row 1: {what}"):
+            load_dataset(two_rows)
 
-    def test_format_instance_full_precision(self, toy_space):
-        rng = np.random.default_rng(8)
-        inst = make_row(toy_space, [0], rng=rng)
-        line = format_row(inst, 0)
-        human_feat = [float(v) for v in line.split("\t")[7].split(",")]
-        np.testing.assert_array_equal(np.array(human_feat), inst.human_feat[0])
+    def test_dimension_mismatch(self, two_rows):
+        replace_entry(two_rows, "verb_feat", np.zeros((2, 5)))
+        with pytest.raises(DimensionMismatch, match="entry 'verb_feat'"):
+            load_dataset(two_rows)
