@@ -8,14 +8,13 @@ IoU-matched per-class average precision, including zero-shot splits.
 
 from .composer import ComposeConfig, compose_batch
 from .evaluator import (
-    Detection,
+    Detections,
     EvalReport,
-    GroundTruth,
+    GroundTruths,
     ThresholdConfig,
     detections_from_model,
     evaluate,
     ground_truths_from_instances,
-    iou,
 )
 from .label_algebra import (
     HoiLabelSpace,

@@ -21,6 +21,7 @@ from . import rng as rngmod
 from .composer import ComposeConfig, compose_batch
 from .errors import HoicompError, ParseError, read_text_lines
 from .evaluator import (
+    EVAL_MODES,
     ThresholdConfig,
     detections_from_model,
     evaluate,
@@ -35,11 +36,13 @@ from .experiments import (
     DEFAULT_SPACE_SIZE,
     branch_ablation,
     default_dataset_config,
+    default_thresholds,
+    default_train_config,
     lambda_sweep,
     run_training,
     with_compose_mode,
 )
-from .network import LossWeights, NetworkConfig, load_params, save_params
+from .network import BRANCH_MODES, LossWeights, NetworkConfig, load_params, save_params
 from .spatial import Box2D, ascii_art, encode_spatial_map
 from .synthdata import DatasetConfig, class_counts, generate, load_dataset, save_dataset
 from .trainer import TrainConfig, make_minibatch, write_metrics_log
@@ -59,31 +62,35 @@ def _add_dataset_flags(p: argparse.ArgumentParser):
 
 
 def _add_train_flags(p: argparse.ArgumentParser):
-    p.add_argument("--iterations", type=int, default=3000)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--weight-decay", type=float, default=0.0005)
-    p.add_argument("--interactions", type=int, default=8,
+    cfg = default_train_config()
+    net = {f.name: f.default for f in fields(NetworkConfig)}
+    p.add_argument("--iterations", type=int, default=cfg.iterations)
+    p.add_argument("--lr", type=float, default=cfg.lr)
+    p.add_argument("--momentum", type=float, default=cfg.momentum)
+    p.add_argument("--weight-decay", type=float, default=cfg.weight_decay)
+    p.add_argument("--interactions", type=int, default=cfg.interactions_per_minibatch,
                    help="interactions per minibatch")
-    p.add_argument("--lambda1", type=float, default=2.0)
-    p.add_argument("--lambda2", type=float, default=0.5)
-    p.add_argument("--compose", choices=["both", "within", "between", "off"], default="both")
+    p.add_argument("--lambda1", type=float, default=cfg.loss_weights.lambda1)
+    p.add_argument("--lambda2", type=float, default=cfg.loss_weights.lambda2)
+    p.add_argument("--compose", choices=["both", "within", "between", "off"],
+                   default=cfg.compose.mode)
     p.add_argument("--no-balance", action="store_true",
                    help="keep every feasible composition instead of matching the real count")
     p.add_argument("--unseen-allowed", action="store_true",
                    help="let composed labels carry unseen-class bits (zero-shot training)")
-    p.add_argument("--hidden", type=int, default=64)
-    p.add_argument("--vo-hidden", type=int, default=128)
-    p.add_argument("--sp-hidden", type=int, default=64)
-    p.add_argument("--eval-every", type=int, default=0)
+    p.add_argument("--hidden", type=int, default=net["hidden"])
+    p.add_argument("--vo-hidden", type=int, default=net["vo_hidden"])
+    p.add_argument("--sp-hidden", type=int, default=net["sp_hidden"])
+    p.add_argument("--eval-every", type=int, default=cfg.eval_every)
 
 
 def _add_eval_flags(p: argparse.ArgumentParser):
-    p.add_argument("--thr-human", type=float, default=0.0)
-    p.add_argument("--thr-object", type=float, default=0.0)
-    p.add_argument("--thr-fallback", type=float, default=0.5)
-    p.add_argument("--branch", choices=["both", "vo_only", "sp_only"], default="both")
-    p.add_argument("--eval-mode", choices=["default", "known_object"], default="default")
+    thr = default_thresholds()
+    p.add_argument("--thr-human", type=float, default=thr.human)
+    p.add_argument("--thr-object", type=float, default=thr.object)
+    p.add_argument("--thr-fallback", type=float, default=thr.fallback)
+    p.add_argument("--branch", choices=BRANCH_MODES, default="both")
+    p.add_argument("--eval-mode", choices=EVAL_MODES, default="default")
     p.add_argument("--rare-threshold", type=int, default=DEFAULT_RARE_THRESHOLD)
 
 

@@ -57,7 +57,8 @@ class InconsistentLabel(HoicompError):
 
 
 class DimensionMismatch(HoicompError):
-    """Feature vectors in a file disagree with the declared feature dimension."""
+    """An array's dtype or shape disagrees with its declared layout, such as
+    feature vectors in a file with the declared feature dimension."""
 
 
 # ---- composition ----
@@ -69,7 +70,7 @@ class EmptyBatch(HoicompError):
 # ---- network and training ----
 
 class NonFiniteInput(HoicompError):
-    """A forward pass received NaN or infinite inputs."""
+    """A forward pass or a detection table received NaN or infinite inputs."""
 
 
 class NonFiniteLoss(HoicompError):

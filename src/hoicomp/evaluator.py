@@ -1,10 +1,22 @@
 """Detection-style scoring: IoU matching, per-class AP, partitioned reports.
 
+Detections and ground truths are columnar tables, ``Detections`` and
+``GroundTruths``: row k of every column is one (human box, object box,
+class) triple in one image, and a detection row also carries a score. A
+table checks its columns when it is built. The model emits its detections
+pair-major: every class of one pair, then the next pair.
+
 A prediction counts as a true positive only when both its human box and its
 object box overlap an unmatched ground truth of the same class in the same
-image with IoU at or above the threshold; detections are consumed in
-descending score order and each ground truth matches at most once, greedily
-to the candidate with the highest pair IoU (the smaller of the two box IoUs).
+image with IoU at or above the threshold. Matching is greedy, one class at a
+time:
+  - detections are taken in descending score order, and equal scores in
+    input order;
+  - each takes, among the unmatched ground truths of its class and image,
+    the one with the highest pair IoU (the smaller of the two box IoUs); a
+    pair IoU must also be above 0, and of equal pair IoUs the ground truth
+    first in input order wins;
+  - each ground truth matches at most once.
 AP integrates the precision envelope over all recall points. Known-object
 mode restricts each class's evaluation pool to images whose ground truth
 contains that class's object category.
@@ -13,35 +25,93 @@ contains that class's object category.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import InvalidBox, InvalidConfig, ParseError, UnknownHoiId, read_text_lines
+from .errors import (
+    DimensionMismatch,
+    InvalidConfig,
+    NonFiniteInput,
+    ParseError,
+    UnknownHoiId,
+    read_text_lines,
+)
 from .label_algebra import HoiLabelSpace
 from .network import BRANCH_MODES, ModelParams, branch_scores, fuse_scores
-from .spatial import Box2D, spatial_vector
+from .spatial import check_boxes, spatial_vector
 from .synthdata import Dataset
 
 EVAL_MODES = ("default", "known_object")
 IOU_THRESHOLD = 0.5
 
+# dtype and per-row shape of every table column
+_COLUMN_TYPES = {
+    "image_id": (np.int64, ()),
+    "hoi_id": (np.int64, ()),
+    "score": (np.float64, ()),
+    "human_box": (np.float64, (4,)),
+    "object_box": (np.float64, (4,)),
+}
 
-@dataclass(frozen=True, slots=True)
-class Detection:
-    image_id: int
-    human_box: Box2D
-    object_box: Box2D
-    hoi_id: int
-    score: float
+
+class _Table:
+    """Methods shared by the two tables: checks at construction, length and
+    row selection."""
+
+    def __post_init__(self):
+        rows = np.shape(self.image_id)[:1] or (0,)  # (N,); a 0-d image_id fails below
+        for f in fields(self):
+            col = getattr(self, f.name)
+            dtype, width = _COLUMN_TYPES[f.name]
+            if not isinstance(col, np.ndarray) or col.dtype != dtype or col.shape != rows + width:
+                got = f"{col.dtype} {col.shape}" if isinstance(col, np.ndarray) else type(col).__name__
+                raise DimensionMismatch(
+                    f"{f.name} is {got}, expected {np.dtype(dtype)} {rows + width}"
+                )
+        for name in ("human_box", "object_box"):
+            check_boxes(getattr(self, name), lambda k: f"{name} row {k}")
+
+    def __len__(self) -> int:
+        return self.image_id.shape[0]
+
+    def __getitem__(self, rows):
+        """The selected rows (an index, slice, mask or index array) of every
+        column; an index selects a table of one row."""
+        if isinstance(rows, (int, np.integer)):
+            rows = [rows]
+        return type(self)(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
 
 
-@dataclass(frozen=True, slots=True)
-class GroundTruth:
-    image_id: int
-    human_box: Box2D
-    object_box: Box2D
-    hoi_id: int
+@dataclass(frozen=True)
+class GroundTruths(_Table):
+    """Ground-truth interactions as columns. Raises ``DimensionMismatch``
+    when a column's dtype or shape differs from the one given here, and
+    ``InvalidBox`` at the first box ``Box2D`` would reject."""
+
+    image_id: np.ndarray    # (N,) int64
+    hoi_id: np.ndarray      # (N,) int64
+    human_box: np.ndarray   # (N, 4) float64
+    object_box: np.ndarray  # (N, 4) float64
+
+
+@dataclass(frozen=True)
+class Detections(_Table):
+    """Scored detections as columns, checked like ``GroundTruths``; a score
+    that is not finite raises ``NonFiniteInput`` naming its row."""
+
+    image_id: np.ndarray    # (N,) int64
+    hoi_id: np.ndarray      # (N,) int64
+    score: np.ndarray       # (N,) float64
+    human_box: np.ndarray   # (N, 4) float64
+    object_box: np.ndarray  # (N, 4) float64
+
+    def __post_init__(self):
+        super().__post_init__()
+        bad = ~np.isfinite(self.score)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise NonFiniteInput(f"score row {k}: non-finite score {self.score[k]!r}")
 
 
 @dataclass
@@ -73,24 +143,14 @@ class EvalReport:
         return self.means.get("seen", float("nan"))
 
 
-def iou(a: Box2D, b: Box2D) -> float:
-    """Intersection-over-union of two boxes, in [0, 1]."""
-    ix1 = max(a.x1, b.x1)
-    iy1 = max(a.y1, b.y1)
-    ix2 = min(a.x2, b.x2)
-    iy2 = min(a.y2, b.y2)
-    iw = ix2 - ix1
-    ih = iy2 - iy1
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    inter = iw * ih
-    union = a.area + b.area - inter
-    return inter / union
-
-
-def pair_iou(det_h: Box2D, det_o: Box2D, gt_h: Box2D, gt_o: Box2D) -> float:
-    """min of human-box IoU and object-box IoU; >= t iff both are >= t."""
-    return min(iou(det_h, gt_h), iou(det_o, gt_o))
+def box_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise intersection-over-union of two (n, 4) box arrays, in [0, 1]."""
+    iw = np.minimum(a[:, 2], b[:, 2]) - np.maximum(a[:, 0], b[:, 0])
+    ih = np.minimum(a[:, 3], b[:, 3]) - np.maximum(a[:, 1], b[:, 1])
+    inter = np.where((iw > 0) & (ih > 0), iw * ih, 0.0)
+    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    return inter / (area_a + area_b - inter)
 
 
 def average_precision(hits: np.ndarray, npos: int) -> float:
@@ -112,34 +172,70 @@ def average_precision(hits: np.ndarray, npos: int) -> float:
     return float(np.sum((recall - prev) * envelope))
 
 
-def _match_class(dets: list[Detection], gts: list[GroundTruth], threshold: float) -> np.ndarray:
-    """Greedy matcher for one class; returns TP flags in score order."""
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    gts_by_image: dict[int, list[int]] = {}
-    for gi, gt in enumerate(gts):
-        gts_by_image.setdefault(gt.image_id, []).append(gi)
-    matched = np.zeros(len(gts), dtype=bool)
-    hits = np.zeros(len(dets), dtype=bool)
-    for rank, di in enumerate(order):
-        det = dets[di]
-        best_iou = 0.0
-        best_gt = -1
-        for gi in gts_by_image.get(det.image_id, ()):
-            if matched[gi]:
-                continue
-            piou = pair_iou(det.human_box, det.object_box, gts[gi].human_box, gts[gi].object_box)
-            if piou >= threshold and piou > best_iou:
-                best_iou = piou
-                best_gt = gi
+def _greedy_hits(dets: Detections, gts: GroundTruths, space: HoiLabelSpace, mode: str,
+                 threshold: float, npos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """TP flags of the pooled detections of classes with ground truth, in
+    matching order (by class, then by descending score, equal scores in
+    input order), and the bounds of each class's run in that order: class c
+    is ``[bounds[c], bounds[c + 1])``. ``npos`` counts ground truths per class."""
+    images, gt_image = np.unique(gts.image_id, return_inverse=True)
+    slot = np.searchsorted(images, dets.image_id)  # a detection's image among them,
+    found = slot < len(images)                      # if it has a ground truth at all
+    found[found] = images[slot[found]] == dets.image_id[found]
+
+    pooled = npos[dets.hoi_id] > 0  # a class without ground truth has no AP to compute
+    if mode == "known_object":  # a ground truth is always in its own class's pool
+        obj = space.objects_by_hoi()
+        pool = np.unique(obj[gts.hoi_id] * len(images) + gt_image)  # (object, image) keys
+        pooled &= found & np.isin(obj[dets.hoi_id] * len(images) + slot, pool)
+    rows = np.flatnonzero(pooled)
+    # a stable sort on an integer key of 16 bits or less is a radix sort
+    rows = rows[np.argsort(dets.hoi_id[rows].astype(np.min_scalar_type(space.num_hois)),
+                           kind="stable")]
+    hoi = dets.hoi_id[rows]
+    bounds = np.searchsorted(hoi, np.arange(space.num_hois + 1))
+    neg = -dets.score[rows]
+    # class by class, since one stable float sort of all rows is slower
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        rows[lo:hi] = rows[lo:hi][np.argsort(neg[lo:hi], kind="stable")]
+
+    # join each detection to the ground truths of its class and image
+    gt_key = gts.hoi_id * len(images) + gt_image
+    gt_order = np.argsort(gt_key, kind="stable")  # input order within one key
+    gt_key = gt_key[gt_order]
+    ranks = np.flatnonzero(found[rows])
+    key = hoi[ranks] * len(images) + slot[rows[ranks]]
+    lo = np.searchsorted(gt_key, key, "left")
+    n_cand = np.searchsorted(gt_key, key, "right") - lo
+    rank = np.repeat(ranks, n_cand)
+    within = np.arange(len(rank)) - np.repeat(np.cumsum(n_cand) - n_cand, n_cand)
+    gt = gt_order[np.repeat(lo, n_cand) + within]
+    det = rows[rank]
+    piou = np.minimum(box_iou(dets.human_box[det], gts.human_box[gt]),
+                      box_iou(dets.object_box[det], gts.object_box[gt]))
+    ok = (piou >= threshold) & (piou > 0)  # a pair IoU of 0 never matches
+    rank, gt, piou = rank[ok], gt[ok], piou[ok]
+
+    # greedy in matching order, over the detections that have a candidate
+    hits = np.zeros(len(rows), dtype=bool)
+    matched = bytearray(len(gts))
+    starts = np.flatnonzero(np.diff(rank, prepend=-1))
+    stops = np.append(starts[1:], len(rank))
+    gt, piou = gt.tolist(), piou.tolist()
+    for r, start, stop in zip(rank[starts].tolist(), starts.tolist(), stops.tolist()):
+        best_gt, best_iou = -1, 0.0
+        for g, v in zip(gt[start:stop], piou[start:stop]):
+            if not matched[g] and v > best_iou:
+                best_gt, best_iou = g, v
         if best_gt >= 0:
-            matched[best_gt] = True
-            hits[rank] = True
-    return hits
+            matched[best_gt] = 1
+            hits[r] = True
+    return hits, bounds
 
 
 def evaluate(
-    dets: list[Detection],
-    gts: list[GroundTruth],
+    dets: Detections,
+    gts: GroundTruths,
     space: HoiLabelSpace,
     counts=None,
     mode: str = "default",
@@ -157,38 +253,16 @@ def evaluate(
     if mode not in EVAL_MODES:
         raise InvalidConfig(f"mode must be one of {EVAL_MODES}")
     num_hois = space.num_hois
-    for det in dets:
-        if not 0 <= det.hoi_id < num_hois:
-            raise UnknownHoiId(f"detection class {det.hoi_id} outside label space")
-    for gt in gts:
-        if not 0 <= gt.hoi_id < num_hois:
-            raise UnknownHoiId(f"ground truth class {gt.hoi_id} outside label space")
+    for what, table in (("detection", dets), ("ground truth", gts)):
+        outside = (table.hoi_id < 0) | (table.hoi_id >= num_hois)
+        if outside.any():
+            raise UnknownHoiId(f"{what} class {table.hoi_id[np.argmax(outside)]} outside label space")
 
-    dets_by_class: dict[int, list[Detection]] = {}
-    for det in dets:
-        dets_by_class.setdefault(det.hoi_id, []).append(det)
-    gts_by_class: dict[int, list[GroundTruth]] = {}
-    for gt in gts:
-        gts_by_class.setdefault(gt.hoi_id, []).append(gt)
-
-    if mode == "known_object":
-        obj_by_hoi = space.objects_by_hoi()
-        images_with_object: dict[int, set[int]] = {o: set() for o in range(space.num_objects)}
-        for gt in gts:
-            images_with_object[int(obj_by_hoi[gt.hoi_id])].add(gt.image_id)
-
+    npos = np.bincount(gts.hoi_id, minlength=num_hois)
+    hits, bounds = _greedy_hits(dets, gts, space, mode, iou_threshold, npos)
     ap = np.full(num_hois, np.nan)
-    for c in range(num_hois):
-        class_dets = dets_by_class.get(c, [])
-        class_gts = gts_by_class.get(c, [])
-        if mode == "known_object":
-            pool = images_with_object[int(obj_by_hoi[c])]
-            class_dets = [d for d in class_dets if d.image_id in pool]
-            class_gts = [g for g in class_gts if g.image_id in pool]
-        if not class_gts:
-            continue
-        hits = _match_class(class_dets, class_gts, iou_threshold)
-        ap[c] = average_precision(hits, len(class_gts))
+    for c in np.flatnonzero(npos).tolist():
+        ap[c] = average_precision(hits[bounds[c] : bounds[c + 1]], int(npos[c]))
 
     if partition is None and counts is not None:
         from .zeroshot import frequency_partition
@@ -211,21 +285,15 @@ def _nan_mean(values: np.ndarray) -> float:
     return float(valid.mean())
 
 
-def _boxes(data: Dataset) -> tuple[list[Box2D], list[Box2D]]:
-    """One human and one object ``Box2D`` per row."""
-    return ([Box2D(*b) for b in data.human_box.tolist()],
-            [Box2D(*b) for b in data.object_box.tolist()])
-
-
-def ground_truths_from_instances(data: Dataset) -> list[GroundTruth]:
+def ground_truths_from_instances(data: Dataset) -> GroundTruths:
     """One ground truth per active label bit of each instance, in row order."""
-    humans, objects = _boxes(data)
-    image_ids = data.image_id.tolist()
     rows, classes = np.nonzero(data.label)
-    return [
-        GroundTruth(image_id=image_ids[r], human_box=humans[r], object_box=objects[r], hoi_id=c)
-        for r, c in zip(rows.tolist(), classes.tolist())
-    ]
+    return GroundTruths(
+        image_id=data.image_id[rows],
+        hoi_id=classes.astype(np.int64),
+        human_box=data.human_box[rows],
+        object_box=data.object_box[rows],
+    )
 
 
 @dataclass(frozen=True)
@@ -268,7 +336,7 @@ def detections_from_model(
     params: ModelParams,
     thresholds: ThresholdConfig | None = None,
     branch_mode: str = "both",
-) -> list[Detection]:
+) -> Detections:
     """Score surviving test pairs with the fused model and emit one
     detection per class, pairs in image-id order.
 
@@ -282,41 +350,46 @@ def detections_from_model(
     thresholds.validate()
     surviving = _surviving_rows(test, thresholds)
 
-    detections: list[Detection] = []
-    classes = range(params.cfg.num_hois)
+    num_hois = params.cfg.num_hois
+    fused = np.empty((len(surviving), num_hois))
     for start in range(0, len(surviving), 512):
         chunk = test[surviving[start : start + 512]]
         smap = spatial_vector(chunk.human_box, chunk.object_box)
         scores = branch_scores(params, chunk.human_feat, chunk.verb_feat, chunk.object_feat, smap)
-        fused = fuse_scores(chunk.human_score, chunk.object_score, scores, branch_mode)
-        humans, objects = _boxes(chunk)
-        for image_id, human, obj, row in zip(chunk.image_id.tolist(), humans, objects, fused.tolist()):
-            detections.extend(
-                Detection(image_id=image_id, human_box=human, object_box=obj, hoi_id=c, score=row[c])
-                for c in classes
-            )
-    return detections
+        fused[start : start + 512] = fuse_scores(
+            chunk.human_score, chunk.object_score, scores, branch_mode
+        )
+    return Detections(
+        image_id=np.repeat(test.image_id[surviving], num_hois),
+        hoi_id=np.tile(np.arange(num_hois, dtype=np.int64), len(surviving)),
+        score=fused.ravel(),
+        human_box=np.repeat(test.human_box[surviving], num_hois, axis=0),
+        object_box=np.repeat(test.object_box[surviving], num_hois, axis=0),
+    )
 
 
 # ---- files: detections and reports ----
 # Detections: image_id<TAB>hoi_id<TAB>score<TAB>hx1,hy1,hx2,hy2<TAB>ox1,oy1,ox2,oy2
 
-
-def _fmt_box(box: Box2D) -> str:
-    return ",".join(repr(float(v)) for v in box.as_tuple())
+_INT64_LIMIT = 2**63
 
 
-def save_detections(dets: list[Detection], path):
+def _fmt_box(box: list[float]) -> str:
+    return ",".join(repr(v) for v in box)
+
+
+def save_detections(dets: Detections, path):
+    columns = (dets.image_id, dets.hoi_id, dets.score, dets.human_box, dets.object_box)
     with open(path, "w", encoding="utf-8") as fh:
-        for d in dets:
-            fh.write(
-                f"{d.image_id}\t{d.hoi_id}\t{repr(float(d.score))}\t"
-                f"{_fmt_box(d.human_box)}\t{_fmt_box(d.object_box)}\n"
-            )
+        for image_id, hoi_id, score, hbox, obox in zip(*(c.tolist() for c in columns)):
+            fh.write(f"{image_id}\t{hoi_id}\t{score!r}\t{_fmt_box(hbox)}\t{_fmt_box(obox)}\n")
 
 
-def load_detections(path) -> list[Detection]:
-    dets = []
+def load_detections(path) -> Detections:
+    """Detections from a file ``save_detections`` wrote. A malformed line
+    raises ``ParseError`` naming it, and a bad box ``InvalidBox`` naming its
+    line and column (4 human, 5 object)."""
+    ids, scores, boxes, lines = [], [], [], []
     for lineno, raw in enumerate(read_text_lines(path), start=1):
         if not raw.strip():
             continue
@@ -331,21 +404,23 @@ def load_detections(path) -> list[Detection]:
             obox = [float(v) for v in parts[4].split(",")]
         except ValueError:
             raise ParseError("bad field value", line=lineno) from None
+        if not all(-_INT64_LIMIT <= v < _INT64_LIMIT for v in (image_id, hoi_id)):
+            raise ParseError("id outside the int64 range", line=lineno)
         if not math.isfinite(score):
             raise ParseError(f"non-finite score {parts[2]!r}", line=lineno, column=3)
         if len(hbox) != 4 or len(obox) != 4:
             raise ParseError("boxes need 4 coordinates", line=lineno)
-        boxes = []
-        for column, coords in ((4, hbox), (5, obox)):
-            try:
-                boxes.append(Box2D(*coords))
-            except InvalidBox as exc:
-                raise InvalidBox(f"line {lineno}, column {column}: {exc}") from None
-        dets.append(
-            Detection(image_id=image_id, human_box=boxes[0], object_box=boxes[1],
-                      hoi_id=hoi_id, score=score)
-        )
-    return dets
+        ids.append((image_id, hoi_id))
+        scores.append(score)
+        boxes += (hbox, obox)
+        lines.append(lineno)
+    ids = np.array(ids, dtype=np.int64).reshape(-1, 2)
+    boxes = np.array(boxes, dtype=np.float64).reshape(-1, 4)  # human, object, human, ...
+    check_boxes(boxes, lambda k: f"line {lines[k // 2]}, column {4 + k % 2}")
+    return Detections(
+        image_id=ids[:, 0], hoi_id=ids[:, 1], score=np.array(scores, dtype=np.float64),
+        human_box=boxes[0::2], object_box=boxes[1::2],
+    )
 
 
 def format_report(report: EvalReport) -> str:

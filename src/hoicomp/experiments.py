@@ -33,7 +33,6 @@ from .zeroshot import (
 )
 
 DEFAULT_RARE_THRESHOLD = 25
-COMPOSE_MODES = ("off", "within", "between", "both")
 
 
 # the desk-scale label space; every other dataset default is DatasetConfig's

@@ -53,6 +53,25 @@ class Box2D:
         return (self.x1, self.y1, self.x2, self.y2)
 
 
+def check_boxes(boxes: np.ndarray, locate) -> None:
+    """Raise ``InvalidBox`` at the first row of an (n, 4) array of
+    (x1, y1, x2, y2) rows that ``Box2D`` would reject, for the first of its
+    reasons that row fails; ``locate(k)`` names row k in the message."""
+    if not boxes.size:
+        return
+    # min and max propagate nan, so these whole-array tests see every bad value
+    if boxes.min() >= 0 and np.isfinite(boxes.max()) and (boxes[:, :2] < boxes[:, 2:]).all():
+        return
+    reasons = (
+        (~np.isfinite(boxes).all(axis=1), "non-finite coordinates"),
+        ((boxes < 0).any(axis=1), "negative coordinates"),
+        (~(boxes[:, :2] < boxes[:, 2:]).all(axis=1), "box not properly ordered"),
+    )
+    k = int(np.argmax(reasons[0][0] | reasons[1][0] | reasons[2][0]))
+    what = next(what for mask, what in reasons if mask[k])
+    raise InvalidBox(f"{locate(k)}: {what} {boxes[k].tolist()}")
+
+
 @dataclass(frozen=True)
 class SpatialMap:
     """Binary person/object channels on the GRID_SIZE x GRID_SIZE grid."""

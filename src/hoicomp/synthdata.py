@@ -22,7 +22,6 @@ from . import rng as rngmod
 from .errors import (
     DimensionMismatch,
     InconsistentLabel,
-    InvalidBox,
     InvalidConfig,
     ParseError,
 )
@@ -33,7 +32,7 @@ from .label_algebra import (
     format_space,
     parse_space,
 )
-from .spatial import Box2D
+from .spatial import Box2D, check_boxes
 
 
 @dataclass(frozen=True)
@@ -432,10 +431,7 @@ def load_dataset(path):
     for name in ("human_feat", "verb_feat", "object_feat"):
         _check_rows(~np.isfinite(getattr(data, name)), ParseError, name, "non-finite feature")
     for name in ("human_box", "object_box"):
-        box = getattr(data, name)
-        _check_rows(~np.isfinite(box), InvalidBox, name, "non-finite coordinates", box)
-        _check_rows(box < 0, InvalidBox, name, "negative coordinates", box)
-        _check_rows(~(box[:, :2] < box[:, 2:]), InvalidBox, name, "box not properly ordered", box)
+        check_boxes(getattr(data, name), lambda k: f"entry {name!r}, row {k}")
 
     _check_rows(data.label > 1, InconsistentLabel, "label", "value other than 0 or 1")
     active = data.label.view(np.bool_)

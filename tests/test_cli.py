@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from hoicomp.cli import main
-from hoicomp.evaluator import save_detections, Detection
-from hoicomp.spatial import Box2D
+from hoicomp.evaluator import Detections, save_detections
 from hoicomp.synthdata import load_dataset
 
 
@@ -103,17 +102,28 @@ class TestEval:
     def test_external_detections(self, dataset, tmp_path, capsys):
         data, test = dataset
         insts, space = load_dataset(test)
-        dets = [
-            Detection(int(insts.image_id[k]), Box2D(*insts.human_box[k]), Box2D(*insts.object_box[k]),
-                      int(np.flatnonzero(insts.label[k])[0]), 0.9)
-            for k in range(len(insts))
-        ]
+        dets = Detections(
+            image_id=insts.image_id, hoi_id=np.argmax(insts.label, axis=1).astype(np.int64),
+            score=np.full(len(insts), 0.9), human_box=insts.human_box, object_box=insts.object_box,
+        )
         dets_path = tmp_path / "dets.tsv"
         save_detections(dets, dets_path)
         out = tmp_path / "eval"
         assert run("eval", "--data", test, "--detections", dets_path, "--out", out) == 0
         text = (out / "report.txt").read_text()
         assert "map_full=" in text
+
+    def test_saved_detections_reproduce_the_report(self, dataset, tmp_path):
+        data, test = dataset
+        out = tmp_path / "run"
+        run("train", "--data", data, "--test", test, "--seed", 3, "--out", out, *TINY_TRAIN)
+        scored, loaded = tmp_path / "scored", tmp_path / "loaded"
+        assert run("eval", "--data", test, "--train-data", data, "--checkpoint",
+                   out / "checkpoint.ckpt", "--dets-out", "--out", scored) == 0
+        assert run("eval", "--data", test, "--train-data", data, "--detections",
+                   scored / "detections.tsv", "--out", loaded) == 0
+        for name in ("report.txt", "report.tsv"):
+            assert (scored / name).read_bytes() == (loaded / name).read_bytes(), name
 
     def test_requires_exactly_one_source(self, dataset, tmp_path, capsys):
         data, test = dataset

@@ -1,18 +1,30 @@
+from dataclasses import fields, replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from hoicomp.errors import InvalidBox, InvalidConfig, ParseError, UnknownHoiId
+from hoicomp.errors import (
+    DimensionMismatch,
+    InvalidBox,
+    InvalidConfig,
+    NonFiniteInput,
+    ParseError,
+    UnknownHoiId,
+)
 from hoicomp.evaluator import (
-    Detection,
-    GroundTruth,
+    EVAL_MODES,
+    IOU_THRESHOLD,
+    Detections,
+    GroundTruths,
     ThresholdConfig,
     average_precision,
+    box_iou,
     detections_from_model,
     evaluate,
     format_report,
     format_report_table,
     ground_truths_from_instances,
-    iou,
     load_detections,
     save_detections,
 )
@@ -26,6 +38,49 @@ from conftest import make_dataset, make_row
 
 def shift(box, dx=0.0, dy=0.0):
     return Box2D(box.x1 + dx, box.y1 + dy, box.x2 + dx, box.y2 + dy)
+
+
+def _columns(rows, names):
+    cols = list(zip(*rows)) or [()] * len(names)
+    out = {}
+    for name, col in zip(names, cols):
+        if name.endswith("_box"):
+            out[name] = np.array([b.as_tuple() for b in col], dtype=np.float64).reshape(-1, 4)
+        else:
+            out[name] = np.array(col, dtype=np.float64 if name == "score" else np.int64)
+    return out
+
+
+def detections(rows):
+    """``Detections`` from (image_id, human Box2D, object Box2D, hoi_id, score) rows."""
+    return Detections(**_columns(rows, ("image_id", "human_box", "object_box", "hoi_id", "score")))
+
+
+def ground_truths(rows):
+    """``GroundTruths`` from (image_id, human Box2D, object Box2D, hoi_id) rows."""
+    return GroundTruths(**_columns(rows, ("image_id", "human_box", "object_box", "hoi_id")))
+
+
+def as_rows(table):
+    """One object per row, with ``Box2D`` boxes, as the per-row code took them."""
+    cols = {f.name: getattr(table, f.name).tolist() for f in fields(table)}
+    return [
+        SimpleNamespace(**{k: Box2D(*v) if k.endswith("_box") else v for k, v in zip(cols, row)})
+        for row in zip(*cols.values())
+    ]
+
+
+def concat(a, b):
+    return type(a)(**{f.name: np.concatenate([getattr(a, f.name), getattr(b, f.name)])
+                      for f in fields(a)})
+
+
+def assert_tables_equal(a, b):
+    assert type(a) is type(b)
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert x.dtype == y.dtype, f.name
+        np.testing.assert_array_equal(x, y, err_msg=f.name)
 
 
 # ---- independent oracle: scalar greedy matcher + textbook AP ----
@@ -93,38 +148,26 @@ def random_micro_case(rng, num_images=3, num_classes=3, max_items=5):
         return Box2D(x1, y1, x1 + rng.uniform(8, 40), y1 + rng.uniform(8, 40))
 
     gts = [
-        GroundTruth(
-            image_id=int(rng.integers(num_images)),
-            human_box=rand_box(),
-            object_box=rand_box(),
-            hoi_id=int(rng.integers(num_classes)),
-        )
+        (int(rng.integers(num_images)), rand_box(), rand_box(), int(rng.integers(num_classes)))
         for _ in range(int(rng.integers(1, max_items + 1)))
     ]
     dets = []
     for _ in range(int(rng.integers(0, max_items + 1))):
         if gts and rng.random() < 0.6:
-            gt = gts[int(rng.integers(len(gts)))]
-            dets.append(
-                Detection(
-                    image_id=gt.image_id,
-                    human_box=shift(gt.human_box, rng.uniform(-6, 6), rng.uniform(-6, 6)),
-                    object_box=shift(gt.object_box, rng.uniform(-6, 6), rng.uniform(-6, 6)),
-                    hoi_id=gt.hoi_id if rng.random() < 0.8 else int(rng.integers(num_classes)),
-                    score=float(rng.random()),
-                )
-            )
+            image_id, human, obj, hoi_id = gts[int(rng.integers(len(gts)))]
+            dets.append((
+                image_id,
+                shift(human, rng.uniform(-6, 6), rng.uniform(-6, 6)),
+                shift(obj, rng.uniform(-6, 6), rng.uniform(-6, 6)),
+                hoi_id if rng.random() < 0.8 else int(rng.integers(num_classes)),
+                float(rng.random()),
+            ))
         else:
-            dets.append(
-                Detection(
-                    image_id=int(rng.integers(num_images)),
-                    human_box=rand_box(),
-                    object_box=rand_box(),
-                    hoi_id=int(rng.integers(num_classes)),
-                    score=float(rng.random()),
-                )
-            )
-    return dets, gts
+            dets.append((
+                int(rng.integers(num_images)), rand_box(), rand_box(),
+                int(rng.integers(num_classes)), float(rng.random()),
+            ))
+    return detections(dets), ground_truths(gts)
 
 
 def micro_space(num_classes=3):
@@ -132,44 +175,134 @@ def micro_space(num_classes=3):
     return build_space(defs)
 
 
+# ---- legacy oracle: the per-row greedy matcher that ``evaluate`` replaced ----
+# Same arithmetic in the same order, so per-class AP must agree bit for bit.
+
+def iou(a: Box2D, b: Box2D) -> float:
+    """Intersection-over-union of two boxes, in [0, 1]."""
+    ix1 = max(a.x1, b.x1)
+    iy1 = max(a.y1, b.y1)
+    ix2 = min(a.x2, b.x2)
+    iy2 = min(a.y2, b.y2)
+    iw = ix2 - ix1
+    ih = iy2 - iy1
+    if iw <= 0 or ih <= 0:
+        return 0.0
+    inter = iw * ih
+    union = a.area + b.area - inter
+    return inter / union
+
+
+def pair_iou(det_h: Box2D, det_o: Box2D, gt_h: Box2D, gt_o: Box2D) -> float:
+    """min of human-box IoU and object-box IoU; >= t iff both are >= t."""
+    return min(iou(det_h, gt_h), iou(det_o, gt_o))
+
+
+def _match_class(dets, gts, threshold: float) -> np.ndarray:
+    """Greedy matcher for one class; returns TP flags in score order."""
+    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    gts_by_image: dict[int, list[int]] = {}
+    for gi, gt in enumerate(gts):
+        gts_by_image.setdefault(gt.image_id, []).append(gi)
+    matched = np.zeros(len(gts), dtype=bool)
+    hits = np.zeros(len(dets), dtype=bool)
+    for rank, di in enumerate(order):
+        det = dets[di]
+        best_iou = 0.0
+        best_gt = -1
+        for gi in gts_by_image.get(det.image_id, ()):
+            if matched[gi]:
+                continue
+            piou = pair_iou(det.human_box, det.object_box, gts[gi].human_box, gts[gi].object_box)
+            if piou >= threshold and piou > best_iou:
+                best_iou = piou
+                best_gt = gi
+        if best_gt >= 0:
+            matched[best_gt] = True
+            hits[rank] = True
+    return hits
+
+
+def legacy_evaluate(dets, gts, space, mode="default", iou_threshold=IOU_THRESHOLD) -> np.ndarray:
+    """Per-class AP (NaN without ground truth) of the per-row implementation."""
+    dets, gts = as_rows(dets), as_rows(gts)
+    dets_by_class, gts_by_class = {}, {}
+    for det in dets:
+        dets_by_class.setdefault(det.hoi_id, []).append(det)
+    for gt in gts:
+        gts_by_class.setdefault(gt.hoi_id, []).append(gt)
+    if mode == "known_object":
+        obj_by_hoi = space.objects_by_hoi()
+        images_with_object = {o: set() for o in range(space.num_objects)}
+        for gt in gts:
+            images_with_object[int(obj_by_hoi[gt.hoi_id])].add(gt.image_id)
+    ap = np.full(space.num_hois, np.nan)
+    for c in range(space.num_hois):
+        class_dets = dets_by_class.get(c, [])
+        class_gts = gts_by_class.get(c, [])
+        if mode == "known_object":
+            pool = images_with_object[int(obj_by_hoi[c])]
+            class_dets = [d for d in class_dets if d.image_id in pool]
+            class_gts = [g for g in class_gts if g.image_id in pool]
+        if not class_gts:
+            continue
+        hits = _match_class(class_dets, class_gts, iou_threshold)
+        ap[c] = average_precision(hits, len(class_gts))
+    return ap
+
+
+def assert_matches_legacy(dets, gts, space, **kwargs):
+    new = evaluate(dets, gts, space, **kwargs).ap
+    old = legacy_evaluate(dets, gts, space, **kwargs)
+    assert np.array_equal(new, old, equal_nan=True), (new, old)
+    return new
+
+
 class TestIou:
+    @staticmethod
+    def one(a, b):
+        return box_iou(np.array([a.as_tuple()]), np.array([b.as_tuple()]))[0]
+
     def test_identical(self):
         box = Box2D(3, 4, 10, 12)
-        assert iou(box, box) == 1.0
+        assert self.one(box, box) == 1.0
 
     def test_disjoint(self):
-        assert iou(Box2D(0, 0, 5, 5), Box2D(10, 10, 20, 20)) == 0.0
+        assert self.one(Box2D(0, 0, 5, 5), Box2D(10, 10, 20, 20)) == 0.0
 
     def test_hand_geometry(self):
         # overlap 1x2 = 2; union 4 + 4 - 2 = 6
-        assert iou(Box2D(0, 0, 2, 2), Box2D(1, 0, 3, 2)) == pytest.approx(1 / 3)
+        assert self.one(Box2D(0, 0, 2, 2), Box2D(1, 0, 3, 2)) == pytest.approx(1 / 3)
 
     def test_matches_oracle_random(self):
         rng = np.random.default_rng(0)
+        a, b = [], []
         for _ in range(50):
             x1, y1 = rng.uniform(0, 30, 2)
-            a = Box2D(x1, y1, x1 + rng.uniform(1, 30), y1 + rng.uniform(1, 30))
+            a.append(Box2D(x1, y1, x1 + rng.uniform(1, 30), y1 + rng.uniform(1, 30)))
             x1, y1 = rng.uniform(0, 30, 2)
-            b = Box2D(x1, y1, x1 + rng.uniform(1, 30), y1 + rng.uniform(1, 30))
-            assert iou(a, b) == pytest.approx(oracle_iou(a, b))
+            b.append(Box2D(x1, y1, x1 + rng.uniform(1, 30), y1 + rng.uniform(1, 30)))
+        got = box_iou(np.array([x.as_tuple() for x in a]), np.array([x.as_tuple() for x in b]))
+        for k in range(50):
+            assert got[k] == pytest.approx(oracle_iou(a[k], b[k]))
+            assert got[k] == iou(a[k], b[k])  # bitwise, as the legacy matcher computed it
 
 
 class TestEvaluate:
     def test_perfect_detection(self):
         space = micro_space(2)
-        gt = GroundTruth(0, Box2D(0, 0, 10, 10), Box2D(10, 0, 20, 10), 0)
-        det = Detection(0, gt.human_box, gt.object_box, 0, 0.9)
-        report = evaluate([det], [gt], space)
+        gt = (0, Box2D(0, 0, 10, 10), Box2D(10, 0, 20, 10), 0)
+        report = evaluate(detections([gt + (0.9,)]), ground_truths([gt]), space)
         assert report.ap[0] == 1.0
         assert np.isnan(report.ap[1])
         assert report.map_full == 1.0
 
     def test_both_boxes_must_pass(self):
         space = micro_space(1)
-        gt = GroundTruth(0, Box2D(0, 0, 10, 10), Box2D(0, 0, 10, 10), 0)
+        gts = ground_truths([(0, Box2D(0, 0, 10, 10), Box2D(0, 0, 10, 10), 0)])
         # human box IoU 2/3 > 0.5 but object box IoU ~0.25 < 0.5
-        det = Detection(0, Box2D(0, 0, 10, 15), Box2D(0, 0, 20, 20), 0, 0.9)
-        report = evaluate([det], [gt], space)
+        dets = detections([(0, Box2D(0, 0, 10, 15), Box2D(0, 0, 20, 20), 0, 0.9)])
+        report = evaluate(dets, gts, space)
         assert report.ap[0] == 0.0
 
     def test_random_micro_cases_match_oracle(self):
@@ -179,7 +312,7 @@ class TestEvaluate:
             dets, gts = random_micro_case(rng)
             report = evaluate(dets, gts, space)
             for c in range(3):
-                want = oracle_ap_for_class(dets, gts, c)
+                want = oracle_ap_for_class(as_rows(dets), as_rows(gts), c)
                 if want is None:
                     assert np.isnan(report.ap[c])
                 else:
@@ -192,10 +325,7 @@ class TestEvaluate:
             dets, gts = random_micro_case(rng)
             base = evaluate(dets, gts, space)
             # strictly monotone map: 0.1 + 3 * s^2 keeps the order
-            warped = [
-                Detection(d.image_id, d.human_box, d.object_box, d.hoi_id, 0.1 + 3 * d.score**2)
-                for d in dets
-            ]
+            warped = replace(dets, score=0.1 + 3 * dets.score**2)
             again = evaluate(warped, gts, space)
             np.testing.assert_allclose(again.ap, base.ap, equal_nan=True)
 
@@ -205,9 +335,7 @@ class TestEvaluate:
         for _ in range(20):
             dets, gts = random_micro_case(rng, num_classes=2)
             base = evaluate(dets, gts, space)
-            spoiled = dets + [
-                Detection(99, Box2D(0, 0, 1, 1), Box2D(5, 5, 6, 6), 0, 2.0)
-            ]
+            spoiled = concat(dets, detections([(99, Box2D(0, 0, 1, 1), Box2D(5, 5, 6, 6), 0, 2.0)]))
             worse = evaluate(spoiled, gts, space)
             for c in range(2):
                 if not np.isnan(base.ap[c]):
@@ -215,70 +343,209 @@ class TestEvaluate:
 
     def test_tp_appended_below_never_hurts(self):
         space = micro_space(1)
-        gts = [
-            GroundTruth(0, Box2D(0, 0, 10, 10), Box2D(10, 0, 20, 10), 0),
-            GroundTruth(1, Box2D(0, 0, 10, 10), Box2D(10, 0, 20, 10), 0),
+        rows = [
+            (0, Box2D(0, 0, 10, 10), Box2D(10, 0, 20, 10), 0),
+            (1, Box2D(0, 0, 10, 10), Box2D(10, 0, 20, 10), 0),
         ]
-        dets = [Detection(0, gts[0].human_box, gts[0].object_box, 0, 0.9)]
+        gts = ground_truths(rows)
+        dets = detections([rows[0] + (0.9,)])
         base = evaluate(dets, gts, space)
-        more = dets + [Detection(1, gts[1].human_box, gts[1].object_box, 0, 0.1)]
+        more = concat(dets, detections([rows[1] + (0.1,)]))
         better = evaluate(more, gts, space)
         assert better.ap[0] >= base.ap[0]
 
     def test_empty_detections(self):
         space = micro_space(2)
-        gts = [GroundTruth(0, Box2D(0, 0, 10, 10), Box2D(10, 0, 20, 10), 0)]
-        report = evaluate([], gts, space)
+        gts = ground_truths([(0, Box2D(0, 0, 10, 10), Box2D(10, 0, 20, 10), 0)])
+        report = evaluate(detections([]), gts, space)
         assert report.ap[0] == 0.0
         assert np.isnan(report.ap[1])
         assert report.map_full == 0.0
 
     def test_partition_means(self):
         space = micro_space(3)
-        gts = [
-            GroundTruth(0, Box2D(0, 0, 10, 10), Box2D(10, 0, 20, 10), 0),
-            GroundTruth(0, Box2D(30, 0, 40, 10), Box2D(40, 0, 50, 10), 1),
+        rows = [
+            (0, Box2D(0, 0, 10, 10), Box2D(10, 0, 20, 10), 0),
+            (0, Box2D(30, 0, 40, 10), Box2D(40, 0, 50, 10), 1),
         ]
-        dets = [
-            Detection(0, gts[0].human_box, gts[0].object_box, 0, 0.9),
-            Detection(0, Box2D(60, 60, 70, 70), Box2D(80, 80, 90, 90), 1, 0.8),
-        ]
+        dets = detections([
+            rows[0] + (0.9,),
+            (0, Box2D(60, 60, 70, 70), Box2D(80, 80, 90, 90), 1, 0.8),
+        ])
         part = {"rare": frozenset({0}), "nonrare": frozenset({1, 2})}
-        report = evaluate(dets, gts, space, partition=part)
+        report = evaluate(dets, ground_truths(rows), space, partition=part)
         assert report.map_rare == 1.0
         assert report.map_nonrare == 0.0  # class 1 failed, class 2 skipped (no GT)
         assert report.map_full == 0.5
 
     def test_counts_drive_default_partition(self):
         space = micro_space(2)
-        gts = [GroundTruth(0, Box2D(0, 0, 10, 10), Box2D(10, 0, 20, 10), 0)]
-        dets = [Detection(0, gts[0].human_box, gts[0].object_box, 0, 0.9)]
-        report = evaluate(dets, gts, space, counts=np.array([3, 50]), rare_threshold=10)
+        gt = (0, Box2D(0, 0, 10, 10), Box2D(10, 0, 20, 10), 0)
+        report = evaluate(detections([gt + (0.9,)]), ground_truths([gt]), space,
+                          counts=np.array([3, 50]), rare_threshold=10)
         assert report.map_rare == 1.0
 
     def test_known_object_restricts_pool(self):
         space = micro_space(2)
-        gts = [GroundTruth(0, Box2D(0, 0, 10, 10), Box2D(10, 0, 20, 10), 0)]
-        dets = [
-            Detection(0, gts[0].human_box, gts[0].object_box, 0, 0.9),
+        gt = (0, Box2D(0, 0, 10, 10), Box2D(10, 0, 20, 10), 0)
+        dets = detections([
+            gt + (0.9,),
             # image 7 has no GT with object 0: counted in default, dropped in KO
-            Detection(7, Box2D(0, 0, 9, 9), Box2D(11, 0, 19, 9), 0, 0.95),
-        ]
-        default = evaluate(dets, gts, space, mode="default")
-        ko = evaluate(dets, gts, space, mode="known_object")
+            (7, Box2D(0, 0, 9, 9), Box2D(11, 0, 19, 9), 0, 0.95),
+        ])
+        default = evaluate(dets, ground_truths([gt]), space, mode="default")
+        ko = evaluate(dets, ground_truths([gt]), space, mode="known_object")
         assert default.ap[0] == pytest.approx(0.5)
         assert ko.ap[0] == 1.0
 
     def test_unknown_hoi_id(self):
         space = micro_space(2)
         with pytest.raises(UnknownHoiId):
-            evaluate([Detection(0, Box2D(0, 0, 1, 1), Box2D(2, 2, 3, 3), 9, 0.5)], [], space)
+            evaluate(detections([(0, Box2D(0, 0, 1, 1), Box2D(2, 2, 3, 3), 9, 0.5)]),
+                     ground_truths([]), space)
         with pytest.raises(UnknownHoiId):
-            evaluate([], [GroundTruth(0, Box2D(0, 0, 1, 1), Box2D(2, 2, 3, 3), 9)], space)
+            evaluate(detections([]),
+                     ground_truths([(0, Box2D(0, 0, 1, 1), Box2D(2, 2, 3, 3), 9)]), space)
 
     def test_bad_mode(self):
         with pytest.raises(InvalidConfig):
-            evaluate([], [], micro_space(1), mode="sideways")
+            evaluate(detections([]), ground_truths([]), micro_space(1), mode="sideways")
+
+
+class TestLegacyOracle:
+    """``evaluate`` against ``legacy_evaluate``: per-class AP equal bit for bit."""
+
+    @pytest.mark.parametrize("mode", EVAL_MODES)
+    @pytest.mark.parametrize("threshold", [0.0, 0.5, 1.0])
+    def test_random_micro_cases(self, mode, threshold):
+        rng = np.random.default_rng(12)
+        space = micro_space(3)
+        for _ in range(100):
+            dets, gts = random_micro_case(rng)
+            assert_matches_legacy(dets, gts, space, mode=mode, iou_threshold=threshold)
+
+    @pytest.mark.parametrize("mode", EVAL_MODES)
+    def test_crowded_cases_with_ties(self, mode):
+        # many detections per ground truth, scores rounded to force ties;
+        # runs of over 16 equal scores, where an unstable sort reorders them
+        rng = np.random.default_rng(5)
+        space = micro_space(2)
+        for _ in range(40):
+            dets, gts = random_micro_case(rng, num_images=2, num_classes=2, max_items=60)
+            dets = replace(dets, score=np.round(dets.score, 1))
+            assert_matches_legacy(dets, gts, space, mode=mode)
+
+    def test_tied_scores_keep_input_order(self):
+        # the tied pair: the first in input order takes the ground truth
+        space = micro_space(1)
+        gt = (0, Box2D(0, 0, 10, 10), Box2D(10, 0, 20, 10), 0)
+        near = (0, Box2D(0, 0, 10, 11), Box2D(10, 0, 20, 10), 0)
+        far = (0, Box2D(50, 50, 60, 60), Box2D(70, 70, 80, 80), 0)
+        ap_hit_first = assert_matches_legacy(
+            detections([near + (0.5,), far + (0.5,)]), ground_truths([gt]), space)
+        ap_hit_second = assert_matches_legacy(
+            detections([far + (0.5,), near + (0.5,)]), ground_truths([gt]), space)
+        assert ap_hit_first[0] == 1.0
+        assert ap_hit_second[0] == 0.5
+
+    def test_duplicate_detections(self):
+        # the second copy finds its ground truth taken: a false positive
+        space = micro_space(1)
+        gt = (0, Box2D(0, 0, 10, 10), Box2D(10, 0, 20, 10), 0)
+        ap = assert_matches_legacy(detections([gt + (0.7,), gt + (0.7,), gt + (0.2,)]),
+                                   ground_truths([gt]), space)
+        assert ap[0] == 1.0
+        ap = assert_matches_legacy(detections([gt + (0.7,), gt + (0.7,)]),
+                                   ground_truths([gt, (1,) + gt[1:]]), space)
+        assert ap[0] == 0.5
+
+    def test_two_identical_ground_truths_in_one_image(self):
+        space = micro_space(1)
+        gt = (0, Box2D(0, 0, 10, 10), Box2D(10, 0, 20, 10), 0)
+        det = (0, Box2D(1, 0, 10, 10), Box2D(10, 0, 20, 10), 0)
+        gts = ground_truths([gt, gt])
+        ap = assert_matches_legacy(detections([det + (0.9,), det + (0.8,)]), gts, space)
+        assert ap[0] == 1.0
+        ap = assert_matches_legacy(detections([det + (0.9,)]), gts, space)
+        assert ap[0] == 0.5
+
+    def test_equal_pair_iou_goes_to_first_ground_truth(self):
+        # the first detection lies midway between two ground truths; taking
+        # the first leaves the second detection nothing above the threshold
+        space = micro_space(1)
+        obj = Box2D(30, 0, 40, 10)
+        gts = ground_truths([(0, Box2D(8, 0, 18, 10), obj, 0), (0, Box2D(12, 0, 22, 10), obj, 0)])
+        dets = detections([(0, Box2D(10, 0, 20, 10), obj, 0, 0.9),
+                           (0, Box2D(6, 0, 16, 10), obj, 0, 0.8)])
+        ap = assert_matches_legacy(dets, gts, space)
+        assert ap[0] == 0.5
+
+    def test_threshold_zero_needs_overlap(self):
+        # at threshold 0 a pair IoU of exactly 0 still does not match
+        space = micro_space(1)
+        gt = (0, Box2D(0, 0, 10, 10), Box2D(10, 0, 20, 10), 0)
+        touching = (0, Box2D(10, 0, 20, 10), Box2D(10, 0, 20, 10), 0, 0.9)
+        ap = assert_matches_legacy(detections([touching]), ground_truths([gt]), space,
+                                   iou_threshold=0.0)
+        assert ap[0] == 0.0
+        slight = (0, Box2D(9, 0, 20, 10), Box2D(10, 0, 20, 10), 0, 0.9)
+        ap = assert_matches_legacy(detections([slight]), ground_truths([gt]), space,
+                                   iou_threshold=0.0)
+        assert ap[0] == 1.0
+
+    def test_threshold_one_needs_identical_boxes(self):
+        space = micro_space(1)
+        gt = (0, Box2D(0, 0, 10, 10), Box2D(10, 0, 20, 10), 0)
+        close = (0, Box2D(0, 0, 10, 10.5), Box2D(10, 0, 20, 10), 0, 0.9)
+        ap = assert_matches_legacy(detections([close, gt + (0.5,)]), ground_truths([gt]), space,
+                                   iou_threshold=1.0)
+        assert ap[0] == 0.5
+
+    def test_known_object_pool(self):
+        # class 1 shares object 0 with class 0; class 2's object is absent
+        space = build_space((((0,), 0), ((1,), 0), ((2,), 1)))
+        box = Box2D(0, 0, 10, 10)
+        gts = ground_truths([(0, box, box, 0), (1, box, box, 2)])
+        dets = detections([
+            (0, box, box, 1, 0.9),   # image 0 holds object 0: in class 1's pool
+            (1, box, box, 1, 0.8),   # image 1 does not
+            (2, box, box, 0, 0.7),   # no ground truth in image 2 at all
+            (0, box, box, 0, 0.6),
+        ])
+        ap = assert_matches_legacy(dets, gts, space, mode="known_object")
+        assert ap[0] == 1.0 and np.isnan(ap[1]) and ap[2] == 0.0
+
+
+class TestTables:
+    def test_nan_score_rejected_at_construction(self):
+        # passed straight to evaluate, a nan score would scramble the sort
+        box = Box2D(0, 0, 10, 10)
+        with pytest.raises(NonFiniteInput, match="score row 1"):
+            detections([(0, box, box, 0, 0.5), (0, box, box, 0, float("nan"))])
+
+    @pytest.mark.parametrize("table, width", [(detections, 5), (ground_truths, 4)])
+    def test_negative_box_rejected_at_construction(self, table, width):
+        box = Box2D(0, 0, 1, 1)
+        good = table([(0, box, box, 0, 0.5)[:width]] * 2)
+        bad = np.array([[0.0, 0.0, 1.0, 1.0], [-1.0, 0.0, 5.0, 5.0]])
+        with pytest.raises(InvalidBox, match="object_box row 1: negative coordinates"):
+            replace(good, object_box=bad)
+
+    def test_columns_must_agree(self):
+        good = detections([(0, Box2D(0, 0, 1, 1), Box2D(0, 0, 1, 1), 0, 0.5)])
+        with pytest.raises(DimensionMismatch, match="hoi_id"):
+            replace(good, hoi_id=np.zeros(2, dtype=np.int64))
+        with pytest.raises(DimensionMismatch, match="score"):
+            replace(good, score=np.zeros(1, dtype=np.float32))
+        with pytest.raises(DimensionMismatch, match="human_box"):
+            replace(good, human_box=[[0.0, 0.0, 1.0, 1.0]])
+
+    def test_rows(self):
+        box = Box2D(0, 0, 1, 1)
+        dets = detections([(k, box, box, 0, 0.1 * k) for k in range(3)])
+        assert len(dets) == 3 and len(dets[1]) == 1 and dets[1].score[0] == dets.score[1]
+        assert_tables_equal(dets[:2], concat(dets[0], dets[1]))
+        assert_tables_equal(dets[dets.score > 0.15], dets[2])
 
 
 class TestAveragePrecision:
@@ -341,7 +608,7 @@ class TestDetectionsFromModel:
                 fused = fuse_scores(inst.human_score, inst.object_score, scores)
                 for c in range(space.num_hois):
                     want.append((inst.image_id, c, fused[c]))
-        got = [(d.image_id, d.hoi_id, d.score) for d in dets]
+        got = [(d.image_id, d.hoi_id, d.score) for d in as_rows(dets)]
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert g[0] == w[0] and g[1] == w[1]
@@ -353,7 +620,7 @@ class TestDetectionsFromModel:
         params.sp_w1 += 1.0
         params.sp_w2 -= 0.5
         dets_b = detections_from_model(test, params, ThresholdConfig(0, 0), branch_mode="vo_only")
-        assert [d.score for d in dets_a] == [d.score for d in dets_b]
+        assert [d.score for d in as_rows(dets_a)] == [d.score for d in as_rows(dets_b)]
 
     def test_fallback_rescues_empty_image(self, toy_space):
         # both pairs in the image fail the cut; relaxed cut admits the stronger one
@@ -383,7 +650,7 @@ class TestFiles:
         path = tmp_path / "dets.tsv"
         save_detections(dets, path)
         loaded = load_detections(path)
-        assert loaded == dets
+        assert_tables_equal(loaded, dets)
 
     def test_non_finite_score_rejected(self, tmp_path):
         # loaded, the nan broke the score sort and gave class 0 an AP of 1.0, not 0.5
@@ -395,6 +662,14 @@ class TestFiles:
             with pytest.raises(ParseError) as err:
                 load_detections(path)
             assert (err.value.line, err.value.column) == (line, 3)
+
+    def test_id_outside_int64_rejected(self, tmp_path):
+        box = "0.0,0.0,10.0,10.0"
+        path = tmp_path / "dets.tsv"
+        path.write_text(f"0\t0\t0.5\t{box}\t{box}\n99999999999999999999\t0\t0.5\t{box}\t{box}\n")
+        with pytest.raises(ParseError) as err:
+            load_detections(path)
+        assert err.value.line == 2
 
     @pytest.mark.parametrize("column", [4, 5])
     def test_bad_box_names_line_and_column(self, tmp_path, column):
@@ -408,7 +683,7 @@ class TestFiles:
 
     def test_ground_truths_from_instances(self, toy_space):
         inst = make_row(toy_space, [0, 1], image_id=5)
-        gts = ground_truths_from_instances(inst)
+        gts = as_rows(ground_truths_from_instances(inst))
         assert [g.hoi_id for g in gts] == [0, 1]
         assert all(g.image_id == 5 for g in gts)
         assert all(g.human_box == Box2D(10, 10, 110, 210) for g in gts)
@@ -416,9 +691,9 @@ class TestFiles:
 
     def test_report_formats(self, toy_space):
         space = micro_space(2)
-        gts = [GroundTruth(0, Box2D(0, 0, 10, 10), Box2D(10, 0, 20, 10), 0)]
-        dets = [Detection(0, gts[0].human_box, gts[0].object_box, 0, 0.9)]
-        report = evaluate(dets, gts, space, counts=np.array([1, 20]))
+        gt = (0, Box2D(0, 0, 10, 10), Box2D(10, 0, 20, 10), 0)
+        report = evaluate(detections([gt + (0.9,)]), ground_truths([gt]), space,
+                          counts=np.array([1, 20]))
         text = format_report(report)
         assert "map_full=" in text and "mode=default" in text
         table = format_report_table(report, space, counts=np.array([1, 20]))

@@ -13,10 +13,9 @@ from hypothesis import strategies as st
 
 from hoicomp.cli import load_flat_config
 from hoicomp.errors import HoicompError
-from hoicomp.evaluator import Detection, load_detections, save_detections
+from hoicomp.evaluator import Detections, load_detections, save_detections
 from hoicomp.label_algebra import build_space, load_space, save_space
 from hoicomp.network import NetworkConfig, init_params, load_params, save_params
-from hoicomp.spatial import Box2D
 from hoicomp.synthdata import load_dataset, save_dataset
 from hoicomp.zeroshot import ZeroShotSplit, load_split, save_split
 
@@ -60,8 +59,10 @@ def files(tmp_path_factory):
     save_space(space, root / "space.txt")
     save_split(ZeroShotSplit(unseen=frozenset({0}), seen=frozenset({1, 2}), strategy="rare_first",
                              seed=3), root / "split.txt")
-    box = Box2D(1.0, 2.0, 30.0, 40.5)
-    save_detections([Detection(i, box, box, i % 3, 0.25 * i) for i in range(4)], root / "dets.tsv")
+    box = np.tile([1.0, 2.0, 30.0, 40.5], (4, 1))
+    dets = Detections(image_id=np.arange(4), hoi_id=np.arange(4) % 3, score=0.25 * np.arange(4),
+                      human_box=box, object_box=box)
+    save_detections(dets, root / "dets.tsv")
     (root / "run.cfg").write_text("command=train\niterations=5\nlr=0.01\n# comment\nno_balance=true\n")
     net = NetworkConfig(num_hois=3, feature_dim=2, hidden=2, vo_hidden=2, sp_hidden=2, spatial_dim=4)
     save_params(init_params(net, rng), root / "model.ckpt", meta={"seed": 1})
