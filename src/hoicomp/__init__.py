@@ -29,17 +29,13 @@ from .network import (
     LossWeights,
     ModelParams,
     NetworkConfig,
-    Scores,
-    branch_scores,
     forward_spatial_human,
     forward_verb_object,
     fuse_scores,
     init_params,
     load_params,
-    loss_total,
     save_params,
 )
-from .spatial import Box2D, SpatialMap, encode_spatial_map
 from .synthdata import (
     Dataset,
     DatasetConfig,

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng as rngmod
-from .composer import ComposeConfig, compose_batch
+from .composer import MODES, ComposeConfig, compose_batch
 from .errors import HoicompError, ParseError, read_text_lines
 from .evaluator import (
     EVAL_MODES,
@@ -43,10 +43,11 @@ from .experiments import (
     with_compose_mode,
 )
 from .network import BRANCH_MODES, LossWeights, NetworkConfig, load_params, save_params
-from .spatial import Box2D, ascii_art, encode_spatial_map
+from .spatial import ascii_art, spatial_vector
 from .synthdata import DatasetConfig, class_counts, generate, load_dataset, save_dataset
 from .trainer import TrainConfig, make_minibatch, write_metrics_log
 from .zeroshot import (
+    STRATEGIES,
     frequency_partition,
     load_split,
     make_split,
@@ -72,8 +73,7 @@ def _add_train_flags(p: argparse.ArgumentParser):
                    help="interactions per minibatch")
     p.add_argument("--lambda1", type=float, default=cfg.loss_weights.lambda1)
     p.add_argument("--lambda2", type=float, default=cfg.loss_weights.lambda2)
-    p.add_argument("--compose", choices=["both", "within", "between", "off"],
-                   default=cfg.compose.mode)
+    p.add_argument("--compose", choices=MODES, default=cfg.compose.mode)
     p.add_argument("--no-balance", action="store_true",
                    help="keep every feasible composition instead of matching the real count")
     p.add_argument("--unseen-allowed", action="store_true",
@@ -113,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("make-splits", help="build an unseen-class split from a dataset")
     p.add_argument("--data")
     p.add_argument("--n-unseen", type=int)
-    p.add_argument("--strategy", choices=["rare_first", "nonrare_first"], default="rare_first")
+    p.add_argument("--strategy", choices=STRATEGIES, default="rare_first")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
 
@@ -138,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compose-demo", help="print surviving compositions for one batch")
     p.add_argument("--data")
-    p.add_argument("--mode", choices=["both", "within", "between", "off"], default="both")
+    p.add_argument("--mode", choices=MODES, default="both")
     p.add_argument("--batch-size", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--limit", type=int, default=20)
@@ -287,7 +287,7 @@ def _report_files(report, space, counts, out_dir: Path, stem: str = "report"):
 
 
 def _spatial_art(data, k: int) -> str:
-    return ascii_art(encode_spatial_map(Box2D(*data.human_box[k]), Box2D(*data.object_box[k])))
+    return ascii_art(spatial_vector(data.human_box[k : k + 1], data.object_box[k : k + 1])[0])
 
 
 def _cmd_gen_data(args) -> int:

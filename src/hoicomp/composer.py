@@ -18,7 +18,7 @@ from .label_algebra import HoiLabelSpace, decompose
 from .network import CompBatch
 from .synthdata import Dataset
 
-MODES = ("within", "between", "both", "off")
+MODES = ("both", "within", "between", "off")
 
 
 @dataclass(frozen=True)

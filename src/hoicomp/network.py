@@ -31,7 +31,7 @@ from .errors import (
     OutOfRange,
     ParseError,
 )
-from .spatial import GRID_SIZE, SpatialMap, spatial_vector
+from .spatial import GRID_SIZE, spatial_vector
 from .synthdata import Dataset
 
 BRANCH_MODES = ("both", "vo_only", "sp_only")
@@ -175,14 +175,6 @@ def inverse_log_weights(counts, eps: float = 1.0) -> np.ndarray:
     return w / w.mean()
 
 
-@dataclass(frozen=True)
-class Scores:
-    """Per-class branch probabilities for one human-object pair."""
-
-    s_sp: np.ndarray
-    s_verb_obj: np.ndarray
-
-
 # ---- batch containers ----
 
 
@@ -254,22 +246,13 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _as_2d(x, dim: int, what: str) -> tuple[np.ndarray, bool]:
+def _as_2d(x, dim: int, what: str) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
     if x.ndim != 2 or x.shape[1] != dim:
-        raise DimensionMismatch(f"{what} has shape {x.shape}, expected (*, {dim})")
+        raise DimensionMismatch(f"{what} has shape {x.shape}, expected (n, {dim})")
     if not np.all(np.isfinite(x)):
         raise NonFiniteInput(f"{what} contains non-finite values")
-    return x, single
-
-
-def _spatial_input(smap):
-    if isinstance(smap, SpatialMap):
-        return smap.as_vector()
-    return smap
+    return x
 
 
 def _vo_forward(verb_x: np.ndarray, obj_x: np.ndarray, p: ModelParams):
@@ -308,25 +291,28 @@ def _sp_forward(human_x: np.ndarray, smap_x: np.ndarray, p: ModelParams):
     return logits, cache
 
 
+def _check_rows(*arrays):
+    rows = {len(a) for a in arrays}
+    if len(rows) > 1:
+        raise DimensionMismatch(f"inputs have different row counts {sorted(rows)}")
+
+
 def forward_verb_object(verb_feat, object_feat, params: ModelParams) -> np.ndarray:
-    """Logits of the verb-object head; accepts one vector or a batch."""
+    """(n, C) logits of the verb-object head for (n, D) verb and object features."""
     d = params.shared_w.shape[0]
-    verb_x, single = _as_2d(verb_feat, d, "verb feature")
-    obj_x, _ = _as_2d(object_feat, d, "object feature")
-    logits, _ = _vo_forward(verb_x, obj_x, params)
-    return logits[0] if single else logits
+    verb_x = _as_2d(verb_feat, d, "verb feature")
+    obj_x = _as_2d(object_feat, d, "object feature")
+    _check_rows(verb_x, obj_x)
+    return _vo_forward(verb_x, obj_x, params)[0]
 
 
-def forward_spatial_human(human_feat, smap, params: ModelParams) -> np.ndarray:
-    """Logits of the spatial-human head; ``smap`` may be a SpatialMap or a flat vector."""
-    d = params.shared_w.shape[0]
-    s = params.cfg.spatial_dim
-    human_x, single = _as_2d(human_feat, d, "human feature")
-    smap_x, _ = _as_2d(_spatial_input(smap), s, "spatial map")
-    if smap_x.shape[0] == 1 and human_x.shape[0] > 1:
-        smap_x = np.broadcast_to(smap_x, (human_x.shape[0], s))
-    logits, _ = _sp_forward(human_x, smap_x, params)
-    return logits[0] if single else logits
+def forward_spatial_human(human_feat, spatial, params: ModelParams) -> np.ndarray:
+    """(n, C) logits of the spatial-human head for (n, D) human features and
+    their (n, S) ``spatial_vector`` rows."""
+    human_x = _as_2d(human_feat, params.shared_w.shape[0], "human feature")
+    spatial_x = _as_2d(spatial, params.cfg.spatial_dim, "spatial map")
+    _check_rows(human_x, spatial_x)
+    return _sp_forward(human_x, spatial_x, params)[0]
 
 
 # ---- loss and gradients ----
@@ -376,11 +362,14 @@ def _sp_backward(g_out: np.ndarray, cache, p: ModelParams, grads: dict):
     grads["shared_b"] += g_sh.sum(axis=0)
 
 
-def _forward(real: RealBatch, comp: CompBatch | None, params: ModelParams, lw: LossWeights):
-    """Loss terms of one minibatch plus what the backward pass needs.
+def loss_and_grads(real: RealBatch, comp: CompBatch | None, params: ModelParams,
+                   lw: LossWeights):
+    """Joint forward/backward over one minibatch; ``comp`` may be None.
 
-    Returns (total, components, w, terms) where terms lists, per loss term,
-    (backward function, logits, cache, targets, coefficient).
+    Returns:
+        (total_loss, components, grads) where components maps
+        L_sp / L_vo / L_comp to floats and grads is a ``ModelParams`` in the
+        layout of ``params``.
     """
     if len(real) == 0:
         raise NonFiniteLoss("real batch is empty")
@@ -392,6 +381,7 @@ def _forward(real: RealBatch, comp: CompBatch | None, params: ModelParams, lw: L
     sp_logits, sp_cache = _sp_forward(real.human_feat, real.spatial, params)
     loss_sp = _weighted_bce(sp_logits, real.label, w)
     loss_vo = _weighted_bce(vo_logits, real.label, w)
+    # per loss term: (backward function, logits, cache, targets, coefficient)
     terms = [
         (_sp_backward, sp_logits, sp_cache, real.label, 1.0),
         (_vo_backward, vo_logits, vo_cache, real.label, lw.lambda1),
@@ -408,19 +398,7 @@ def _forward(real: RealBatch, comp: CompBatch | None, params: ModelParams, lw: L
     if not np.isfinite(total):
         raise NonFiniteLoss(f"loss is {total}")
     components = {"L_sp": loss_sp, "L_vo": loss_vo, "L_comp": loss_comp}
-    return total, components, w, terms
 
-
-def loss_and_grads(real: RealBatch, comp: CompBatch | None, params: ModelParams,
-                   lw: LossWeights):
-    """Joint forward/backward over one minibatch; ``comp`` may be None.
-
-    Returns:
-        (total_loss, components, grads) where components maps
-        L_sp / L_vo / L_comp to floats and grads is a ``ModelParams`` in the
-        layout of ``params``.
-    """
-    total, components, w, terms = _forward(real, comp, params, lw)
     grads = ModelParams(params.cfg, np.zeros_like(params.flat))
     blocks = grads.blocks()
     for backward_fn, logits, cache, targets, coef in terms:
@@ -432,49 +410,34 @@ def loss_and_grads(real: RealBatch, comp: CompBatch | None, params: ModelParams,
     return total, components, grads
 
 
-def loss_total(real: RealBatch, comp: CompBatch | None, params: ModelParams,
-               lw: LossWeights) -> float:
-    """Scalar training loss; see ``loss_and_grads`` for the pieces."""
-    return float(_forward(real, comp, params, lw)[0])
-
-
 # ---- inference-time scoring ----
 
 
-def branch_scores(params: ModelParams, human_feat, verb_feat, object_feat, smap) -> Scores:
-    """Per-class sigmoid probabilities of both branches for one pair."""
-    return Scores(
-        s_sp=sigmoid(forward_spatial_human(human_feat, smap, params)),
-        s_verb_obj=sigmoid(forward_verb_object(verb_feat, object_feat, params)),
-    )
+def fuse_scores(s_h, s_o, s_sp, s_vo, branch_mode: str = "both") -> np.ndarray:
+    """Final per-class score of n pairs: the product of their ``(n,)``
+    detector confidences ``s_h``, ``s_o`` and their ``(n, C)`` spatial-human
+    and verb-object branch probabilities ``s_sp``, ``s_vo``.
 
-
-def fuse_scores(s_h, s_o, scores: Scores, branch_mode: str = "both") -> np.ndarray:
-    """Final per-class score: product of detector confidences and branch scores.
-
-    Takes one pair (scalar confidences, ``(C,)`` branch scores) or a batch
-    (``(n,)`` confidences, ``(n, C)`` branch scores). Ablation modes replace
-    one branch's factor with 1: ``vo_only`` ignores the spatial-human branch,
-    ``sp_only`` ignores the verb-object branch.
+    Ablation modes replace one branch's factor with 1: ``vo_only`` ignores
+    the spatial-human branch, ``sp_only`` ignores the verb-object branch.
     """
     if branch_mode not in BRANCH_MODES:
         raise OutOfRange(f"branch_mode must be one of {BRANCH_MODES}")
-    s_h = np.asarray(s_h, dtype=np.float64)
-    s_o = np.asarray(s_o, dtype=np.float64)
-    for name, val in (("s_h", s_h), ("s_o", s_o)):
-        bad = ~((0.0 <= val) & (val <= 1.0))
+    s_h, s_o, s_sp, s_vo = (np.asarray(a, dtype=np.float64) for a in (s_h, s_o, s_sp, s_vo))
+    if s_sp.ndim != 2 or not s_h.shape == s_o.shape == s_sp.shape[:1] or s_vo.shape != s_sp.shape:
+        raise DimensionMismatch(
+            f"s_h {s_h.shape}, s_o {s_o.shape}, s_sp {s_sp.shape} and s_vo {s_vo.shape} "
+            "are not (n,), (n,), (n, C) and (n, C)"
+        )
+    for name, val in (("s_h", s_h), ("s_o", s_o), ("s_sp", s_sp), ("s_vo", s_vo)):
+        bad = ~((0.0 <= val) & (val <= 1.0))  # also nan
         if bad.any():
             raise OutOfRange(f"{name}={val[bad].flat[0]} outside [0, 1]")
-    s_sp = np.asarray(scores.s_sp, dtype=np.float64)
-    s_vo = np.asarray(scores.s_verb_obj, dtype=np.float64)
-    for name, arr in (("s_sp", s_sp), ("s_verb_obj", s_vo)):
-        if arr.min() < 0.0 or arr.max() > 1.0:
-            raise OutOfRange(f"{name} outside [0, 1]")
     if branch_mode == "vo_only":
         s_sp = np.ones_like(s_sp)
     elif branch_mode == "sp_only":
         s_vo = np.ones_like(s_vo)
-    return s_h[..., None] * s_o[..., None] * s_vo * s_sp
+    return s_h[:, None] * s_o[:, None] * s_vo * s_sp
 
 
 # ---- checkpoint file ----

@@ -4,13 +4,12 @@ Both boxes of a pair are re-expressed in the frame of their union box (the
 tight box enclosing both) and rasterized onto a 64x64 grid, one channel per
 box. A cell is set iff its center lies inside the transformed box, with
 half-open edges [x1, x2) x [y1, y2) so adjacent boxes tile without overlap.
-One broadcast rasterizes a whole batch; a single pair is a batch of one.
+The union frame makes the encoding invariant to translating or uniformly
+scaling both boxes together. One broadcast rasterizes a whole batch; a
+single pair is a batch of one.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,44 +18,13 @@ from .errors import DegenerateBox, InvalidBox
 GRID_SIZE = 64
 
 
-@dataclass(frozen=True)
-class Box2D:
-    """Axis-aligned box in pixel coordinates; x1 < x2 and y1 < y2."""
-
-    x1: float
-    y1: float
-    x2: float
-    y2: float
-
-    def __post_init__(self):
-        vals = (self.x1, self.y1, self.x2, self.y2)
-        if not all(math.isfinite(v) for v in vals):
-            raise InvalidBox(f"non-finite coordinates {vals}")
-        if min(vals) < 0:
-            raise InvalidBox(f"negative coordinates {vals}")
-        if not (self.x1 < self.x2 and self.y1 < self.y2):
-            raise InvalidBox(f"box not properly ordered {vals}")
-
-    @property
-    def width(self) -> float:
-        return self.x2 - self.x1
-
-    @property
-    def height(self) -> float:
-        return self.y2 - self.y1
-
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.x1, self.y1, self.x2, self.y2)
-
-
 def check_boxes(boxes: np.ndarray, locate) -> None:
-    """Raise ``InvalidBox`` at the first row of an (n, 4) array of
-    (x1, y1, x2, y2) rows that ``Box2D`` would reject, for the first of its
-    reasons that row fails; ``locate(k)`` names row k in the message."""
+    """Check an (n, 4) array of (x1, y1, x2, y2) boxes in pixel coordinates.
+
+    A box is valid when its coordinates are finite and non-negative, and
+    ``x1 < x2`` and ``y1 < y2``. Raises ``InvalidBox`` at the first invalid
+    row, for the first of those rules it breaks; ``locate(k)`` names row k
+    in the message."""
     if not boxes.size:
         return
     # min and max propagate nan, so these whole-array tests see every bad value
@@ -70,24 +38,6 @@ def check_boxes(boxes: np.ndarray, locate) -> None:
     k = int(np.argmax(reasons[0][0] | reasons[1][0] | reasons[2][0]))
     what = next(what for mask, what in reasons if mask[k])
     raise InvalidBox(f"{locate(k)}: {what} {boxes[k].tolist()}")
-
-
-@dataclass(frozen=True)
-class SpatialMap:
-    """Binary person/object channels on the GRID_SIZE x GRID_SIZE grid."""
-
-    person_channel: np.ndarray
-    object_channel: np.ndarray
-
-    def __post_init__(self):
-        self.person_channel.setflags(write=False)
-        self.object_channel.setflags(write=False)
-
-    def as_vector(self) -> np.ndarray:
-        """Flattened [person, object] channels, length 2 * GRID_SIZE**2."""
-        return np.concatenate(
-            [self.person_channel.ravel(), self.object_channel.ravel()]
-        ).astype(np.float64)
 
 
 def spatial_vector(human_boxes, object_boxes, size: int = GRID_SIZE) -> np.ndarray:
@@ -117,19 +67,11 @@ def spatial_vector(human_boxes, object_boxes, size: int = GRID_SIZE) -> np.ndarr
     return grids.reshape(len(boxes), -1).astype(np.float64)
 
 
-def encode_spatial_map(human: Box2D, obj: Box2D, size: int = GRID_SIZE) -> SpatialMap:
-    """``spatial_vector`` of one pair, as a map. Channel 0 marks the human
-    box, channel 1 the object box. The union frame makes the encoding
-    invariant to translating or uniformly scaling both boxes together."""
-    vec = spatial_vector([human.as_tuple()], [obj.as_tuple()], size)
-    person, obj_channel = vec.reshape(2, size, size).astype(np.uint8)
-    return SpatialMap(person_channel=person, object_channel=obj_channel)
-
-
-def ascii_art(smap: SpatialMap) -> str:
-    """Render each channel as '#'/'.' rows for eyeballing on a terminal."""
+def ascii_art(vector: np.ndarray, size: int = GRID_SIZE) -> str:
+    """Render one row of ``spatial_vector`` as '#'/'.' rows, one block per
+    channel, for eyeballing on a terminal."""
     blocks = []
-    for name, grid in (("person", smap.person_channel), ("object", smap.object_channel)):
+    for name, grid in zip(("person", "object"), np.reshape(vector, (2, size, size))):
         rows = ["".join("#" if v else "." for v in row) for row in grid]
         blocks.append(f"[{name}]\n" + "\n".join(rows))
     return "\n".join(blocks)

@@ -32,14 +32,14 @@ from .label_algebra import (
     format_space,
     parse_space,
 )
-from .spatial import Box2D, check_boxes
+from .spatial import check_boxes
 
 
 @dataclass(frozen=True)
 class Dataset:
     """Human-object pairs as columns; row k of every column is pair k.
 
-    Boxes are (x1, y1, x2, y2) rows that satisfy ``Box2D``'s checks, and each
+    Boxes are (x1, y1, x2, y2) rows that pass ``spatial.check_boxes``, and each
     label row is a multi-hot vector over the label space's classes.
     """
 
@@ -187,14 +187,14 @@ def _sphere_points(n: int, dim: int, radius: float, rng: np.random.Generator) ->
     return pts * radius
 
 
-def _shift_non_negative(x1, y1, x2, y2) -> Box2D:
+def _shift_non_negative(x1, y1, x2, y2) -> tuple[float, float, float, float]:
     if x1 < 0:
         x2 -= x1
         x1 = 0.0
     if y1 < 0:
         y2 -= y1
         y1 = 0.0
-    return Box2D(x1, y1, x2, y2)
+    return x1, y1, x2, y2
 
 
 class _FeatureModel:
@@ -287,12 +287,12 @@ def _generate_split(
         data.object_feat[i] = model.object_means[obj] + cfg.noise_sigma * rng.standard_normal(cfg.feature_dim)
 
         geometry_verb = min(space.verbs_of(c))
-        human_box, object_box = _sample_boxes(geometry_verb, obj, cfg, model, rng)
-        data.human_box[i] = human_box.as_tuple()
-        data.object_box[i] = object_box.as_tuple()
+        data.human_box[i], data.object_box[i] = _sample_boxes(geometry_verb, obj, cfg, model, rng)
         data.human_score[i] = rng.uniform(cfg.score_low, cfg.score_high)
         data.object_score[i] = rng.uniform(cfg.score_low, cfg.score_high)
         data.object_id[i] = obj
+    for name in ("human_box", "object_box"):
+        check_boxes(getattr(data, name), lambda k: f"generated {name}, row {k}")
     return data
 
 
@@ -397,7 +397,7 @@ def load_dataset(path):
       - ``ParseError``: a detector score is outside [0, 1] (or ``nan``), or a
         feature is not finite;
       - ``InvalidBox``: a box is not finite, negative, or not ordered
-        (``x1 < x2``, ``y1 < y2``), as ``Box2D`` requires;
+        (``x1 < x2``, ``y1 < y2``), as ``spatial.check_boxes`` defines;
       - ``InconsistentLabel``: a label value is not 0/1, a row has no active
         class, or an active class's object differs from ``object_id``.
     Each error names the entry; the value checks also name its first bad row.

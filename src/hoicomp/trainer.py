@@ -21,6 +21,8 @@ from .errors import (
     NonFiniteGradient,
     NonFiniteLoss,
     NonFiniteUpdate,
+    ParseError,
+    read_text_lines,
 )
 from .label_algebra import HoiLabelSpace
 from .network import (
@@ -209,14 +211,18 @@ def write_metrics_log(log: list[dict], path):
 
 
 def read_metrics_log(path) -> list[dict]:
+    """The records ``write_metrics_log`` wrote; a token that is not
+    ``key=value`` with a number for its value raises ``ParseError`` naming
+    its line."""
     entries = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            entry = {}
-            for token in line.split():
-                key, val = token.split("=", 1)
+    for lineno, line in enumerate(read_text_lines(path), start=1):
+        entry = {}
+        for token in line.split():
+            key, _, val = token.partition("=")  # no "=" leaves val empty, which fails below
+            try:
                 entry[key] = int(val) if key == "iter" else float(val)
+            except ValueError:
+                raise ParseError(f"bad metrics token {token!r}", line=lineno) from None
+        if entry:
             entries.append(entry)
     return entries

@@ -23,13 +23,12 @@ from .synthdata import Dataset
 STRATEGIES = ("rare_first", "nonrare_first")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ZeroShotSplit:
     unseen: frozenset
     seen: frozenset
     strategy: str
     seed: int = 0
-    removed_instance_count: int = 0
 
 
 def make_split(
@@ -106,14 +105,11 @@ def apply_split(train: Dataset, split: ZeroShotSplit) -> Dataset:
     """Strip unseen label bits from the training set.
 
     Instances whose labels are entirely unseen are dropped; mixed-label
-    instances keep their seen bits. The number of dropped instances is
-    recorded on the split. The input is left unchanged.
+    instances keep their seen bits. The inputs are left unchanged.
     """
     label = train.label.copy()
     label[:, sorted(split.unseen)] = 0
-    keep = label.any(axis=1)
-    split.removed_instance_count = int(len(train) - keep.sum())
-    return replace(train, label=label)[keep]
+    return replace(train, label=label)[label.any(axis=1)]
 
 
 # ---- reporting partitions ----

@@ -1,13 +1,26 @@
 import numpy as np
 import pytest
 
+from hoicomp import rng as rngmod
 from hoicomp.cli import main
 from hoicomp.evaluator import Detections, save_detections
 from hoicomp.synthdata import load_dataset
+from hoicomp.trainer import TrainConfig, make_minibatch
+
+from test_spatial import brute_pair
 
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def expected_art(human_box, object_box):
+    """The '#'/'.' rows ``--show-spatial`` should print for one box pair,
+    drawn from the scalar rasterizer."""
+    blocks = []
+    for name, grid in zip(("person", "object"), brute_pair(human_box, object_box)):
+        blocks.append(f"[{name}]\n" + "\n".join("".join(".#"[v] for v in row) for row in grid))
+    return "\n".join(blocks) + "\n"
 
 
 TINY_DATA = [
@@ -39,7 +52,9 @@ class TestGenData:
         out = tmp_path / "d.tsv"
         run("gen-data", "--seed", 1, "--out", out, "--show-spatial", 1, *TINY_DATA)
         printed = capsys.readouterr().out
-        assert "[person]" in printed and "#" in printed
+        data, space = load_dataset(out)
+        header = f"image {data.image_id[0]} object {space.object_names[data.object_id[0]]}\n"
+        assert header + expected_art(data.human_box[0], data.object_box[0]) in printed
 
     def test_spec_echo_replays(self, tmp_path):
         a = tmp_path / "a.tsv"
@@ -138,6 +153,18 @@ class TestDemosAndSweeps:
         printed = capsys.readouterr().out
         assert "feasible compositions" in printed
         assert "real[0]" in printed
+
+    def test_compose_demo_show_spatial(self, dataset, capsys):
+        data, _ = dataset
+        assert run("compose-demo", "--data", data, "--batch-size", 6, "--seed", 3,
+                   "--show-spatial", 1) == 0
+        printed = capsys.readouterr().out
+        train_set, _ = load_dataset(data)
+        cfg = TrainConfig(interactions_per_minibatch=6, seed=3)
+        first = make_minibatch(train_set, cfg, rngmod.stream(3, "batch"))[0]
+        art = expected_art(train_set.human_box[first], train_set.object_box[first])
+        assert f"real[0] image={train_set.image_id[first]} " in printed
+        assert printed.count("[person]") == 1 and art in printed  # the one map is row 0's
 
     def test_sweep_rows(self, dataset, tmp_path):
         data, test = dataset

@@ -1,5 +1,6 @@
 from dataclasses import fields, replace
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -29,15 +30,37 @@ from hoicomp.evaluator import (
     save_detections,
 )
 from hoicomp.label_algebra import build_space
-from hoicomp.network import NetworkConfig, branch_scores, fuse_scores, init_params
-from hoicomp.spatial import Box2D, encode_spatial_map
+from hoicomp.network import (
+    NetworkConfig,
+    forward_spatial_human,
+    forward_verb_object,
+    fuse_scores,
+    init_params,
+    sigmoid,
+)
+from hoicomp.spatial import spatial_vector
 from hoicomp.synthdata import DatasetConfig, generate, random_hoi_defs
+from hoicomp.zeroshot import frequency_partition
 
 from conftest import make_dataset, make_row
 
 
+class Box(NamedTuple):
+    """One (x1, y1, x2, y2) box of the per-row oracles below; the table
+    helpers build valid boxes only, since the tables check theirs."""
+
+    x1: float
+    y1: float
+    x2: float
+    y2: float
+
+    @property
+    def area(self) -> float:
+        return (self.x2 - self.x1) * (self.y2 - self.y1)
+
+
 def shift(box, dx=0.0, dy=0.0):
-    return Box2D(box.x1 + dx, box.y1 + dy, box.x2 + dx, box.y2 + dy)
+    return Box(box.x1 + dx, box.y1 + dy, box.x2 + dx, box.y2 + dy)
 
 
 def _columns(rows, names):
@@ -45,27 +68,27 @@ def _columns(rows, names):
     out = {}
     for name, col in zip(names, cols):
         if name.endswith("_box"):
-            out[name] = np.array([b.as_tuple() for b in col], dtype=np.float64).reshape(-1, 4)
+            out[name] = np.array(col, dtype=np.float64).reshape(-1, 4)
         else:
             out[name] = np.array(col, dtype=np.float64 if name == "score" else np.int64)
     return out
 
 
 def detections(rows):
-    """``Detections`` from (image_id, human Box2D, object Box2D, hoi_id, score) rows."""
+    """``Detections`` from (image_id, human Box, object Box, hoi_id, score) rows."""
     return Detections(**_columns(rows, ("image_id", "human_box", "object_box", "hoi_id", "score")))
 
 
 def ground_truths(rows):
-    """``GroundTruths`` from (image_id, human Box2D, object Box2D, hoi_id) rows."""
+    """``GroundTruths`` from (image_id, human Box, object Box, hoi_id) rows."""
     return GroundTruths(**_columns(rows, ("image_id", "human_box", "object_box", "hoi_id")))
 
 
 def as_rows(table):
-    """One object per row, with ``Box2D`` boxes, as the per-row code took them."""
+    """One object per row, with ``Box`` boxes, as the per-row code took them."""
     cols = {f.name: getattr(table, f.name).tolist() for f in fields(table)}
     return [
-        SimpleNamespace(**{k: Box2D(*v) if k.endswith("_box") else v for k, v in zip(cols, row)})
+        SimpleNamespace(**{k: Box(*v) if k.endswith("_box") else v for k, v in zip(cols, row)})
         for row in zip(*cols.values())
     ]
 
@@ -145,7 +168,7 @@ def random_micro_case(rng, num_images=3, num_classes=3, max_items=5):
     def rand_box():
         # keep a margin so jittered copies stay non-negative
         x1, y1 = rng.uniform(10, 60, 2)
-        return Box2D(x1, y1, x1 + rng.uniform(8, 40), y1 + rng.uniform(8, 40))
+        return Box(x1, y1, x1 + rng.uniform(8, 40), y1 + rng.uniform(8, 40))
 
     gts = [
         (int(rng.integers(num_images)), rand_box(), rand_box(), int(rng.integers(num_classes)))
@@ -178,7 +201,7 @@ def micro_space(num_classes=3):
 # ---- legacy oracle: the per-row greedy matcher that ``evaluate`` replaced ----
 # Same arithmetic in the same order, so per-class AP must agree bit for bit.
 
-def iou(a: Box2D, b: Box2D) -> float:
+def iou(a: Box, b: Box) -> float:
     """Intersection-over-union of two boxes, in [0, 1]."""
     ix1 = max(a.x1, b.x1)
     iy1 = max(a.y1, b.y1)
@@ -193,7 +216,7 @@ def iou(a: Box2D, b: Box2D) -> float:
     return inter / union
 
 
-def pair_iou(det_h: Box2D, det_o: Box2D, gt_h: Box2D, gt_o: Box2D) -> float:
+def pair_iou(det_h: Box, det_o: Box, gt_h: Box, gt_o: Box) -> float:
     """min of human-box IoU and object-box IoU; >= t iff both are >= t."""
     return min(iou(det_h, gt_h), iou(det_o, gt_o))
 
@@ -261,28 +284,28 @@ def assert_matches_legacy(dets, gts, space, **kwargs):
 class TestIou:
     @staticmethod
     def one(a, b):
-        return box_iou(np.array([a.as_tuple()]), np.array([b.as_tuple()]))[0]
+        return box_iou(np.array([a]), np.array([b]))[0]
 
     def test_identical(self):
-        box = Box2D(3, 4, 10, 12)
+        box = Box(3, 4, 10, 12)
         assert self.one(box, box) == 1.0
 
     def test_disjoint(self):
-        assert self.one(Box2D(0, 0, 5, 5), Box2D(10, 10, 20, 20)) == 0.0
+        assert self.one(Box(0, 0, 5, 5), Box(10, 10, 20, 20)) == 0.0
 
     def test_hand_geometry(self):
         # overlap 1x2 = 2; union 4 + 4 - 2 = 6
-        assert self.one(Box2D(0, 0, 2, 2), Box2D(1, 0, 3, 2)) == pytest.approx(1 / 3)
+        assert self.one(Box(0, 0, 2, 2), Box(1, 0, 3, 2)) == pytest.approx(1 / 3)
 
     def test_matches_oracle_random(self):
         rng = np.random.default_rng(0)
         a, b = [], []
         for _ in range(50):
             x1, y1 = rng.uniform(0, 30, 2)
-            a.append(Box2D(x1, y1, x1 + rng.uniform(1, 30), y1 + rng.uniform(1, 30)))
+            a.append(Box(x1, y1, x1 + rng.uniform(1, 30), y1 + rng.uniform(1, 30)))
             x1, y1 = rng.uniform(0, 30, 2)
-            b.append(Box2D(x1, y1, x1 + rng.uniform(1, 30), y1 + rng.uniform(1, 30)))
-        got = box_iou(np.array([x.as_tuple() for x in a]), np.array([x.as_tuple() for x in b]))
+            b.append(Box(x1, y1, x1 + rng.uniform(1, 30), y1 + rng.uniform(1, 30)))
+        got = box_iou(np.array(a), np.array(b))
         for k in range(50):
             assert got[k] == pytest.approx(oracle_iou(a[k], b[k]))
             assert got[k] == iou(a[k], b[k])  # bitwise, as the legacy matcher computed it
@@ -291,7 +314,7 @@ class TestIou:
 class TestEvaluate:
     def test_perfect_detection(self):
         space = micro_space(2)
-        gt = (0, Box2D(0, 0, 10, 10), Box2D(10, 0, 20, 10), 0)
+        gt = (0, Box(0, 0, 10, 10), Box(10, 0, 20, 10), 0)
         report = evaluate(detections([gt + (0.9,)]), ground_truths([gt]), space)
         assert report.ap[0] == 1.0
         assert np.isnan(report.ap[1])
@@ -299,9 +322,9 @@ class TestEvaluate:
 
     def test_both_boxes_must_pass(self):
         space = micro_space(1)
-        gts = ground_truths([(0, Box2D(0, 0, 10, 10), Box2D(0, 0, 10, 10), 0)])
+        gts = ground_truths([(0, Box(0, 0, 10, 10), Box(0, 0, 10, 10), 0)])
         # human box IoU 2/3 > 0.5 but object box IoU ~0.25 < 0.5
-        dets = detections([(0, Box2D(0, 0, 10, 15), Box2D(0, 0, 20, 20), 0, 0.9)])
+        dets = detections([(0, Box(0, 0, 10, 15), Box(0, 0, 20, 20), 0, 0.9)])
         report = evaluate(dets, gts, space)
         assert report.ap[0] == 0.0
 
@@ -335,7 +358,7 @@ class TestEvaluate:
         for _ in range(20):
             dets, gts = random_micro_case(rng, num_classes=2)
             base = evaluate(dets, gts, space)
-            spoiled = concat(dets, detections([(99, Box2D(0, 0, 1, 1), Box2D(5, 5, 6, 6), 0, 2.0)]))
+            spoiled = concat(dets, detections([(99, Box(0, 0, 1, 1), Box(5, 5, 6, 6), 0, 2.0)]))
             worse = evaluate(spoiled, gts, space)
             for c in range(2):
                 if not np.isnan(base.ap[c]):
@@ -344,8 +367,8 @@ class TestEvaluate:
     def test_tp_appended_below_never_hurts(self):
         space = micro_space(1)
         rows = [
-            (0, Box2D(0, 0, 10, 10), Box2D(10, 0, 20, 10), 0),
-            (1, Box2D(0, 0, 10, 10), Box2D(10, 0, 20, 10), 0),
+            (0, Box(0, 0, 10, 10), Box(10, 0, 20, 10), 0),
+            (1, Box(0, 0, 10, 10), Box(10, 0, 20, 10), 0),
         ]
         gts = ground_truths(rows)
         dets = detections([rows[0] + (0.9,)])
@@ -356,7 +379,7 @@ class TestEvaluate:
 
     def test_empty_detections(self):
         space = micro_space(2)
-        gts = ground_truths([(0, Box2D(0, 0, 10, 10), Box2D(10, 0, 20, 10), 0)])
+        gts = ground_truths([(0, Box(0, 0, 10, 10), Box(10, 0, 20, 10), 0)])
         report = evaluate(detections([]), gts, space)
         assert report.ap[0] == 0.0
         assert np.isnan(report.ap[1])
@@ -365,12 +388,12 @@ class TestEvaluate:
     def test_partition_means(self):
         space = micro_space(3)
         rows = [
-            (0, Box2D(0, 0, 10, 10), Box2D(10, 0, 20, 10), 0),
-            (0, Box2D(30, 0, 40, 10), Box2D(40, 0, 50, 10), 1),
+            (0, Box(0, 0, 10, 10), Box(10, 0, 20, 10), 0),
+            (0, Box(30, 0, 40, 10), Box(40, 0, 50, 10), 1),
         ]
         dets = detections([
             rows[0] + (0.9,),
-            (0, Box2D(60, 60, 70, 70), Box2D(80, 80, 90, 90), 1, 0.8),
+            (0, Box(60, 60, 70, 70), Box(80, 80, 90, 90), 1, 0.8),
         ])
         part = {"rare": frozenset({0}), "nonrare": frozenset({1, 2})}
         report = evaluate(dets, ground_truths(rows), space, partition=part)
@@ -380,18 +403,18 @@ class TestEvaluate:
 
     def test_counts_drive_default_partition(self):
         space = micro_space(2)
-        gt = (0, Box2D(0, 0, 10, 10), Box2D(10, 0, 20, 10), 0)
-        report = evaluate(detections([gt + (0.9,)]), ground_truths([gt]), space,
-                          counts=np.array([3, 50]), rare_threshold=10)
+        gt = (0, Box(0, 0, 10, 10), Box(10, 0, 20, 10), 0)
+        part = frequency_partition(np.array([3, 50]), rare_threshold=10)
+        report = evaluate(detections([gt + (0.9,)]), ground_truths([gt]), space, partition=part)
         assert report.map_rare == 1.0
 
     def test_known_object_restricts_pool(self):
         space = micro_space(2)
-        gt = (0, Box2D(0, 0, 10, 10), Box2D(10, 0, 20, 10), 0)
+        gt = (0, Box(0, 0, 10, 10), Box(10, 0, 20, 10), 0)
         dets = detections([
             gt + (0.9,),
             # image 7 has no GT with object 0: counted in default, dropped in KO
-            (7, Box2D(0, 0, 9, 9), Box2D(11, 0, 19, 9), 0, 0.95),
+            (7, Box(0, 0, 9, 9), Box(11, 0, 19, 9), 0, 0.95),
         ])
         default = evaluate(dets, ground_truths([gt]), space, mode="default")
         ko = evaluate(dets, ground_truths([gt]), space, mode="known_object")
@@ -401,11 +424,11 @@ class TestEvaluate:
     def test_unknown_hoi_id(self):
         space = micro_space(2)
         with pytest.raises(UnknownHoiId):
-            evaluate(detections([(0, Box2D(0, 0, 1, 1), Box2D(2, 2, 3, 3), 9, 0.5)]),
+            evaluate(detections([(0, Box(0, 0, 1, 1), Box(2, 2, 3, 3), 9, 0.5)]),
                      ground_truths([]), space)
         with pytest.raises(UnknownHoiId):
             evaluate(detections([]),
-                     ground_truths([(0, Box2D(0, 0, 1, 1), Box2D(2, 2, 3, 3), 9)]), space)
+                     ground_truths([(0, Box(0, 0, 1, 1), Box(2, 2, 3, 3), 9)]), space)
 
     def test_bad_mode(self):
         with pytest.raises(InvalidConfig):
@@ -438,9 +461,9 @@ class TestLegacyOracle:
     def test_tied_scores_keep_input_order(self):
         # the tied pair: the first in input order takes the ground truth
         space = micro_space(1)
-        gt = (0, Box2D(0, 0, 10, 10), Box2D(10, 0, 20, 10), 0)
-        near = (0, Box2D(0, 0, 10, 11), Box2D(10, 0, 20, 10), 0)
-        far = (0, Box2D(50, 50, 60, 60), Box2D(70, 70, 80, 80), 0)
+        gt = (0, Box(0, 0, 10, 10), Box(10, 0, 20, 10), 0)
+        near = (0, Box(0, 0, 10, 11), Box(10, 0, 20, 10), 0)
+        far = (0, Box(50, 50, 60, 60), Box(70, 70, 80, 80), 0)
         ap_hit_first = assert_matches_legacy(
             detections([near + (0.5,), far + (0.5,)]), ground_truths([gt]), space)
         ap_hit_second = assert_matches_legacy(
@@ -451,7 +474,7 @@ class TestLegacyOracle:
     def test_duplicate_detections(self):
         # the second copy finds its ground truth taken: a false positive
         space = micro_space(1)
-        gt = (0, Box2D(0, 0, 10, 10), Box2D(10, 0, 20, 10), 0)
+        gt = (0, Box(0, 0, 10, 10), Box(10, 0, 20, 10), 0)
         ap = assert_matches_legacy(detections([gt + (0.7,), gt + (0.7,), gt + (0.2,)]),
                                    ground_truths([gt]), space)
         assert ap[0] == 1.0
@@ -461,8 +484,8 @@ class TestLegacyOracle:
 
     def test_two_identical_ground_truths_in_one_image(self):
         space = micro_space(1)
-        gt = (0, Box2D(0, 0, 10, 10), Box2D(10, 0, 20, 10), 0)
-        det = (0, Box2D(1, 0, 10, 10), Box2D(10, 0, 20, 10), 0)
+        gt = (0, Box(0, 0, 10, 10), Box(10, 0, 20, 10), 0)
+        det = (0, Box(1, 0, 10, 10), Box(10, 0, 20, 10), 0)
         gts = ground_truths([gt, gt])
         ap = assert_matches_legacy(detections([det + (0.9,), det + (0.8,)]), gts, space)
         assert ap[0] == 1.0
@@ -473,30 +496,30 @@ class TestLegacyOracle:
         # the first detection lies midway between two ground truths; taking
         # the first leaves the second detection nothing above the threshold
         space = micro_space(1)
-        obj = Box2D(30, 0, 40, 10)
-        gts = ground_truths([(0, Box2D(8, 0, 18, 10), obj, 0), (0, Box2D(12, 0, 22, 10), obj, 0)])
-        dets = detections([(0, Box2D(10, 0, 20, 10), obj, 0, 0.9),
-                           (0, Box2D(6, 0, 16, 10), obj, 0, 0.8)])
+        obj = Box(30, 0, 40, 10)
+        gts = ground_truths([(0, Box(8, 0, 18, 10), obj, 0), (0, Box(12, 0, 22, 10), obj, 0)])
+        dets = detections([(0, Box(10, 0, 20, 10), obj, 0, 0.9),
+                           (0, Box(6, 0, 16, 10), obj, 0, 0.8)])
         ap = assert_matches_legacy(dets, gts, space)
         assert ap[0] == 0.5
 
     def test_threshold_zero_needs_overlap(self):
         # at threshold 0 a pair IoU of exactly 0 still does not match
         space = micro_space(1)
-        gt = (0, Box2D(0, 0, 10, 10), Box2D(10, 0, 20, 10), 0)
-        touching = (0, Box2D(10, 0, 20, 10), Box2D(10, 0, 20, 10), 0, 0.9)
+        gt = (0, Box(0, 0, 10, 10), Box(10, 0, 20, 10), 0)
+        touching = (0, Box(10, 0, 20, 10), Box(10, 0, 20, 10), 0, 0.9)
         ap = assert_matches_legacy(detections([touching]), ground_truths([gt]), space,
                                    iou_threshold=0.0)
         assert ap[0] == 0.0
-        slight = (0, Box2D(9, 0, 20, 10), Box2D(10, 0, 20, 10), 0, 0.9)
+        slight = (0, Box(9, 0, 20, 10), Box(10, 0, 20, 10), 0, 0.9)
         ap = assert_matches_legacy(detections([slight]), ground_truths([gt]), space,
                                    iou_threshold=0.0)
         assert ap[0] == 1.0
 
     def test_threshold_one_needs_identical_boxes(self):
         space = micro_space(1)
-        gt = (0, Box2D(0, 0, 10, 10), Box2D(10, 0, 20, 10), 0)
-        close = (0, Box2D(0, 0, 10, 10.5), Box2D(10, 0, 20, 10), 0, 0.9)
+        gt = (0, Box(0, 0, 10, 10), Box(10, 0, 20, 10), 0)
+        close = (0, Box(0, 0, 10, 10.5), Box(10, 0, 20, 10), 0, 0.9)
         ap = assert_matches_legacy(detections([close, gt + (0.5,)]), ground_truths([gt]), space,
                                    iou_threshold=1.0)
         assert ap[0] == 0.5
@@ -504,7 +527,7 @@ class TestLegacyOracle:
     def test_known_object_pool(self):
         # class 1 shares object 0 with class 0; class 2's object is absent
         space = build_space((((0,), 0), ((1,), 0), ((2,), 1)))
-        box = Box2D(0, 0, 10, 10)
+        box = Box(0, 0, 10, 10)
         gts = ground_truths([(0, box, box, 0), (1, box, box, 2)])
         dets = detections([
             (0, box, box, 1, 0.9),   # image 0 holds object 0: in class 1's pool
@@ -519,20 +542,20 @@ class TestLegacyOracle:
 class TestTables:
     def test_nan_score_rejected_at_construction(self):
         # passed straight to evaluate, a nan score would scramble the sort
-        box = Box2D(0, 0, 10, 10)
+        box = Box(0, 0, 10, 10)
         with pytest.raises(NonFiniteInput, match="score row 1"):
             detections([(0, box, box, 0, 0.5), (0, box, box, 0, float("nan"))])
 
     @pytest.mark.parametrize("table, width", [(detections, 5), (ground_truths, 4)])
     def test_negative_box_rejected_at_construction(self, table, width):
-        box = Box2D(0, 0, 1, 1)
+        box = Box(0, 0, 1, 1)
         good = table([(0, box, box, 0, 0.5)[:width]] * 2)
         bad = np.array([[0.0, 0.0, 1.0, 1.0], [-1.0, 0.0, 5.0, 5.0]])
         with pytest.raises(InvalidBox, match="object_box row 1: negative coordinates"):
             replace(good, object_box=bad)
 
     def test_columns_must_agree(self):
-        good = detections([(0, Box2D(0, 0, 1, 1), Box2D(0, 0, 1, 1), 0, 0.5)])
+        good = detections([(0, Box(0, 0, 1, 1), Box(0, 0, 1, 1), 0, 0.5)])
         with pytest.raises(DimensionMismatch, match="hoi_id"):
             replace(good, hoi_id=np.zeros(2, dtype=np.int64))
         with pytest.raises(DimensionMismatch, match="score"):
@@ -541,7 +564,7 @@ class TestTables:
             replace(good, human_box=[[0.0, 0.0, 1.0, 1.0]])
 
     def test_rows(self):
-        box = Box2D(0, 0, 1, 1)
+        box = Box(0, 0, 1, 1)
         dets = detections([(k, box, box, 0, 0.1 * k) for k in range(3)])
         assert len(dets) == 3 and len(dets[1]) == 1 and dets[1].score[0] == dets.score[1]
         assert_tables_equal(dets[:2], concat(dets[0], dets[1]))
@@ -590,24 +613,24 @@ class TestDetectionsFromModel:
         want = []
         by_image = {}
         for k in range(len(test)):
-            by_image.setdefault(int(test.image_id[k]), []).append(test[k])
+            by_image.setdefault(int(test.image_id[k]), []).append(test[k : k + 1])
         for image_id in sorted(by_image):
             insts = by_image[image_id]
             th, to = thr.human, thr.object
-            kept = [i for i in insts if i.human_score >= th and i.object_score >= to]
+            kept = [i for i in insts if i.human_score[0] >= th and i.object_score[0] >= to]
             if not kept:
                 kept = [
                     i for i in insts
-                    if i.human_score >= th * thr.fallback and i.object_score >= to * thr.fallback
+                    if i.human_score[0] >= th * thr.fallback
+                    and i.object_score[0] >= to * thr.fallback
                 ]
-            for inst in kept:
-                scores = branch_scores(
-                    params, inst.human_feat, inst.verb_feat, inst.object_feat,
-                    encode_spatial_map(Box2D(*inst.human_box), Box2D(*inst.object_box)),
-                )
-                fused = fuse_scores(inst.human_score, inst.object_score, scores)
+            for inst in kept:  # each pair scored alone, as a batch of one
+                spatial = spatial_vector(inst.human_box, inst.object_box)
+                s_sp = sigmoid(forward_spatial_human(inst.human_feat, spatial, params))
+                s_vo = sigmoid(forward_verb_object(inst.verb_feat, inst.object_feat, params))
+                fused = fuse_scores(inst.human_score, inst.object_score, s_sp, s_vo)[0]
                 for c in range(space.num_hois):
-                    want.append((inst.image_id, c, fused[c]))
+                    want.append((image_id, c, fused[c]))
         got = [(d.image_id, d.hoi_id, d.score) for d in as_rows(dets)]
         assert len(got) == len(want)
         for g, w in zip(got, want):
@@ -686,14 +709,14 @@ class TestFiles:
         gts = as_rows(ground_truths_from_instances(inst))
         assert [g.hoi_id for g in gts] == [0, 1]
         assert all(g.image_id == 5 for g in gts)
-        assert all(g.human_box == Box2D(10, 10, 110, 210) for g in gts)
-        assert all(g.object_box == Box2D(120, 40, 260, 180) for g in gts)
+        assert all(g.human_box == Box(10, 10, 110, 210) for g in gts)
+        assert all(g.object_box == Box(120, 40, 260, 180) for g in gts)
 
     def test_report_formats(self, toy_space):
         space = micro_space(2)
-        gt = (0, Box2D(0, 0, 10, 10), Box2D(10, 0, 20, 10), 0)
-        report = evaluate(detections([gt + (0.9,)]), ground_truths([gt]), space,
-                          counts=np.array([1, 20]))
+        gt = (0, Box(0, 0, 10, 10), Box(10, 0, 20, 10), 0)
+        part = frequency_partition(np.array([1, 20]), rare_threshold=10)
+        report = evaluate(detections([gt + (0.9,)]), ground_truths([gt]), space, partition=part)
         text = format_report(report)
         assert "map_full=" in text and "mode=default" in text
         table = format_report_table(report, space, counts=np.array([1, 20]))

@@ -17,6 +17,7 @@ from hoicomp.evaluator import Detections, load_detections, save_detections
 from hoicomp.label_algebra import build_space, load_space, save_space
 from hoicomp.network import NetworkConfig, init_params, load_params, save_params
 from hoicomp.synthdata import load_dataset, save_dataset
+from hoicomp.trainer import read_metrics_log, write_metrics_log
 from hoicomp.zeroshot import ZeroShotSplit, load_split, save_split
 
 from conftest import TOY_DEFS, make_dataset, make_row
@@ -66,6 +67,9 @@ def files(tmp_path_factory):
     (root / "run.cfg").write_text("command=train\niterations=5\nlr=0.01\n# comment\nno_balance=true\n")
     net = NetworkConfig(num_hois=3, feature_dim=2, hidden=2, vo_hidden=2, sp_hidden=2, spatial_dim=4)
     save_params(init_params(net, rng), root / "model.ckpt", meta={"seed": 1})
+    write_metrics_log([{"iter": 0, "L_sp": 1.5, "L_vo": 0.25, "L_comp": 0.0},
+                       {"iter": 1, "L_sp": 1.25, "L_vo": 0.2, "L_comp": 0.1, "mAP_full": 33.3}],
+                      root / "metrics.log")
     return root, space
 
 
@@ -76,6 +80,7 @@ LOADERS = {  # file name -> load(path, space)
     "dets.tsv": lambda path, space: load_detections(path),
     "run.cfg": lambda path, space: load_flat_config(path),
     "model.ckpt": lambda path, space: load_params(path),
+    "metrics.log": lambda path, space: read_metrics_log(path),
 }
 
 

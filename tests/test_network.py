@@ -18,7 +18,6 @@ from hoicomp.network import (
     ModelParams,
     NetworkConfig,
     RealBatch,
-    Scores,
     block_shapes,
     forward_spatial_human,
     forward_verb_object,
@@ -27,7 +26,6 @@ from hoicomp.network import (
     inverse_log_weights,
     load_params,
     loss_and_grads,
-    loss_total,
     save_params,
     sigmoid,
 )
@@ -117,6 +115,10 @@ def ref_loss(real, comp, p, lw):
     return total
 
 
+def total_loss(real, comp, params, lw):
+    return loss_and_grads(real, comp, params, lw)[0]
+
+
 def fd_grads(real, comp, params, lw, h=1e-4):
     grads = {}
     for name, arr in params.blocks().items():
@@ -125,9 +127,9 @@ def fd_grads(real, comp, params, lw, h=1e-4):
         for idx in range(flat.size):
             orig = flat[idx]
             flat[idx] = orig + h
-            lp = loss_total(real, comp, params, lw)
+            lp = total_loss(real, comp, params, lw)
             flat[idx] = orig - h
-            lm = loss_total(real, comp, params, lw)
+            lm = total_loss(real, comp, params, lw)
             flat[idx] = orig
             gflat[idx] = (lp - lm) / (2 * h)
         grads[name] = g
@@ -173,16 +175,16 @@ class TestForward:
         p = tiny_params()
         zero = ModelParams(p.cfg, np.zeros_like(p.flat))
         rng = np.random.default_rng(0)
-        logits = forward_verb_object(rng.standard_normal(3), rng.standard_normal(3), zero)
-        np.testing.assert_array_equal(logits, np.zeros(5))
+        logits = forward_verb_object(rng.standard_normal((2, 3)), rng.standard_normal((2, 3)), zero)
+        np.testing.assert_array_equal(logits, np.zeros((2, 5)))
         np.testing.assert_allclose(sigmoid(logits), 0.5)
-        sp = forward_spatial_human(rng.standard_normal(3), rng.random(6), zero)
-        np.testing.assert_array_equal(sp, np.zeros(5))
+        sp = forward_spatial_human(rng.standard_normal((2, 3)), rng.random((2, 6)), zero)
+        np.testing.assert_array_equal(sp, np.zeros((2, 5)))
 
     def test_deterministic(self):
         p = tiny_params(1)
         rng = np.random.default_rng(2)
-        v, o = rng.standard_normal(3), rng.standard_normal(3)
+        v, o = rng.standard_normal((2, 3)), rng.standard_normal((2, 3))
         np.testing.assert_array_equal(
             forward_verb_object(v, o, p), forward_verb_object(v.copy(), o.copy(), p)
         )
@@ -191,37 +193,50 @@ class TestForward:
         rng = np.random.default_rng(3)
         p = tiny_params(3)
         for _ in range(10):
-            v, o = rng.standard_normal(3), rng.standard_normal(3)
+            v, o = rng.standard_normal((1, 3)), rng.standard_normal((1, 3))
             got = forward_verb_object(v, o, p)
-            np.testing.assert_allclose(got, ref_vo_logits(v, o, p), rtol=1e-6, atol=1e-9)
+            assert got.shape == (1, 5)
+            np.testing.assert_allclose(got[0], ref_vo_logits(v[0], o[0], p), rtol=1e-6, atol=1e-9)
 
     def test_sp_matches_reference(self):
         rng = np.random.default_rng(4)
         p = tiny_params(4)
         for _ in range(10):
-            h = rng.standard_normal(3)
-            s = (rng.random(6) < 0.5).astype(float)
+            h = rng.standard_normal((1, 3))
+            s = (rng.random((1, 6)) < 0.5).astype(float)
             got = forward_spatial_human(h, s, p)
-            np.testing.assert_allclose(got, ref_sp_logits(h, s, p), rtol=1e-6, atol=1e-9)
+            assert got.shape == (1, 5)
+            np.testing.assert_allclose(got[0], ref_sp_logits(h[0], s[0], p), rtol=1e-6, atol=1e-9)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(5)
         p = tiny_params(5)
         v, o = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
-        batch = forward_verb_object(v, o, p)
+        h, s = rng.standard_normal((4, 3)), rng.random((4, 6))
+        vo, sp = forward_verb_object(v, o, p), forward_spatial_human(h, s, p)
         for i in range(4):
-            np.testing.assert_allclose(batch[i], forward_verb_object(v[i], o[i], p))
+            one = slice(i, i + 1)
+            np.testing.assert_allclose(vo[one], forward_verb_object(v[one], o[one], p))
+            np.testing.assert_allclose(sp[one], forward_spatial_human(h[one], s[one], p))
 
     def test_dimension_mismatch(self):
         p = tiny_params()
         with pytest.raises(DimensionMismatch):
-            forward_verb_object(np.zeros(4), np.zeros(3), p)
+            forward_verb_object(np.zeros((1, 4)), np.zeros((1, 3)), p)
+        with pytest.raises(DimensionMismatch):  # one pair is a batch of one, not a vector
+            forward_verb_object(np.zeros(3), np.zeros(3), p)
+        with pytest.raises(DimensionMismatch):
+            forward_spatial_human(np.zeros((1, 3)), np.zeros(6), p)
+        with pytest.raises(DimensionMismatch, match="row counts"):
+            forward_verb_object(np.zeros((2, 3)), np.zeros((1, 3)), p)
+        with pytest.raises(DimensionMismatch, match="row counts"):
+            forward_spatial_human(np.zeros((2, 3)), np.zeros((1, 6)), p)
 
     def test_non_finite_input(self):
         p = tiny_params()
-        bad = np.array([1.0, np.nan, 0.0])
+        bad = np.array([[1.0, np.nan, 0.0]])
         with pytest.raises(NonFiniteInput):
-            forward_verb_object(bad, np.zeros(3), p)
+            forward_verb_object(bad, np.zeros((1, 3)), p)
 
 
 class TestLoss:
@@ -232,8 +247,8 @@ class TestLoss:
         comp = random_comp(rng, 2)
         lw0 = random_weights(rng)
         lw = LossWeights(lambda1=lw0.lambda1, lambda2=0.0, class_weights=lw0.class_weights)
-        with_comp = loss_total(real, comp, p, lw)
-        without = loss_total(real, None, p, lw)
+        with_comp = total_loss(real, comp, p, lw)
+        without = total_loss(real, None, p, lw)
         assert with_comp == pytest.approx(without, rel=1e-12)
 
     def test_zero_logits_closed_form(self):
@@ -261,7 +276,7 @@ class TestLoss:
             real = random_real(rng, n=int(rng.integers(1, 4)))
             comp = random_comp(rng, int(rng.integers(0, 4)))
             lw = random_weights(rng)
-            got = loss_total(real, comp, p, lw)
+            got = total_loss(real, comp, p, lw)
             want = ref_loss(real, comp, p, lw)
             assert got == pytest.approx(want, rel=1e-6)
 
@@ -278,8 +293,8 @@ class TestLoss:
             spatial=real.spatial[perm],
             label=real.label[perm],
         )
-        assert loss_total(real, None, p, lw) == pytest.approx(
-            loss_total(shuffled, None, p, lw), rel=1e-12
+        assert total_loss(real, None, p, lw) == pytest.approx(
+            total_loss(shuffled, None, p, lw), rel=1e-12
         )
 
     def test_comp_branch_shares_classifier(self):
@@ -297,7 +312,7 @@ class TestLoss:
         p.vo_w3[:] = np.inf
         real = random_real(np.random.default_rng(0))
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteLoss):
-            loss_total(real, None, p, LossWeights(class_weights=np.ones(5)))
+            total_loss(real, None, p, LossWeights(class_weights=np.ones(5)))
 
 
 class TestBackward:
@@ -357,13 +372,13 @@ class TestBackward:
         lw = random_weights(rng)
         total, _, grads = loss_and_grads(real, None, p, lw)
         p.flat -= 1e-3 * grads.flat
-        assert loss_total(real, None, p, lw) < total
+        assert total_loss(real, None, p, lw) < total
 
     def test_sharing_observable(self):
         rng = np.random.default_rng(14)
         p = active_params(14)
-        v, o, h = rng.random(3) + 0.1, rng.random(3) + 0.1, rng.random(3) + 0.1
-        s = np.ones(6)
+        v, o, h = (rng.random((1, 3)) + 0.1 for _ in range(3))
+        s = np.ones((1, 6))
         vo0, sp0 = forward_verb_object(v, o, p), forward_spatial_human(h, s, p)
         p.shared_w += 0.5
         assert not np.allclose(forward_verb_object(v, o, p), vo0)
@@ -398,52 +413,70 @@ class TestClassWeights:
 
 class TestFuseScores:
     def _scores(self):
-        return Scores(s_sp=np.array([0.5, 0.2]), s_verb_obj=np.array([0.5, 0.9]))
+        """(s_sp, s_vo) of one pair over two classes."""
+        return np.array([[0.5, 0.2]]), np.array([[0.5, 0.9]])
 
     def test_annihilator(self):
-        np.testing.assert_array_equal(fuse_scores(0.0, 0.7, self._scores()), [0.0, 0.0])
+        np.testing.assert_array_equal(fuse_scores([0.0], [0.7], *self._scores()), [[0.0, 0.0]])
 
     def test_identity_factors(self):
-        s = self._scores()
-        np.testing.assert_allclose(fuse_scores(1.0, 1.0, s), s.s_verb_obj * s.s_sp)
+        s_sp, s_vo = self._scores()
+        np.testing.assert_allclose(fuse_scores([1.0], [1.0], s_sp, s_vo), s_vo * s_sp)
 
     def test_arithmetic(self):
-        s = Scores(s_sp=np.array([0.5]), s_verb_obj=np.array([0.5]))
-        assert fuse_scores(0.9, 0.8, s)[0] == pytest.approx(0.18)
+        fused = fuse_scores([0.9], [0.8], np.array([[0.5]]), np.array([[0.5]]))
+        assert fused.shape == (1, 1) and fused[0, 0] == pytest.approx(0.18)
 
     def test_branch_modes(self):
-        s = self._scores()
-        np.testing.assert_allclose(fuse_scores(0.5, 0.5, s, "vo_only"), 0.25 * s.s_verb_obj)
-        np.testing.assert_allclose(fuse_scores(0.5, 0.5, s, "sp_only"), 0.25 * s.s_sp)
+        s_sp, s_vo = self._scores()
+        np.testing.assert_allclose(fuse_scores([0.5], [0.5], s_sp, s_vo, "vo_only"), 0.25 * s_vo)
+        np.testing.assert_allclose(fuse_scores([0.5], [0.5], s_sp, s_vo, "sp_only"), 0.25 * s_sp)
 
     def test_monotone_and_argmax_invariance(self):
         rng = np.random.default_rng(15)
         for _ in range(20):
-            s = Scores(s_sp=rng.random(6), s_verb_obj=rng.random(6))
-            lo = fuse_scores(0.3, 0.4, s)
-            hi = fuse_scores(0.9, 0.4, s)
+            s_sp, s_vo = rng.random((1, 6)), rng.random((1, 6))
+            lo = fuse_scores([0.3], [0.4], s_sp, s_vo)
+            hi = fuse_scores([0.9], [0.4], s_sp, s_vo)
             assert np.all(hi >= lo)
-            assert np.argmax(lo) == np.argmax(fuse_scores(0.77, 0.11, s))
+            assert np.argmax(lo) == np.argmax(fuse_scores([0.77], [0.11], s_sp, s_vo))
 
     def test_batch_matches_rows(self):
         rng = np.random.default_rng(16)
         s_h, s_o = rng.random(4), rng.random(4)
-        s = Scores(s_sp=rng.random((4, 6)), s_verb_obj=rng.random((4, 6)))
+        s_sp, s_vo = rng.random((4, 6)), rng.random((4, 6))
         for mode in ("both", "vo_only", "sp_only"):
-            fused = fuse_scores(s_h, s_o, s, mode)
+            fused = fuse_scores(s_h, s_o, s_sp, s_vo, mode)
             for k in range(4):
-                row = Scores(s_sp=s.s_sp[k], s_verb_obj=s.s_verb_obj[k])
-                assert fused[k].tobytes() == fuse_scores(s_h[k], s_o[k], row, mode).tobytes()
+                one = slice(k, k + 1)
+                row = fuse_scores(s_h[one], s_o[one], s_sp[one], s_vo[one], mode)
+                assert fused[one].tobytes() == row.tobytes()
 
     def test_out_of_range(self):
+        s_sp, s_vo = self._scores()
+        with pytest.raises(OutOfRange, match="s_h=1.5"):
+            fuse_scores([1.5], [0.5], s_sp, s_vo)
         with pytest.raises(OutOfRange):
-            fuse_scores(1.5, 0.5, self._scores())
+            fuse_scores([0.5, np.nan], [0.5, 0.5], np.vstack([s_sp, s_sp]), np.vstack([s_vo, s_vo]))
+        with pytest.raises(OutOfRange, match="s_sp=1.2"):
+            fuse_scores([0.5], [0.5], np.array([[1.2]]), np.array([[0.1]]))
+        with pytest.raises(OutOfRange, match="s_vo"):
+            fuse_scores([0.5], [0.5], np.array([[0.1]]), np.array([[np.nan]]))
         with pytest.raises(OutOfRange):
-            fuse_scores(np.array([0.5, np.nan]), np.array([0.5, 0.5]), self._scores())
-        with pytest.raises(OutOfRange):
-            fuse_scores(0.5, 0.5, Scores(s_sp=np.array([1.2]), s_verb_obj=np.array([0.1])))
-        with pytest.raises(OutOfRange):
-            fuse_scores(0.5, 0.5, self._scores(), branch_mode="nope")
+            fuse_scores([0.5], [0.5], s_sp, s_vo, branch_mode="nope")
+
+    def test_shapes(self):
+        s_sp, s_vo = self._scores()
+        assert fuse_scores(np.empty(0), np.empty(0), np.empty((0, 2)), np.empty((0, 2))).shape == (0, 2)
+        for args in [
+            (0.5, 0.5, s_sp, s_vo),          # scalar confidences
+            ([0.5], [0.5], s_sp[0], s_vo[0]),  # one pair's (C,) scores
+            ([0.5, 0.5], [0.5, 0.5], s_sp, s_vo),
+            ([0.5], [0.5, 0.5], s_sp, s_vo),
+            ([0.5], [0.5], s_sp, s_vo[:, :1]),
+        ]:
+            with pytest.raises(DimensionMismatch):
+                fuse_scores(*args)
 
 
 class TestCheckpoint:

@@ -1,24 +1,29 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
 from hoicomp.errors import DegenerateBox, InvalidBox
-from hoicomp.spatial import (
-    GRID_SIZE,
-    Box2D,
-    SpatialMap,
-    ascii_art,
-    encode_spatial_map,
-    spatial_vector,
-)
+from hoicomp.spatial import GRID_SIZE, ascii_art, check_boxes, spatial_vector
+
+
+class Box(NamedTuple):
+    """One (x1, y1, x2, y2) box, for the scalar oracle below."""
+
+    x1: float
+    y1: float
+    x2: float
+    y2: float
 
 
 def union_frame(a, b):
     """Tight box enclosing both inputs."""
-    return Box2D(min(a.x1, b.x1), min(a.y1, b.y1), max(a.x2, b.x2), max(a.y2, b.y2))
+    return Box(min(a.x1, b.x1), min(a.y1, b.y1), max(a.x2, b.x2), max(a.y2, b.y2))
 
 
 def brute_rasterize(box, frame, size=GRID_SIZE):
     """Per-cell center test, scalar loops; the independent oracle."""
+    box, frame = Box(*box), Box(*frame)
     sx = size / (frame.x2 - frame.x1)
     sy = size / (frame.y2 - frame.y1)
     gx1, gx2 = (box.x1 - frame.x1) * sx, (box.x2 - frame.x1) * sx
@@ -32,85 +37,89 @@ def brute_rasterize(box, frame, size=GRID_SIZE):
     return grid
 
 
+def brute_pair(human, obj, size=GRID_SIZE):
+    """(person, object) channels of one box pair, from the oracle."""
+    frame = union_frame(Box(*human), Box(*obj))
+    return brute_rasterize(human, frame, size), brute_rasterize(obj, frame, size)
+
+
+def channels(human, obj):
+    """(person, object) channels of one box pair: ``spatial_vector`` of a
+    batch of one, reshaped to two grids."""
+    vec = spatial_vector(np.array([human], dtype=np.float64), np.array([obj], dtype=np.float64))
+    assert vec.shape == (1, 2 * GRID_SIZE * GRID_SIZE)
+    return vec.reshape(2, GRID_SIZE, GRID_SIZE)
+
+
+def random_box(rng, lo, hi, size_lo, size_hi):
+    x1, y1 = rng.uniform(lo, hi, 2)
+    return Box(x1, y1, x1 + rng.uniform(size_lo, size_hi), y1 + rng.uniform(size_lo, size_hi))
+
+
 class TestBox2D:
+    """The (x1, y1, x2, y2) box rules of ``check_boxes``."""
+
     def test_valid(self):
-        box = Box2D(1.0, 2.0, 4.0, 8.0)
-        assert box.width == 3.0 and box.height == 6.0 and box.area == 18.0
+        check_boxes(np.array([[1.0, 2.0, 4.0, 8.0], [0.0, 0.0, 0.5, 0.5]]), str)
+        check_boxes(np.empty((0, 4)), str)
 
     @pytest.mark.parametrize(
         "coords",
         [(5, 0, 1, 10), (0, 5, 10, 1), (0, 0, 0, 10), (-1, 0, 5, 5), (0, 0, float("nan"), 5)],
     )
     def test_invalid(self, coords):
-        with pytest.raises(InvalidBox):
-            Box2D(*coords)
+        boxes = np.array([(0, 0, 1, 1), coords], dtype=np.float64)
+        with pytest.raises(InvalidBox, match="^row 1: "):
+            check_boxes(boxes, lambda k: f"row {k}")
 
 
 class TestEncode:
     def test_full_coverage(self):
-        box = Box2D(3, 4, 13, 24)
-        smap = encode_spatial_map(box, box)
-        assert smap.person_channel.all()
-        assert smap.object_channel.all()
+        box = (3, 4, 13, 24)
+        person, obj = channels(box, box)
+        assert person.all() and obj.all()
 
     def test_left_right_halves(self):
-        smap = encode_spatial_map(Box2D(0, 0, 10, 10), Box2D(10, 0, 20, 10))
-        person, obj = smap.person_channel, smap.object_channel
+        person, obj = channels((0, 0, 10, 10), (10, 0, 20, 10))
         assert person[:, :32].all() and not person[:, 32:].any()
         assert obj[:, 32:].all() and not obj[:, :32].any()
 
     def test_counts_match_bruteforce(self):
-        human, obj = Box2D(0, 0, 10, 10), Box2D(10, 0, 20, 10)
-        frame = union_frame(human, obj)
-        smap = encode_spatial_map(human, obj)
-        np.testing.assert_array_equal(smap.person_channel, brute_rasterize(human, frame))
-        np.testing.assert_array_equal(smap.object_channel, brute_rasterize(obj, frame))
+        human, obj = (0, 0, 10, 10), (10, 0, 20, 10)
+        np.testing.assert_array_equal(channels(human, obj), brute_pair(human, obj))
 
     def test_random_against_bruteforce(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
-            x1, y1 = rng.uniform(0, 50, 2)
-            human = Box2D(x1, y1, x1 + rng.uniform(5, 60), y1 + rng.uniform(5, 60))
-            x1, y1 = rng.uniform(0, 50, 2)
-            obj = Box2D(x1, y1, x1 + rng.uniform(5, 60), y1 + rng.uniform(5, 60))
-            frame = union_frame(human, obj)
-            smap = encode_spatial_map(human, obj)
-            np.testing.assert_array_equal(smap.person_channel, brute_rasterize(human, frame))
-            np.testing.assert_array_equal(smap.object_channel, brute_rasterize(obj, frame))
+            human = random_box(rng, 0, 50, 5, 60)
+            obj = random_box(rng, 0, 50, 5, 60)
+            np.testing.assert_array_equal(channels(human, obj), brute_pair(human, obj))
 
     def test_translation_scale_invariance(self):
         rng = np.random.default_rng(9)
-        human = Box2D(3, 7, 40, 30)
-        obj = Box2D(25, 5, 90, 55)
-        base = encode_spatial_map(human, obj)
+        human = Box(3, 7, 40, 30)
+        obj = Box(25, 5, 90, 55)
+        base = channels(human, obj)
         for _ in range(10):
             dx, dy = rng.uniform(0, 100, 2)
             s = rng.uniform(0.2, 5.0)
 
             def move(b):
-                return Box2D(s * (b.x1 + dx), s * (b.y1 + dy), s * (b.x2 + dx), s * (b.y2 + dy))
+                return Box(s * (b.x1 + dx), s * (b.y1 + dy), s * (b.x2 + dx), s * (b.y2 + dy))
 
-            shifted = encode_spatial_map(move(human), move(obj))
-            np.testing.assert_array_equal(shifted.person_channel, base.person_channel)
-            np.testing.assert_array_equal(shifted.object_channel, base.object_channel)
+            np.testing.assert_array_equal(channels(move(human), move(obj)), base)
 
     def test_swap_swaps_channels(self):
-        human = Box2D(0, 0, 30, 20)
-        obj = Box2D(15, 10, 60, 45)
-        a = encode_spatial_map(human, obj)
-        b = encode_spatial_map(obj, human)
-        np.testing.assert_array_equal(a.person_channel, b.object_channel)
-        np.testing.assert_array_equal(a.object_channel, b.person_channel)
+        human = (0, 0, 30, 20)
+        obj = (15, 10, 60, 45)
+        np.testing.assert_array_equal(channels(human, obj), channels(obj, human)[::-1])
 
     def test_solid_rectangle(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
-            x1, y1 = rng.uniform(0, 40, 2)
-            human = Box2D(x1, y1, x1 + rng.uniform(5, 50), y1 + rng.uniform(5, 50))
-            x1, y1 = rng.uniform(0, 40, 2)
-            obj = Box2D(x1, y1, x1 + rng.uniform(5, 50), y1 + rng.uniform(5, 50))
-            smap = encode_spatial_map(human, obj)
-            for grid in (smap.person_channel, smap.object_channel):
+            human = random_box(rng, 0, 40, 5, 50)
+            obj = random_box(rng, 0, 40, 5, 50)
+            for grid in channels(human, obj):
                 rows = np.flatnonzero(grid.any(axis=1))
                 cols = np.flatnonzero(grid.any(axis=0))
                 block = np.zeros_like(grid)
@@ -118,13 +127,12 @@ class TestEncode:
                 np.testing.assert_array_equal(grid, block)
 
     def test_degenerate_raises(self):
-        with pytest.raises(DegenerateBox):
-            encode_spatial_map(Box2D(0, 0, 0.01, 0.01), Box2D(0, 0, 1000, 1000))
+        with pytest.raises(DegenerateBox, match="pair 0"):
+            channels((0, 0, 0.01, 0.01), (0, 0, 1000, 1000))
 
     def test_each_channel_nonempty(self):
-        smap = encode_spatial_map(Box2D(0, 0, 5, 5), Box2D(100, 100, 105, 105))
-        assert smap.person_channel.any()
-        assert smap.object_channel.any()
+        person, obj = channels((0, 0, 5, 5), (100, 100, 105, 105))
+        assert person.any() and obj.any()
 
 
 def random_boxes(rng, n):
@@ -134,15 +142,18 @@ def random_boxes(rng, n):
 
 class TestBatch:
     def test_rows_match_single_pair_maps(self):
+        """Row k of a batch is the map of pair k alone, as the oracle draws it."""
         rng = np.random.default_rng(23)
         for n in (1, 2, 7, 40):
             human, obj = random_boxes(rng, n), random_boxes(rng, n)
             got = spatial_vector(human, obj)
-            want = np.stack([
-                encode_spatial_map(Box2D(*human[k]), Box2D(*obj[k])).as_vector() for k in range(n)
-            ])
             assert got.dtype == np.float64 and got.shape == (n, 2 * GRID_SIZE * GRID_SIZE)
-            assert got.tobytes() == want.tobytes()
+            for k in range(n):
+                alone = spatial_vector(human[k : k + 1], obj[k : k + 1])
+                assert got[k].tobytes() == alone[0].tobytes()
+                np.testing.assert_array_equal(
+                    got[k].reshape(2, GRID_SIZE, GRID_SIZE), brute_pair(human[k], obj[k])
+                )
 
     def test_one_degenerate_row_anywhere_raises(self):
         rng = np.random.default_rng(24)
@@ -159,18 +170,19 @@ class TestBatch:
 
 class TestRendering:
     def test_vector_layout(self):
-        smap = encode_spatial_map(Box2D(0, 0, 10, 10), Box2D(10, 0, 20, 10))
-        vec = smap.as_vector()
+        """A row holds the flattened person channel, then the object channel."""
+        human, obj = (0, 0, 10, 10), (10, 0, 20, 10)
+        vec = spatial_vector(np.array([human], float), np.array([obj], float))[0]
+        person, obj_channel = brute_pair(human, obj)
         assert vec.shape == (2 * GRID_SIZE * GRID_SIZE,)
-        np.testing.assert_array_equal(
-            vec[: GRID_SIZE * GRID_SIZE].reshape(GRID_SIZE, GRID_SIZE), smap.person_channel
-        )
+        np.testing.assert_array_equal(vec[: GRID_SIZE * GRID_SIZE], person.ravel())
+        np.testing.assert_array_equal(vec[GRID_SIZE * GRID_SIZE :], obj_channel.ravel())
 
     def test_ascii_art(self):
-        smap = SpatialMap(
-            person_channel=np.eye(GRID_SIZE, dtype=np.uint8),
-            object_channel=np.ones((GRID_SIZE, GRID_SIZE), dtype=np.uint8),
-        )
-        art = ascii_art(smap)
-        assert art.startswith("[person]\n#")
-        assert art.count("\n") == 2 * GRID_SIZE + 1
+        vec = np.concatenate([np.tri(GRID_SIZE).ravel(), np.ones(GRID_SIZE * GRID_SIZE)])
+        lines = ascii_art(vec).split("\n")
+        assert len(lines) == 2 * GRID_SIZE + 2
+        assert lines[0] == "[person]" and lines[GRID_SIZE + 1] == "[object]"
+        assert lines[1] == "#" + "." * (GRID_SIZE - 1)  # grid row 0 is the first text row
+        assert lines[GRID_SIZE] == "#" * GRID_SIZE
+        assert all(line == "#" * GRID_SIZE for line in lines[GRID_SIZE + 2 :])

@@ -4,7 +4,7 @@ import pytest
 from hoicomp import rng as rngmod
 from hoicomp import trainer
 from hoicomp.composer import ComposeConfig, compose_batch
-from hoicomp.errors import DivergedTraining, InvalidConfig, NonFiniteUpdate
+from hoicomp.errors import DivergedTraining, InvalidConfig, NonFiniteUpdate, ParseError
 from hoicomp.network import CompBatch, LossWeights, ModelParams, NetworkConfig, init_params
 from hoicomp.synthdata import DatasetConfig, generate, random_hoi_defs
 from hoicomp.trainer import (
@@ -263,6 +263,26 @@ class TestMetricsLog:
         write_metrics_log(log, path)
         back = read_metrics_log(path)
         assert back == log
+
+    @pytest.mark.parametrize("text, line", [
+        ("iter=0 L_sp=1.0\niter=1 L_sp\n", 2),          # a token without "="
+        ("iter=0 L_sp=1.0\n\niter=x L_sp=1.0\n", 3),    # blank lines still count
+        ("iter=0 L_sp=1.0.0\n", 1),
+        ("iter=0.5 L_sp=1.0\n", 1),
+    ])
+    def test_malformed_line_names_it(self, tmp_path, text, line):
+        path = tmp_path / "metrics.log"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            read_metrics_log(path)
+        assert err.value.line == line
+
+    def test_bytes_not_utf8(self, tmp_path):
+        path = tmp_path / "metrics.log"
+        path.write_bytes(b"iter=0 L_sp=1.0\niter=1 L_sp=\xff\n")
+        with pytest.raises(ParseError) as err:
+            read_metrics_log(path)
+        assert err.value.line == 2
 
     def test_format_full_precision(self):
         val = 0.1 + 0.2  # not representable prettily

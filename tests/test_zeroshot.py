@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -136,7 +137,6 @@ class TestApplySplit:
         split = ZeroShotSplit(unseen=frozenset(), seen=frozenset({0, 1, 2}), strategy="rare_first")
         out = apply_split(insts, split)
         assert_datasets_equal(out, insts)
-        assert split.removed_instance_count == 0
 
     def test_pure_unseen_dropped(self, toy_space):
         insts = make_dataset([make_row(toy_space, [0]), make_row(toy_space, [1])])
@@ -145,14 +145,12 @@ class TestApplySplit:
         assert len(out) == 1
         assert out.label.tolist() == [[0, 1, 0]]
         assert_datasets_equal(out, insts[1:])
-        assert split.removed_instance_count == 1
 
     def test_mixed_label_keeps_seen_bits(self, toy_space):
         inst = make_row(toy_space, [0, 1])  # ride-horse + feed-horse
         split = ZeroShotSplit(unseen=frozenset({0}), seen=frozenset({1, 2}), strategy="rare_first")
         out = apply_split(inst, split)
         assert out.label.tolist() == [[0, 1, 0]]
-        assert split.removed_instance_count == 0
         assert inst.label.tolist() == [[1, 1, 0]]  # input untouched
 
     def test_removed_count_matches_bruteforce(self):
@@ -164,10 +162,11 @@ class TestApplySplit:
         ])
         counts = class_counts(insts, space)
         split = make_split(counts, space, space.num_hois // 5, "rare_first", tie_break_seed=3)
+        before = replace(split)
         out = apply_split(insts, split)
         drop = sum(1 for label in insts.label if set(np.flatnonzero(label)) <= split.unseen)
-        assert split.removed_instance_count == drop
         assert len(out) == len(insts) - drop
+        assert split == before  # the split is an input, not an output
         for label in out.label:
             active = set(int(c) for c in np.flatnonzero(label))
             assert active and active <= split.seen
