@@ -355,8 +355,8 @@ def detections_from_model(
         chunk = test[surviving[start : start + 512]]
         spatial = spatial_vector(chunk.human_box, chunk.object_box)
         # both are rebound only once both are computed, so the previous chunk's
-        # scores are freed together; freeing them one at a time fragmented the
-        # heap and raised hico-600's peak RSS by 12 MB from the second eval on
+        # scores are freed together; freeing them one at a time, or passing both
+        # straight to fuse_scores, fragments the heap: hico-600 peak RSS +12 MB
         s_sp, s_vo = (
             sigmoid(forward_spatial_human(chunk.human_feat, spatial, params)),
             sigmoid(forward_verb_object(chunk.verb_feat, chunk.object_feat, params)),

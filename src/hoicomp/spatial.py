@@ -67,11 +67,11 @@ def spatial_vector(human_boxes, object_boxes, size: int = GRID_SIZE) -> np.ndarr
     return grids.reshape(len(boxes), -1).astype(np.float64)
 
 
-def ascii_art(vector: np.ndarray, size: int = GRID_SIZE) -> str:
+def ascii_art(vector: np.ndarray) -> str:
     """Render one row of ``spatial_vector`` as '#'/'.' rows, one block per
     channel, for eyeballing on a terminal."""
     blocks = []
-    for name, grid in zip(("person", "object"), np.reshape(vector, (2, size, size))):
+    for name, grid in zip(("person", "object"), np.reshape(vector, (2, GRID_SIZE, GRID_SIZE))):
         rows = ["".join("#" if v else "." for v in row) for row in grid]
         blocks.append(f"[{name}]\n" + "\n".join(rows))
     return "\n".join(blocks)
