@@ -21,7 +21,6 @@ from .label_algebra import (
     build_space,
     compose,
     decompose,
-    is_feasible,
     load_space,
     save_space,
 )

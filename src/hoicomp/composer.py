@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyBatch, InvalidConfig
-from .label_algebra import HoiLabelSpace, decompose
+from .label_algebra import HoiLabelSpace, compose, decompose
 from .network import CompBatch
 from .synthdata import Dataset
 
@@ -64,11 +64,11 @@ def compose_batch(
     n = len(batch)
     if n == 0:
         raise EmptyBatch("compose_batch needs at least one instance")
-    _, l_v = decompose(batch.label, space)
-    # class hits per instance for its verbs / its object
-    verb_hits = (l_v.astype(np.int64) @ space.verb_hoi.astype(np.int64)) > 0
-    object_hits = space.objects_by_hoi()[None, :] == batch.object_id[:, None]
-    hits = verb_hits[:, None, :] & object_hits[None, :, :]  # (verb src, object src, class)
+    l_o, l_v = decompose(batch.label, space)
+    # (verb src, object src, class): the objects of every row composed with
+    # the verbs of every row; compose's 0/1 bytes viewed as bool, on which
+    # any() below takes numpy's fast path
+    hits = compose(l_o[None, :, :], l_v[:, None, :], space).view(bool)
     unseen = sorted(cfg.unseen_ids)
     if not cfg.unseen_allowed and unseen:
         hits[:, :, unseen] = False

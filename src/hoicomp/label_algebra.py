@@ -5,8 +5,9 @@ binary co-occurrence matrices: ``verb_hoi`` (verbs x classes) and
 ``object_hoi`` (objects x classes). Decomposing a label vector projects it
 onto verb and object indicator vectors; composing an (object, verb) indicator
 pair yields the label vector of every class whose object matches and whose
-verb set intersects the verbs. Products are computed in integer counts and
-binarized at > 0.
+verb set intersects the verbs. Products are computed as integer counts,
+summed exactly in float64, and binarized at > 0; a class has exactly one
+object, so composing looks its object's entry up instead of summing.
 """
 
 from __future__ import annotations
@@ -40,6 +41,10 @@ class HoiLabelSpace:
     def __post_init__(self):
         self.verb_hoi.setflags(write=False)
         self.object_hoi.setflags(write=False)
+        # every compose call needs it, so it is worked out once
+        hoi_object = np.argmax(self.object_hoi, axis=0)
+        hoi_object.setflags(write=False)
+        object.__setattr__(self, "_hoi_object", hoi_object)
 
     @property
     def num_verbs(self) -> int:
@@ -62,8 +67,8 @@ class HoiLabelSpace:
         return tuple(int(v) for v in np.flatnonzero(self.verb_hoi[:, hoi_id]))
 
     def objects_by_hoi(self) -> np.ndarray:
-        """Vector of length num_hois mapping class id -> object id."""
-        return np.argmax(self.object_hoi, axis=0)
+        """Read-only vector of length num_hois mapping class id -> object id."""
+        return self._hoi_object
 
 
 def build_space(
@@ -160,6 +165,13 @@ def _check_last_dim(arr: np.ndarray, expected: int, what: str):
         raise ShapeMismatch(f"{what} has length {arr.shape[-1]}, expected {expected}")
 
 
+def _as_counts(x: np.ndarray) -> np.ndarray:
+    """``x`` truncated to integers, held as float64 so that its products with
+    the 0/1 co-occurrence matrices run through BLAS; the integer sums are
+    exact below 2**53."""
+    return x.astype(np.int64).astype(np.float64)
+
+
 def decompose(y, space: HoiLabelSpace):
     """Project label vectors onto (object, verb) indicator vectors.
 
@@ -172,9 +184,10 @@ def decompose(y, space: HoiLabelSpace):
     """
     y = np.asarray(y)
     _check_last_dim(y, space.num_hois, "label vector")
-    counts_o = y.astype(np.int64) @ space.object_hoi.T.astype(np.int64)
-    counts_v = y.astype(np.int64) @ space.verb_hoi.T.astype(np.int64)
-    return (counts_o > 0).astype(np.uint8), (counts_v > 0).astype(np.uint8)
+    counts = _as_counts(y)
+    l_o = counts @ space.object_hoi.T > 0
+    l_v = counts @ space.verb_hoi.T > 0
+    return l_o.view(np.uint8), l_v.view(np.uint8)
 
 
 def compose(l_o, l_v, space: HoiLabelSpace):
@@ -182,26 +195,17 @@ def compose(l_o, l_v, space: HoiLabelSpace):
 
     Bit c of the result is set iff class c's object is active in ``l_o`` and
     class c's verb set intersects ``l_v``. Combinations matching no class
-    yield the all-zero vector. Accepts single vectors or batches.
+    yield the all-zero vector. Accepts single vectors or arrays of them whose
+    leading dimensions broadcast, so ``l_o[None, :]`` against ``l_v[:, None]``
+    composes every (verb row, object row) pair.
     """
     l_o = np.asarray(l_o)
     l_v = np.asarray(l_v)
     _check_last_dim(l_o, space.num_objects, "object vector")
     _check_last_dim(l_v, space.num_verbs, "verb vector")
-    hit_o = (l_o.astype(np.int64) @ space.object_hoi.astype(np.int64)) > 0
-    hit_v = (l_v.astype(np.int64) @ space.verb_hoi.astype(np.int64)) > 0
-    return (hit_o & hit_v).astype(np.uint8)
-
-
-def is_feasible(y) -> bool | np.ndarray:
-    """True iff a (composed) label vector has at least one active class.
-
-    For a batch, returns a boolean vector per row.
-    """
-    y = np.asarray(y)
-    if y.ndim <= 1:
-        return bool(np.any(y))
-    return np.any(y, axis=-1)
+    hit_o = np.take(l_o.astype(np.int64) > 0, space.objects_by_hoi(), axis=-1)  # one object per class
+    hit_v = _as_counts(l_v) @ space.verb_hoi > 0
+    return (hit_o & hit_v).view(np.uint8)
 
 
 # ---- line-oriented label-space file ----

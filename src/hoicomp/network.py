@@ -9,6 +9,14 @@ samples, so composited and real features with identical values produce
 identical logits. All blocks live in one flat float64 buffer; gradients and
 momentum are buffers of the same layout, and the checkpoint stores it as is.
 
+A training step reuses its parameter-sized buffers instead of allocating
+them: ``loss_and_grads`` writes into a gradient buffer passed as ``out``,
+zeroing only the blocks that several loss terms add to, and the spatial
+blocks, which have one contribution each, are written once without a
+zero-fill. ``trainer.sgd_step`` writes the new parameters into a second
+buffer and rebinds ``params.flat`` to it, so the buffer a caller saw before
+a step is recycled by the next one: copy ``params.flat`` to keep it.
+
 Targets are multi-label, so every loss term is per-class sigmoid binary
 cross entropy, class-reweighted, summed over classes and averaged over
 instances. The total is ``L_sp + lambda1 * L_vo + lambda2 * L_comp``.
@@ -348,14 +356,19 @@ def _vo_backward(g_out: np.ndarray, cache, p: ModelParams, grads: dict):
     grads["obj_b"] += g_so.sum(axis=0)
 
 
+_SP_BLOCKS = ("sp_w1", "sp_b1", "sp_w2", "sp_b2")
+
+
 def _sp_backward(g_out: np.ndarray, cache, p: ModelParams, grads: dict):
+    """Write the ``sp_*`` blocks of ``grads``, which no other term touches,
+    and add to the shared blocks."""
     human_x, sh_pre, z, h_pre, h_act = cache
     h = p.cfg.hidden
-    grads["sp_w2"] += h_act.T @ g_out
-    grads["sp_b2"] += g_out.sum(axis=0)
+    np.matmul(h_act.T, g_out, out=grads["sp_w2"])
+    np.sum(g_out, axis=0, out=grads["sp_b2"])
     g1 = (g_out @ p.sp_w2.T) * (h_pre > 0)
-    grads["sp_w1"] += z.T @ g1
-    grads["sp_b1"] += g1.sum(axis=0)
+    np.matmul(z.T, g1, out=grads["sp_w1"])
+    np.sum(g1, axis=0, out=grads["sp_b1"])
     gz = g1 @ p.sp_w1.T
     g_sh = gz[:, :h] * (sh_pre > 0)
     grads["shared_w"] += human_x.T @ g_sh
@@ -363,13 +376,18 @@ def _sp_backward(g_out: np.ndarray, cache, p: ModelParams, grads: dict):
 
 
 def loss_and_grads(real: RealBatch, comp: CompBatch | None, params: ModelParams,
-                   lw: LossWeights):
+                   lw: LossWeights, out: ModelParams | None = None):
     """Joint forward/backward over one minibatch; ``comp`` may be None.
+
+    The gradients go into ``out`` when it is given, a ``ModelParams`` of
+    ``params``'s config that shares no memory with it; every element of
+    ``out`` is overwritten, so its previous contents do not matter. Without
+    ``out`` a new buffer is allocated.
 
     Returns:
         (total_loss, components, grads) where components maps
-        L_sp / L_vo / L_comp to floats and grads is a ``ModelParams`` in the
-        layout of ``params``.
+        L_sp / L_vo / L_comp to floats and grads is ``out`` or the new
+        ``ModelParams`` in the layout of ``params``.
     """
     if len(real) == 0:
         raise NonFiniteLoss("real batch is empty")
@@ -399,8 +417,15 @@ def loss_and_grads(real: RealBatch, comp: CompBatch | None, params: ModelParams,
         raise NonFiniteLoss(f"loss is {total}")
     components = {"L_sp": loss_sp, "L_vo": loss_vo, "L_comp": loss_comp}
 
-    grads = ModelParams(params.cfg, np.zeros_like(params.flat))
+    if out is None:
+        out = ModelParams(params.cfg, np.empty_like(params.flat))
+    elif out.cfg != params.cfg:
+        raise DimensionMismatch(f"gradient buffer is for {out.cfg}, expected {params.cfg}")
+    grads = out
     blocks = grads.blocks()
+    for name, block in blocks.items():
+        if name not in _SP_BLOCKS:  # accumulated over terms; _sp_backward writes the rest
+            block.fill(0.0)
     for backward_fn, logits, cache, targets, coef in terms:
         backward_fn(_bce_grad(logits, targets, w, coef), cache, params, blocks)
     finite = np.isfinite(grads.flat)

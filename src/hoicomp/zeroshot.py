@@ -115,9 +115,10 @@ def apply_split(train: Dataset, split: ZeroShotSplit) -> Dataset:
 # ---- reporting partitions ----
 
 
-def frequency_partition(counts, rare_threshold: int = 10) -> dict[str, frozenset]:
+def frequency_partition(counts, rare_threshold: int) -> dict[str, frozenset]:
     """Rare/non-rare class sets: rare means fewer than ``rare_threshold``
-    training instances."""
+    training instances (``experiments.DEFAULT_RARE_THRESHOLD`` by default in
+    the CLI and the experiment runners)."""
     counts = np.asarray(counts)
     rare = frozenset(int(c) for c in np.flatnonzero(counts < rare_threshold))
     nonrare = frozenset(range(len(counts))) - rare

@@ -15,7 +15,6 @@ from hoicomp.label_algebra import (
     compose,
     decompose,
     format_space,
-    is_feasible,
     load_space,
     parse_space,
     save_space,
@@ -148,7 +147,6 @@ class TestCompose:
     def test_absent_pair(self, toy_space):
         y = compose(set_to_bits({1}, toy_space.num_objects), set_to_bits({1}, 2), toy_space)
         assert not y.any()
-        assert not is_feasible(y)
 
     def test_random_against_bruteforce(self):
         rng = np.random.default_rng(11)
@@ -165,22 +163,26 @@ class TestCompose:
             compose(np.zeros(5, dtype=np.uint8), np.zeros(2, dtype=np.uint8), toy_space)
 
 
-class TestIsFeasible:
-    def test_trivial(self, toy_space):
-        assert is_feasible(set_to_bits({0}, 3)) is True
-        assert is_feasible(np.zeros(3, dtype=np.uint8)) is False
-
     def test_toy_pair_enumeration(self, toy_space):
         feasible = 0
         for v in range(toy_space.num_verbs):
             for o in range(toy_space.num_objects):
                 y = compose(set_to_bits({o}, toy_space.num_objects), set_to_bits({v}, 2), toy_space)
-                feasible += int(is_feasible(y))
+                feasible += int(y.any())
         assert feasible == 3  # of 4 verb-object pairs
 
-    def test_batch(self):
-        ys = np.array([[0, 0, 1], [0, 0, 0]], dtype=np.uint8)
-        np.testing.assert_array_equal(is_feasible(ys), [True, False])
+    def test_broadcast_pairs_match_rows(self):
+        # the composer labels every (verb row, object row) pair in one call
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            space, _ = draw_space(rng)
+            n = int(rng.integers(1, 6))
+            l_o = (rng.random((n, space.num_objects)) < 0.4).astype(np.uint8)
+            l_v = (rng.random((n, space.num_verbs)) < 0.4).astype(np.uint8)
+            got = compose(l_o[None, :, :], l_v[:, None, :], space)
+            assert got.shape == (n, n, space.num_hois) and got.dtype == np.uint8
+            for i, j in np.ndindex(n, n):
+                np.testing.assert_array_equal(got[i, j], compose(l_o[j], l_v[i], space))
 
 
 class TestProperties:

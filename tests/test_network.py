@@ -328,6 +328,28 @@ class TestBackward:
             for name in BLOCK_NAMES:
                 assert rel_err(getattr(analytic, name), numeric[name]) < 1e-3, name
 
+    def test_reused_out_buffer_matches_finite_differences(self):
+        # one buffer across calls, as training uses it; NaN shows any element left unwritten
+        rng = np.random.default_rng(15)
+        out = ModelParams(TINY, np.full(tiny_params().flat.size, np.nan))
+        for trial in range(5):
+            p = tiny_params(seed=200 + trial)
+            real = random_real(rng, n=int(rng.integers(1, 4)))
+            comp = random_comp(rng, int(rng.integers(0, 4)))
+            lw = random_weights(rng)
+            assert loss_and_grads(real, comp, p, lw, out=out)[2] is out
+            numeric = fd_grads(real, comp, p, lw)
+            for name in BLOCK_NAMES:
+                assert rel_err(getattr(out, name), numeric[name]) < 1e-3, name
+
+    def test_out_buffer_of_another_network_is_rejected(self):
+        rng = np.random.default_rng(16)
+        other = NetworkConfig(num_hois=5, feature_dim=3, hidden=3, vo_hidden=4, sp_hidden=2,
+                              spatial_dim=6)
+        with pytest.raises(DimensionMismatch):
+            loss_and_grads(random_real(rng), None, tiny_params(), random_weights(rng),
+                           out=tiny_params(cfg=other))
+
     def test_shared_block_accumulates_from_both_paths(self):
         rng = np.random.default_rng(11)
         p = active_params(11)

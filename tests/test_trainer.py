@@ -1,11 +1,22 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from hoicomp import network, trainer
 from hoicomp import rng as rngmod
-from hoicomp import trainer
 from hoicomp.composer import ComposeConfig, compose_batch
 from hoicomp.errors import DivergedTraining, InvalidConfig, NonFiniteUpdate, ParseError
-from hoicomp.network import CompBatch, LossWeights, ModelParams, NetworkConfig, init_params
+from hoicomp.network import (
+    CompBatch,
+    LossWeights,
+    ModelParams,
+    NetworkConfig,
+    RealBatch,
+    block_shapes,
+    init_params,
+)
 from hoicomp.synthdata import DatasetConfig, generate, random_hoi_defs
 from hoicomp.trainer import (
     TrainConfig,
@@ -143,6 +154,230 @@ class TestSgdStep:
         with np.errstate(over="ignore"), pytest.raises(NonFiniteUpdate, match="vo_b3"):
             sgd_step(p, grads, self._like(p, 0.0), cfg)
         assert p.flat.tobytes() == before
+
+
+def block_offset(cfg, name):
+    """Index in the flat buffer of the first element of block ``name``."""
+    offset = 0
+    for other, shape in block_shapes(cfg).items():
+        if other == name:
+            return offset
+        offset += int(np.prod(shape))
+    raise KeyError(name)
+
+
+class TestSgdBlocks:
+    """``sgd_step`` checks its output block by block; a failure in any block
+    leaves the parameters, and the gradients, as they were."""
+
+    def _step_fails_at(self, flat_indices, out=None):
+        p = init_params(NET, np.random.default_rng(0))
+        grads = ModelParams(NET, np.full_like(p.flat, 0.5))
+        grads.flat[flat_indices] = np.inf
+        buffer, before, grads_before = p.flat, p.flat.tobytes(), grads.flat.tobytes()
+        cfg = TrainConfig(lr=0.1, momentum=0.9, weight_decay=0.0005)
+        with pytest.raises(NonFiniteUpdate) as err:
+            sgd_step(p, grads, ModelParams(NET, np.zeros_like(p.flat)), cfg, out=out)
+        assert p.flat is buffer and p.flat.tobytes() == before
+        assert grads.flat.tobytes() == grads_before
+        return str(err.value)
+
+    def test_layout_has_first_middle_and_straddling_blocks(self):
+        # the cases below rely on this layout: three or more update blocks,
+        # the first and last of which each span several parameter blocks
+        size = init_params(NET, np.random.default_rng(0)).flat.size
+        assert size > 2 * trainer.SGD_BLOCK
+        assert block_offset(NET, "sp_w1") < trainer.SGD_BLOCK
+        last_start = (size - 1) // trainer.SGD_BLOCK * trainer.SGD_BLOCK
+        assert block_offset(NET, "sp_w1") < last_start < block_offset(NET, "sp_b1")
+
+    @pytest.mark.parametrize("name, k", [
+        ("shared_w", 0),   # first element of the first update block
+        ("obj_b", 3),      # first update block, a later parameter block
+    ])
+    def test_first_block(self, name, k):
+        index = block_offset(NET, name) + k
+        assert index < trainer.SGD_BLOCK
+        assert f"block {name} " in self._step_fails_at([index])
+
+    def test_middle_block(self):
+        index = trainer.SGD_BLOCK + 7
+        assert block_offset(NET, "sp_w1") < index < block_offset(NET, "sp_b1") - trainer.SGD_BLOCK
+        assert "block sp_w1 " in self._step_fails_at([index])
+
+    @pytest.mark.parametrize("name", ["sp_w1", "sp_b1", "sp_b2", "vo_w1"])
+    def test_block_straddling_two_parameter_blocks(self, name):
+        # the update block that holds the end of sp_w1 and the blocks after it
+        start = block_offset(NET, "sp_b1") // trainer.SGD_BLOCK * trainer.SGD_BLOCK
+        index = block_offset(NET, "sp_b1") - 1 if name == "sp_w1" else block_offset(NET, name)
+        assert start <= index < start + trainer.SGD_BLOCK
+        assert f"block {name} " in self._step_fails_at([index])
+
+    def test_first_bad_element_is_named(self):
+        late = block_offset(NET, "vo_b3")
+        early = block_offset(NET, "obj_w") + 5
+        assert "block obj_w " in self._step_fails_at([early, late])
+
+    def test_failure_with_out_buffer_keeps_params(self):
+        p = init_params(NET, np.random.default_rng(0))
+        out = np.full_like(p.flat, 7.0)
+        assert "block sp_b2 " in self._step_fails_at([block_offset(NET, "sp_b2")], out=out)
+
+    def test_out_buffer_becomes_params(self):
+        p = init_params(NET, np.random.default_rng(0))
+        grads = ModelParams(NET, np.random.default_rng(1).standard_normal(p.flat.size))
+        cfg = TrainConfig(lr=0.1, momentum=0.9, weight_decay=0.0005)
+        fresh = ModelParams(NET, p.flat.copy())
+        sgd_step(fresh, grads, ModelParams(NET, np.zeros_like(p.flat)), cfg)
+        out = np.full_like(p.flat, np.nan)
+        sgd_step(p, grads, ModelParams(NET, np.zeros_like(p.flat)), cfg, out=out)
+        assert p.flat is out
+        assert out.tobytes() == fresh.flat.tobytes()
+
+
+# ---- the parent's step, kept as the oracle of the buffer-reusing one ----
+
+
+def _oracle_sp_backward(g_out, cache, p, grads):
+    human_x, sh_pre, z, h_pre, h_act = cache
+    h = p.cfg.hidden
+    grads["sp_w2"] += h_act.T @ g_out
+    grads["sp_b2"] += g_out.sum(axis=0)
+    g1 = (g_out @ p.sp_w2.T) * (h_pre > 0)
+    grads["sp_w1"] += z.T @ g1
+    grads["sp_b1"] += g1.sum(axis=0)
+    gz = g1 @ p.sp_w1.T
+    g_sh = gz[:, :h] * (sh_pre > 0)
+    grads["shared_w"] += human_x.T @ g_sh
+    grads["shared_b"] += g_sh.sum(axis=0)
+
+
+def oracle_loss_and_grads(real, comp, params, lw, out=None):
+    """``loss_and_grads`` as it was: every loss term adds its gradient into a
+    new zero-filled buffer. ``out`` is ignored."""
+    w = lw.resolved_weights(params.cfg.num_hois)
+    vo_logits, vo_cache = network._vo_forward(real.verb_feat, real.object_feat, params)
+    sp_logits, sp_cache = network._sp_forward(real.human_feat, real.spatial, params)
+    comps = {
+        "L_sp": network._weighted_bce(sp_logits, real.label, w),
+        "L_vo": network._weighted_bce(vo_logits, real.label, w),
+        "L_comp": 0.0,
+    }
+    terms = [
+        (_oracle_sp_backward, sp_logits, sp_cache, real.label, 1.0),
+        (network._vo_backward, vo_logits, vo_cache, real.label, lw.lambda1),
+    ]
+    if comp is not None and len(comp):
+        comp_logits, comp_cache = network._vo_forward(comp.verb_feat, comp.object_feat, params)
+        comps["L_comp"] = network._weighted_bce(comp_logits, comp.label, w)
+        terms.append((network._vo_backward, comp_logits, comp_cache, comp.label, lw.lambda2))
+    total = comps["L_sp"] + lw.lambda1 * comps["L_vo"] + lw.lambda2 * comps["L_comp"]
+    grads = ModelParams(params.cfg, np.zeros_like(params.flat))
+    blocks = grads.blocks()
+    for backward_fn, logits, cache, targets, coef in terms:
+        backward_fn(network._bce_grad(logits, targets, w, coef), cache, params, blocks)
+    return total, comps, grads
+
+
+def oracle_sgd_step(params, grads, state, cfg, out=None):
+    """``sgd_step`` as it was: whole-buffer passes and a new parameter
+    buffer every step. ``out`` is ignored."""
+    v = state.flat
+    v *= cfg.momentum
+    v += grads.flat
+    if cfg.weight_decay:
+        v += cfg.weight_decay * params.flat
+    new = cfg.lr * v
+    np.subtract(params.flat, new, out=new)
+    finite = np.isfinite(new)
+    if not finite.all():
+        raise NonFiniteUpdate(f"parameter block {params.block_at(np.argmin(finite))} became non-finite")
+    params.flat = new
+    return params, state
+
+
+class TestStepOracle:
+    def _run(self, monkeypatch, oracle, cfg):
+        """Digests of (params, momentum) after every step, and the log."""
+        steps = []
+        step_fn = oracle_sgd_step if oracle else trainer.sgd_step
+
+        def recording_step(params, grads, state, cfg, out=None):
+            result = step_fn(params, grads, state, cfg, out=out)
+            steps.append((hashlib.sha256(params.flat.tobytes()).hexdigest(),
+                          hashlib.sha256(state.flat.tobytes()).hexdigest()))
+            return result
+
+        with monkeypatch.context() as patch:
+            if oracle:
+                patch.setattr(trainer, "loss_and_grads", oracle_loss_and_grads)
+            patch.setattr(trainer, "sgd_step", recording_step)
+            train_set, _, space = tiny_dataset()
+            params, log = train(train_set, space, cfg, net_cfg=NET)
+        return steps, params.flat.tobytes(), log
+
+    @pytest.mark.parametrize("batch", [1, 8, 32])
+    @pytest.mark.parametrize("mode", ["both", "off"])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.0005])
+    def test_train_bitwise_equals_oracle(self, monkeypatch, batch, mode, weight_decay):
+        cfg = TrainConfig(iterations=24, interactions_per_minibatch=batch, weight_decay=weight_decay,
+                          compose=ComposeConfig(mode=mode), seed=batch)
+        steps, final, log = self._run(monkeypatch, False, cfg)
+        want_steps, want_final, want_log = self._run(monkeypatch, True, cfg)
+        assert len(steps) == 24
+        assert steps == want_steps
+        assert final == want_final
+        assert log == want_log  # every loss component, as floats
+        if mode == "both" and batch > 1:
+            assert any(e["L_comp"] > 0 for e in log)
+
+    @pytest.mark.parametrize("with_comp", [False, True])
+    def test_out_buffer_equals_fresh_and_oracle(self, with_comp):
+        train_set, _, space = tiny_dataset()
+        rows = make_minibatch(train_set, TrainConfig(interactions_per_minibatch=8), np.random.default_rng(3))
+        batch = train_set[rows]
+        real = RealBatch.from_instances(batch)
+        comp = compose_batch(batch, space, ComposeConfig(), np.random.default_rng(4)) if with_comp else None
+        p = init_params(NET, np.random.default_rng(5))
+        lw = LossWeights(class_weights=np.linspace(0.5, 1.5, NET.num_hois))
+        out = ModelParams(NET, np.full_like(p.flat, np.nan))
+        total, comps, grads = network.loss_and_grads(real, comp, p, lw, out=out)
+        fresh_total, fresh_comps, fresh = network.loss_and_grads(real, comp, p, lw)
+        oracle_total, oracle_comps, oracle = oracle_loss_and_grads(real, comp, p, lw)
+        assert grads is out and fresh is not out
+        assert out.flat.tobytes() == fresh.flat.tobytes() == oracle.flat.tobytes()
+        assert total == fresh_total == oracle_total and comps == fresh_comps == oracle_comps
+
+
+class TestStepAllocations:
+    def _step_growth(self, iterations):
+        """Traced peak of ``train`` after its first step, above the memory
+        live when that step ended; and the size of the flat buffer."""
+        train_set, _, space = tiny_dataset()
+        after_first = []
+
+        def mark(params):
+            if not after_first:
+                tracemalloc.reset_peak()
+                after_first.append((tracemalloc.get_traced_memory()[0], params.flat.nbytes))
+            return {}
+
+        cfg = TrainConfig(iterations=iterations, eval_every=1, seed=0)
+        tracemalloc.start()
+        try:
+            train(train_set, space, cfg, eval_fn=mark)  # the default NetworkConfig
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        live, flat_bytes = after_first[0]
+        return peak - live, flat_bytes
+
+    def test_no_parameter_sized_allocation_per_step(self):
+        two, flat_bytes = self._step_growth(2)
+        twenty, _ = self._step_growth(20)
+        assert flat_bytes > 4_000_000  # sp_w1 at the default widths dominates
+        assert two < flat_bytes
+        assert twenty < two + flat_bytes // 8
 
 
 class TestTrain:
