@@ -6,13 +6,19 @@ flat ``key=value`` lines (keys are the flag names with underscores);
 explicit flags win over the file, the file wins over built-in defaults.
 Each run echoes its fully resolved settings to a spec file, and feeding
 that file back through ``--config`` replays the run byte-for-byte.
+
+The eval flags build one ``experiments.Scoring`` per invocation, and every
+command that scores a model scores it with that value over
+``experiments.report_basis``'s partition. So each row of ``sweep.tsv`` or
+``ablate.tsv`` is what the ``train`` run it stands for reports with the same
+flags.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,13 +38,12 @@ from .evaluator import (
     save_detections,
 )
 from .experiments import (
-    DEFAULT_RARE_THRESHOLD,
     DEFAULT_SPACE_SIZE,
-    branch_ablation,
+    Scoring,
     default_dataset_config,
-    default_thresholds,
     default_train_config,
-    lambda_sweep,
+    evaluate_params,
+    report_basis,
     run_training,
     with_compose_mode,
 )
@@ -46,14 +51,7 @@ from .network import BRANCH_MODES, LossWeights, NetworkConfig, load_params, save
 from .spatial import ascii_art, spatial_vector
 from .synthdata import DatasetConfig, class_counts, generate, load_dataset, save_dataset
 from .trainer import TrainConfig, make_minibatch, write_metrics_log
-from .zeroshot import (
-    STRATEGIES,
-    frequency_partition,
-    load_split,
-    make_split,
-    save_split,
-    zeroshot_partition,
-)
+from .zeroshot import STRATEGIES, load_split, make_split, save_split
 
 
 def _add_dataset_flags(p: argparse.ArgumentParser):
@@ -85,13 +83,13 @@ def _add_train_flags(p: argparse.ArgumentParser):
 
 
 def _add_eval_flags(p: argparse.ArgumentParser):
-    thr = default_thresholds()
-    p.add_argument("--thr-human", type=float, default=thr.human)
-    p.add_argument("--thr-object", type=float, default=thr.object)
-    p.add_argument("--thr-fallback", type=float, default=thr.fallback)
-    p.add_argument("--branch", choices=BRANCH_MODES, default="both")
-    p.add_argument("--eval-mode", choices=EVAL_MODES, default="default")
-    p.add_argument("--rare-threshold", type=int, default=DEFAULT_RARE_THRESHOLD)
+    scoring = Scoring()
+    p.add_argument("--thr-human", type=float, default=scoring.thresholds.human)
+    p.add_argument("--thr-object", type=float, default=scoring.thresholds.object)
+    p.add_argument("--thr-fallback", type=float, default=scoring.thresholds.fallback)
+    p.add_argument("--branch", choices=BRANCH_MODES, default=scoring.branch_mode)
+    p.add_argument("--eval-mode", choices=EVAL_MODES, default=scoring.eval_mode)
+    p.add_argument("--rare-threshold", type=int, default=scoring.rare_threshold)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -275,8 +273,15 @@ def _net_config(args, space, feature_dim) -> NetworkConfig:
     )
 
 
-def _thresholds(args) -> ThresholdConfig:
-    return ThresholdConfig(human=args.thr_human, object=args.thr_object, fallback=args.thr_fallback)
+def _scoring(args) -> Scoring:
+    return Scoring(
+        thresholds=ThresholdConfig(
+            human=args.thr_human, object=args.thr_object, fallback=args.thr_fallback
+        ),
+        branch_mode=args.branch,
+        eval_mode=args.eval_mode,
+        rare_threshold=args.rare_threshold,
+    )
 
 
 def _report_files(report, space, counts, out_dir: Path, stem: str = "report"):
@@ -284,6 +289,18 @@ def _report_files(report, space, counts, out_dir: Path, stem: str = "report"):
     (out_dir / f"{stem}.tsv").write_text(
         format_report_table(report, space, counts), encoding="utf-8"
     )
+
+
+def _write_rows(path: Path, first: str, rows) -> None:
+    """One ``first<TAB>map_full<TAB>map_rare<TAB>map_nonrare`` line per
+    (name, report) row, to ``path`` and to stdout."""
+    lines = [f"{first}\tmap_full\tmap_rare\tmap_nonrare"]
+    for name, r in rows:
+        means = (r.map_full, r.map_rare, r.map_nonrare)
+        lines.append("\t".join([str(name)] + [repr(100.0 * m) for m in means]))
+    text = "\n".join(lines) + "\n"
+    path.write_text(text, encoding="utf-8")
+    print(text, end="")
 
 
 def _spatial_art(data, k: int) -> str:
@@ -322,12 +339,9 @@ def _run_and_dump(args, out_dir: Path, train_set, test_set, space, split=None) -
     unseen_ids = split.unseen if split is not None else frozenset()
     train_cfg = _train_config(args, unseen_ids=unseen_ids)
     net_cfg = _net_config(args, space, train_set.human_feat.shape[1])
-    partition = zeroshot_partition(split) if split is not None else None
     result = run_training(
         train_set, test_set, space, train_cfg, net_cfg=net_cfg,
-        thresholds=_thresholds(args), partition=partition,
-        branch_mode=args.branch, eval_mode=args.eval_mode,
-        rare_threshold=args.rare_threshold, split=split,
+        scoring=_scoring(args), split=split,
     )
     write_metrics_log(result.log, out_dir / "metrics.log")
     save_params(result.params, out_dir / "checkpoint.ckpt",
@@ -357,27 +371,23 @@ def _cmd_eval(args) -> int:
     _require(args, "data", "out")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    scoring = _scoring(args)
     test_set, space = load_dataset(args.data)
-    counts = None
-    if args.train_data:
-        train_set, _ = load_dataset(args.train_data)
-        counts = class_counts(train_set, space)
-    if args.split:
-        partition = zeroshot_partition(load_split(args.split, space))
-    elif counts is not None:
-        partition = frequency_partition(counts, rare_threshold=args.rare_threshold)
-    else:
-        partition = None
+    train_set = load_dataset(args.train_data)[0] if args.train_data else None
+    split = load_split(args.split, space) if args.split else None
+    _, counts, partition = report_basis(train_set, space, split, scoring.rare_threshold)
 
     if (args.checkpoint is None) == (args.detections is None):
         raise HoicompError("pass exactly one of --checkpoint / --detections")
     if args.checkpoint:
         params, _ = load_params(args.checkpoint)
-        dets = detections_from_model(test_set, params, _thresholds(args), branch_mode=args.branch)
+        dets = detections_from_model(
+            test_set, params, scoring.thresholds, branch_mode=scoring.branch_mode
+        )
     else:
         dets = load_detections(args.detections)
     gts = ground_truths_from_instances(test_set)
-    report = evaluate(dets, gts, space, mode=args.eval_mode, partition=partition)
+    report = evaluate(dets, gts, space, mode=scoring.eval_mode, partition=partition)
     _write_spec(
         args,
         _EVAL_KEYS + ("data", "checkpoint", "detections", "train_data", "split"),
@@ -421,22 +431,19 @@ def _cmd_sweep(args) -> int:
     test_set, _ = load_dataset(args.test)
     values = [float(v) for v in args.values.split(",") if v]
     base_cfg = _train_config(args)
-    rows = lambda_sweep(
-        train_set, test_set, space, base_cfg, args.param, values,
-        net_cfg=_net_config(args, space, train_set.human_feat.shape[1]),
-        thresholds=_thresholds(args), rare_threshold=args.rare_threshold,
-    )
+    net_cfg = _net_config(args, space, train_set.human_feat.shape[1])
+    scoring = _scoring(args)
+    rows = []
+    for value in values:
+        weights = replace(base_cfg.loss_weights, **{args.param: value})
+        result = run_training(
+            train_set, test_set, space, replace(base_cfg, loss_weights=weights),
+            net_cfg=net_cfg, scoring=scoring,
+        )
+        rows.append((value, result.report))
     _write_spec(args, _TRAIN_KEYS + _EVAL_KEYS + ("data", "test", "param", "values"),
                 out_dir / "spec.txt")
-    lines = [f"{args.param}\tmap_full\tmap_rare\tmap_nonrare"]
-    for row in rows:
-        r = row["report"]
-        lines.append(
-            f"{row['value']}\t{repr(100.0 * r.map_full)}\t"
-            f"{repr(100.0 * r.map_rare)}\t{repr(100.0 * r.map_nonrare)}"
-        )
-    (out_dir / "sweep.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print("\n".join(lines))
+    _write_rows(out_dir / "sweep.tsv", args.param, rows)
     return 0
 
 
@@ -448,30 +455,24 @@ def _cmd_ablate(args) -> int:
     test_set, _ = load_dataset(args.test)
     net_cfg = _net_config(args, space, train_set.human_feat.shape[1])
     base_cfg = _train_config(args)
+    scoring = _scoring(args)
     _write_spec(args, _TRAIN_KEYS + _EVAL_KEYS + ("data", "test"), out_dir / "spec.txt")
 
-    lines = ["run\tmap_full\tmap_rare\tmap_nonrare"]
-    both_result = None
+    rows = []
     for mode in ("off", "within", "between", "both"):
         result = run_training(
             train_set, test_set, space, with_compose_mode(base_cfg, mode),
-            net_cfg=net_cfg, thresholds=_thresholds(args),
-            rare_threshold=args.rare_threshold,
+            net_cfg=net_cfg, scoring=scoring,
         )
-        if mode == "both":
-            both_result = result
-        r = result.report
-        lines.append(
-            f"compose_{mode}\t{repr(100.0 * r.map_full)}\t"
-            f"{repr(100.0 * r.map_rare)}\t{repr(100.0 * r.map_nonrare)}"
+        rows.append((f"compose_{mode}", result.report))
+    # the last, compose-both model re-scored with each branch silenced in turn
+    for mode in BRANCH_MODES:
+        report = evaluate_params(
+            result.params, test_set, space, result.counts, result.partition,
+            replace(scoring, branch_mode=mode),
         )
-    for mode, report in branch_ablation(both_result, test_set, thresholds=_thresholds(args)).items():
-        lines.append(
-            f"branch_{mode}\t{repr(100.0 * report.map_full)}\t"
-            f"{repr(100.0 * report.map_rare)}\t{repr(100.0 * report.map_nonrare)}"
-        )
-    (out_dir / "ablate.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print("\n".join(lines))
+        rows.append((f"branch_{mode}", report))
+    _write_rows(out_dir / "ablate.tsv", "run", rows)
     return 0
 
 

@@ -299,12 +299,13 @@ def ground_truths_from_instances(data: Dataset) -> GroundTruths:
 class ThresholdConfig:
     """Detector-confidence cutoffs with a one-shot per-image relaxation.
 
-    Defaults follow the usual detector operating point (0.8 human,
-    0.3 object); synthetic runs typically set both to 0.
+    The defaults apply no cut, since synthetic detector scores are uniform
+    noise. Real detector output would use the usual operating point of
+    0.8 human and 0.3 object, as in iCAN and VCL.
     """
 
-    human: float = 0.8
-    object: float = 0.3
+    human: float = 0.0
+    object: float = 0.0
     fallback: float = 0.5  # multiplier applied when an image loses all its pairs
 
     def validate(self):

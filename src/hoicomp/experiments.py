@@ -1,4 +1,6 @@
-"""Canned experiment flows: default desk-scale config, ablations, sweeps.
+"""Canned experiment flows: the default desk-scale config, the scoring
+settings every run shares, and the training runs the CLI and the
+fingerprint build on.
 
 The default synthetic benchmark uses 12 verbs, 10 objects, and 60
 interaction classes with Zipf-1.5 frequencies over 20k training instances.
@@ -68,9 +70,16 @@ def default_train_config(seed: int = 0, **overrides) -> TrainConfig:
     )
 
 
-def default_thresholds() -> ThresholdConfig:
-    # synthetic detector scores are uniform noise, so no confidence cut
-    return ThresholdConfig(human=0.0, object=0.0, fallback=0.5)
+@dataclass(frozen=True)
+class Scoring:
+    """How a trained model is scored: the detector cutoffs, which branches
+    are fused, the AP matching mode and the rare/non-rare cut. Runs compare
+    only when they share one of these."""
+
+    thresholds: ThresholdConfig = ThresholdConfig()
+    branch_mode: str = "both"
+    eval_mode: str = "default"
+    rare_threshold: int = DEFAULT_RARE_THRESHOLD
 
 
 @dataclass
@@ -81,8 +90,32 @@ class RunResult:
     log: list[dict]
     report: EvalReport
     counts: object
-    space: HoiLabelSpace
-    split: ZeroShotSplit | None = None
+    partition: dict
+
+
+def report_basis(
+    train_set: Dataset | None,
+    space: HoiLabelSpace,
+    split: ZeroShotSplit | None,
+    rare_threshold: int,
+):
+    """The training set as trained on, its class counts and the report
+    partition; ``(None, None, None)`` without a training set or split.
+
+    With a split, unseen bits are stripped from the training set before it is
+    counted and the report is partitioned into unseen/seen; without one, into
+    rare/nonrare at ``rare_threshold`` training instances.
+    """
+    if train_set is not None and split is not None:
+        train_set = apply_split(train_set, split)
+    counts = None if train_set is None else class_counts(train_set, space)
+    if split is not None:
+        partition = zeroshot_partition(split)
+    elif counts is not None:
+        partition = frequency_partition(counts, rare_threshold=rare_threshold)
+    else:
+        partition = None
+    return train_set, counts, partition
 
 
 def evaluate_params(
@@ -90,20 +123,22 @@ def evaluate_params(
     test_set: Dataset,
     space: HoiLabelSpace,
     counts,
-    thresholds: ThresholdConfig | None = None,
     partition: dict | None = None,
-    branch_mode: str = "both",
-    eval_mode: str = "default",
-    rare_threshold: int = DEFAULT_RARE_THRESHOLD,
+    scoring: Scoring = Scoring(),
 ) -> EvalReport:
-    """Score the test split with one model and aggregate AP per partition."""
+    """Score the test split with one model and aggregate AP per partition.
+
+    ``partition=None`` means rare/nonrare over ``counts`` at
+    ``scoring.rare_threshold``; ``run_training`` always passes
+    ``report_basis``'s partition.
+    """
     if partition is None:
-        partition = frequency_partition(counts, rare_threshold=rare_threshold)
+        partition = frequency_partition(counts, rare_threshold=scoring.rare_threshold)
     dets = detections_from_model(
-        test_set, params, thresholds or default_thresholds(), branch_mode=branch_mode
+        test_set, params, scoring.thresholds, branch_mode=scoring.branch_mode
     )
     gts = ground_truths_from_instances(test_set)
-    return evaluate(dets, gts, space, mode=eval_mode, partition=partition)
+    return evaluate(dets, gts, space, mode=scoring.eval_mode, partition=partition)
 
 
 def run_training(
@@ -112,48 +147,28 @@ def run_training(
     space: HoiLabelSpace,
     train_cfg: TrainConfig,
     net_cfg: NetworkConfig | None = None,
-    thresholds: ThresholdConfig | None = None,
-    partition: dict | None = None,
-    branch_mode: str = "both",
-    eval_mode: str = "default",
-    rare_threshold: int = DEFAULT_RARE_THRESHOLD,
+    scoring: Scoring = Scoring(),
     split: ZeroShotSplit | None = None,
 ) -> RunResult:
-    """Train once and evaluate with the fused score on the test split.
+    """Train once on ``report_basis``'s training set and score the test
+    split with ``scoring`` over its partition."""
+    train_set, counts, partition = report_basis(train_set, space, split, scoring.rare_threshold)
 
-    When ``split`` is given, unseen bits are stripped from the training set
-    first and the report is partitioned into unseen/seen instead of
-    rare/nonrare.
-    """
-    effective_train = train_set
-    if split is not None:
-        effective_train = apply_split(train_set, split)
-        partition = partition or zeroshot_partition(split)
-    counts = class_counts(effective_train, space)
-    if partition is None:
-        partition = frequency_partition(counts, rare_threshold=rare_threshold)
+    def score(params):
+        return evaluate_params(params, test_set, space, counts, partition, scoring)
 
     eval_fn = None
     if train_cfg.eval_every > 0 and test_set:
         def eval_fn(params):
-            report = evaluate_params(
-                params, test_set, space, counts,
-                thresholds=thresholds, partition=partition,
-                branch_mode=branch_mode, eval_mode=eval_mode,
-            )
+            report = score(params)
             out = {"mAP_full": 100.0 * report.map_full}
             for name in partition:
                 out[f"mAP_{name}"] = 100.0 * report.means[name]
             return out
 
-    params, log = train(effective_train, space, train_cfg, net_cfg=net_cfg, eval_fn=eval_fn)
-    report = evaluate_params(
-        params, test_set, space, counts,
-        thresholds=thresholds, partition=partition,
-        branch_mode=branch_mode, eval_mode=eval_mode,
-    )
+    params, log = train(train_set, space, train_cfg, net_cfg=net_cfg, eval_fn=eval_fn)
     return RunResult(
-        params=params, log=log, report=report, counts=counts, space=space, split=split
+        params=params, log=log, report=score(params), counts=counts, partition=partition
     )
 
 
@@ -223,45 +238,4 @@ def zero_shot_comparison(
         rows.append(
             {"seed": seed, "split": split, "baseline": baseline.report, "vcl": composed.report}
         )
-    return rows
-
-
-def branch_ablation(
-    result: RunResult,
-    test_set: Dataset,
-    thresholds: ThresholdConfig | None = None,
-    partition: dict | None = None,
-) -> dict[str, EvalReport]:
-    """Re-score one trained model with each branch silenced in turn."""
-    reports = {}
-    for mode in ("both", "vo_only", "sp_only"):
-        reports[mode] = evaluate_params(
-            result.params, test_set, result.space, result.counts,
-            thresholds=thresholds, partition=partition, branch_mode=mode,
-        )
-    return reports
-
-
-def lambda_sweep(
-    train_set,
-    test_set,
-    space,
-    base_cfg: TrainConfig,
-    param: str,
-    values,
-    net_cfg: NetworkConfig | None = None,
-    thresholds: ThresholdConfig | None = None,
-    rare_threshold: int = DEFAULT_RARE_THRESHOLD,
-) -> list[dict]:
-    """Train once per loss-weight value; returns (value, report) rows."""
-    if param not in ("lambda1", "lambda2"):
-        raise ValueError("param must be lambda1 or lambda2")
-    rows = []
-    for value in values:
-        cfg = replace(base_cfg, loss_weights=replace(base_cfg.loss_weights, **{param: value}))
-        result = run_training(
-            train_set, test_set, space, cfg, net_cfg=net_cfg,
-            thresholds=thresholds, rare_threshold=rare_threshold,
-        )
-        rows.append({"value": value, "report": result.report})
     return rows

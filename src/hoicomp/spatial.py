@@ -40,9 +40,9 @@ def check_boxes(boxes: np.ndarray, locate) -> None:
     raise InvalidBox(f"{locate(k)}: {what} {boxes[k].tolist()}")
 
 
-def spatial_vector(human_boxes, object_boxes, size: int = GRID_SIZE) -> np.ndarray:
+def spatial_vector(human_boxes, object_boxes) -> np.ndarray:
     """Rasterize n human/object box pairs, given as (n, 4) arrays, into their
-    union-box frames: an (n, 2 * size**2) float64 array whose row k holds the
+    union-box frames: an (n, 2 * GRID_SIZE**2) float64 array whose row k holds the
     flattened human channel, then the object channel, of pair k.
 
     Raises:
@@ -52,11 +52,11 @@ def spatial_vector(human_boxes, object_boxes, size: int = GRID_SIZE) -> np.ndarr
     boxes = np.stack([human_boxes, object_boxes], axis=1).astype(np.float64)  # (n, 2, 4)
     frame_lo = np.minimum(boxes[:, 0, :2], boxes[:, 1, :2])[:, None]  # union x1, y1
     frame_hi = np.maximum(boxes[:, 0, 2:], boxes[:, 1, 2:])[:, None]  # union x2, y2
-    scale = size / (frame_hi - frame_lo)
+    scale = GRID_SIZE / (frame_hi - frame_lo)
     lo = (boxes[..., :2] - frame_lo) * scale  # (n, 2, 2): grid x1, y1 per channel
     hi = (boxes[..., 2:] - frame_lo) * scale
-    centers = np.arange(size) + 0.5
-    inside = (centers >= lo[..., None]) & (centers < hi[..., None])  # (n, 2, 2, size)
+    centers = np.arange(GRID_SIZE) + 0.5
+    inside = (centers >= lo[..., None]) & (centers < hi[..., None])  # (n, 2, 2, GRID_SIZE)
     cols, rows = inside[:, :, 0], inside[:, :, 1]
     empty = ~(cols.any(axis=-1) & rows.any(axis=-1))
     if empty.any():

@@ -117,8 +117,8 @@ def apply_split(train: Dataset, split: ZeroShotSplit) -> Dataset:
 
 def frequency_partition(counts, rare_threshold: int) -> dict[str, frozenset]:
     """Rare/non-rare class sets: rare means fewer than ``rare_threshold``
-    training instances (``experiments.DEFAULT_RARE_THRESHOLD`` by default in
-    the CLI and the experiment runners)."""
+    training instances (``experiments.Scoring``'s ``rare_threshold`` in
+    every report)."""
     counts = np.asarray(counts)
     rare = frozenset(int(c) for c in np.flatnonzero(counts < rare_threshold))
     nonrare = frozenset(range(len(counts))) - rare

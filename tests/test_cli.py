@@ -1,6 +1,9 @@
+import argparse
+
 import numpy as np
 import pytest
 
+from hoicomp import cli
 from hoicomp import rng as rngmod
 from hoicomp.cli import main
 from hoicomp.evaluator import Detections, save_detections
@@ -186,6 +189,107 @@ class TestDemosAndSweeps:
         for row in ("compose_off", "compose_within", "compose_between", "compose_both",
                     "branch_both", "branch_vo_only", "branch_sp_only"):
             assert row in table
+
+
+def report_values(path):
+    """The ``map_*`` lines of a report.txt, as printed."""
+    return dict(line.split("=", 1) for line in path.read_text().splitlines() if line.startswith("map_"))
+
+
+def table_rows(path):
+    """A sweep.tsv or ablate.tsv as {first column: {header: value as printed}}."""
+    header, *rows = (line.split("\t") for line in path.read_text().splitlines())
+    return {row[0]: dict(zip(header[1:], row[1:])) for row in rows}
+
+
+class TestMultiRunRows:
+    """Each row of a multi-run table is what the single ``train`` run it
+    stands for reports with the same flags."""
+
+    FLAGS = ["--iterations", 10, "--interactions", 4, "--hidden", 6, "--vo-hidden", 6,
+             "--sp-hidden", 6]
+
+    def test_ablate_rows_match_train_runs(self, dataset, tmp_path):
+        data, test = dataset
+        flags = [*self.FLAGS, "--rare-threshold", 1000, "--eval-mode", "known_object"]
+        assert run("ablate", "--data", data, "--test", test, "--out", tmp_path / "ab", *flags) == 0
+        rows = table_rows(tmp_path / "ab" / "ablate.tsv")
+        singles = [(f"compose_{m}", "--compose", m) for m in ("off", "within", "between", "both")]
+        singles += [(f"branch_{b}", "--branch", b) for b in ("both", "vo_only", "sp_only")]
+        for row, flag, value in singles:
+            out = tmp_path / row
+            assert run("train", "--data", data, "--test", test, "--out", out,
+                       flag, value, *flags) == 0
+            assert rows[row] == report_values(out / "report.txt"), row
+
+    def test_sweep_rows_match_train_runs(self, dataset, tmp_path):
+        data, test = dataset
+        flags = [*self.FLAGS, "--branch", "sp_only", "--eval-mode", "known_object"]
+        assert run("sweep", "--data", data, "--test", test, "--param", "lambda1",
+                   "--values", "0.5,2.0", "--out", tmp_path / "sweep", *flags) == 0
+        rows = table_rows(tmp_path / "sweep" / "sweep.tsv")
+        for value in ("0.5", "2.0"):
+            out = tmp_path / value
+            assert run("train", "--data", data, "--test", test, "--out", out,
+                       "--lambda1", value, *flags) == 0
+            assert rows[value] == report_values(out / "report.txt"), value
+
+    def test_split_eval_matches_train_report(self, dataset, tmp_path):
+        data, test = dataset
+        split = tmp_path / "split.txt"
+        assert run("make-splits", "--data", data, "--n-unseen", 2, "--out", split) == 0
+        trained, scored = tmp_path / "train", tmp_path / "eval"
+        assert run("train", "--data", data, "--test", test, "--split", split,
+                   "--out", trained, *TINY_TRAIN) == 0
+        assert run("eval", "--data", test, "--train-data", data, "--split", split,
+                   "--checkpoint", trained / "checkpoint.ckpt", "--out", scored) == 0
+        for name in ("report.txt", "report.tsv"):
+            assert (trained / name).read_bytes() == (scored / name).read_bytes(), name
+
+
+# flags that only say where output goes, so a replayed spec leaves them out
+OUTPUT_ONLY = {
+    "gen-data": {"show_spatial"},
+    "make-splits": set(),
+    "train": {"out"},
+    "eval": {"out", "dets_out"},
+    "sweep": {"out"},
+    "ablate": {"out"},
+}
+
+
+def subparser_flags(command):
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {action.dest for action in sub.choices[command]._actions} - {"help"}
+
+
+def test_spec_keys_are_the_flags_a_replay_needs(dataset, tmp_path, monkeypatch):
+    data, test = dataset
+    written = {}
+    write_spec = cli._write_spec
+
+    def record(args, keys, path):
+        written[args.command] = set(keys)
+        write_spec(args, keys, path)
+
+    monkeypatch.setattr(cli, "_write_spec", record)
+    short = ["--iterations", 2, "--interactions", 4, "--hidden", 6, "--vo-hidden", 6,
+             "--sp-hidden", 6]
+    trained = tmp_path / "train"
+    for argv in (
+        ["gen-data", "--out", tmp_path / "g.tsv", *TINY_DATA],
+        ["make-splits", "--data", data, "--n-unseen", 1, "--out", tmp_path / "split.txt"],
+        ["train", "--data", data, "--test", test, "--out", trained, *short],
+        ["eval", "--data", test, "--checkpoint", trained / "checkpoint.ckpt",
+         "--out", tmp_path / "eval"],
+        ["sweep", "--data", data, "--test", test, "--param", "lambda2", "--values", "1.0",
+         "--out", tmp_path / "sweep", *short],
+        ["ablate", "--data", data, "--test", test, "--out", tmp_path / "ablate", *short],
+    ):
+        assert run(*argv) == 0, argv[0]
+    assert set(written) == set(OUTPUT_ONLY)
+    for command, keys in written.items():
+        assert keys == subparser_flags(command) - OUTPUT_ONLY[command], command
 
 
 class TestErrors:
