@@ -29,6 +29,7 @@ from .network import (
     ModelParams,
     NetworkConfig,
     forward_spatial_human,
+    forward_spatial_human_boxes,
     forward_verb_object,
     fuse_scores,
     init_params,

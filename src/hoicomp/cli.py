@@ -25,7 +25,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .composer import MODES, ComposeConfig, compose_batch
-from .errors import HoicompError, ParseError, read_text_lines
+from .errors import HoicompError, InvalidConfig, ParseError, read_text_lines
 from .evaluator import (
     EVAL_MODES,
     ThresholdConfig,
@@ -423,13 +423,21 @@ def _cmd_compose_demo(args) -> int:
     return 0
 
 
+def _sweep_values(text: str) -> list[float]:
+    """The numbers of a comma-separated ``--values``; empty items are skipped."""
+    try:
+        return [float(v) for v in text.split(",") if v]
+    except ValueError:
+        raise InvalidConfig(f"--values {text!r} is not a comma-separated list of numbers") from None
+
+
 def _cmd_sweep(args) -> int:
     _require(args, "data", "test", "param", "values", "out")
+    values = _sweep_values(args.values)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     train_set, space = load_dataset(args.data)
     test_set, _ = load_dataset(args.test)
-    values = [float(v) for v in args.values.split(",") if v]
     base_cfg = _train_config(args)
     net_cfg = _net_config(args, space, train_set.human_feat.shape[1])
     scoring = _scoring(args)

@@ -41,12 +41,13 @@ from .label_algebra import HoiLabelSpace
 from .network import (
     BRANCH_MODES,
     ModelParams,
-    forward_spatial_human,
+    forward_spatial_human_boxes,
     forward_verb_object,
     fuse_scores,
     sigmoid,
 )
-from .spatial import check_boxes, spatial_vector
+from .spatial import check_boxes
+from .spatial import spatial_vector  # no caller here; kept importable because perfbench wraps it
 from .synthdata import Dataset
 
 EVAL_MODES = ("default", "known_object")
@@ -338,7 +339,9 @@ def detections_from_model(
     branch_mode: str = "both",
 ) -> Detections:
     """Score surviving test pairs with the fused model and emit one
-    detection per class, pairs in image-id order.
+    detection per class, pairs in image-id order. All pairs are scored in
+    one pass; the spatial-human branch reads their boxes through
+    ``forward_spatial_human_boxes``, so no spatial map is drawn.
 
     Pairs are filtered by detector confidence; an image whose pairs all fail
     the cutoffs is retried once with both cutoffs scaled by the fallback
@@ -350,27 +353,18 @@ def detections_from_model(
     thresholds.validate()
     surviving = _surviving_rows(test, thresholds)
 
+    pairs = test[surviving]
+    s_sp = sigmoid(forward_spatial_human_boxes(pairs.human_feat, pairs.human_box,
+                                               pairs.object_box, params))
+    s_vo = sigmoid(forward_verb_object(pairs.verb_feat, pairs.object_feat, params))
+    fused = fuse_scores(pairs.human_score, pairs.object_score, s_sp, s_vo, branch_mode)
     num_hois = params.cfg.num_hois
-    fused = np.empty((len(surviving), num_hois))
-    for start in range(0, len(surviving), 512):
-        chunk = test[surviving[start : start + 512]]
-        spatial = spatial_vector(chunk.human_box, chunk.object_box)
-        # both are rebound only once both are computed, so the previous chunk's
-        # scores are freed together; freeing them one at a time, or passing both
-        # straight to fuse_scores, fragments the heap: hico-600 peak RSS +12 MB
-        s_sp, s_vo = (
-            sigmoid(forward_spatial_human(chunk.human_feat, spatial, params)),
-            sigmoid(forward_verb_object(chunk.verb_feat, chunk.object_feat, params)),
-        )
-        fused[start : start + 512] = fuse_scores(
-            chunk.human_score, chunk.object_score, s_sp, s_vo, branch_mode
-        )
     return Detections(
-        image_id=np.repeat(test.image_id[surviving], num_hois),
-        hoi_id=np.tile(np.arange(num_hois, dtype=np.int64), len(surviving)),
+        image_id=np.repeat(pairs.image_id, num_hois),
+        hoi_id=np.tile(np.arange(num_hois, dtype=np.int64), len(pairs)),
         score=fused.ravel(),
-        human_box=np.repeat(test.human_box[surviving], num_hois, axis=0),
-        object_box=np.repeat(test.object_box[surviving], num_hois, axis=0),
+        human_box=np.repeat(pairs.human_box, num_hois, axis=0),
+        object_box=np.repeat(pairs.object_box, num_hois, axis=0),
     )
 
 

@@ -9,6 +9,12 @@ samples, so composited and real features with identical values produce
 identical logits. All blocks live in one flat float64 buffer; gradients and
 momentum are buffers of the same layout, and the checkpoint stores it as is.
 
+The spatial-human head reads the rasterized two-channel box map of
+``spatial.spatial_vector`` in training. Scoring gets the same logits without
+the raster: each channel is one rectangle of cells, so its product with the
+channel's rows of ``sp_w1`` is four lookups in a 2-D prefix sum of those rows
+(``forward_spatial_human_boxes``). The two differ only by rounding.
+
 A training step reuses its parameter-sized buffers instead of allocating
 them: ``loss_and_grads`` writes into a gradient buffer passed as ``out``,
 zeroing only the blocks that several loss terms add to, and the spatial
@@ -39,10 +45,15 @@ from .errors import (
     OutOfRange,
     ParseError,
 )
-from .spatial import GRID_SIZE, spatial_vector
+from .spatial import GRID_SIZE, cell_spans, spatial_vector
 from .synthdata import Dataset
 
 BRANCH_MODES = ("both", "vo_only", "sp_only")
+
+# elements per block of a pass over a whole flat buffer (the gradient check
+# here, trainer.sgd_step): 256 KiB of float64, so the few arrays a block
+# touches stay in a 2 MiB L2 cache, and a check allocates no more than that
+FLAT_BLOCK = 32768
 
 BLOCK_NAMES = (
     "shared_w", "shared_b",
@@ -323,6 +334,38 @@ def forward_spatial_human(human_feat, spatial, params: ModelParams) -> np.ndarra
     return _sp_forward(human_x, spatial_x, params)[0]
 
 
+def forward_spatial_human_boxes(human_feat, human_box, object_box,
+                                params: ModelParams) -> np.ndarray:
+    """(n, C) logits of the spatial-human head for (n, D) human features and
+    their (n, 4) human and object boxes: ``forward_spatial_human`` of the
+    boxes' ``spatial_vector`` rows, up to rounding, without drawing them.
+
+    A channel's raster is 1 on one rectangle of cells (``cell_spans``), so
+    its product with the channel's rows of ``sp_w1`` is the sum of those rows
+    over the rectangle: four lookups in their 2-D prefix sum, built once per
+    call. Raises ``DegenerateBox`` where ``spatial_vector`` would."""
+    human_x = _as_2d(human_feat, params.shared_w.shape[0], "human feature")
+    human_box = _as_2d(human_box, 4, "human box")
+    object_box = _as_2d(object_box, 4, "object box")
+    _check_rows(human_x, human_box, object_box)
+    cfg = params.cfg
+    if cfg.spatial_dim != 2 * GRID_SIZE * GRID_SIZE:
+        raise DimensionMismatch(
+            f"spatial input is {cfg.spatial_dim} wide, expected {2 * GRID_SIZE * GRID_SIZE}"
+        )
+    start, stop = cell_spans(human_box, object_box)  # (n, channel, axis x/y)
+    w_map = params.sp_w1[cfg.hidden :].reshape(2, GRID_SIZE, GRID_SIZE, cfg.sp_hidden)
+    # table[c, y, x] sums channel c's rows over cell rows < y and columns < x
+    table = np.zeros((2, GRID_SIZE + 1, GRID_SIZE + 1, cfg.sp_hidden))
+    np.cumsum(np.cumsum(w_map, axis=1), axis=2, out=table[:, 1:, 1:])
+    ch = np.arange(2)
+    x0, y0, x1, y1 = start[..., 0], start[..., 1], stop[..., 0], stop[..., 1]
+    rect = table[ch, y1, x1] - table[ch, y0, x1] - table[ch, y1, x0] + table[ch, y0, x0]
+    sh = np.maximum(human_x @ params.shared_w + params.shared_b, 0.0)
+    h_pre = sh @ params.sp_w1[: cfg.hidden] + spatial_input_scale(params) * rect.sum(axis=1)
+    return np.maximum(h_pre + params.sp_b1, 0.0) @ params.sp_w2 + params.sp_b2
+
+
 # ---- loss and gradients ----
 
 
@@ -428,9 +471,12 @@ def loss_and_grads(real: RealBatch, comp: CompBatch | None, params: ModelParams,
             block.fill(0.0)
     for backward_fn, logits, cache, targets, coef in terms:
         backward_fn(_bce_grad(logits, targets, w, coef), cache, params, blocks)
-    finite = np.isfinite(grads.flat)
-    if not finite.all():
-        raise NonFiniteGradient(f"gradient block {grads.block_at(np.argmin(finite))} is non-finite")
+    g = grads.flat
+    for start in range(0, g.size, FLAT_BLOCK):
+        finite = np.isfinite(g[start : start + FLAT_BLOCK])
+        if not finite.all():
+            bad = grads.block_at(start + int(np.argmin(finite)))
+            raise NonFiniteGradient(f"gradient block {bad} is non-finite")
 
     return total, components, grads
 

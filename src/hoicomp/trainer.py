@@ -26,6 +26,7 @@ from .errors import (
 )
 from .label_algebra import HoiLabelSpace
 from .network import (
+    FLAT_BLOCK,
     CompBatch,
     LossWeights,
     ModelParams,
@@ -67,11 +68,32 @@ class TrainConfig:
         self.loss_weights.validate()
 
 
-def group_by_image(train: Dataset) -> list[np.ndarray]:
+@dataclass(frozen=True)
+class ImageGroups:
+    """Row indices of a dataset grouped by image, in image-id order; rows
+    keep their order within an image. ``groups[i]`` is image i's rows, a view
+    of one index array, so grouping makes two arrays however many images
+    there are."""
+
+    order: np.ndarray   # (n,) row indices, image after image
+    bounds: np.ndarray  # (images + 1,) image i's rows are order[bounds[i]:bounds[i + 1]]
+
+    def __len__(self) -> int:
+        return len(self.bounds) - 1
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        if not 0 <= i < len(self):
+            raise IndexError(f"image group {i} of {len(self)}")
+        return self.order[self.bounds[i] : self.bounds[i + 1]]
+
+
+def group_by_image(train: Dataset) -> ImageGroups:
     """Row indices per image, ordered by image id; rows keep their order."""
     order = np.argsort(train.image_id, kind="stable")
     ids = train.image_id[order]
-    return np.split(order, np.flatnonzero(ids[1:] != ids[:-1]) + 1) if len(order) else []
+    starts = np.flatnonzero(ids[1:] != ids[:-1]) + 1
+    bounds = np.concatenate([[0], starts, [len(order)]]) if len(order) else np.zeros(1, np.int64)
+    return ImageGroups(order, bounds)
 
 
 def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -84,7 +106,7 @@ def make_minibatch(
     train: Dataset,
     cfg: TrainConfig,
     rng: np.random.Generator,
-    groups: list[np.ndarray] | None = None,
+    groups: ImageGroups | None = None,
 ) -> np.ndarray:
     """Row indices of ``interactions_per_minibatch`` instances drawn as image pairs.
 
@@ -110,9 +132,8 @@ def make_minibatch(
     return chosen[:k]
 
 
-# elements per block of sgd_step: 256 KiB of float64, so the four arrays a
-# block touches stay in a 2 MiB L2 cache between its passes
-SGD_BLOCK = 32768
+# elements per block of sgd_step
+SGD_BLOCK = FLAT_BLOCK
 
 
 def sgd_step(params: ModelParams, grads: ModelParams, state: ModelParams, cfg: TrainConfig,

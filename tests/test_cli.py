@@ -308,6 +308,15 @@ class TestErrors:
         assert err.startswith("error:")
         assert len(err.strip().split("\n")) == 1
 
+    def test_sweep_values_not_numbers_fail_before_loading(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run("sweep", "--data", tmp_path / "nope.tsv", "--test", tmp_path / "nope.test",
+                   "--param", "lambda1", "--values", "1,abc", "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'1,abc'" in err  # not the missing data file
+        assert len(err.strip().split("\n")) == 1
+        assert not out.exists()
+
     def test_missing_required_flag(self, tmp_path, capsys):
         assert run("gen-data") == 1
         assert "--out" in capsys.readouterr().err

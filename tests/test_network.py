@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from hoicomp.errors import (
+    DegenerateBox,
     DimensionMismatch,
+    NonFiniteGradient,
     NonFiniteInput,
     NonFiniteLoss,
     OutOfRange,
@@ -13,6 +15,7 @@ from hoicomp.errors import (
 )
 from hoicomp.network import (
     BLOCK_NAMES,
+    FLAT_BLOCK,
     CompBatch,
     LossWeights,
     ModelParams,
@@ -20,6 +23,7 @@ from hoicomp.network import (
     RealBatch,
     block_shapes,
     forward_spatial_human,
+    forward_spatial_human_boxes,
     forward_verb_object,
     fuse_scores,
     init_params,
@@ -29,6 +33,9 @@ from hoicomp.network import (
     save_params,
     sigmoid,
 )
+from hoicomp.spatial import spatial_vector
+
+from test_spatial import EDGE_CASES, FULL, broadcast_raster, lattice_pairs, random_boxes
 
 TINY = NetworkConfig(num_hois=5, feature_dim=3, hidden=3, vo_hidden=4, sp_hidden=3, spatial_dim=6)
 
@@ -239,6 +246,58 @@ class TestForward:
             forward_verb_object(bad, np.zeros((1, 3)), p)
 
 
+class TestBoxForward:
+    """``forward_spatial_human_boxes`` against the raster path it replaces in
+    scoring, at the default widths (a 64x64 two-channel map)."""
+
+    def _params(self, seed):
+        return init_params(NetworkConfig(num_hois=7), np.random.default_rng(seed))
+
+    def _assert_matches_raster(self, human_box, object_box, params, rng):
+        feat = rng.standard_normal((len(human_box), params.cfg.feature_dim))
+        want = forward_spatial_human(feat, spatial_vector(human_box, object_box), params)
+        got = forward_spatial_human_boxes(feat, human_box, object_box, params)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    def test_random_boxes(self):
+        rng = np.random.default_rng(51)
+        for n in (1, 5, 300):
+            self._assert_matches_raster(random_boxes(rng, n), random_boxes(rng, n),
+                                        self._params(n), rng)
+
+    def test_edge_boxes(self):
+        rng = np.random.default_rng(52)
+        usable = [box for box, (x0, x1, y0, y1) in EDGE_CASES if x0 < x1 and y0 < y1]
+        human, obj = np.array([FULL] * len(usable)), np.array(usable)
+        self._assert_matches_raster(human, obj, self._params(0), rng)
+        self._assert_matches_raster(obj, human, self._params(1), rng)
+        human, obj = lattice_pairs(rng, 300)
+        cells = broadcast_raster(human, obj).reshape(len(human), 2, -1)
+        usable = cells.any(axis=2).all(axis=1)  # no channel without a cell
+        self._assert_matches_raster(human[usable], obj[usable], self._params(2), rng)
+
+    def test_empty_batch(self):
+        none = np.empty((0, 4))
+        logits = forward_spatial_human_boxes(np.empty((0, 32)), none, none, self._params(0))
+        assert logits.shape == (0, 7)
+
+    def test_errors(self):
+        params = self._params(0)
+        feat, box = np.zeros((1, 32)), np.array([[0.0, 0.0, 10.0, 10.0]])
+        with pytest.raises(DegenerateBox, match="pair 0"):
+            forward_spatial_human_boxes(feat, np.array([[0, 0, 0.01, 0.01]]),
+                                        np.array([[0, 0, 1000, 1000]]), params)
+        with pytest.raises(DimensionMismatch, match="row counts"):
+            forward_spatial_human_boxes(np.zeros((2, 32)), box, box, params)
+        with pytest.raises(DimensionMismatch):
+            forward_spatial_human_boxes(feat, box[:, :3], box, params)
+        with pytest.raises(NonFiniteInput):
+            forward_spatial_human_boxes(feat, np.array([[0, 0, np.nan, 10.0]]), box, params)
+        with pytest.raises(DimensionMismatch, match="spatial input"):  # TINY's map is 6 wide
+            forward_spatial_human_boxes(np.zeros((1, 3)), box, box, tiny_params())
+
+
 class TestLoss:
     def test_lambda2_zero_equals_two_term(self):
         rng = np.random.default_rng(6)
@@ -313,6 +372,24 @@ class TestLoss:
         real = random_real(np.random.default_rng(0))
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteLoss):
             total_loss(real, None, p, LossWeights(class_weights=np.ones(5)))
+
+    def test_non_finite_gradient_names_its_block(self):
+        """A gradient that overflows far into the flat buffer while the loss
+        stays finite: one spatial input of 1e308 that no hidden unit reads."""
+        cfg = NetworkConfig(num_hois=5)
+        p = init_params(cfg, np.random.default_rng(0))
+        real = random_real(np.random.default_rng(1), n=2, cfg=cfg)
+        k = cfg.spatial_dim - 3
+        p.sp_w1[cfg.hidden + k] = 0.0
+        p.sp_w2 *= 1e3
+        real.spatial[0, k] = 1e308
+        out = ModelParams(cfg, np.empty_like(p.flat))
+        with np.errstate(over="ignore"), pytest.raises(
+            NonFiniteGradient, match="^gradient block sp_w1 is non-finite$"
+        ):
+            loss_and_grads(real, None, p, LossWeights(), out=out)
+        bad = np.flatnonzero(~np.isfinite(out.flat))
+        assert bad[0] > 10 * FLAT_BLOCK and out.block_at(bad[0]) == "sp_w1"
 
 
 class TestBackward:

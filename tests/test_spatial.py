@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hoicomp.errors import DegenerateBox, InvalidBox
-from hoicomp.spatial import GRID_SIZE, ascii_art, check_boxes, spatial_vector
+from hoicomp.spatial import GRID_SIZE, ascii_art, cell_spans, check_boxes, spatial_vector
 
 
 class Box(NamedTuple):
@@ -166,6 +166,91 @@ class TestBatch:
                 pair[1 - channel][k] = (0, 0, 1000, 1000)
                 with pytest.raises(DegenerateBox, match=f"pair {k}"):
                     spatial_vector(*pair)
+
+
+def broadcast_raster(human, obj):
+    """The rasterizer that preceded ``cell_spans``: every cell center tested
+    against every box in one broadcast. Degenerate boxes are not checked."""
+    boxes = np.stack([human, obj], axis=1).astype(np.float64)
+    frame_lo = np.minimum(boxes[:, 0, :2], boxes[:, 1, :2])[:, None]
+    frame_hi = np.maximum(boxes[:, 0, 2:], boxes[:, 1, 2:])[:, None]
+    scale = GRID_SIZE / (frame_hi - frame_lo)
+    lo = (boxes[..., :2] - frame_lo) * scale
+    hi = (boxes[..., 2:] - frame_lo) * scale
+    centers = np.arange(GRID_SIZE) + 0.5
+    inside = (centers >= lo[..., None]) & (centers < hi[..., None])
+    cols, rows = inside[:, :, 0], inside[:, :, 1]
+    return (rows[..., :, None] & cols[..., None, :]).reshape(len(boxes), -1).astype(np.float64)
+
+
+def lattice_pairs(rng, n):
+    """n human/object box pairs, as two (n, 4) arrays, whose every edge lies
+    on a cell center or a cell border of the pair's union frame, exactly: the
+    pair is drawn on a half-unit lattice of a 64-unit union, then scaled by a
+    power of two and shifted by an integer."""
+    boxes = np.empty((n, 2, 2, 2))  # pair, box, axis, (low, high) edge
+    for index in np.ndindex(n, 2, 2):
+        boxes[index] = np.sort(rng.choice(2 * GRID_SIZE + 1, size=2, replace=False)) / 2
+    pairs, axes = np.arange(n)[:, None], np.arange(2)
+    boxes[pairs, rng.integers(0, 2, (n, 2)), axes, 0] = 0.0  # one box reaches each
+    boxes[pairs, rng.integers(0, 2, (n, 2)), axes, 1] = GRID_SIZE  # side of the union
+    boxes = boxes * 2.0 ** rng.integers(-2, 4, (n, 1, 1, 1)) + rng.integers(0, 500, (n, 1, 1, 1))
+    boxes = boxes.transpose(0, 1, 3, 2).reshape(n, 2, 4)  # x1, y1, x2, y2
+    return boxes[:, 0], boxes[:, 1]
+
+
+FULL = (0.0, 0.0, 64.0, 64.0)  # a union frame in which grid and box coordinates coincide
+
+# object boxes inside FULL, with the cells (x0, x1, y0, y1) they cover
+EDGE_CASES = [
+    ((10.5, 3.5, 20.5, 4.5), (10, 20, 3, 4)),    # every edge on a cell center
+    ((10.0, 3.0, 11.0, 4.0), (10, 11, 3, 4)),    # one cell, edges on cell borders
+    ((10.5, 3.5, 11.5, 4.5), (10, 11, 3, 4)),    # one cell, edges on cell centers
+    ((63.5, 0.0, 64.0, 0.5), (63, 64, 0, 0)),    # upper edge on the first center: no row
+    ((63.5, 0.0, 64.0, 0.500001), (63, 64, 0, 1)),  # just above it: one row
+    ((0.0, 0.0, 64.0, 64.0), (0, 64, 0, 64)),    # the full frame
+    ((0.0, 62.5, 0.5, 64.0), (0, 0, 62, 64)),    # x range ends on the first center: no column
+]
+
+
+class TestCellSpans:
+    def test_edge_boxes(self):
+        human = np.array([FULL] * len(EDGE_CASES))
+        obj = np.array([box for box, _ in EDGE_CASES])
+        start, stop = cell_spans(human[:2], obj[:2])
+        assert start.shape == stop.shape == (2, 2, 2)
+        for k, (box, (x0, x1, y0, y1)) in enumerate(EDGE_CASES):
+            pair = (human[k : k + 1], obj[k : k + 1])
+            if x0 == x1 or y0 == y1:
+                with pytest.raises(DegenerateBox, match="pair 0"):
+                    cell_spans(*pair)
+                continue
+            start, stop = cell_spans(*pair)
+            np.testing.assert_array_equal(start[0], [[0, 0], [x0, y0]])
+            np.testing.assert_array_equal(stop[0], [[64, 64], [x1, y1]])
+            assert spatial_vector(*pair).tobytes() == broadcast_raster(*pair).tobytes()
+
+    def test_rows_equal_broadcast_raster(self):
+        rng = np.random.default_rng(41)
+        human, obj = random_boxes(rng, 200), random_boxes(rng, 200)
+        assert spatial_vector(human, obj).tobytes() == broadcast_raster(human, obj).tobytes()
+
+    def test_lattice_rows_equal_broadcast_raster(self):
+        human, obj = lattice_pairs(np.random.default_rng(42), 400)
+        want = broadcast_raster(human, obj)
+        usable = want.reshape(-1, 2, GRID_SIZE * GRID_SIZE).any(axis=2).all(axis=1)
+        assert 0 < usable.sum() < len(usable)  # some boxes cover no cell center
+        assert spatial_vector(human[usable], obj[usable]).tobytes() == want[usable].tobytes()
+        for k in np.flatnonzero(~usable):
+            with pytest.raises(DegenerateBox):
+                cell_spans(human[k : k + 1], obj[k : k + 1])
+
+    @pytest.mark.parametrize("coord", range(4))
+    def test_nan_box_is_degenerate(self, coord):
+        human, obj = np.array([FULL, FULL]), np.array([FULL, (1.0, 2.0, 30.0, 40.0)])
+        human[1, coord] = np.nan
+        with np.errstate(invalid="ignore"), pytest.raises(DegenerateBox, match="pair 1"):
+            cell_spans(human, obj)
 
 
 class TestRendering:

@@ -100,6 +100,17 @@ class TestMakeMinibatch:
                 assert g.dtype == np.int64
                 np.testing.assert_array_equal(g, w)
 
+    def test_grouped_rows_draw_like_a_list_of_groups(self, toy_space):
+        rng = np.random.default_rng(13)
+        insts = make_dataset([make_row(toy_space, [0], image_id=int(i))
+                              for i in rng.integers(0, 9, size=40)])
+        groups = group_by_image(insts)
+        cfg = TrainConfig(interactions_per_minibatch=5)
+        rng1, rng2 = rngmod.stream(4, "batch"), rngmod.stream(4, "batch")
+        for _ in range(10):
+            np.testing.assert_array_equal(make_minibatch(insts, cfg, rng1, groups=groups),
+                                          make_minibatch(insts, cfg, rng2, groups=list(groups)))
+
     def test_empty_train(self, toy_space):
         with pytest.raises(InvalidConfig):
             make_minibatch(make_row(toy_space, [0])[:0], TrainConfig(), np.random.default_rng(0))
