@@ -16,14 +16,7 @@ from .evaluator import (
     evaluate,
     ground_truths_from_instances,
 )
-from .label_algebra import (
-    HoiLabelSpace,
-    build_space,
-    compose,
-    decompose,
-    load_space,
-    save_space,
-)
+from .label_algebra import HoiLabelSpace, build_space, compose, decompose
 from .network import (
     LossWeights,
     ModelParams,

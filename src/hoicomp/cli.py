@@ -5,7 +5,13 @@ ablate. Every flag can also be supplied through ``--config FILE`` holding
 flat ``key=value`` lines (keys are the flag names with underscores);
 explicit flags win over the file, the file wins over built-in defaults.
 Each run echoes its fully resolved settings to a spec file, and feeding
-that file back through ``--config`` replays the run byte-for-byte.
+that file back through ``--config`` replays the run byte-for-byte. A spec
+holds every flag of its subcommand except ``--out``, ``--test-out``,
+``--dets-out`` and ``--show-spatial`` (``OUTPUT_FLAGS``), which say where
+output goes or what to print; so a replay names its own ``--out``, as in
+``hoicomp --config run/spec.txt train --out rerun``. File values get the
+checks that flags get: a value outside a flag's choices, or a boolean
+other than 1/true/yes/on or 0/false/no/off, is an error.
 
 The eval flags build one ``experiments.Scoring`` per invocation, and every
 command that scores a model scores it with that value over
@@ -54,6 +60,12 @@ from .trainer import TrainConfig, make_minibatch, write_metrics_log
 from .zeroshot import STRATEGIES, load_split, make_split, save_split
 
 
+_DATASET_FLAGS = (
+    "num_verbs", "num_objects", "num_hois", "zipf_exponent", "n_train", "n_test",
+    "feature_dim", "class_sep", "noise_sigma", "multi_label_frac", "max_instances_per_image",
+)
+
+
 def _add_dataset_flags(p: argparse.ArgumentParser):
     defaults = {f.name: f.default for f in fields(DatasetConfig)} | DEFAULT_SPACE_SIZE
     for key in _DATASET_FLAGS:
@@ -97,7 +109,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hoicomp",
         description="Compositional interaction learning on synthetic long-tail data",
     )
-    parser.add_argument("--config", help="flat key=value file overriding flag defaults")
+    parser.add_argument(
+        "--config",
+        help="flat key=value file overriding flag defaults; a run's spec file replays "
+             "the run, which then needs its own --out (a spec records no --out, "
+             "--test-out, --dets-out or --show-spatial)",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate a seeded synthetic dataset")
@@ -182,9 +199,15 @@ def load_flat_config(path) -> dict[str, str]:
     return values
 
 
+# the spellings a config file may give a store_true flag, in any case
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+
 def _apply_config(parser: argparse.ArgumentParser, overrides: dict[str, str]) -> set[str]:
-    """Convert file values with each flag's own type and install them as
-    defaults; returns the keys the parser and its subparsers know."""
+    """Convert file values with each flag's own type, check them against its
+    choices and install them as defaults; returns the keys the parser and
+    its subparsers know."""
     known = set()
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
@@ -198,48 +221,35 @@ def _apply_config(parser: argparse.ArgumentParser, overrides: dict[str, str]) ->
             continue
         raw = overrides[action.dest]
         if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-            value = raw.lower() in ("1", "true", "yes", "on")
-        elif action.type is not None:
-            try:
-                value = action.type(raw)
-            except ValueError:
-                raise HoicompError(f"bad config value {action.dest}={raw!r}") from None
+            value = _BOOLEANS.get(raw.lower())
         else:
-            value = raw
+            try:
+                value = raw if action.type is None else action.type(raw)
+            except ValueError:
+                value = None
+        if value is None or (action.choices is not None and value not in action.choices):
+            raise HoicompError(f"bad config value {action.dest}={raw!r}")
         parser.set_defaults(**{action.dest: value})
     return known
 
 
-def _spec_lines(args: argparse.Namespace, keys) -> str:
+# flags that say where output goes or what to print; a spec leaves them
+# out, so every replay names its own --out
+OUTPUT_FLAGS = {"out", "test_out", "dets_out", "show_spatial"}
+
+
+def _write_spec(args: argparse.Namespace, path) -> None:
+    """Write ``command=...`` and then, sorted, every other flag of ``args``
+    except ``--config`` and ``OUTPUT_FLAGS``; flags left unset are skipped."""
     lines = [f"command={args.command}"]
-    for key in sorted(keys):
-        val = getattr(args, key)
-        if val is None:
+    for key, val in sorted(vars(args).items()):
+        if val is None or key in OUTPUT_FLAGS or key in ("command", "config"):
             continue
         if isinstance(val, bool):
             val = "true" if val else "false"
         lines.append(f"{key}={val}")
-    return "\n".join(lines) + "\n"
-
-
-def _write_spec(args, keys, path):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_spec_lines(args, keys))
-
-
-_DATASET_FLAGS = (
-    "num_verbs", "num_objects", "num_hois", "zipf_exponent", "n_train", "n_test",
-    "feature_dim", "class_sep", "noise_sigma", "multi_label_frac", "max_instances_per_image",
-)
-_DATASET_KEYS = ("seed",) + _DATASET_FLAGS
-_TRAIN_KEYS = (
-    "iterations", "lr", "momentum", "weight_decay", "interactions", "lambda1",
-    "lambda2", "compose", "no_balance", "unseen_allowed", "hidden", "vo_hidden",
-    "sp_hidden", "eval_every", "seed",
-)
-_EVAL_KEYS = (
-    "thr_human", "thr_object", "thr_fallback", "branch", "eval_mode", "rare_threshold",
-)
+        fh.write("\n".join(lines) + "\n")
 
 
 def _train_config(args, unseen_ids=frozenset()) -> TrainConfig:
@@ -309,13 +319,13 @@ def _spatial_art(data, k: int) -> str:
 
 def _cmd_gen_data(args) -> int:
     _require(args, "out")
-    cfg = default_dataset_config(**{key: getattr(args, key) for key in _DATASET_KEYS})
+    cfg = default_dataset_config(**{key: getattr(args, key) for key in ("seed",) + _DATASET_FLAGS})
     train_set, test_set, space = generate(cfg)
     out = Path(args.out)
     test_out = Path(args.test_out) if args.test_out else out.with_suffix(out.suffix + ".test")
     save_dataset(train_set, space, out)
     save_dataset(test_set, space, test_out)
-    _write_spec(args, _DATASET_KEYS + ("out", "test_out"), str(out) + ".spec")
+    _write_spec(args, str(out) + ".spec")
     print(f"wrote {len(train_set)} train instances to {out}")
     print(f"wrote {len(test_set)} test instances to {test_out}")
     for k in range(len(train_set))[: args.show_spatial]:
@@ -330,7 +340,7 @@ def _cmd_make_splits(args) -> int:
     counts = class_counts(data, space)
     split = make_split(counts, space, args.n_unseen, args.strategy, tie_break_seed=args.seed)
     save_split(split, args.out)
-    _write_spec(args, ("data", "n_unseen", "strategy", "seed", "out"), str(args.out) + ".spec")
+    _write_spec(args, str(args.out) + ".spec")
     print(f"unseen classes ({len(split.unseen)}): {sorted(split.unseen)}")
     return 0
 
@@ -358,11 +368,7 @@ def _cmd_train(args) -> int:
     train_set, space = load_dataset(args.data)
     test_set = load_dataset(args.test)[0] if args.test else train_set[:0]
     split = load_split(args.split, space) if args.split else None
-    _write_spec(
-        args,
-        _TRAIN_KEYS + _EVAL_KEYS + ("data", "test", "split"),
-        out_dir / "spec.txt",
-    )
+    _write_spec(args, out_dir / "spec.txt")
     _run_and_dump(args, out_dir, train_set, test_set, space, split=split)
     return 0
 
@@ -388,11 +394,7 @@ def _cmd_eval(args) -> int:
         dets = load_detections(args.detections)
     gts = ground_truths_from_instances(test_set)
     report = evaluate(dets, gts, space, mode=scoring.eval_mode, partition=partition)
-    _write_spec(
-        args,
-        _EVAL_KEYS + ("data", "checkpoint", "detections", "train_data", "split"),
-        out_dir / "spec.txt",
-    )
+    _write_spec(args, out_dir / "spec.txt")
     _report_files(report, space, counts, out_dir)
     if args.dets_out:
         save_detections(dets, out_dir / "detections.tsv")
@@ -449,8 +451,7 @@ def _cmd_sweep(args) -> int:
             net_cfg=net_cfg, scoring=scoring,
         )
         rows.append((value, result.report))
-    _write_spec(args, _TRAIN_KEYS + _EVAL_KEYS + ("data", "test", "param", "values"),
-                out_dir / "spec.txt")
+    _write_spec(args, out_dir / "spec.txt")
     _write_rows(out_dir / "sweep.tsv", args.param, rows)
     return 0
 
@@ -464,7 +465,7 @@ def _cmd_ablate(args) -> int:
     net_cfg = _net_config(args, space, train_set.human_feat.shape[1])
     base_cfg = _train_config(args)
     scoring = _scoring(args)
-    _write_spec(args, _TRAIN_KEYS + _EVAL_KEYS + ("data", "test"), out_dir / "spec.txt")
+    _write_spec(args, out_dir / "spec.txt")
 
     rows = []
     for mode in ("off", "within", "between", "both"):

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DanglingId, DuplicateHoi, EmptyDefinition, ParseError, ShapeMismatch
-from .errors import read_text_lines
 
 
 @dataclass(frozen=True)
@@ -208,7 +207,7 @@ def compose(l_o, l_v, space: HoiLabelSpace):
     return (hit_o & hit_v).view(np.uint8)
 
 
-# ---- line-oriented label-space file ----
+# ---- line-oriented label-space text, a dataset archive's ``space`` entry ----
 # One class per line: hoi_id<TAB>verb_name[,verb_name...]<TAB>object_name
 # Ids are dense from 0; verb/object id tables follow first appearance order.
 
@@ -220,11 +219,6 @@ def format_space(space: HoiLabelSpace) -> str:
         obj = space.object_names[space.object_of(c)]
         lines.append(f"{c}\t{verbs}\t{obj}")
     return "\n".join(lines) + "\n"
-
-
-def save_space(space: HoiLabelSpace, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_space(space))
 
 
 def parse_space(lines) -> HoiLabelSpace:
@@ -266,7 +260,3 @@ def parse_space(lines) -> HoiLabelSpace:
     object_names = tuple(sorted(object_ids, key=object_ids.get))
     defs = [entries[c] for c in range(num_hois)]
     return build_space(defs, verb_names=verb_names, object_names=object_names)
-
-
-def load_space(path) -> HoiLabelSpace:
-    return parse_space(read_text_lines(path))

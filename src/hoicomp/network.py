@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import astuple, dataclass, fields
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -75,6 +75,18 @@ class NetworkConfig:
     sp_hidden: int = 64
     spatial_dim: int = 2 * GRID_SIZE * GRID_SIZE
 
+    @cached_property
+    def layout(self) -> dict[str, tuple[int, int, tuple[int, ...]]]:
+        """(start, stop, shape) of every block within the flat buffer, in
+        ``BLOCK_NAMES`` order. Computed once per config, so a block view
+        costs no lookup keyed by the config; do not mutate."""
+        layout, start = {}, 0
+        for name, shape in block_shapes(self).items():
+            stop = start + int(np.prod(shape))
+            layout[name] = (start, stop, shape)
+            start = stop
+        return layout
+
 
 @dataclass
 class ModelParams:
@@ -98,12 +110,12 @@ class ModelParams:
 
     def block_at(self, index: int) -> str:
         """Name of the block that holds element ``index`` of ``flat``."""
-        return next(name for name, (_, stop, _) in _layout(self.cfg).items() if index < stop)
+        return next(name for name, (_, stop, _) in self.cfg.layout.items() if index < stop)
 
 
 def _block_view(name: str) -> property:
     def view(self: ModelParams) -> np.ndarray:
-        start, stop, shape = _layout(self.cfg)[name]
+        start, stop, shape = self.cfg.layout[name]
         return self.flat[start:stop].reshape(shape)
 
     def assign(self: ModelParams, value):
@@ -131,20 +143,8 @@ def block_shapes(cfg: NetworkConfig) -> dict[str, tuple[int, ...]]:
     }
 
 
-@lru_cache(maxsize=16)
-def _layout(cfg: NetworkConfig) -> dict[str, tuple[int, int, tuple[int, ...]]]:
-    """(start, stop, shape) of every block within the flat buffer, in
-    ``BLOCK_NAMES`` order. Shared between callers: do not mutate."""
-    layout, start = {}, 0
-    for name, shape in block_shapes(cfg).items():
-        stop = start + int(np.prod(shape))
-        layout[name] = (start, stop, shape)
-        start = stop
-    return layout
-
-
 def _flat_size(cfg: NetworkConfig) -> int:
-    return _layout(cfg)[BLOCK_NAMES[-1]][1]
+    return cfg.layout[BLOCK_NAMES[-1]][1]
 
 
 def init_params(cfg: NetworkConfig, rng: np.random.Generator) -> ModelParams:

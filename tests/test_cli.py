@@ -1,4 +1,5 @@
 import argparse
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,6 +66,13 @@ class TestGenData:
         b = tmp_path / "b.tsv"
         assert run("--config", str(a) + ".spec", "gen-data", "--out", b) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_replay_writes_its_test_set_beside_its_own_out(self, tmp_path):
+        a, t1, b = tmp_path / "a.tsv", tmp_path / "t1.tsv", tmp_path / "b.tsv"
+        assert run("gen-data", "--seed", 3, "--out", a, "--test-out", t1, *TINY_DATA) == 0
+        assert run("--config", str(a) + ".spec", "gen-data", "--out", b) == 0
+        assert b.read_bytes() == a.read_bytes()
+        assert b.with_suffix(".tsv.test").read_bytes() == t1.read_bytes()
 
 
 class TestTrain:
@@ -247,10 +255,11 @@ class TestMultiRunRows:
             assert (trained / name).read_bytes() == (scored / name).read_bytes(), name
 
 
-# flags that only say where output goes, so a replayed spec leaves them out
+# flags that only say where output goes or what to print, so a spec leaves
+# them out and a replay names its own --out
 OUTPUT_ONLY = {
-    "gen-data": {"show_spatial"},
-    "make-splits": set(),
+    "gen-data": {"out", "test_out", "show_spatial"},
+    "make-splits": {"out"},
     "train": {"out"},
     "eval": {"out", "dets_out"},
     "sweep": {"out"},
@@ -263,33 +272,50 @@ def subparser_flags(command):
     return {action.dest for action in sub.choices[command]._actions} - {"help"}
 
 
-def test_spec_keys_are_the_flags_a_replay_needs(dataset, tmp_path, monkeypatch):
+def spec_file(command, out):
+    return Path(f"{out}.spec") if command in ("gen-data", "make-splits") else out / "spec.txt"
+
+
+@pytest.fixture()
+def spec_runs(dataset, tmp_path):
+    """Run every subcommand that writes a spec, together setting each of its
+    flags at least once; returns (command, spec file) per run."""
     data, test = dataset
+    split, trained, scored = tmp_path / "split.txt", tmp_path / "train", tmp_path / "eval"
+    runs = [
+        (["gen-data", "--test-out", tmp_path / "gt.tsv", "--show-spatial", 1, *TINY_DATA],
+         tmp_path / "g.tsv"),
+        (["make-splits", "--data", data, "--n-unseen", 1], split),
+        (["train", "--data", data, "--test", test, "--split", split, *TINY_TRAIN], trained),
+        (["eval", "--data", test, "--train-data", data, "--split", split,
+          "--checkpoint", trained / "checkpoint.ckpt", "--dets-out"], scored),
+        (["eval", "--data", test, "--detections", scored / "detections.tsv"],
+         tmp_path / "eval-dets"),
+        (["sweep", "--data", data, "--test", test, "--param", "lambda2", "--values", "1.0",
+          *TINY_TRAIN], tmp_path / "sweep"),
+        (["ablate", "--data", data, "--test", test, *TINY_TRAIN], tmp_path / "ablate"),
+    ]
+    for argv, out in runs:
+        assert run(*argv, "--out", out) == 0, argv[0]
+    return [(argv[0], spec_file(argv[0], out)) for argv, out in runs]
+
+
+def test_spec_keys_are_the_flags_a_replay_needs(spec_runs):
     written = {}
-    write_spec = cli._write_spec
-
-    def record(args, keys, path):
-        written[args.command] = set(keys)
-        write_spec(args, keys, path)
-
-    monkeypatch.setattr(cli, "_write_spec", record)
-    short = ["--iterations", 2, "--interactions", 4, "--hidden", 6, "--vo-hidden", 6,
-             "--sp-hidden", 6]
-    trained = tmp_path / "train"
-    for argv in (
-        ["gen-data", "--out", tmp_path / "g.tsv", *TINY_DATA],
-        ["make-splits", "--data", data, "--n-unseen", 1, "--out", tmp_path / "split.txt"],
-        ["train", "--data", data, "--test", test, "--out", trained, *short],
-        ["eval", "--data", test, "--checkpoint", trained / "checkpoint.ckpt",
-         "--out", tmp_path / "eval"],
-        ["sweep", "--data", data, "--test", test, "--param", "lambda2", "--values", "1.0",
-         "--out", tmp_path / "sweep", *short],
-        ["ablate", "--data", data, "--test", test, "--out", tmp_path / "ablate", *short],
-    ):
-        assert run(*argv) == 0, argv[0]
+    for command, spec in spec_runs:
+        first, *lines = spec.read_text(encoding="utf-8").splitlines()
+        assert first == f"command={command}"
+        written.setdefault(command, set()).update(line.split("=", 1)[0] for line in lines)
     assert set(written) == set(OUTPUT_ONLY)
     for command, keys in written.items():
         assert keys == subparser_flags(command) - OUTPUT_ONLY[command], command
+
+
+def test_replayed_spec_is_byte_identical(spec_runs, tmp_path):
+    for k, (command, spec) in enumerate(spec_runs):
+        out = tmp_path / f"replay-{k}"
+        assert run("--config", spec, command, "--out", out) == 0, command
+        assert spec_file(command, out).read_bytes() == spec.read_bytes(), command
 
 
 class TestErrors:
@@ -327,6 +353,8 @@ class TestConfigFile:
         "iterations 5\n",       # no '='
         "iterations=abc\n",     # not an int
         "iteration=5\n",        # names no flag
+        "param=lambda3\n",      # not one of the flag's choices
+        "no_balance=ture\n",    # not a boolean spelling
     ])
     def test_bad_config_is_one_line_error(self, tmp_path, capsys, text):
         cfg = tmp_path / "run.cfg"

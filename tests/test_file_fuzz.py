@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hoicomp.cli import load_flat_config
-from hoicomp.errors import HoicompError
+from hoicomp.errors import HoicompError, read_text_lines
 from hoicomp.evaluator import Detections, load_detections, save_detections
-from hoicomp.label_algebra import build_space, load_space, save_space
+from hoicomp.label_algebra import build_space, format_space, parse_space
 from hoicomp.network import NetworkConfig, init_params, load_params, save_params
 from hoicomp.synthdata import load_dataset, save_dataset
 from hoicomp.trainer import read_metrics_log, write_metrics_log
@@ -57,7 +57,7 @@ def files(tmp_path_factory):
     rng = np.random.default_rng(0)
     data = make_dataset([make_row(space, [c], image_id=c // 2, rng=rng) for c in (0, 1, 2, 0)])
     save_dataset(data, space, root / "data.tsv")
-    save_space(space, root / "space.txt")
+    (root / "space.txt").write_text(format_space(space), encoding="utf-8")
     save_split(ZeroShotSplit(unseen=frozenset({0}), seen=frozenset({1, 2}), strategy="rare_first",
                              seed=3), root / "split.txt")
     box = np.tile([1.0, 2.0, 30.0, 40.5], (4, 1))
@@ -75,7 +75,7 @@ def files(tmp_path_factory):
 
 LOADERS = {  # file name -> load(path, space)
     "data.tsv": lambda path, space: load_dataset(path),
-    "space.txt": lambda path, space: load_space(path),
+    "space.txt": lambda path, space: parse_space(read_text_lines(path)),  # an archive's space entry
     "split.txt": load_split,
     "dets.tsv": lambda path, space: load_detections(path),
     "run.cfg": lambda path, space: load_flat_config(path),

@@ -15,9 +15,7 @@ from hoicomp.label_algebra import (
     compose,
     decompose,
     format_space,
-    load_space,
     parse_space,
-    save_space,
 )
 from hoicomp.synthdata import random_hoi_defs
 
@@ -228,21 +226,17 @@ class TestProperties:
 
 
 class TestSpaceFile:
-    def test_roundtrip(self, toy_space, tmp_path):
-        path = tmp_path / "space.tsv"
-        save_space(toy_space, path)
-        loaded = load_space(path)
+    def test_roundtrip(self, toy_space):
+        loaded = parse_space(format_space(toy_space).splitlines(keepends=True))
         np.testing.assert_array_equal(loaded.verb_hoi, toy_space.verb_hoi)
         np.testing.assert_array_equal(loaded.object_hoi, toy_space.object_hoi)
         assert loaded.verb_names == TOY_VERBS
         assert loaded.object_names == TOY_OBJECTS
 
-    def test_roundtrip_random(self, tmp_path):
+    def test_roundtrip_random(self):
         rng = np.random.default_rng(3)
         space, _ = draw_space(rng)
-        path = tmp_path / "space.tsv"
-        save_space(space, path)
-        loaded = load_space(path)
+        loaded = parse_space(format_space(space).splitlines(keepends=True))
         np.testing.assert_array_equal(loaded.verb_hoi, space.verb_hoi)
         np.testing.assert_array_equal(loaded.object_hoi, space.object_hoi)
 
