@@ -33,6 +33,7 @@ from . import rng as rngmod
 from .composer import MODES, ComposeConfig, compose_batch
 from .errors import HoicompError, InvalidConfig, ParseError, read_text_lines
 from .evaluator import (
+    DETECTIONS_LINE,
     EVAL_MODES,
     ThresholdConfig,
     detections_from_model,
@@ -144,11 +145,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint or a detections file")
     p.add_argument("--data", help="test dataset file")
     p.add_argument("--checkpoint", default=None)
-    p.add_argument("--detections", default=None, help="score an external detections file instead")
+    p.add_argument("--detections", default=None,
+                   help=f"score a detections file instead, one pair a line: {DETECTIONS_LINE}")
     p.add_argument("--train-data", default=None, help="train dataset for the rare/nonrare cut")
     p.add_argument("--split", default=None, help="report unseen/seen instead of rare/nonrare")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--dets-out", action="store_true", help="also write the scored detections")
+    p.add_argument("--dets-out", action="store_true",
+                   help=f"also write detections.tsv, one pair a line: {DETECTIONS_LINE}")
     _add_eval_flags(p)
 
     p = sub.add_parser("compose-demo", help="print surviving compositions for one batch")
@@ -375,6 +378,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     _require(args, "data", "out")
+    if (args.checkpoint is None) == (args.detections is None):
+        raise HoicompError("pass exactly one of --checkpoint / --detections")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     scoring = _scoring(args)
@@ -383,8 +388,6 @@ def _cmd_eval(args) -> int:
     split = load_split(args.split, space) if args.split else None
     _, counts, partition = report_basis(train_set, space, split, scoring.rare_threshold)
 
-    if (args.checkpoint is None) == (args.detections is None):
-        raise HoicompError("pass exactly one of --checkpoint / --detections")
     if args.checkpoint:
         params, _ = load_params(args.checkpoint)
         dets = detections_from_model(

@@ -106,7 +106,8 @@ class InfeasibleSplit(HoicompError):
 # ---- evaluation ----
 
 class UnknownHoiId(HoicompError):
-    """A detection or ground truth refers to an interaction id outside the label space."""
+    """A ground truth refers to an interaction id outside the label space;
+    detections carry no ids."""
 
 
 def read_text_lines(path) -> list[str]:

@@ -1,17 +1,17 @@
 """Detection-style scoring: IoU matching, per-class AP, partitioned reports.
 
-Detections and ground truths are columnar tables, ``Detections`` and
-``GroundTruths``: row k of every column is one (human box, object box,
-class) triple in one image, and a detection row also carries a score. A
-table checks its columns when it is built. The model emits its detections
-pair-major: every class of one pair, then the next pair.
+Ground truths and detections are columnar tables. ``GroundTruths`` has one
+row per (human box, object box, class) triple in one image. ``Detections``
+has one row per detected human-object pair in one image, with a score for
+every class: a pairs x classes score matrix beside the per-pair columns. A
+table checks its columns when it is built.
 
 A prediction counts as a true positive only when both its human box and its
 object box overlap an unmatched ground truth of the same class in the same
 image with IoU at or above the threshold. Matching is greedy, one class at a
 time:
-  - detections are taken in descending score order, and equal scores in
-    input order;
+  - the class's pairs are taken in descending score order, and equal scores
+    in pair order;
   - each takes, among the unmatched ground truths of its class and image,
     the one with the highest pair IoU (the smaller of the two box IoUs); a
     pair IoU must also be above 0, and of equal pair IoUs the ground truth
@@ -25,7 +25,7 @@ contains that class's object category.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -53,42 +53,34 @@ from .synthdata import Dataset
 EVAL_MODES = ("default", "known_object")
 IOU_THRESHOLD = 0.5
 
-# dtype and per-row shape of every table column
+# dtype and per-row shape of every table column; None is any one length
 _COLUMN_TYPES = {
     "image_id": (np.int64, ()),
     "hoi_id": (np.int64, ()),
-    "score": (np.float64, ()),
+    "score": (np.float64, (None,)),  # one score per class
     "human_box": (np.float64, (4,)),
     "object_box": (np.float64, (4,)),
 }
 
 
 class _Table:
-    """Methods shared by the two tables: checks at construction, length and
-    row selection."""
+    """Methods shared by the two tables: checks at construction and length."""
 
     def __post_init__(self):
         rows = np.shape(self.image_id)[:1] or (0,)  # (N,); a 0-d image_id fails below
         for f in fields(self):
             col = getattr(self, f.name)
             dtype, width = _COLUMN_TYPES[f.name]
-            if not isinstance(col, np.ndarray) or col.dtype != dtype or col.shape != rows + width:
+            want = rows + width
+            if not (isinstance(col, np.ndarray) and col.dtype == dtype and col.ndim == len(want)
+                    and all(w in (None, n) for w, n in zip(want, col.shape))):
                 got = f"{col.dtype} {col.shape}" if isinstance(col, np.ndarray) else type(col).__name__
-                raise DimensionMismatch(
-                    f"{f.name} is {got}, expected {np.dtype(dtype)} {rows + width}"
-                )
+                raise DimensionMismatch(f"{f.name} is {got}, expected {np.dtype(dtype)} {want}")
         for name in ("human_box", "object_box"):
             check_boxes(getattr(self, name), lambda k: f"{name} row {k}")
 
     def __len__(self) -> int:
         return self.image_id.shape[0]
-
-    def __getitem__(self, rows):
-        """The selected rows (an index, slice, mask or index array) of every
-        column; an index selects a table of one row."""
-        if isinstance(rows, (int, np.integer)):
-            rows = [rows]
-        return type(self)(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
 
 
 @dataclass(frozen=True)
@@ -105,21 +97,25 @@ class GroundTruths(_Table):
 
 @dataclass(frozen=True)
 class Detections(_Table):
-    """Scored detections as columns, checked like ``GroundTruths``; a score
-    that is not finite raises ``NonFiniteInput`` naming its row."""
+    """Scored human-object pairs as columns: row p is one pair in one image,
+    ``score[p, c]`` its score for class c, and ``len()`` counts the scores.
+    Checked like ``GroundTruths``; a non-finite score raises ``NonFiniteInput``
+    naming its pair and class."""
 
-    image_id: np.ndarray    # (N,) int64
-    hoi_id: np.ndarray      # (N,) int64
-    score: np.ndarray       # (N,) float64
-    human_box: np.ndarray   # (N, 4) float64
-    object_box: np.ndarray  # (N, 4) float64
+    image_id: np.ndarray    # (P,) int64
+    human_box: np.ndarray   # (P, 4) float64
+    object_box: np.ndarray  # (P, 4) float64
+    score: np.ndarray       # (P, C) float64
 
     def __post_init__(self):
         super().__post_init__()
         bad = ~np.isfinite(self.score)
         if bad.any():
-            k = int(np.argmax(bad))
-            raise NonFiniteInput(f"score row {k}: non-finite score {self.score[k]!r}")
+            p, c = np.unravel_index(np.argmax(bad), bad.shape)
+            raise NonFiniteInput(f"score pair {p}, class {c}: non-finite score {self.score[p, c]}")
+
+    def __len__(self) -> int:
+        return self.score.size
 
 
 @dataclass
@@ -182,30 +178,26 @@ def average_precision(hits: np.ndarray, npos: int) -> float:
 
 def _greedy_hits(dets: Detections, gts: GroundTruths, space: HoiLabelSpace, mode: str,
                  threshold: float, npos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """TP flags of the pooled detections of classes with ground truth, in
-    matching order (by class, then by descending score, equal scores in
-    input order), and the bounds of each class's run in that order: class c
-    is ``[bounds[c], bounds[c + 1])``. ``npos`` counts ground truths per class."""
+    """TP flags of the pooled (pair, class) scores of classes with ground
+    truth, in matching order (by class, then by descending score, equal
+    scores in pair order), and the bounds of each class's run in that order:
+    class c is ``[bounds[c], bounds[c + 1])``. ``npos`` counts ground truths
+    per class."""
     images, gt_image = np.unique(gts.image_id, return_inverse=True)
-    slot = np.searchsorted(images, dets.image_id)  # a detection's image among them,
+    slot = np.searchsorted(images, dets.image_id)  # a pair's image among them,
     found = slot < len(images)                      # if it has a ground truth at all
     found[found] = images[slot[found]] == dets.image_id[found]
 
-    pooled = npos[dets.hoi_id] > 0  # a class without ground truth has no AP to compute
+    classes = np.flatnonzero(npos)  # a class without ground truth has no AP to compute
+    # each class's pairs by descending score; the stable sort keeps ties in pair order
+    rows = np.argsort(-dets.score[:, classes].T, axis=1, kind="stable").ravel()
+    hoi = np.repeat(classes, len(dets.image_id))
     if mode == "known_object":  # a ground truth is always in its own class's pool
         obj = space.objects_by_hoi()
         pool = np.unique(obj[gts.hoi_id] * len(images) + gt_image)  # (object, image) keys
-        pooled &= found & np.isin(obj[dets.hoi_id] * len(images) + slot, pool)
-    rows = np.flatnonzero(pooled)
-    # a stable sort on an integer key of 16 bits or less is a radix sort
-    rows = rows[np.argsort(dets.hoi_id[rows].astype(np.min_scalar_type(space.num_hois)),
-                           kind="stable")]
-    hoi = dets.hoi_id[rows]
+        pooled = found[rows] & np.isin(obj[hoi] * len(images) + slot[rows], pool)
+        rows, hoi = rows[pooled], hoi[pooled]
     bounds = np.searchsorted(hoi, np.arange(space.num_hois + 1))
-    neg = -dets.score[rows]
-    # class by class, since one stable float sort of all rows is slower
-    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        rows[lo:hi] = rows[lo:hi][np.argsort(neg[lo:hi], kind="stable")]
 
     # join each detection to the ground truths of its class and image
     gt_key = gts.hoi_id * len(images) + gt_image
@@ -253,15 +245,20 @@ def evaluate(
 
     ``partition`` maps partition names to class-id sets; each gets a mean
     beside ``full``. Classes with no ground truth in their pool are NaN in
-    ``ap`` and excluded from every mean.
+    ``ap`` and excluded from every mean. A table with pairs must score every
+    class of ``space``, or ``DimensionMismatch`` is raised.
     """
     if mode not in EVAL_MODES:
         raise InvalidConfig(f"mode must be one of {EVAL_MODES}")
     num_hois = space.num_hois
-    for what, table in (("detection", dets), ("ground truth", gts)):
-        outside = (table.hoi_id < 0) | (table.hoi_id >= num_hois)
-        if outside.any():
-            raise UnknownHoiId(f"{what} class {table.hoi_id[np.argmax(outside)]} outside label space")
+    pairs, width = dets.score.shape
+    if pairs and width != num_hois:
+        raise DimensionMismatch(f"detections score {width} classes, the label space has {num_hois}")
+    outside = (gts.hoi_id < 0) | (gts.hoi_id >= num_hois)
+    if outside.any():
+        raise UnknownHoiId(f"ground truth class {gts.hoi_id[outside][0]} outside label space")
+    if not pairs:  # an empty table, such as an empty file, scores every class alike
+        dets = replace(dets, score=np.zeros((0, num_hois)))
 
     npos = np.bincount(gts.hoi_id, minlength=num_hois)
     hits, bounds = _greedy_hits(dets, gts, space, mode, iou_threshold, npos)
@@ -338,10 +335,10 @@ def detections_from_model(
     thresholds: ThresholdConfig | None = None,
     branch_mode: str = "both",
 ) -> Detections:
-    """Score surviving test pairs with the fused model and emit one
-    detection per class, pairs in image-id order. All pairs are scored in
-    one pass; the spatial-human branch reads their boxes through
-    ``forward_spatial_human_boxes``, so no spatial map is drawn.
+    """Score surviving test pairs with the fused model: one detection row per
+    pair, pairs in image-id order, with a score for every class. All pairs
+    are scored in one pass; the spatial-human branch reads their boxes
+    through ``forward_spatial_human_boxes``, so no spatial map is drawn.
 
     Pairs are filtered by detector confidence; an image whose pairs all fail
     the cutoffs is retried once with both cutoffs scaled by the fallback
@@ -357,69 +354,64 @@ def detections_from_model(
     s_sp = sigmoid(forward_spatial_human_boxes(pairs.human_feat, pairs.human_box,
                                                pairs.object_box, params))
     s_vo = sigmoid(forward_verb_object(pairs.verb_feat, pairs.object_feat, params))
-    fused = fuse_scores(pairs.human_score, pairs.object_score, s_sp, s_vo, branch_mode)
-    num_hois = params.cfg.num_hois
     return Detections(
-        image_id=np.repeat(pairs.image_id, num_hois),
-        hoi_id=np.tile(np.arange(num_hois, dtype=np.int64), len(pairs)),
-        score=fused.ravel(),
-        human_box=np.repeat(pairs.human_box, num_hois, axis=0),
-        object_box=np.repeat(pairs.object_box, num_hois, axis=0),
+        image_id=pairs.image_id, human_box=pairs.human_box, object_box=pairs.object_box,
+        score=fuse_scores(pairs.human_score, pairs.object_score, s_sp, s_vo, branch_mode),
     )
 
 
 # ---- files: detections and reports ----
-# Detections: image_id<TAB>hoi_id<TAB>score<TAB>hx1,hy1,hx2,hy2<TAB>ox1,oy1,ox2,oy2
 
+# a detections file has one line per pair; each <TAB> is one tab character
+DETECTIONS_LINE = "image_id <TAB> hx1,hy1,hx2,hy2 <TAB> ox1,oy1,ox2,oy2 <TAB> s_0,...,s_{C-1}"
 _INT64_LIMIT = 2**63
 
 
-def _fmt_box(box: list[float]) -> str:
-    return ",".join(repr(v) for v in box)
-
-
 def save_detections(dets: Detections, path):
-    columns = (dets.image_id, dets.hoi_id, dets.score, dets.human_box, dets.object_box)
+    columns = (dets.image_id, dets.human_box, dets.object_box, dets.score)
     with open(path, "w", encoding="utf-8") as fh:
-        for image_id, hoi_id, score, hbox, obox in zip(*(c.tolist() for c in columns)):
-            fh.write(f"{image_id}\t{hoi_id}\t{score!r}\t{_fmt_box(hbox)}\t{_fmt_box(obox)}\n")
+        for image_id, *floats in zip(*(c.tolist() for c in columns)):
+            fh.write("\t".join([str(image_id), *(",".join(map(repr, v)) for v in floats)]) + "\n")
 
 
 def load_detections(path) -> Detections:
-    """Detections from a file ``save_detections`` wrote. A malformed line
-    raises ``ParseError`` naming it, and a bad box ``InvalidBox`` naming its
-    line and column (4 human, 5 object)."""
+    """Detections from a file ``save_detections`` wrote. A malformed line,
+    or one whose score count differs from the first line's, raises
+    ``ParseError`` naming it; a non-finite score also names its column (4),
+    and a bad box raises ``InvalidBox`` naming its line and column (2 human,
+    3 object)."""
     ids, scores, boxes, lines = [], [], [], []
     for lineno, raw in enumerate(read_text_lines(path), start=1):
         if not raw.strip():
             continue
         parts = raw.rstrip("\n").split("\t")
-        if len(parts) != 5:
-            raise ParseError(f"expected 5 fields, got {len(parts)}", line=lineno)
+        if len(parts) != 4:
+            raise ParseError(f"expected 4 fields, got {len(parts)}", line=lineno)
         try:
             image_id = int(parts[0])
-            hoi_id = int(parts[1])
-            score = float(parts[2])
-            hbox = [float(v) for v in parts[3].split(",")]
-            obox = [float(v) for v in parts[4].split(",")]
+            hbox = [float(v) for v in parts[1].split(",")]
+            obox = [float(v) for v in parts[2].split(",")]
+            score = [float(v) for v in parts[3].split(",")]
         except ValueError:
             raise ParseError("bad field value", line=lineno) from None
-        if not all(-_INT64_LIMIT <= v < _INT64_LIMIT for v in (image_id, hoi_id)):
-            raise ParseError("id outside the int64 range", line=lineno)
-        if not math.isfinite(score):
-            raise ParseError(f"non-finite score {parts[2]!r}", line=lineno, column=3)
+        if not -_INT64_LIMIT <= image_id < _INT64_LIMIT:
+            raise ParseError("image id outside the int64 range", line=lineno)
         if len(hbox) != 4 or len(obox) != 4:
             raise ParseError("boxes need 4 coordinates", line=lineno)
-        ids.append((image_id, hoi_id))
+        if scores and len(score) != len(scores[0]):
+            raise ParseError(f"{len(score)} scores, first line has {len(scores[0])}", line=lineno)
+        bad = next((c for c, v in enumerate(score) if not math.isfinite(v)), None)
+        if bad is not None:
+            raise ParseError(f"non-finite score {score[bad]!r}, class {bad}", line=lineno, column=4)
+        ids.append(image_id)
         scores.append(score)
         boxes += (hbox, obox)
         lines.append(lineno)
-    ids = np.array(ids, dtype=np.int64).reshape(-1, 2)
     boxes = np.array(boxes, dtype=np.float64).reshape(-1, 4)  # human, object, human, ...
-    check_boxes(boxes, lambda k: f"line {lines[k // 2]}, column {4 + k % 2}")
+    check_boxes(boxes, lambda k: f"line {lines[k // 2]}, column {2 + k % 2}")
     return Detections(
-        image_id=ids[:, 0], hoi_id=ids[:, 1], score=np.array(scores, dtype=np.float64),
-        human_box=boxes[0::2], object_box=boxes[1::2],
+        image_id=np.array(ids, dtype=np.int64), human_box=boxes[0::2], object_box=boxes[1::2],
+        score=np.array(scores, dtype=np.float64).reshape(len(ids), len(scores[0]) if ids else 0),
     )
 
 

@@ -128,10 +128,8 @@ class TestEval:
     def test_external_detections(self, dataset, tmp_path, capsys):
         data, test = dataset
         insts, space = load_dataset(test)
-        dets = Detections(
-            image_id=insts.image_id, hoi_id=np.argmax(insts.label, axis=1).astype(np.int64),
-            score=np.full(len(insts), 0.9), human_box=insts.human_box, object_box=insts.object_box,
-        )
+        dets = Detections(image_id=insts.image_id, human_box=insts.human_box,
+                          object_box=insts.object_box, score=0.9 * insts.label)
         dets_path = tmp_path / "dets.tsv"
         save_detections(dets, dets_path)
         out = tmp_path / "eval"
@@ -155,6 +153,36 @@ class TestEval:
         data, test = dataset
         assert run("eval", "--data", test, "--out", tmp_path / "x") == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sources", [[], ["--checkpoint", "c.ckpt", "--detections", "d.tsv"]])
+    def test_source_check_precedes_output(self, dataset, tmp_path, capsys, sources):
+        data, test = dataset
+        out = tmp_path / "o"
+        assert run("eval", "--data", test, "--train-data", data, "--split", tmp_path / "none",
+                   *sources, "--out", out) == 1
+        assert "exactly one of --checkpoint / --detections" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_detections_file(self, dataset, tmp_path, capsys):
+        data, test = dataset
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("")
+        assert run("eval", "--data", test, "--detections", empty, "--out", tmp_path / "e") == 0
+        assert "map_full=0.0\n" in capsys.readouterr().out
+
+    def test_checkpoint_of_another_label_space(self, dataset, tmp_path, capsys):
+        data, test = dataset
+        out = tmp_path / "run"
+        assert run("train", "--data", data, "--seed", 3, "--out", out, *TINY_TRAIN) == 0
+        other = tmp_path / "other.tsv"
+        hois = TINY_DATA.index("--num-hois") + 1
+        other_data = TINY_DATA[:hois] + [8] + TINY_DATA[hois + 1:]
+        assert run("gen-data", "--seed", 8, "--out", other, *other_data) == 0
+        capsys.readouterr()
+        assert run("eval", "--data", other.with_suffix(".tsv.test"), "--checkpoint",
+                   out / "checkpoint.ckpt", "--out", tmp_path / "eval") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "6 classes" in err and "has 8" in err
 
 
 class TestDemosAndSweeps:

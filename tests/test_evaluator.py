@@ -74,9 +74,12 @@ def _columns(rows, names):
     return out
 
 
-def detections(rows):
-    """``Detections`` from (image_id, human Box, object Box, hoi_id, score) rows."""
-    return Detections(**_columns(rows, ("image_id", "human_box", "object_box", "hoi_id", "score")))
+def detections(pairs, num_classes=0):
+    """``Detections`` from (image_id, human Box, object Box, s_0, ..., s_{C-1})
+    pairs; ``num_classes`` is the score width when there are no pairs."""
+    cols = _columns([p[:3] for p in pairs], ("image_id", "human_box", "object_box"))
+    scores = [p[3:] for p in pairs] or np.zeros((0, num_classes))
+    return Detections(**cols, score=np.array(scores, dtype=np.float64))
 
 
 def ground_truths(rows):
@@ -84,9 +87,20 @@ def ground_truths(rows):
     return GroundTruths(**_columns(rows, ("image_id", "human_box", "object_box", "hoi_id")))
 
 
+def scored(row, *scores):
+    """The pair of a (image_id, human Box, object Box, ...) row, with ``scores``."""
+    return row[:3] + scores
+
+
 def as_rows(table):
-    """One object per row, with ``Box`` boxes, as the per-row code took them."""
+    """One object per row, with ``Box`` boxes, as the per-row code took them;
+    a detection pair gives one row per class, pairs first."""
     cols = {f.name: getattr(table, f.name).tolist() for f in fields(table)}
+    if isinstance(table, Detections):
+        scores = cols.pop("score")
+        cols = {k: [v for v in col for _ in scores[0]] for k, col in cols.items()}
+        cols["hoi_id"] = [c for row in scores for c in range(len(row))]
+        cols["score"] = [v for row in scores for v in row]
     return [
         SimpleNamespace(**{k: Box(*v) if k.endswith("_box") else v for k, v in zip(cols, row)})
         for row in zip(*cols.values())
@@ -174,23 +188,20 @@ def random_micro_case(rng, num_images=3, num_classes=3, max_items=5):
         (int(rng.integers(num_images)), rand_box(), rand_box(), int(rng.integers(num_classes)))
         for _ in range(int(rng.integers(1, max_items + 1)))
     ]
-    dets = []
+    pairs = []
     for _ in range(int(rng.integers(0, max_items + 1))):
         if gts and rng.random() < 0.6:
-            image_id, human, obj, hoi_id = gts[int(rng.integers(len(gts)))]
-            dets.append((
+            image_id, human, obj, _ = gts[int(rng.integers(len(gts)))]
+            pairs.append((
                 image_id,
                 shift(human, rng.uniform(-6, 6), rng.uniform(-6, 6)),
                 shift(obj, rng.uniform(-6, 6), rng.uniform(-6, 6)),
-                hoi_id if rng.random() < 0.8 else int(rng.integers(num_classes)),
-                float(rng.random()),
+                *rng.random(num_classes),
             ))
         else:
-            dets.append((
-                int(rng.integers(num_images)), rand_box(), rand_box(),
-                int(rng.integers(num_classes)), float(rng.random()),
-            ))
-    return detections(dets), ground_truths(gts)
+            pairs.append((int(rng.integers(num_images)), rand_box(), rand_box(),
+                          *rng.random(num_classes)))
+    return detections(pairs, num_classes), ground_truths(gts)
 
 
 def micro_space(num_classes=3):
@@ -315,7 +326,7 @@ class TestEvaluate:
     def test_perfect_detection(self):
         space = micro_space(2)
         gt = (0, Box(0, 0, 10, 10), Box(10, 0, 20, 10), 0)
-        report = evaluate(detections([gt + (0.9,)]), ground_truths([gt]), space)
+        report = evaluate(detections([scored(gt, 0.9, 0.9)]), ground_truths([gt]), space)
         assert report.ap[0] == 1.0
         assert np.isnan(report.ap[1])
         assert report.map_full == 1.0
@@ -324,7 +335,7 @@ class TestEvaluate:
         space = micro_space(1)
         gts = ground_truths([(0, Box(0, 0, 10, 10), Box(0, 0, 10, 10), 0)])
         # human box IoU 2/3 > 0.5 but object box IoU ~0.25 < 0.5
-        dets = detections([(0, Box(0, 0, 10, 15), Box(0, 0, 20, 20), 0, 0.9)])
+        dets = detections([(0, Box(0, 0, 10, 15), Box(0, 0, 20, 20), 0.9)])
         report = evaluate(dets, gts, space)
         assert report.ap[0] == 0.0
 
@@ -358,7 +369,7 @@ class TestEvaluate:
         for _ in range(20):
             dets, gts = random_micro_case(rng, num_classes=2)
             base = evaluate(dets, gts, space)
-            spoiled = concat(dets, detections([(99, Box(0, 0, 1, 1), Box(5, 5, 6, 6), 0, 2.0)]))
+            spoiled = concat(dets, detections([(99, Box(0, 0, 1, 1), Box(5, 5, 6, 6), 2.0, 2.0)]))
             worse = evaluate(spoiled, gts, space)
             for c in range(2):
                 if not np.isnan(base.ap[c]):
@@ -371,9 +382,9 @@ class TestEvaluate:
             (1, Box(0, 0, 10, 10), Box(10, 0, 20, 10), 0),
         ]
         gts = ground_truths(rows)
-        dets = detections([rows[0] + (0.9,)])
+        dets = detections([scored(rows[0], 0.9)])
         base = evaluate(dets, gts, space)
-        more = concat(dets, detections([rows[1] + (0.1,)]))
+        more = concat(dets, detections([scored(rows[1], 0.1)]))
         better = evaluate(more, gts, space)
         assert better.ap[0] >= base.ap[0]
 
@@ -392,8 +403,8 @@ class TestEvaluate:
             (0, Box(30, 0, 40, 10), Box(40, 0, 50, 10), 1),
         ]
         dets = detections([
-            rows[0] + (0.9,),
-            (0, Box(60, 60, 70, 70), Box(80, 80, 90, 90), 1, 0.8),
+            scored(rows[0], 0.9, 0.0, 0.0),
+            (0, Box(60, 60, 70, 70), Box(80, 80, 90, 90), 0.0, 0.8, 0.0),
         ])
         part = {"rare": frozenset({0}), "nonrare": frozenset({1, 2})}
         report = evaluate(dets, ground_truths(rows), space, partition=part)
@@ -405,16 +416,17 @@ class TestEvaluate:
         space = micro_space(2)
         gt = (0, Box(0, 0, 10, 10), Box(10, 0, 20, 10), 0)
         part = frequency_partition(np.array([3, 50]), rare_threshold=10)
-        report = evaluate(detections([gt + (0.9,)]), ground_truths([gt]), space, partition=part)
+        report = evaluate(detections([scored(gt, 0.9, 0.0)]), ground_truths([gt]), space,
+                          partition=part)
         assert report.map_rare == 1.0
 
     def test_known_object_restricts_pool(self):
         space = micro_space(2)
         gt = (0, Box(0, 0, 10, 10), Box(10, 0, 20, 10), 0)
         dets = detections([
-            gt + (0.9,),
+            scored(gt, 0.9, 0.0),
             # image 7 has no GT with object 0: counted in default, dropped in KO
-            (7, Box(0, 0, 9, 9), Box(11, 0, 19, 9), 0, 0.95),
+            (7, Box(0, 0, 9, 9), Box(11, 0, 19, 9), 0.95, 0.0),
         ])
         default = evaluate(dets, ground_truths([gt]), space, mode="default")
         ko = evaluate(dets, ground_truths([gt]), space, mode="known_object")
@@ -424,11 +436,15 @@ class TestEvaluate:
     def test_unknown_hoi_id(self):
         space = micro_space(2)
         with pytest.raises(UnknownHoiId):
-            evaluate(detections([(0, Box(0, 0, 1, 1), Box(2, 2, 3, 3), 9, 0.5)]),
-                     ground_truths([]), space)
-        with pytest.raises(UnknownHoiId):
             evaluate(detections([]),
                      ground_truths([(0, Box(0, 0, 1, 1), Box(2, 2, 3, 3), 9)]), space)
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_score_width_must_match_space(self, width):
+        # scored in another label space, the columns would mean other classes
+        dets = detections([(0, Box(0, 0, 1, 1), Box(2, 2, 3, 3)) + (0.5,) * width])
+        with pytest.raises(DimensionMismatch, match=f"{width} classes, the label space has 2"):
+            evaluate(dets, ground_truths([]), micro_space(2))
 
     def test_bad_mode(self):
         with pytest.raises(InvalidConfig):
@@ -459,15 +475,15 @@ class TestLegacyOracle:
             assert_matches_legacy(dets, gts, space, mode=mode)
 
     def test_tied_scores_keep_input_order(self):
-        # the tied pair: the first in input order takes the ground truth
+        # the tied pair: the first in pair order takes the ground truth
         space = micro_space(1)
         gt = (0, Box(0, 0, 10, 10), Box(10, 0, 20, 10), 0)
         near = (0, Box(0, 0, 10, 11), Box(10, 0, 20, 10), 0)
         far = (0, Box(50, 50, 60, 60), Box(70, 70, 80, 80), 0)
         ap_hit_first = assert_matches_legacy(
-            detections([near + (0.5,), far + (0.5,)]), ground_truths([gt]), space)
+            detections([scored(near, 0.5), scored(far, 0.5)]), ground_truths([gt]), space)
         ap_hit_second = assert_matches_legacy(
-            detections([far + (0.5,), near + (0.5,)]), ground_truths([gt]), space)
+            detections([scored(far, 0.5), scored(near, 0.5)]), ground_truths([gt]), space)
         assert ap_hit_first[0] == 1.0
         assert ap_hit_second[0] == 0.5
 
@@ -475,10 +491,10 @@ class TestLegacyOracle:
         # the second copy finds its ground truth taken: a false positive
         space = micro_space(1)
         gt = (0, Box(0, 0, 10, 10), Box(10, 0, 20, 10), 0)
-        ap = assert_matches_legacy(detections([gt + (0.7,), gt + (0.7,), gt + (0.2,)]),
+        ap = assert_matches_legacy(detections([scored(gt, 0.7), scored(gt, 0.7), scored(gt, 0.2)]),
                                    ground_truths([gt]), space)
         assert ap[0] == 1.0
-        ap = assert_matches_legacy(detections([gt + (0.7,), gt + (0.7,)]),
+        ap = assert_matches_legacy(detections([scored(gt, 0.7), scored(gt, 0.7)]),
                                    ground_truths([gt, (1,) + gt[1:]]), space)
         assert ap[0] == 0.5
 
@@ -487,9 +503,9 @@ class TestLegacyOracle:
         gt = (0, Box(0, 0, 10, 10), Box(10, 0, 20, 10), 0)
         det = (0, Box(1, 0, 10, 10), Box(10, 0, 20, 10), 0)
         gts = ground_truths([gt, gt])
-        ap = assert_matches_legacy(detections([det + (0.9,), det + (0.8,)]), gts, space)
+        ap = assert_matches_legacy(detections([scored(det, 0.9), scored(det, 0.8)]), gts, space)
         assert ap[0] == 1.0
-        ap = assert_matches_legacy(detections([det + (0.9,)]), gts, space)
+        ap = assert_matches_legacy(detections([scored(det, 0.9)]), gts, space)
         assert ap[0] == 0.5
 
     def test_equal_pair_iou_goes_to_first_ground_truth(self):
@@ -498,8 +514,8 @@ class TestLegacyOracle:
         space = micro_space(1)
         obj = Box(30, 0, 40, 10)
         gts = ground_truths([(0, Box(8, 0, 18, 10), obj, 0), (0, Box(12, 0, 22, 10), obj, 0)])
-        dets = detections([(0, Box(10, 0, 20, 10), obj, 0, 0.9),
-                           (0, Box(6, 0, 16, 10), obj, 0, 0.8)])
+        dets = detections([(0, Box(10, 0, 20, 10), obj, 0.9),
+                           (0, Box(6, 0, 16, 10), obj, 0.8)])
         ap = assert_matches_legacy(dets, gts, space)
         assert ap[0] == 0.5
 
@@ -507,11 +523,11 @@ class TestLegacyOracle:
         # at threshold 0 a pair IoU of exactly 0 still does not match
         space = micro_space(1)
         gt = (0, Box(0, 0, 10, 10), Box(10, 0, 20, 10), 0)
-        touching = (0, Box(10, 0, 20, 10), Box(10, 0, 20, 10), 0, 0.9)
+        touching = (0, Box(10, 0, 20, 10), Box(10, 0, 20, 10), 0.9)
         ap = assert_matches_legacy(detections([touching]), ground_truths([gt]), space,
                                    iou_threshold=0.0)
         assert ap[0] == 0.0
-        slight = (0, Box(9, 0, 20, 10), Box(10, 0, 20, 10), 0, 0.9)
+        slight = (0, Box(9, 0, 20, 10), Box(10, 0, 20, 10), 0.9)
         ap = assert_matches_legacy(detections([slight]), ground_truths([gt]), space,
                                    iou_threshold=0.0)
         assert ap[0] == 1.0
@@ -519,21 +535,21 @@ class TestLegacyOracle:
     def test_threshold_one_needs_identical_boxes(self):
         space = micro_space(1)
         gt = (0, Box(0, 0, 10, 10), Box(10, 0, 20, 10), 0)
-        close = (0, Box(0, 0, 10, 10.5), Box(10, 0, 20, 10), 0, 0.9)
-        ap = assert_matches_legacy(detections([close, gt + (0.5,)]), ground_truths([gt]), space,
+        close = (0, Box(0, 0, 10, 10.5), Box(10, 0, 20, 10), 0.9)
+        ap = assert_matches_legacy(detections([close, scored(gt, 0.5)]), ground_truths([gt]), space,
                                    iou_threshold=1.0)
         assert ap[0] == 0.5
 
     def test_known_object_pool(self):
         # class 1 shares object 0 with class 0; class 2's object is absent
         space = build_space((((0,), 0), ((1,), 0), ((2,), 1)))
-        box = Box(0, 0, 10, 10)
+        box, far = Box(0, 0, 10, 10), Box(50, 50, 60, 60)
         gts = ground_truths([(0, box, box, 0), (1, box, box, 2)])
         dets = detections([
-            (0, box, box, 1, 0.9),   # image 0 holds object 0: in class 1's pool
-            (1, box, box, 1, 0.8),   # image 1 does not
-            (2, box, box, 0, 0.7),   # no ground truth in image 2 at all
-            (0, box, box, 0, 0.6),
+            (0, box, box, 0.0, 0.9, 0.0),  # image 0 holds object 0: in class 1's pool
+            (1, far, far, 0.0, 0.8, 0.0),  # image 1 does not; a miss in class 2's pool
+            (2, box, box, 0.7, 0.0, 0.0),  # no ground truth in image 2 at all
+            (0, box, box, 0.6, 0.0, 0.0),
         ])
         ap = assert_matches_legacy(dets, gts, space, mode="known_object")
         assert ap[0] == 1.0 and np.isnan(ap[1]) and ap[2] == 0.0
@@ -543,8 +559,8 @@ class TestTables:
     def test_nan_score_rejected_at_construction(self):
         # passed straight to evaluate, a nan score would scramble the sort
         box = Box(0, 0, 10, 10)
-        with pytest.raises(NonFiniteInput, match="score row 1"):
-            detections([(0, box, box, 0, 0.5), (0, box, box, 0, float("nan"))])
+        with pytest.raises(NonFiniteInput, match="score pair 1, class 2: non-finite score nan"):
+            detections([(0, box, box, 0.5, 0.5, 0.5), (0, box, box, 0.5, 0.5, float("nan"))])
 
     @pytest.mark.parametrize("table, width", [(detections, 5), (ground_truths, 4)])
     def test_negative_box_rejected_at_construction(self, table, width):
@@ -555,20 +571,23 @@ class TestTables:
             replace(good, object_box=bad)
 
     def test_columns_must_agree(self):
-        good = detections([(0, Box(0, 0, 1, 1), Box(0, 0, 1, 1), 0, 0.5)])
-        with pytest.raises(DimensionMismatch, match="hoi_id"):
-            replace(good, hoi_id=np.zeros(2, dtype=np.int64))
-        with pytest.raises(DimensionMismatch, match="score"):
-            replace(good, score=np.zeros(1, dtype=np.float32))
+        good = detections([(0, Box(0, 0, 1, 1), Box(0, 0, 1, 1), 0.5, 0.5)])
+        with pytest.raises(DimensionMismatch, match="object_box"):
+            replace(good, object_box=np.zeros((2, 4)))
         with pytest.raises(DimensionMismatch, match="human_box"):
             replace(good, human_box=[[0.0, 0.0, 1.0, 1.0]])
 
-    def test_rows(self):
-        box = Box(0, 0, 1, 1)
-        dets = detections([(k, box, box, 0, 0.1 * k) for k in range(3)])
-        assert len(dets) == 3 and len(dets[1]) == 1 and dets[1].score[0] == dets.score[1]
-        assert_tables_equal(dets[:2], concat(dets[0], dets[1]))
-        assert_tables_equal(dets[dets.score > 0.15], dets[2])
+    @pytest.mark.parametrize("score", [
+        np.array([0.5, 0.5]),                  # not 2-D
+        np.full((1, 2, 1), 0.5),
+        np.full((1, 2), 0.5, dtype=np.float32),
+        np.full((2, 2), 0.5),                  # a row count other than the pair count
+        np.full((0, 2), 0.5),
+    ])
+    def test_score_is_a_pairs_by_classes_matrix(self, score):
+        good = detections([(0, Box(0, 0, 1, 1), Box(0, 0, 1, 1), 0.5, 0.5)])
+        with pytest.raises(DimensionMismatch, match="score is"):
+            replace(good, score=score)
 
 
 class TestAveragePrecision:
@@ -604,6 +623,7 @@ class TestDetectionsFromModel:
         test, space, params = self._setup()
         thr = ThresholdConfig(human=0.0, object=0.0)
         dets = detections_from_model(test, params, thr)
+        assert dets.score.shape == (len(test), space.num_hois)
         assert len(dets) == len(test) * space.num_hois
 
     def test_matches_scalar_recomputation(self):
@@ -666,14 +686,37 @@ class TestDetectionsFromModel:
             detections_from_model(insts, params, ThresholdConfig(0, 0), branch_mode="spatial")
 
 
+GOOD_BOX = "0.0,0.0,10.0,10.0"
+
+
 class TestFiles:
     def test_detections_roundtrip(self, tmp_path):
         rng = np.random.default_rng(4)
-        dets, _ = random_micro_case(rng)
-        path = tmp_path / "dets.tsv"
+        dets, _ = random_micro_case(rng, max_items=20)
+        assert len(dets.image_id) > 1
+        path, again = tmp_path / "dets.tsv", tmp_path / "again.tsv"
         save_detections(dets, path)
+        assert len(path.read_text().splitlines()) == len(dets.image_id)  # one line per pair
         loaded = load_detections(path)
         assert_tables_equal(loaded, dets)
+        save_detections(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_old_row_file_rejected(self, tmp_path):
+        # image_id, hoi_id, score, boxes: one line per (pair, class)
+        path = tmp_path / "dets.tsv"
+        path.write_text(f"0\t0\t0.5\t{GOOD_BOX}\t{GOOD_BOX}\n0\t1\t0.25\t{GOOD_BOX}\t{GOOD_BOX}\n")
+        with pytest.raises(ParseError, match="expected 4 fields, got 5") as err:
+            load_detections(path)
+        assert err.value.line == 1
+
+    def test_score_count_must_match_first_line(self, tmp_path):
+        path = tmp_path / "dets.tsv"
+        line = f"0\t{GOOD_BOX}\t{GOOD_BOX}\t"
+        path.write_text(f"{line}0.5,0.25,0.0\n{line}0.5,0.25,0.0\n{line}0.5,0.25\n")
+        with pytest.raises(ParseError, match="2 scores, first line has 3") as err:
+            load_detections(path)
+        assert err.value.line == 3
 
     def test_non_finite_score_rejected(self, tmp_path):
         # loaded, the nan broke the score sort and gave class 0 an AP of 1.0, not 0.5
@@ -681,28 +724,36 @@ class TestFiles:
         far = "50.0,50.0,60.0,60.0\t50.0,50.0,60.0,60.0"
         path = tmp_path / "dets.tsv"
         for first, line in (("nan", 1), ("-inf", 1), ("0.1", 3)):
-            path.write_text(f"0\t0\t{first}\t{far}\n0\t0\t0.5\t{gt}\n0\t0\tinf\t{far}\n")
-            with pytest.raises(ParseError) as err:
+            path.write_text(f"0\t{far}\t0.2,{first}\n0\t{gt}\t0.5,0.5\n0\t{far}\t0.2,inf\n")
+            with pytest.raises(ParseError, match=", class 1") as err:
                 load_detections(path)
-            assert (err.value.line, err.value.column) == (line, 3)
+            assert (err.value.line, err.value.column) == (line, 4)
 
     def test_id_outside_int64_rejected(self, tmp_path):
-        box = "0.0,0.0,10.0,10.0"
         path = tmp_path / "dets.tsv"
-        path.write_text(f"0\t0\t0.5\t{box}\t{box}\n99999999999999999999\t0\t0.5\t{box}\t{box}\n")
+        path.write_text(f"0\t{GOOD_BOX}\t{GOOD_BOX}\t0.5\n"
+                        f"99999999999999999999\t{GOOD_BOX}\t{GOOD_BOX}\t0.5\n")
         with pytest.raises(ParseError) as err:
             load_detections(path)
         assert err.value.line == 2
 
-    @pytest.mark.parametrize("column", [4, 5])
+    @pytest.mark.parametrize("column", [2, 3])
     def test_bad_box_names_line_and_column(self, tmp_path, column):
-        good = "0.0,0.0,10.0,10.0"
-        fields = [good, good]
-        fields[column - 4] = "-1.0,0.0,10.0,10.0"
+        boxes = [GOOD_BOX, GOOD_BOX]
+        boxes[column - 2] = "-1.0,0.0,10.0,10.0"
         path = tmp_path / "dets.tsv"
-        path.write_text(f"0\t0\t0.5\t{good}\t{good}\n0\t0\t0.5\t" + "\t".join(fields) + "\n")
+        path.write_text(f"0\t{GOOD_BOX}\t{GOOD_BOX}\t0.5\n0\t" + "\t".join(boxes) + "\t0.5\n")
         with pytest.raises(InvalidBox, match=f"line 2, column {column}: negative coordinates"):
             load_detections(path)
+
+    def test_empty_file_loads(self, tmp_path):
+        path = tmp_path / "dets.tsv"
+        path.write_text("")
+        dets = load_detections(path)
+        assert len(dets) == 0 and dets.image_id.shape == (0,)
+        report = evaluate(dets, ground_truths([(0, Box(0, 0, 1, 1), Box(0, 0, 1, 1), 1)]),
+                          micro_space(2))
+        assert report.map_full == 0.0 and report.ap[1] == 0.0
 
     def test_ground_truths_from_instances(self, toy_space):
         inst = make_row(toy_space, [0, 1], image_id=5)
@@ -716,7 +767,8 @@ class TestFiles:
         space = micro_space(2)
         gt = (0, Box(0, 0, 10, 10), Box(10, 0, 20, 10), 0)
         part = frequency_partition(np.array([1, 20]), rare_threshold=10)
-        report = evaluate(detections([gt + (0.9,)]), ground_truths([gt]), space, partition=part)
+        report = evaluate(detections([scored(gt, 0.9, 0.0)]), ground_truths([gt]), space,
+                          partition=part)
         text = format_report(report)
         assert "map_full=" in text and "mode=default" in text
         table = format_report_table(report, space, counts=np.array([1, 20]))

@@ -61,8 +61,8 @@ def files(tmp_path_factory):
     save_split(ZeroShotSplit(unseen=frozenset({0}), seen=frozenset({1, 2}), strategy="rare_first",
                              seed=3), root / "split.txt")
     box = np.tile([1.0, 2.0, 30.0, 40.5], (4, 1))
-    dets = Detections(image_id=np.arange(4), hoi_id=np.arange(4) % 3, score=0.25 * np.arange(4),
-                      human_box=box, object_box=box)
+    dets = Detections(image_id=np.arange(4), human_box=box, object_box=box,
+                      score=0.25 * np.arange(12.0).reshape(4, 3))
     save_detections(dets, root / "dets.tsv")
     (root / "run.cfg").write_text("command=train\niterations=5\nlr=0.01\n# comment\nno_balance=true\n")
     net = NetworkConfig(num_hois=3, feature_dim=2, hidden=2, vo_hidden=2, sp_hidden=2, spatial_dim=4)
