@@ -11,7 +11,9 @@ holds every flag of its subcommand except ``--out``, ``--test-out``,
 output goes or what to print; so a replay names its own ``--out``, as in
 ``hoicomp --config run/spec.txt train --out rerun``. File values get the
 checks that flags get: a value outside a flag's choices, or a boolean
-other than 1/true/yes/on or 0/false/no/off, is an error.
+other than 1/true/yes/on or 0/false/no/off, is an error. A command reads
+every input file and checks every setting before it writes anything, so a
+run that fails on them leaves no output behind.
 
 The eval flags build one ``experiments.Scoring`` per invocation, and every
 command that scores a model scores it with that value over
@@ -48,7 +50,6 @@ from .experiments import (
     DEFAULT_SPACE_SIZE,
     Scoring,
     default_dataset_config,
-    default_train_config,
     evaluate_params,
     report_basis,
     run_training,
@@ -61,9 +62,11 @@ from .trainer import TrainConfig, make_minibatch, write_metrics_log
 from .zeroshot import STRATEGIES, load_split, make_split, save_split
 
 
-_DATASET_FLAGS = (
-    "num_verbs", "num_objects", "num_hois", "zipf_exponent", "n_train", "n_test",
-    "feature_dim", "class_sep", "noise_sigma", "multi_label_frac", "max_instances_per_image",
+# the label-space size, then every other DatasetConfig field but the two
+# gen-data derives: hoi_defs from that size and seed from --seed
+_DATASET_FLAGS = tuple(DEFAULT_SPACE_SIZE) + tuple(
+    f.name for f in fields(DatasetConfig)
+    if f.name not in DEFAULT_SPACE_SIZE and f.name not in ("hoi_defs", "seed")
 )
 
 
@@ -74,7 +77,7 @@ def _add_dataset_flags(p: argparse.ArgumentParser):
 
 
 def _add_train_flags(p: argparse.ArgumentParser):
-    cfg = default_train_config()
+    cfg = TrainConfig()
     net = {f.name: f.default for f in fields(NetworkConfig)}
     p.add_argument("--iterations", type=int, default=cfg.iterations)
     p.add_argument("--lr", type=float, default=cfg.lr)
@@ -255,15 +258,15 @@ def _write_spec(args: argparse.Namespace, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _train_config(args, unseen_ids=frozenset()) -> TrainConfig:
+def _train_config(args, split=None) -> TrainConfig:
+    """The run's TrainConfig, checked."""
     compose_cfg = ComposeConfig(
         mode=args.compose,
-        interactions_per_minibatch=args.interactions,
         balance=not args.no_balance,
         unseen_allowed=args.unseen_allowed,
-        unseen_ids=unseen_ids,
+        unseen_ids=split.unseen if split is not None else frozenset(),
     )
-    return TrainConfig(
+    cfg = TrainConfig(
         lr=args.lr,
         momentum=args.momentum,
         weight_decay=args.weight_decay,
@@ -274,6 +277,8 @@ def _train_config(args, unseen_ids=frozenset()) -> TrainConfig:
         seed=args.seed,
         eval_every=args.eval_every,
     )
+    cfg.validate()
+    return cfg
 
 
 def _net_config(args, space, feature_dim) -> NetworkConfig:
@@ -287,7 +292,8 @@ def _net_config(args, space, feature_dim) -> NetworkConfig:
 
 
 def _scoring(args) -> Scoring:
-    return Scoring(
+    """The run's Scoring, checked."""
+    scoring = Scoring(
         thresholds=ThresholdConfig(
             human=args.thr_human, object=args.thr_object, fallback=args.thr_fallback
         ),
@@ -295,6 +301,8 @@ def _scoring(args) -> Scoring:
         eval_mode=args.eval_mode,
         rare_threshold=args.rare_threshold,
     )
+    scoring.thresholds.validate()
+    return scoring
 
 
 def _report_files(report, space, counts, out_dir: Path, stem: str = "report"):
@@ -348,13 +356,19 @@ def _cmd_make_splits(args) -> int:
     return 0
 
 
-def _run_and_dump(args, out_dir: Path, train_set, test_set, space, split=None) -> None:
-    unseen_ids = split.unseen if split is not None else frozenset()
-    train_cfg = _train_config(args, unseen_ids=unseen_ids)
+def _cmd_train(args) -> int:
+    _require(args, "data", "out")
+    train_set, space = load_dataset(args.data)
+    test_set = load_dataset(args.test)[0] if args.test else train_set[:0]
+    split = load_split(args.split, space) if args.split else None
+    train_cfg = _train_config(args, split)
     net_cfg = _net_config(args, space, train_set.human_feat.shape[1])
+    scoring = _scoring(args)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_spec(args, out_dir / "spec.txt")
     result = run_training(
-        train_set, test_set, space, train_cfg, net_cfg=net_cfg,
-        scoring=_scoring(args), split=split,
+        train_set, test_set, space, train_cfg, net_cfg=net_cfg, scoring=scoring, split=split,
     )
     write_metrics_log(result.log, out_dir / "metrics.log")
     save_params(result.params, out_dir / "checkpoint.ckpt",
@@ -362,17 +376,6 @@ def _run_and_dump(args, out_dir: Path, train_set, test_set, space, split=None) -
     if test_set:
         _report_files(result.report, space, result.counts, out_dir)
     print(f"final mAP_full={100.0 * result.report.map_full:.2f}")
-
-
-def _cmd_train(args) -> int:
-    _require(args, "data", "out")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    train_set, space = load_dataset(args.data)
-    test_set = load_dataset(args.test)[0] if args.test else train_set[:0]
-    split = load_split(args.split, space) if args.split else None
-    _write_spec(args, out_dir / "spec.txt")
-    _run_and_dump(args, out_dir, train_set, test_set, space, split=split)
     return 0
 
 
@@ -380,8 +383,6 @@ def _cmd_eval(args) -> int:
     _require(args, "data", "out")
     if (args.checkpoint is None) == (args.detections is None):
         raise HoicompError("pass exactly one of --checkpoint / --detections")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     scoring = _scoring(args)
     test_set, space = load_dataset(args.data)
     train_set = load_dataset(args.train_data)[0] if args.train_data else None
@@ -397,6 +398,8 @@ def _cmd_eval(args) -> int:
         dets = load_detections(args.detections)
     gts = ground_truths_from_instances(test_set)
     report = evaluate(dets, gts, space, mode=scoring.eval_mode, partition=partition)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_spec(args, out_dir / "spec.txt")
     _report_files(report, space, counts, out_dir)
     if args.dets_out:
@@ -439,18 +442,20 @@ def _sweep_values(text: str) -> list[float]:
 def _cmd_sweep(args) -> int:
     _require(args, "data", "test", "param", "values", "out")
     values = _sweep_values(args.values)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    base_cfg = _train_config(args)
+    weights = [replace(base_cfg.loss_weights, **{args.param: value}) for value in values]
+    for w in weights:
+        w.validate()
+    scoring = _scoring(args)
     train_set, space = load_dataset(args.data)
     test_set, _ = load_dataset(args.test)
-    base_cfg = _train_config(args)
     net_cfg = _net_config(args, space, train_set.human_feat.shape[1])
-    scoring = _scoring(args)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for value in values:
-        weights = replace(base_cfg.loss_weights, **{args.param: value})
+    for value, w in zip(values, weights):
         result = run_training(
-            train_set, test_set, space, replace(base_cfg, loss_weights=weights),
+            train_set, test_set, space, replace(base_cfg, loss_weights=w),
             net_cfg=net_cfg, scoring=scoring,
         )
         rows.append((value, result.report))
@@ -461,13 +466,13 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_ablate(args) -> int:
     _require(args, "data", "test", "out")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    base_cfg = _train_config(args)
+    scoring = _scoring(args)
     train_set, space = load_dataset(args.data)
     test_set, _ = load_dataset(args.test)
     net_cfg = _net_config(args, space, train_set.human_feat.shape[1])
-    base_cfg = _train_config(args)
-    scoring = _scoring(args)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_spec(args, out_dir / "spec.txt")
 
     rows = []

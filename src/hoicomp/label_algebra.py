@@ -74,13 +74,13 @@ def build_space(
     hoi_defs,
     verb_names=None,
     object_names=None,
-    hoi_names=None,
 ) -> HoiLabelSpace:
     """Build a label space from a list of (verb id set, object id) definitions.
 
-    Class c gets the verbs and object of ``hoi_defs[c]``. Verb/object counts
-    are inferred from the name tables when given, otherwise from the largest
-    id used. Every id in range must be used by at least one class.
+    Class c gets the verbs and object of ``hoi_defs[c]`` and is named
+    ``verb+verb-object`` from the name tables. Verb/object counts are
+    inferred from the name tables when given, otherwise from the largest id
+    used. Every id in range must be used by at least one class.
 
     Raises:
         EmptyDefinition: empty list, or a definition with no verbs.
@@ -128,17 +128,15 @@ def build_space(
         verb_names = tuple(f"verb{v}" for v in range(num_verbs))
     if object_names is None:
         object_names = tuple(f"object{o}" for o in range(num_objects))
-    if hoi_names is None:
-        hoi_names = tuple(
-            "+".join(verb_names[v] for v in verbs) + "-" + object_names[obj]
-            for verbs, obj in defs
-        )
+    hoi_names = tuple(
+        "+".join(verb_names[v] for v in verbs) + "-" + object_names[obj] for verbs, obj in defs
+    )
     return HoiLabelSpace(
         verb_hoi=verb_hoi,
         object_hoi=object_hoi,
         verb_names=tuple(verb_names),
         object_names=tuple(object_names),
-        hoi_names=tuple(hoi_names),
+        hoi_names=hoi_names,
     )
 
 

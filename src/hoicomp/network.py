@@ -31,6 +31,7 @@ instances. The total is ``L_sp + lambda1 * L_vo + lambda2 * L_comp``.
 from __future__ import annotations
 
 import json
+import math
 import operator
 from dataclasses import astuple, dataclass, fields
 from functools import cached_property
@@ -168,8 +169,9 @@ class LossWeights:
     class_weights: np.ndarray | None = None
 
     def validate(self, num_hois=None):
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise OutOfRange("lambda weights must be non-negative")
+        for name in ("lambda1", "lambda2"):
+            if not 0 <= getattr(self, name) < math.inf:  # nan fails too
+                raise OutOfRange(f"{name} must be finite and >= 0")
         if self.class_weights is not None:
             w = np.asarray(self.class_weights)
             if num_hois is not None and w.shape != (num_hois,):
@@ -183,14 +185,15 @@ class LossWeights:
         return np.asarray(self.class_weights, dtype=np.float64)
 
 
-def inverse_log_weights(counts, eps: float = 1.0) -> np.ndarray:
-    """Inverse-log-frequency class weights, normalized to mean 1.
+def inverse_log_weights(counts) -> np.ndarray:
+    """Inverse-log-frequency class weights ``1 / log(1 + count)``,
+    normalized to mean 1.
 
     Zero counts are clipped to 1 so the weight stays finite (matters for
     unseen classes after a zero-shot split).
     """
     counts = np.maximum(np.asarray(counts, dtype=np.float64), 1.0)
-    w = 1.0 / np.log(eps + counts)
+    w = 1.0 / np.log(1.0 + counts)
     return w / w.mean()
 
 

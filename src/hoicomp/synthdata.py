@@ -6,7 +6,10 @@ human/verb/object feature vectors drawn from class-conditional isotropic
 Gaussians. Verb-conditioned generators depend only on the verb set
 and object-conditioned generators only on the object, so features are
 shareable across interaction classes by construction. Class frequencies
-follow a Zipf law over class rank, giving the long tail.
+follow a Zipf law over class rank, giving the long tail. The detector-score
+range, the box-geometry jitter and the share of two-verb classes are module
+constants (``SCORE_RANGE``, ``GEOM_JITTER``, ``MULTI_VERB_FRAC``), not
+``DatasetConfig`` fields.
 """
 
 from __future__ import annotations
@@ -33,6 +36,10 @@ from .label_algebra import (
     parse_space,
 )
 from .spatial import check_boxes
+
+SCORE_RANGE = (0.5, 1.0)  # detector scores, uniform over [low, high)
+GEOM_JITTER = 0.08  # spread of box geometry around its class layout
+MULTI_VERB_FRAC = 0.15  # share of classes random_hoi_defs gives a second verb
 
 
 @dataclass(frozen=True)
@@ -94,15 +101,15 @@ class DatasetConfig:
     seed: int = 0
     multi_label_frac: float = 0.1
     max_instances_per_image: int = 3
-    score_low: float = 0.5
-    score_high: float = 1.0
-    geom_jitter: float = 0.08  # spread of box geometry around its class layout
 
     def validate(self):
-        if self.zipf_exponent < 0:
-            raise InvalidConfig("zipf_exponent must be >= 0")
-        if self.class_sep <= 0:
-            raise InvalidConfig("class_sep must be > 0")
+        # written so that nan fails each check
+        if not 0 <= self.zipf_exponent < math.inf:
+            raise InvalidConfig("zipf_exponent must be finite and >= 0")
+        if not 0 < self.class_sep < math.inf:
+            raise InvalidConfig("class_sep must be finite and > 0")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise InvalidConfig("noise_sigma must be finite and >= 0")
         if self.feature_dim < 2:
             raise InvalidConfig("feature_dim must be >= 2")
         if self.n_train < 0 or self.n_test < 0:
@@ -111,10 +118,6 @@ class DatasetConfig:
             raise InvalidConfig("multi_label_frac must lie in [0, 1]")
         if self.max_instances_per_image < 1:
             raise InvalidConfig("max_instances_per_image must be >= 1")
-        if not 0 <= self.score_low <= self.score_high <= 1:
-            raise InvalidConfig("score range must satisfy 0 <= low <= high <= 1")
-        if not 0 <= self.geom_jitter < 1:
-            raise InvalidConfig("geom_jitter must lie in [0, 1)")
 
 
 def zipf_probs(num_classes: int, exponent: float) -> np.ndarray:
@@ -129,13 +132,12 @@ def random_hoi_defs(
     num_objects: int,
     num_hois: int,
     rng: np.random.Generator,
-    multi_verb_frac: float = 0.15,
 ) -> tuple:
     """Random distinct (verb set, object) definitions covering every id.
 
     The first max(num_verbs, num_objects) classes guarantee coverage; the
-    rest are uniform random pairs. A fraction of classes gets a second verb
-    to exercise multi-verb labels.
+    rest are uniform random pairs. A ``MULTI_VERB_FRAC`` share of classes
+    gets a second verb to exercise multi-verb labels.
     """
     if num_hois < max(num_verbs, num_objects):
         raise InvalidConfig("num_hois too small to cover every verb and object")
@@ -160,7 +162,7 @@ def random_hoi_defs(
     defs = []
     for v, o in pair_list:
         verbs = (v,)
-        if num_verbs > 1 and rng.random() < multi_verb_frac:
+        if num_verbs > 1 and rng.random() < MULTI_VERB_FRAC:
             v2 = int(rng.integers(num_verbs - 1))
             v2 = v2 + 1 if v2 >= v else v2
             cand = (frozenset({v, v2}), o)
@@ -228,16 +230,15 @@ class _FeatureModel:
         return table[list(verbs)].mean(axis=0)
 
 
-def _sample_boxes(verb: int, obj_id: int, cfg: DatasetConfig, model: _FeatureModel, rng: np.random.Generator):
+def _sample_boxes(verb: int, obj_id: int, model: _FeatureModel, rng: np.random.Generator):
     geo = model.geometry
-    jit = cfg.geom_jitter
     hw = rng.uniform(90.0, 170.0)
     hh = rng.uniform(90.0, 170.0)
     hcx = rng.uniform(250.0, 750.0)
     hcy = rng.uniform(250.0, 750.0)
-    angle = geo["angle"][verb] + rng.normal(0.0, jit)
-    dist = geo["dist"][verb] * rng.uniform(1 - jit, 1 + jit) * 0.5 * (hw + hh)
-    scale = geo["scale"][obj_id] * rng.uniform(1 - jit, 1 + jit)
+    angle = geo["angle"][verb] + rng.normal(0.0, GEOM_JITTER)
+    dist = geo["dist"][verb] * rng.uniform(1 - GEOM_JITTER, 1 + GEOM_JITTER) * 0.5 * (hw + hh)
+    scale = geo["scale"][obj_id] * rng.uniform(1 - GEOM_JITTER, 1 + GEOM_JITTER)
     ocx = hcx + dist * math.cos(angle)
     ocy = hcy + dist * math.sin(angle)
     ow = max(scale * hw, 8.0)
@@ -287,9 +288,9 @@ def _generate_split(
         data.object_feat[i] = model.object_means[obj] + cfg.noise_sigma * rng.standard_normal(cfg.feature_dim)
 
         geometry_verb = min(space.verbs_of(c))
-        data.human_box[i], data.object_box[i] = _sample_boxes(geometry_verb, obj, cfg, model, rng)
-        data.human_score[i] = rng.uniform(cfg.score_low, cfg.score_high)
-        data.object_score[i] = rng.uniform(cfg.score_low, cfg.score_high)
+        data.human_box[i], data.object_box[i] = _sample_boxes(geometry_verb, obj, model, rng)
+        data.human_score[i] = rng.uniform(*SCORE_RANGE)
+        data.object_score[i] = rng.uniform(*SCORE_RANGE)
         data.object_id[i] = obj
     for name in ("human_box", "object_box"):
         check_boxes(getattr(data, name), lambda k: f"generated {name}, row {k}")

@@ -9,6 +9,7 @@ leaves every other stream untouched and the two runs coincide step for step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -46,20 +47,20 @@ class TrainConfig:
     lr: float = 0.01
     momentum: float = 0.9
     weight_decay: float = 0.0005
-    iterations: int = 1000
-    interactions_per_minibatch: int = 5
+    iterations: int = 3000
+    interactions_per_minibatch: int = 8
     compose: ComposeConfig = field(default_factory=ComposeConfig)
     loss_weights: LossWeights = field(default_factory=LossWeights)
     seed: int = 0
     eval_every: int = 0
 
     def validate(self):
-        if self.lr <= 0:
-            raise InvalidConfig("lr must be > 0")
+        if not 0 < self.lr < math.inf:
+            raise InvalidConfig("lr must be finite and > 0")
         if not 0 <= self.momentum < 1:
             raise InvalidConfig("momentum must lie in [0, 1)")
-        if self.weight_decay < 0:
-            raise InvalidConfig("weight_decay must be >= 0")
+        if not 0 <= self.weight_decay < math.inf:
+            raise InvalidConfig("weight_decay must be finite and >= 0")
         if self.iterations < 0:
             raise InvalidConfig("iterations must be >= 0")
         if self.interactions_per_minibatch < 1:
@@ -132,16 +133,12 @@ def make_minibatch(
     return chosen[:k]
 
 
-# elements per block of sgd_step
-SGD_BLOCK = FLAT_BLOCK
-
-
 def sgd_step(params: ModelParams, grads: ModelParams, state: ModelParams, cfg: TrainConfig,
              out: np.ndarray | None = None):
     """One SGD step with momentum and decoupled-from-nothing weight decay:
     v <- momentum * v + grad + weight_decay * param; param <- param - lr * v.
 
-    Runs over ``SGD_BLOCK``-element blocks of the flat buffers, writing the
+    Runs over ``FLAT_BLOCK``-element blocks of the flat buffers, writing the
     new parameters into ``out`` (a new buffer when None; it must share no
     memory with ``params``, ``grads`` or ``state``) and checking each block as
     it is written. ``params.flat`` is rebound to ``out`` only once every block
@@ -153,8 +150,8 @@ def sgd_step(params: ModelParams, grads: ModelParams, state: ModelParams, cfg: T
     Returns (params, state)."""
     p, g, v = params.flat, grads.flat, state.flat
     new = np.empty_like(p) if out is None else out
-    for start in range(0, p.size, SGD_BLOCK):
-        block = slice(start, start + SGD_BLOCK)
+    for start in range(0, p.size, FLAT_BLOCK):
+        block = slice(start, start + FLAT_BLOCK)
         vb, nb = v[block], new[block]
         vb *= cfg.momentum
         vb += g[block]

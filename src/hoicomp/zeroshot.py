@@ -31,6 +31,23 @@ class ZeroShotSplit:
     seed: int = 0
 
 
+def _split(unseen, num_hois: int, strategy: str, seed: int) -> ZeroShotSplit:
+    unseen = frozenset(unseen)
+    return ZeroShotSplit(unseen, frozenset(range(num_hois)) - unseen, strategy, seed)
+
+
+def _uncovered(space: HoiLabelSpace, seen: np.ndarray) -> str | None:
+    """The first verb, else the first object, in no class of the boolean
+    mask ``seen``, as ``verb 'name'`` or ``object 'name'``; None when every
+    verb and object stays in some seen class."""
+    for kind, hits, names in (("verb", space.verb_hoi, space.verb_names),
+                              ("object", space.object_hoi, space.object_names)):
+        missing = np.flatnonzero(~hits[:, seen].any(axis=1))
+        if missing.size:
+            return f"{kind} {names[missing[0]]!r}"
+    return None
+
+
 def make_split(
     counts,
     space: HoiLabelSpace,
@@ -62,43 +79,27 @@ def make_split(
     sign = 1 if strategy == "rare_first" else -1
     order = sorted(range(num_hois), key=lambda c: (sign * int(counts[c]), int(perm[c]), c))
 
-    verb_cover = space.verb_hoi.sum(axis=1).astype(np.int64)
-    object_cover = space.object_hoi.sum(axis=1).astype(np.int64)
-    obj_by_hoi = space.objects_by_hoi()
-
+    seen = np.ones(num_hois, dtype=bool)
     unseen: list[int] = []
     first_blocker = None
     for c in order:
         if len(unseen) == n_unseen:
             break
-        verbs = space.verbs_of(c)
-        obj = int(obj_by_hoi[c])
-        blocked_verb = next((v for v in verbs if verb_cover[v] <= 1), None)
-        if blocked_verb is not None:
-            if first_blocker is None:
-                first_blocker = f"verb {space.verb_names[blocked_verb]!r} (class {c})"
+        seen[c] = False
+        blocker = _uncovered(space, seen)
+        if blocker is None:
+            unseen.append(c)
             continue
-        if object_cover[obj] <= 1:
-            if first_blocker is None:
-                first_blocker = f"object {space.object_names[obj]!r} (class {c})"
-            continue
-        unseen.append(c)
-        for v in verbs:
-            verb_cover[v] -= 1
-        object_cover[obj] -= 1
+        seen[c] = True
+        if first_blocker is None:
+            first_blocker = f"{blocker} (class {c})"
 
     if len(unseen) < n_unseen:
         detail = f"; first blocked candidate: {first_blocker}" if first_blocker else ""
         raise InfeasibleSplit(
             f"only {len(unseen)} of {n_unseen} unseen classes selectable under coverage{detail}"
         )
-    unseen_set = frozenset(unseen)
-    return ZeroShotSplit(
-        unseen=unseen_set,
-        seen=frozenset(range(num_hois)) - unseen_set,
-        strategy=strategy,
-        seed=tie_break_seed,
-    )
+    return _split(unseen, num_hois, strategy, tie_break_seed)
 
 
 def apply_split(train: Dataset, split: ZeroShotSplit) -> Dataset:
@@ -178,15 +179,7 @@ def load_split(path, space: HoiLabelSpace) -> ZeroShotSplit:
         raise ParseError(f"missing or unknown strategy {strategy!r}")
     seen = np.ones(space.num_hois, dtype=bool)
     seen[sorted(unseen)] = False
-    for kind, hits, names in (("verb", space.verb_hoi, space.verb_names),
-                              ("object", space.object_hoi, space.object_names)):
-        uncovered = np.flatnonzero(~hits[:, seen].any(axis=1))
-        if uncovered.size:
-            raise InfeasibleSplit(f"split leaves {kind} {names[uncovered[0]]!r} in no seen class")
-    unseen_set = frozenset(unseen)
-    return ZeroShotSplit(
-        unseen=unseen_set,
-        seen=frozenset(range(space.num_hois)) - unseen_set,
-        strategy=strategy,
-        seed=seed,
-    )
+    blocker = _uncovered(space, seen)
+    if blocker is not None:
+        raise InfeasibleSplit(f"split leaves {blocker} in no seen class")
+    return _split(unseen, space.num_hois, strategy, seed)

@@ -1,4 +1,5 @@
 import argparse
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ from hoicomp import cli
 from hoicomp import rng as rngmod
 from hoicomp.cli import main
 from hoicomp.evaluator import Detections, save_detections
-from hoicomp.synthdata import load_dataset
+from hoicomp.synthdata import DatasetConfig, load_dataset
 from hoicomp.trainer import TrainConfig, make_minibatch
 
 from test_spatial import brute_pair
@@ -344,6 +345,84 @@ def test_replayed_spec_is_byte_identical(spec_runs, tmp_path):
         out = tmp_path / f"replay-{k}"
         assert run("--config", spec, command, "--out", out) == 0, command
         assert spec_file(command, out).read_bytes() == spec.read_bytes(), command
+
+
+def assert_failed_before_output(code, capsys, out):
+    """Exit code 1, one ``error:`` line, and nothing written at ``out`` or
+    beside it (``out.test``, ``out.spec``); returns the error line."""
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error:") and len(err.strip().split("\n")) == 1, err
+    assert not list(out.parent.glob(out.name + "*"))
+    return err
+
+
+# a value that is not finite, or that is negative where the setting is a
+# size, fails its config check
+BAD_SETTINGS = [
+    *[("gen-data", flag, value) for flag in ("--zipf-exponent", "--class-sep", "--noise-sigma")
+      for value in ("nan", "inf")],
+    ("gen-data", "--noise-sigma", "-1"),
+    *[("train", flag, value) for flag in ("--lr", "--weight-decay", "--lambda1", "--lambda2")
+      for value in ("nan", "inf")],
+]
+
+
+@pytest.mark.parametrize("command, flag, value", BAD_SETTINGS)
+def test_bad_setting_fails_before_output(dataset, tmp_path, capsys, command, flag, value):
+    data, test = dataset
+    inputs = TINY_DATA if command == "gen-data" else ["--data", data, "--test", test, *TINY_TRAIN]
+    out = tmp_path / "o"
+    code = run(command, *inputs, flag, value, "--out", out)
+    err = assert_failed_before_output(code, capsys, out)
+    assert flag[2:].replace("-", "_") + " must be finite" in err
+
+
+# "DATA"/"TEST" name the tiny dataset's files, "CKPT" a checkpoint trained
+# on it, and "MISSING" a path where nothing is
+BAD_INPUTS = [
+    ["train", "--data", "MISSING"],
+    ["train", "--data", "DATA", "--test", "MISSING"],
+    ["train", "--data", "DATA", "--split", "MISSING"],
+    ["train", "--data", "DATA", "--lr", "nan"],
+    ["eval", "--data", "MISSING", "--checkpoint", "CKPT"],
+    ["eval", "--data", "TEST", "--train-data", "MISSING", "--checkpoint", "CKPT"],
+    ["eval", "--data", "TEST", "--split", "MISSING", "--checkpoint", "CKPT"],
+    ["eval", "--data", "TEST", "--checkpoint", "MISSING"],
+    ["eval", "--data", "TEST", "--detections", "MISSING"],
+    ["sweep", "--data", "MISSING", "--test", "TEST", "--param", "lambda1", "--values", "1"],
+    ["sweep", "--data", "DATA", "--test", "MISSING", "--param", "lambda1", "--values", "1"],
+    ["sweep", "--data", "DATA", "--test", "TEST", "--param", "lambda2", "--values", "1,nan"],
+    ["ablate", "--data", "MISSING", "--test", "TEST"],
+    ["ablate", "--data", "DATA", "--test", "MISSING"],
+]
+
+
+@pytest.fixture()
+def checkpoint(dataset, tmp_path):
+    data, test = dataset
+    assert run("train", "--data", data, "--out", tmp_path / "ckpt", *TINY_TRAIN) == 0
+    return tmp_path / "ckpt" / "checkpoint.ckpt"
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS, ids=" ".join)
+def test_bad_input_fails_before_output(dataset, checkpoint, tmp_path, capsys, argv):
+    data, test = dataset
+    paths = {"DATA": data, "TEST": test, "CKPT": checkpoint, "MISSING": tmp_path / "missing"}
+    flags = [] if argv[0] == "eval" else TINY_TRAIN
+    capsys.readouterr()
+    out = tmp_path / "o"
+    code = run(*(paths.get(a, a) for a in argv), *flags, "--out", out)
+    assert_failed_before_output(code, capsys, out)
+
+
+def test_default_train_flags_build_the_default_train_config():
+    args = cli.build_parser().parse_args(["train"])
+    assert cli._train_config(args) == TrainConfig()
+
+
+def test_every_dataset_setting_is_a_gen_data_flag():
+    # hoi_defs is drawn from --num-verbs/--num-objects/--num-hois
+    assert {f.name for f in fields(DatasetConfig)} - {"hoi_defs"} <= subparser_flags("gen-data")
 
 
 class TestErrors:

@@ -9,6 +9,7 @@ from hoicomp import rng as rngmod
 from hoicomp.composer import ComposeConfig, compose_batch
 from hoicomp.errors import DivergedTraining, InvalidConfig, NonFiniteUpdate, ParseError
 from hoicomp.network import (
+    FLAT_BLOCK,
     CompBatch,
     LossWeights,
     ModelParams,
@@ -197,9 +198,9 @@ class TestSgdBlocks:
         # the cases below rely on this layout: three or more update blocks,
         # the first and last of which each span several parameter blocks
         size = init_params(NET, np.random.default_rng(0)).flat.size
-        assert size > 2 * trainer.SGD_BLOCK
-        assert block_offset(NET, "sp_w1") < trainer.SGD_BLOCK
-        last_start = (size - 1) // trainer.SGD_BLOCK * trainer.SGD_BLOCK
+        assert size > 2 * FLAT_BLOCK
+        assert block_offset(NET, "sp_w1") < FLAT_BLOCK
+        last_start = (size - 1) // FLAT_BLOCK * FLAT_BLOCK
         assert block_offset(NET, "sp_w1") < last_start < block_offset(NET, "sp_b1")
 
     @pytest.mark.parametrize("name, k", [
@@ -208,20 +209,20 @@ class TestSgdBlocks:
     ])
     def test_first_block(self, name, k):
         index = block_offset(NET, name) + k
-        assert index < trainer.SGD_BLOCK
+        assert index < FLAT_BLOCK
         assert f"block {name} " in self._step_fails_at([index])
 
     def test_middle_block(self):
-        index = trainer.SGD_BLOCK + 7
-        assert block_offset(NET, "sp_w1") < index < block_offset(NET, "sp_b1") - trainer.SGD_BLOCK
+        index = FLAT_BLOCK + 7
+        assert block_offset(NET, "sp_w1") < index < block_offset(NET, "sp_b1") - FLAT_BLOCK
         assert "block sp_w1 " in self._step_fails_at([index])
 
     @pytest.mark.parametrize("name", ["sp_w1", "sp_b1", "sp_b2", "vo_w1"])
     def test_block_straddling_two_parameter_blocks(self, name):
         # the update block that holds the end of sp_w1 and the blocks after it
-        start = block_offset(NET, "sp_b1") // trainer.SGD_BLOCK * trainer.SGD_BLOCK
+        start = block_offset(NET, "sp_b1") // FLAT_BLOCK * FLAT_BLOCK
         index = block_offset(NET, "sp_b1") - 1 if name == "sp_w1" else block_offset(NET, name)
-        assert start <= index < start + trainer.SGD_BLOCK
+        assert start <= index < start + FLAT_BLOCK
         assert f"block {name} " in self._step_fails_at([index])
 
     def test_first_bad_element_is_named(self):

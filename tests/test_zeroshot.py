@@ -58,6 +58,18 @@ class TestMakeSplit:
             make_split(np.array([5, 1, 3]), toy_space, 2, "rare_first")
         assert "blocked" in str(err.value)
 
+    @pytest.mark.parametrize("counts, blocker", [
+        # feed-horse is the only feed class, ride-bicycle the only bicycle one
+        ((5, 1, 3), "verb 'feed' (class 1)"),
+        ((5, 3, 1), "object 'bicycle' (class 2)"),
+    ])
+    def test_infeasible_message(self, toy_space, counts, blocker):
+        with pytest.raises(InfeasibleSplit) as err:
+            make_split(np.array(counts), toy_space, 2, "rare_first")
+        assert str(err.value) == (
+            f"only 1 of 2 unseen classes selectable under coverage; first blocked candidate: {blocker}"
+        )
+
     def test_strategies_order(self):
         # verb0 spans all objects so its classes stay removable
         defs = (((0,), 0), ((0,), 1), ((0,), 2), ((1,), 0), ((1,), 1), ((1,), 2))
