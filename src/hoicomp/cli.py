@@ -59,7 +59,7 @@ from .network import BRANCH_MODES, LossWeights, NetworkConfig, load_params, save
 from .spatial import ascii_art, spatial_vector
 from .synthdata import DatasetConfig, class_counts, generate, load_dataset, save_dataset
 from .trainer import TrainConfig, make_minibatch, write_metrics_log
-from .zeroshot import STRATEGIES, load_split, make_split, save_split
+from .zeroshot import STRATEGIES, apply_split, load_split, make_split, save_split
 
 
 # the label-space size, then every other DatasetConfig field but the two
@@ -282,13 +282,25 @@ def _train_config(args, split=None) -> TrainConfig:
 
 
 def _net_config(args, space, feature_dim) -> NetworkConfig:
-    return NetworkConfig(
+    """The run's NetworkConfig, checked."""
+    cfg = NetworkConfig(
         num_hois=space.num_hois,
         feature_dim=feature_dim,
         hidden=args.hidden,
         vo_hidden=args.vo_hidden,
         sp_hidden=args.sp_hidden,
     )
+    cfg.validate()
+    return cfg
+
+
+def _check_trainable(train_set, split=None) -> None:
+    """Raise ``InvalidConfig`` when no row is left to train on once
+    ``split`` has stripped the unseen labels."""
+    if split is not None:
+        train_set = apply_split(train_set, split)
+    if not len(train_set):
+        raise InvalidConfig("training set is empty")
 
 
 def _scoring(args) -> Scoring:
@@ -302,6 +314,8 @@ def _scoring(args) -> Scoring:
         rare_threshold=args.rare_threshold,
     )
     scoring.thresholds.validate()
+    if scoring.rare_threshold < 0:
+        raise InvalidConfig("rare_threshold must be >= 0")
     return scoring
 
 
@@ -361,6 +375,7 @@ def _cmd_train(args) -> int:
     train_set, space = load_dataset(args.data)
     test_set = load_dataset(args.test)[0] if args.test else train_set[:0]
     split = load_split(args.split, space) if args.split else None
+    _check_trainable(train_set, split)
     train_cfg = _train_config(args, split)
     net_cfg = _net_config(args, space, train_set.human_feat.shape[1])
     scoring = _scoring(args)
@@ -449,6 +464,7 @@ def _cmd_sweep(args) -> int:
     scoring = _scoring(args)
     train_set, space = load_dataset(args.data)
     test_set, _ = load_dataset(args.test)
+    _check_trainable(train_set)
     net_cfg = _net_config(args, space, train_set.human_feat.shape[1])
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -470,6 +486,7 @@ def _cmd_ablate(args) -> int:
     scoring = _scoring(args)
     train_set, space = load_dataset(args.data)
     test_set, _ = load_dataset(args.test)
+    _check_trainable(train_set)
     net_cfg = _net_config(args, space, train_set.human_feat.shape[1])
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -21,7 +21,12 @@ zeroing only the blocks that several loss terms add to, and the spatial
 blocks, which have one contribution each, are written once without a
 zero-fill. ``trainer.sgd_step`` writes the new parameters into a second
 buffer and rebinds ``params.flat`` to it, so the buffer a caller saw before
-a step is recycled by the next one: copy ``params.flat`` to keep it.
+a step is recycled by the next one: copy ``params.flat`` to keep it. Nor
+does the spatial branch make temporaries the size of its input: its input
+``z``, the human stream beside the scaled raster, is one (n, hidden +
+spatial_dim) buffer written in place, and its backward computes only the
+``hidden`` columns of the input gradient that the human stream reads, bit
+for bit as the full product would give them.
 
 Targets are multi-label, so every loss term is per-class sigmoid binary
 cross entropy, class-reweighted, summed over classes and averaged over
@@ -40,6 +45,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    InvalidConfig,
     NonFiniteGradient,
     NonFiniteInput,
     NonFiniteLoss,
@@ -75,6 +81,11 @@ class NetworkConfig:
     vo_hidden: int = 128
     sp_hidden: int = 64
     spatial_dim: int = 2 * GRID_SIZE * GRID_SIZE
+
+    def validate(self):
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise InvalidConfig(f"{f.name} must be >= 1")
 
     @cached_property
     def layout(self) -> dict[str, tuple[int, int, tuple[int, ...]]]:
@@ -151,6 +162,7 @@ def _flat_size(cfg: NetworkConfig) -> int:
 def init_params(cfg: NetworkConfig, rng: np.random.Generator) -> ModelParams:
     """Uniform init scaled by fan-in, weights and biases alike; blocks are
     drawn in ``BLOCK_NAMES`` order."""
+    cfg.validate()
     shapes = block_shapes(cfg)
     params = ModelParams(cfg, np.empty(_flat_size(cfg)))
     for name, block in params.blocks().items():
@@ -303,13 +315,16 @@ def spatial_input_scale(params: ModelParams) -> float:
 
 
 def _sp_forward(human_x: np.ndarray, smap_x: np.ndarray, p: ModelParams):
+    h = p.cfg.hidden
     sh_pre = human_x @ p.shared_w + p.shared_b
-    sh = np.maximum(sh_pre, 0.0)
-    z = np.concatenate([sh, spatial_input_scale(p) * smap_x], axis=1)
+    # both halves of z written into one buffer: no (n, spatial_dim) temporary
+    z = np.empty((len(human_x), h + p.cfg.spatial_dim))
+    np.maximum(sh_pre, 0.0, out=z[:, :h])
+    np.multiply(spatial_input_scale(p), smap_x, out=z[:, h:])
     h_pre = z @ p.sp_w1 + p.sp_b1
-    h = np.maximum(h_pre, 0.0)
-    logits = h @ p.sp_w2 + p.sp_b2
-    cache = (human_x, sh_pre, z, h_pre, h)
+    h_act = np.maximum(h_pre, 0.0)
+    logits = h_act @ p.sp_w2 + p.sp_b2
+    cache = (human_x, sh_pre, z, h_pre, h_act)
     return logits, cache
 
 
@@ -415,8 +430,13 @@ def _sp_backward(g_out: np.ndarray, cache, p: ModelParams, grads: dict):
     g1 = (g_out @ p.sp_w2.T) * (h_pre > 0)
     np.matmul(z.T, g1, out=grads["sp_w1"])
     np.sum(g1, axis=0, out=grads["sp_b1"])
-    gz = g1 @ p.sp_w1.T
-    g_sh = gz[:, :h] * (sh_pre > 0)
+    # only the human stream's h columns of g1 @ sp_w1.T are read. With
+    # OpenBLAS 0.3.31, a C-ordered copy of their weights gives the full
+    # product's bits, where the transposed view differs for 2..18 rows; one
+    # row goes through gemv, where the view is the form that matches.
+    # TestStepOracle pins both at the default widths.
+    w_h = p.sp_w1[:h].T
+    g_sh = (g1 @ (w_h if len(g1) == 1 else np.ascontiguousarray(w_h))) * (sh_pre > 0)
     grads["shared_w"] += human_x.T @ g_sh
     grads["shared_b"] += g_sh.sum(axis=0)
 

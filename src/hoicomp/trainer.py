@@ -65,6 +65,8 @@ class TrainConfig:
             raise InvalidConfig("iterations must be >= 0")
         if self.interactions_per_minibatch < 1:
             raise InvalidConfig("interactions_per_minibatch must be >= 1")
+        if self.eval_every < 0:
+            raise InvalidConfig("eval_every must be >= 0")
         self.compose.validate()
         self.loss_weights.validate()
 

@@ -356,29 +356,47 @@ def assert_failed_before_output(code, capsys, out):
     return err
 
 
-# a value that is not finite, or that is negative where the setting is a
-# size, fails its config check
+# a value that is not finite, or that lies below its setting's bound (a
+# width under 1, a count or scale under 0), fails its config check
 BAD_SETTINGS = [
     *[("gen-data", flag, value) for flag in ("--zipf-exponent", "--class-sep", "--noise-sigma")
       for value in ("nan", "inf")],
     ("gen-data", "--noise-sigma", "-1"),
     *[("train", flag, value) for flag in ("--lr", "--weight-decay", "--lambda1", "--lambda2")
       for value in ("nan", "inf")],
+    ("train", "--hidden", "0"),
+    ("train", "--vo-hidden", "0"),
+    ("train", "--sp-hidden", "-3"),
+    ("train", "--eval-every", "-1"),
+    ("train", "--rare-threshold", "-5"),
+    ("eval", "--rare-threshold", "-5"),
 ]
 
 
 @pytest.mark.parametrize("command, flag, value", BAD_SETTINGS)
-def test_bad_setting_fails_before_output(dataset, tmp_path, capsys, command, flag, value):
+def test_bad_setting_fails_before_output(dataset, request, tmp_path, capsys, command, flag, value):
     data, test = dataset
-    inputs = TINY_DATA if command == "gen-data" else ["--data", data, "--test", test, *TINY_TRAIN]
+    if command == "gen-data":
+        inputs = TINY_DATA
+    elif command == "train":
+        inputs = ["--data", data, "--test", test, *TINY_TRAIN]
+    else:
+        inputs = ["--data", test, "--train-data", data,
+                  "--checkpoint", request.getfixturevalue("checkpoint")]
+    capsys.readouterr()
     out = tmp_path / "o"
     code = run(command, *inputs, flag, value, "--out", out)
     err = assert_failed_before_output(code, capsys, out)
-    assert flag[2:].replace("-", "_") + " must be finite" in err
+    name = flag[2:].replace("-", "_")
+    if value in ("nan", "inf"):
+        assert name + " must be finite" in err
+    else:  # the message names the bound
+        assert name + " must be " in err and ">= " in err
 
 
-# "DATA"/"TEST" name the tiny dataset's files, "CKPT" a checkpoint trained
-# on it, and "MISSING" a path where nothing is
+# "DATA"/"TEST" name the tiny dataset's files, "EMPTY" a training set of
+# the same label space with no rows, "CKPT" a checkpoint trained on DATA,
+# and "MISSING" a path where nothing is
 BAD_INPUTS = [
     ["train", "--data", "MISSING"],
     ["train", "--data", "DATA", "--test", "MISSING"],
@@ -394,6 +412,9 @@ BAD_INPUTS = [
     ["sweep", "--data", "DATA", "--test", "TEST", "--param", "lambda2", "--values", "1,nan"],
     ["ablate", "--data", "MISSING", "--test", "TEST"],
     ["ablate", "--data", "DATA", "--test", "MISSING"],
+    ["train", "--data", "EMPTY"],
+    ["sweep", "--data", "EMPTY", "--test", "TEST", "--param", "lambda1", "--values", "1"],
+    ["ablate", "--data", "EMPTY", "--test", "TEST"],
 ]
 
 
@@ -407,7 +428,10 @@ def checkpoint(dataset, tmp_path):
 @pytest.mark.parametrize("argv", BAD_INPUTS, ids=" ".join)
 def test_bad_input_fails_before_output(dataset, checkpoint, tmp_path, capsys, argv):
     data, test = dataset
-    paths = {"DATA": data, "TEST": test, "CKPT": checkpoint, "MISSING": tmp_path / "missing"}
+    paths = {"DATA": data, "TEST": test, "CKPT": checkpoint, "MISSING": tmp_path / "missing",
+             "EMPTY": tmp_path / "empty.tsv"}
+    if "EMPTY" in argv:
+        assert run("gen-data", "--seed", 7, "--out", paths["EMPTY"], *TINY_DATA, "--n-train", 0) == 0
     flags = [] if argv[0] == "eval" else TINY_TRAIN
     capsys.readouterr()
     out = tmp_path / "o"

@@ -8,6 +8,7 @@ from hoicomp import network, trainer
 from hoicomp import rng as rngmod
 from hoicomp.composer import ComposeConfig, compose_batch
 from hoicomp.errors import DivergedTraining, InvalidConfig, NonFiniteUpdate, ParseError
+from hoicomp.experiments import default_dataset_config
 from hoicomp.network import (
     FLAT_BLOCK,
     CompBatch,
@@ -17,8 +18,9 @@ from hoicomp.network import (
     RealBatch,
     block_shapes,
     init_params,
+    inverse_log_weights,
 )
-from hoicomp.synthdata import DatasetConfig, generate, random_hoi_defs
+from hoicomp.synthdata import DatasetConfig, class_counts, generate, random_hoi_defs
 from hoicomp.trainer import (
     TrainConfig,
     format_metrics_log,
@@ -50,6 +52,26 @@ def tiny_dataset(seed=5, n_train=160):
         seed=seed,
     )
     return generate(cfg)
+
+
+@pytest.fixture(scope="module")
+def default_step_inputs():
+    """(train set, label space, init params, loss weights) at the default
+    widths on the default 60-class data, with fewer rows."""
+    train_set, _, space = generate(default_dataset_config(n_train=2000, n_test=0))
+    net = NetworkConfig(num_hois=space.num_hois, feature_dim=train_set.human_feat.shape[1])
+    lw = LossWeights(class_weights=inverse_log_weights(class_counts(train_set, space)))
+    return train_set, space, init_params(net, np.random.default_rng(0)), lw
+
+
+def default_step_batches(inputs, batch, seed=0):
+    """A real minibatch of ``batch`` instances and its compositions."""
+    train_set, space, _, _ = inputs
+    rows = make_minibatch(train_set, TrainConfig(interactions_per_minibatch=batch),
+                          np.random.default_rng(seed))
+    real_rows = train_set[rows]
+    comp = compose_batch(real_rows, space, ComposeConfig(), np.random.default_rng(seed + 1))
+    return RealBatch.from_instances(real_rows), comp
 
 
 class TestMakeMinibatch:
@@ -250,6 +272,15 @@ class TestSgdBlocks:
 # ---- the parent's step, kept as the oracle of the buffer-reusing one ----
 
 
+def _oracle_sp_forward(human_x, smap_x, p):
+    sh_pre = human_x @ p.shared_w + p.shared_b
+    sh = np.maximum(sh_pre, 0.0)
+    z = np.concatenate([sh, network.spatial_input_scale(p) * smap_x], axis=1)
+    h_pre = z @ p.sp_w1 + p.sp_b1
+    h = np.maximum(h_pre, 0.0)
+    return h @ p.sp_w2 + p.sp_b2, (human_x, sh_pre, z, h_pre, h)
+
+
 def _oracle_sp_backward(g_out, cache, p, grads):
     human_x, sh_pre, z, h_pre, h_act = cache
     h = p.cfg.hidden
@@ -265,11 +296,13 @@ def _oracle_sp_backward(g_out, cache, p, grads):
 
 
 def oracle_loss_and_grads(real, comp, params, lw, out=None):
-    """``loss_and_grads`` as it was: every loss term adds its gradient into a
-    new zero-filled buffer. ``out`` is ignored."""
+    """``loss_and_grads`` as it was: the spatial input is concatenated from
+    temporaries, the spatial backward takes the full input gradient, and
+    every loss term adds its gradient into a new zero-filled buffer. ``out``
+    is ignored."""
     w = lw.resolved_weights(params.cfg.num_hois)
     vo_logits, vo_cache = network._vo_forward(real.verb_feat, real.object_feat, params)
-    sp_logits, sp_cache = network._sp_forward(real.human_feat, real.spatial, params)
+    sp_logits, sp_cache = _oracle_sp_forward(real.human_feat, real.spatial, params)
     comps = {
         "L_sp": network._weighted_bce(sp_logits, real.label, w),
         "L_vo": network._weighted_bce(vo_logits, real.label, w),
@@ -360,6 +393,19 @@ class TestStepOracle:
         assert out.flat.tobytes() == fresh.flat.tobytes() == oracle.flat.tobytes()
         assert total == fresh_total == oracle_total and comps == fresh_comps == oracle_comps
 
+    # the spatial backward reads h columns of an (n, h) product that the
+    # oracle takes from the full (n, h + spatial_dim) one; at the default
+    # widths, a plain slice of the weights differs from it for 2..18 rows
+    @pytest.mark.parametrize("batch", [1, 2, 8, 16, 18, 19, 32, 33])
+    def test_default_widths_equal_oracle(self, default_step_inputs, batch):
+        _, _, p, lw = default_step_inputs
+        real, comp = default_step_batches(default_step_inputs, batch, seed=batch)
+        assert batch == 1 or len(comp)
+        total, comps, grads = network.loss_and_grads(real, comp, p, lw)
+        oracle_total, oracle_comps, oracle = oracle_loss_and_grads(real, comp, p, lw)
+        assert grads.flat.tobytes() == oracle.flat.tobytes()
+        assert total == oracle_total and comps == oracle_comps
+
 
 class TestStepAllocations:
     def _step_growth(self, iterations):
@@ -383,6 +429,25 @@ class TestStepAllocations:
             tracemalloc.stop()
         live, flat_bytes = after_first[0]
         return peak - live, flat_bytes
+
+    def test_loss_and_grads_makes_no_second_spatial_input(self, default_step_inputs):
+        # at batch 32 the spatial input z, (32, hidden + spatial_dim), is the
+        # one step array of its size; a temporary of that size on top of it
+        # would take the peak past 1.5 times it
+        _, _, p, lw = default_step_inputs
+        real, comp = default_step_batches(default_step_inputs, 32)
+        out = ModelParams(p.cfg, np.zeros_like(p.flat))
+        tracemalloc.start()
+        try:
+            network.loss_and_grads(real, comp, p, lw, out=out)  # warm-up
+            tracemalloc.reset_peak()
+            live = tracemalloc.get_traced_memory()[0]
+            network.loss_and_grads(real, comp, p, lw, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        z_bytes = 32 * (p.cfg.hidden + p.cfg.spatial_dim) * 8
+        assert peak - live < 1.5 * z_bytes, (peak - live) / z_bytes
 
     def test_no_parameter_sized_allocation_per_step(self):
         two, flat_bytes = self._step_growth(2)
