@@ -11,9 +11,11 @@ holds every flag of its subcommand except ``--out``, ``--test-out``,
 output goes or what to print; so a replay names its own ``--out``, as in
 ``hoicomp --config run/spec.txt train --out rerun``. File values get the
 checks that flags get: a value outside a flag's choices, or a boolean
-other than 1/true/yes/on or 0/false/no/off, is an error. A command reads
-every input file and checks every setting before it writes anything, so a
-run that fails on them leaves no output behind.
+other than 1/true/yes/on or 0/false/no/off, is an error. A setting is
+checked when its config is built, so a config that exists is valid; seeds
+and display counts must be >= 0. A command builds its configs and reads
+every input file before it writes anything, so a run that fails on them
+leaves no output behind.
 
 The eval flags build one ``experiments.Scoring`` per invocation, and every
 command that scores a model scores it with that value over
@@ -259,14 +261,13 @@ def _write_spec(args: argparse.Namespace, path) -> None:
 
 
 def _train_config(args, split=None) -> TrainConfig:
-    """The run's TrainConfig, checked."""
     compose_cfg = ComposeConfig(
         mode=args.compose,
         balance=not args.no_balance,
         unseen_allowed=args.unseen_allowed,
         unseen_ids=split.unseen if split is not None else frozenset(),
     )
-    cfg = TrainConfig(
+    return TrainConfig(
         lr=args.lr,
         momentum=args.momentum,
         weight_decay=args.weight_decay,
@@ -277,21 +278,16 @@ def _train_config(args, split=None) -> TrainConfig:
         seed=args.seed,
         eval_every=args.eval_every,
     )
-    cfg.validate()
-    return cfg
 
 
 def _net_config(args, space, feature_dim) -> NetworkConfig:
-    """The run's NetworkConfig, checked."""
-    cfg = NetworkConfig(
+    return NetworkConfig(
         num_hois=space.num_hois,
         feature_dim=feature_dim,
         hidden=args.hidden,
         vo_hidden=args.vo_hidden,
         sp_hidden=args.sp_hidden,
     )
-    cfg.validate()
-    return cfg
 
 
 def _check_trainable(train_set, split=None) -> None:
@@ -304,8 +300,7 @@ def _check_trainable(train_set, split=None) -> None:
 
 
 def _scoring(args) -> Scoring:
-    """The run's Scoring, checked."""
-    scoring = Scoring(
+    return Scoring(
         thresholds=ThresholdConfig(
             human=args.thr_human, object=args.thr_object, fallback=args.thr_fallback
         ),
@@ -313,10 +308,6 @@ def _scoring(args) -> Scoring:
         eval_mode=args.eval_mode,
         rare_threshold=args.rare_threshold,
     )
-    scoring.thresholds.validate()
-    if scoring.rare_threshold < 0:
-        raise InvalidConfig("rare_threshold must be >= 0")
-    return scoring
 
 
 def _report_files(report, space, counts, out_dir: Path, stem: str = "report"):
@@ -344,6 +335,8 @@ def _spatial_art(data, k: int) -> str:
 
 def _cmd_gen_data(args) -> int:
     _require(args, "out")
+    if args.show_spatial < 0:
+        raise InvalidConfig("show_spatial must be >= 0")
     cfg = default_dataset_config(**{key: getattr(args, key) for key in ("seed",) + _DATASET_FLAGS})
     train_set, test_set, space = generate(cfg)
     out = Path(args.out)
@@ -425,6 +418,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_compose_demo(args) -> int:
     _require(args, "data")
+    if min(args.limit, args.show_spatial) < 0:
+        raise InvalidConfig("limit and show_spatial must be >= 0")
     data, space = load_dataset(args.data)
     cfg = TrainConfig(interactions_per_minibatch=args.batch_size, seed=args.seed)
     batch = data[make_minibatch(data, cfg, rngmod.stream(args.seed, "batch"))]
@@ -459,8 +454,6 @@ def _cmd_sweep(args) -> int:
     values = _sweep_values(args.values)
     base_cfg = _train_config(args)
     weights = [replace(base_cfg.loss_weights, **{args.param: value}) for value in values]
-    for w in weights:
-        w.validate()
     scoring = _scoring(args)
     train_set, space = load_dataset(args.data)
     test_set, _ = load_dataset(args.test)

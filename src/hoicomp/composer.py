@@ -37,7 +37,7 @@ class ComposeConfig:
     unseen_allowed: bool = False
     unseen_ids: frozenset = frozenset()
 
-    def validate(self):
+    def __post_init__(self):
         if self.mode not in MODES:
             raise InvalidConfig(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.interactions_per_minibatch < 1:
@@ -60,7 +60,6 @@ def compose_batch(
     composited sample per real interaction in the batch survives, chosen
     uniformly without replacement.
     """
-    cfg.validate()
     n = len(batch)
     if n == 0:
         raise EmptyBatch("compose_batch needs at least one instance")

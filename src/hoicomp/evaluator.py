@@ -306,7 +306,7 @@ class ThresholdConfig:
     object: float = 0.0
     fallback: float = 0.5  # multiplier applied when an image loses all its pairs
 
-    def validate(self):
+    def __post_init__(self):
         if not (0 <= self.human <= 1 and 0 <= self.object <= 1):
             raise InvalidConfig("thresholds must lie in [0, 1]")
         if not 0 <= self.fallback <= 1:
@@ -347,7 +347,6 @@ def detections_from_model(
     if branch_mode not in BRANCH_MODES:
         raise InvalidConfig(f"branch_mode must be one of {BRANCH_MODES}")
     thresholds = thresholds or ThresholdConfig()
-    thresholds.validate()
     surviving = _surviving_rows(test, thresholds)
 
     pairs = test[surviving]

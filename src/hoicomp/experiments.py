@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import rng as rngmod
+from .errors import InvalidConfig
 from .evaluator import (
     EvalReport,
     ThresholdConfig,
@@ -72,6 +73,10 @@ class Scoring:
     branch_mode: str = "both"
     eval_mode: str = "default"
     rare_threshold: int = DEFAULT_RARE_THRESHOLD
+
+    def __post_init__(self):
+        if self.rare_threshold < 0:
+            raise InvalidConfig("rare_threshold must be >= 0")
 
 
 @dataclass

@@ -38,7 +38,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -72,8 +72,8 @@ BLOCK_NAMES = (
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    """Layer widths. The 1024-wide heads of a full-scale run stay available
-    through ``vo_hidden``; defaults are sized for fast desk runs."""
+    """Layer widths, each checked >= 1 when built; ``vo_hidden`` keeps the
+    1024-wide heads of a full-scale run available. Defaults suit desk runs."""
 
     num_hois: int
     feature_dim: int = 32
@@ -82,7 +82,7 @@ class NetworkConfig:
     sp_hidden: int = 64
     spatial_dim: int = 2 * GRID_SIZE * GRID_SIZE
 
-    def validate(self):
+    def __post_init__(self):
         for f in fields(self):
             if getattr(self, f.name) < 1:
                 raise InvalidConfig(f"{f.name} must be >= 1")
@@ -162,7 +162,6 @@ def _flat_size(cfg: NetworkConfig) -> int:
 def init_params(cfg: NetworkConfig, rng: np.random.Generator) -> ModelParams:
     """Uniform init scaled by fan-in, weights and biases alike; blocks are
     drawn in ``BLOCK_NAMES`` order."""
-    cfg.validate()
     shapes = block_shapes(cfg)
     params = ModelParams(cfg, np.empty(_flat_size(cfg)))
     for name, block in params.blocks().items():
@@ -174,27 +173,27 @@ def init_params(cfg: NetworkConfig, rng: np.random.Generator) -> ModelParams:
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Loss mixing factors plus per-class reweighting vector (mean 1)."""
+    """Loss mixing factors plus per-class reweighting vector (mean 1),
+    checked when built; ``resolved_weights`` checks the vector's length."""
 
     lambda1: float = 2.0
     lambda2: float = 0.5
     class_weights: np.ndarray | None = None
 
-    def validate(self, num_hois=None):
+    def __post_init__(self):
         for name in ("lambda1", "lambda2"):
             if not 0 <= getattr(self, name) < math.inf:  # nan fails too
                 raise OutOfRange(f"{name} must be finite and >= 0")
-        if self.class_weights is not None:
-            w = np.asarray(self.class_weights)
-            if num_hois is not None and w.shape != (num_hois,):
-                raise DimensionMismatch(f"class_weights shape {w.shape}, expected ({num_hois},)")
-            if not np.all(w > 0):
-                raise OutOfRange("class_weights must be strictly positive")
+        if self.class_weights is not None and not np.all(np.asarray(self.class_weights) > 0):
+            raise OutOfRange("class_weights must be strictly positive")
 
     def resolved_weights(self, num_hois: int) -> np.ndarray:
         if self.class_weights is None:
             return np.ones(num_hois)
-        return np.asarray(self.class_weights, dtype=np.float64)
+        w = np.asarray(self.class_weights, dtype=np.float64)
+        if w.shape != (num_hois,):
+            raise DimensionMismatch(f"class_weights shape {w.shape}, expected ({num_hois},)")
+        return w
 
 
 def inverse_log_weights(counts) -> np.ndarray:
@@ -457,9 +456,7 @@ def loss_and_grads(real: RealBatch, comp: CompBatch | None, params: ModelParams,
     """
     if len(real) == 0:
         raise NonFiniteLoss("real batch is empty")
-    c = params.cfg.num_hois
-    lw.validate(num_hois=c)
-    w = lw.resolved_weights(c)
+    w = lw.resolved_weights(params.cfg.num_hois)
 
     vo_logits, vo_cache = _vo_forward(real.verb_feat, real.object_feat, params)
     sp_logits, sp_cache = _sp_forward(real.human_feat, real.spatial, params)
@@ -560,7 +557,8 @@ def save_params(params: ModelParams, path, meta: dict | None = None):
 
 def _header_config(entries) -> NetworkConfig:
     """The network a checkpoint header describes: every block of
-    ``BLOCK_NAMES``, in order, shaped as ``block_shapes`` gives for it."""
+    ``BLOCK_NAMES``, in order, shaped as ``block_shapes`` gives for it.
+    Widths that ``NetworkConfig`` refuses raise ``DimensionMismatch`` too."""
     try:
         names = [name for name, _ in entries]
         shapes = {name: tuple(operator.index(n) for n in shape) for name, shape in entries}
@@ -577,7 +575,9 @@ def _header_config(entries) -> NetworkConfig:
         )
     except IndexError:
         raise DimensionMismatch("checkpoint has a block with too few dimensions") from None
-    if shapes != block_shapes(cfg) or min(astuple(cfg)) < 0:
+    except InvalidConfig as exc:
+        raise DimensionMismatch(f"checkpoint header: {exc}") from None
+    if shapes != block_shapes(cfg):
         raise DimensionMismatch(f"checkpoint block shapes {shapes} do not fit one network")
     return cfg
 

@@ -102,7 +102,7 @@ class DatasetConfig:
     multi_label_frac: float = 0.1
     max_instances_per_image: int = 3
 
-    def validate(self):
+    def __post_init__(self):
         # written so that nan fails each check
         if not 0 <= self.zipf_exponent < math.inf:
             raise InvalidConfig("zipf_exponent must be finite and >= 0")
@@ -118,6 +118,7 @@ class DatasetConfig:
             raise InvalidConfig("multi_label_frac must lie in [0, 1]")
         if self.max_instances_per_image < 1:
             raise InvalidConfig("max_instances_per_image must be >= 1")
+        rngmod.check_seed(self.seed)
 
 
 def zipf_probs(num_classes: int, exponent: float) -> np.ndarray:
@@ -303,7 +304,6 @@ def generate(cfg: DatasetConfig):
     Train and test are drawn from disjoint named streams of the same seed,
     so changing one split's size never perturbs the other.
     """
-    cfg.validate()
     space = build_space(
         cfg.hoi_defs,
         verb_names=tuple(f"verb{v}" for v in range(cfg.num_verbs)),

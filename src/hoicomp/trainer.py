@@ -42,7 +42,7 @@ from .synthdata import Dataset, class_counts
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimizer and schedule settings for one run."""
+    """Optimizer and schedule settings for one run, checked when built."""
 
     lr: float = 0.01
     momentum: float = 0.9
@@ -54,7 +54,7 @@ class TrainConfig:
     seed: int = 0
     eval_every: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if not 0 < self.lr < math.inf:
             raise InvalidConfig("lr must be finite and > 0")
         if not 0 <= self.momentum < 1:
@@ -67,8 +67,7 @@ class TrainConfig:
             raise InvalidConfig("interactions_per_minibatch must be >= 1")
         if self.eval_every < 0:
             raise InvalidConfig("eval_every must be >= 0")
-        self.compose.validate()
-        self.loss_weights.validate()
+        rngmod.check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -170,12 +169,6 @@ def sgd_step(params: ModelParams, grads: ModelParams, state: ModelParams, cfg: T
     return params, state
 
 
-def _resolve_class_weights(lw: LossWeights, counts: np.ndarray) -> LossWeights:
-    if lw.class_weights is not None:
-        return lw
-    return replace(lw, class_weights=inverse_log_weights(counts))
-
-
 def train(
     train_set: Dataset,
     space: HoiLabelSpace,
@@ -193,12 +186,12 @@ def train(
     ``eval_fn`` sees ``params`` between steps; the next step reuses its
     ``flat`` buffer, so an ``eval_fn`` that keeps parameters must copy them.
     """
-    cfg.validate()
     if not len(train_set):
         raise InvalidConfig("training set is empty")
     counts = class_counts(train_set, space)
-    lw = _resolve_class_weights(cfg.loss_weights, counts)
-    lw.validate(num_hois=space.num_hois)
+    lw = cfg.loss_weights
+    if lw.class_weights is None:
+        lw = replace(lw, class_weights=inverse_log_weights(counts))
 
     if net_cfg is None:
         net_cfg = NetworkConfig(

@@ -1,5 +1,6 @@
 import argparse
-from dataclasses import fields
+import functools
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +10,12 @@ from hoicomp import cli
 from hoicomp import rng as rngmod
 from hoicomp.cli import main
 from hoicomp.evaluator import Detections, save_detections
+from hoicomp.network import NetworkConfig
 from hoicomp.synthdata import DatasetConfig, load_dataset
 from hoicomp.trainer import TrainConfig, make_minibatch
 
+from test_file_fuzz import write_valid_files
+from test_network import save_unbuilt
 from test_spatial import brute_pair
 
 
@@ -206,6 +210,14 @@ class TestDemosAndSweeps:
         assert f"real[0] image={train_set.image_id[first]} " in printed
         assert printed.count("[person]") == 1 and art in printed  # the one map is row 0's
 
+    @pytest.mark.parametrize("flag", ["--limit", "--show-spatial", "--seed"])
+    def test_compose_demo_negative_value_prints_nothing(self, dataset, capsys, flag):
+        data, _ = dataset
+        capsys.readouterr()
+        assert run("compose-demo", "--data", data, flag, -1) == 1
+        printed = capsys.readouterr()
+        assert printed.out == "" and printed.err.startswith("error:")
+
     def test_sweep_rows(self, dataset, tmp_path):
         data, test = dataset
         out = tmp_path / "sweep"
@@ -296,9 +308,15 @@ OUTPUT_ONLY = {
 }
 
 
-def subparser_flags(command):
+@functools.cache
+def subparsers():
+    """Each subcommand's parser, by name; built once, so do not change it."""
     sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return {action.dest for action in sub.choices[command]._actions} - {"help"}
+    return sub.choices
+
+
+def subparser_flags(command):
+    return {action.dest for action in subparsers()[command]._actions} - {"help"}
 
 
 def spec_file(command, out):
@@ -362,6 +380,8 @@ BAD_SETTINGS = [
     *[("gen-data", flag, value) for flag in ("--zipf-exponent", "--class-sep", "--noise-sigma")
       for value in ("nan", "inf")],
     ("gen-data", "--noise-sigma", "-1"),
+    ("gen-data", "--seed", "-1"),
+    ("gen-data", "--show-spatial", "-1"),
     *[("train", flag, value) for flag in ("--lr", "--weight-decay", "--lambda1", "--lambda2")
       for value in ("nan", "inf")],
     ("train", "--hidden", "0"),
@@ -369,6 +389,7 @@ BAD_SETTINGS = [
     ("train", "--sp-hidden", "-3"),
     ("train", "--eval-every", "-1"),
     ("train", "--rare-threshold", "-5"),
+    ("train", "--seed", "-1"),
     ("eval", "--rare-threshold", "-5"),
 ]
 
@@ -437,6 +458,19 @@ def test_bad_input_fails_before_output(dataset, checkpoint, tmp_path, capsys, ar
     out = tmp_path / "o"
     code = run(*(paths.get(a, a) for a in argv), *flags, "--out", out)
     assert_failed_before_output(code, capsys, out)
+
+
+@pytest.mark.parametrize("width", ["hidden", "vo_hidden", "sp_hidden"])
+def test_zero_width_checkpoint_fails_before_output(dataset, tmp_path, capsys, width):
+    _, test = dataset
+    # the tiny data's label space and feature width
+    widths = asdict(NetworkConfig(num_hois=6, feature_dim=6, hidden=6, vo_hidden=6, sp_hidden=6))
+    ckpt = tmp_path / "zero.ckpt"
+    save_unbuilt(ckpt, **{**widths, width: 0})
+    capsys.readouterr()
+    out = tmp_path / "o"
+    code = run("eval", "--data", test, "--checkpoint", ckpt, "--out", out)
+    assert f"{width} must be >= 1" in assert_failed_before_output(code, capsys, out)
 
 
 def test_default_train_flags_build_the_default_train_config():
@@ -514,3 +548,98 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "not a dataset archive" in err
         assert len(err.strip().split("\n")) == 1
+
+
+# ---- the parser walk: each subcommand's valid run, changed in one flag ----
+
+# the values every numeric flag is tried at, by the flag's type
+EDGE_VALUES = {int: ("0", "-1"), float: ("0", "-1", "nan", "inf")}
+
+# the fuzzed format each flag naming an input file reads; None: not a file
+READS = {"data": "data.tsv", "test": "data.tsv", "train_data": "data.tsv",
+         "split": "split.txt", "checkpoint": "model.ckpt", "detections": "dets.tsv",
+         "values": None}
+
+
+def numeric_flags(command):
+    for action in subparsers()[command]._actions:
+        if action.type in EDGE_VALUES:
+            yield action.option_strings[0], action.type
+
+
+def file_flags(command):
+    """Flags of ``command`` that name a file it reads."""
+    for action in subparsers()[command]._actions:
+        if (action.type is None and action.nargs is None and action.choices is None
+                and action.dest not in cli.OUTPUT_FLAGS and READS[action.dest] is not None):
+            yield action.option_strings[0], READS[action.dest]
+
+
+@pytest.fixture(scope="module")
+def walk_inputs(tmp_path_factory):
+    """The tiny data, a checkpoint trained on it and, under ``bad``, each
+    fuzzed format's valid file truncated halfway; returns (root, {command:
+    the flags of its valid run but --out})."""
+    root = tmp_path_factory.mktemp("walk")
+    data, test, ckpt = root / "d.tsv", root / "d.tsv.test", root / "run" / "checkpoint.ckpt"
+    assert run("gen-data", "--seed", 7, "--out", data, *TINY_DATA) == 0
+    assert run("train", "--data", data, "--out", ckpt.parent, *TINY_TRAIN) == 0
+    (root / "bad").mkdir()
+    write_valid_files(root / "bad")
+    for path in (root / "bad").iterdir():
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+    train = [*TINY_TRAIN, "--iterations", 1]
+    return root, {
+        "gen-data": TINY_DATA,
+        "make-splits": ["--data", data, "--n-unseen", 1],
+        "train": ["--data", data, "--test", test, *train],
+        "eval": ["--data", test, "--train-data", data, "--checkpoint", ckpt],
+        "compose-demo": ["--data", data],
+        "sweep": ["--data", data, "--test", test, "--param", "lambda1", "--values", 1, *train],
+        "ablate": ["--data", data, "--test", test, *train],
+    }
+
+
+def run_cleanly(argv, tmp_path, capsys):
+    """Run ``argv`` with a fresh ``--out`` when the command has one: exit
+    code 0 or 1, no traceback, and on 1 one ``error:`` line and no output."""
+    out = tmp_path / "o"
+    if "out" in subparser_flags(next(a for a in argv if a in subparsers())):
+        argv = [*argv, "--out", out]
+    capsys.readouterr()
+    code = run(*argv)  # an exception escaping main fails the test with its traceback
+    if code == 0:
+        assert "Traceback" not in capsys.readouterr().err
+    else:
+        assert_failed_before_output(code, capsys, out)
+    return code
+
+
+@pytest.mark.parametrize("command", sorted(subparsers()))
+def test_walk_starts_from_valid_runs(walk_inputs, tmp_path, capsys, command):
+    assert run_cleanly([command, *walk_inputs[1][command]], tmp_path, capsys) == 0
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    pytest.param(command, flag, value, id=f"{command} {flag} {value}")
+    for command in sorted(subparsers())
+    for flag, kind in numeric_flags(command) for value in EDGE_VALUES[kind]
+])
+def test_numeric_edge_values_exit_cleanly(walk_inputs, tmp_path, capsys, command, flag, value):
+    run_cleanly([command, *walk_inputs[1][command], flag, value], tmp_path, capsys)
+
+
+@pytest.mark.parametrize("command, flag, name", [
+    pytest.param(command, flag, name, id=f"{command} {flag} {name}")
+    for command in sorted(subparsers())
+    for flag, name in [*file_flags(command), ("--config", "run.cfg")]
+])
+def test_corrupt_input_files_exit_cleanly(walk_inputs, tmp_path, capsys, command, flag, name):
+    root, inputs = walk_inputs
+    argv = [command, *inputs[command], flag, root / "bad" / name]
+    if flag == "--config":  # a global flag, so it goes before the command
+        argv = argv[-2:] + argv[:-2]
+    if flag == "--detections":  # eval scores one of --checkpoint / --detections
+        k = argv.index("--checkpoint")
+        del argv[k : k + 2]
+    run_cleanly(argv, tmp_path, capsys)

@@ -40,7 +40,6 @@ def brute_candidates(batch, defs, mode, unseen=frozenset(), unseen_allowed=False
 def legacy_compose(batch, space, cfg, rng):
     """Reference composer: one Python iteration per ordered pair, returning
     (verb source i, object source j, uint8 label) rows in loop order."""
-    cfg.validate()
     if len(batch) == 0:
         raise EmptyBatch("compose_batch needs at least one instance")
     if cfg.mode == "off":

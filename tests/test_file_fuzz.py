@@ -49,10 +49,9 @@ def mutate(data, blob: bytes) -> bytes:
     return blob
 
 
-@pytest.fixture(scope="module")
-def files(tmp_path_factory):
-    """One valid file per format, and the space the split loader checks against."""
-    root = tmp_path_factory.mktemp("formats")
+def write_valid_files(root):
+    """Write one valid file per format under ``root``; returns the space
+    the split loader checks against."""
     space = build_space(TOY_DEFS, verb_names=("ride", "feed"), object_names=("horse", "bicycle"))
     rng = np.random.default_rng(0)
     data = make_dataset([make_row(space, [c], image_id=c // 2, rng=rng) for c in (0, 1, 2, 0)])
@@ -70,7 +69,14 @@ def files(tmp_path_factory):
     write_metrics_log([{"iter": 0, "L_sp": 1.5, "L_vo": 0.25, "L_comp": 0.0},
                        {"iter": 1, "L_sp": 1.25, "L_vo": 0.2, "L_comp": 0.1, "mAP_full": 33.3}],
                       root / "metrics.log")
-    return root, space
+    return space
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """One valid file per format, and the space the split loader checks against."""
+    root = tmp_path_factory.mktemp("formats")
+    return root, write_valid_files(root)
 
 
 LOADERS = {  # file name -> load(path, space)

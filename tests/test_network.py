@@ -1,5 +1,6 @@
 import json
-from dataclasses import fields
+from dataclasses import asdict, fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -42,6 +43,14 @@ TINY = NetworkConfig(num_hois=5, feature_dim=3, hidden=3, vo_hidden=4, sp_hidden
 
 def tiny_params(seed=0, cfg=TINY):
     return init_params(cfg, np.random.default_rng(seed))
+
+
+def save_unbuilt(path, **widths):
+    """Save zero-filled parameters of the network ``widths`` describes with
+    ``save_params`` but no ``NetworkConfig``, so widths it refuses get in."""
+    cfg = SimpleNamespace(**widths)
+    size = sum(int(np.prod(shape)) for shape in block_shapes(cfg).values())
+    save_params(SimpleNamespace(cfg=cfg, flat=np.zeros(size)), path)
 
 
 def random_real(rng, n=3, cfg=TINY):
@@ -505,9 +514,14 @@ class TestClassWeights:
 
     def test_validate_rejects_nonpositive(self):
         with pytest.raises(OutOfRange):
-            LossWeights(class_weights=np.array([1.0, 0.0])).validate()
+            LossWeights(class_weights=np.array([1.0, 0.0]))
         with pytest.raises(OutOfRange):
-            LossWeights(lambda1=-1.0).validate()
+            LossWeights(lambda1=-1.0)
+
+    def test_length_checked_against_the_class_count(self):
+        real = random_real(np.random.default_rng(0))
+        with pytest.raises(DimensionMismatch, match=r"class_weights shape \(4,\), expected \(5,\)"):
+            loss_and_grads(real, None, tiny_params(), LossWeights(class_weights=np.ones(4)))
 
 
 class TestFuseScores:
@@ -654,4 +668,11 @@ class TestCheckpoint:
 
         self._rewrite_header(path, blob, move_bias_entries)
         with pytest.raises(DimensionMismatch):
+            load_params(path)
+
+    @pytest.mark.parametrize("width", ["hidden", "vo_hidden", "sp_hidden"])
+    def test_zero_width(self, tmp_path, width):
+        path = tmp_path / "model.ckpt"
+        save_unbuilt(path, **{**asdict(TINY), width: 0})
+        with pytest.raises(DimensionMismatch, match=f"{width} must be >= 1"):
             load_params(path)
