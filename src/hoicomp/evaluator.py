@@ -20,6 +20,18 @@ time:
 AP integrates the precision envelope over all recall points. Known-object
 mode restricts each class's evaluation pool to images whose ground truth
 contains that class's object category.
+
+The matcher works from the ground-truth side, since only a pair in the image
+of a ground truth of its class can match. Each ground truth is taken against
+the pairs of its own image; a pair whose pair IoU passes is a candidate. A
+candidate's rank in its class's pool is the number of pool scores above its
+score plus the number of equal scores at a lower pair index: one ``np.sort``
+of the class's score column and ``searchsorted`` give the first term, and
+the equal scores are counted only where a score repeats. The greedy then
+runs over the candidates alone, by class, rank and ground-truth input order,
+and their TP flags go into a pool-length vector per class for
+``average_precision``. Known-object pools come from one (object, image)
+table; a pair outside its class's pool ranks as if its score were -inf.
 """
 
 from __future__ import annotations
@@ -176,61 +188,96 @@ def average_precision(hits: np.ndarray, npos: int) -> float:
     return float(np.sum((recall - prev) * envelope))
 
 
-def _greedy_hits(dets: Detections, gts: GroundTruths, space: HoiLabelSpace, mode: str,
-                 threshold: float, npos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """TP flags of the pooled (pair, class) scores of classes with ground
-    truth, in matching order (by class, then by descending score, equal
-    scores in pair order), and the bounds of each class's run in that order:
-    class c is ``[bounds[c], bounds[c + 1])``. ``npos`` counts ground truths
-    per class."""
-    images, gt_image = np.unique(gts.image_id, return_inverse=True)
-    slot = np.searchsorted(images, dets.image_id)  # a pair's image among them,
-    found = slot < len(images)                      # if it has a ground truth at all
-    found[found] = images[slot[found]] == dets.image_id[found]
-
-    classes = np.flatnonzero(npos)  # a class without ground truth has no AP to compute
-    # each class's pairs by descending score; the stable sort keeps ties in pair order
-    rows = np.argsort(-dets.score[:, classes].T, axis=1, kind="stable").ravel()
-    hoi = np.repeat(classes, len(dets.image_id))
-    if mode == "known_object":  # a ground truth is always in its own class's pool
-        obj = space.objects_by_hoi()
-        pool = np.unique(obj[gts.hoi_id] * len(images) + gt_image)  # (object, image) keys
-        pooled = found[rows] & np.isin(obj[hoi] * len(images) + slot[rows], pool)
-        rows, hoi = rows[pooled], hoi[pooled]
-    bounds = np.searchsorted(hoi, np.arange(space.num_hois + 1))
-
-    # join each detection to the ground truths of its class and image
-    gt_key = gts.hoi_id * len(images) + gt_image
-    gt_order = np.argsort(gt_key, kind="stable")  # input order within one key
-    gt_key = gt_key[gt_order]
-    ranks = np.flatnonzero(found[rows])
-    key = hoi[ranks] * len(images) + slot[rows[ranks]]
-    lo = np.searchsorted(gt_key, key, "left")
-    n_cand = np.searchsorted(gt_key, key, "right") - lo
-    rank = np.repeat(ranks, n_cand)
-    within = np.arange(len(rank)) - np.repeat(np.cumsum(n_cand) - n_cand, n_cand)
-    gt = gt_order[np.repeat(lo, n_cand) + within]
-    det = rows[rank]
-    piou = np.minimum(box_iou(dets.human_box[det], gts.human_box[gt]),
-                      box_iou(dets.object_box[det], gts.object_box[gt]))
+def _candidates(dets: Detections, gts: GroundTruths, threshold: float):
+    """Every (ground truth, pair) of one image whose pair IoU is at or above
+    ``threshold`` and above 0: their ground-truth rows, pair rows and pair
+    IoUs, ground truths in input order and each one's pairs in pair order."""
+    order = np.argsort(dets.image_id, kind="stable")
+    image_of_pair = dets.image_id[order]
+    lo = np.searchsorted(image_of_pair, gts.image_id, "left")
+    count = np.searchsorted(image_of_pair, gts.image_id, "right") - lo
+    gt = np.repeat(np.arange(len(gts)), count)
+    within = np.arange(len(gt)) - np.repeat(np.cumsum(count) - count, count)
+    pair = order[np.repeat(lo, count) + within]
+    piou = np.minimum(box_iou(dets.human_box[pair], gts.human_box[gt]),
+                      box_iou(dets.object_box[pair], gts.object_box[gt]))
     ok = (piou >= threshold) & (piou > 0)  # a pair IoU of 0 never matches
-    rank, gt, piou = rank[ok], gt[ok], piou[ok]
+    return gt[ok], pair[ok], piou[ok]
 
-    # greedy in matching order, over the detections that have a candidate
-    hits = np.zeros(len(rows), dtype=bool)
+
+def _pools(dets: Detections, gts: GroundTruths, space: HoiLabelSpace, mode: str):
+    """Which pairs each class ranks: None for every pair (default mode), or
+    a boolean (num_objects, pairs) table whose row o marks the pairs in
+    images with a ground truth of object o (known-object mode)."""
+    if mode != "known_object":
+        return None
+    images, gt_image = np.unique(gts.image_id, return_inverse=True)
+    obj = space.objects_by_hoi()
+    table = np.zeros((space.num_objects, len(images) + 1), dtype=bool)  # last: no ground truth
+    table[obj[gts.hoi_id], gt_image] = True
+    slot = np.searchsorted(images, dets.image_id)
+    slot[images[np.minimum(slot, len(images) - 1)] != dets.image_id] = len(images)
+    return table[:, slot]
+
+
+def _class_hits(dets: Detections, gts: GroundTruths, space: HoiLabelSpace, mode: str,
+                threshold: float, classes: np.ndarray) -> dict[int, np.ndarray]:
+    """TP flags of each class in ``classes``, over its pool in matching
+    order (descending score, equal scores in pair order)."""
+    if not len(classes):  # no ground truth at all
+        return {}
+    pools = _pools(dets, gts, space, mode)
+    obj = space.objects_by_hoi()
+    gt, pair, piou = _candidates(dets, gts, threshold)
+    hoi = gts.hoi_id[gt]
+    rank = np.empty(len(gt), dtype=np.int64)
+    by_class = np.argsort(hoi, kind="stable")
+    cuts = np.searchsorted(hoi[by_class], classes).tolist() + [len(hoi)]
+    for c, lo, hi in zip(classes.tolist(), cuts[:-1], cuts[1:]):
+        if lo == hi:
+            continue
+        cand = by_class[lo:hi]
+        col = dets.score[:, c]
+        if pools is not None:  # pairs outside the pool rank below every score
+            col = np.where(pools[obj[c]], col, -np.inf)
+        s = col[pair[cand]]
+        ordered = np.sort(col)
+        above = np.searchsorted(ordered, s, "right")
+        rank[cand] = len(col) - above
+        for k in np.flatnonzero(above - np.searchsorted(ordered, s, "left") > 1).tolist():
+            p = pair[cand[k]]  # equal scores at lower pair indices rank first
+            rank[cand[k]] += np.count_nonzero(col[:p] == s[k])
+
+    # greedy in matching order: by class, then by rank; a detection's
+    # candidates stay in ground-truth input order. A candidate that shares
+    # neither its detection nor its ground truth with another one matches
+    # whatever the order, so the loop visits only the others.
+    order = np.lexsort((gt, rank, hoi))
+    hoi, rank, gt, piou = hoi[order], rank[order], gt[order], piou[order]
+    det = np.cumsum((np.diff(hoi, prepend=-1) != 0) | (np.diff(rank, prepend=-1) != 0))
+    hit = (np.bincount(det)[det] == 1) & (np.bincount(gt, minlength=len(gts))[gt] == 1)
+    shared = np.flatnonzero(~hit)
     matched = bytearray(len(gts))
-    starts = np.flatnonzero(np.diff(rank, prepend=-1))
-    stops = np.append(starts[1:], len(rank))
-    gt, piou = gt.tolist(), piou.tolist()
-    for r, start, stop in zip(rank[starts].tolist(), starts.tolist(), stops.tolist()):
-        best_gt, best_iou = -1, 0.0
-        for g, v in zip(gt[start:stop], piou[start:stop]):
-            if not matched[g] and v > best_iou:
-                best_gt, best_iou = g, v
-        if best_gt >= 0:
-            matched[best_gt] = 1
-            hits[r] = True
-    return hits, bounds
+    starts = np.flatnonzero(np.diff(det[shared], prepend=-1))
+    stops = np.append(starts[1:], len(shared)).tolist()
+    gts_of, ious_of = gt[shared].tolist(), piou[shared].tolist()
+    for start, stop in zip(starts.tolist(), stops):
+        best, best_iou = -1, 0.0
+        for k in range(start, stop):
+            if not matched[gts_of[k]] and ious_of[k] > best_iou:
+                best, best_iou = k, ious_of[k]
+        if best >= 0:
+            matched[gts_of[best]] = 1
+            hit[shared[best]] = True
+
+    pool_size = (np.full(space.num_objects, len(dets.image_id)) if pools is None
+                 else np.count_nonzero(pools, axis=1))
+    cuts = np.searchsorted(hoi, classes).tolist() + [len(hoi)]
+    hits = {}
+    for c, lo, hi in zip(classes.tolist(), cuts[:-1], cuts[1:]):
+        hits[c] = np.zeros(pool_size[obj[c]], dtype=bool)
+        hits[c][rank[lo:hi][hit[lo:hi]]] = True
+    return hits
 
 
 def evaluate(
@@ -261,10 +308,10 @@ def evaluate(
         dets = replace(dets, score=np.zeros((0, num_hois)))
 
     npos = np.bincount(gts.hoi_id, minlength=num_hois)
-    hits, bounds = _greedy_hits(dets, gts, space, mode, iou_threshold, npos)
+    classes = np.flatnonzero(npos)  # a class without ground truth has no AP to compute
     ap = np.full(num_hois, np.nan)
-    for c in np.flatnonzero(npos).tolist():
-        ap[c] = average_precision(hits[bounds[c] : bounds[c + 1]], int(npos[c]))
+    for c, hits in _class_hits(dets, gts, space, mode, iou_threshold, classes).items():
+        ap[c] = average_precision(hits, int(npos[c]))
 
     means = {"full": _nan_mean(ap)}
     if partition:
@@ -350,12 +397,15 @@ def detections_from_model(
     surviving = _surviving_rows(test, thresholds)
 
     pairs = test[surviving]
-    s_sp = sigmoid(forward_spatial_human_boxes(pairs.human_feat, pairs.human_box,
-                                               pairs.object_box, params))
-    s_vo = sigmoid(forward_verb_object(pairs.verb_feat, pairs.object_feat, params))
+    # each branch's logits become its probabilities and then the score in
+    # place, so the score matrix is the one pairs x classes array left
+    s_sp = forward_spatial_human_boxes(pairs.human_feat, pairs.human_box, pairs.object_box, params)
+    sigmoid(s_sp, out=s_sp)
+    s_vo = forward_verb_object(pairs.verb_feat, pairs.object_feat, params)
+    sigmoid(s_vo, out=s_vo)
     return Detections(
         image_id=pairs.image_id, human_box=pairs.human_box, object_box=pairs.object_box,
-        score=fuse_scores(pairs.human_score, pairs.object_score, s_sp, s_vo, branch_mode),
+        score=fuse_scores(pairs.human_score, pairs.object_score, s_sp, s_vo, branch_mode, out=s_vo),
     )
 
 

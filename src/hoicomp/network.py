@@ -28,6 +28,15 @@ spatial_dim) buffer written in place, and its backward computes only the
 ``hidden`` columns of the input gradient that the human stream reads, bit
 for bit as the full product would give them.
 
+Each layer of a forward pass is a product, then its bias added in place,
+then the ReLU in the same buffer, so no pre-activation outlives its layer.
+The forward caches hold inputs and activations only; a backward pass masks
+with ``act > 0``, which equals ``pre > 0`` (NaN included, as both are
+False). Training and scoring build their layers with the one ``_layer``,
+and the verb-object branch runs the one ``_vo_forward`` in both. Scoring
+turns logits into probabilities, and those into fused scores, in place
+(``sigmoid`` and ``fuse_scores`` take ``out``).
+
 Targets are multi-label, so every loss term is per-class sigmoid binary
 cross entropy, class-reweighted, summed over classes and averaged over
 instances. The total is ``L_sp + lambda1 * L_vo + lambda2 * L_comp``.
@@ -58,8 +67,9 @@ from .synthdata import Dataset
 BRANCH_MODES = ("both", "vo_only", "sp_only")
 
 # elements per block of a pass over a whole flat buffer (the gradient check
-# here, trainer.sgd_step): 256 KiB of float64, so the few arrays a block
-# touches stay in a 2 MiB L2 cache, and a check allocates no more than that
+# here, trainer.sgd_step) or of an elementwise pass over the rows of a score
+# matrix (sigmoid, fuse_scores): 256 KiB of float64, so the few arrays a
+# block touches stay in a 2 MiB L2 cache, and its temporaries are no larger
 FLAT_BLOCK = 32768
 
 BLOCK_NAMES = (
@@ -270,12 +280,25 @@ class CompBatch:
 # ---- forward passes ----
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise logistic of a float64 array, written into ``out`` (which
+    may be ``z`` itself) or a new array. With ``e = exp(-|z|)`` it is
+    ``1 / (1 + e)`` where ``z >= 0`` and ``e / (1 + e)`` elsewhere, so neither
+    branch overflows. Rows are taken about ``FLAT_BLOCK`` elements at a time,
+    so the temporaries stay that small."""
+    if out is None:
+        out = np.empty_like(z, dtype=np.float64)
+    z_rows, out_rows = np.atleast_1d(z), np.atleast_1d(out)  # views, so out is written
+    rows = max(1, FLAT_BLOCK // max(1, math.prod(z.shape[1:])))
+    for start in range(0, len(z_rows), rows):
+        zc, e = z_rows[start : start + rows], out_rows[start : start + rows]
+        pos = zc >= 0  # taken before e overwrites zc, when out is z
+        np.abs(zc, out=e)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        den = e + 1.0
+        np.divide(e, den, out=e, where=~pos)
+        np.divide(1.0, den, out=e, where=pos)
     return out
 
 
@@ -288,19 +311,26 @@ def _as_2d(x, dim: int, what: str) -> np.ndarray:
     return x
 
 
+def _layer(x: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool = True,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """``x @ w + b``, rectified unless ``relu`` is False, built in the
+    product's buffer; the ReLU goes into ``out`` when it is given."""
+    a = x @ w
+    a += b
+    if relu:
+        return np.maximum(a, 0.0, out=a if out is None else out)
+    return a
+
+
 def _vo_forward(verb_x: np.ndarray, obj_x: np.ndarray, p: ModelParams):
-    sv_pre = verb_x @ p.shared_w + p.shared_b
-    sv = np.maximum(sv_pre, 0.0)
-    so_pre = obj_x @ p.obj_w + p.obj_b
-    so = np.maximum(so_pre, 0.0)
-    z = np.concatenate([sv, so], axis=1)
-    h1_pre = z @ p.vo_w1 + p.vo_b1
-    h1 = np.maximum(h1_pre, 0.0)
-    h2_pre = h1 @ p.vo_w2 + p.vo_b2
-    h2 = np.maximum(h2_pre, 0.0)
-    logits = h2 @ p.vo_w3 + p.vo_b3
-    cache = (verb_x, obj_x, sv_pre, so_pre, z, h1_pre, h1, h2_pre, h2)
-    return logits, cache
+    h = p.cfg.hidden
+    z = np.empty((len(verb_x), 2 * h))  # the verb and object streams side by side
+    _layer(verb_x, p.shared_w, p.shared_b, out=z[:, :h])
+    _layer(obj_x, p.obj_w, p.obj_b, out=z[:, h:])
+    h1 = _layer(z, p.vo_w1, p.vo_b1)
+    h2 = _layer(h1, p.vo_w2, p.vo_b2)
+    logits = _layer(h2, p.vo_w3, p.vo_b3, relu=False)
+    return logits, (verb_x, obj_x, z, h1, h2)
 
 
 def spatial_input_scale(params: ModelParams) -> float:
@@ -315,16 +345,13 @@ def spatial_input_scale(params: ModelParams) -> float:
 
 def _sp_forward(human_x: np.ndarray, smap_x: np.ndarray, p: ModelParams):
     h = p.cfg.hidden
-    sh_pre = human_x @ p.shared_w + p.shared_b
     # both halves of z written into one buffer: no (n, spatial_dim) temporary
     z = np.empty((len(human_x), h + p.cfg.spatial_dim))
-    np.maximum(sh_pre, 0.0, out=z[:, :h])
+    _layer(human_x, p.shared_w, p.shared_b, out=z[:, :h])
     np.multiply(spatial_input_scale(p), smap_x, out=z[:, h:])
-    h_pre = z @ p.sp_w1 + p.sp_b1
-    h_act = np.maximum(h_pre, 0.0)
-    logits = h_act @ p.sp_w2 + p.sp_b2
-    cache = (human_x, sh_pre, z, h_pre, h_act)
-    return logits, cache
+    h_act = _layer(z, p.sp_w1, p.sp_b1)
+    logits = _layer(h_act, p.sp_w2, p.sp_b2, relu=False)
+    return logits, (human_x, z, h_act)
 
 
 def _check_rows(*arrays):
@@ -351,6 +378,34 @@ def forward_spatial_human(human_feat, spatial, params: ModelParams) -> np.ndarra
     return _sp_forward(human_x, spatial_x, params)[0]
 
 
+def _raster_products(human_box: np.ndarray, object_box: np.ndarray,
+                     params: ModelParams) -> np.ndarray:
+    """(n, sp_hidden) products of the boxes' rasters with the raster rows
+    of ``sp_w1``: per channel, the sum of those rows over its rectangle of
+    cells, from four lookups in their 2-D prefix sum."""
+    cfg = params.cfg
+    start, stop = cell_spans(human_box, object_box)  # (n, channel, axis x/y)
+    w_map = params.sp_w1[cfg.hidden :].reshape(2, GRID_SIZE, GRID_SIZE, cfg.sp_hidden)
+    # table[c, y, x] sums channel c's rows over cell rows < y and columns < x:
+    # the running sums of np.cumsum along y, then x, one slice at a time
+    table = np.zeros((2, GRID_SIZE + 1, GRID_SIZE + 1, cfg.sp_hidden))
+    acc = table[:, 1:, 1:]
+    acc[...] = w_map
+    for k in range(1, GRID_SIZE):
+        acc[:, k] += acc[:, k - 1]
+    for k in range(1, GRID_SIZE):
+        acc[:, :, k] += acc[:, :, k - 1]
+    ch = np.arange(2)
+    x0, y0, x1, y1 = start[..., 0], start[..., 1], stop[..., 0], stop[..., 1]
+    out = np.empty((len(start), cfg.sp_hidden))
+    rows = max(1, FLAT_BLOCK // (2 * cfg.sp_hidden))
+    for b in (slice(k, k + rows) for k in range(0, len(out), rows)):  # elementwise, in row blocks
+        rect = (table[ch, y1[b], x1[b]] - table[ch, y0[b], x1[b]]
+                - table[ch, y1[b], x0[b]] + table[ch, y0[b], x0[b]])
+        np.sum(rect, axis=1, out=out[b])
+    return out
+
+
 def forward_spatial_human_boxes(human_feat, human_box, object_box,
                                 params: ModelParams) -> np.ndarray:
     """(n, C) logits of the spatial-human head for (n, D) human features and
@@ -370,17 +425,11 @@ def forward_spatial_human_boxes(human_feat, human_box, object_box,
         raise DimensionMismatch(
             f"spatial input is {cfg.spatial_dim} wide, expected {2 * GRID_SIZE * GRID_SIZE}"
         )
-    start, stop = cell_spans(human_box, object_box)  # (n, channel, axis x/y)
-    w_map = params.sp_w1[cfg.hidden :].reshape(2, GRID_SIZE, GRID_SIZE, cfg.sp_hidden)
-    # table[c, y, x] sums channel c's rows over cell rows < y and columns < x
-    table = np.zeros((2, GRID_SIZE + 1, GRID_SIZE + 1, cfg.sp_hidden))
-    np.cumsum(np.cumsum(w_map, axis=1), axis=2, out=table[:, 1:, 1:])
-    ch = np.arange(2)
-    x0, y0, x1, y1 = start[..., 0], start[..., 1], stop[..., 0], stop[..., 1]
-    rect = table[ch, y1, x1] - table[ch, y0, x1] - table[ch, y1, x0] + table[ch, y0, x0]
-    sh = np.maximum(human_x @ params.shared_w + params.shared_b, 0.0)
-    h_pre = sh @ params.sp_w1[: cfg.hidden] + spatial_input_scale(params) * rect.sum(axis=1)
-    return np.maximum(h_pre + params.sp_b1, 0.0) @ params.sp_w2 + params.sp_b2
+    h_act = _layer(human_x, params.shared_w, params.shared_b) @ params.sp_w1[: cfg.hidden]
+    h_act += spatial_input_scale(params) * _raster_products(human_box, object_box, params)
+    h_act += params.sp_b1
+    np.maximum(h_act, 0.0, out=h_act)
+    return _layer(h_act, params.sp_w2, params.sp_b2, relu=False)
 
 
 # ---- loss and gradients ----
@@ -397,19 +446,19 @@ def _bce_grad(logits, targets, w, coef: float) -> np.ndarray:
 
 
 def _vo_backward(g_out: np.ndarray, cache, p: ModelParams, grads: dict):
-    verb_x, obj_x, sv_pre, so_pre, z, h1_pre, h1, h2_pre, h2 = cache
+    verb_x, obj_x, z, h1, h2 = cache
     h = p.cfg.hidden
     grads["vo_w3"] += h2.T @ g_out
     grads["vo_b3"] += g_out.sum(axis=0)
-    g2 = (g_out @ p.vo_w3.T) * (h2_pre > 0)
+    g2 = (g_out @ p.vo_w3.T) * (h2 > 0)
     grads["vo_w2"] += h1.T @ g2
     grads["vo_b2"] += g2.sum(axis=0)
-    g1 = (g2 @ p.vo_w2.T) * (h1_pre > 0)
+    g1 = (g2 @ p.vo_w2.T) * (h1 > 0)
     grads["vo_w1"] += z.T @ g1
     grads["vo_b1"] += g1.sum(axis=0)
     gz = g1 @ p.vo_w1.T
-    g_sv = gz[:, :h] * (sv_pre > 0)
-    g_so = gz[:, h:] * (so_pre > 0)
+    g_sv = gz[:, :h] * (z[:, :h] > 0)
+    g_so = gz[:, h:] * (z[:, h:] > 0)
     grads["shared_w"] += verb_x.T @ g_sv
     grads["shared_b"] += g_sv.sum(axis=0)
     grads["obj_w"] += obj_x.T @ g_so
@@ -422,11 +471,11 @@ _SP_BLOCKS = ("sp_w1", "sp_b1", "sp_w2", "sp_b2")
 def _sp_backward(g_out: np.ndarray, cache, p: ModelParams, grads: dict):
     """Write the ``sp_*`` blocks of ``grads``, which no other term touches,
     and add to the shared blocks."""
-    human_x, sh_pre, z, h_pre, h_act = cache
+    human_x, z, h_act = cache
     h = p.cfg.hidden
     np.matmul(h_act.T, g_out, out=grads["sp_w2"])
     np.sum(g_out, axis=0, out=grads["sp_b2"])
-    g1 = (g_out @ p.sp_w2.T) * (h_pre > 0)
+    g1 = (g_out @ p.sp_w2.T) * (h_act > 0)
     np.matmul(z.T, g1, out=grads["sp_w1"])
     np.sum(g1, axis=0, out=grads["sp_b1"])
     # only the human stream's h columns of g1 @ sp_w1.T are read. With
@@ -435,7 +484,7 @@ def _sp_backward(g_out: np.ndarray, cache, p: ModelParams, grads: dict):
     # row goes through gemv, where the view is the form that matches.
     # TestStepOracle pins both at the default widths.
     w_h = p.sp_w1[:h].T
-    g_sh = (g1 @ (w_h if len(g1) == 1 else np.ascontiguousarray(w_h))) * (sh_pre > 0)
+    g_sh = (g1 @ (w_h if len(g1) == 1 else np.ascontiguousarray(w_h))) * (z[:, :h] > 0)
     grads["shared_w"] += human_x.T @ g_sh
     grads["shared_b"] += g_sh.sum(axis=0)
 
@@ -504,10 +553,13 @@ def loss_and_grads(real: RealBatch, comp: CompBatch | None, params: ModelParams,
 # ---- inference-time scoring ----
 
 
-def fuse_scores(s_h, s_o, s_sp, s_vo, branch_mode: str = "both") -> np.ndarray:
+def fuse_scores(s_h, s_o, s_sp, s_vo, branch_mode: str = "both",
+                out: np.ndarray | None = None) -> np.ndarray:
     """Final per-class score of n pairs: the product of their ``(n,)``
     detector confidences ``s_h``, ``s_o`` and their ``(n, C)`` spatial-human
-    and verb-object branch probabilities ``s_sp``, ``s_vo``.
+    and verb-object branch probabilities ``s_sp``, ``s_vo``, taken in that
+    order. It goes into ``out`` when given, which may be ``s_sp`` or ``s_vo``
+    itself, and into a new array otherwise.
 
     Ablation modes replace one branch's factor with 1: ``vo_only`` ignores
     the spatial-human branch, ``sp_only`` ignores the verb-object branch.
@@ -521,14 +573,24 @@ def fuse_scores(s_h, s_o, s_sp, s_vo, branch_mode: str = "both") -> np.ndarray:
             "are not (n,), (n,), (n, C) and (n, C)"
         )
     for name, val in (("s_h", s_h), ("s_o", s_o), ("s_sp", s_sp), ("s_vo", s_vo)):
-        bad = ~((0.0 <= val) & (val <= 1.0))  # also nan
+        if val.size and 0.0 <= val.min() and val.max() <= 1.0:  # a nan fails both
+            continue
+        bad = ~((0.0 <= val) & (val <= 1.0))
         if bad.any():
             raise OutOfRange(f"{name}={val[bad].flat[0]} outside [0, 1]")
-    if branch_mode == "vo_only":
-        s_sp = np.ones_like(s_sp)
-    elif branch_mode == "sp_only":
-        s_vo = np.ones_like(s_vo)
-    return s_h[:, None] * s_o[:, None] * s_vo * s_sp
+    # a dropped branch multiplies by 1, which leaves every bit as it is
+    factors = {"both": (s_vo, s_sp), "vo_only": (s_vo,), "sp_only": (s_sp,)}[branch_mode]
+    pair = (s_h * s_o)[:, None]
+    if out is None:
+        out = np.empty_like(s_sp)
+    rows = max(1, FLAT_BLOCK // max(1, s_sp.shape[1]))
+    for start in range(0, len(out), rows):  # a row block's product is done before out is written
+        block = slice(start, start + rows)
+        prod = pair[block] * factors[0][block]
+        for f in factors[1:]:
+            prod *= f[block]
+        out[block] = prod
+    return out
 
 
 # ---- checkpoint file ----

@@ -130,7 +130,8 @@ def zeroshot_partition(split: ZeroShotSplit) -> dict[str, frozenset]:
     return {"unseen": split.unseen, "seen": split.seen}
 
 
-# ---- split file: strategy/seed header then one unseen id per line ----
+# ---- split file: strategy/seed header, an [unseen] line, then one unseen id
+# per line (none for a split with no unseen classes) ----
 
 
 def format_split(split: ZeroShotSplit) -> str:
@@ -177,6 +178,8 @@ def load_split(path, space: HoiLabelSpace) -> ZeroShotSplit:
                     raise ParseError(f"bad seed {parts[1]!r}", line=lineno) from None
     if strategy not in STRATEGIES:
         raise ParseError(f"missing or unknown strategy {strategy!r}")
+    if not in_ids:  # a file cut short before its id list is no split
+        raise ParseError("missing [unseen] line")
     seen = np.ones(space.num_hois, dtype=bool)
     seen[sorted(unseen)] = False
     blocker = _uncovered(space, seen)

@@ -643,3 +643,13 @@ def test_corrupt_input_files_exit_cleanly(walk_inputs, tmp_path, capsys, command
         k = argv.index("--checkpoint")
         del argv[k : k + 2]
     run_cleanly(argv, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("command", [c for c in sorted(subparsers())
+                                     if ("--split", "split.txt") in file_flags(c)])
+def test_split_cut_before_its_id_list_fails(walk_inputs, tmp_path, capsys, command):
+    # the walk's truncated split keeps its strategy line and loses [unseen]
+    root, inputs = walk_inputs
+    cut = root / "bad" / "split.txt"
+    assert b"[unseen]" not in cut.read_bytes()
+    assert run_cleanly([command, *inputs[command], "--split", cut], tmp_path, capsys) == 1

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields, replace
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -29,10 +30,12 @@ from hoicomp.evaluator import (
     load_detections,
     save_detections,
 )
+from hoicomp.experiments import default_dataset_config
 from hoicomp.label_algebra import build_space
 from hoicomp.network import (
     NetworkConfig,
     forward_spatial_human,
+    forward_spatial_human_boxes,
     forward_verb_object,
     fuse_scores,
     init_params,
@@ -40,9 +43,12 @@ from hoicomp.network import (
 )
 from hoicomp.spatial import spatial_vector
 from hoicomp.synthdata import DatasetConfig, generate, random_hoi_defs
+from hoicomp.trainer import TrainConfig, train
 from hoicomp.zeroshot import frequency_partition
 
+from column_oracle import column_evaluate
 from conftest import make_dataset, make_row
+from test_network import masked_sigmoid, plain_product
 
 
 class Box(NamedTuple):
@@ -396,6 +402,13 @@ class TestEvaluate:
         assert np.isnan(report.ap[1])
         assert report.map_full == 0.0
 
+    @pytest.mark.parametrize("mode", EVAL_MODES)
+    def test_empty_ground_truths(self, mode):
+        box = Box(0, 0, 10, 10)
+        report = evaluate(detections([(0, box, box, 0.5, 0.25)]), ground_truths([]),
+                          micro_space(2), mode=mode)
+        assert np.isnan(report.ap).all() and np.isnan(report.map_full)
+
     def test_partition_means(self):
         space = micro_space(3)
         rows = [
@@ -684,6 +697,81 @@ class TestDetectionsFromModel:
         params = init_params(net, np.random.default_rng(0))
         with pytest.raises(InvalidConfig):
             detections_from_model(insts, params, ThresholdConfig(0, 0), branch_mode="spatial")
+
+
+# the benchmark workloads' label spaces and test sizes: (verbs, objects,
+# classes, test pairs, learning rate)
+WORKLOAD_SHAPES = {"longtail-60": (12, 10, 60, 3000, 0.01), "hico-600": (117, 80, 600, 1000, 0.001)}
+
+
+@pytest.fixture(scope="module", params=sorted(WORKLOAD_SHAPES))
+def trained(request):
+    """A workload-shaped test split, its label space and a default-width
+    model trained on it for 40 steps; at hico-600's shape some of its
+    fused scores underflow to exactly 0."""
+    verbs, objects, classes, n_test, lr = WORKLOAD_SHAPES[request.param]
+    cfg = default_dataset_config(seed=0, num_verbs=verbs, num_objects=objects, num_hois=classes,
+                                 n_train=2000, n_test=n_test)
+    train_set, test_set, space = generate(cfg)
+    params, _ = train(train_set, space, TrainConfig(iterations=40, lr=lr, seed=0))
+    return request.param, test_set, space, params
+
+
+class TestColumnOracle:
+    """``evaluate`` against ``column_evaluate``, the column-join matcher it
+    replaced, at the benchmark workloads' sizes: per-class AP equal bit for
+    bit."""
+
+    @pytest.mark.parametrize("mode", EVAL_MODES)
+    @pytest.mark.parametrize("scores", ["trained", "rounded", "zero_floor"])
+    def test_per_class_ap(self, trained, mode, scores):
+        name, test_set, space, params = trained
+        dets = detections_from_model(test_set, params)
+        gts = ground_truths_from_instances(test_set)
+        score = dets.score
+        if scores == "trained" and name == "hico-600":
+            assert (score[:, np.unique(gts.hoi_id)] == 0.0).any()  # underflowed ties to rank
+        if scores == "rounded":  # ties among detections of one image
+            score = np.round(score, 2)
+        elif scores == "zero_floor":  # a run of exact zeros in every class
+            score = np.where(score < np.quantile(score, 0.3), 0.0, score)
+        dets = replace(dets, score=score)
+        for threshold in (IOU_THRESHOLD, 0.2):
+            ap = evaluate(dets, gts, space, mode=mode, iou_threshold=threshold).ap
+            want = column_evaluate(dets, gts, space, mode=mode, iou_threshold=threshold)
+            assert ap.tobytes() == want.tobytes()
+            assert np.isfinite(ap[np.unique(gts.hoi_id)]).all()
+
+    @pytest.mark.parametrize("branch_mode", ["both", "vo_only", "sp_only"])
+    def test_score_matrix_is_masked_sigmoid_product(self, trained, branch_mode):
+        _, test_set, _, params = trained
+        dets = detections_from_model(test_set, params, branch_mode=branch_mode)
+        pairs = test_set[np.argsort(test_set.image_id, kind="stable")]  # no cutoff: every pair
+        s_sp = masked_sigmoid(forward_spatial_human_boxes(pairs.human_feat, pairs.human_box,
+                                                          pairs.object_box, params))
+        s_vo = masked_sigmoid(forward_verb_object(pairs.verb_feat, pairs.object_feat, params))
+        want = plain_product(pairs.human_score, pairs.object_score, s_sp, s_vo, branch_mode)
+        assert dets.score.tobytes() == want.tobytes()
+
+
+class TestEvalAllocations:
+    def test_scoring_and_matching_peak(self, trained):
+        # traced peak of one scoring and matching pass above the memory live
+        # before it, after a warm-up pass. At both shapes it is about 15 MB;
+        # the masked sigmoid, the whole-array forward passes and the
+        # column-join matcher took 28.7 MB (3000 x 60) and 23.7 MB (1000 x 600)
+        _, test_set, space, params = trained
+        gts = ground_truths_from_instances(test_set)
+        tracemalloc.start()
+        try:
+            evaluate(detections_from_model(test_set, params), gts, space)
+            tracemalloc.reset_peak()
+            live = tracemalloc.get_traced_memory()[0]
+            evaluate(detections_from_model(test_set, params), gts, space, mode="known_object")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - live < 18e6, (peak - live) / 1e6
 
 
 GOOD_BOX = "0.0,0.0,10.0,10.0"

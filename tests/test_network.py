@@ -33,8 +33,9 @@ from hoicomp.network import (
     loss_and_grads,
     save_params,
     sigmoid,
+    spatial_input_scale,
 )
-from hoicomp.spatial import spatial_vector
+from hoicomp.spatial import GRID_SIZE, cell_spans, spatial_vector
 
 from test_spatial import EDGE_CASES, FULL, broadcast_raster, lattice_pairs, random_boxes
 
@@ -164,6 +165,56 @@ def active_params(seed=0, cfg=TINY):
         np.abs(arr, out=arr)
         arr += 0.05
     return p
+
+
+# ---- whole-array references: the forms the in-place code replaced ----
+# Same arithmetic in the same order, so results must agree bit for bit.
+
+def masked_sigmoid(z):
+    """Logistic by the two formulas, each on the masked half of ``z``."""
+    out = np.empty_like(z, dtype=np.float64)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def plain_product(s_h, s_o, s_sp, s_vo, branch_mode="both"):
+    """The fused score as one expression, a dropped branch as a factor of 1."""
+    s_h, s_o, s_sp, s_vo = (np.asarray(a, dtype=np.float64) for a in (s_h, s_o, s_sp, s_vo))
+    if branch_mode == "vo_only":
+        s_sp = np.ones_like(s_sp)
+    elif branch_mode == "sp_only":
+        s_vo = np.ones_like(s_vo)
+    return s_h[:, None] * s_o[:, None] * s_vo * s_sp
+
+
+def whole_array_vo_logits(verb_x, obj_x, p):
+    sv = np.maximum(verb_x @ p.shared_w + p.shared_b, 0.0)
+    so = np.maximum(obj_x @ p.obj_w + p.obj_b, 0.0)
+    h1 = np.maximum(np.concatenate([sv, so], axis=1) @ p.vo_w1 + p.vo_b1, 0.0)
+    h2 = np.maximum(h1 @ p.vo_w2 + p.vo_b2, 0.0)
+    return h2 @ p.vo_w3 + p.vo_b3
+
+
+def whole_array_box_logits(human_x, human_box, object_box, p):
+    cfg = p.cfg
+    start, stop = cell_spans(human_box, object_box)
+    w_map = p.sp_w1[cfg.hidden :].reshape(2, GRID_SIZE, GRID_SIZE, cfg.sp_hidden)
+    table = np.zeros((2, GRID_SIZE + 1, GRID_SIZE + 1, cfg.sp_hidden))
+    np.cumsum(np.cumsum(w_map, axis=1), axis=2, out=table[:, 1:, 1:])
+    ch = np.arange(2)
+    x0, y0, x1, y1 = start[..., 0], start[..., 1], stop[..., 0], stop[..., 1]
+    rect = table[ch, y1, x1] - table[ch, y0, x1] - table[ch, y1, x0] + table[ch, y0, x0]
+    sh = np.maximum(human_x @ p.shared_w + p.shared_b, 0.0)
+    h_pre = sh @ p.sp_w1[: cfg.hidden] + spatial_input_scale(p) * rect.sum(axis=1)
+    return np.maximum(h_pre + p.sp_b1, 0.0) @ p.sp_w2 + p.sp_b2
+
+
+# logits where the two formulas meet (0.0, -0.0), where exp(-|z|) is the
+# smallest subnormal (745) and where it underflows to 0 (800)
+SIGMOID_EDGES = [0.0, -0.0, 745.0, -745.0, 800.0, -800.0]
 
 
 class TestLayout:
@@ -590,6 +641,70 @@ class TestFuseScores:
         ]:
             with pytest.raises(DimensionMismatch):
                 fuse_scores(*args)
+
+
+class TestInPlaceScoring:
+    """The in-place forward passes and scoring tail against the whole-array
+    forms above, bit for bit, at the default widths and at sizes that span
+    several ``FLAT_BLOCK`` row blocks."""
+
+    @pytest.fixture(scope="class")
+    def params(self):
+        return init_params(NetworkConfig(num_hois=60), np.random.default_rng(61))
+
+    @pytest.mark.parametrize("n", [1, 7, 3000])
+    def test_forwards_equal_whole_array_forms(self, params, n):
+        rng = np.random.default_rng(n)
+        verb, obj, human = (rng.standard_normal((n, 32)) for _ in range(3))
+        human_box, object_box = random_boxes(rng, n), random_boxes(rng, n)
+        got = forward_verb_object(verb, obj, params)
+        assert got.tobytes() == whole_array_vo_logits(verb, obj, params).tobytes()
+        got = forward_spatial_human_boxes(human, human_box, object_box, params)
+        want = whole_array_box_logits(human, human_box, object_box, params)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(), (0,), (6,), (1, 6), (3000, 60), (1000, 600)])
+    def test_sigmoid_bits(self, shape):
+        rng = np.random.default_rng(len(shape) + sum(shape))
+        z = np.array(rng.standard_normal(shape) * rng.choice([1.0, 40.0, 900.0], size=shape))
+        z.reshape(-1)[: len(SIGMOID_EDGES)] = SIGMOID_EDGES[: z.size]
+        want = masked_sigmoid(z)
+        assert sigmoid(z).tobytes() == want.tobytes()
+        out = np.full_like(z, np.nan)
+        assert sigmoid(z, out=out) is out and out.tobytes() == want.tobytes()
+        assert sigmoid(z, out=z) is z and z.tobytes() == want.tobytes()  # in place
+
+    def test_sigmoid_edges(self):
+        got = sigmoid(np.array(SIGMOID_EDGES))
+        assert got.tolist() == [0.5, 0.5, 1.0, 5e-324, 1.0, 0.0]
+        assert got.tobytes() == masked_sigmoid(np.array(SIGMOID_EDGES)).tobytes()
+
+    @pytest.mark.parametrize("mode", ["both", "vo_only", "sp_only"])
+    @pytest.mark.parametrize("n, c", [(0, 4), (1, 1), (5, 7), (3000, 60), (1000, 600)])
+    def test_fuse_scores_bits(self, mode, n, c):
+        rng = np.random.default_rng(n + c)
+        s_h, s_o = rng.random(n), rng.random(n)
+        s_sp, s_vo = sigmoid(rng.standard_normal((n, c)) * 30), rng.random((n, c))
+        s_sp.reshape(-1)[::11] = 0.0  # exact zeros, as underflowed products give
+        want = plain_product(s_h, s_o, s_sp, s_vo, mode).tobytes()
+        assert fuse_scores(s_h, s_o, s_sp, s_vo, mode).tobytes() == want
+        for name in ("s_sp", "s_vo"):  # out may be either branch's own array
+            args = {"s_sp": s_sp.copy(), "s_vo": s_vo.copy()}
+            fused = fuse_scores(s_h, s_o, branch_mode=mode, out=args[name], **args)
+            assert fused is args[name] and fused.tobytes() == want
+
+    def test_fuse_scores_leaves_inputs_without_out(self):
+        rng = np.random.default_rng(3)
+        s_sp, s_vo = rng.random((4, 3)), rng.random((4, 3))
+        before = s_sp.tobytes() + s_vo.tobytes()
+        fuse_scores(rng.random(4), rng.random(4), s_sp, s_vo)
+        assert s_sp.tobytes() + s_vo.tobytes() == before
+
+    def test_fuse_scores_range_check_names_the_first_bad_value(self):
+        s = np.full((3, 2), 0.5)
+        s[1, 1], s[2, 0] = -0.25, np.nan
+        with pytest.raises(OutOfRange, match=r"s_vo=-0.25 outside"):
+            fuse_scores(np.ones(3), np.ones(3), np.full((3, 2), 0.5), s)
 
 
 class TestCheckpoint:

@@ -257,3 +257,15 @@ class TestSplitFile:
         path.write_text("[unseen]\n1\n")
         with pytest.raises(ParseError):
             load_split(path, toy_space)
+
+    @pytest.mark.parametrize("text", ["strategy\trare_first", "strategy\trare_first\nseed\t0\n"])
+    def test_missing_unseen_line(self, toy_space, tmp_path, text):
+        path = tmp_path / "cut.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=r"missing \[unseen\] line"):
+            load_split(path, toy_space)
+
+    def test_empty_unseen_list_loads(self, toy_space, tmp_path):
+        path = tmp_path / "none.txt"
+        path.write_text("strategy\trare_first\nseed\t0\n[unseen]\n")
+        assert load_split(path, toy_space).unseen == frozenset()
