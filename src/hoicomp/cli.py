@@ -13,9 +13,10 @@ output goes or what to print; so a replay names its own ``--out``, as in
 checks that flags get: a value outside a flag's choices, or a boolean
 other than 1/true/yes/on or 0/false/no/off, is an error. A setting is
 checked when its config is built, so a config that exists is valid; seeds
-and display counts must be >= 0. A command builds its configs and reads
-every input file before it writes anything, so a run that fails on them
-leaves no output behind.
+and display counts must be >= 0. A command builds its configs, reads every
+input file and trains and scores every model before it makes ``--out`` or
+writes anything, so a run that fails, on its settings, its inputs or in
+training, leaves no output behind.
 
 The eval flags build one ``experiments.Scoring`` per invocation, and every
 command that scores a model scores it with that value over
@@ -50,18 +51,19 @@ from .evaluator import (
 )
 from .experiments import (
     DEFAULT_SPACE_SIZE,
+    RunResult,
     Scoring,
     default_dataset_config,
-    evaluate_params,
     report_basis,
-    run_training,
-    with_compose_mode,
+    run_rows,
+    with_compose,
 )
+from .label_algebra import HoiLabelSpace
 from .network import BRANCH_MODES, LossWeights, NetworkConfig, load_params, save_params
 from .spatial import ascii_art, spatial_vector
-from .synthdata import DatasetConfig, class_counts, generate, load_dataset, save_dataset
+from .synthdata import Dataset, DatasetConfig, class_counts, generate, load_dataset, save_dataset
 from .trainer import TrainConfig, make_minibatch, write_metrics_log
-from .zeroshot import STRATEGIES, apply_split, load_split, make_split, save_split
+from .zeroshot import STRATEGIES, load_split, make_split, save_split
 
 
 # the label-space size, then every other DatasetConfig field but the two
@@ -260,12 +262,11 @@ def _write_spec(args: argparse.Namespace, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _train_config(args, split=None) -> TrainConfig:
+def _train_config(args) -> TrainConfig:
     compose_cfg = ComposeConfig(
         mode=args.compose,
         balance=not args.no_balance,
         unseen_allowed=args.unseen_allowed,
-        unseen_ids=split.unseen if split is not None else frozenset(),
     )
     return TrainConfig(
         lr=args.lr,
@@ -290,15 +291,6 @@ def _net_config(args, space, feature_dim) -> NetworkConfig:
     )
 
 
-def _check_trainable(train_set, split=None) -> None:
-    """Raise ``InvalidConfig`` when no row is left to train on once
-    ``split`` has stripped the unseen labels."""
-    if split is not None:
-        train_set = apply_split(train_set, split)
-    if not len(train_set):
-        raise InvalidConfig("training set is empty")
-
-
 def _scoring(args) -> Scoring:
     return Scoring(
         thresholds=ThresholdConfig(
@@ -319,14 +311,40 @@ def _report_files(report, space, counts, out_dir: Path, stem: str = "report"):
 
 def _write_rows(path: Path, first: str, rows) -> None:
     """One ``first<TAB>map_full<TAB>map_rare<TAB>map_nonrare`` line per
-    (name, report) row, to ``path`` and to stdout."""
+    (name, ``RunResult``) row, to ``path`` and to stdout."""
     lines = [f"{first}\tmap_full\tmap_rare\tmap_nonrare"]
-    for name, r in rows:
+    for name, result in rows:
+        r = result.report
         means = (r.map_full, r.map_rare, r.map_nonrare)
         lines.append("\t".join([str(name)] + [repr(100.0 * m) for m in means]))
     text = "\n".join(lines) + "\n"
     path.write_text(text, encoding="utf-8")
     print(text, end="")
+
+
+def _run_rows(args, rows) -> tuple[list[RunResult], HoiLabelSpace, Dataset]:
+    """Read ``--data``, ``--test`` and ``--split`` (where the command has
+    it), then train and score ``rows`` of ``(TrainConfig, Scoring)``, built
+    and so checked beforehand, with ``run_rows``; a split's unseen classes
+    are added to every row's composition settings. Returns the results, the
+    label space and the test set."""
+    train_set, space = load_dataset(args.data)
+    test_set = load_dataset(args.test)[0] if args.test else train_set[:0]
+    split = load_split(args.split, space) if getattr(args, "split", None) else None
+    if split is not None:
+        rows = [(with_compose(cfg, unseen_ids=split.unseen), scoring) for cfg, scoring in rows]
+    net_cfg = _net_config(args, space, train_set.human_feat.shape[1])
+    return run_rows(train_set, test_set, space, rows, net_cfg=net_cfg, split=split), space, test_set
+
+
+def _out_dir(args) -> Path:
+    """Make ``--out`` and write the run's spec there; a command calls this
+    only once every model it trains or scores is done, so a run that fails
+    leaves nothing at ``--out``."""
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_spec(args, out_dir / "spec.txt")
+    return out_dir
 
 
 def _spatial_art(data, k: int) -> str:
@@ -365,19 +383,8 @@ def _cmd_make_splits(args) -> int:
 
 def _cmd_train(args) -> int:
     _require(args, "data", "out")
-    train_set, space = load_dataset(args.data)
-    test_set = load_dataset(args.test)[0] if args.test else train_set[:0]
-    split = load_split(args.split, space) if args.split else None
-    _check_trainable(train_set, split)
-    train_cfg = _train_config(args, split)
-    net_cfg = _net_config(args, space, train_set.human_feat.shape[1])
-    scoring = _scoring(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_spec(args, out_dir / "spec.txt")
-    result = run_training(
-        train_set, test_set, space, train_cfg, net_cfg=net_cfg, scoring=scoring, split=split,
-    )
+    [result], space, test_set = _run_rows(args, [(_train_config(args), _scoring(args))])
+    out_dir = _out_dir(args)
     write_metrics_log(result.log, out_dir / "metrics.log")
     save_params(result.params, out_dir / "checkpoint.ckpt",
                 meta={"seed": args.seed, "num_hois": space.num_hois})
@@ -406,9 +413,7 @@ def _cmd_eval(args) -> int:
         dets = load_detections(args.detections)
     gts = ground_truths_from_instances(test_set)
     report = evaluate(dets, gts, space, mode=scoring.eval_mode, partition=partition)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_spec(args, out_dir / "spec.txt")
+    out_dir = _out_dir(args)
     _report_files(report, space, counts, out_dir)
     if args.dets_out:
         save_detections(dets, out_dir / "detections.tsv")
@@ -452,54 +457,32 @@ def _sweep_values(text: str) -> list[float]:
 def _cmd_sweep(args) -> int:
     _require(args, "data", "test", "param", "values", "out")
     values = _sweep_values(args.values)
-    base_cfg = _train_config(args)
-    weights = [replace(base_cfg.loss_weights, **{args.param: value}) for value in values]
-    scoring = _scoring(args)
-    train_set, space = load_dataset(args.data)
-    test_set, _ = load_dataset(args.test)
-    _check_trainable(train_set)
-    net_cfg = _net_config(args, space, train_set.human_feat.shape[1])
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for value, w in zip(values, weights):
-        result = run_training(
-            train_set, test_set, space, replace(base_cfg, loss_weights=w),
-            net_cfg=net_cfg, scoring=scoring,
-        )
-        rows.append((value, result.report))
-    _write_spec(args, out_dir / "spec.txt")
-    _write_rows(out_dir / "sweep.tsv", args.param, rows)
+    base_cfg, scoring = _train_config(args), _scoring(args)
+    rows = [
+        (replace(base_cfg, loss_weights=replace(base_cfg.loss_weights, **{args.param: value})),
+         scoring)
+        for value in values
+    ]
+    results, _, _ = _run_rows(args, rows)
+    _write_rows(_out_dir(args) / "sweep.tsv", args.param, zip(values, results))
     return 0
 
 
 def _cmd_ablate(args) -> int:
     _require(args, "data", "test", "out")
-    base_cfg = _train_config(args)
-    scoring = _scoring(args)
-    train_set, space = load_dataset(args.data)
-    test_set, _ = load_dataset(args.test)
-    _check_trainable(train_set)
-    net_cfg = _net_config(args, space, train_set.human_feat.shape[1])
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_spec(args, out_dir / "spec.txt")
-
-    rows = []
-    for mode in ("off", "within", "between", "both"):
-        result = run_training(
-            train_set, test_set, space, with_compose_mode(base_cfg, mode),
-            net_cfg=net_cfg, scoring=scoring,
-        )
-        rows.append((f"compose_{mode}", result.report))
-    # the last, compose-both model re-scored with each branch silenced in turn
-    for mode in BRANCH_MODES:
-        report = evaluate_params(
-            result.params, test_set, space, result.counts, result.partition,
-            replace(scoring, branch_mode=mode),
-        )
-        rows.append((f"branch_{mode}", report))
-    _write_rows(out_dir / "ablate.tsv", "run", rows)
+    base_cfg, scoring = _train_config(args), _scoring(args)
+    rows = {
+        f"compose_{mode}": (with_compose(base_cfg, mode=mode), scoring)
+        for mode in ("off", "within", "between", "both")
+    }
+    # the compose-both model re-scored with each branch silenced in turn;
+    # run_rows trains it once, since these rows repeat its TrainConfig
+    rows |= {
+        f"branch_{mode}": (rows["compose_both"][0], replace(scoring, branch_mode=mode))
+        for mode in BRANCH_MODES
+    }
+    results, _, _ = _run_rows(args, list(rows.values()))
+    _write_rows(_out_dir(args) / "ablate.tsv", "run", zip(rows, results))
     return 0
 
 

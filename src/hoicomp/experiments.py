@@ -1,6 +1,9 @@
 """Canned experiment flows: the default desk-scale config, the scoring
 settings every run shares, and the training runs the CLI and the
-fingerprint build on.
+fingerprint build on. ``run_rows`` is the one place where runs are trained
+and scored: a run is a row of a ``TrainConfig`` and a ``Scoring``, and the
+comparisons below and the CLI's ``train``, ``sweep`` and ``ablate`` are
+lists of rows.
 
 The default synthetic benchmark uses 12 verbs, 10 objects, and 60
 interaction classes with Zipf-1.5 frequencies over 20k training instances.
@@ -81,13 +84,12 @@ class Scoring:
 
 @dataclass
 class RunResult:
-    """Everything one training run produces."""
+    """What one row of ``run_rows`` produces."""
 
     params: ModelParams
     log: list[dict]
     report: EvalReport
     counts: object
-    partition: dict
 
 
 def report_basis(
@@ -126,7 +128,7 @@ def evaluate_params(
     """Score the test split with one model and aggregate AP per partition.
 
     ``partition=None`` means rare/nonrare over ``counts`` at
-    ``scoring.rare_threshold``; ``run_training`` always passes
+    ``scoring.rare_threshold``; ``run_rows`` always passes
     ``report_basis``'s partition.
     """
     if partition is None:
@@ -138,39 +140,75 @@ def evaluate_params(
     return evaluate(dets, gts, space, mode=scoring.eval_mode, partition=partition)
 
 
-def run_training(
+def run_rows(
     train_set: Dataset,
     test_set: Dataset,
     space: HoiLabelSpace,
-    train_cfg: TrainConfig,
+    rows: list[tuple[TrainConfig, Scoring]],
     net_cfg: NetworkConfig | None = None,
-    scoring: Scoring = Scoring(),
     split: ZeroShotSplit | None = None,
-) -> RunResult:
-    """Train once on ``report_basis``'s training set and score the test
-    split with ``scoring`` over its partition."""
-    train_set, counts, partition = report_basis(train_set, space, split, scoring.rare_threshold)
+) -> list[RunResult]:
+    """Train and score each ``(TrainConfig, Scoring)`` row, in order.
 
-    def score(params):
-        return evaluate_params(params, test_set, space, counts, partition, scoring)
+    A row trains on ``report_basis``'s training set and scores the test split
+    with its ``Scoring`` over its partition; with ``eval_every`` > 0 the log
+    also takes those mAPs every ``eval_every`` iterations. A row whose
+    ``TrainConfig`` equals the previous row's re-scores that row's model, and
+    shares its log, instead of training it again.
+    """
+    results, previous = [], None
+    for train_cfg, scoring in rows:
+        trained_on, counts, partition = report_basis(
+            train_set, space, split, scoring.rare_threshold
+        )
 
-    eval_fn = None
-    if train_cfg.eval_every > 0 and test_set:
-        def eval_fn(params):
-            report = score(params)
-            out = {"mAP_full": 100.0 * report.map_full}
-            for name in partition:
-                out[f"mAP_{name}"] = 100.0 * report.means[name]
-            return out
+        def score(params):
+            return evaluate_params(params, test_set, space, counts, partition, scoring)
 
-    params, log = train(train_set, space, train_cfg, net_cfg=net_cfg, eval_fn=eval_fn)
-    return RunResult(
-        params=params, log=log, report=score(params), counts=counts, partition=partition
-    )
+        if train_cfg != previous:
+            eval_fn = None
+            if train_cfg.eval_every > 0 and test_set:
+                def eval_fn(params):
+                    report = score(params)
+                    out = {"mAP_full": 100.0 * report.map_full}
+                    for name in partition:
+                        out[f"mAP_{name}"] = 100.0 * report.means[name]
+                    return out
+
+            params, log = train(trained_on, space, train_cfg, net_cfg=net_cfg, eval_fn=eval_fn)
+            previous = train_cfg
+        results.append(RunResult(params, log, score(params), counts))
+    return results
 
 
-def with_compose_mode(cfg: TrainConfig, mode: str) -> TrainConfig:
-    return replace(cfg, compose=replace(cfg.compose, mode=mode))
+def with_compose(cfg: TrainConfig, **changes) -> TrainConfig:
+    """``cfg`` with ``changes`` made to its ``ComposeConfig``."""
+    return replace(cfg, compose=replace(cfg.compose, **changes))
+
+
+def _comparison(seeds, dataset_overrides, train_overrides, net_cfg, split_of=None) -> list[dict]:
+    """One row per seed: the default benchmark generated at that seed, then
+    composition off (the baseline) against on (``vcl``), both scored with
+    the default ``Scoring``. ``split_of(train_set, space, seed)``, when
+    given, makes the seed's unseen-class split, which both runs train
+    against and the composed run may label into."""
+    rows = []
+    for seed in seeds:
+        data_cfg = default_dataset_config(seed=seed, **(dataset_overrides or {}))
+        train_set, test_set, space = generate(data_cfg)
+        split = None if split_of is None else split_of(train_set, space, seed)
+        base_cfg = TrainConfig(seed=seed, **(train_overrides or {}))
+        composed_cfg = with_compose(base_cfg, mode="both")
+        if split is not None:
+            composed_cfg = with_compose(composed_cfg, unseen_allowed=True, unseen_ids=split.unseen)
+        baseline, composed = run_rows(
+            train_set, test_set, space,
+            [(with_compose(base_cfg, mode="off"), Scoring()), (composed_cfg, Scoring())],
+            net_cfg=net_cfg, split=split,
+        )
+        row = {"seed": seed} | ({} if split is None else {"split": split})
+        rows.append(row | {"baseline": baseline.report, "vcl": composed.report})
+    return rows
 
 
 def vcl_comparison(
@@ -184,19 +222,7 @@ def vcl_comparison(
     Returns one row per seed with both reports; the interesting quantities
     are the rare-class and full mAP deltas.
     """
-    rows = []
-    for seed in seeds:
-        data_cfg = default_dataset_config(seed=seed, **(dataset_overrides or {}))
-        train_set, test_set, space = generate(data_cfg)
-        base_cfg = TrainConfig(seed=seed, **(train_overrides or {}))
-        baseline = run_training(
-            train_set, test_set, space, with_compose_mode(base_cfg, "off"), net_cfg=net_cfg
-        )
-        composed = run_training(
-            train_set, test_set, space, with_compose_mode(base_cfg, "both"), net_cfg=net_cfg
-        )
-        rows.append({"seed": seed, "baseline": baseline.report, "vcl": composed.report})
-    return rows
+    return _comparison(seeds, dataset_overrides, train_overrides, net_cfg)
 
 
 def zero_shot_comparison(
@@ -209,30 +235,11 @@ def zero_shot_comparison(
 ) -> list[dict]:
     """Zero-shot runs: unseen classes removed from training labels, with
     composition allowed to relabel into them (mode both) versus no
-    composition at all."""
-    rows = []
-    for seed in seeds:
-        data_cfg = default_dataset_config(seed=seed, **(dataset_overrides or {}))
-        train_set, test_set, space = generate(data_cfg)
-        counts = class_counts(train_set, space)
-        n_unseen = max(1, int(round(unseen_fraction * space.num_hois)))
-        split = make_split(counts, space, n_unseen, strategy, tie_break_seed=seed)
+    composition at all. Each row also holds the seed's split."""
 
-        base_cfg = TrainConfig(seed=seed, **(train_overrides or {}))
-        baseline_cfg = with_compose_mode(base_cfg, "off")
-        composed_cfg = replace(
-            base_cfg,
-            compose=replace(
-                base_cfg.compose, mode="both", unseen_allowed=True, unseen_ids=split.unseen
-            ),
-        )
-        baseline = run_training(
-            train_set, test_set, space, baseline_cfg, net_cfg=net_cfg, split=split
-        )
-        composed = run_training(
-            train_set, test_set, space, composed_cfg, net_cfg=net_cfg, split=split
-        )
-        rows.append(
-            {"seed": seed, "split": split, "baseline": baseline.report, "vcl": composed.report}
-        )
-    return rows
+    def split_of(train_set, space, seed):
+        n_unseen = max(1, int(round(unseen_fraction * space.num_hois)))
+        counts = class_counts(train_set, space)
+        return make_split(counts, space, n_unseen, strategy, tie_break_seed=seed)
+
+    return _comparison(seeds, dataset_overrides, train_overrides, net_cfg, split_of)

@@ -218,10 +218,13 @@ def train(
             comp = compose_batch(batch, space, cfg.compose, comp_rng)
         real = RealBatch.from_instances(batch)
         try:
-            _, comps, grads = loss_and_grads(real, comp, params, lw, out=grads)
-            previous = params.flat
-            sgd_step(params, grads, state, cfg, out=spare)
-            spare = previous
+            # a step that overflows ends in DivergedTraining below, so
+            # numpy's float warnings on the way there add nothing
+            with np.errstate(all="ignore"):
+                _, comps, grads = loss_and_grads(real, comp, params, lw, out=grads)
+                previous = params.flat
+                sgd_step(params, grads, state, cfg, out=spare)
+                spare = previous
         except (NonFiniteLoss, NonFiniteGradient, NonFiniteUpdate) as exc:
             raise DivergedTraining(str(exc), iteration=it) from exc
         entry = {"iter": it, "L_sp": comps["L_sp"], "L_vo": comps["L_vo"], "L_comp": comps["L_comp"]}

@@ -3,6 +3,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from hoicomp import experiments
 from hoicomp.label_algebra import build_space
 from hoicomp.synthdata import Dataset, random_hoi_defs
 
@@ -16,6 +17,21 @@ TOY_OBJECTS = ("horse", "bicycle")
 @pytest.fixture
 def toy_space():
     return build_space(TOY_DEFS, verb_names=TOY_VERBS, object_names=TOY_OBJECTS)
+
+
+@pytest.fixture()
+def trainings(monkeypatch):
+    """The models ``experiments.run_rows`` trains, one list item per
+    training, counted while the test runs."""
+    calls = []
+    train = experiments.train
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "train", counted)
+    return calls
 
 
 def draw_space(rng, max_verbs=10, max_objects=8, max_hois=40):

@@ -245,15 +245,22 @@ def report_values(path):
     return dict(line.split("=", 1) for line in path.read_text().splitlines() if line.startswith("map_"))
 
 
-def table_rows(path):
-    """A sweep.tsv or ablate.tsv as {first column: {header: value as printed}}."""
-    header, *rows = (line.split("\t") for line in path.read_text().splitlines())
-    return {row[0]: dict(zip(header[1:], row[1:])) for row in rows}
+def expected_table(first, runs):
+    """The sweep.tsv or ablate.tsv text for (row name, report.txt) runs: the
+    header, then each run's values as its report prints them, in order."""
+    columns = ["map_full", "map_rare", "map_nonrare"]
+    lines = ["\t".join([first, *columns])]
+    for name, report in runs:
+        values = report_values(report)
+        assert sorted(values) == sorted(columns), name
+        lines.append("\t".join([name, *(values[c] for c in columns)]))
+    return "\n".join(lines) + "\n"
 
 
 class TestMultiRunRows:
     """Each row of a multi-run table is what the single ``train`` run it
-    stands for reports with the same flags."""
+    stands for reports with the same flags, in the order the command lists
+    them."""
 
     FLAGS = ["--iterations", 10, "--interactions", 4, "--hidden", 6, "--vo-hidden", 6,
              "--sp-hidden", 6]
@@ -262,26 +269,41 @@ class TestMultiRunRows:
         data, test = dataset
         flags = [*self.FLAGS, "--rare-threshold", 1000, "--eval-mode", "known_object"]
         assert run("ablate", "--data", data, "--test", test, "--out", tmp_path / "ab", *flags) == 0
-        rows = table_rows(tmp_path / "ab" / "ablate.tsv")
         singles = [(f"compose_{m}", "--compose", m) for m in ("off", "within", "between", "both")]
         singles += [(f"branch_{b}", "--branch", b) for b in ("both", "vo_only", "sp_only")]
         for row, flag, value in singles:
-            out = tmp_path / row
-            assert run("train", "--data", data, "--test", test, "--out", out,
+            assert run("train", "--data", data, "--test", test, "--out", tmp_path / row,
                        flag, value, *flags) == 0
-            assert rows[row] == report_values(out / "report.txt"), row
+        expected = expected_table("run", [(row, tmp_path / row / "report.txt")
+                                          for row, *_ in singles])
+        assert (tmp_path / "ab" / "ablate.tsv").read_text() == expected
 
     def test_sweep_rows_match_train_runs(self, dataset, tmp_path):
         data, test = dataset
         flags = [*self.FLAGS, "--branch", "sp_only", "--eval-mode", "known_object"]
         assert run("sweep", "--data", data, "--test", test, "--param", "lambda1",
-                   "--values", "0.5,2.0", "--out", tmp_path / "sweep", *flags) == 0
-        rows = table_rows(tmp_path / "sweep" / "sweep.tsv")
-        for value in ("0.5", "2.0"):
-            out = tmp_path / value
-            assert run("train", "--data", data, "--test", test, "--out", out,
+                   "--values", "2.0,0.5", "--out", tmp_path / "sweep", *flags) == 0
+        for value in ("2.0", "0.5"):
+            assert run("train", "--data", data, "--test", test, "--out", tmp_path / value,
                        "--lambda1", value, *flags) == 0
-            assert rows[value] == report_values(out / "report.txt"), value
+        expected = expected_table("lambda1", [(value, tmp_path / value / "report.txt")
+                                              for value in ("2.0", "0.5")])
+        assert (tmp_path / "sweep" / "sweep.tsv").read_text() == expected
+
+    def test_ablate_trains_one_model_for_its_branch_rows(self, dataset, tmp_path, trainings):
+        data, test = dataset
+        assert run("ablate", "--data", data, "--test", test, "--out", tmp_path / "ab",
+                   *self.FLAGS) == 0
+        assert len((tmp_path / "ab" / "ablate.tsv").read_text().splitlines()) == 1 + 7
+        assert len(trainings) == 4
+
+    def test_sweep_repeated_value_is_trained_once(self, dataset, tmp_path, capsys, trainings):
+        data, test = dataset
+        assert run("sweep", "--data", data, "--test", test, "--param", "lambda2",
+                   "--values", "1,2,2", "--out", tmp_path / "sweep", *self.FLAGS) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 3 and rows[1] == rows[2] != rows[0]
+        assert len(trainings) == 2
 
     def test_split_eval_matches_train_report(self, dataset, tmp_path):
         data, test = dataset
@@ -423,6 +445,11 @@ BAD_INPUTS = [
     ["train", "--data", "DATA", "--test", "MISSING"],
     ["train", "--data", "DATA", "--split", "MISSING"],
     ["train", "--data", "DATA", "--lr", "nan"],
+    # a learning rate this large diverges in training, after every input is read
+    ["train", "--data", "DATA", "--test", "TEST", "--lr", "1e300"],
+    ["sweep", "--data", "DATA", "--test", "TEST", "--param", "lambda1", "--values", "1",
+     "--lr", "1e300"],
+    ["ablate", "--data", "DATA", "--test", "TEST", "--lr", "1e300"],
     ["eval", "--data", "MISSING", "--checkpoint", "CKPT"],
     ["eval", "--data", "TEST", "--train-data", "MISSING", "--checkpoint", "CKPT"],
     ["eval", "--data", "TEST", "--split", "MISSING", "--checkpoint", "CKPT"],
