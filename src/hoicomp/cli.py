@@ -99,7 +99,6 @@ def _add_train_flags(p: argparse.ArgumentParser):
     p.add_argument("--hidden", type=int, default=net["hidden"])
     p.add_argument("--vo-hidden", type=int, default=net["vo_hidden"])
     p.add_argument("--sp-hidden", type=int, default=net["sp_hidden"])
-    p.add_argument("--eval-every", type=int, default=cfg.eval_every)
 
 
 def _add_eval_flags(p: argparse.ArgumentParser):
@@ -147,6 +146,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="output directory")
     _add_train_flags(p)
+    # train alone writes metrics.log, the one place periodic scoring shows
+    p.add_argument("--eval-every", type=int, default=TrainConfig().eval_every,
+                   help="add the test mAPs to metrics.log every N iterations (0: never)")
     _add_eval_flags(p)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint or a detections file")
@@ -277,7 +279,6 @@ def _train_config(args) -> TrainConfig:
         compose=compose_cfg,
         loss_weights=LossWeights(lambda1=args.lambda1, lambda2=args.lambda2),
         seed=args.seed,
-        eval_every=args.eval_every,
     )
 
 
@@ -383,7 +384,8 @@ def _cmd_make_splits(args) -> int:
 
 def _cmd_train(args) -> int:
     _require(args, "data", "out")
-    [result], space, test_set = _run_rows(args, [(_train_config(args), _scoring(args))])
+    cfg = replace(_train_config(args), eval_every=args.eval_every)
+    [result], space, test_set = _run_rows(args, [(cfg, _scoring(args))])
     out_dir = _out_dir(args)
     write_metrics_log(result.log, out_dir / "metrics.log")
     save_params(result.params, out_dir / "checkpoint.ckpt",

@@ -58,7 +58,8 @@ class InconsistentLabel(HoicompError):
 
 class DimensionMismatch(HoicompError):
     """An array's dtype or shape disagrees with its declared layout, such as
-    feature vectors in a file with the declared feature dimension."""
+    feature vectors in a file with the declared feature dimension, or an
+    output buffer overlaps an input that it must not."""
 
 
 # ---- composition ----

@@ -15,27 +15,30 @@ the raster: each channel is one rectangle of cells, so its product with the
 channel's rows of ``sp_w1`` is four lookups in a 2-D prefix sum of those rows
 (``forward_spatial_human_boxes``). The two differ only by rounding.
 
-A training step reuses its parameter-sized buffers instead of allocating
-them: ``loss_and_grads`` writes into a gradient buffer passed as ``out``,
-zeroing only the blocks that several loss terms add to, and the spatial
-blocks, which have one contribution each, are written once without a
-zero-fill. ``trainer.sgd_step`` writes the new parameters into a second
-buffer and rebinds ``params.flat`` to it, so the buffer a caller saw before
-a step is recycled by the next one: copy ``params.flat`` to keep it. Nor
-does the spatial branch make temporaries the size of its input: its input
-``z``, the human stream beside the scaled raster, is one (n, hidden +
-spatial_dim) buffer written in place, and its backward computes only the
-``hidden`` columns of the input gradient that the human stream reads, bit
-for bit as the full product would give them.
+Training holds three parameter-sized buffers, parameters, gradients and
+momentum, and allocates none per step: ``loss_and_grads`` writes into a
+gradient buffer passed as ``out``, zeroing only the blocks that several loss
+terms add to, and the spatial blocks, which have one contribution each, are
+written once without a zero-fill. ``trainer.sgd_step`` then writes the new
+parameters over the gradients it has just read and rebinds ``params.flat``
+to that buffer, and the old parameter buffer becomes the next step's
+gradients. So the buffer a caller saw before a step is overwritten by the
+next one: copy ``params.flat`` to keep it. Nor does the spatial branch
+make temporaries the size of its input: its input ``z``, the human stream
+beside the scaled raster, is one (n, hidden + spatial_dim) buffer written in
+place, and its backward computes only the ``hidden`` columns of the input
+gradient that the human stream reads, bit for bit as the full product would
+give them.
 
 Each layer of a forward pass is a product, then its bias added in place,
 then the ReLU in the same buffer, so no pre-activation outlives its layer.
 The forward caches hold inputs and activations only; a backward pass masks
 with ``act > 0``, which equals ``pre > 0`` (NaN included, as both are
 False). Training and scoring build their layers with the one ``_layer``,
-and the verb-object branch runs the one ``_vo_forward`` in both. Scoring
-turns logits into probabilities, and those into fused scores, in place
-(``sigmoid`` and ``fuse_scores`` take ``out``).
+and the verb-object branch runs the one ``_vo_forward`` in both; scoring
+keeps no cache, so each layer's input is freed once the next is built.
+Scoring turns logits into probabilities, and those into fused scores, in
+place (``sigmoid`` and ``fuse_scores`` take ``out``).
 
 Targets are multi-label, so every loss term is per-class sigmoid binary
 cross entropy, class-reweighted, summed over classes and averaged over
@@ -322,15 +325,21 @@ def _layer(x: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool = True,
     return a
 
 
-def _vo_forward(verb_x: np.ndarray, obj_x: np.ndarray, p: ModelParams):
+def _vo_forward(verb_x: np.ndarray, obj_x: np.ndarray, p: ModelParams, cache: bool = True):
+    """(logits, cache) of the verb-object head. The cache is
+    ``(verb_x, obj_x, z, h1, h2)`` for ``_vo_backward``; without ``cache``
+    it is None, and each layer's input is freed once the next is built."""
     h = p.cfg.hidden
-    z = np.empty((len(verb_x), 2 * h))  # the verb and object streams side by side
-    _layer(verb_x, p.shared_w, p.shared_b, out=z[:, :h])
-    _layer(obj_x, p.obj_w, p.obj_b, out=z[:, h:])
-    h1 = _layer(z, p.vo_w1, p.vo_b1)
-    h2 = _layer(h1, p.vo_w2, p.vo_b2)
-    logits = _layer(h2, p.vo_w3, p.vo_b3, relu=False)
-    return logits, (verb_x, obj_x, z, h1, h2)
+    x = np.empty((len(verb_x), 2 * h))  # z: the verb and object streams side by side
+    _layer(verb_x, p.shared_w, p.shared_b, out=x[:, :h])
+    _layer(obj_x, p.obj_w, p.obj_b, out=x[:, h:])
+    kept = [verb_x, obj_x]
+    for w, b, relu in ((p.vo_w1, p.vo_b1, True), (p.vo_w2, p.vo_b2, True),
+                       (p.vo_w3, p.vo_b3, False)):
+        if cache:
+            kept.append(x)
+        x = _layer(x, w, b, relu=relu)
+    return x, (tuple(kept) if cache else None)
 
 
 def spatial_input_scale(params: ModelParams) -> float:
@@ -366,7 +375,7 @@ def forward_verb_object(verb_feat, object_feat, params: ModelParams) -> np.ndarr
     verb_x = _as_2d(verb_feat, d, "verb feature")
     obj_x = _as_2d(object_feat, d, "object feature")
     _check_rows(verb_x, obj_x)
-    return _vo_forward(verb_x, obj_x, params)[0]
+    return _vo_forward(verb_x, obj_x, params, cache=False)[0]
 
 
 def forward_spatial_human(human_feat, spatial, params: ModelParams) -> np.ndarray:
@@ -494,9 +503,10 @@ def loss_and_grads(real: RealBatch, comp: CompBatch | None, params: ModelParams,
     """Joint forward/backward over one minibatch; ``comp`` may be None.
 
     The gradients go into ``out`` when it is given, a ``ModelParams`` of
-    ``params``'s config that shares no memory with it; every element of
-    ``out`` is overwritten, so its previous contents do not matter. Without
-    ``out`` a new buffer is allocated.
+    ``params``'s config that shares no memory with it (``DimensionMismatch``
+    otherwise, raised before anything is computed); every element of ``out``
+    is overwritten, so its previous contents do not matter. Without ``out``
+    a new buffer is allocated.
 
     Returns:
         (total_loss, components, grads) where components maps
@@ -505,6 +515,11 @@ def loss_and_grads(real: RealBatch, comp: CompBatch | None, params: ModelParams,
     """
     if len(real) == 0:
         raise NonFiniteLoss("real batch is empty")
+    if out is not None:
+        if out.cfg != params.cfg:
+            raise DimensionMismatch(f"gradient buffer is for {out.cfg}, expected {params.cfg}")
+        if np.may_share_memory(out.flat, params.flat):
+            raise DimensionMismatch("gradient buffer shares memory with the parameters")
     w = lw.resolved_weights(params.cfg.num_hois)
 
     vo_logits, vo_cache = _vo_forward(real.verb_feat, real.object_feat, params)
@@ -529,11 +544,7 @@ def loss_and_grads(real: RealBatch, comp: CompBatch | None, params: ModelParams,
         raise NonFiniteLoss(f"loss is {total}")
     components = {"L_sp": loss_sp, "L_vo": loss_vo, "L_comp": loss_comp}
 
-    if out is None:
-        out = ModelParams(params.cfg, np.empty_like(params.flat))
-    elif out.cfg != params.cfg:
-        raise DimensionMismatch(f"gradient buffer is for {out.cfg}, expected {params.cfg}")
-    grads = out
+    grads = ModelParams(params.cfg, np.empty_like(params.flat)) if out is None else out
     blocks = grads.blocks()
     for name, block in blocks.items():
         if name not in _SP_BLOCKS:  # accumulated over terms; _sp_backward writes the rest

@@ -17,6 +17,7 @@ import numpy as np
 from . import rng as rngmod
 from .composer import ComposeConfig, compose_batch
 from .errors import (
+    DimensionMismatch,
     DivergedTraining,
     InvalidConfig,
     NonFiniteGradient,
@@ -140,17 +141,25 @@ def sgd_step(params: ModelParams, grads: ModelParams, state: ModelParams, cfg: T
     v <- momentum * v + grad + weight_decay * param; param <- param - lr * v.
 
     Runs over ``FLAT_BLOCK``-element blocks of the flat buffers, writing the
-    new parameters into ``out`` (a new buffer when None; it must share no
-    memory with ``params``, ``grads`` or ``state``) and checking each block as
-    it is written. ``params.flat`` is rebound to ``out`` only once every block
-    is finite, so on ``NonFiniteUpdate`` the parameters are unchanged; the
-    momentum ``state``, updated in place, has then advanced up to and
-    including the failing block. ``grads`` is only read. The buffer
+    new parameters into ``out`` (a new buffer when None) and checking each
+    block as it is written. ``out`` may be ``grads.flat``: each block of the
+    gradients is read before the same block of ``out`` is written, so the
+    gradients are then spent, step or failure. ``out`` must share no memory
+    with ``params.flat`` or ``state.flat``; ``DimensionMismatch`` is raised
+    before anything is written when it does. ``params.flat`` is rebound to
+    ``out`` only once every block is finite, so on ``NonFiniteUpdate`` the
+    parameters are unchanged; the momentum ``state``, updated in place, has
+    then advanced up to and including the failing block. The buffer
     ``params.flat`` held before the call is not used by it any more, which
-    lets a training loop pass it as the next step's ``out``.
+    lets a training loop take it as the next step's gradient buffer.
     Returns (params, state)."""
     p, g, v = params.flat, grads.flat, state.flat
-    new = np.empty_like(p) if out is None else out
+    if out is None:
+        new = np.empty_like(p)
+    elif np.may_share_memory(out, p) or np.may_share_memory(out, v):
+        raise DimensionMismatch("out shares memory with the parameters or the momentum")
+    else:
+        new = out
     for start in range(0, p.size, FLAT_BLOCK):
         block = slice(start, start + FLAT_BLOCK)
         vb, nb = v[block], new[block]
@@ -183,8 +192,9 @@ def train(
     its entries (e.g. mAP_full, mAP_rare) are merged into the record every
     ``eval_every`` iterations. Composition is skipped entirely when its mode
     is off or its loss weight is zero; both disable it identically.
-    ``eval_fn`` sees ``params`` between steps; the next step reuses its
-    ``flat`` buffer, so an ``eval_fn`` that keeps parameters must copy them.
+    ``eval_fn`` sees ``params`` between steps; the next step takes its
+    ``flat`` buffer as its gradient buffer, so an ``eval_fn`` that keeps
+    parameters must copy them.
     """
     if not len(train_set):
         raise InvalidConfig("training set is empty")
@@ -199,12 +209,12 @@ def train(
         )
     params = init_params(net_cfg, rngmod.stream(cfg.seed, "init"))
     state = ModelParams(net_cfg, np.zeros_like(params.flat))
-    # one gradient buffer and one spare parameter buffer, reused by every
-    # step. Zero-filled, not empty: through heap layout, np.empty left
-    # hico-600's benchmark peak RSS at 213.5 MB in 5 of 5 runs, np.zeros at
-    # 191-193 MB in 15 of 17
+    # the one gradient buffer: each step writes the new parameters over it,
+    # and the old parameter buffer becomes the next step's gradients.
+    # Zero-filled, not empty, for its place in the heap: on hico-600, on a
+    # 2-core Xeon, np.empty read the same benchmark peak RSS (88.5 MB) but
+    # ran setup, training and eval slower in each of 4 paired runs
     grads = ModelParams(net_cfg, np.zeros_like(params.flat))
-    spare = np.zeros_like(params.flat)
     batch_rng = rngmod.stream(cfg.seed, "batch")
     comp_rng = rngmod.stream(cfg.seed, "compose")
     groups = group_by_image(train_set)
@@ -223,8 +233,8 @@ def train(
             with np.errstate(all="ignore"):
                 _, comps, grads = loss_and_grads(real, comp, params, lw, out=grads)
                 previous = params.flat
-                sgd_step(params, grads, state, cfg, out=spare)
-                spare = previous
+                sgd_step(params, grads, state, cfg, out=grads.flat)
+                grads.flat = previous
         except (NonFiniteLoss, NonFiniteGradient, NonFiniteUpdate) as exc:
             raise DivergedTraining(str(exc), iteration=it) from exc
         entry = {"iter": it, "L_sp": comps["L_sp"], "L_vo": comps["L_vo"], "L_comp": comps["L_comp"]}

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -32,6 +33,22 @@ def trainings(monkeypatch):
 
     monkeypatch.setattr(experiments, "train", counted)
     return calls
+
+
+def peak_above_live(run, warm_up=None) -> int:
+    """Bytes of the ``tracemalloc`` peak while ``run()`` runs, above the
+    memory live just before it. ``warm_up()``, when given, runs first under
+    the same trace, so what it leaves behind counts as live."""
+    tracemalloc.start()
+    try:
+        if warm_up is not None:
+            warm_up()
+        tracemalloc.reset_peak()
+        live = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
 
 
 def draw_space(rng, max_verbs=10, max_objects=8, max_hois=40):

@@ -387,6 +387,24 @@ def test_replayed_spec_is_byte_identical(spec_runs, tmp_path):
         assert spec_file(command, out).read_bytes() == spec.read_bytes(), command
 
 
+def test_only_train_takes_eval_every(spec_runs, tmp_path):
+    # sweep and ablate write no metrics.log, where periodic scoring would
+    # show, so they take no --eval-every. A spec of theirs that records one
+    # still replays, to the same spec without it: train keeps the key known
+    assert "eval_every" in subparser_flags("train")
+    for command, spec in spec_runs:
+        if command not in ("sweep", "ablate"):
+            continue
+        assert "eval_every" not in subparser_flags(command)
+        with pytest.raises(SystemExit):
+            run(command, "--eval-every", 5)
+        old = tmp_path / f"{command}-old.txt"
+        old.write_text(spec.read_text(encoding="utf-8") + "eval_every=5\n", encoding="utf-8")
+        out = tmp_path / f"{command}-replay"
+        assert run("--config", old, command, "--out", out) == 0, command
+        assert spec_file(command, out).read_bytes() == spec.read_bytes(), command
+
+
 def assert_failed_before_output(code, capsys, out):
     """Exit code 1, one ``error:`` line, and nothing written at ``out`` or
     beside it (``out.test``, ``out.spec``); returns the error line."""

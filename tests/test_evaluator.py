@@ -1,4 +1,3 @@
-import tracemalloc
 from dataclasses import fields, replace
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -47,7 +46,7 @@ from hoicomp.trainer import TrainConfig, train
 from hoicomp.zeroshot import frequency_partition
 
 from column_oracle import column_evaluate
-from conftest import make_dataset, make_row
+from conftest import make_dataset, make_row, peak_above_live
 from test_network import masked_sigmoid, plain_product
 
 
@@ -757,21 +756,17 @@ class TestColumnOracle:
 class TestEvalAllocations:
     def test_scoring_and_matching_peak(self, trained):
         # traced peak of one scoring and matching pass above the memory live
-        # before it, after a warm-up pass. At both shapes it is about 15 MB;
-        # the masked sigmoid, the whole-array forward passes and the
-        # column-join matcher took 28.7 MB (3000 x 60) and 23.7 MB (1000 x 600)
+        # before it, after a warm-up pass: 11.2 MB (3000 x 60) and 12.2 MB
+        # (1000 x 600), bounded 20% above the larger. A verb-object forward
+        # that keeps its training cache takes it to 15.0 MB (3000 x 60)
         _, test_set, space, params = trained
         gts = ground_truths_from_instances(test_set)
-        tracemalloc.start()
-        try:
-            evaluate(detections_from_model(test_set, params), gts, space)
-            tracemalloc.reset_peak()
-            live = tracemalloc.get_traced_memory()[0]
-            evaluate(detections_from_model(test_set, params), gts, space, mode="known_object")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - live < 18e6, (peak - live) / 1e6
+        peak = peak_above_live(
+            lambda: evaluate(detections_from_model(test_set, params), gts, space,
+                             mode="known_object"),
+            warm_up=lambda: evaluate(detections_from_model(test_set, params), gts, space),
+        )
+        assert peak < 14.6e6, peak / 1e6
 
 
 GOOD_BOX = "0.0,0.0,10.0,10.0"

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from hoicomp import network
 from hoicomp.errors import (
     DegenerateBox,
     DimensionMismatch,
@@ -37,6 +38,7 @@ from hoicomp.network import (
 )
 from hoicomp.spatial import GRID_SIZE, cell_spans, spatial_vector
 
+from conftest import peak_above_live
 from test_spatial import EDGE_CASES, FULL, broadcast_raster, lattice_pairs, random_boxes
 
 TINY = NetworkConfig(num_hois=5, feature_dim=3, hidden=3, vo_hidden=4, sp_hidden=3, spatial_dim=6)
@@ -487,6 +489,19 @@ class TestBackward:
             loss_and_grads(random_real(rng), None, tiny_params(), random_weights(rng),
                            out=tiny_params(cfg=other))
 
+    @pytest.mark.parametrize("shift", [0, 1])
+    def test_out_buffer_sharing_the_parameters_is_rejected(self, shift):
+        # out is params' own buffer, or a window of the same array one
+        # element on
+        rng = np.random.default_rng(17)
+        flat = tiny_params().flat
+        memory = np.concatenate([flat, [0.0]])
+        p = ModelParams(TINY, memory[: flat.size])
+        out = ModelParams(TINY, memory[shift : shift + flat.size])
+        with pytest.raises(DimensionMismatch, match="shares memory"):
+            loss_and_grads(random_real(rng), None, p, random_weights(rng), out=out)
+        assert p.flat.tobytes() == flat.tobytes()
+
     def test_shared_block_accumulates_from_both_paths(self):
         rng = np.random.default_rng(11)
         p = active_params(11)
@@ -662,6 +677,23 @@ class TestInPlaceScoring:
         got = forward_spatial_human_boxes(human, human_box, object_box, params)
         want = whole_array_box_logits(human, human_box, object_box, params)
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 7, 3000])
+    def test_cache_free_verb_object_forward_equals_training_forward(self, params, n):
+        rng = np.random.default_rng(n + 1)
+        verb, obj = rng.standard_normal((n, 32)), rng.standard_normal((n, 32))
+        want, cache = network._vo_forward(verb, obj, params)
+        assert len(cache) == 5  # verb_x, obj_x, z, h1, h2
+        assert forward_verb_object(verb, obj, params).tobytes() == want.tobytes()
+
+    def test_scoring_forward_frees_each_layer_input(self, params):
+        # a layer's input and its output are live together, never the
+        # training cache: holding z, h1 and h2 took the peak to 3.5 layers
+        rng = np.random.default_rng(2)
+        verb, obj = rng.standard_normal((3000, 32)), rng.standard_normal((3000, 32))
+        layer_bytes = 3000 * max(2 * params.cfg.hidden, params.cfg.vo_hidden) * 8
+        peak = peak_above_live(lambda: forward_verb_object(verb, obj, params))
+        assert peak < 2.5 * layer_bytes, peak / layer_bytes
 
     @pytest.mark.parametrize("shape", [(), (0,), (6,), (1, 6), (3000, 60), (1000, 600)])
     def test_sigmoid_bits(self, shape):

@@ -7,7 +7,13 @@ import pytest
 from hoicomp import network, trainer
 from hoicomp import rng as rngmod
 from hoicomp.composer import ComposeConfig, compose_batch
-from hoicomp.errors import DivergedTraining, InvalidConfig, NonFiniteUpdate, ParseError
+from hoicomp.errors import (
+    DimensionMismatch,
+    DivergedTraining,
+    InvalidConfig,
+    NonFiniteUpdate,
+    ParseError,
+)
 from hoicomp.experiments import default_dataset_config
 from hoicomp.network import (
     FLAT_BLOCK,
@@ -32,7 +38,7 @@ from hoicomp.trainer import (
     write_metrics_log,
 )
 
-from conftest import make_dataset, make_row
+from conftest import make_dataset, make_row, peak_above_live
 from test_composer import legacy_compose
 
 NET = NetworkConfig(num_hois=8, feature_dim=8, hidden=8, vo_hidden=8, sp_hidden=8)
@@ -189,6 +195,18 @@ class TestSgdStep:
             sgd_step(p, grads, self._like(p, 0.0), cfg)
         assert p.flat.tobytes() == before
 
+    @pytest.mark.parametrize("target", ["params", "state"])
+    @pytest.mark.parametrize("part", ["whole", "slice"])
+    def test_out_overlapping_params_or_state_fails_before_writing(self, target, part):
+        p = self._params()
+        grads, state = self._like(p, 0.5), self._like(p, 0.25)
+        buffers = {"params": p.flat, "state": state.flat}
+        out = buffers[target] if part == "whole" else buffers[target][FLAT_BLOCK:]
+        before = p.flat.tobytes(), grads.flat.tobytes(), state.flat.tobytes()
+        with pytest.raises(DimensionMismatch, match="shares memory"):
+            sgd_step(p, grads, state, TrainConfig(), out=out)
+        assert (p.flat.tobytes(), grads.flat.tobytes(), state.flat.tobytes()) == before
+
 
 def block_offset(cfg, name):
     """Index in the flat buffer of the first element of block ``name``."""
@@ -202,18 +220,23 @@ def block_offset(cfg, name):
 
 class TestSgdBlocks:
     """``sgd_step`` checks its output block by block; a failure in any block
-    leaves the parameters, and the gradients, as they were."""
+    leaves the parameters as they were, and the gradients too unless the new
+    parameters were being written over them."""
 
-    def _step_fails_at(self, flat_indices, out=None):
+    def _step_fails_at(self, flat_indices, out=None, over_grads=False):
+        """The error of a step whose gradients are infinite at
+        ``flat_indices``; with ``over_grads`` its ``out`` is the gradients,
+        which are then spent."""
         p = init_params(NET, np.random.default_rng(0))
         grads = ModelParams(NET, np.full_like(p.flat, 0.5))
         grads.flat[flat_indices] = np.inf
         buffer, before, grads_before = p.flat, p.flat.tobytes(), grads.flat.tobytes()
         cfg = TrainConfig(lr=0.1, momentum=0.9, weight_decay=0.0005)
         with pytest.raises(NonFiniteUpdate) as err:
-            sgd_step(p, grads, ModelParams(NET, np.zeros_like(p.flat)), cfg, out=out)
+            sgd_step(p, grads, ModelParams(NET, np.zeros_like(p.flat)), cfg,
+                     out=grads.flat if over_grads else out)
         assert p.flat is buffer and p.flat.tobytes() == before
-        assert grads.flat.tobytes() == grads_before
+        assert over_grads or grads.flat.tobytes() == grads_before
         return str(err.value)
 
     def test_layout_has_first_middle_and_straddling_blocks(self):
@@ -256,6 +279,24 @@ class TestSgdBlocks:
         p = init_params(NET, np.random.default_rng(0))
         out = np.full_like(p.flat, 7.0)
         assert "block sp_b2 " in self._step_fails_at([block_offset(NET, "sp_b2")], out=out)
+
+    @pytest.mark.parametrize("name", ["shared_w", "sp_w1", "vo_b3"])
+    def test_failure_writing_over_the_gradients_keeps_params(self, name):
+        # the training loop's form: each block of new parameters goes over
+        # the gradient block it was made from
+        assert f"block {name} " in self._step_fails_at([block_offset(NET, name)], over_grads=True)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.0005])
+    def test_out_may_be_the_gradient_buffer(self, weight_decay):
+        p = init_params(NET, np.random.default_rng(0))
+        grads = ModelParams(NET, np.random.default_rng(1).standard_normal(p.flat.size))
+        state = ModelParams(NET, np.random.default_rng(2).standard_normal(p.flat.size))
+        cfg = TrainConfig(lr=0.1, momentum=0.9, weight_decay=weight_decay)
+        fresh, fresh_state = ModelParams(NET, p.flat.copy()), ModelParams(NET, state.flat.copy())
+        sgd_step(fresh, grads, fresh_state, cfg)
+        sgd_step(p, grads, state, cfg, out=grads.flat)
+        assert p.flat is grads.flat and p.flat.tobytes() == fresh.flat.tobytes()
+        assert state.flat.tobytes() == fresh_state.flat.tobytes()
 
     def test_out_buffer_becomes_params(self):
         p = init_params(NET, np.random.default_rng(0))
@@ -437,17 +478,23 @@ class TestStepAllocations:
         _, _, p, lw = default_step_inputs
         real, comp = default_step_batches(default_step_inputs, 32)
         out = ModelParams(p.cfg, np.zeros_like(p.flat))
-        tracemalloc.start()
-        try:
-            network.loss_and_grads(real, comp, p, lw, out=out)  # warm-up
-            tracemalloc.reset_peak()
-            live = tracemalloc.get_traced_memory()[0]
+
+        def step():
             network.loss_and_grads(real, comp, p, lw, out=out)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+
+        peak = peak_above_live(step, warm_up=step)
         z_bytes = 32 * (p.cfg.hidden + p.cfg.spatial_dim) * 8
-        assert peak - live < 1.5 * z_bytes, (peak - live) / z_bytes
+        assert peak < 1.5 * z_bytes, peak / z_bytes
+
+    def test_train_holds_three_parameter_buffers(self, default_step_inputs):
+        # parameters, momentum and one gradient buffer, over which each step
+        # writes the new parameters; the old parameter buffer becomes the
+        # next step's gradients. A fourth buffer, a spare to write the new
+        # parameters into, took the peak to 4.29 buffers
+        train_set, space, p, _ = default_step_inputs
+        assert p.flat.nbytes > 4_000_000  # sp_w1 at the default widths dominates
+        peak = peak_above_live(lambda: train(train_set, space, TrainConfig(iterations=5)))
+        assert peak < 3.5 * p.flat.nbytes, peak / p.flat.nbytes
 
     def test_no_parameter_sized_allocation_per_step(self):
         two, flat_bytes = self._step_growth(2)
