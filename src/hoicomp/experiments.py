@@ -103,7 +103,10 @@ def report_basis(
 
     With a split, unseen bits are stripped from the training set before it is
     counted and the report is partitioned into unseen/seen; without one, into
-    rare/nonrare at ``rare_threshold`` training instances.
+    rare/nonrare at ``rare_threshold`` training instances. The split's
+    training set is ``zeroshot.apply_split``'s: a new label, every other
+    column shared with ``train_set``, and rows left with no label kept, which
+    count for no class and which training never draws.
     """
     if train_set is not None and split is not None:
         train_set = apply_split(train_set, split)

@@ -73,12 +73,12 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class ImageGroups:
-    """Row indices of a dataset grouped by image, in image-id order; rows
-    keep their order within an image. ``groups[i]`` is image i's rows, a view
-    of one index array, so grouping makes two arrays however many images
-    there are."""
+    """Row indices of a dataset's drawable rows grouped by image, in image-id
+    order; rows keep their order within an image. ``groups[i]`` is image i's
+    rows, a view of one index array, so grouping makes two arrays however
+    many images there are."""
 
-    order: np.ndarray   # (n,) row indices, image after image
+    order: np.ndarray   # (drawable rows,) row indices, image after image
     bounds: np.ndarray  # (images + 1,) image i's rows are order[bounds[i]:bounds[i + 1]]
 
     def __len__(self) -> int:
@@ -91,8 +91,17 @@ class ImageGroups:
 
 
 def group_by_image(train: Dataset) -> ImageGroups:
-    """Row indices per image, ordered by image id; rows keep their order."""
+    """Row indices per image, ordered by image id; rows keep their order.
+
+    Only rows with an active label are grouped, and an image with none of
+    them has no group. This is the one place that decides which rows
+    training draws: a row whose label ``zeroshot.apply_split`` emptied is
+    never drawn. Leaving rows out keeps the rest in order, so a dataset
+    gives the same groups, through its kept rows, as a copy holding only
+    those rows.
+    """
     order = np.argsort(train.image_id, kind="stable")
+    order = order[train.label.any(axis=1)[order]]
     ids = train.image_id[order]
     starts = np.flatnonzero(ids[1:] != ids[:-1]) + 1
     bounds = np.concatenate([[0], starts, [len(order)]]) if len(order) else np.zeros(1, np.int64)
@@ -115,12 +124,14 @@ def make_minibatch(
 
     Each draw picks two distinct images (when the dataset has at least two)
     and interleaves their instances, so any batch of size >= 2 spans two
-    images and between-image composition has partners.
+    images and between-image composition has partners. Rows with no active
+    label are never drawn (see ``group_by_image``); with none left,
+    ``InvalidConfig`` is raised.
     """
-    if not len(train):
-        raise InvalidConfig("training set is empty")
     if groups is None:
         groups = group_by_image(train)
+    if not len(groups):
+        raise InvalidConfig("training set is empty")
     k = cfg.interactions_per_minibatch
     chosen = np.empty(0, dtype=np.int64)
     while len(chosen) < k:
@@ -194,9 +205,12 @@ def train(
     is off or its loss weight is zero; both disable it identically.
     ``eval_fn`` sees ``params`` between steps; the next step takes its
     ``flat`` buffer as its gradient buffer, so an ``eval_fn`` that keeps
-    parameters must copy them.
+    parameters must copy them. Rows with no active label, such as those
+    ``zeroshot.apply_split`` leaves, are never drawn; a training set with no
+    other row raises ``InvalidConfig``.
     """
-    if not len(train_set):
+    groups = group_by_image(train_set)
+    if not len(groups):
         raise InvalidConfig("training set is empty")
     counts = class_counts(train_set, space)
     lw = cfg.loss_weights
@@ -217,7 +231,6 @@ def train(
     grads = ModelParams(net_cfg, np.zeros_like(params.flat))
     batch_rng = rngmod.stream(cfg.seed, "batch")
     comp_rng = rngmod.stream(cfg.seed, "compose")
-    groups = group_by_image(train_set)
 
     use_comp = cfg.compose.mode != "off" and lw.lambda2 != 0.0
     log: list[dict] = []

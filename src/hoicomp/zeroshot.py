@@ -7,6 +7,11 @@ count, rarest first or most frequent first; a candidate joins the unseen set
 only if removing it keeps coverage, otherwise it is skipped. The greedy scan
 is deterministic given the counts and the tie-break seed, and the resulting
 split can be exported/imported as a small text file so runs stay comparable.
+
+Applying a split to a training set copies its label alone: rows whose every
+class is unseen stay, with an all-zero label, and every other column is the
+input's own array. Training draws only rows with an active label
+(``trainer.group_by_image``), so such rows are never trained on.
 """
 
 from __future__ import annotations
@@ -105,12 +110,15 @@ def make_split(
 def apply_split(train: Dataset, split: ZeroShotSplit) -> Dataset:
     """Strip unseen label bits from the training set.
 
-    Instances whose labels are entirely unseen are dropped; mixed-label
-    instances keep their seen bits. The inputs are left unchanged.
+    Only the label is copied, with its unseen bits zeroed: mixed-label
+    instances keep their seen bits, and instances whose labels are entirely
+    unseen stay as rows with an all-zero label, which training never draws.
+    Every other column is shared with ``train``, so treat the result as
+    read-only. The inputs are left unchanged.
     """
     label = train.label.copy()
     label[:, sorted(split.unseen)] = 0
-    return replace(train, label=label)[label.any(axis=1)]
+    return replace(train, label=label)
 
 
 # ---- reporting partitions ----

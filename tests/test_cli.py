@@ -456,8 +456,9 @@ def test_bad_setting_fails_before_output(dataset, request, tmp_path, capsys, com
 
 
 # "DATA"/"TEST" name the tiny dataset's files, "EMPTY" a training set of
-# the same label space with no rows, "CKPT" a checkpoint trained on DATA,
-# and "MISSING" a path where nothing is
+# the same label space with no rows, "CLASS0" one whose rows all hold class
+# 0 alone, "SPLIT0" a valid split with class 0 unseen, "CKPT" a checkpoint
+# trained on DATA, and "MISSING" a path where nothing is
 BAD_INPUTS = [
     ["train", "--data", "MISSING"],
     ["train", "--data", "DATA", "--test", "MISSING"],
@@ -481,6 +482,8 @@ BAD_INPUTS = [
     ["train", "--data", "EMPTY"],
     ["sweep", "--data", "EMPTY", "--test", "TEST", "--param", "lambda1", "--values", "1"],
     ["ablate", "--data", "EMPTY", "--test", "TEST"],
+    # every row is left with no seen class, so nothing can be trained on
+    ["train", "--data", "CLASS0", "--split", "SPLIT0"],
 ]
 
 
@@ -495,9 +498,15 @@ def checkpoint(dataset, tmp_path):
 def test_bad_input_fails_before_output(dataset, checkpoint, tmp_path, capsys, argv):
     data, test = dataset
     paths = {"DATA": data, "TEST": test, "CKPT": checkpoint, "MISSING": tmp_path / "missing",
-             "EMPTY": tmp_path / "empty.tsv"}
+             "EMPTY": tmp_path / "empty.tsv", "CLASS0": tmp_path / "class0.tsv",
+             "SPLIT0": tmp_path / "split0.txt"}
     if "EMPTY" in argv:
         assert run("gen-data", "--seed", 7, "--out", paths["EMPTY"], *TINY_DATA, "--n-train", 0) == 0
+    if "CLASS0" in argv:
+        assert run("gen-data", "--seed", 7, "--out", paths["CLASS0"], *TINY_DATA, "--n-train", 2) == 0
+        assert np.flatnonzero(load_dataset(paths["CLASS0"])[0].label.any(axis=0)).tolist() == [0]
+    if "SPLIT0" in argv:
+        paths["SPLIT0"].write_text("strategy\trare_first\nseed\t0\n[unseen]\n0\n", encoding="utf-8")
     flags = [] if argv[0] == "eval" else TINY_TRAIN
     capsys.readouterr()
     out = tmp_path / "o"

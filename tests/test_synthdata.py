@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hoicomp import synthdata
 from hoicomp.errors import (
     DimensionMismatch,
     InconsistentLabel,
@@ -8,12 +9,13 @@ from hoicomp.errors import (
     InvalidConfig,
     ParseError,
 )
-from hoicomp.label_algebra import format_space
+from hoicomp.label_algebra import build_space, format_space
 from hoicomp.synthdata import (
     COLUMNS,
     ENTRIES,
     DatasetConfig,
     class_counts,
+    empty_dataset,
     generate,
     load_dataset,
     random_hoi_defs,
@@ -21,7 +23,7 @@ from hoicomp.synthdata import (
     zipf_probs,
 )
 
-from conftest import TOY_DEFS, assert_datasets_equal, make_dataset, make_row
+from conftest import TOY_DEFS, assert_datasets_equal, make_dataset, make_row, peak_above_live
 
 
 def small_config(**overrides):
@@ -173,9 +175,40 @@ class TestCounts:
         assert counts.dtype == np.int64
         assert counts.sum() == sum(int(train.label[k].sum()) for k in range(len(train)))
 
+    # 70,000 rows is past 65,535, where one uint16 sum of a 0/1 column
+    # overflows; a column of 255s overflows a block of more than 257 rows
+    @pytest.mark.parametrize("rows", [0, 1, 257, 258, 70_000])
+    @pytest.mark.parametrize("high", [1, 255])
+    def test_blocks_equal_one_int64_sum(self, rows, high):
+        space = build_space(random_hoi_defs(4, 3, 8, np.random.default_rng(0)))
+        data = empty_dataset(rows, 2, space.num_hois)
+        data.label[:] = np.random.default_rng(rows).integers(0, high + 1, data.label.shape)
+        data.label[:, 3] = high
+        counts = class_counts(data, space)
+        assert counts.dtype == np.int64
+        np.testing.assert_array_equal(counts, data.label.sum(axis=0, dtype=np.int64))
+        assert counts[3] == rows * high
+
 
 # a dataset in the tab-separated text format that preceded the archive
 OLD_TEXT_FORMAT = b"feature_dim\t4\nnum_instances\t0\n[space]\n0\tride\thorse\n[instances]\n"
+
+
+def first_label_error(label, object_id, space):
+    """The message of ``load_dataset``'s first label error, found row by row:
+    each check runs over every row before the next; None when all pass."""
+    checks = (
+        ("value other than 0 or 1", lambda k: (label[k] > 1).any(), False),
+        ("no active interaction", lambda k: not label[k].any(), False),
+        ("an active class's object differs from object_id",
+         lambda k: any(space.object_of(int(c)) != object_id[k] for c in np.flatnonzero(label[k])),
+         True),
+    )
+    for what, bad, quoted in checks:
+        for k in range(len(label)):
+            if bad(k):
+                return f"entry 'label', row {k}: {what}" + (f" {object_id[k]}" if quoted else "")
+    return None
 
 
 def replace_entry(path, name, value):
@@ -294,6 +327,52 @@ class TestFileFormat:
         edited(two_rows, 9, 1, value)
         with pytest.raises(InconsistentLabel, match=f"entry 'label', row 1: {what}"):
             load_dataset(two_rows)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_label_errors_name_the_first_bad_row_across_blocks(self, tmp_path, monkeypatch,
+                                                               toy_space, seed):
+        # blocks of 2 rows, bad rows of several kinds anywhere: the error is
+        # the first kind in check order, at its first row, as a row-by-row
+        # scan of the whole label finds it
+        monkeypatch.setattr(synthdata, "LABEL_BLOCK_ROWS", 2)
+        rng = np.random.default_rng(seed)
+        data = make_dataset([make_row(toy_space, [int(rng.integers(3))]) for _ in range(9)])
+        for k in rng.choice(9, size=int(rng.integers(1, 4)), replace=False):
+            kind = int(rng.integers(4))
+            if kind == 0:
+                data.label[k, rng.integers(3)] = rng.integers(2, 256)
+            elif kind == 1:
+                data.label[k] = 0
+            elif kind == 2:
+                data.label[k, rng.integers(3)] = 1  # maybe of another object
+            else:
+                data.object_id[k] = rng.choice([-1, 1 - data.object_id[k], 2, 2**40])
+        want = first_label_error(data.label, data.object_id, toy_space)
+        path = tmp_path / "bad.ds"
+        save_dataset(data, toy_space, path)
+        if want is None:
+            load_dataset(path)
+            return
+        with pytest.raises(InconsistentLabel) as err:
+            load_dataset(path)
+        assert str(err.value) == want
+
+    def test_label_check_makes_no_label_sized_temporary(self, tmp_path):
+        # 20,000 rows of 600 classes, a 12 MB label: the checks once made
+        # (N, C) bool temporaries of that size, 12.4 MB above what loads
+        rng = np.random.default_rng(0)
+        space = build_space(random_hoi_defs(117, 80, 600, rng))
+        data = empty_dataset(20_000, 32, space.num_hois)
+        classes = rng.integers(0, space.num_hois, len(data))
+        data.label[np.arange(len(data)), classes] = 1
+        data.object_id[:] = space.objects_by_hoi()[classes]
+        data.human_box[:] = (10, 10, 110, 210)
+        data.object_box[:] = (120, 40, 260, 180)
+        path = tmp_path / "big.ds"
+        save_dataset(data, space, path)
+        kept = sum(getattr(data, name).nbytes for name in COLUMNS)
+        peak = peak_above_live(lambda: load_dataset(path))
+        assert peak - kept < data.label.nbytes / 4, (peak - kept) / data.label.nbytes
 
     def test_dimension_mismatch(self, two_rows):
         replace_entry(two_rows, "verb_feat", np.zeros((2, 5)))

@@ -14,7 +14,7 @@ from hoicomp.errors import (
     NonFiniteUpdate,
     ParseError,
 )
-from hoicomp.experiments import default_dataset_config
+from hoicomp.experiments import default_dataset_config, report_basis
 from hoicomp.network import (
     FLAT_BLOCK,
     CompBatch,
@@ -37,7 +37,9 @@ from hoicomp.trainer import (
     train,
     write_metrics_log,
 )
+from hoicomp.zeroshot import ZeroShotSplit, apply_split, make_split
 
+import split_oracle
 from conftest import make_dataset, make_row, peak_above_live
 from test_composer import legacy_compose
 
@@ -143,6 +145,61 @@ class TestMakeMinibatch:
     def test_empty_train(self, toy_space):
         with pytest.raises(InvalidConfig):
             make_minibatch(make_row(toy_space, [0])[:0], TrainConfig(), np.random.default_rng(0))
+
+
+class TestTrainOnSplit:
+    """``apply_split`` keeps the rows it empties; training never draws them,
+    so it equals training on the oracle's copy without them."""
+
+    @pytest.fixture(scope="class")
+    def split_data(self):
+        train_set, _, space = tiny_dataset()
+        split = make_split(class_counts(train_set, space), space, 2, "rare_first")
+        kept = split_oracle.kept_rows(train_set, split)
+        assert len(kept) < len(train_set)  # the split empties some rows
+        return train_set, space, split, kept
+
+    def test_groups_equal_the_oracle_copy_through_kept_rows(self, split_data):
+        train_set, _, split, kept = split_data
+        got = group_by_image(apply_split(train_set, split))
+        want = group_by_image(split_oracle.apply_split(train_set, split))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == np.int64
+            np.testing.assert_array_equal(g, kept[w])
+
+    @pytest.mark.parametrize("batch", [1, 8, 32])
+    @pytest.mark.parametrize("mode", ["both", "off"])
+    def test_train_equals_training_on_the_oracle_copy(self, split_data, batch, mode):
+        train_set, space, split, _ = split_data
+        compose = ComposeConfig(mode=mode, unseen_allowed=True, unseen_ids=split.unseen)
+        cfg = TrainConfig(iterations=24, interactions_per_minibatch=batch, compose=compose,
+                          seed=batch)
+        params, log = train(apply_split(train_set, split), space, cfg, net_cfg=NET)
+        want_params, want_log = train(split_oracle.apply_split(train_set, split), space, cfg,
+                                      net_cfg=NET)
+        assert params.flat.tobytes() == want_params.flat.tobytes()
+        assert log == want_log  # every loss component, as floats
+        if mode == "both" and batch > 1:
+            assert any(e["L_comp"] > 0 for e in log)
+
+    def test_report_basis_counts_equal_the_oracle_copy(self, split_data):
+        train_set, space, split, _ = split_data
+        _, counts, partition = report_basis(train_set, space, split, rare_threshold=25)
+        want = class_counts(split_oracle.apply_split(train_set, split), space)
+        assert counts.dtype == want.dtype
+        np.testing.assert_array_equal(counts, want)
+        assert partition == {"unseen": split.unseen, "seen": split.seen}
+
+    def test_split_leaving_no_labelled_row_is_an_empty_training_set(self, split_data):
+        train_set, space, _, _ = split_data
+        every = frozenset(range(space.num_hois))
+        split = ZeroShotSplit(unseen=every, seen=frozenset(), strategy="rare_first")
+        unlabelled = apply_split(train_set, split)
+        with pytest.raises(InvalidConfig, match="training set is empty"):
+            train(unlabelled, space, TrainConfig(iterations=1), net_cfg=NET)
+        with pytest.raises(InvalidConfig, match="training set is empty"):
+            make_minibatch(unlabelled, TrainConfig(), np.random.default_rng(0))
 
 
 class TestSgdStep:

@@ -1,12 +1,13 @@
 import itertools
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from hoicomp.errors import InfeasibleSplit, InvalidConfig, ParseError
 from hoicomp.label_algebra import build_space
-from hoicomp.synthdata import class_counts, random_hoi_defs
+from hoicomp.experiments import default_dataset_config
+from hoicomp.synthdata import Dataset, class_counts, generate, random_hoi_defs
 from hoicomp.zeroshot import (
     ZeroShotSplit,
     apply_split,
@@ -17,7 +18,21 @@ from hoicomp.zeroshot import (
     zeroshot_partition,
 )
 
-from conftest import TOY_DEFS, assert_datasets_equal, draw_space, make_dataset, make_row
+from conftest import (
+    TOY_DEFS,
+    assert_datasets_equal,
+    draw_space,
+    make_dataset,
+    make_row,
+    peak_above_live,
+)
+
+
+def assert_columns_shared(out, data):
+    """Every column of ``out`` but the label is ``data``'s own array."""
+    for f in fields(Dataset):
+        if f.name != "label":
+            assert np.shares_memory(getattr(out, f.name), getattr(data, f.name)), f.name
 
 
 def covers(space, unseen):
@@ -150,13 +165,14 @@ class TestApplySplit:
         out = apply_split(insts, split)
         assert_datasets_equal(out, insts)
 
-    def test_pure_unseen_dropped(self, toy_space):
+    def test_pure_unseen_row_stays_unlabelled(self, toy_space):
         insts = make_dataset([make_row(toy_space, [0]), make_row(toy_space, [1])])
         split = ZeroShotSplit(unseen=frozenset({0}), seen=frozenset({1, 2}), strategy="rare_first")
         out = apply_split(insts, split)
-        assert len(out) == 1
-        assert out.label.tolist() == [[0, 1, 0]]
-        assert_datasets_equal(out, insts[1:])
+        assert out.label.tolist() == [[0, 0, 0], [0, 1, 0]]
+        assert insts.label.tolist() == [[1, 0, 0], [0, 1, 0]]  # input untouched
+        assert not np.shares_memory(out.label, insts.label)
+        assert_columns_shared(out, insts)
 
     def test_mixed_label_keeps_seen_bits(self, toy_space):
         inst = make_row(toy_space, [0, 1])  # ride-horse + feed-horse
@@ -165,7 +181,7 @@ class TestApplySplit:
         assert out.label.tolist() == [[0, 1, 0]]
         assert inst.label.tolist() == [[1, 1, 0]]  # input untouched
 
-    def test_removed_count_matches_bruteforce(self):
+    def test_unlabelled_count_matches_bruteforce(self):
         rng = np.random.default_rng(6)
         space, _ = draw_space(rng, max_verbs=6, max_objects=5, max_hois=16)
         insts = make_dataset([
@@ -174,14 +190,25 @@ class TestApplySplit:
         ])
         counts = class_counts(insts, space)
         split = make_split(counts, space, space.num_hois // 5, "rare_first", tie_break_seed=3)
-        before = replace(split)
+        before_split, before_label = replace(split), insts.label.copy()
         out = apply_split(insts, split)
-        drop = sum(1 for label in insts.label if set(np.flatnonzero(label)) <= split.unseen)
-        assert len(out) == len(insts) - drop
-        assert split == before  # the split is an input, not an output
-        for label in out.label:
-            active = set(int(c) for c in np.flatnonzero(label))
-            assert active and active <= split.seen
+        emptied = sum(1 for label in insts.label if set(np.flatnonzero(label)) <= split.unseen)
+        assert emptied > 0 and len(out) == len(insts)
+        assert sum(1 for label in out.label if not label.any()) == emptied
+        assert split == before_split  # the split is an input, not an output
+        np.testing.assert_array_equal(insts.label, before_label)
+        for label, old in zip(out.label, insts.label):
+            want = set(int(c) for c in np.flatnonzero(old)) - split.unseen
+            assert set(int(c) for c in np.flatnonzero(label)) == want
+        assert_columns_shared(out, insts)
+
+    def test_copies_only_the_label(self):
+        # the default 20k-row data: every column but the label is shared, so
+        # the peak is one label copy; a copy of every column peaked at 16.3
+        train_set, _, space = generate(default_dataset_config())
+        split = make_split(class_counts(train_set, space), space, 12, "rare_first")
+        peak = peak_above_live(lambda: apply_split(train_set, split))
+        assert peak < 1.5 * train_set.label.nbytes, peak / train_set.label.nbytes
 
     def test_coverage_survives_in_training_set(self):
         rng = np.random.default_rng(7)
