@@ -11,7 +11,7 @@ from .evaluator import (
     Detections,
     EvalReport,
     GroundTruths,
-    ThresholdConfig,
+    Scoring,
     detections_from_model,
     evaluate,
     ground_truths_from_instances,

@@ -18,11 +18,11 @@ input file and trains and scores every model before it makes ``--out`` or
 writes anything, so a run that fails, on its settings, its inputs or in
 training, leaves no output behind.
 
-The eval flags build one ``experiments.Scoring`` per invocation, and every
-command that scores a model scores it with that value over
-``experiments.report_basis``'s partition. So each row of ``sweep.tsv`` or
-``ablate.tsv`` is what the ``train`` run it stands for reports with the same
-flags.
+The eval flags build one ``evaluator.Scoring`` per invocation, which checks
+every one of them, and every command that scores a model scores it with
+that value over ``experiments.report_basis``'s partition. So each row of
+``sweep.tsv`` or ``ablate.tsv`` is what the ``train`` run it stands for
+reports with the same flags.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .errors import HoicompError, InvalidConfig, ParseError, read_text_lines
 from .evaluator import (
     DETECTIONS_LINE,
     EVAL_MODES,
-    ThresholdConfig,
+    Scoring,
     detections_from_model,
     evaluate,
     format_report,
@@ -52,7 +52,6 @@ from .evaluator import (
 from .experiments import (
     DEFAULT_SPACE_SIZE,
     RunResult,
-    Scoring,
     default_dataset_config,
     report_basis,
     run_rows,
@@ -103,9 +102,9 @@ def _add_train_flags(p: argparse.ArgumentParser):
 
 def _add_eval_flags(p: argparse.ArgumentParser):
     scoring = Scoring()
-    p.add_argument("--thr-human", type=float, default=scoring.thresholds.human)
-    p.add_argument("--thr-object", type=float, default=scoring.thresholds.object)
-    p.add_argument("--thr-fallback", type=float, default=scoring.thresholds.fallback)
+    p.add_argument("--thr-human", type=float, default=scoring.human)
+    p.add_argument("--thr-object", type=float, default=scoring.object)
+    p.add_argument("--thr-fallback", type=float, default=scoring.fallback)
     p.add_argument("--branch", choices=BRANCH_MODES, default=scoring.branch_mode)
     p.add_argument("--eval-mode", choices=EVAL_MODES, default=scoring.eval_mode)
     p.add_argument("--rare-threshold", type=int, default=scoring.rare_threshold)
@@ -294,9 +293,9 @@ def _net_config(args, space, feature_dim) -> NetworkConfig:
 
 def _scoring(args) -> Scoring:
     return Scoring(
-        thresholds=ThresholdConfig(
-            human=args.thr_human, object=args.thr_object, fallback=args.thr_fallback
-        ),
+        human=args.thr_human,
+        object=args.thr_object,
+        fallback=args.thr_fallback,
         branch_mode=args.branch,
         eval_mode=args.eval_mode,
         rare_threshold=args.rare_threshold,
@@ -408,9 +407,7 @@ def _cmd_eval(args) -> int:
 
     if args.checkpoint:
         params, _ = load_params(args.checkpoint)
-        dets = detections_from_model(
-            test_set, params, scoring.thresholds, branch_mode=scoring.branch_mode
-        )
+        dets = detections_from_model(test_set, params, scoring)
     else:
         dets = load_detections(args.detections)
     gts = ground_truths_from_instances(test_set)

@@ -1,5 +1,10 @@
 """Exception types raised across the package, and the text-file reader that
-turns bytes which are not UTF-8 into one of them."""
+turns bytes which are not UTF-8 into one of them.
+
+One class per kind of fault: a bad setting, such as a config field or a
+mode name, raises ``InvalidConfig``; a wrong array shape or width,
+``DimensionMismatch``; a numeric input outside its range, ``OutOfRange``.
+"""
 
 
 class HoicompError(Exception):
@@ -20,10 +25,6 @@ class EmptyDefinition(HoicompError):
     """An interaction definition has no verbs, or the definition list is empty."""
 
 
-class ShapeMismatch(HoicompError):
-    """A label/verb/object vector does not match the label space dimensions."""
-
-
 # ---- geometry ----
 
 class InvalidBox(HoicompError):
@@ -37,7 +38,8 @@ class DegenerateBox(HoicompError):
 # ---- dataset generation and files ----
 
 class InvalidConfig(HoicompError):
-    """A configuration value violates its documented range."""
+    """A setting, such as a config field or a mode name, violates its
+    documented range."""
 
 
 class ParseError(HoicompError):
@@ -57,9 +59,10 @@ class InconsistentLabel(HoicompError):
 
 
 class DimensionMismatch(HoicompError):
-    """An array's dtype or shape disagrees with its declared layout, such as
-    feature vectors in a file with the declared feature dimension, or an
-    output buffer overlaps an input that it must not."""
+    """An array's dtype, shape or width disagrees with its declared layout,
+    such as a label vector against the label space, feature vectors in a
+    file against the declared feature dimension, or an output buffer
+    overlaps an input that it must not."""
 
 
 # ---- composition ----
@@ -87,7 +90,8 @@ class NonFiniteUpdate(HoicompError):
 
 
 class OutOfRange(HoicompError):
-    """A probability-like factor fell outside [0, 1]."""
+    """A numeric input fell outside its range: a probability-like factor
+    outside [0, 1], or a class weight that is not positive."""
 
 
 class DivergedTraining(HoicompError):

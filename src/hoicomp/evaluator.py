@@ -1,5 +1,9 @@
 """Detection-style scoring: IoU matching, per-class AP, partitioned reports.
 
+A model is scored with one ``Scoring``, which holds and checks every
+scoring setting. ``evaluate`` takes the matching mode alone, as a string it
+checks, since it also scores detections read from a file.
+
 Ground truths and detections are columnar tables. ``GroundTruths`` has one
 row per (human box, object box, class) triple in one image. ``Detections``
 has one row per detected human-object pair in one image, with a score for
@@ -64,6 +68,10 @@ from .synthdata import Dataset
 
 EVAL_MODES = ("default", "known_object")
 IOU_THRESHOLD = 0.5
+# rare/non-rare cut in training instances: the desk-scale tail classes see a
+# few dozen each, so 25 (about the bottom third of 60 classes) rather than
+# the 10 that suits full-scale datasets
+DEFAULT_RARE_THRESHOLD = 25
 
 # dtype and per-row shape of every table column; None is any one length
 _COLUMN_TYPES = {
@@ -341,26 +349,36 @@ def ground_truths_from_instances(data: Dataset) -> GroundTruths:
 
 
 @dataclass(frozen=True)
-class ThresholdConfig:
-    """Detector-confidence cutoffs with a one-shot per-image relaxation.
-
-    The defaults apply no cut, since synthetic detector scores are uniform
-    noise. Real detector output would use the usual operating point of
-    0.8 human and 0.3 object, as in iCAN and VCL.
+class Scoring:
+    """How a trained model is scored, checked when built: the detector
+    cutoffs with their one-shot per-image relaxation, the fused branches,
+    the AP matching mode and the rare/non-rare cut. Runs compare only when
+    they share one of these. The cutoffs default to no cut, since synthetic
+    detector scores are uniform noise; real detector output would use
+    iCAN's and VCL's operating point of 0.8 human and 0.3 object.
     """
 
     human: float = 0.0
     object: float = 0.0
-    fallback: float = 0.5  # multiplier applied when an image loses all its pairs
+    fallback: float = 0.5  # multiplier applied to both cutoffs when an image loses all its pairs
+    branch_mode: str = "both"
+    eval_mode: str = "default"
+    rare_threshold: int = DEFAULT_RARE_THRESHOLD
 
     def __post_init__(self):
         if not (0 <= self.human <= 1 and 0 <= self.object <= 1):
             raise InvalidConfig("thresholds must lie in [0, 1]")
         if not 0 <= self.fallback <= 1:
             raise InvalidConfig("fallback factor must lie in [0, 1]")
+        if self.branch_mode not in BRANCH_MODES:
+            raise InvalidConfig(f"branch_mode must be one of {BRANCH_MODES}")
+        if self.eval_mode not in EVAL_MODES:
+            raise InvalidConfig(f"mode must be one of {EVAL_MODES}")
+        if self.rare_threshold < 0:
+            raise InvalidConfig("rare_threshold must be >= 0")
 
 
-def _surviving_rows(test: Dataset, thresholds: ThresholdConfig) -> np.ndarray:
+def _surviving_rows(test: Dataset, scoring: Scoring) -> np.ndarray:
     """Rows that pass the detector cutoffs, grouped by image id in ascending
     order; an image none of whose rows pass is retried once with both cutoffs
     scaled by the fallback factor."""
@@ -368,33 +386,27 @@ def _surviving_rows(test: Dataset, thresholds: ThresholdConfig) -> np.ndarray:
     ids = test.image_id[order]
     s_h, s_o = test.human_score[order], test.object_score[order]
     image_of = np.cumsum(np.diff(ids, prepend=ids[:1]) != 0)  # image index of each row
-    strict = (s_h >= thresholds.human) & (s_o >= thresholds.object)
-    relaxed = ((s_h >= thresholds.human * thresholds.fallback)
-               & (s_o >= thresholds.object * thresholds.fallback))
+    strict = (s_h >= scoring.human) & (s_o >= scoring.object)
+    relaxed = ((s_h >= scoring.human * scoring.fallback)
+               & (s_o >= scoring.object * scoring.fallback))
     image_passes = np.zeros(len(ids), dtype=bool)
     image_passes[image_of[strict]] = True
     return order[np.where(image_passes[image_of], strict, relaxed)]
 
 
-def detections_from_model(
-    test: Dataset,
-    params: ModelParams,
-    thresholds: ThresholdConfig | None = None,
-    branch_mode: str = "both",
-) -> Detections:
-    """Score surviving test pairs with the fused model: one detection row per
-    pair, pairs in image-id order, with a score for every class. All pairs
-    are scored in one pass; the spatial-human branch reads their boxes
-    through ``forward_spatial_human_boxes``, so no spatial map is drawn.
+def detections_from_model(test: Dataset, params: ModelParams,
+                          scoring: Scoring = Scoring()) -> Detections:
+    """Score surviving test pairs with the model's branches fused as
+    ``scoring.branch_mode`` says: one detection row per pair, pairs in
+    image-id order, with a score for every class. All pairs are scored in
+    one pass; the spatial-human branch reads their boxes through
+    ``forward_spatial_human_boxes``, so no spatial map is drawn.
 
-    Pairs are filtered by detector confidence; an image whose pairs all fail
-    the cutoffs is retried once with both cutoffs scaled by the fallback
-    factor.
+    Pairs are filtered by ``scoring``'s detector cutoffs; an image whose
+    pairs all fail them is retried once with both cutoffs scaled by the
+    fallback factor.
     """
-    if branch_mode not in BRANCH_MODES:
-        raise InvalidConfig(f"branch_mode must be one of {BRANCH_MODES}")
-    thresholds = thresholds or ThresholdConfig()
-    surviving = _surviving_rows(test, thresholds)
+    surviving = _surviving_rows(test, scoring)
 
     pairs = test[surviving]
     # each branch's logits become its probabilities and then the score in
@@ -405,7 +417,8 @@ def detections_from_model(
     sigmoid(s_vo, out=s_vo)
     return Detections(
         image_id=pairs.image_id, human_box=pairs.human_box, object_box=pairs.object_box,
-        score=fuse_scores(pairs.human_score, pairs.object_score, s_sp, s_vo, branch_mode, out=s_vo),
+        score=fuse_scores(pairs.human_score, pairs.object_score, s_sp, s_vo,
+                          scoring.branch_mode, out=s_vo),
     )
 
 

@@ -1,17 +1,15 @@
-"""Canned experiment flows: the default desk-scale config, the scoring
-settings every run shares, and the training runs the CLI and the
-fingerprint build on. ``run_rows`` is the one place where runs are trained
-and scored: a run is a row of a ``TrainConfig`` and a ``Scoring``, and the
-comparisons below and the CLI's ``train``, ``sweep`` and ``ablate`` are
-lists of rows.
+"""Canned experiment flows: the default desk-scale config and the training
+runs the CLI and the fingerprint build on. ``run_rows`` is the one place
+where runs are trained and scored: a run is a row of a ``TrainConfig`` and
+an ``evaluator.Scoring``, and the comparisons below and the CLI's
+``train``, ``sweep`` and ``ablate`` are lists of rows. Both configs are
+checked when built, so a bad row fails before any row trains.
 
 The default synthetic benchmark uses 12 verbs, 10 objects, and 60
-interaction classes with Zipf-1.5 frequencies over 20k training instances.
-At that scale the tail classes see a few dozen instances each, so the
-rare/non-rare reporting cut sits at 25 training instances (about the bottom
-third of classes) rather than the threshold of 10 that suits full-scale
-datasets. The desk training defaults are ``TrainConfig``'s own (3000
-iterations of 8 interactions each); nothing here restates them.
+interaction classes with Zipf-1.5 frequencies over 20k training instances;
+``evaluator.DEFAULT_RARE_THRESHOLD`` sets its rare/non-rare cut. The desk
+training defaults are ``TrainConfig``'s own (3000 iterations of 8
+interactions each); nothing here restates them.
 """
 
 from __future__ import annotations
@@ -19,10 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import rng as rngmod
-from .errors import InvalidConfig
 from .evaluator import (
     EvalReport,
-    ThresholdConfig,
+    Scoring,
     detections_from_model,
     evaluate,
     ground_truths_from_instances,
@@ -38,9 +35,6 @@ from .zeroshot import (
     make_split,
     zeroshot_partition,
 )
-
-DEFAULT_RARE_THRESHOLD = 25
-
 
 # the desk-scale label space; every other dataset default is DatasetConfig's
 DEFAULT_SPACE_SIZE = {"num_verbs": 12, "num_objects": 10, "num_hois": 60}
@@ -64,22 +58,6 @@ def default_dataset_config(seed: int = 0, **overrides) -> DatasetConfig:
         seed=seed,
         **overrides,
     )
-
-
-@dataclass(frozen=True)
-class Scoring:
-    """How a trained model is scored: the detector cutoffs, which branches
-    are fused, the AP matching mode and the rare/non-rare cut. Runs compare
-    only when they share one of these."""
-
-    thresholds: ThresholdConfig = ThresholdConfig()
-    branch_mode: str = "both"
-    eval_mode: str = "default"
-    rare_threshold: int = DEFAULT_RARE_THRESHOLD
-
-    def __post_init__(self):
-        if self.rare_threshold < 0:
-            raise InvalidConfig("rare_threshold must be >= 0")
 
 
 @dataclass
@@ -136,9 +114,7 @@ def evaluate_params(
     """
     if partition is None:
         partition = frequency_partition(counts, rare_threshold=scoring.rare_threshold)
-    dets = detections_from_model(
-        test_set, params, scoring.thresholds, branch_mode=scoring.branch_mode
-    )
+    dets = detections_from_model(test_set, params, scoring)
     gts = ground_truths_from_instances(test_set)
     return evaluate(dets, gts, space, mode=scoring.eval_mode, partition=partition)
 
@@ -155,11 +131,11 @@ def run_rows(
 
     A row trains on ``report_basis``'s training set and scores the test split
     with its ``Scoring`` over its partition; with ``eval_every`` > 0 the log
-    also takes those mAPs every ``eval_every`` iterations. A row whose
-    ``TrainConfig`` equals the previous row's re-scores that row's model, and
-    shares its log, instead of training it again.
+    also takes those mAPs every ``eval_every`` iterations. Each distinct
+    ``TrainConfig`` is trained once: a row that repeats an earlier row's
+    re-scores that row's model, and shares its log.
     """
-    results, previous = [], None
+    results, trained = [], {}
     for train_cfg, scoring in rows:
         trained_on, counts, partition = report_basis(
             train_set, space, split, scoring.rare_threshold
@@ -168,7 +144,7 @@ def run_rows(
         def score(params):
             return evaluate_params(params, test_set, space, counts, partition, scoring)
 
-        if train_cfg != previous:
+        if train_cfg not in trained:
             eval_fn = None
             if train_cfg.eval_every > 0 and test_set:
                 def eval_fn(params):
@@ -178,8 +154,9 @@ def run_rows(
                         out[f"mAP_{name}"] = 100.0 * report.means[name]
                     return out
 
-            params, log = train(trained_on, space, train_cfg, net_cfg=net_cfg, eval_fn=eval_fn)
-            previous = train_cfg
+            trained[train_cfg] = train(trained_on, space, train_cfg, net_cfg=net_cfg,
+                                       eval_fn=eval_fn)
+        params, log = trained[train_cfg]
         results.append(RunResult(params, log, score(params), counts))
     return results
 

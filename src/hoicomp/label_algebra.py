@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DanglingId, DuplicateHoi, EmptyDefinition, ParseError, ShapeMismatch
+from .errors import DanglingId, DimensionMismatch, DuplicateHoi, EmptyDefinition, ParseError
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,7 @@ def build_space(
     num_verbs = len(verb_names) if verb_names is not None else max_verb + 1
     num_objects = len(object_names) if object_names is not None else max_obj + 1
     if max_verb >= num_verbs or max_obj >= num_objects:
-        raise ShapeMismatch("definition uses an id beyond the provided name tables")
+        raise DimensionMismatch("definition uses an id beyond the provided name tables")
 
     num_hois = len(defs)
     verb_hoi = np.zeros((num_verbs, num_hois), dtype=np.uint8)
@@ -159,7 +159,7 @@ def canonical_defs(hoi_defs) -> tuple:
 
 def _check_last_dim(arr: np.ndarray, expected: int, what: str):
     if arr.shape[-1] != expected:
-        raise ShapeMismatch(f"{what} has length {arr.shape[-1]}, expected {expected}")
+        raise DimensionMismatch(f"{what} has length {arr.shape[-1]}, expected {expected}")
 
 
 def _as_counts(x: np.ndarray) -> np.ndarray:

@@ -57,6 +57,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    EmptyBatch,
     InvalidConfig,
     NonFiniteGradient,
     NonFiniteInput,
@@ -186,27 +187,17 @@ def init_params(cfg: NetworkConfig, rng: np.random.Generator) -> ModelParams:
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Loss mixing factors plus per-class reweighting vector (mean 1),
-    checked when built; ``resolved_weights`` checks the vector's length."""
+    """The loss mixing factors lambda1 (verb-object) and lambda2
+    (composition), checked when built. The per-class reweighting is no
+    setting: ``trainer.train`` works it out from the training set."""
 
     lambda1: float = 2.0
     lambda2: float = 0.5
-    class_weights: np.ndarray | None = None
 
     def __post_init__(self):
         for name in ("lambda1", "lambda2"):
             if not 0 <= getattr(self, name) < math.inf:  # nan fails too
-                raise OutOfRange(f"{name} must be finite and >= 0")
-        if self.class_weights is not None and not np.all(np.asarray(self.class_weights) > 0):
-            raise OutOfRange("class_weights must be strictly positive")
-
-    def resolved_weights(self, num_hois: int) -> np.ndarray:
-        if self.class_weights is None:
-            return np.ones(num_hois)
-        w = np.asarray(self.class_weights, dtype=np.float64)
-        if w.shape != (num_hois,):
-            raise DimensionMismatch(f"class_weights shape {w.shape}, expected ({num_hois},)")
-        return w
+                raise InvalidConfig(f"{name} must be finite and >= 0")
 
 
 def inverse_log_weights(counts) -> np.ndarray:
@@ -499,14 +490,16 @@ def _sp_backward(g_out: np.ndarray, cache, p: ModelParams, grads: dict):
 
 
 def loss_and_grads(real: RealBatch, comp: CompBatch | None, params: ModelParams,
-                   lw: LossWeights, out: ModelParams | None = None):
-    """Joint forward/backward over one minibatch; ``comp`` may be None.
+                   lw: LossWeights, class_weights: np.ndarray, out: ModelParams | None = None):
+    """Joint forward/backward over one minibatch; ``comp`` may be None, and
+    ``class_weights`` holds one positive weight per class.
 
     The gradients go into ``out`` when it is given, a ``ModelParams`` of
-    ``params``'s config that shares no memory with it (``DimensionMismatch``
-    otherwise, raised before anything is computed); every element of ``out``
-    is overwritten, so its previous contents do not matter. Without ``out``
-    a new buffer is allocated.
+    ``params``'s config that shares no memory with it; every element of
+    ``out`` is overwritten. Without ``out`` a new buffer is allocated. Bad
+    inputs raise before anything is computed: an empty real batch
+    ``EmptyBatch``; a batch column, ``class_weights`` or ``out`` that does
+    not fit the config ``DimensionMismatch``; a weight <= 0 ``OutOfRange``.
 
     Returns:
         (total_loss, components, grads) where components maps
@@ -514,13 +507,26 @@ def loss_and_grads(real: RealBatch, comp: CompBatch | None, params: ModelParams,
         ``ModelParams`` in the layout of ``params``.
     """
     if len(real) == 0:
-        raise NonFiniteLoss("real batch is empty")
+        raise EmptyBatch("real batch is empty")
+    cfg = params.cfg
+    d = cfg.feature_dim
+    widths = {"human_feat": d, "verb_feat": d, "object_feat": d, "spatial": cfg.spatial_dim,
+              "label": cfg.num_hois}
+    for kind, batch in (("real", real), ("composed", comp)):
+        for name, width in widths.items():
+            x = getattr(batch, name, None)  # a composed batch has no human_feat or spatial
+            if x is not None and x.shape[1:] != (width,):
+                raise DimensionMismatch(f"{kind} {name} has shape {x.shape}, expected (n, {width})")
+    w = np.asarray(class_weights, dtype=np.float64)
+    if w.shape != (cfg.num_hois,):
+        raise DimensionMismatch(f"class_weights shape {w.shape}, expected ({cfg.num_hois},)")
+    if not np.all(w > 0):
+        raise OutOfRange("class_weights must be strictly positive")
     if out is not None:
-        if out.cfg != params.cfg:
-            raise DimensionMismatch(f"gradient buffer is for {out.cfg}, expected {params.cfg}")
+        if out.cfg != cfg:
+            raise DimensionMismatch(f"gradient buffer is for {out.cfg}, expected {cfg}")
         if np.may_share_memory(out.flat, params.flat):
             raise DimensionMismatch("gradient buffer shares memory with the parameters")
-    w = lw.resolved_weights(params.cfg.num_hois)
 
     vo_logits, vo_cache = _vo_forward(real.verb_feat, real.object_feat, params)
     sp_logits, sp_cache = _sp_forward(real.human_feat, real.spatial, params)
@@ -544,7 +550,7 @@ def loss_and_grads(real: RealBatch, comp: CompBatch | None, params: ModelParams,
         raise NonFiniteLoss(f"loss is {total}")
     components = {"L_sp": loss_sp, "L_vo": loss_vo, "L_comp": loss_comp}
 
-    grads = ModelParams(params.cfg, np.empty_like(params.flat)) if out is None else out
+    grads = ModelParams(cfg, np.empty_like(params.flat)) if out is None else out
     blocks = grads.blocks()
     for name, block in blocks.items():
         if name not in _SP_BLOCKS:  # accumulated over terms; _sp_backward writes the rest
@@ -576,7 +582,7 @@ def fuse_scores(s_h, s_o, s_sp, s_vo, branch_mode: str = "both",
     the spatial-human branch, ``sp_only`` ignores the verb-object branch.
     """
     if branch_mode not in BRANCH_MODES:
-        raise OutOfRange(f"branch_mode must be one of {BRANCH_MODES}")
+        raise InvalidConfig(f"branch_mode must be one of {BRANCH_MODES}")
     s_h, s_o, s_sp, s_vo = (np.asarray(a, dtype=np.float64) for a in (s_h, s_o, s_sp, s_vo))
     if s_sp.ndim != 2 or not s_h.shape == s_o.shape == s_sp.shape[:1] or s_vo.shape != s_sp.shape:
         raise DimensionMismatch(

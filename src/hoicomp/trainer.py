@@ -10,7 +10,7 @@ leaves every other stream untouched and the two runs coincide step for step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -201,8 +201,10 @@ def train(
     The log holds one dict per iteration with the three loss components;
     when ``eval_every`` > 0 and an ``eval_fn(params) -> dict`` is supplied,
     its entries (e.g. mAP_full, mAP_rare) are merged into the record every
-    ``eval_every`` iterations. Composition is skipped entirely when its mode
-    is off or its loss weight is zero; both disable it identically.
+    ``eval_every`` iterations. Every loss term is reweighted per class by
+    ``inverse_log_weights`` of the training set's class counts, worked out
+    once here. Composition is skipped entirely when its mode is off or its
+    loss weight is zero; both disable it identically.
     ``eval_fn`` sees ``params`` between steps; the next step takes its
     ``flat`` buffer as its gradient buffer, so an ``eval_fn`` that keeps
     parameters must copy them. Rows with no active label, such as those
@@ -212,10 +214,8 @@ def train(
     groups = group_by_image(train_set)
     if not len(groups):
         raise InvalidConfig("training set is empty")
-    counts = class_counts(train_set, space)
+    class_weights = inverse_log_weights(class_counts(train_set, space))
     lw = cfg.loss_weights
-    if lw.class_weights is None:
-        lw = replace(lw, class_weights=inverse_log_weights(counts))
 
     if net_cfg is None:
         net_cfg = NetworkConfig(
@@ -244,7 +244,7 @@ def train(
             # a step that overflows ends in DivergedTraining below, so
             # numpy's float warnings on the way there add nothing
             with np.errstate(all="ignore"):
-                _, comps, grads = loss_and_grads(real, comp, params, lw, out=grads)
+                _, comps, grads = loss_and_grads(real, comp, params, lw, class_weights, out=grads)
                 previous = params.flat
                 sgd_step(params, grads, state, cfg, out=grads.flat)
                 grads.flat = previous

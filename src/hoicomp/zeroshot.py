@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rng as rngmod
-from .errors import InfeasibleSplit, InvalidConfig, ParseError, read_text_lines
+from .errors import DimensionMismatch, InfeasibleSplit, InvalidConfig, ParseError, read_text_lines
 from .label_algebra import HoiLabelSpace
 from .synthdata import Dataset
 
@@ -74,7 +74,7 @@ def make_split(
     counts = np.asarray(counts)
     num_hois = space.num_hois
     if counts.shape != (num_hois,):
-        raise InvalidConfig(f"counts has shape {counts.shape}, expected ({num_hois},)")
+        raise DimensionMismatch(f"counts has shape {counts.shape}, expected ({num_hois},)")
     if strategy not in STRATEGIES:
         raise InvalidConfig(f"strategy must be one of {STRATEGIES}")
     if not 0 <= n_unseen < num_hois:

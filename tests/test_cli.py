@@ -305,6 +305,15 @@ class TestMultiRunRows:
         assert len(rows) == 3 and rows[1] == rows[2] != rows[0]
         assert len(trainings) == 2
 
+    def test_sweep_value_repeated_later_is_trained_once(self, dataset, tmp_path, capsys,
+                                                        trainings):
+        data, test = dataset
+        assert run("sweep", "--data", data, "--test", test, "--param", "lambda2",
+                   "--values", "1,2,1", "--out", tmp_path / "sweep", *self.FLAGS) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 3 and rows[0] == rows[2] != rows[1]
+        assert len(trainings) == 2
+
     def test_split_eval_matches_train_report(self, dataset, tmp_path):
         data, test = dataset
         split = tmp_path / "split.txt"

@@ -18,7 +18,7 @@ from hoicomp.evaluator import (
     IOU_THRESHOLD,
     Detections,
     GroundTruths,
-    ThresholdConfig,
+    Scoring,
     average_precision,
     box_iou,
     detections_from_model,
@@ -633,14 +633,14 @@ class TestDetectionsFromModel:
 
     def test_zero_thresholds_emit_every_pair(self):
         test, space, params = self._setup()
-        thr = ThresholdConfig(human=0.0, object=0.0)
+        thr = Scoring(human=0.0, object=0.0)
         dets = detections_from_model(test, params, thr)
         assert dets.score.shape == (len(test), space.num_hois)
         assert len(dets) == len(test) * space.num_hois
 
     def test_matches_scalar_recomputation(self):
         test, space, params = self._setup()
-        thr = ThresholdConfig(human=0.6, object=0.55, fallback=0.5)
+        thr = Scoring(human=0.6, object=0.55, fallback=0.5)
         dets = detections_from_model(test, params, thr)
         want = []
         by_image = {}
@@ -671,10 +671,11 @@ class TestDetectionsFromModel:
 
     def test_vo_only_ignores_spatial_params(self):
         test, space, params = self._setup()
-        dets_a = detections_from_model(test, params, ThresholdConfig(0, 0), branch_mode="vo_only")
+        scoring = Scoring(human=0, object=0, branch_mode="vo_only")
+        dets_a = detections_from_model(test, params, scoring)
         params.sp_w1 += 1.0
         params.sp_w2 -= 0.5
-        dets_b = detections_from_model(test, params, ThresholdConfig(0, 0), branch_mode="vo_only")
+        dets_b = detections_from_model(test, params, scoring)
         assert [d.score for d in as_rows(dets_a)] == [d.score for d in as_rows(dets_b)]
 
     def test_fallback_rescues_empty_image(self, toy_space):
@@ -685,17 +686,15 @@ class TestDetectionsFromModel:
         ])
         net = NetworkConfig(num_hois=3, feature_dim=4, hidden=4, vo_hidden=4, sp_hidden=4)
         params = init_params(net, np.random.default_rng(0))
-        thr = ThresholdConfig(human=0.8, object=0.3, fallback=0.5)
+        thr = Scoring(human=0.8, object=0.3, fallback=0.5)
         dets = detections_from_model(insts, params, thr)
         # relaxed human cut is 0.4: only the 0.5-score pair survives
         assert len(dets) == 1 * 3
 
-    def test_branch_mode_validated(self, toy_space):
-        insts = make_row(toy_space, [0])
-        net = NetworkConfig(num_hois=3, feature_dim=4, hidden=4, vo_hidden=4, sp_hidden=4)
-        params = init_params(net, np.random.default_rng(0))
+    def test_branch_mode_validated(self):
+        # the scoring settings are checked when built, before any model is scored
         with pytest.raises(InvalidConfig):
-            detections_from_model(insts, params, ThresholdConfig(0, 0), branch_mode="spatial")
+            Scoring(human=0, object=0, branch_mode="spatial")
 
 
 # the benchmark workloads' label spaces and test sizes: (verbs, objects,
@@ -744,7 +743,7 @@ class TestColumnOracle:
     @pytest.mark.parametrize("branch_mode", ["both", "vo_only", "sp_only"])
     def test_score_matrix_is_masked_sigmoid_product(self, trained, branch_mode):
         _, test_set, _, params = trained
-        dets = detections_from_model(test_set, params, branch_mode=branch_mode)
+        dets = detections_from_model(test_set, params, Scoring(branch_mode=branch_mode))
         pairs = test_set[np.argsort(test_set.image_id, kind="stable")]  # no cutoff: every pair
         s_sp = masked_sigmoid(forward_spatial_human_boxes(pairs.human_feat, pairs.human_box,
                                                           pairs.object_box, params))

@@ -3,11 +3,9 @@ from dataclasses import fields, replace
 import pytest
 
 from hoicomp.composer import ComposeConfig
-from hoicomp.errors import InvalidConfig, OutOfRange
-from hoicomp.evaluator import ThresholdConfig
+from hoicomp.errors import InvalidConfig
+from hoicomp.evaluator import DEFAULT_RARE_THRESHOLD, Scoring
 from hoicomp.experiments import (
-    DEFAULT_RARE_THRESHOLD,
-    Scoring,
     default_dataset_config,
     evaluate_params,
     vcl_comparison,
@@ -84,12 +82,15 @@ BAD_FIELDS = [
     (default_dataset_config(), "class_sep", 0.0, InvalidConfig, "class_sep must be finite and > 0"),
     (default_dataset_config(), "seed", -1, InvalidConfig, "seed must be >= 0"),
     (NetworkConfig(num_hois=3), "vo_hidden", 0, InvalidConfig, "vo_hidden must be >= 1"),
-    (LossWeights(), "lambda2", float("nan"), OutOfRange, "lambda2 must be finite and >= 0"),
+    (LossWeights(), "lambda2", float("nan"), InvalidConfig, "lambda2 must be finite and >= 0"),
     (ComposeConfig(), "interactions_per_minibatch", 0, InvalidConfig,
      "interactions_per_minibatch must be >= 1"),
     (TrainConfig(), "momentum", 1.0, InvalidConfig, r"momentum must lie in \[0, 1\)"),
     (TrainConfig(), "seed", -1, InvalidConfig, "seed must be >= 0"),
-    (ThresholdConfig(), "fallback", 2.0, InvalidConfig, r"fallback factor must lie in \[0, 1\]"),
+    (Scoring(), "human", 1.5, InvalidConfig, r"thresholds must lie in \[0, 1\]"),
+    (Scoring(), "fallback", 2.0, InvalidConfig, r"fallback factor must lie in \[0, 1\]"),
+    (Scoring(), "branch_mode", "vo-only", InvalidConfig, r"branch_mode must be one of \('both'"),
+    (Scoring(), "eval_mode", "known", InvalidConfig, r"mode must be one of \('default'"),
     (Scoring(), "rare_threshold", -1, InvalidConfig, "rare_threshold must be >= 0"),
 ]
 

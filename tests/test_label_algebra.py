@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from hoicomp.errors import (
     DanglingId,
+    DimensionMismatch,
     DuplicateHoi,
     EmptyDefinition,
     ParseError,
-    ShapeMismatch,
 )
 from hoicomp.label_algebra import (
     build_space,
@@ -89,6 +89,10 @@ class TestBuildSpace:
         with pytest.raises(DanglingId):
             build_space([((0,), 0)], verb_names=("a", "b"))
 
+    def test_id_beyond_the_name_tables(self):
+        with pytest.raises(DimensionMismatch, match="id beyond the provided name tables"):
+            build_space([((0,), 0), ((1,), 0)], verb_names=("a",))
+
     def test_dangling_object(self):
         with pytest.raises(DanglingId):
             build_space([((0,), 0), ((1,), 0)], object_names=("x", "y"))
@@ -132,7 +136,7 @@ class TestDecompose:
             assert bits_to_set(l_v[row]) == verbs
 
     def test_shape_mismatch(self, toy_space):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(DimensionMismatch, match="label vector has length 4, expected 3"):
             decompose(np.zeros(4, dtype=np.uint8), toy_space)
 
 
@@ -157,7 +161,7 @@ class TestCompose:
             np.testing.assert_array_equal(got, want)
 
     def test_shape_mismatch(self, toy_space):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(DimensionMismatch, match="object vector has length 5, expected 2"):
             compose(np.zeros(5, dtype=np.uint8), np.zeros(2, dtype=np.uint8), toy_space)
 
 

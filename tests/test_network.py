@@ -1,5 +1,5 @@
 import json
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +9,8 @@ from hoicomp import network
 from hoicomp.errors import (
     DegenerateBox,
     DimensionMismatch,
+    EmptyBatch,
+    InvalidConfig,
     NonFiniteGradient,
     NonFiniteInput,
     NonFiniteLoss,
@@ -77,12 +79,10 @@ def random_comp(rng, m, cfg=TINY):
 
 
 def random_weights(rng, cfg=TINY):
+    """(loss weights, class weights of mean 1)."""
     w = rng.uniform(0.2, 3.0, cfg.num_hois)
-    return LossWeights(
-        lambda1=float(rng.uniform(0, 3)),
-        lambda2=float(rng.uniform(0, 3)),
-        class_weights=w / w.mean(),
-    )
+    lw = LossWeights(lambda1=float(rng.uniform(0, 3)), lambda2=float(rng.uniform(0, 3)))
+    return lw, w / w.mean()
 
 
 # ---- straight-line references, scalar loops only ----
@@ -123,8 +123,7 @@ def ref_bce_term(logits_rows, labels_rows, w):
     return total / len(logits_rows)
 
 
-def ref_loss(real, comp, p, lw):
-    w = lw.class_weights
+def ref_loss(real, comp, p, lw, w):
     sp_rows = [ref_sp_logits(real.human_feat[i], real.spatial[i], p) for i in range(len(real))]
     vo_rows = [ref_vo_logits(real.verb_feat[i], real.object_feat[i], p) for i in range(len(real))]
     total = ref_bce_term(sp_rows, real.label, w) + lw.lambda1 * ref_bce_term(vo_rows, real.label, w)
@@ -134,11 +133,11 @@ def ref_loss(real, comp, p, lw):
     return total
 
 
-def total_loss(real, comp, params, lw):
-    return loss_and_grads(real, comp, params, lw)[0]
+def total_loss(real, comp, params, lw, w):
+    return loss_and_grads(real, comp, params, lw, w)[0]
 
 
-def fd_grads(real, comp, params, lw, h=1e-4):
+def fd_grads(real, comp, params, lw, w, h=1e-4):
     grads = {}
     for name, arr in params.blocks().items():
         g = np.zeros_like(arr)
@@ -146,9 +145,9 @@ def fd_grads(real, comp, params, lw, h=1e-4):
         for idx in range(flat.size):
             orig = flat[idx]
             flat[idx] = orig + h
-            lp = total_loss(real, comp, params, lw)
+            lp = total_loss(real, comp, params, lw, w)
             flat[idx] = orig - h
-            lm = total_loss(real, comp, params, lw)
+            lm = total_loss(real, comp, params, lw, w)
             flat[idx] = orig
             gflat[idx] = (lp - lm) / (2 * h)
         grads[name] = g
@@ -366,10 +365,10 @@ class TestLoss:
         p = tiny_params(6)
         real = random_real(rng)
         comp = random_comp(rng, 2)
-        lw0 = random_weights(rng)
-        lw = LossWeights(lambda1=lw0.lambda1, lambda2=0.0, class_weights=lw0.class_weights)
-        with_comp = total_loss(real, comp, p, lw)
-        without = total_loss(real, None, p, lw)
+        lw0, w = random_weights(rng)
+        lw = LossWeights(lambda1=lw0.lambda1, lambda2=0.0)
+        with_comp = total_loss(real, comp, p, lw, w)
+        without = total_loss(real, None, p, lw, w)
         assert with_comp == pytest.approx(without, rel=1e-12)
 
     def test_zero_logits_closed_form(self):
@@ -382,8 +381,8 @@ class TestLoss:
             spatial=np.zeros((1, 6)),
             label=np.zeros((1, 5)),
         )
-        lw = LossWeights(lambda1=2.0, lambda2=0.5, class_weights=np.ones(5))
-        total, comps, _ = loss_and_grads(real, None, zero, lw)
+        lw = LossWeights(lambda1=2.0, lambda2=0.5)
+        total, comps, _ = loss_and_grads(real, None, zero, lw, np.ones(5))
         expect_term = cfg.num_hois * np.log(2.0)
         assert comps["L_sp"] == pytest.approx(expect_term, rel=1e-12)
         assert comps["L_vo"] == pytest.approx(expect_term, rel=1e-12)
@@ -396,16 +395,16 @@ class TestLoss:
             p = tiny_params(int(rng.integers(100)))
             real = random_real(rng, n=int(rng.integers(1, 4)))
             comp = random_comp(rng, int(rng.integers(0, 4)))
-            lw = random_weights(rng)
-            got = total_loss(real, comp, p, lw)
-            want = ref_loss(real, comp, p, lw)
+            lw, w = random_weights(rng)
+            got = total_loss(real, comp, p, lw, w)
+            want = ref_loss(real, comp, p, lw, w)
             assert got == pytest.approx(want, rel=1e-6)
 
     def test_order_invariant(self):
         rng = np.random.default_rng(8)
         p = tiny_params(8)
         real = random_real(rng, n=4)
-        lw = random_weights(rng)
+        lw, w = random_weights(rng)
         perm = np.random.default_rng(1).permutation(4)
         shuffled = RealBatch(
             human_feat=real.human_feat[perm],
@@ -414,8 +413,8 @@ class TestLoss:
             spatial=real.spatial[perm],
             label=real.label[perm],
         )
-        assert total_loss(real, None, p, lw) == pytest.approx(
-            total_loss(shuffled, None, p, lw), rel=1e-12
+        assert total_loss(real, None, p, lw, w) == pytest.approx(
+            total_loss(shuffled, None, p, lw, w), rel=1e-12
         )
 
     def test_comp_branch_shares_classifier(self):
@@ -424,8 +423,8 @@ class TestLoss:
         real = random_real(rng, n=3)
         twin = CompBatch(verb_feat=real.verb_feat, object_feat=real.object_feat, label=real.label,
                          verb_src=np.arange(3), object_src=np.arange(3))
-        lw = LossWeights(lambda1=1.0, lambda2=1.0, class_weights=np.ones(5))
-        _, comps, _ = loss_and_grads(real, twin, p, lw)
+        lw = LossWeights(lambda1=1.0, lambda2=1.0)
+        _, comps, _ = loss_and_grads(real, twin, p, lw, np.ones(5))
         assert comps["L_comp"] == pytest.approx(comps["L_vo"], rel=1e-12)
 
     def test_non_finite_loss(self):
@@ -433,7 +432,29 @@ class TestLoss:
         p.vo_w3[:] = np.inf
         real = random_real(np.random.default_rng(0))
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteLoss):
-            total_loss(real, None, p, LossWeights(class_weights=np.ones(5)))
+            total_loss(real, None, p, LossWeights(), np.ones(5))
+
+    def test_empty_real_batch(self):
+        real = random_real(np.random.default_rng(0), n=0)
+        with pytest.raises(EmptyBatch, match="^real batch is empty$"):
+            loss_and_grads(real, None, tiny_params(), LossWeights(), np.ones(5))
+
+    @pytest.mark.parametrize("kind, name, width", [
+        ("real", "spatial", 7), ("real", "human_feat", 2), ("real", "label", 6),
+        ("composed", "object_feat", 4), ("composed", "label", 4),
+    ])
+    def test_batch_column_of_another_width(self, kind, name, width):
+        # rejected as a package error before anything is computed
+        rng = np.random.default_rng(0)
+        batches = {"real": random_real(rng, n=2), "composed": random_comp(rng, 2)}
+        want = getattr(batches[kind], name).shape[1]
+        batches[kind] = replace(batches[kind], **{name: np.zeros((2, width))})
+        out = ModelParams(TINY, np.full(tiny_params().flat.size, np.nan))
+        message = rf"^{kind} {name} has shape \(2, {width}\), expected \(n, {want}\)$"
+        with pytest.raises(DimensionMismatch, match=message):
+            loss_and_grads(batches["real"], batches["composed"], tiny_params(), LossWeights(),
+                           np.ones(5), out=out)
+        assert np.isnan(out.flat).all()
 
     def test_non_finite_gradient_names_its_block(self):
         """A gradient that overflows far into the flat buffer while the loss
@@ -449,7 +470,7 @@ class TestLoss:
         with np.errstate(over="ignore"), pytest.raises(
             NonFiniteGradient, match="^gradient block sp_w1 is non-finite$"
         ):
-            loss_and_grads(real, None, p, LossWeights(), out=out)
+            loss_and_grads(real, None, p, LossWeights(), np.ones(5), out=out)
         bad = np.flatnonzero(~np.isfinite(out.flat))
         assert bad[0] > 10 * FLAT_BLOCK and out.block_at(bad[0]) == "sp_w1"
 
@@ -461,9 +482,9 @@ class TestBackward:
             p = tiny_params(seed=100 + trial)
             real = random_real(rng, n=int(rng.integers(1, 4)))
             comp = random_comp(rng, int(rng.integers(0, 4)))
-            lw = random_weights(rng)
-            analytic = loss_and_grads(real, comp, p, lw)[2]
-            numeric = fd_grads(real, comp, p, lw)
+            lw, w = random_weights(rng)
+            analytic = loss_and_grads(real, comp, p, lw, w)[2]
+            numeric = fd_grads(real, comp, p, lw, w)
             for name in BLOCK_NAMES:
                 assert rel_err(getattr(analytic, name), numeric[name]) < 1e-3, name
 
@@ -475,9 +496,9 @@ class TestBackward:
             p = tiny_params(seed=200 + trial)
             real = random_real(rng, n=int(rng.integers(1, 4)))
             comp = random_comp(rng, int(rng.integers(0, 4)))
-            lw = random_weights(rng)
-            assert loss_and_grads(real, comp, p, lw, out=out)[2] is out
-            numeric = fd_grads(real, comp, p, lw)
+            lw, w = random_weights(rng)
+            assert loss_and_grads(real, comp, p, lw, w, out=out)[2] is out
+            numeric = fd_grads(real, comp, p, lw, w)
             for name in BLOCK_NAMES:
                 assert rel_err(getattr(out, name), numeric[name]) < 1e-3, name
 
@@ -486,7 +507,7 @@ class TestBackward:
         other = NetworkConfig(num_hois=5, feature_dim=3, hidden=3, vo_hidden=4, sp_hidden=2,
                               spatial_dim=6)
         with pytest.raises(DimensionMismatch):
-            loss_and_grads(random_real(rng), None, tiny_params(), random_weights(rng),
+            loss_and_grads(random_real(rng), None, tiny_params(), *random_weights(rng),
                            out=tiny_params(cfg=other))
 
     @pytest.mark.parametrize("shift", [0, 1])
@@ -499,7 +520,7 @@ class TestBackward:
         p = ModelParams(TINY, memory[: flat.size])
         out = ModelParams(TINY, memory[shift : shift + flat.size])
         with pytest.raises(DimensionMismatch, match="shares memory"):
-            loss_and_grads(random_real(rng), None, p, random_weights(rng), out=out)
+            loss_and_grads(random_real(rng), None, p, *random_weights(rng), out=out)
         assert p.flat.tobytes() == flat.tobytes()
 
     def test_shared_block_accumulates_from_both_paths(self):
@@ -519,9 +540,9 @@ class TestBackward:
             verb_src=np.array([0, 1]),
             object_src=np.array([1, 0]),
         )
-        lw = LossWeights(lambda1=1.0, lambda2=1.0, class_weights=np.ones(5))
-        both = loss_and_grads(real, comp, p, lw)[2]
-        human_only = loss_and_grads(real, comp, p, LossWeights(0.0, 0.0, np.ones(5)))[2]
+        lw = LossWeights(lambda1=1.0, lambda2=1.0)
+        both = loss_and_grads(real, comp, p, lw, np.ones(5))[2]
+        human_only = loss_and_grads(real, comp, p, LossWeights(0.0, 0.0), np.ones(5))[2]
         # freezing the verb paths still leaves the human-path contribution
         assert np.linalg.norm(human_only.shared_w) > 0
         assert np.linalg.norm(both.shared_w - human_only.shared_w) > 0
@@ -530,11 +551,10 @@ class TestBackward:
         rng = np.random.default_rng(12)
         p = tiny_params(12)
         real = random_real(rng)
-        lw = random_weights(rng)
+        lw, w = random_weights(rng)
         eps = 1e-9
-        scaled = LossWeights(lw.lambda1, lw.lambda2, lw.class_weights * eps)
-        g = loss_and_grads(real, None, p, lw)[2]
-        g_eps = loss_and_grads(real, None, p, scaled)[2]
+        g = loss_and_grads(real, None, p, lw, w)[2]
+        g_eps = loss_and_grads(real, None, p, lw, w * eps)[2]
         for name in BLOCK_NAMES:
             np.testing.assert_allclose(getattr(g_eps, name), eps * getattr(g, name),
                                        rtol=1e-9, atol=1e-18)
@@ -543,10 +563,10 @@ class TestBackward:
         rng = np.random.default_rng(13)
         p = tiny_params(13)
         real = random_real(rng, n=4)
-        lw = random_weights(rng)
-        total, _, grads = loss_and_grads(real, None, p, lw)
+        lw, w = random_weights(rng)
+        total, _, grads = loss_and_grads(real, None, p, lw, w)
         p.flat -= 1e-3 * grads.flat
-        assert total_loss(real, None, p, lw) < total
+        assert total_loss(real, None, p, lw, w) < total
 
     def test_sharing_observable(self):
         rng = np.random.default_rng(14)
@@ -579,15 +599,16 @@ class TestClassWeights:
         assert np.isfinite(w).all() and (w > 0).all()
 
     def test_validate_rejects_nonpositive(self):
-        with pytest.raises(OutOfRange):
-            LossWeights(class_weights=np.array([1.0, 0.0]))
-        with pytest.raises(OutOfRange):
+        real = random_real(np.random.default_rng(0))
+        with pytest.raises(OutOfRange, match="class_weights must be strictly positive"):
+            loss_and_grads(real, None, tiny_params(), LossWeights(), np.array([1.0, 0.0, 1, 1, 1]))
+        with pytest.raises(InvalidConfig, match="lambda1 must be finite and >= 0"):
             LossWeights(lambda1=-1.0)
 
     def test_length_checked_against_the_class_count(self):
         real = random_real(np.random.default_rng(0))
         with pytest.raises(DimensionMismatch, match=r"class_weights shape \(4,\), expected \(5,\)"):
-            loss_and_grads(real, None, tiny_params(), LossWeights(class_weights=np.ones(4)))
+            loss_and_grads(real, None, tiny_params(), LossWeights(), np.ones(4))
 
 
 class TestFuseScores:
@@ -641,7 +662,7 @@ class TestFuseScores:
             fuse_scores([0.5], [0.5], np.array([[1.2]]), np.array([[0.1]]))
         with pytest.raises(OutOfRange, match="s_vo"):
             fuse_scores([0.5], [0.5], np.array([[0.1]]), np.array([[np.nan]]))
-        with pytest.raises(OutOfRange):
+        with pytest.raises(InvalidConfig, match="branch_mode must be one of"):
             fuse_scores([0.5], [0.5], s_sp, s_vo, branch_mode="nope")
 
     def test_shapes(self):

@@ -64,12 +64,13 @@ def tiny_dataset(seed=5, n_train=160):
 
 @pytest.fixture(scope="module")
 def default_step_inputs():
-    """(train set, label space, init params, loss weights) at the default
-    widths on the default 60-class data, with fewer rows."""
+    """(train set, label space, init params, class weights as ``train``
+    works them out) at the default widths on the default 60-class data,
+    with fewer rows."""
     train_set, _, space = generate(default_dataset_config(n_train=2000, n_test=0))
     net = NetworkConfig(num_hois=space.num_hois, feature_dim=train_set.human_feat.shape[1])
-    lw = LossWeights(class_weights=inverse_log_weights(class_counts(train_set, space)))
-    return train_set, space, init_params(net, np.random.default_rng(0)), lw
+    w = inverse_log_weights(class_counts(train_set, space))
+    return train_set, space, init_params(net, np.random.default_rng(0)), w
 
 
 def default_step_batches(inputs, batch, seed=0):
@@ -393,12 +394,11 @@ def _oracle_sp_backward(g_out, cache, p, grads):
     grads["shared_b"] += g_sh.sum(axis=0)
 
 
-def oracle_loss_and_grads(real, comp, params, lw, out=None):
+def oracle_loss_and_grads(real, comp, params, lw, w, out=None):
     """``loss_and_grads`` as it was: the spatial input is concatenated from
     temporaries, the spatial backward takes the full input gradient, and
     every loss term adds its gradient into a new zero-filled buffer. ``out``
     is ignored."""
-    w = lw.resolved_weights(params.cfg.num_hois)
     vo_logits, vo_cache = network._vo_forward(real.verb_feat, real.object_feat, params)
     sp_logits, sp_cache = _oracle_sp_forward(real.human_feat, real.spatial, params)
     comps = {
@@ -482,11 +482,11 @@ class TestStepOracle:
         real = RealBatch.from_instances(batch)
         comp = compose_batch(batch, space, ComposeConfig(), np.random.default_rng(4)) if with_comp else None
         p = init_params(NET, np.random.default_rng(5))
-        lw = LossWeights(class_weights=np.linspace(0.5, 1.5, NET.num_hois))
+        lw, w = LossWeights(), np.linspace(0.5, 1.5, NET.num_hois)
         out = ModelParams(NET, np.full_like(p.flat, np.nan))
-        total, comps, grads = network.loss_and_grads(real, comp, p, lw, out=out)
-        fresh_total, fresh_comps, fresh = network.loss_and_grads(real, comp, p, lw)
-        oracle_total, oracle_comps, oracle = oracle_loss_and_grads(real, comp, p, lw)
+        total, comps, grads = network.loss_and_grads(real, comp, p, lw, w, out=out)
+        fresh_total, fresh_comps, fresh = network.loss_and_grads(real, comp, p, lw, w)
+        oracle_total, oracle_comps, oracle = oracle_loss_and_grads(real, comp, p, lw, w)
         assert grads is out and fresh is not out
         assert out.flat.tobytes() == fresh.flat.tobytes() == oracle.flat.tobytes()
         assert total == fresh_total == oracle_total and comps == fresh_comps == oracle_comps
@@ -496,11 +496,11 @@ class TestStepOracle:
     # widths, a plain slice of the weights differs from it for 2..18 rows
     @pytest.mark.parametrize("batch", [1, 2, 8, 16, 18, 19, 32, 33])
     def test_default_widths_equal_oracle(self, default_step_inputs, batch):
-        _, _, p, lw = default_step_inputs
+        _, _, p, w = default_step_inputs
         real, comp = default_step_batches(default_step_inputs, batch, seed=batch)
         assert batch == 1 or len(comp)
-        total, comps, grads = network.loss_and_grads(real, comp, p, lw)
-        oracle_total, oracle_comps, oracle = oracle_loss_and_grads(real, comp, p, lw)
+        total, comps, grads = network.loss_and_grads(real, comp, p, LossWeights(), w)
+        oracle_total, oracle_comps, oracle = oracle_loss_and_grads(real, comp, p, LossWeights(), w)
         assert grads.flat.tobytes() == oracle.flat.tobytes()
         assert total == oracle_total and comps == oracle_comps
 
@@ -532,12 +532,12 @@ class TestStepAllocations:
         # at batch 32 the spatial input z, (32, hidden + spatial_dim), is the
         # one step array of its size; a temporary of that size on top of it
         # would take the peak past 1.5 times it
-        _, _, p, lw = default_step_inputs
+        _, _, p, w = default_step_inputs
         real, comp = default_step_batches(default_step_inputs, 32)
         out = ModelParams(p.cfg, np.zeros_like(p.flat))
 
         def step():
-            network.loss_and_grads(real, comp, p, lw, out=out)
+            network.loss_and_grads(real, comp, p, LossWeights(), w, out=out)
 
         peak = peak_above_live(step, warm_up=step)
         z_bytes = 32 * (p.cfg.hidden + p.cfg.spatial_dim) * 8
@@ -570,6 +570,16 @@ class TestTrain:
         assert log == []
         assert params.cfg == fresh.cfg
         np.testing.assert_array_equal(params.flat, fresh.flat)
+
+    def test_network_of_another_spatial_width_is_rejected(self):
+        # a package error, which the CLI reports as one error line
+        train_set, _, space = tiny_dataset()
+        net = NetworkConfig(num_hois=8, feature_dim=8, hidden=8, vo_hidden=8, sp_hidden=8,
+                            spatial_dim=100)
+        with pytest.raises(DimensionMismatch,
+                           match=r"^real spatial has shape \(4, 8192\), expected \(n, 100\)$"):
+            train(train_set, space, TrainConfig(iterations=1, interactions_per_minibatch=4),
+                  net_cfg=net)
 
     def test_compose_off_matches_lambda2_zero(self):
         train_set, _, space = tiny_dataset()

@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from hoicomp.errors import InfeasibleSplit, InvalidConfig, ParseError
+from hoicomp.errors import DimensionMismatch, InfeasibleSplit, InvalidConfig, ParseError
 from hoicomp.label_algebra import build_space
 from hoicomp.experiments import default_dataset_config
 from hoicomp.synthdata import Dataset, class_counts, generate, random_hoi_defs
@@ -154,7 +154,7 @@ class TestMakeSplit:
             make_split(np.zeros(3, dtype=int), toy_space, 3, "rare_first")
         with pytest.raises(InvalidConfig):
             make_split(np.zeros(3, dtype=int), toy_space, 1, "alphabetical")
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(DimensionMismatch, match=r"counts has shape \(4,\), expected \(3,\)"):
             make_split(np.zeros(4, dtype=int), toy_space, 1, "rare_first")
 
 
