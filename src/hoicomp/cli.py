@@ -60,7 +60,15 @@ from .experiments import (
 from .label_algebra import HoiLabelSpace
 from .network import BRANCH_MODES, LossWeights, NetworkConfig, load_params, save_params
 from .spatial import ascii_art, spatial_vector
-from .synthdata import Dataset, DatasetConfig, class_counts, generate, load_dataset, save_dataset
+from .synthdata import (
+    Dataset,
+    DatasetConfig,
+    class_counts,
+    generate,
+    load_dataset,
+    save_dataset,
+    unpack_labels,
+)
 from .trainer import TrainConfig, make_minibatch, write_metrics_log
 from .zeroshot import STRATEGIES, load_split, make_split, save_split
 
@@ -401,7 +409,7 @@ def _cmd_eval(args) -> int:
         raise HoicompError("pass exactly one of --checkpoint / --detections")
     scoring = _scoring(args)
     test_set, space = load_dataset(args.data)
-    train_set = load_dataset(args.train_data)[0] if args.train_data else None
+    train_set = load_dataset(args.train_data, labels_only=True)[0] if args.train_data else None
     split = load_split(args.split, space) if args.split else None
     _, counts, partition = report_basis(train_set, space, split, scoring.rare_threshold)
 
@@ -431,8 +439,9 @@ def _cmd_compose_demo(args) -> int:
     composed = compose_batch(batch, space, compose_cfg, rngmod.stream(args.seed, "compose"))
     print(f"batch of {len(batch)} real instances over "
           f"{len(np.unique(batch.image_id))} images")
+    labels = unpack_labels(batch.label, space.num_hois)
     for idx in range(len(batch)):
-        names = [space.hoi_names[c] for c in np.flatnonzero(batch.label[idx])]
+        names = [space.hoi_names[c] for c in np.flatnonzero(labels[idx])]
         print(f"  real[{idx}] image={batch.image_id[idx]} labels={names}")
         if idx < args.show_spatial:
             print(_spatial_art(batch, idx))

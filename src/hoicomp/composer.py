@@ -16,7 +16,7 @@ import numpy as np
 from .errors import EmptyBatch, InvalidConfig
 from .label_algebra import HoiLabelSpace, compose, decompose
 from .network import CompBatch
-from .synthdata import Dataset
+from .synthdata import Dataset, unpack_labels
 
 MODES = ("both", "within", "between", "off")
 
@@ -63,7 +63,7 @@ def compose_batch(
     n = len(batch)
     if n == 0:
         raise EmptyBatch("compose_batch needs at least one instance")
-    l_o, l_v = decompose(batch.label, space)
+    l_o, l_v = decompose(unpack_labels(batch.label, space.num_hois), space)
     # (verb src, object src, class): the objects of every row composed with
     # the verbs of every row; compose's 0/1 bytes viewed as bool, on which
     # any() below takes numpy's fast path

@@ -64,7 +64,7 @@ from .network import (
 )
 from .spatial import check_boxes
 from .spatial import spatial_vector  # no caller here; kept importable because perfbench wraps it
-from .synthdata import Dataset
+from .synthdata import Dataset, unpack_labels
 
 EVAL_MODES = ("default", "known_object")
 IOU_THRESHOLD = 0.5
@@ -338,8 +338,9 @@ def _nan_mean(values: np.ndarray) -> float:
 
 
 def ground_truths_from_instances(data: Dataset) -> GroundTruths:
-    """One ground truth per active label bit of each instance, in row order."""
-    rows, classes = np.nonzero(data.label)
+    """One ground truth per active label bit of each instance, in row order.
+    A label's padding bits are zero, so every bit that unpacks set is a class."""
+    rows, classes = np.nonzero(unpack_labels(data.label))
     return GroundTruths(
         image_id=data.image_id[rows],
         hoi_id=classes.astype(np.int64),

@@ -133,13 +133,15 @@ def run_rows(
     with its ``Scoring`` over its partition; with ``eval_every`` > 0 the log
     also takes those mAPs every ``eval_every`` iterations. Each distinct
     ``TrainConfig`` is trained once: a row that repeats an earlier row's
-    re-scores that row's model, and shares its log.
+    re-scores that row's model, and shares its log. ``report_basis`` runs
+    once per distinct ``rare_threshold``.
     """
-    results, trained = [], {}
+    results, trained, bases = [], {}, {}
     for train_cfg, scoring in rows:
-        trained_on, counts, partition = report_basis(
-            train_set, space, split, scoring.rare_threshold
-        )
+        threshold = scoring.rare_threshold
+        if threshold not in bases:
+            bases[threshold] = report_basis(train_set, space, split, threshold)
+        trained_on, counts, partition = bases[threshold]
 
         def score(params):
             return evaluate_params(params, test_set, space, counts, partition, scoring)

@@ -10,9 +10,12 @@ identical logits. All blocks live in one flat float64 buffer; gradients and
 momentum are buffers of the same layout, and the checkpoint stores it as is.
 
 The spatial-human head reads the rasterized two-channel box map of
-``spatial.spatial_vector`` in training. Scoring gets the same logits without
-the raster: each channel is one rectangle of cells, so its product with the
-channel's rows of ``sp_w1`` is four lookups in a 2-D prefix sum of those rows
+``spatial.spatial_vector`` in training, as 0/1 bytes that ``_sp_forward``
+scales straight into its float input, so no float copy of the raster is
+made. Its width must be ``2 * GRID_SIZE**2`` (``check_raster_width``).
+Scoring gets the same logits without the raster: each channel is one
+rectangle of cells, so its product with the channel's rows of ``sp_w1`` is
+four lookups in a 2-D prefix sum of those rows
 (``forward_spatial_human_boxes``). The two differ only by rounding.
 
 Training holds three parameter-sized buffers, parameters, gradients and
@@ -66,7 +69,7 @@ from .errors import (
     ParseError,
 )
 from .spatial import GRID_SIZE, cell_spans, spatial_vector
-from .synthdata import Dataset
+from .synthdata import Dataset, unpack_labels
 
 BRANCH_MODES = ("both", "vo_only", "sp_only")
 
@@ -218,25 +221,27 @@ def inverse_log_weights(counts) -> np.ndarray:
 @dataclass(frozen=True)
 class RealBatch:
     """Network inputs of a minibatch of real instances: the feature columns
-    of its ``Dataset`` rows, their rasterized box pairs and float labels."""
+    of its ``Dataset`` rows, their rasterized box pairs as 0/1 bytes and
+    their labels unpacked to dense float rows."""
 
     human_feat: np.ndarray   # (n, D)
     verb_feat: np.ndarray    # (n, D)
     object_feat: np.ndarray  # (n, D)
-    spatial: np.ndarray      # (n, S)
+    spatial: np.ndarray      # (n, S) uint8
     label: np.ndarray        # (n, C) float
 
     def __len__(self) -> int:
         return self.human_feat.shape[0]
 
     @classmethod
-    def from_instances(cls, batch: Dataset) -> "RealBatch":
+    def from_instances(cls, batch: Dataset, num_hois: int) -> "RealBatch":
+        """The inputs of ``batch``'s rows, whose labels cover ``num_hois`` classes."""
         return cls(
             human_feat=batch.human_feat,
             verb_feat=batch.verb_feat,
             object_feat=batch.object_feat,
             spatial=spatial_vector(batch.human_box, batch.object_box),
-            label=batch.label.astype(np.float64),
+            label=unpack_labels(batch.label, num_hois).astype(np.float64),
         )
 
 
@@ -344,6 +349,8 @@ def spatial_input_scale(params: ModelParams) -> float:
 
 
 def _sp_forward(human_x: np.ndarray, smap_x: np.ndarray, p: ModelParams):
+    """(logits, cache) of the spatial-human head for the raster rows
+    ``smap_x``, 0/1 bytes or floats: either gives the same ``z``."""
     h = p.cfg.hidden
     # both halves of z written into one buffer: no (n, spatial_dim) temporary
     z = np.empty((len(human_x), h + p.cfg.spatial_dim))
@@ -406,6 +413,15 @@ def _raster_products(human_box: np.ndarray, object_box: np.ndarray,
     return out
 
 
+def check_raster_width(cfg: NetworkConfig):
+    """Raise ``DimensionMismatch`` unless ``cfg.spatial_dim`` is the width
+    of ``spatial.spatial_vector``'s rows, the one raster boxes give."""
+    if cfg.spatial_dim != 2 * GRID_SIZE * GRID_SIZE:
+        raise DimensionMismatch(
+            f"spatial input is {cfg.spatial_dim} wide, expected {2 * GRID_SIZE * GRID_SIZE}"
+        )
+
+
 def forward_spatial_human_boxes(human_feat, human_box, object_box,
                                 params: ModelParams) -> np.ndarray:
     """(n, C) logits of the spatial-human head for (n, D) human features and
@@ -421,10 +437,7 @@ def forward_spatial_human_boxes(human_feat, human_box, object_box,
     object_box = _as_2d(object_box, 4, "object box")
     _check_rows(human_x, human_box, object_box)
     cfg = params.cfg
-    if cfg.spatial_dim != 2 * GRID_SIZE * GRID_SIZE:
-        raise DimensionMismatch(
-            f"spatial input is {cfg.spatial_dim} wide, expected {2 * GRID_SIZE * GRID_SIZE}"
-        )
+    check_raster_width(cfg)
     h_act = _layer(human_x, params.shared_w, params.shared_b) @ params.sp_w1[: cfg.hidden]
     h_act += spatial_input_scale(params) * _raster_products(human_box, object_box, params)
     h_act += params.sp_b1

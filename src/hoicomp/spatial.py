@@ -81,9 +81,11 @@ def cell_spans(human_boxes, object_boxes) -> tuple[np.ndarray, np.ndarray]:
 
 def spatial_vector(human_boxes, object_boxes) -> np.ndarray:
     """Rasterize n human/object box pairs, given as (n, 4) arrays, into their
-    union-box frames: an (n, 2 * GRID_SIZE**2) float64 array whose row k holds the
-    flattened human channel, then the object channel, of pair k. A cell is 1
-    iff ``cell_spans`` puts it inside the channel's box.
+    union-box frames: an (n, 2 * GRID_SIZE**2) uint8 array whose row k holds
+    the flattened human channel, then the object channel, of pair k. A cell
+    is 1 iff ``cell_spans`` puts it inside the channel's box. The bytes are
+    those of the boolean grid, with no wider copy: the network scales them
+    into its own float input.
 
     Raises:
         DegenerateBox: as ``cell_spans``.
@@ -93,7 +95,7 @@ def spatial_vector(human_boxes, object_boxes) -> np.ndarray:
     inside = (cells >= start[..., None]) & (cells < stop[..., None])  # (n, 2, 2, GRID_SIZE)
     cols, rows = inside[:, :, 0], inside[:, :, 1]
     grids = rows[..., :, None] & cols[..., None, :]
-    return grids.reshape(len(start), -1).astype(np.float64)
+    return grids.reshape(len(start), -1).view(np.uint8)
 
 
 def ascii_art(vector: np.ndarray) -> str:

@@ -46,8 +46,13 @@ MULTI_VERB_FRAC = 0.15  # share of classes random_hoi_defs gives a second verb
 class Dataset:
     """Human-object pairs as columns; row k of every column is pair k.
 
-    Boxes are (x1, y1, x2, y2) rows that pass ``spatial.check_boxes``, and each
-    label row is a multi-hot vector over the label space's classes.
+    Boxes are (x1, y1, x2, y2) rows that pass ``spatial.check_boxes``. Each
+    label row holds the pair's active classes as bits, ``label_bytes(C)``
+    bytes for C classes in ``np.packbits`` order: class c is bit
+    ``0x80 >> (c % 8)`` of byte ``c // 8``, and the padding bits after the
+    last class are zero. ``unpack_labels`` gives the dense 0/1 rows. A
+    dataset that ``load_dataset`` read with ``labels_only`` holds None in
+    every column but ``label`` and ``object_id``.
     """
 
     image_id: np.ndarray      # (N,) int64
@@ -58,11 +63,11 @@ class Dataset:
     human_feat: np.ndarray    # (N, D) float64
     verb_feat: np.ndarray     # (N, D) float64
     object_feat: np.ndarray   # (N, D) float64
-    label: np.ndarray         # (N, C) uint8
+    label: np.ndarray         # (N, ceil(C / 8)) uint8, packed bits
     object_id: np.ndarray     # (N,) int64
 
     def __len__(self) -> int:
-        return self.image_id.shape[0]
+        return self.label.shape[0]
 
     def __getitem__(self, rows) -> "Dataset":
         """The selected rows (an index, slice, mask or index array) of every column."""
@@ -80,9 +85,20 @@ def empty_dataset(n: int, feature_dim: int, num_hois: int) -> Dataset:
         human_feat=np.zeros((n, feature_dim)),
         verb_feat=np.zeros((n, feature_dim)),
         object_feat=np.zeros((n, feature_dim)),
-        label=np.zeros((n, num_hois), dtype=np.uint8),
+        label=np.zeros((n, label_bytes(num_hois)), dtype=np.uint8),
         object_id=np.zeros(n, dtype=np.int64),
     )
+
+
+def label_bytes(num_hois: int) -> int:
+    """Bytes of one packed label row: a bit per class, eight classes a byte."""
+    return (num_hois + 7) // 8
+
+
+def unpack_labels(label: np.ndarray, num_hois: int | None = None) -> np.ndarray:
+    """The dense (N, C) uint8 0/1 rows of packed labels: ``num_hois``
+    columns, or every bit of each row, zero padding included, when None."""
+    return np.unpackbits(label, axis=1, count=num_hois)
 
 
 @dataclass(frozen=True)
@@ -274,14 +290,13 @@ def _generate_split(
 
     for i in range(n):
         c = int(primary[i])
-        label = data.label[i]
-        label[c] = 1
+        active = [c]
         u = rng.random()
         if u < cfg.multi_label_frac and model.same_object[c].size:
-            extra = int(rng.choice(model.same_object[c], p=model.same_object_probs[c]))
-            label[extra] = 1
-        active = np.flatnonzero(label)
-        verbs = sorted({v for a in active for v in space.verbs_of(int(a))})
+            active.append(int(rng.choice(model.same_object[c], p=model.same_object_probs[c])))
+        for a in active:
+            data.label[i, a // 8] |= 0x80 >> (a % 8)
+        verbs = sorted({v for a in active for v in space.verbs_of(a)})
         obj = int(obj_by_hoi[c])
 
         data.verb_feat[i] = model.verb_set_mean(verbs, model.verb_means) + cfg.noise_sigma * rng.standard_normal(cfg.feature_dim)
@@ -316,24 +331,27 @@ def generate(cfg: DatasetConfig):
     return train, test, space
 
 
-# rows per uint16 partial sum in class_counts: 257 rows of 255 sum to 65,535
-COUNT_BLOCK_ROWS = np.iinfo(np.uint16).max // np.iinfo(np.uint8).max
+# rows per block where labels are unpacked or checked: 600 KB of
+# temporaries at 600 classes
+LABEL_BLOCK_ROWS = 1024
 
 
 def class_counts(data: Dataset, space: HoiLabelSpace) -> np.ndarray:
     """Training instances per class; a multi-label instance counts once per active bit.
 
-    Sums ``COUNT_BLOCK_ROWS`` rows at a time in ``uint16``, which no block of
-    ``uint8`` labels can overflow, into ``int64`` counts, so the counts are
-    exact for any label. At 20,000 x 600 on a 2-core Xeon this took 1.3 ms,
-    against 4.3 ms for one reduction cast to ``int64``.
+    Unpacks ``LABEL_BLOCK_ROWS`` rows at a time and sums each block in
+    ``uint16``, which no block can overflow, into ``int64`` counts.
     """
-    label = data.label
-    if label.shape[1] != space.num_hois:
-        raise DimensionMismatch(f"labels have {label.shape[1]} classes, space has {space.num_hois}")
-    counts = np.zeros(space.num_hois, dtype=np.int64)
-    for start in range(0, len(label), COUNT_BLOCK_ROWS):
-        counts += label[start : start + COUNT_BLOCK_ROWS].sum(axis=0, dtype=np.uint16)
+    label, num_hois = data.label, space.num_hois
+    if label.shape[1] != label_bytes(num_hois):
+        raise DimensionMismatch(
+            f"labels are {label.shape[1]} bytes wide, a space of {num_hois} classes "
+            f"takes {label_bytes(num_hois)}"
+        )
+    counts = np.zeros(num_hois, dtype=np.int64)
+    for start in range(0, len(label), LABEL_BLOCK_ROWS):
+        block = unpack_labels(label[start : start + LABEL_BLOCK_ROWS], num_hois)
+        counts += block.sum(axis=0, dtype=np.uint16)
     return counts
 
 
@@ -341,15 +359,22 @@ def class_counts(data: Dataset, space: HoiLabelSpace) -> np.ndarray:
 # One uncompressed ``np.savez`` archive (a zip of ``.npy`` entries). Each
 # ``Dataset`` column is an entry named after its field, with the dtype and
 # shape ``empty_dataset`` gives it: N rows, feature width D, C classes.
-#   image_id, object_id                   (N,)    int64
-#   human_box, object_box                 (N, 4)  float64
-#   human_score, object_score             (N,)    float64
-#   human_feat, verb_feat, object_feat    (N, D)  float64
-#   label                                 (N, C)  uint8
+#   image_id, object_id                   (N,)            int64
+#   human_box, object_box                 (N, 4)          float64
+#   human_score, object_score             (N,)            float64
+#   human_feat, verb_feat, object_feat    (N, D)          float64
+#   label                                 (N, ceil(C/8))  uint8
+# A label row holds its classes as bits in ``np.packbits`` order: class c is
+# bit ``0x80 >> (c % 8)`` of byte ``c // 8``, and the bits after class C - 1
+# are zero. A file with one byte per class is the wrong width, so it fails
+# with ``DimensionMismatch`` on ``label`` (at C = 1, where the widths agree,
+# with ``InconsistentLabel``, as its 1 is a bit beyond the last class).
 # The entry ``space`` is a 0-d unicode array holding ``format_space(space)``.
 
 COLUMNS = tuple(f.name for f in fields(Dataset))
 ENTRIES = COLUMNS + ("space",)
+# the columns load_dataset reads with labels_only: all that class counts need
+LABEL_COLUMNS = ("label", "object_id")
 _ZIP_MAGIC = b"PK\x03\x04"
 # what np.load and the zip reader raise on bytes that are not a valid archive;
 # an entry's header may declare any shape, hence OverflowError and MemoryError
@@ -369,9 +394,10 @@ def save_dataset(data: Dataset, space: HoiLabelSpace, path):
         np.savez(fh, **columns, space=np.array(format_space(space)))
 
 
-def _read_archive(path) -> dict[str, np.ndarray]:
-    """Every entry of the archive at ``path``; anything that is not an
-    archive of exactly ``ENTRIES`` raises ``ParseError``."""
+def _read_archive(path, names) -> dict[str, np.ndarray]:
+    """The entries ``names`` of the archive at ``path``, and no others;
+    anything that is not an archive of exactly ``ENTRIES`` raises
+    ``ParseError``."""
     with open(path, "rb") as fh:
         # np.load would also take a lone .npy array or a pickle
         if fh.read(len(_ZIP_MAGIC)) != _ZIP_MAGIC:
@@ -383,7 +409,7 @@ def _read_archive(path) -> dict[str, np.ndarray]:
             with np.load(fh, allow_pickle=False) as archive:
                 if sorted(archive.files) != sorted(ENTRIES):
                     raise ParseError(f"archive entries {sorted(archive.files)}, expected {sorted(ENTRIES)}")
-                arrays = {name: archive[name] for name in ENTRIES}
+                arrays = {name: archive[name] for name in names}
         except _ARCHIVE_ERRORS as exc:
             raise ParseError(f"not a dataset archive: {exc}") from None
     for name, arr in arrays.items():
@@ -402,7 +428,7 @@ def _check_rows(bad: np.ndarray, error, name: str, what: str, shown=None):
     raise error(f"entry {name!r}, row {k}: {what}{quoted}")
 
 
-def load_dataset(path):
+def load_dataset(path, labels_only: bool = False):
     """Load (dataset, space) from a file ``save_dataset`` wrote.
 
     The archive must hold exactly the entries above, and every column is
@@ -413,12 +439,19 @@ def load_dataset(path):
         feature is not finite;
       - ``InvalidBox``: a box is not finite, negative, or not ordered
         (``x1 < x2``, ``y1 < y2``), as ``spatial.check_boxes`` defines;
-      - ``InconsistentLabel``: a label value is not 0/1, a row has no active
-        class, or an active class's object differs from ``object_id``.
+      - ``InconsistentLabel``: a bit beyond the last class is set, a row has
+        no active class, or an active class's object differs from
+        ``object_id``.
     Each error names the entry; the value checks also name its first bad row.
     Bytes that are not such an archive raise ``ParseError``.
+
+    With ``labels_only``, only the ``label``, ``object_id`` and ``space``
+    entries are read, and checked as above; N is the label's row count, and
+    every other column of the dataset is None. That is enough for
+    ``class_counts`` and ``zeroshot.apply_split``.
     """
-    arrays = _read_archive(path)
+    columns = LABEL_COLUMNS if labels_only else COLUMNS
+    arrays = _read_archive(path, columns + ("space",))
     text = arrays["space"]
     if text.ndim != 0 or text.dtype.kind != "U":
         raise ParseError(f"entry 'space' is {text.dtype} {text.shape}, expected a unicode string")
@@ -427,55 +460,57 @@ def load_dataset(path):
     except ParseError as exc:
         raise ParseError(f"entry 'space': {exc}") from None
 
-    ids, feat = arrays["image_id"], arrays["human_feat"]
-    n = ids.shape[0] if ids.ndim else 0
-    template = empty_dataset(0, feat.shape[1] if feat.ndim == 2 else 0, space.num_hois)
-    for name in COLUMNS:
+    first, feat = arrays[columns[0]], arrays.get("human_feat")
+    n = first.shape[0] if first.ndim else 0
+    template = empty_dataset(0, feat.shape[1] if feat is not None and feat.ndim == 2 else 0,
+                             space.num_hois)
+    for name in columns:
         arr, want = arrays[name], getattr(template, name)
         shape = (n,) + want.shape[1:]
         if arr.dtype != want.dtype or arr.shape != shape:
             raise DimensionMismatch(
                 f"entry {name!r} is {arr.dtype} {arr.shape}, expected {want.dtype} {shape}"
             )
-    data = Dataset(**{name: arrays[name] for name in COLUMNS})
+    data = Dataset(**{name: arrays.get(name) for name in COLUMNS})
 
-    for name in ("human_score", "object_score"):
-        score = getattr(data, name)
-        outside = ~((0.0 <= score) & (score <= 1.0))  # also nan
-        _check_rows(outside, ParseError, name, "detector score outside [0, 1]:", score)
-    for name in ("human_feat", "verb_feat", "object_feat"):
-        _check_rows(~np.isfinite(getattr(data, name)), ParseError, name, "non-finite feature")
-    for name in ("human_box", "object_box"):
-        check_boxes(getattr(data, name), lambda k: f"entry {name!r}, row {k}")
+    if not labels_only:
+        for name in ("human_score", "object_score"):
+            score = getattr(data, name)
+            outside = ~((0.0 <= score) & (score <= 1.0))  # also nan
+            _check_rows(outside, ParseError, name, "detector score outside [0, 1]:", score)
+        for name in ("human_feat", "verb_feat", "object_feat"):
+            _check_rows(~np.isfinite(getattr(data, name)), ParseError, name, "non-finite feature")
+        for name in ("human_box", "object_box"):
+            check_boxes(getattr(data, name), lambda k: f"entry {name!r}, row {k}")
 
     _check_label(data, space)
     return data, space
 
 
-# rows per block of _check_label's object check: 600 KB of temporaries at 600 classes
-LABEL_BLOCK_ROWS = 1024
-
-
 def _check_label(data: Dataset, space: HoiLabelSpace):
-    """``load_dataset``'s label checks, each over every row before the next:
-    a value other than 0/1, a row with no active class, then an active class
-    whose object is not the row's ``object_id``. Temporaries are (N,) or one
-    block of ``LABEL_BLOCK_ROWS`` rows, never the size of the label."""
+    """``load_dataset``'s label checks, on the packed bytes, each over every
+    row before the next: a bit set beyond the last class, a row with no
+    active class, then an active class whose object is not the row's
+    ``object_id``. Temporaries are (N,) or one block of ``LABEL_BLOCK_ROWS``
+    rows, never the size of the label."""
     label, object_id = data.label, data.object_id
-    row_max = label.max(axis=1, initial=0)
-    _check_rows(row_max > 1, InconsistentLabel, "label", "value other than 0 or 1")
-    _check_rows(row_max == 0, InconsistentLabel, "label", "no active interaction")
-    # foreign[o, c]: class c's object is not o; the last row, all True,
-    # stands for an object_id outside the space, which no class has
+    padding = 8 * label.shape[1] - space.num_hois  # the low bits of each row's last byte
+    if padding:
+        _check_rows((label[:, -1] & ((1 << padding) - 1)) != 0, InconsistentLabel, "label",
+                    "bit beyond the last class")
+    _check_rows(~label.any(axis=1), InconsistentLabel, "label", "no active interaction")
+    # foreign[o]: the classes whose object is not o, packed like a label row;
+    # the last row, every class, stands for an object_id outside the space
     foreign = np.ones((space.num_objects + 1, space.num_hois), dtype=bool)
     np.equal(space.object_hoi, 0, out=foreign[:-1])
+    foreign = np.packbits(foreign, axis=1)
     known = (0 <= object_id) & (object_id < space.num_objects)
     row_object = np.where(known, object_id, space.num_objects)
     wrong = np.empty(len(label), dtype=bool)
     for start in range(0, len(label), LABEL_BLOCK_ROWS):
         rows = slice(start, start + LABEL_BLOCK_ROWS)
         block = foreign[row_object[rows]]
-        block &= label[rows].view(np.bool_)
+        block &= label[rows]
         block.any(axis=1, out=wrong[rows])
     _check_rows(wrong, InconsistentLabel, "label", "an active class's object differs from object_id",
                 object_id)

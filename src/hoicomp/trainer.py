@@ -34,6 +34,7 @@ from .network import (
     ModelParams,
     NetworkConfig,
     RealBatch,
+    check_raster_width,
     init_params,
     inverse_log_weights,
     loss_and_grads,
@@ -209,18 +210,21 @@ def train(
     ``flat`` buffer as its gradient buffer, so an ``eval_fn`` that keeps
     parameters must copy them. Rows with no active label, such as those
     ``zeroshot.apply_split`` leaves, are never drawn; a training set with no
-    other row raises ``InvalidConfig``.
+    other row raises ``InvalidConfig``. A ``net_cfg`` whose spatial input
+    is not the raster's width raises ``DimensionMismatch`` before anything
+    is set up.
     """
+    if net_cfg is None:
+        net_cfg = NetworkConfig(
+            num_hois=space.num_hois, feature_dim=train_set.human_feat.shape[1]
+        )
+    check_raster_width(net_cfg)
     groups = group_by_image(train_set)
     if not len(groups):
         raise InvalidConfig("training set is empty")
     class_weights = inverse_log_weights(class_counts(train_set, space))
     lw = cfg.loss_weights
 
-    if net_cfg is None:
-        net_cfg = NetworkConfig(
-            num_hois=space.num_hois, feature_dim=train_set.human_feat.shape[1]
-        )
     params = init_params(net_cfg, rngmod.stream(cfg.seed, "init"))
     state = ModelParams(net_cfg, np.zeros_like(params.flat))
     # the one gradient buffer: each step writes the new parameters over it,
@@ -239,7 +243,7 @@ def train(
         comp: CompBatch | None = None
         if use_comp:
             comp = compose_batch(batch, space, cfg.compose, comp_rng)
-        real = RealBatch.from_instances(batch)
+        real = RealBatch.from_instances(batch, space.num_hois)
         try:
             # a step that overflows ends in DivergedTraining below, so
             # numpy's float warnings on the way there add nothing

@@ -114,11 +114,12 @@ def apply_split(train: Dataset, split: ZeroShotSplit) -> Dataset:
     instances keep their seen bits, and instances whose labels are entirely
     unseen stay as rows with an all-zero label, which training never draws.
     Every other column is shared with ``train``, so treat the result as
-    read-only. The inputs are left unchanged.
+    read-only. The inputs are left unchanged. The new label is the packed
+    label ANDed with a packed row of the seen classes.
     """
-    label = train.label.copy()
-    label[:, sorted(split.unseen)] = 0
-    return replace(train, label=label)
+    seen = np.ones(8 * train.label.shape[1], dtype=bool)
+    seen[sorted(split.unseen)] = False
+    return replace(train, label=train.label & np.packbits(seen))
 
 
 # ---- reporting partitions ----

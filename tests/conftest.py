@@ -6,7 +6,7 @@ import pytest
 
 from hoicomp import experiments
 from hoicomp.label_algebra import build_space
-from hoicomp.synthdata import Dataset, random_hoi_defs
+from hoicomp.synthdata import Dataset, random_hoi_defs, unpack_labels
 
 # toy space used across modules:
 #   class 0 = ride-horse, class 1 = feed-horse, class 2 = ride-bicycle
@@ -80,6 +80,7 @@ def make_row(
     rng = rng or np.random.default_rng(0)
     label = np.zeros((1, space.num_hois), dtype=np.uint8)
     label[0, list(hoi_ids)] = 1
+    label = packed(label)
     human_feat, verb_feat, object_feat = (rng.standard_normal((1, dim)) for _ in range(3))
     return Dataset(
         image_id=np.array([image_id], dtype=np.int64),
@@ -93,6 +94,18 @@ def make_row(
         label=label,
         object_id=np.array([space.object_of(hoi_ids[0])], dtype=np.int64),
     )
+
+
+def packed(dense):
+    """Hand-built 0/1 label rows, (N, C), as the (N, ceil(C / 8)) bytes a
+    ``Dataset`` holds: ``np.packbits`` order, any nonzero value a set bit.
+    Tests build labels densely and pack them here, never bit by bit."""
+    return np.packbits(np.asarray(dense, dtype=bool), axis=-1)
+
+
+def dense(data, space):
+    """The (N, C) 0/1 label rows of ``data``, unpacked for ``space``."""
+    return unpack_labels(data.label, space.num_hois)
 
 
 def make_dataset(rows):

@@ -11,12 +11,13 @@ from hoicomp import rng as rngmod
 from hoicomp.cli import main
 from hoicomp.evaluator import Detections, save_detections
 from hoicomp.network import NetworkConfig
-from hoicomp.synthdata import DatasetConfig, load_dataset
+from hoicomp.synthdata import DatasetConfig, load_dataset, unpack_labels
 from hoicomp.trainer import TrainConfig, make_minibatch
 
 from test_file_fuzz import write_valid_files
 from test_network import save_unbuilt
 from test_spatial import brute_pair
+from test_synthdata import replace_entry
 
 
 def run(*argv):
@@ -130,11 +131,40 @@ class TestEval:
                    "--checkpoint", out / "checkpoint.ckpt", "--out", out2) == 0
         assert (out / "report.txt").read_text() == (out2 / "report.txt").read_text()
 
+    @pytest.mark.parametrize("with_split", [False, True])
+    def test_train_data_is_read_for_its_labels_only(self, dataset, tmp_path, monkeypatch,
+                                                     with_split):
+        # the report equals train's, whose counts come from the whole file,
+        # and eval reads the training file's label columns and space alone
+        data, test = dataset
+        split = ["--split", tmp_path / "split.txt"] if with_split else []
+        if with_split:
+            assert run("make-splits", "--data", data, "--n-unseen", 1, "--out", split[1]) == 0
+        out = tmp_path / "run"
+        assert run("train", "--data", data, "--test", test, *split, "--seed", 3, "--out", out,
+                   *TINY_TRAIN) == 0
+        read = []
+        getitem = np.lib.npyio.NpzFile.__getitem__
+
+        def recording(archive, key):
+            read.append((Path(archive.zip.filename).name, key))
+            return getitem(archive, key)
+
+        monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", recording)
+        out2 = tmp_path / "eval"
+        assert run("eval", "--data", test, "--train-data", data, *split,
+                   "--checkpoint", out / "checkpoint.ckpt", "--out", out2) == 0
+        from_train = sorted(key for name, key in read if name == data.name)
+        assert from_train == ["label", "object_id", "space"]
+        for name in ("report.txt", "report.tsv"):
+            assert (out / name).read_bytes() == (out2 / name).read_bytes(), name
+
     def test_external_detections(self, dataset, tmp_path, capsys):
         data, test = dataset
         insts, space = load_dataset(test)
         dets = Detections(image_id=insts.image_id, human_box=insts.human_box,
-                          object_box=insts.object_box, score=0.9 * insts.label)
+                          object_box=insts.object_box,
+                          score=0.9 * unpack_labels(insts.label, space.num_hois))
         dets_path = tmp_path / "dets.tsv"
         save_detections(dets, dets_path)
         out = tmp_path / "eval"
@@ -467,7 +497,8 @@ def test_bad_setting_fails_before_output(dataset, request, tmp_path, capsys, com
 # "DATA"/"TEST" name the tiny dataset's files, "EMPTY" a training set of
 # the same label space with no rows, "CLASS0" one whose rows all hold class
 # 0 alone, "SPLIT0" a valid split with class 0 unseen, "CKPT" a checkpoint
-# trained on DATA, and "MISSING" a path where nothing is
+# trained on DATA, "BYTES" DATA with one byte per class in its label (the
+# format before labels were bits), and "MISSING" a path where nothing is
 BAD_INPUTS = [
     ["train", "--data", "MISSING"],
     ["train", "--data", "DATA", "--test", "MISSING"],
@@ -493,6 +524,8 @@ BAD_INPUTS = [
     ["ablate", "--data", "EMPTY", "--test", "TEST"],
     # every row is left with no seen class, so nothing can be trained on
     ["train", "--data", "CLASS0", "--split", "SPLIT0"],
+    ["train", "--data", "BYTES"],
+    ["eval", "--data", "TEST", "--train-data", "BYTES", "--checkpoint", "CKPT"],
 ]
 
 
@@ -508,12 +541,17 @@ def test_bad_input_fails_before_output(dataset, checkpoint, tmp_path, capsys, ar
     data, test = dataset
     paths = {"DATA": data, "TEST": test, "CKPT": checkpoint, "MISSING": tmp_path / "missing",
              "EMPTY": tmp_path / "empty.tsv", "CLASS0": tmp_path / "class0.tsv",
-             "SPLIT0": tmp_path / "split0.txt"}
+             "SPLIT0": tmp_path / "split0.txt", "BYTES": tmp_path / "bytes.tsv"}
     if "EMPTY" in argv:
         assert run("gen-data", "--seed", 7, "--out", paths["EMPTY"], *TINY_DATA, "--n-train", 0) == 0
     if "CLASS0" in argv:
         assert run("gen-data", "--seed", 7, "--out", paths["CLASS0"], *TINY_DATA, "--n-train", 2) == 0
-        assert np.flatnonzero(load_dataset(paths["CLASS0"])[0].label.any(axis=0)).tolist() == [0]
+        class0, space = load_dataset(paths["CLASS0"])
+        assert np.flatnonzero(unpack_labels(class0.label, space.num_hois).any(axis=0)).tolist() == [0]
+    if "BYTES" in argv:
+        train_set, space = load_dataset(data)
+        paths["BYTES"].write_bytes(data.read_bytes())
+        replace_entry(paths["BYTES"], "label", unpack_labels(train_set.label, space.num_hois))
     if "SPLIT0" in argv:
         paths["SPLIT0"].write_text("strategy\trare_first\nseed\t0\n[unseen]\n0\n", encoding="utf-8")
     flags = [] if argv[0] == "eval" else TINY_TRAIN

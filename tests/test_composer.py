@@ -6,16 +6,18 @@ import pytest
 from hoicomp.composer import MODES, ComposeConfig, compose_batch
 from hoicomp.errors import EmptyBatch, InvalidConfig
 from hoicomp.label_algebra import build_space, decompose
+from hoicomp.synthdata import unpack_labels
 
-from conftest import TOY_DEFS, draw_space, make_dataset, make_row
+from conftest import TOY_DEFS, dense, draw_space, make_dataset, make_row
 
 
 def brute_candidates(batch, defs, mode, unseen=frozenset(), unseen_allowed=False):
     """Set-logic oracle over raw definitions: all ordered pairs i != j."""
     out = []
+    labels = unpack_labels(batch.label, len(defs))
     for i in range(len(batch)):
         verbs = set()
-        for c in np.flatnonzero(batch.label[i]):
+        for c in np.flatnonzero(labels[i]):
             verbs.update(defs[c][0])
         for j in range(len(batch)):
             if i == j:
@@ -45,7 +47,7 @@ def legacy_compose(batch, space, cfg, rng):
     if cfg.mode == "off":
         return []
 
-    _, l_v = decompose(batch.label, space)
+    _, l_v = decompose(dense(batch, space), space)
     verb_hits = (l_v.astype(np.int64) @ space.verb_hoi.astype(np.int64)) > 0
     obj_by_hoi = space.objects_by_hoi()
     object_hits = np.stack([obj_by_hoi == batch.object_id[i] for i in range(len(batch))])

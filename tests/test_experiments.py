@@ -2,12 +2,14 @@ from dataclasses import fields, replace
 
 import pytest
 
+from hoicomp import experiments
 from hoicomp.composer import ComposeConfig
 from hoicomp.errors import InvalidConfig
 from hoicomp.evaluator import DEFAULT_RARE_THRESHOLD, Scoring
 from hoicomp.experiments import (
     default_dataset_config,
     evaluate_params,
+    run_rows,
     vcl_comparison,
     zero_shot_comparison,
 )
@@ -75,6 +77,31 @@ def test_comparison_equals_its_written_out_runs(zero_shot):
 def test_comparison_trains_two_models_a_seed(trainings):
     vcl_comparison([0], **SMALL)
     assert len(trainings) == 2
+
+
+@pytest.fixture()
+def splits_applied(monkeypatch):
+    """One list item per ``experiments.apply_split`` call while the test runs."""
+    calls = []
+    apply = experiments.apply_split
+    monkeypatch.setattr(experiments, "apply_split", lambda *args: calls.append(1) or apply(*args))
+    return calls
+
+
+def test_zero_shot_comparison_applies_a_split_once_a_seed(splits_applied):
+    # both rows share the rare threshold, so one report basis serves them
+    zero_shot_comparison([0], **SMALL)
+    assert len(splits_applied) == 1
+
+
+def test_run_rows_works_out_a_report_basis_per_rare_threshold(splits_applied, trainings):
+    train_set, test_set, space = generate(default_dataset_config(**SMALL["dataset_overrides"]))
+    split = make_split(class_counts(train_set, space), space, 12, "rare_first")
+    cfg = TrainConfig(**SMALL["train_overrides"])
+    rows = [(cfg, Scoring()), (cfg, Scoring(rare_threshold=10)), (cfg, Scoring())]
+    results = run_rows(train_set, test_set, space, rows, split=split)
+    assert len(splits_applied) == 2 and len(trainings) == 1
+    assert results[0].report.ap.tobytes() == results[2].report.ap.tobytes()
 
 
 # (a valid config, a field, a value it refuses, the error, its message)

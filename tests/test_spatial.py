@@ -147,7 +147,7 @@ class TestBatch:
         for n in (1, 2, 7, 40):
             human, obj = random_boxes(rng, n), random_boxes(rng, n)
             got = spatial_vector(human, obj)
-            assert got.dtype == np.float64 and got.shape == (n, 2 * GRID_SIZE * GRID_SIZE)
+            assert got.dtype == np.uint8 and got.shape == (n, 2 * GRID_SIZE * GRID_SIZE)
             for k in range(n):
                 alone = spatial_vector(human[k : k + 1], obj[k : k + 1])
                 assert got[k].tobytes() == alone[0].tobytes()
@@ -170,7 +170,8 @@ class TestBatch:
 
 def broadcast_raster(human, obj):
     """The rasterizer that preceded ``cell_spans``: every cell center tested
-    against every box in one broadcast. Degenerate boxes are not checked."""
+    against every box in one broadcast, giving boolean cells. Degenerate
+    boxes are not checked."""
     boxes = np.stack([human, obj], axis=1).astype(np.float64)
     frame_lo = np.minimum(boxes[:, 0, :2], boxes[:, 1, :2])[:, None]
     frame_hi = np.maximum(boxes[:, 0, 2:], boxes[:, 1, 2:])[:, None]
@@ -180,7 +181,7 @@ def broadcast_raster(human, obj):
     centers = np.arange(GRID_SIZE) + 0.5
     inside = (centers >= lo[..., None]) & (centers < hi[..., None])
     cols, rows = inside[:, :, 0], inside[:, :, 1]
-    return (rows[..., :, None] & cols[..., None, :]).reshape(len(boxes), -1).astype(np.float64)
+    return (rows[..., :, None] & cols[..., None, :]).reshape(len(boxes), -1)
 
 
 def lattice_pairs(rng, n):
@@ -228,19 +229,19 @@ class TestCellSpans:
             start, stop = cell_spans(*pair)
             np.testing.assert_array_equal(start[0], [[0, 0], [x0, y0]])
             np.testing.assert_array_equal(stop[0], [[64, 64], [x1, y1]])
-            assert spatial_vector(*pair).tobytes() == broadcast_raster(*pair).tobytes()
+            np.testing.assert_array_equal(spatial_vector(*pair), broadcast_raster(*pair))
 
     def test_rows_equal_broadcast_raster(self):
         rng = np.random.default_rng(41)
         human, obj = random_boxes(rng, 200), random_boxes(rng, 200)
-        assert spatial_vector(human, obj).tobytes() == broadcast_raster(human, obj).tobytes()
+        np.testing.assert_array_equal(spatial_vector(human, obj), broadcast_raster(human, obj))
 
     def test_lattice_rows_equal_broadcast_raster(self):
         human, obj = lattice_pairs(np.random.default_rng(42), 400)
         want = broadcast_raster(human, obj)
         usable = want.reshape(-1, 2, GRID_SIZE * GRID_SIZE).any(axis=2).all(axis=1)
         assert 0 < usable.sum() < len(usable)  # some boxes cover no cell center
-        assert spatial_vector(human[usable], obj[usable]).tobytes() == want[usable].tobytes()
+        np.testing.assert_array_equal(spatial_vector(human[usable], obj[usable]), want[usable])
         for k in np.flatnonzero(~usable):
             with pytest.raises(DegenerateBox):
                 cell_spans(human[k : k + 1], obj[k : k + 1])

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hoicomp import synthdata
 from hoicomp.errors import (
@@ -9,21 +13,37 @@ from hoicomp.errors import (
     InvalidConfig,
     ParseError,
 )
+from hoicomp.evaluator import ground_truths_from_instances
 from hoicomp.label_algebra import build_space, format_space
 from hoicomp.synthdata import (
     COLUMNS,
     ENTRIES,
+    LABEL_COLUMNS,
     DatasetConfig,
     class_counts,
     empty_dataset,
     generate,
     load_dataset,
     random_hoi_defs,
+    label_bytes,
     save_dataset,
+    unpack_labels,
     zipf_probs,
 )
+from hoicomp.trainer import group_by_image
+from hoicomp.zeroshot import ZeroShotSplit, apply_split
 
-from conftest import TOY_DEFS, assert_datasets_equal, make_dataset, make_row, peak_above_live
+import label_oracle
+
+from conftest import (
+    TOY_DEFS,
+    assert_datasets_equal,
+    dense,
+    make_dataset,
+    make_row,
+    packed,
+    peak_above_live,
+)
 
 
 def small_config(**overrides):
@@ -115,9 +135,10 @@ class TestGenerate:
     def test_labels_feasible_and_consistent(self):
         train, test, space = generate(small_config(multi_label_frac=0.5))
         for data in (train, test):
+            labels = dense(data, space)
             for k in range(len(data)):
-                assert data.label[k].any()
-                for c in np.flatnonzero(data.label[k]):
+                assert labels[k].any()
+                for c in np.flatnonzero(labels[k]):
                     assert space.object_of(int(c)) == data.object_id[k]
 
     def test_scores_in_range(self):
@@ -144,8 +165,9 @@ class TestGenerate:
         )
         train, _, space = generate(cfg)
         groups = {0: [], 1: []}
+        labels = dense(train, space)
         for k in range(len(train)):
-            c = int(np.flatnonzero(train.label[k])[0])
+            c = int(np.flatnonzero(labels[k])[0])
             if c in groups:
                 groups[c].append(train.verb_feat[k])
         m0 = np.mean(groups[0], axis=0)
@@ -168,38 +190,97 @@ class TestCounts:
         train, _, space = generate(small_config(multi_label_frac=0.3))
         counts = class_counts(train, space)
         recount = np.zeros(space.num_hois, dtype=int)
+        labels = dense(train, space)
         for k in range(len(train)):
-            for c in np.flatnonzero(train.label[k]):
+            for c in np.flatnonzero(labels[k]):
                 recount[c] += 1
         np.testing.assert_array_equal(counts, recount)
         assert counts.dtype == np.int64
-        assert counts.sum() == sum(int(train.label[k].sum()) for k in range(len(train)))
+        assert counts.sum() == sum(int(labels[k].sum()) for k in range(len(train)))
 
     # 70,000 rows is past 65,535, where one uint16 sum of a 0/1 column
-    # overflows; a column of 255s overflows a block of more than 257 rows
+    # overflows; 0, 1, 257 and 258 rows sit around block edges. An 8-class
+    # row is one byte: ``high`` bounds the bytes drawn, so 1 sets only class
+    # 7 and 255 any classes, and class 3 is set in every row
     @pytest.mark.parametrize("rows", [0, 1, 257, 258, 70_000])
     @pytest.mark.parametrize("high", [1, 255])
     def test_blocks_equal_one_int64_sum(self, rows, high):
         space = build_space(random_hoi_defs(4, 3, 8, np.random.default_rng(0)))
+        drawn = np.random.default_rng(rows).integers(0, high + 1, (rows, 1), dtype=np.uint8)
+        label = unpack_labels(drawn)
+        label[:, 3] = 1
         data = empty_dataset(rows, 2, space.num_hois)
-        data.label[:] = np.random.default_rng(rows).integers(0, high + 1, data.label.shape)
-        data.label[:, 3] = high
+        data.label[:] = packed(label)
         counts = class_counts(data, space)
         assert counts.dtype == np.int64
-        np.testing.assert_array_equal(counts, data.label.sum(axis=0, dtype=np.int64))
-        assert counts[3] == rows * high
+        np.testing.assert_array_equal(counts, label.sum(axis=0, dtype=np.int64))
+        assert counts[3] == rows
 
+
+def space_of(num_hois: int):
+    """A label space of ``num_hois`` classes over as few verbs and objects
+    as a square grid of them allows."""
+    side = math.isqrt(num_hois - 1) + 1
+    return build_space(random_hoi_defs(side, side, num_hois, np.random.default_rng(num_hois)))
+
+
+class TestPackedLabels:
+    """The code that reads packed labels against ``label_oracle``'s dense
+    references, over class counts around byte edges."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(num_hois=st.integers(1, 70), rows=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
+    @example(num_hois=1, rows=5, seed=0)
+    @example(num_hois=8, rows=17, seed=1)
+    @example(num_hois=9, rows=17, seed=2)
+    @example(num_hois=60, rows=40, seed=3)
+    @example(num_hois=63, rows=40, seed=4)
+    def test_packed_results_equal_the_dense_oracle(self, num_hois, rows, seed):
+        rng = np.random.default_rng(seed)
+        space = space_of(num_hois)
+        label = (rng.random((rows, num_hois)) < rng.uniform(0.0, 0.5)).astype(np.uint8)
+        data = empty_dataset(rows, 2, num_hois)
+        data.label[:] = packed(label)
+        data.image_id[:] = rng.integers(0, 6, rows)
+        data.human_box[:] = (10, 10, 110, 210)
+        data.object_box[:] = (120, 40, 260, 180)
+        assert data.label.shape == (rows, label_bytes(num_hois))
+        assert not unpack_labels(data.label)[:, num_hois:].any()  # zero padding
+        np.testing.assert_array_equal(dense(data, space), label)
+
+        np.testing.assert_array_equal(class_counts(data, space), label_oracle.class_counts(label))
+
+        unseen = frozenset(int(c) for c in np.flatnonzero(rng.random(num_hois) < 0.3))
+        split = ZeroShotSplit(unseen, frozenset(range(num_hois)) - unseen, "rare_first")
+        stripped = apply_split(data, split)
+        want = label_oracle.apply_split(label, unseen)
+        assert stripped.label.tobytes() == packed(want).tobytes()  # padding stays zero
+        np.testing.assert_array_equal(data.label, packed(label))  # input unchanged
+
+        groups = group_by_image(stripped)
+        assert [g.tolist() for g in groups] == label_oracle.group_by_image(data.image_id, want)
+
+        gts = ground_truths_from_instances(data)
+        pairs = label_oracle.ground_truth_rows(label)
+        assert gts.hoi_id.tolist() == [c for _, c in pairs]
+        assert gts.image_id.tolist() == [int(data.image_id[k]) for k, _ in pairs]
+
+
+# the one-byte label row of a 3-class space with class 6, a padding bit, set
+PADDING_BYTE = int(packed([[0, 0, 0, 0, 0, 0, 1, 0]])[0, 0])
 
 # a dataset in the tab-separated text format that preceded the archive
 OLD_TEXT_FORMAT = b"feature_dim\t4\nnum_instances\t0\n[space]\n0\tride\thorse\n[instances]\n"
 
 
-def first_label_error(label, object_id, space):
-    """The message of ``load_dataset``'s first label error, found row by row:
-    each check runs over every row before the next; None when all pass."""
+def first_label_error(bits, object_id, space):
+    """The message of ``load_dataset``'s first label error, found row by row
+    in the dense rows ``bits`` of every packed bit, padding included: each
+    check runs over every row before the next; None when all pass."""
+    label = bits[:, : space.num_hois]
     checks = (
-        ("value other than 0 or 1", lambda k: (label[k] > 1).any(), False),
-        ("no active interaction", lambda k: not label[k].any(), False),
+        ("bit beyond the last class", lambda k: bits[k, space.num_hois :].any(), False),
+        ("no active interaction", lambda k: not bits[k].any(), False),
         ("an active class's object differs from object_id",
          lambda k: any(space.object_of(int(c)) != object_id[k] for c in np.flatnonzero(label[k])),
          True),
@@ -256,7 +337,7 @@ class TestFileFormat:
         path = tmp_path / "empty.tsv"
         save_dataset(make_row(toy_space, [0])[:0], toy_space, path)
         loaded, space = load_dataset(path)
-        assert len(loaded) == 0 and loaded.label.shape == (0, 3)
+        assert len(loaded) == 0 and loaded.label.shape == (0, 1)  # 3 classes, one byte
         assert space.num_hois == 3
 
     def test_single_instance_label(self, tmp_path, toy_space):
@@ -264,7 +345,8 @@ class TestFileFormat:
         path = tmp_path / "one.tsv"
         save_dataset(inst, toy_space, path)
         loaded, space = load_dataset(path)
-        assert loaded.label.tolist() == [[0, 1, 0]]
+        assert loaded.label.dtype == np.uint8
+        assert dense(loaded, space).tolist() == [[0, 1, 0]]
         assert loaded.object_id.tolist() == [0]
 
     @pytest.fixture
@@ -322,7 +404,9 @@ class TestFileFormat:
         with pytest.raises(InconsistentLabel, match="entry 'label', row 0"):
             load_dataset(two_rows)
 
-    @pytest.mark.parametrize("value, what", [(2, "value other than 0 or 1"), (0, "no active interaction")])
+    # row 1's one label byte: class 6's bit, beyond the 3 classes, or none
+    @pytest.mark.parametrize("value, what", [(PADDING_BYTE, "bit beyond the last class"),
+                                             (0, "no active interaction")])
     def test_bad_label_values(self, two_rows, value, what):
         edited(two_rows, 9, 1, value)
         with pytest.raises(InconsistentLabel, match=f"entry 'label', row 1: {what}"):
@@ -337,17 +421,19 @@ class TestFileFormat:
         monkeypatch.setattr(synthdata, "LABEL_BLOCK_ROWS", 2)
         rng = np.random.default_rng(seed)
         data = make_dataset([make_row(toy_space, [int(rng.integers(3))]) for _ in range(9)])
+        bits = unpack_labels(data.label)  # (9, 8): 3 classes and 5 padding bits
         for k in rng.choice(9, size=int(rng.integers(1, 4)), replace=False):
             kind = int(rng.integers(4))
             if kind == 0:
-                data.label[k, rng.integers(3)] = rng.integers(2, 256)
+                bits[k, rng.integers(3, 8)] = 1
             elif kind == 1:
-                data.label[k] = 0
+                bits[k] = 0
             elif kind == 2:
-                data.label[k, rng.integers(3)] = 1  # maybe of another object
+                bits[k, rng.integers(3)] = 1  # maybe of another object
             else:
                 data.object_id[k] = rng.choice([-1, 1 - data.object_id[k], 2, 2**40])
-        want = first_label_error(data.label, data.object_id, toy_space)
+        data.label[:] = packed(bits)
+        want = first_label_error(bits, data.object_id, toy_space)
         path = tmp_path / "bad.ds"
         save_dataset(data, toy_space, path)
         if want is None:
@@ -358,13 +444,14 @@ class TestFileFormat:
         assert str(err.value) == want
 
     def test_label_check_makes_no_label_sized_temporary(self, tmp_path):
-        # 20,000 rows of 600 classes, a 12 MB label: the checks once made
-        # (N, C) bool temporaries of that size, 12.4 MB above what loads
+        # 20,000 rows of 600 classes, 12 MB as one byte per class: the checks
+        # once made (N, C) bool temporaries of that size, 12.4 MB above what
+        # loads. The bound is a quarter of that, 3 MB, as it was for bytes
         rng = np.random.default_rng(0)
         space = build_space(random_hoi_defs(117, 80, 600, rng))
         data = empty_dataset(20_000, 32, space.num_hois)
         classes = rng.integers(0, space.num_hois, len(data))
-        data.label[np.arange(len(data)), classes] = 1
+        data.label[:] = packed(np.arange(space.num_hois) == classes[:, None])
         data.object_id[:] = space.objects_by_hoi()[classes]
         data.human_box[:] = (10, 10, 110, 210)
         data.object_box[:] = (120, 40, 260, 180)
@@ -372,7 +459,55 @@ class TestFileFormat:
         save_dataset(data, space, path)
         kept = sum(getattr(data, name).nbytes for name in COLUMNS)
         peak = peak_above_live(lambda: load_dataset(path))
-        assert peak - kept < data.label.nbytes / 4, (peak - kept) / data.label.nbytes
+        dense_bytes = len(data) * space.num_hois
+        assert peak - kept < dense_bytes / 4, (peak - kept) / dense_bytes
+
+    @pytest.mark.parametrize("num_hois", [3, 9, 60])
+    def test_padding_bit_names_the_first_bad_row(self, tmp_path, num_hois):
+        space = space_of(num_hois)
+        data = make_dataset([make_row(space, [c % num_hois]) for c in range(6)])
+        bits = unpack_labels(data.label)
+        bits[[4, 2], -1] = 1  # the last padding bit, in rows 2 and 4
+        data.label[:] = packed(bits)
+        path = tmp_path / "padded.ds"
+        save_dataset(data, space, path)
+        for labels_only in (False, True):
+            with pytest.raises(InconsistentLabel) as err:
+                load_dataset(path, labels_only=labels_only)
+            assert str(err.value) == "entry 'label', row 2: bit beyond the last class"
+
+    def test_byte_per_class_file_is_the_wrong_width(self, tmp_path):
+        # the format before labels were bits: a 0/1 byte for each class
+        train, _, space = generate(small_config(n_train=5, n_test=0))
+        path = tmp_path / "bytes.ds"
+        save_dataset(train, space, path)
+        replace_entry(path, "label", unpack_labels(train.label, space.num_hois))
+        for labels_only in (False, True):
+            with pytest.raises(DimensionMismatch) as err:
+                load_dataset(path, labels_only=labels_only)
+            assert str(err.value) == "entry 'label' is uint8 (5, 8), expected uint8 (5, 1)"
+
+    def test_labels_only_reads_and_checks_the_label_columns(self, two_rows, monkeypatch):
+        full, space = load_dataset(two_rows)
+        read = []
+        getitem = np.lib.npyio.NpzFile.__getitem__
+        monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__",
+                            lambda archive, key: read.append(key) or getitem(archive, key))
+        labels, labels_space = load_dataset(two_rows, labels_only=True)
+        assert sorted(read) == sorted(LABEL_COLUMNS + ("space",))
+        assert format_space(labels_space) == format_space(space) and len(labels) == len(full)
+        for name in COLUMNS:
+            if name in LABEL_COLUMNS:
+                np.testing.assert_array_equal(getattr(labels, name), getattr(full, name))
+            else:
+                assert getattr(labels, name) is None, name
+        np.testing.assert_array_equal(class_counts(labels, space), class_counts(full, space))
+        # a bad feature is not read; a bad label raises as a full load does
+        edited(two_rows, 6, (1, 2), float("nan"))
+        load_dataset(two_rows, labels_only=True)
+        edited(two_rows, 10, 0, 1)
+        with pytest.raises(InconsistentLabel, match="entry 'label', row 0"):
+            load_dataset(two_rows, labels_only=True)
 
     def test_dimension_mismatch(self, two_rows):
         replace_entry(two_rows, "verb_feat", np.zeros((2, 5)))

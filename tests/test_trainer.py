@@ -80,7 +80,7 @@ def default_step_batches(inputs, batch, seed=0):
                           np.random.default_rng(seed))
     real_rows = train_set[rows]
     comp = compose_batch(real_rows, space, ComposeConfig(), np.random.default_rng(seed + 1))
-    return RealBatch.from_instances(real_rows), comp
+    return RealBatch.from_instances(real_rows, space.num_hois), comp
 
 
 class TestMakeMinibatch:
@@ -479,7 +479,7 @@ class TestStepOracle:
         train_set, _, space = tiny_dataset()
         rows = make_minibatch(train_set, TrainConfig(interactions_per_minibatch=8), np.random.default_rng(3))
         batch = train_set[rows]
-        real = RealBatch.from_instances(batch)
+        real = RealBatch.from_instances(batch, space.num_hois)
         comp = compose_batch(batch, space, ComposeConfig(), np.random.default_rng(4)) if with_comp else None
         p = init_params(NET, np.random.default_rng(5))
         lw, w = LossWeights(), np.linspace(0.5, 1.5, NET.num_hois)
@@ -553,6 +553,15 @@ class TestStepAllocations:
         peak = peak_above_live(lambda: train(train_set, space, TrainConfig(iterations=5)))
         assert peak < 3.5 * p.flat.nbytes, peak / p.flat.nbytes
 
+    def test_batch_32_train_holds_under_four_parameter_buffers(self, default_step_inputs):
+        # at batch 32 the raster and the spatial input z, which holds it
+        # scaled, are live together; as float64 (2.1 MB each) the raster took
+        # the peak to 4.04-4.09 buffers, as bytes it is an eighth of that
+        train_set, space, p, _ = default_step_inputs
+        cfg = TrainConfig(iterations=5, interactions_per_minibatch=32)
+        peak = peak_above_live(lambda: train(train_set, space, cfg))
+        assert peak < 3.75 * p.flat.nbytes, peak / p.flat.nbytes
+
     def test_no_parameter_sized_allocation_per_step(self):
         two, flat_bytes = self._step_growth(2)
         twenty, _ = self._step_growth(20)
@@ -571,15 +580,18 @@ class TestTrain:
         assert params.cfg == fresh.cfg
         np.testing.assert_array_equal(params.flat, fresh.flat)
 
-    def test_network_of_another_spatial_width_is_rejected(self):
-        # a package error, which the CLI reports as one error line
+    def test_network_of_another_spatial_width_is_rejected(self, monkeypatch):
+        # a package error, which the CLI reports as one error line, raised
+        # before train sets anything up
         train_set, _, space = tiny_dataset()
         net = NetworkConfig(num_hois=8, feature_dim=8, hidden=8, vo_hidden=8, sp_hidden=8,
                             spatial_dim=100)
-        with pytest.raises(DimensionMismatch,
-                           match=r"^real spatial has shape \(4, 8192\), expected \(n, 100\)$"):
+        initialised = []
+        monkeypatch.setattr(trainer, "init_params", lambda *args: initialised.append(args))
+        with pytest.raises(DimensionMismatch, match=r"^spatial input is 100 wide, expected 8192$"):
             train(train_set, space, TrainConfig(iterations=1, interactions_per_minibatch=4),
                   net_cfg=net)
+        assert initialised == []
 
     def test_compose_off_matches_lambda2_zero(self):
         train_set, _, space = tiny_dataset()

@@ -21,6 +21,7 @@ from hoicomp.zeroshot import (
 from conftest import (
     TOY_DEFS,
     assert_datasets_equal,
+    dense,
     draw_space,
     make_dataset,
     make_row,
@@ -169,8 +170,8 @@ class TestApplySplit:
         insts = make_dataset([make_row(toy_space, [0]), make_row(toy_space, [1])])
         split = ZeroShotSplit(unseen=frozenset({0}), seen=frozenset({1, 2}), strategy="rare_first")
         out = apply_split(insts, split)
-        assert out.label.tolist() == [[0, 0, 0], [0, 1, 0]]
-        assert insts.label.tolist() == [[1, 0, 0], [0, 1, 0]]  # input untouched
+        assert dense(out, toy_space).tolist() == [[0, 0, 0], [0, 1, 0]]
+        assert dense(insts, toy_space).tolist() == [[1, 0, 0], [0, 1, 0]]  # input untouched
         assert not np.shares_memory(out.label, insts.label)
         assert_columns_shared(out, insts)
 
@@ -178,8 +179,8 @@ class TestApplySplit:
         inst = make_row(toy_space, [0, 1])  # ride-horse + feed-horse
         split = ZeroShotSplit(unseen=frozenset({0}), seen=frozenset({1, 2}), strategy="rare_first")
         out = apply_split(inst, split)
-        assert out.label.tolist() == [[0, 1, 0]]
-        assert inst.label.tolist() == [[1, 1, 0]]  # input untouched
+        assert dense(out, toy_space).tolist() == [[0, 1, 0]]
+        assert dense(inst, toy_space).tolist() == [[1, 1, 0]]  # input untouched
 
     def test_unlabelled_count_matches_bruteforce(self):
         rng = np.random.default_rng(6)
@@ -192,12 +193,12 @@ class TestApplySplit:
         split = make_split(counts, space, space.num_hois // 5, "rare_first", tie_break_seed=3)
         before_split, before_label = replace(split), insts.label.copy()
         out = apply_split(insts, split)
-        emptied = sum(1 for label in insts.label if set(np.flatnonzero(label)) <= split.unseen)
+        emptied = sum(1 for label in dense(insts, space) if set(np.flatnonzero(label)) <= split.unseen)
         assert emptied > 0 and len(out) == len(insts)
         assert sum(1 for label in out.label if not label.any()) == emptied
         assert split == before_split  # the split is an input, not an output
         np.testing.assert_array_equal(insts.label, before_label)
-        for label, old in zip(out.label, insts.label):
+        for label, old in zip(dense(out, space), dense(insts, space)):
             want = set(int(c) for c in np.flatnonzero(old)) - split.unseen
             assert set(int(c) for c in np.flatnonzero(label)) == want
         assert_columns_shared(out, insts)
@@ -220,7 +221,7 @@ class TestApplySplit:
         out = apply_split(insts, split)
         verbs = set()
         objects = set()
-        for label in out.label:
+        for label in dense(out, space):
             for c in np.flatnonzero(label):
                 verbs.update(space.verbs_of(int(c)))
                 objects.add(space.object_of(int(c)))
