@@ -13,10 +13,11 @@ output goes or what to print; so a replay names its own ``--out``, as in
 checks that flags get: a value outside a flag's choices, or a boolean
 other than 1/true/yes/on or 0/false/no/off, is an error. A setting is
 checked when its config is built, so a config that exists is valid; seeds
-and display counts must be >= 0. A command builds its configs, reads every
-input file and trains and scores every model before it makes ``--out`` or
-writes anything, so a run that fails, on its settings, its inputs or in
-training, leaves no output behind.
+and display counts must be >= 0. A dataset file read beside ``--data``
+(``--test``, ``--train-data``) must hold its label space. A command builds
+its configs, reads every input file and trains and scores every model
+before it makes ``--out`` or writes anything, so a run that fails, on its
+settings, its inputs or in training, leaves no output behind.
 
 The eval flags build one ``evaluator.Scoring`` per invocation, which checks
 every one of them, and every command that scores a model scores it with
@@ -36,9 +37,8 @@ import numpy as np
 
 from . import rng as rngmod
 from .composer import MODES, ComposeConfig, compose_batch
-from .errors import HoicompError, InvalidConfig, ParseError, read_text_lines
+from .errors import HoicompError, InconsistentLabel, InvalidConfig, ParseError, read_text_lines
 from .evaluator import (
-    DETECTIONS_LINE,
     EVAL_MODES,
     Scoring,
     detections_from_model,
@@ -57,7 +57,7 @@ from .experiments import (
     run_rows,
     with_compose,
 )
-from .label_algebra import HoiLabelSpace
+from .label_algebra import HoiLabelSpace, format_space
 from .network import BRANCH_MODES, LossWeights, NetworkConfig, load_params, save_params
 from .spatial import ascii_art, spatial_vector
 from .synthdata import (
@@ -162,12 +162,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", help="test dataset file")
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--detections", default=None,
-                   help=f"score a detections file instead, one pair a line: {DETECTIONS_LINE}")
+                   help="score a detections file instead, as --dets-out writes it")
     p.add_argument("--train-data", default=None, help="train dataset for the rare/nonrare cut")
     p.add_argument("--split", default=None, help="report unseen/seen instead of rare/nonrare")
     p.add_argument("--out", help="output directory")
     p.add_argument("--dets-out", action="store_true",
-                   help=f"also write detections.tsv, one pair a line: {DETECTIONS_LINE}")
+                   help="also write the scored pairs to detections.npz")
     _add_eval_flags(p)
 
     p = sub.add_parser("compose-demo", help="print surviving compositions for one batch")
@@ -337,12 +337,21 @@ def _run_rows(args, rows) -> tuple[list[RunResult], HoiLabelSpace, Dataset]:
     are added to every row's composition settings. Returns the results, the
     label space and the test set."""
     train_set, space = load_dataset(args.data)
-    test_set = load_dataset(args.test)[0] if args.test else train_set[:0]
+    test_set = _load_in_space(args.test, space) if args.test else train_set[:0]
     split = load_split(args.split, space) if getattr(args, "split", None) else None
     if split is not None:
         rows = [(with_compose(cfg, unseen_ids=split.unseen), scoring) for cfg, scoring in rows]
     net_cfg = _net_config(args, space, train_set.human_feat.shape[1])
     return run_rows(train_set, test_set, space, rows, net_cfg=net_cfg, split=split), space, test_set
+
+
+def _load_in_space(path, space: HoiLabelSpace, labels_only: bool = False) -> Dataset:
+    """The dataset at ``path``, which must hold ``space``, the label space
+    of ``--data``; a file of another space raises ``InconsistentLabel``."""
+    data, own = load_dataset(path, labels_only=labels_only)
+    if format_space(own) != format_space(space):
+        raise InconsistentLabel(f"{path} holds another label space than --data")
+    return data
 
 
 def _out_dir(args) -> Path:
@@ -364,9 +373,11 @@ def _cmd_gen_data(args) -> int:
     if args.show_spatial < 0:
         raise InvalidConfig("show_spatial must be >= 0")
     cfg = default_dataset_config(**{key: getattr(args, key) for key in ("seed",) + _DATASET_FLAGS})
-    train_set, test_set, space = generate(cfg)
     out = Path(args.out)
     test_out = Path(args.test_out) if args.test_out else out.with_suffix(out.suffix + ".test")
+    if out.resolve() == test_out.resolve():
+        raise InvalidConfig(f"--out and --test-out name the same file {out}")
+    train_set, test_set, space = generate(cfg)
     save_dataset(train_set, space, out)
     save_dataset(test_set, space, test_out)
     _write_spec(args, str(out) + ".spec")
@@ -409,7 +420,8 @@ def _cmd_eval(args) -> int:
         raise HoicompError("pass exactly one of --checkpoint / --detections")
     scoring = _scoring(args)
     test_set, space = load_dataset(args.data)
-    train_set = load_dataset(args.train_data, labels_only=True)[0] if args.train_data else None
+    train_set = (_load_in_space(args.train_data, space, labels_only=True)
+                 if args.train_data else None)
     split = load_split(args.split, space) if args.split else None
     _, counts, partition = report_basis(train_set, space, split, scoring.rare_threshold)
 
@@ -423,7 +435,7 @@ def _cmd_eval(args) -> int:
     out_dir = _out_dir(args)
     _report_files(report, space, counts, out_dir)
     if args.dets_out:
-        save_detections(dets, out_dir / "detections.tsv")
+        save_detections(dets, out_dir / "detections.npz")
     print(format_report(report), end="")
     return 0
 
@@ -455,11 +467,15 @@ def _cmd_compose_demo(args) -> int:
 
 
 def _sweep_values(text: str) -> list[float]:
-    """The numbers of a comma-separated ``--values``; empty items are skipped."""
+    """The numbers of a comma-separated ``--values``; empty items are
+    skipped, and a list with no number raises ``InvalidConfig``."""
     try:
-        return [float(v) for v in text.split(",") if v]
+        values = [float(v) for v in text.split(",") if v]
     except ValueError:
-        raise InvalidConfig(f"--values {text!r} is not a comma-separated list of numbers") from None
+        values = []
+    if not values:
+        raise InvalidConfig(f"--values {text!r} is not a comma-separated list of numbers")
+    return values
 
 
 def _cmd_sweep(args) -> int:

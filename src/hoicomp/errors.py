@@ -55,7 +55,8 @@ class ParseError(HoicompError):
 
 
 class InconsistentLabel(HoicompError):
-    """An instance's label does not agree with its object id."""
+    """An instance's label does not agree with its object id, or a dataset
+    file holds another label space than the file it is read beside."""
 
 
 class DimensionMismatch(HoicompError):

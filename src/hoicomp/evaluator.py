@@ -40,19 +40,11 @@ table; a pair outside its class's pool ranks as if its score were -inf.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidConfig,
-    NonFiniteInput,
-    ParseError,
-    UnknownHoiId,
-    read_text_lines,
-)
+from .errors import DimensionMismatch, InvalidConfig, NonFiniteInput, UnknownHoiId
 from .label_algebra import HoiLabelSpace
 from .network import (
     BRANCH_MODES,
@@ -64,7 +56,7 @@ from .network import (
 )
 from .spatial import check_boxes
 from .spatial import spatial_vector  # no caller here; kept importable because perfbench wraps it
-from .synthdata import Dataset, unpack_labels
+from .synthdata import Dataset, read_archive, unpack_labels, write_archive
 
 EVAL_MODES = ("default", "known_object")
 IOU_THRESHOLD = 0.5
@@ -424,58 +416,28 @@ def detections_from_model(test: Dataset, params: ModelParams,
 
 
 # ---- files: detections and reports ----
+# A detections file is one uncompressed ``np.savez`` archive with an entry
+# per ``Detections`` column, named after its field: P pairs, C classes.
+#   image_id                  (P,)     int64
+#   human_box, object_box     (P, 4)   float64
+#   score                     (P, C)   float64
+# Loading builds a ``Detections``, which checks every column.
 
-# a detections file has one line per pair; each <TAB> is one tab character
-DETECTIONS_LINE = "image_id <TAB> hx1,hy1,hx2,hy2 <TAB> ox1,oy1,ox2,oy2 <TAB> s_0,...,s_{C-1}"
-_INT64_LIMIT = 2**63
+DETECTIONS_ENTRIES = tuple(f.name for f in fields(Detections))
 
 
 def save_detections(dets: Detections, path):
-    columns = (dets.image_id, dets.human_box, dets.object_box, dets.score)
-    with open(path, "w", encoding="utf-8") as fh:
-        for image_id, *floats in zip(*(c.tolist() for c in columns)):
-            fh.write("\t".join([str(image_id), *(",".join(map(repr, v)) for v in floats)]) + "\n")
+    """Write ``dets`` to ``path`` as the archive above."""
+    write_archive(path, {name: getattr(dets, name) for name in DETECTIONS_ENTRIES})
 
 
 def load_detections(path) -> Detections:
-    """Detections from a file ``save_detections`` wrote. A malformed line,
-    or one whose score count differs from the first line's, raises
-    ``ParseError`` naming it; a non-finite score also names its column (4),
-    and a bad box raises ``InvalidBox`` naming its line and column (2 human,
-    3 object)."""
-    ids, scores, boxes, lines = [], [], [], []
-    for lineno, raw in enumerate(read_text_lines(path), start=1):
-        if not raw.strip():
-            continue
-        parts = raw.rstrip("\n").split("\t")
-        if len(parts) != 4:
-            raise ParseError(f"expected 4 fields, got {len(parts)}", line=lineno)
-        try:
-            image_id = int(parts[0])
-            hbox = [float(v) for v in parts[1].split(",")]
-            obox = [float(v) for v in parts[2].split(",")]
-            score = [float(v) for v in parts[3].split(",")]
-        except ValueError:
-            raise ParseError("bad field value", line=lineno) from None
-        if not -_INT64_LIMIT <= image_id < _INT64_LIMIT:
-            raise ParseError("image id outside the int64 range", line=lineno)
-        if len(hbox) != 4 or len(obox) != 4:
-            raise ParseError("boxes need 4 coordinates", line=lineno)
-        if scores and len(score) != len(scores[0]):
-            raise ParseError(f"{len(score)} scores, first line has {len(scores[0])}", line=lineno)
-        bad = next((c for c, v in enumerate(score) if not math.isfinite(v)), None)
-        if bad is not None:
-            raise ParseError(f"non-finite score {score[bad]!r}, class {bad}", line=lineno, column=4)
-        ids.append(image_id)
-        scores.append(score)
-        boxes += (hbox, obox)
-        lines.append(lineno)
-    boxes = np.array(boxes, dtype=np.float64).reshape(-1, 4)  # human, object, human, ...
-    check_boxes(boxes, lambda k: f"line {lines[k // 2]}, column {2 + k % 2}")
-    return Detections(
-        image_id=np.array(ids, dtype=np.int64), human_box=boxes[0::2], object_box=boxes[1::2],
-        score=np.array(scores, dtype=np.float64).reshape(len(ids), len(scores[0]) if ids else 0),
-    )
+    """Detections from a file ``save_detections`` wrote. Bytes that are not
+    an archive of exactly the entries above raise ``ParseError``; a column
+    of another dtype or shape raises ``DimensionMismatch``, a bad box
+    ``InvalidBox`` naming its column and row, and a non-finite score
+    ``NonFiniteInput`` naming its pair and class."""
+    return Detections(**read_archive(path, "detections", DETECTIONS_ENTRIES))
 
 
 def format_report(report: EvalReport) -> str:

@@ -386,32 +386,38 @@ _ARCHIVE_ERRORS = (
 
 def save_dataset(data: Dataset, space: HoiLabelSpace, path):
     """Write ``data`` and its label space to ``path`` as one archive, with
-    the entries listed above. The bytes depend only on the values: numpy
-    writes every zip entry with the same fixed timestamp."""
+    the entries listed above."""
+    columns = {name: getattr(data, name) for name in COLUMNS}
+    write_archive(path, columns | {"space": np.array(format_space(space))})
+
+
+def write_archive(path, arrays: dict[str, np.ndarray]):
+    """Write ``arrays`` to ``path`` as one uncompressed archive, an entry
+    per key in order. The bytes depend only on the values: numpy writes
+    every zip entry with the same fixed timestamp."""
     # a file handle, because np.savez appends ".npz" to a path without it
     with open(path, "wb") as fh:
-        columns = {name: getattr(data, name) for name in COLUMNS}
-        np.savez(fh, **columns, space=np.array(format_space(space)))
+        np.savez(fh, **arrays)
 
 
-def _read_archive(path, names) -> dict[str, np.ndarray]:
-    """The entries ``names`` of the archive at ``path``, and no others;
-    anything that is not an archive of exactly ``ENTRIES`` raises
-    ``ParseError``."""
+def read_archive(path, kind: str, entries: tuple, names=None) -> dict[str, np.ndarray]:
+    """The entries ``names`` (all of ``entries`` when None) of the archive
+    at ``path``; anything that is not an archive of exactly ``entries``
+    raises ``ParseError``, which calls the file a ``kind`` archive."""
     with open(path, "rb") as fh:
         # np.load would also take a lone .npy array or a pickle
         if fh.read(len(_ZIP_MAGIC)) != _ZIP_MAGIC:
-            raise ParseError("not a dataset archive (a zip of .npy entries)")
+            raise ParseError(f"not a {kind} archive (a zip of .npy entries)")
         fh.seek(0)
         try:
             # allow_pickle=False: an object array would unpickle, and so run,
             # code taken from the file
             with np.load(fh, allow_pickle=False) as archive:
-                if sorted(archive.files) != sorted(ENTRIES):
-                    raise ParseError(f"archive entries {sorted(archive.files)}, expected {sorted(ENTRIES)}")
-                arrays = {name: archive[name] for name in names}
+                if sorted(archive.files) != sorted(entries):
+                    raise ParseError(f"archive entries {sorted(archive.files)}, expected {sorted(entries)}")
+                arrays = {name: archive[name] for name in names or entries}
         except _ARCHIVE_ERRORS as exc:
-            raise ParseError(f"not a dataset archive: {exc}") from None
+            raise ParseError(f"not a {kind} archive: {exc}") from None
     for name, arr in arrays.items():
         if not isinstance(arr, np.ndarray):
             raise ParseError(f"entry {name!r} is not a .npy array")
@@ -451,7 +457,7 @@ def load_dataset(path, labels_only: bool = False):
     ``class_counts`` and ``zeroshot.apply_split``.
     """
     columns = LABEL_COLUMNS if labels_only else COLUMNS
-    arrays = _read_archive(path, columns + ("space",))
+    arrays = read_archive(path, "dataset", ENTRIES, columns + ("space",))
     text = arrays["space"]
     if text.ndim != 0 or text.dtype.kind != "U":
         raise ParseError(f"entry 'space' is {text.dtype} {text.shape}, expected a unicode string")

@@ -127,7 +127,7 @@ def apply_split(train: Dataset, split: ZeroShotSplit) -> Dataset:
 
 def frequency_partition(counts, rare_threshold: int) -> dict[str, frozenset]:
     """Rare/non-rare class sets: rare means fewer than ``rare_threshold``
-    training instances (``experiments.Scoring``'s ``rare_threshold`` in
+    training instances (``evaluator.Scoring``'s ``rare_threshold`` in
     every report)."""
     counts = np.asarray(counts)
     rare = frozenset(int(c) for c in np.flatnonzero(counts < rare_threshold))

@@ -165,7 +165,7 @@ class TestEval:
         dets = Detections(image_id=insts.image_id, human_box=insts.human_box,
                           object_box=insts.object_box,
                           score=0.9 * unpack_labels(insts.label, space.num_hois))
-        dets_path = tmp_path / "dets.tsv"
+        dets_path = tmp_path / "dets.npz"
         save_detections(dets, dets_path)
         out = tmp_path / "eval"
         assert run("eval", "--data", test, "--detections", dets_path, "--out", out) == 0
@@ -180,7 +180,7 @@ class TestEval:
         assert run("eval", "--data", test, "--train-data", data, "--checkpoint",
                    out / "checkpoint.ckpt", "--dets-out", "--out", scored) == 0
         assert run("eval", "--data", test, "--train-data", data, "--detections",
-                   scored / "detections.tsv", "--out", loaded) == 0
+                   scored / "detections.npz", "--out", loaded) == 0
         for name in ("report.txt", "report.tsv"):
             assert (scored / name).read_bytes() == (loaded / name).read_bytes(), name
 
@@ -189,7 +189,7 @@ class TestEval:
         assert run("eval", "--data", test, "--out", tmp_path / "x") == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("sources", [[], ["--checkpoint", "c.ckpt", "--detections", "d.tsv"]])
+    @pytest.mark.parametrize("sources", [[], ["--checkpoint", "c.ckpt", "--detections", "d.npz"]])
     def test_source_check_precedes_output(self, dataset, tmp_path, capsys, sources):
         data, test = dataset
         out = tmp_path / "o"
@@ -200,10 +200,21 @@ class TestEval:
 
     def test_empty_detections_file(self, dataset, tmp_path, capsys):
         data, test = dataset
-        empty = tmp_path / "empty.tsv"
-        empty.write_text("")
+        empty = tmp_path / "empty.npz"  # no pairs
+        save_detections(Detections(image_id=np.zeros(0, dtype=np.int64), human_box=np.zeros((0, 4)),
+                                   object_box=np.zeros((0, 4)), score=np.zeros((0, 6))), empty)
         assert run("eval", "--data", test, "--detections", empty, "--out", tmp_path / "e") == 0
         assert "map_full=0.0\n" in capsys.readouterr().out
+
+    def test_text_detections_file(self, dataset, tmp_path, capsys):
+        # one pair a line, the format before detections files were archives
+        data, test = dataset
+        text = tmp_path / "dets.tsv"
+        text.write_text("0\t0.0,0.0,10.0,10.0\t0.0,0.0,10.0,10.0\t" + ",".join(["0.5"] * 6) + "\n")
+        out = tmp_path / "o"
+        code = run("eval", "--data", test, "--detections", text, "--out", out)
+        err = assert_failed_before_output(code, capsys, out)
+        assert "not a detections archive (a zip of .npy entries)" in err
 
     def test_checkpoint_of_another_label_space(self, dataset, tmp_path, capsys):
         data, test = dataset
@@ -397,7 +408,7 @@ def spec_runs(dataset, tmp_path):
         (["train", "--data", data, "--test", test, "--split", split, *TINY_TRAIN], trained),
         (["eval", "--data", test, "--train-data", data, "--split", split,
           "--checkpoint", trained / "checkpoint.ckpt", "--dets-out"], scored),
-        (["eval", "--data", test, "--detections", scored / "detections.tsv"],
+        (["eval", "--data", test, "--detections", scored / "detections.npz"],
          tmp_path / "eval-dets"),
         (["sweep", "--data", data, "--test", test, "--param", "lambda2", "--values", "1.0",
           *TINY_TRAIN], tmp_path / "sweep"),
@@ -498,7 +509,9 @@ def test_bad_setting_fails_before_output(dataset, request, tmp_path, capsys, com
 # the same label space with no rows, "CLASS0" one whose rows all hold class
 # 0 alone, "SPLIT0" a valid split with class 0 unseen, "CKPT" a checkpoint
 # trained on DATA, "BYTES" DATA with one byte per class in its label (the
-# format before labels were bits), and "MISSING" a path where nothing is
+# format before labels were bits), "OTHER" a training set of another label
+# space with as many classes, "OUT" the run's own --out, and "MISSING" a
+# path where nothing is
 BAD_INPUTS = [
     ["train", "--data", "MISSING"],
     ["train", "--data", "DATA", "--test", "MISSING"],
@@ -526,6 +539,13 @@ BAD_INPUTS = [
     ["train", "--data", "CLASS0", "--split", "SPLIT0"],
     ["train", "--data", "BYTES"],
     ["eval", "--data", "TEST", "--train-data", "BYTES", "--checkpoint", "CKPT"],
+    # each extra dataset file must hold the label space of --data
+    ["train", "--data", "DATA", "--test", "OTHER"],
+    ["eval", "--data", "TEST", "--train-data", "OTHER", "--checkpoint", "CKPT"],
+    # the test set would overwrite the training set
+    ["gen-data", "--test-out", "OUT"],
+    # a list with no number would train nothing
+    ["sweep", "--data", "DATA", "--test", "TEST", "--param", "lambda1", "--values", ","],
 ]
 
 
@@ -539,9 +559,11 @@ def checkpoint(dataset, tmp_path):
 @pytest.mark.parametrize("argv", BAD_INPUTS, ids=" ".join)
 def test_bad_input_fails_before_output(dataset, checkpoint, tmp_path, capsys, argv):
     data, test = dataset
+    out = tmp_path / "o"
     paths = {"DATA": data, "TEST": test, "CKPT": checkpoint, "MISSING": tmp_path / "missing",
              "EMPTY": tmp_path / "empty.tsv", "CLASS0": tmp_path / "class0.tsv",
-             "SPLIT0": tmp_path / "split0.txt", "BYTES": tmp_path / "bytes.tsv"}
+             "SPLIT0": tmp_path / "split0.txt", "BYTES": tmp_path / "bytes.tsv",
+             "OTHER": tmp_path / "foreign.tsv", "OUT": out}
     if "EMPTY" in argv:
         assert run("gen-data", "--seed", 7, "--out", paths["EMPTY"], *TINY_DATA, "--n-train", 0) == 0
     if "CLASS0" in argv:
@@ -552,11 +574,13 @@ def test_bad_input_fails_before_output(dataset, checkpoint, tmp_path, capsys, ar
         train_set, space = load_dataset(data)
         paths["BYTES"].write_bytes(data.read_bytes())
         replace_entry(paths["BYTES"], "label", unpack_labels(train_set.label, space.num_hois))
+    if "OTHER" in argv:
+        assert run("gen-data", "--seed", 8, "--out", paths["OTHER"], *TINY_DATA) == 0
+        assert load_dataset(paths["OTHER"])[1].hoi_names != load_dataset(data)[1].hoi_names
     if "SPLIT0" in argv:
         paths["SPLIT0"].write_text("strategy\trare_first\nseed\t0\n[unseen]\n0\n", encoding="utf-8")
-    flags = [] if argv[0] == "eval" else TINY_TRAIN
+    flags = {"eval": [], "gen-data": TINY_DATA}.get(argv[0], TINY_TRAIN)
     capsys.readouterr()
-    out = tmp_path / "o"
     code = run(*(paths.get(a, a) for a in argv), *flags, "--out", out)
     assert_failed_before_output(code, capsys, out)
 
@@ -658,7 +682,7 @@ EDGE_VALUES = {int: ("0", "-1"), float: ("0", "-1", "nan", "inf")}
 
 # the fuzzed format each flag naming an input file reads; None: not a file
 READS = {"data": "data.tsv", "test": "data.tsv", "train_data": "data.tsv",
-         "split": "split.txt", "checkpoint": "model.ckpt", "detections": "dets.tsv",
+         "split": "split.txt", "checkpoint": "model.ckpt", "detections": "dets.npz",
          "values": None}
 
 

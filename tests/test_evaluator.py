@@ -41,13 +41,14 @@ from hoicomp.network import (
     sigmoid,
 )
 from hoicomp.spatial import spatial_vector
-from hoicomp.synthdata import DatasetConfig, generate, random_hoi_defs
+from hoicomp.synthdata import DatasetConfig, generate, random_hoi_defs, save_dataset
 from hoicomp.trainer import TrainConfig, train
 from hoicomp.zeroshot import frequency_partition
 
 from column_oracle import column_evaluate
 from conftest import make_dataset, make_row, peak_above_live
 from test_network import masked_sigmoid, plain_product
+from test_synthdata import replace_entry
 
 
 class Box(NamedTuple):
@@ -768,7 +769,19 @@ class TestEvalAllocations:
         assert peak < 14.6e6, peak / 1e6
 
 
-GOOD_BOX = "0.0,0.0,10.0,10.0"
+def saved(tmp_path, dets, **entries):
+    """The path of ``dets`` saved, with each of ``entries`` set in the
+    archive, or dropped from it where its value is None."""
+    path = tmp_path / "dets.npz"
+    save_detections(dets, path)
+    for name, value in entries.items():
+        replace_entry(path, name, value)
+    return path
+
+
+def two_pairs():
+    box, far = Box(0, 0, 10, 10), Box(50, 50, 60, 60)
+    return detections([(0, far, far, 0.2, 0.5), (0, box, box, 0.5, 0.5)])
 
 
 class TestFiles:
@@ -776,66 +789,79 @@ class TestFiles:
         rng = np.random.default_rng(4)
         dets, _ = random_micro_case(rng, max_items=20)
         assert len(dets.image_id) > 1
-        path, again = tmp_path / "dets.tsv", tmp_path / "again.tsv"
-        save_detections(dets, path)
-        assert len(path.read_text().splitlines()) == len(dets.image_id)  # one line per pair
+        path, again = saved(tmp_path, dets), tmp_path / "again.npz"
+        with np.load(path) as archive:
+            assert archive.files == ["image_id", "human_box", "object_box", "score"]
         loaded = load_detections(path)
         assert_tables_equal(loaded, dets)
+        for f in fields(dets):
+            assert getattr(loaded, f.name).tobytes() == getattr(dets, f.name).tobytes(), f.name
         save_detections(loaded, again)
         assert again.read_bytes() == path.read_bytes()
 
-    def test_old_row_file_rejected(self, tmp_path):
-        # image_id, hoi_id, score, boxes: one line per (pair, class)
-        path = tmp_path / "dets.tsv"
-        path.write_text(f"0\t0\t0.5\t{GOOD_BOX}\t{GOOD_BOX}\n0\t1\t0.25\t{GOOD_BOX}\t{GOOD_BOX}\n")
-        with pytest.raises(ParseError, match="expected 4 fields, got 5") as err:
-            load_detections(path)
-        assert err.value.line == 1
+    @pytest.mark.parametrize("name, value", [
+        ("score", None),                              # missing
+        ("hoi_id", np.zeros(2, dtype=np.int64)),      # extra
+    ], ids=["missing", "extra"])
+    def test_archive_of_other_entries_rejected(self, tmp_path, name, value):
+        with pytest.raises(ParseError, match="archive entries"):
+            load_detections(saved(tmp_path, two_pairs(), **{name: value}))
 
-    def test_score_count_must_match_first_line(self, tmp_path):
-        path = tmp_path / "dets.tsv"
-        line = f"0\t{GOOD_BOX}\t{GOOD_BOX}\t"
-        path.write_text(f"{line}0.5,0.25,0.0\n{line}0.5,0.25,0.0\n{line}0.5,0.25\n")
-        with pytest.raises(ParseError, match="2 scores, first line has 3") as err:
+    def test_dataset_file_rejected(self, tmp_path, toy_space):
+        path = tmp_path / "data.ds"
+        save_dataset(make_row(toy_space, [0]), toy_space, path)
+        with pytest.raises(ParseError, match="archive entries"):
             load_detections(path)
-        assert err.value.line == 3
 
-    def test_non_finite_score_rejected(self, tmp_path):
-        # loaded, the nan broke the score sort and gave class 0 an AP of 1.0, not 0.5
-        gt = "0.0,0.0,10.0,10.0\t10.0,0.0,20.0,10.0"
-        far = "50.0,50.0,60.0,60.0\t50.0,50.0,60.0,60.0"
-        path = tmp_path / "dets.tsv"
-        for first, line in (("nan", 1), ("-inf", 1), ("0.1", 3)):
-            path.write_text(f"0\t{far}\t0.2,{first}\n0\t{gt}\t0.5,0.5\n0\t{far}\t0.2,inf\n")
-            with pytest.raises(ParseError, match=", class 1") as err:
-                load_detections(path)
-            assert (err.value.line, err.value.column) == (line, 4)
+    @pytest.mark.parametrize("name, value, got", [
+        ("image_id", np.zeros(2, dtype=np.int32), r"int32 \(2,\)"),
+        ("score", np.full(2, 0.5), r"float64 \(2,\)"),   # one score per pair, not a matrix
+        ("human_box", np.zeros((2, 5)), r"float64 \(2, 5\)"),
+    ], ids=["image_id", "score", "human_box"])
+    def test_column_of_another_dtype_or_shape_rejected(self, tmp_path, name, value, got):
+        with pytest.raises(DimensionMismatch, match=f"{name} is {got}, expected"):
+            load_detections(saved(tmp_path, two_pairs(), **{name: value}))
 
     def test_id_outside_int64_rejected(self, tmp_path):
-        path = tmp_path / "dets.tsv"
-        path.write_text(f"0\t{GOOD_BOX}\t{GOOD_BOX}\t0.5\n"
-                        f"99999999999999999999\t{GOOD_BOX}\t{GOOD_BOX}\t0.5\n")
-        with pytest.raises(ParseError) as err:
-            load_detections(path)
-        assert err.value.line == 2
+        # such an id can only be stored in another dtype, and only int64 loads
+        ids = np.array([0, 2**63], dtype=np.uint64)
+        with pytest.raises(DimensionMismatch, match="image_id is uint64"):
+            load_detections(saved(tmp_path, two_pairs(), image_id=ids))
 
-    @pytest.mark.parametrize("column", [2, 3])
-    def test_bad_box_names_line_and_column(self, tmp_path, column):
-        boxes = [GOOD_BOX, GOOD_BOX]
-        boxes[column - 2] = "-1.0,0.0,10.0,10.0"
-        path = tmp_path / "dets.tsv"
-        path.write_text(f"0\t{GOOD_BOX}\t{GOOD_BOX}\t0.5\n0\t" + "\t".join(boxes) + "\t0.5\n")
-        with pytest.raises(InvalidBox, match=f"line 2, column {column}: negative coordinates"):
-            load_detections(path)
+    @pytest.mark.parametrize("name", ["human_box", "object_box"])
+    def test_bad_box_names_column_and_row(self, tmp_path, name):
+        boxes = np.array([[0.0, 0.0, 10.0, 10.0], [-1.0, 0.0, 10.0, 10.0]])
+        with pytest.raises(InvalidBox, match=f"{name} row 1: negative coordinates"):
+            load_detections(saved(tmp_path, two_pairs(), **{name: boxes}))
+
+    def test_non_finite_score_rejected(self, tmp_path):
+        # loaded, a nan would break the score sort and misrank class 1
+        for first, pair in ((np.nan, 0), (-np.inf, 0), (0.1, 1)):
+            score = np.array([[0.2, first], [0.5, np.inf]])
+            with pytest.raises(NonFiniteInput, match=f"score pair {pair}, class 1: non-finite"):
+                load_detections(saved(tmp_path, two_pairs(), score=score))
 
     def test_empty_file_loads(self, tmp_path):
-        path = tmp_path / "dets.tsv"
-        path.write_text("")
+        # an archive with no pairs
+        path = saved(tmp_path, detections([], num_classes=2))
         dets = load_detections(path)
-        assert len(dets) == 0 and dets.image_id.shape == (0,)
+        assert len(dets) == 0 and dets.image_id.shape == (0,) and dets.score.shape == (0, 2)
         report = evaluate(dets, ground_truths([(0, Box(0, 0, 1, 1), Box(0, 0, 1, 1), 1)]),
                           micro_space(2))
         assert report.map_full == 0.0 and report.ap[1] == 0.0
+
+    def test_old_row_file_rejected(self, tmp_path):
+        box = "0.0,0.0,10.0,10.0"
+        path = tmp_path / "dets.tsv"
+        # the text formats detections files had before they were archives
+        for text in (
+            f"0\t0\t0.5\t{box}\t{box}\n0\t1\t0.25\t{box}\t{box}\n",  # a line per (pair, class)
+            f"0\t{box}\t{box}\t0.5,0.25\n",  # a line per pair
+            "",
+        ):
+            path.write_text(text)
+            with pytest.raises(ParseError, match=r"not a detections archive \(a zip of .npy entries\)"):
+                load_detections(path)
 
     def test_ground_truths_from_instances(self, toy_space):
         inst = make_row(toy_space, [0, 1], image_id=5)

@@ -62,7 +62,7 @@ def write_valid_files(root):
     box = np.tile([1.0, 2.0, 30.0, 40.5], (4, 1))
     dets = Detections(image_id=np.arange(4), human_box=box, object_box=box,
                       score=0.25 * np.arange(12.0).reshape(4, 3))
-    save_detections(dets, root / "dets.tsv")
+    save_detections(dets, root / "dets.npz")
     (root / "run.cfg").write_text("command=train\niterations=5\nlr=0.01\n# comment\nno_balance=true\n")
     net = NetworkConfig(num_hois=3, feature_dim=2, hidden=2, vo_hidden=2, sp_hidden=2, spatial_dim=4)
     save_params(init_params(net, rng), root / "model.ckpt", meta={"seed": 1})
@@ -83,7 +83,7 @@ LOADERS = {  # file name -> load(path, space)
     "data.tsv": lambda path, space: load_dataset(path),
     "space.txt": lambda path, space: parse_space(read_text_lines(path)),  # an archive's space entry
     "split.txt": load_split,
-    "dets.tsv": lambda path, space: load_detections(path),
+    "dets.npz": lambda path, space: load_detections(path),
     "run.cfg": lambda path, space: load_flat_config(path),
     "model.ckpt": lambda path, space: load_params(path),
     "metrics.log": lambda path, space: read_metrics_log(path),
