@@ -368,6 +368,22 @@ def _spatial_art(data, k: int) -> str:
     return ascii_art(spatial_vector(data.human_box[k : k + 1], data.object_box[k : k + 1])[0])
 
 
+def _spec_path(out) -> Path:
+    """Where ``gen-data`` and ``make-splits`` write the spec of ``--out``."""
+    return Path(f"{out}.spec")
+
+
+def _distinct_files(paths: dict[str, Path]) -> None:
+    """Raise ``InvalidConfig`` when two of ``paths``, keyed by the flag that
+    names each, resolve to one file, so a command never writes over a file
+    it reads or has just written."""
+    named = {}
+    for flag, path in paths.items():
+        first = named.setdefault(Path(path).resolve(), flag)
+        if first != flag:
+            raise InvalidConfig(f"{first} and {flag} name the same file {path}")
+
+
 def _cmd_gen_data(args) -> int:
     _require(args, "out")
     if args.show_spatial < 0:
@@ -375,12 +391,11 @@ def _cmd_gen_data(args) -> int:
     cfg = default_dataset_config(**{key: getattr(args, key) for key in ("seed",) + _DATASET_FLAGS})
     out = Path(args.out)
     test_out = Path(args.test_out) if args.test_out else out.with_suffix(out.suffix + ".test")
-    if out.resolve() == test_out.resolve():
-        raise InvalidConfig(f"--out and --test-out name the same file {out}")
+    _distinct_files({"--out": out, "--test-out": test_out, "--out's spec": _spec_path(out)})
     train_set, test_set, space = generate(cfg)
     save_dataset(train_set, space, out)
     save_dataset(test_set, space, test_out)
-    _write_spec(args, str(out) + ".spec")
+    _write_spec(args, _spec_path(out))
     print(f"wrote {len(train_set)} train instances to {out}")
     print(f"wrote {len(test_set)} test instances to {test_out}")
     for k in range(len(train_set))[: args.show_spatial]:
@@ -391,11 +406,12 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_make_splits(args) -> int:
     _require(args, "data", "n_unseen", "out")
+    _distinct_files({"--data": args.data, "--out": args.out, "--out's spec": _spec_path(args.out)})
     data, space = load_dataset(args.data)
     counts = class_counts(data, space)
     split = make_split(counts, space, args.n_unseen, args.strategy, tie_break_seed=args.seed)
     save_split(split, args.out)
-    _write_spec(args, str(args.out) + ".spec")
+    _write_spec(args, _spec_path(args.out))
     print(f"unseen classes ({len(split.unseen)}): {sorted(split.unseen)}")
     return 0
 

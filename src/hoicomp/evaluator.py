@@ -32,9 +32,12 @@ candidate's rank in its class's pool is the number of pool scores above its
 score plus the number of equal scores at a lower pair index: one ``np.sort``
 of the class's score column and ``searchsorted`` give the first term, and
 the equal scores are counted only where a score repeats. The greedy then
-runs over the candidates alone, by class, rank and ground-truth input order,
-and their TP flags go into a pool-length vector per class for
-``average_precision``. Known-object pools come from one (object, image)
+runs over the candidates alone, by class, rank and ground-truth input order.
+The classes that share one pool length (all of them in default mode; in
+known-object mode those whose objects have pools of one size) go to
+``average_precisions`` together, as the (class, rank) of each true
+positive; it takes AP over blocks of their rows, with each class's bits
+those of a one-class pass. Known-object pools come from one (object, image)
 table; a pair outside its class's pool ranks as if its score were -inf.
 """
 
@@ -48,6 +51,7 @@ from .errors import DimensionMismatch, InvalidConfig, NonFiniteInput, UnknownHoi
 from .label_algebra import HoiLabelSpace
 from .network import (
     BRANCH_MODES,
+    FLAT_BLOCK,
     ModelParams,
     forward_spatial_human_boxes,
     forward_verb_object,
@@ -169,23 +173,51 @@ def box_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return inter / (area_a + area_b - inter)
 
 
-def average_precision(hits: np.ndarray, npos: int) -> float:
-    """All-points AP from TP flags in descending-score order.
+# elements in each of ``average_precisions``' row-block buffers, so a
+# block's passes run on rows that stay in cache
+AP_BLOCK = 4096
 
-    NaN when the class has no ground truth; 0 when it has ground truth but
-    no detections.
+
+def average_precisions(row: np.ndarray, rank: np.ndarray, npos: np.ndarray,
+                       length: int) -> np.ndarray:
+    """All-points AP of ``len(npos)`` classes that share one pool length:
+    true positive k is at ``rank[k]`` in the matching order of class
+    ``row[k]``, rows ascending, and ``npos`` counts each class's ground
+    truths (all above 0). A pool of length 0 has AP 0.
+
+    Each class's TP flags become one row of a block of rows, about
+    ``AP_BLOCK`` elements at a time. Along each row, the cumulative TP
+    count gives recall (TP / npos) and precision (TP / rank count); AP is
+    the sum of the recall steps times the precision envelope, the running
+    maximum from the end. The counts are exact integers, every other step is
+    elementwise, and ``np.sum`` over a contiguous row pairwise-sums it as it
+    sums a 1-D array, so each class's AP has the bits of the one-class form
+    in ``tests/column_oracle.py``.
     """
-    if npos == 0:
-        return float("nan")
-    if hits.size == 0:
-        return 0.0
-    tp = np.cumsum(hits.astype(np.float64))
-    fp = np.cumsum((~hits).astype(np.float64))
-    recall = tp / npos
-    precision = tp / (tp + fp)
-    envelope = np.maximum.accumulate(precision[::-1])[::-1]
-    prev = np.concatenate([[0.0], recall[:-1]])
-    return float(np.sum((recall - prev) * envelope))
+    ap = np.zeros(len(npos))
+    if not length:
+        return ap
+    rows = max(1, min(len(npos), AP_BLOCK // length))
+    tp, recall, gain = (np.empty(rows * length) for _ in range(3))
+    seen = np.arange(1.0, length + 1.0)  # pairs ranked so far, TP + FP, at each rank
+    starts = range(0, len(npos), rows)
+    cuts = np.searchsorted(row, [*starts, len(npos)]).tolist()
+    for start, lo, hi in zip(starts, cuts[:-1], cuts[1:]):
+        block = slice(start, start + rows)
+        r = len(npos[block])
+        tp_r, recall_r, gain_r = (a[: r * length].reshape(r, length) for a in (tp, recall, gain))
+        tp_r.fill(0.0)
+        tp_r[row[lo:hi] - start, rank[lo:hi]] = 1.0
+        np.cumsum(tp_r, axis=1, out=tp_r)
+        np.divide(tp_r, npos[block, None], out=recall_r)
+        precision = np.divide(tp_r, seen, out=tp_r)
+        envelope = precision[:, ::-1]
+        np.maximum.accumulate(envelope, axis=1, out=envelope)
+        gain_r[:, 0] = recall_r[:, 0]
+        np.subtract(recall_r[:, 1:], recall_r[:, :-1], out=gain_r[:, 1:])
+        np.multiply(gain_r, precision, out=gain_r)
+        np.sum(gain_r, axis=1, out=ap[block])
+    return ap
 
 
 def _candidates(dets: Detections, gts: GroundTruths, threshold: float):
@@ -221,11 +253,16 @@ def _pools(dets: Detections, gts: GroundTruths, space: HoiLabelSpace, mode: str)
 
 
 def _class_hits(dets: Detections, gts: GroundTruths, space: HoiLabelSpace, mode: str,
-                threshold: float, classes: np.ndarray) -> dict[int, np.ndarray]:
-    """TP flags of each class in ``classes``, over its pool in matching
-    order (descending score, equal scores in pair order)."""
+                threshold: float, classes: np.ndarray) -> list[tuple]:
+    """The true positives of the classes in ``classes``, grouped by the
+    length of the class's pool: one ``(group, length, row, rank)`` per
+    length, where ``group`` holds the classes of that pool length in
+    ascending order and TP k is at ``rank[k]`` in the matching order
+    (descending score, equal scores in pair order) of class
+    ``group[row[k]]``, rows ascending. Default mode has one pool, so one
+    group."""
     if not len(classes):  # no ground truth at all
-        return {}
+        return []
     pools = _pools(dets, gts, space, mode)
     obj = space.objects_by_hoi()
     gt, pair, piou = _candidates(dets, gts, threshold)
@@ -272,12 +309,18 @@ def _class_hits(dets: Detections, gts: GroundTruths, space: HoiLabelSpace, mode:
 
     pool_size = (np.full(space.num_objects, len(dets.image_id)) if pools is None
                  else np.count_nonzero(pools, axis=1))
-    cuts = np.searchsorted(hoi, classes).tolist() + [len(hoi)]
-    hits = {}
-    for c, lo, hi in zip(classes.tolist(), cuts[:-1], cuts[1:]):
-        hits[c] = np.zeros(pool_size[obj[c]], dtype=bool)
-        hits[c][rank[lo:hi][hit[lo:hi]]] = True
-    return hits
+    length = pool_size[obj[classes]]
+    by_length = np.argsort(length, kind="stable")  # classes stay ascending within a length
+    slot = np.empty(space.num_hois, dtype=np.int64)
+    slot[classes[by_length]] = np.arange(len(classes))
+    tp = slot[hoi[hit]]
+    tp_order = np.argsort(tp, kind="stable")
+    tp, tp_rank = tp[tp_order], rank[hit][tp_order]
+    bounds = [0, *(np.flatnonzero(np.diff(length[by_length])) + 1).tolist(), len(classes)]
+    cuts = np.searchsorted(tp, bounds).tolist()
+    return [(classes[by_length[start:stop]], int(length[by_length[start]]),
+             tp[lo:hi] - start, tp_rank[lo:hi])
+            for start, stop, lo, hi in zip(bounds[:-1], bounds[1:], cuts[:-1], cuts[1:])]
 
 
 def evaluate(
@@ -310,8 +353,8 @@ def evaluate(
     npos = np.bincount(gts.hoi_id, minlength=num_hois)
     classes = np.flatnonzero(npos)  # a class without ground truth has no AP to compute
     ap = np.full(num_hois, np.nan)
-    for c, hits in _class_hits(dets, gts, space, mode, iou_threshold, classes).items():
-        ap[c] = average_precision(hits, int(npos[c]))
+    for group, length, row, rank in _class_hits(dets, gts, space, mode, iou_threshold, classes):
+        ap[group] = average_precisions(row, rank, npos[group], length)
 
     means = {"full": _nan_mean(ap)}
     if partition:
@@ -330,9 +373,12 @@ def _nan_mean(values: np.ndarray) -> float:
 
 
 def ground_truths_from_instances(data: Dataset) -> GroundTruths:
-    """One ground truth per active label bit of each instance, in row order.
-    A label's padding bits are zero, so every bit that unpacks set is a class."""
-    rows, classes = np.nonzero(unpack_labels(data.label))
+    """One ground truth per active label bit of each instance, in row order
+    and by class within a row. A label's padding bits are zero, so every bit
+    that unpacks set is a class."""
+    rows, byte = np.nonzero(data.label)  # only the label bytes with a bit set are unpacked
+    k, bit = np.nonzero(unpack_labels(data.label[rows, byte][:, None]))
+    rows, classes = rows[k], 8 * byte[k] + bit
     return GroundTruths(
         image_id=data.image_id[rows],
         hoi_id=classes.astype(np.int64),
@@ -402,16 +448,20 @@ def detections_from_model(test: Dataset, params: ModelParams,
     surviving = _surviving_rows(test, scoring)
 
     pairs = test[surviving]
-    # each branch's logits become its probabilities and then the score in
-    # place, so the score matrix is the one pairs x classes array left
     s_sp = forward_spatial_human_boxes(pairs.human_feat, pairs.human_box, pairs.object_box, params)
-    sigmoid(s_sp, out=s_sp)
     s_vo = forward_verb_object(pairs.verb_feat, pairs.object_feat, params)
-    sigmoid(s_vo, out=s_vo)
+    # each branch's logits become its probabilities and then the score in
+    # place, so the score matrix is the one pairs x classes array left; a
+    # row block at a time, so each step reads rows the step before left in cache
+    rows = max(1, FLAT_BLOCK // max(1, s_vo.shape[1]))
+    for start in range(0, len(s_vo), rows):
+        block = slice(start, start + rows)
+        sp, vo = sigmoid(s_sp[block], out=s_sp[block]), sigmoid(s_vo[block], out=s_vo[block])
+        fuse_scores(pairs.human_score[block], pairs.object_score[block], sp, vo,
+                    scoring.branch_mode, out=vo)
     return Detections(
         image_id=pairs.image_id, human_box=pairs.human_box, object_box=pairs.object_box,
-        score=fuse_scores(pairs.human_score, pairs.object_score, s_sp, s_vo,
-                          scoring.branch_mode, out=s_vo),
+        score=s_vo,
     )
 
 

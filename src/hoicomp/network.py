@@ -283,8 +283,9 @@ def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Elementwise logistic of a float64 array, written into ``out`` (which
     may be ``z`` itself) or a new array. With ``e = exp(-|z|)`` it is
     ``1 / (1 + e)`` where ``z >= 0`` and ``e / (1 + e)`` elsewhere, so neither
-    branch overflows. Rows are taken about ``FLAT_BLOCK`` elements at a time,
-    so the temporaries stay that small."""
+    branch overflows; ``e / (1 + e)`` is taken everywhere first and then
+    overwritten on the ``z >= 0`` side. Rows are taken about ``FLAT_BLOCK``
+    elements at a time, so the temporaries stay that small."""
     if out is None:
         out = np.empty_like(z, dtype=np.float64)
     z_rows, out_rows = np.atleast_1d(z), np.atleast_1d(out)  # views, so out is written
@@ -296,7 +297,7 @@ def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         np.negative(e, out=e)
         np.exp(e, out=e)
         den = e + 1.0
-        np.divide(e, den, out=e, where=~pos)
+        np.divide(e, den, out=e)  # a plain divide: a masked one runs 2-10x slower
         np.divide(1.0, den, out=e, where=pos)
     return out
 

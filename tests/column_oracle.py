@@ -1,4 +1,5 @@
-"""Oracle for ``evaluator.evaluate``: the column-join matcher it replaced.
+"""Oracles for ``evaluator.evaluate``: the column-join matcher it replaced,
+and the one-class AP that ``evaluator.average_precisions`` batches.
 
 Every (pair, class) score of a class with ground truth is ranked by one
 stable argsort per class column and joined to the ground truths of its class
@@ -8,7 +9,27 @@ equal the ground-truth-side matcher's bit for bit.
 
 import numpy as np
 
-from hoicomp.evaluator import IOU_THRESHOLD, average_precision, box_iou
+from hoicomp.evaluator import IOU_THRESHOLD, box_iou
+
+
+def average_precision(hits: np.ndarray, npos: int) -> float:
+    """All-points AP of one class from its TP flags in descending-score
+    order, one 1-D pass per class.
+
+    NaN when the class has no ground truth; 0 when it has ground truth but
+    no detections.
+    """
+    if npos == 0:
+        return float("nan")
+    if hits.size == 0:
+        return 0.0
+    tp = np.cumsum(hits.astype(np.float64))
+    fp = np.cumsum((~hits).astype(np.float64))
+    recall = tp / npos
+    precision = tp / (tp + fp)
+    envelope = np.maximum.accumulate(precision[::-1])[::-1]
+    prev = np.concatenate([[0.0], recall[:-1]])
+    return float(np.sum((recall - prev) * envelope))
 
 
 def _greedy_hits(dets, gts, space, mode: str, threshold: float,

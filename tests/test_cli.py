@@ -80,6 +80,33 @@ class TestGenData:
         assert b.read_bytes() == a.read_bytes()
         assert b.with_suffix(".tsv.test").read_bytes() == t1.read_bytes()
 
+    def test_test_out_at_the_spec_path_fails_before_output(self, tmp_path, capsys):
+        # the spec would overwrite the test set it follows
+        out = tmp_path / "g.ds"
+        capsys.readouterr()
+        code = run("gen-data", "--out", out, "--test-out", f"{out}.spec", *TINY_DATA)
+        err = assert_failed_before_output(code, capsys, out)
+        assert err == f"error: --test-out and --out's spec name the same file {out}.spec\n"
+
+
+class TestMakeSplits:
+    @pytest.mark.parametrize("onto", ["--out", "--out's spec"])
+    def test_output_onto_the_dataset_fails_before_loading(self, dataset, tmp_path, capsys,
+                                                          monkeypatch, onto):
+        data, _ = dataset
+        out = data if onto == "--out" else tmp_path / "split.txt"
+        if onto != "--out":  # a dataset where the split's spec would go
+            data = Path(f"{out}.spec")
+            data.write_bytes(dataset[0].read_bytes())
+        before = data.read_bytes()
+        files = sorted(tmp_path.iterdir())
+        monkeypatch.setattr(cli, "load_dataset", None)  # a call would raise TypeError
+        capsys.readouterr()
+        code = run("make-splits", "--data", data, "--n-unseen", 1, "--out", out)
+        err = capsys.readouterr().err
+        assert code == 1 and err == f"error: --data and {onto} name the same file {data}\n", err
+        assert data.read_bytes() == before and sorted(tmp_path.iterdir()) == files
+
 
 class TestTrain:
     def test_compose_off_equals_lambda2_zero(self, dataset, tmp_path):

@@ -4,6 +4,8 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hoicomp.errors import (
     DimensionMismatch,
@@ -19,7 +21,7 @@ from hoicomp.evaluator import (
     Detections,
     GroundTruths,
     Scoring,
-    average_precision,
+    average_precisions,
     box_iou,
     detections_from_model,
     evaluate,
@@ -45,7 +47,7 @@ from hoicomp.synthdata import DatasetConfig, generate, random_hoi_defs, save_dat
 from hoicomp.trainer import TrainConfig, train
 from hoicomp.zeroshot import frequency_partition
 
-from column_oracle import column_evaluate
+from column_oracle import average_precision, column_evaluate
 from conftest import make_dataset, make_row, peak_above_live
 from test_network import masked_sigmoid, plain_product
 from test_synthdata import replace_entry
@@ -603,20 +605,69 @@ class TestTables:
             replace(good, score=score)
 
 
+def batched(hits, npos):
+    """``average_precisions`` of the classes whose TP flags are the rows of
+    the (classes, pool length) array ``hits``."""
+    hits = np.asarray(hits, dtype=bool).reshape(len(npos), -1)
+    return average_precisions(*np.nonzero(hits), np.asarray(npos), hits.shape[1])
+
+
+def one_class_aps(hits, npos):
+    return np.array([average_precision(h, int(n)) for h, n in zip(hits, npos)])
+
+
 class TestAveragePrecision:
-    def test_no_gt_is_nan(self):
+    """``average_precisions`` against the one-class form in
+    ``column_oracle``: every class's AP equal bit for bit."""
+
+    def test_no_gt_is_nan(self, toy_space):
+        # a class without ground truth never reaches the batched AP
+        box = Box(0, 0, 10, 10)
+        dets = detections([(0, box, box, 0.9, 0.1, 0.1)])
+        ap = evaluate(dets, ground_truths([(0, box, box, 0)]), toy_space).ap
+        assert ap[0] == 1.0 and np.isnan(ap[1:]).all()
         assert np.isnan(average_precision(np.array([], dtype=bool), 0))
 
     def test_no_dets_is_zero(self):
+        assert batched(np.zeros((1, 0)), [3]).tolist() == [0.0]
         assert average_precision(np.array([], dtype=bool), 3) == 0.0
 
     def test_perfect_ranking(self):
-        assert average_precision(np.array([True, True]), 2) == 1.0
+        assert batched([[True, True]], [2]).tolist() == [1.0]
 
     def test_interleaved(self):
         # TP FP TP over 2 gts: AP = 0.5*1 + 0.5*(2/3)
-        ap = average_precision(np.array([True, False, True]), 2)
-        assert ap == pytest.approx(0.5 * 1.0 + 0.5 * (2 / 3))
+        hits = np.array([[True, False, True]])
+        ap = batched(hits, [2])
+        assert ap[0] == pytest.approx(0.5 * 1.0 + 0.5 * (2 / 3))
+        assert ap.tobytes() == one_class_aps(hits, [2]).tobytes()
+
+    # numpy's pairwise sum unrolls by 8 and splits above 128 elements, and
+    # 4096 / length rows share one block
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(length=st.integers(0, 3000), classes=st.integers(1, 40),
+           hits=st.sampled_from(["none", "all", "random"]), seed=st.integers(0, 2**32 - 1))
+    @example(length=0, classes=3, hits="none", seed=0)
+    @example(length=1, classes=4100, hits="random", seed=1)  # two blocks of one-pair pools
+    @example(length=7, classes=5, hits="all", seed=2)
+    @example(length=8, classes=5, hits="random", seed=3)
+    @example(length=9, classes=5, hits="random", seed=4)
+    @example(length=127, classes=40, hits="random", seed=5)
+    @example(length=128, classes=40, hits="all", seed=6)
+    @example(length=129, classes=40, hits="random", seed=7)
+    @example(length=1000, classes=9, hits="random", seed=8)
+    @example(length=1000, classes=9, hits="none", seed=9)
+    @example(length=3000, classes=3, hits="random", seed=10)
+    @example(length=4097, classes=2, hits="all", seed=11)
+    def test_batched_equals_one_class_form(self, length, classes, hits, seed):
+        rng = np.random.default_rng(seed)
+        if hits == "random":  # each class its own hit rate
+            flags = rng.random((classes, length)) < rng.random((classes, 1))
+        else:
+            flags = np.full((classes, length), hits == "all")
+        npos = flags.sum(axis=1) + rng.integers(0, 4, classes)
+        npos[npos == 0] = 1  # a class in the batch has ground truth
+        assert batched(flags, npos).tobytes() == one_class_aps(flags, npos).tobytes()
 
 
 class TestDetectionsFromModel:
@@ -767,6 +818,17 @@ class TestEvalAllocations:
             warm_up=lambda: evaluate(detections_from_model(test_set, params), gts, space),
         )
         assert peak < 14.6e6, peak / 1e6
+
+    def test_matching_peak(self, trained):
+        # traced peak of one default-mode matching pass above the memory live
+        # before it: 1.27 MB (3000 x 60) and 0.45 MB (1000 x 600), bounded
+        # 20% above the larger. An AP that builds its three (classes x pool)
+        # float arrays whole takes it to 4.5 and 3.5 MB
+        _, test_set, space, params = trained
+        dets, gts = detections_from_model(test_set, params), ground_truths_from_instances(test_set)
+        peak = peak_above_live(lambda: evaluate(dets, gts, space),
+                               warm_up=lambda: evaluate(dets, gts, space))
+        assert peak < 1.52e6, peak / 1e6
 
 
 def saved(tmp_path, dets, **entries):

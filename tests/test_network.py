@@ -718,14 +718,24 @@ class TestInPlaceScoring:
 
     @pytest.mark.parametrize("shape", [(), (0,), (6,), (1, 6), (3000, 60), (1000, 600)])
     def test_sigmoid_bits(self, shape):
+        # three kinds of logits: of mixed scales; shaped like a trained
+        # hico-600 model's, almost all negative, a few far enough down that
+        # exp underflows to 0 (one such model reached -6804); and of either
+        # sign in equal parts, so the z >= 0 mask is as mixed as it gets
         rng = np.random.default_rng(len(shape) + sum(shape))
-        z = np.array(rng.standard_normal(shape) * rng.choice([1.0, 40.0, 900.0], size=shape))
-        z.reshape(-1)[: len(SIGMOID_EDGES)] = SIGMOID_EDGES[: z.size]
-        want = masked_sigmoid(z)
-        assert sigmoid(z).tobytes() == want.tobytes()
-        out = np.full_like(z, np.nan)
-        assert sigmoid(z, out=out) is out and out.tobytes() == want.tobytes()
-        assert sigmoid(z, out=z) is z and z.tobytes() == want.tobytes()  # in place
+        scaled = rng.standard_normal(shape) * rng.choice([1.0, 40.0, 900.0], size=shape)
+        hico, u = -rng.exponential(30.0, shape), rng.random(shape)
+        hico = np.where(u > 0.99, rng.uniform(-7000.0, -745.0, shape), hico)
+        hico = np.where(u < 0.005, -0.2 * hico, hico)  # a few positive
+        hico.reshape(-1)[-1:] = -7000.0
+        mixed = rng.standard_normal(shape) * 5.0
+        for z in (np.array(scaled), np.array(hico), np.array(mixed)):
+            z.reshape(-1)[: len(SIGMOID_EDGES)] = SIGMOID_EDGES[: z.size]
+            want = masked_sigmoid(z)
+            assert sigmoid(z).tobytes() == want.tobytes()
+            out = np.full_like(z, np.nan)
+            assert sigmoid(z, out=out) is out and out.tobytes() == want.tobytes()
+            assert sigmoid(z, out=z) is z and z.tobytes() == want.tobytes()  # in place
 
     def test_sigmoid_edges(self):
         got = sigmoid(np.array(SIGMOID_EDGES))
