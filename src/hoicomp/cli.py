@@ -13,8 +13,9 @@ output goes or what to print; so a replay names its own ``--out``, as in
 checks that flags get: a value outside a flag's choices, or a boolean
 other than 1/true/yes/on or 0/false/no/off, is an error. A setting is
 checked when its config is built, so a config that exists is valid; seeds
-and display counts must be >= 0. A dataset file read beside ``--data``
-(``--test``, ``--train-data``) must hold its label space. A command builds
+and display counts must be >= 0. Every file read beside ``--data``
+(``--test``, ``--train-data``, ``--split``, ``--detections``) holds a label
+space, which must be that of ``--data``. A command builds
 its configs, reads every input file and trains and scores every model
 before it makes ``--out`` or writes anything, so a run that fails, on its
 settings, its inputs or in training, leaves no output behind.
@@ -37,7 +38,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .composer import MODES, ComposeConfig, compose_batch
-from .errors import HoicompError, InconsistentLabel, InvalidConfig, ParseError, read_text_lines
+from .errors import HoicompError, InvalidConfig, ParseError, read_text_lines
 from .evaluator import (
     EVAL_MODES,
     Scoring,
@@ -57,7 +58,7 @@ from .experiments import (
     run_rows,
     with_compose,
 )
-from .label_algebra import HoiLabelSpace, format_space
+from .label_algebra import HoiLabelSpace
 from .network import BRANCH_MODES, LossWeights, NetworkConfig, load_params, save_params
 from .spatial import ascii_art, spatial_vector
 from .synthdata import (
@@ -337,21 +338,12 @@ def _run_rows(args, rows) -> tuple[list[RunResult], HoiLabelSpace, Dataset]:
     are added to every row's composition settings. Returns the results, the
     label space and the test set."""
     train_set, space = load_dataset(args.data)
-    test_set = _load_in_space(args.test, space) if args.test else train_set[:0]
+    test_set = load_dataset(args.test, space=space)[0] if args.test else train_set[:0]
     split = load_split(args.split, space) if getattr(args, "split", None) else None
     if split is not None:
         rows = [(with_compose(cfg, unseen_ids=split.unseen), scoring) for cfg, scoring in rows]
     net_cfg = _net_config(args, space, train_set.human_feat.shape[1])
     return run_rows(train_set, test_set, space, rows, net_cfg=net_cfg, split=split), space, test_set
-
-
-def _load_in_space(path, space: HoiLabelSpace, labels_only: bool = False) -> Dataset:
-    """The dataset at ``path``, which must hold ``space``, the label space
-    of ``--data``; a file of another space raises ``InconsistentLabel``."""
-    data, own = load_dataset(path, labels_only=labels_only)
-    if format_space(own) != format_space(space):
-        raise InconsistentLabel(f"{path} holds another label space than --data")
-    return data
 
 
 def _out_dir(args) -> Path:
@@ -436,7 +428,7 @@ def _cmd_eval(args) -> int:
         raise HoicompError("pass exactly one of --checkpoint / --detections")
     scoring = _scoring(args)
     test_set, space = load_dataset(args.data)
-    train_set = (_load_in_space(args.train_data, space, labels_only=True)
+    train_set = (load_dataset(args.train_data, labels_only=True, space=space)[0]
                  if args.train_data else None)
     split = load_split(args.split, space) if args.split else None
     _, counts, partition = report_basis(train_set, space, split, scoring.rare_threshold)
@@ -445,13 +437,13 @@ def _cmd_eval(args) -> int:
         params, _ = load_params(args.checkpoint)
         dets = detections_from_model(test_set, params, scoring)
     else:
-        dets = load_detections(args.detections)
+        dets = load_detections(args.detections, space)
     gts = ground_truths_from_instances(test_set)
     report = evaluate(dets, gts, space, mode=scoring.eval_mode, partition=partition)
     out_dir = _out_dir(args)
     _report_files(report, space, counts, out_dir)
     if args.dets_out:
-        save_detections(dets, out_dir / "detections.npz")
+        save_detections(dets, space, out_dir / "detections.npz")
     print(format_report(report), end="")
     return 0
 

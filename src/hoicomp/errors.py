@@ -25,6 +25,14 @@ class EmptyDefinition(HoicompError):
     """An interaction definition has no verbs, or the definition list is empty."""
 
 
+class NotOneObject(HoicompError):
+    """An interaction class has no object, or more than one."""
+
+
+class DuplicateName(HoicompError):
+    """A verb or object name table gives one name to two ids."""
+
+
 # ---- geometry ----
 
 class InvalidBox(HoicompError):
@@ -43,20 +51,17 @@ class InvalidConfig(HoicompError):
 
 
 class ParseError(HoicompError):
-    """A data file could not be parsed; carries line and column."""
+    """A data file could not be parsed; carries the line of a text file."""
 
-    def __init__(self, message, line=None, column=None):
-        loc = ""
-        if line is not None:
-            loc = f" (line {line}" + (f", column {column})" if column is not None else ")")
-        super().__init__(message + loc)
+    def __init__(self, message, line=None):
+        super().__init__(message + ("" if line is None else f" (line {line})"))
         self.line = line
-        self.column = column
 
 
 class InconsistentLabel(HoicompError):
-    """An instance's label does not agree with its object id, or a dataset
-    file holds another label space than the file it is read beside."""
+    """An instance's label does not agree with its object id, or a file
+    that names classes holds another label space than the dataset it is
+    read with."""
 
 
 class DimensionMismatch(HoicompError):
@@ -92,7 +97,8 @@ class NonFiniteUpdate(HoicompError):
 
 class OutOfRange(HoicompError):
     """A numeric input fell outside its range: a probability-like factor
-    outside [0, 1], or a class weight that is not positive."""
+    outside [0, 1], a class weight that is not positive, or an entry of a
+    label space's 0/1 matrix that is neither."""
 
 
 class DivergedTraining(HoicompError):

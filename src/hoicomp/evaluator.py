@@ -471,23 +471,25 @@ def detections_from_model(test: Dataset, params: ModelParams,
 #   image_id                  (P,)     int64
 #   human_box, object_box     (P, 4)   float64
 #   score                     (P, C)   float64
-# Loading builds a ``Detections``, which checks every column.
+# The label space the scores are for follows, as ``synthdata.read_archive``
+# reads it. Loading builds a ``Detections``, which checks every column.
 
 DETECTIONS_ENTRIES = tuple(f.name for f in fields(Detections))
 
 
-def save_detections(dets: Detections, path):
-    """Write ``dets`` to ``path`` as the archive above."""
-    write_archive(path, {name: getattr(dets, name) for name in DETECTIONS_ENTRIES})
+def save_detections(dets: Detections, space: HoiLabelSpace, path):
+    """Write ``dets``, scored in ``space``, to ``path`` as the archive above."""
+    write_archive(path, {name: getattr(dets, name) for name in DETECTIONS_ENTRIES}, space)
 
 
-def load_detections(path) -> Detections:
-    """Detections from a file ``save_detections`` wrote. Bytes that are not
-    an archive of exactly the entries above raise ``ParseError``; a column
-    of another dtype or shape raises ``DimensionMismatch``, a bad box
+def load_detections(path, space: HoiLabelSpace) -> Detections:
+    """Detections from a file ``save_detections`` wrote in ``space``. Bytes
+    that are not an archive of exactly the entries above raise
+    ``ParseError``, and a file of another space ``InconsistentLabel``; a
+    column of another dtype or shape raises ``DimensionMismatch``, a bad box
     ``InvalidBox`` naming its column and row, and a non-finite score
     ``NonFiniteInput`` naming its pair and class."""
-    return Detections(**read_archive(path, "detections", DETECTIONS_ENTRIES))
+    return Detections(**read_archive(path, "detections", DETECTIONS_ENTRIES, space=space)[0])
 
 
 def format_report(report: EvalReport) -> str:

@@ -62,9 +62,10 @@ def default_dataset_config(seed: int = 0, **overrides) -> DatasetConfig:
 
 @dataclass
 class RunResult:
-    """What one row of ``run_rows`` produces."""
+    """What one row of ``run_rows`` produces: the trained model for the
+    last row only, None for every other."""
 
-    params: ModelParams
+    params: ModelParams | None
     log: list[dict]
     report: EvalReport
     counts: object
@@ -135,9 +136,14 @@ def run_rows(
     ``TrainConfig`` is trained once: a row that repeats an earlier row's
     re-scores that row's model, and shares its log. ``report_basis`` runs
     once per distinct ``rare_threshold``.
+
+    A model is dropped after the last row that uses it, and only the last
+    row's result keeps its model, so no model outlives the rows that score
+    it.
     """
+    last_use = {train_cfg: k for k, (train_cfg, _) in enumerate(rows)}
     results, trained, bases = [], {}, {}
-    for train_cfg, scoring in rows:
+    for k, (train_cfg, scoring) in enumerate(rows):
         threshold = scoring.rare_threshold
         if threshold not in bases:
             bases[threshold] = report_basis(train_set, space, split, threshold)
@@ -158,8 +164,9 @@ def run_rows(
 
             trained[train_cfg] = train(trained_on, space, train_cfg, net_cfg=net_cfg,
                                        eval_fn=eval_fn)
-        params, log = trained[train_cfg]
-        results.append(RunResult(params, log, score(params), counts))
+        params, log = trained[train_cfg] if k < last_use[train_cfg] else trained.pop(train_cfg)
+        results.append(RunResult(params if k == len(rows) - 1 else None, log, score(params), counts))
+        del params  # so it is freed before the next row trains
     return results
 
 

@@ -1,9 +1,12 @@
 """Interaction label space: decomposition into verbs/objects and recomposition.
 
 An interaction class is a (verb set, object) pair. The space is held as two
-binary co-occurrence matrices: ``verb_hoi`` (verbs x classes) and
-``object_hoi`` (objects x classes). Decomposing a label vector projects it
-onto verb and object indicator vectors; composing an (object, verb) indicator
+binary co-occurrence matrices, ``verb_hoi`` (verbs x classes) and
+``object_hoi`` (objects x classes), and two name tables; a space checks
+those four when it is built. Every file that names classes holds them as
+four archive entries (``synthdata.SPACE_ENTRIES``), so a file is read only
+beside data of its own space. Decomposing a label vector projects it onto
+verb and object indicator vectors; composing an (object, verb) indicator
 pair yields the label vector of every class whose object matches and whose
 verb set intersects the verbs. Products are computed as integer counts,
 summed exactly in float64, and binarized at > 0; a class has exactly one
@@ -13,37 +16,97 @@ object, so composing looks its object's entry up instead of summing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import DanglingId, DimensionMismatch, DuplicateHoi, EmptyDefinition, ParseError
+from .errors import (
+    DanglingId,
+    DimensionMismatch,
+    DuplicateHoi,
+    DuplicateName,
+    EmptyDefinition,
+    NotOneObject,
+    OutOfRange,
+)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HoiLabelSpace:
     """Immutable verb/object co-occurrence structure of an interaction label set.
 
     Attributes:
-        verb_hoi: uint8 matrix of shape (num_verbs, num_hois); entry (v, c)
-            is 1 iff verb v participates in class c.
-        object_hoi: uint8 matrix of shape (num_objects, num_hois); each
+        verb_hoi: uint8 0/1 matrix of shape (num_verbs, num_hois); entry
+            (v, c) is 1 iff verb v participates in class c.
+        object_hoi: uint8 0/1 matrix of shape (num_objects, num_hois); each
             column has exactly one 1 (a class has exactly one object).
-        verb_names, object_names, hoi_names: id -> name tables.
+        verb_names, object_names: id -> name tables, one distinct name per
+            row of their matrix.
+
+    Checked when built, in this order: each matrix is 2-D ``uint8`` with as
+    many classes as the other and a name per row (``DimensionMismatch``), of
+    0/1 (``OutOfRange``); there is a class, each with a verb
+    (``EmptyDefinition``) and one object (``NotOneObject``), no two alike
+    (``DuplicateHoi``); every verb, then object, is in one (``DanglingId``),
+    and names differ (``DuplicateName``). ``==`` compares matrices and names.
     """
 
     verb_hoi: np.ndarray
     object_hoi: np.ndarray
     verb_names: tuple[str, ...]
     object_names: tuple[str, ...]
-    hoi_names: tuple[str, ...]
+
+    __hash__ = None  # compared by value, and numpy arrays hash to nothing stable
 
     def __post_init__(self):
+        tables = (("verb", self.verb_hoi, self.verb_names),
+                  ("object", self.object_hoi, self.object_names))
+        for kind, m, names in tables:
+            if not (isinstance(m, np.ndarray) and m.ndim == 2 and m.dtype == np.uint8):
+                got = f"{m.dtype} {m.shape}" if isinstance(m, np.ndarray) else type(m).__name__
+                raise DimensionMismatch(f"{kind}_hoi is {got}, expected a 2-D uint8 matrix")
+            if m.shape[1] != self.num_hois:
+                raise DimensionMismatch(f"verb_hoi has {self.num_hois} classes, object_hoi {m.shape[1]}")
+            if len(names) != m.shape[0]:
+                raise DimensionMismatch(f"{len(names)} {kind} names for the {m.shape[0]} rows "
+                                        f"of {kind}_hoi")
+            if (m > 1).any():
+                raise OutOfRange(f"{kind}_hoi holds {int(m.max())}, not a 0/1 entry")
+        if self.num_hois == 0:
+            raise EmptyDefinition("the label space has no classes")
+        verbless = np.flatnonzero(~self.verb_hoi.any(axis=0))
+        if verbless.size:
+            raise EmptyDefinition(f"class {int(verbless[0])} has no verbs")
+        objects = self.object_hoi.sum(axis=0)
+        if (objects != 1).any():
+            c = int(np.argmax(objects != 1))
+            raise NotOneObject(f"class {c} has {int(objects[c])} objects, expected 1")
+        # a class's (verbs, object) column, packed, is its definition
+        defs = np.packbits(np.vstack([self.verb_hoi, self.object_hoi]), axis=0).T
+        c = _first_repeat(d.tobytes() for d in defs)
+        if c is not None:
+            raise DuplicateHoi(f"class {c} duplicates an earlier (verb set, object) pair")
+        for kind, m, names in tables:
+            unused = np.flatnonzero(~m.any(axis=1))
+            if unused.size:
+                raise DanglingId(f"{kind} id {int(unused[0])} appears in no interaction")
+        for kind, m, names in tables:
+            k = _first_repeat(names)
+            if k is not None:
+                raise DuplicateName(f"{kind} name {names[k]!r} names two {kind} ids")
         self.verb_hoi.setflags(write=False)
         self.object_hoi.setflags(write=False)
         # every compose call needs it, so it is worked out once
         hoi_object = np.argmax(self.object_hoi, axis=0)
         hoi_object.setflags(write=False)
         object.__setattr__(self, "_hoi_object", hoi_object)
+
+    def __eq__(self, other):
+        if not isinstance(other, HoiLabelSpace):
+            return NotImplemented
+        return (self.verb_names == other.verb_names and self.object_names == other.object_names
+                and np.array_equal(self.verb_hoi, other.verb_hoi)
+                and np.array_equal(self.object_hoi, other.object_hoi))
 
     @property
     def num_verbs(self) -> int:
@@ -56,6 +119,16 @@ class HoiLabelSpace:
     @property
     def num_hois(self) -> int:
         return self.verb_hoi.shape[1]
+
+    @cached_property
+    def hoi_names(self) -> tuple[str, ...]:
+        """Class c's name, ``verb+verb-object`` with its verbs ascending;
+        worked out when first read, since most loads never read it."""
+        return tuple(
+            "+".join(self.verb_names[v] for v in self.verbs_of(c))
+            + "-" + self.object_names[self._hoi_object[c]]
+            for c in range(self.num_hois)
+        )
 
     def object_of(self, hoi_id: int) -> int:
         """Object id of one interaction class."""
@@ -70,6 +143,16 @@ class HoiLabelSpace:
         return self._hoi_object
 
 
+def _first_repeat(items) -> int | None:
+    """Index of the first item equal to an earlier one; None when all differ."""
+    seen = set()
+    for k, item in enumerate(items):
+        if item in seen:
+            return k
+        seen.add(item)
+    return None
+
+
 def build_space(
     hoi_defs,
     verb_names=None,
@@ -80,71 +163,35 @@ def build_space(
     Class c gets the verbs and object of ``hoi_defs[c]`` and is named
     ``verb+verb-object`` from the name tables. Verb/object counts are
     inferred from the name tables when given, otherwise from the largest id
-    used. Every id in range must be used by at least one class.
-
-    Raises:
-        EmptyDefinition: empty list, or a definition with no verbs.
-        DuplicateHoi: two definitions with identical (verb set, object).
-        DanglingId: an id in range appears in no definition.
+    used. The space checks itself (see ``HoiLabelSpace``); an id beyond a
+    given name table raises ``DimensionMismatch`` before that.
     """
-    if len(hoi_defs) == 0:
-        raise EmptyDefinition("hoi_defs is empty")
-
-    defs = []
-    for c, (verbs, obj) in enumerate(hoi_defs):
-        verbs = tuple(sorted(int(v) for v in verbs))
-        if len(verbs) == 0:
-            raise EmptyDefinition(f"class {c} has no verbs")
-        defs.append((verbs, int(obj)))
-
-    seen = set()
-    for c, d in enumerate(defs):
-        if d in seen:
-            raise DuplicateHoi(f"class {c} duplicates an earlier (verb set, object) pair")
-        seen.add(d)
-
-    max_verb = max(v for verbs, _ in defs for v in verbs)
-    max_obj = max(o for _, o in defs)
+    defs = [(sorted(int(v) for v in verbs), int(obj)) for verbs, obj in hoi_defs]
+    max_verb = max((v for verbs, _ in defs for v in verbs), default=-1)
+    max_obj = max((o for _, o in defs), default=-1)
     num_verbs = len(verb_names) if verb_names is not None else max_verb + 1
     num_objects = len(object_names) if object_names is not None else max_obj + 1
     if max_verb >= num_verbs or max_obj >= num_objects:
         raise DimensionMismatch("definition uses an id beyond the provided name tables")
 
-    num_hois = len(defs)
-    verb_hoi = np.zeros((num_verbs, num_hois), dtype=np.uint8)
-    object_hoi = np.zeros((num_objects, num_hois), dtype=np.uint8)
+    verb_hoi = np.zeros((num_verbs, len(defs)), dtype=np.uint8)
+    object_hoi = np.zeros((num_objects, len(defs)), dtype=np.uint8)
     for c, (verbs, obj) in enumerate(defs):
-        verb_hoi[list(verbs), c] = 1
+        verb_hoi[verbs, c] = 1
         object_hoi[obj, c] = 1
-
-    unused_verbs = np.flatnonzero(verb_hoi.sum(axis=1) == 0)
-    if unused_verbs.size:
-        raise DanglingId(f"verb id {int(unused_verbs[0])} appears in no interaction")
-    unused_objects = np.flatnonzero(object_hoi.sum(axis=1) == 0)
-    if unused_objects.size:
-        raise DanglingId(f"object id {int(unused_objects[0])} appears in no interaction")
-
     if verb_names is None:
-        verb_names = tuple(f"verb{v}" for v in range(num_verbs))
+        verb_names = (f"verb{v}" for v in range(num_verbs))
     if object_names is None:
-        object_names = tuple(f"object{o}" for o in range(num_objects))
-    hoi_names = tuple(
-        "+".join(verb_names[v] for v in verbs) + "-" + object_names[obj] for verbs, obj in defs
-    )
-    return HoiLabelSpace(
-        verb_hoi=verb_hoi,
-        object_hoi=object_hoi,
-        verb_names=tuple(verb_names),
-        object_names=tuple(object_names),
-        hoi_names=hoi_names,
-    )
+        object_names = (f"object{o}" for o in range(num_objects))
+    return HoiLabelSpace(verb_hoi=verb_hoi, object_hoi=object_hoi,
+                         verb_names=tuple(verb_names), object_names=tuple(object_names))
 
 
 def canonical_defs(hoi_defs) -> tuple:
     """Relabel verb/object ids to first-appearance order over the class list.
 
-    Spaces built from canonical definitions survive the text format exactly,
-    because the loader assigns ids in first-appearance order too.
+    ``synthdata.random_hoi_defs`` draws its definitions through this, so the
+    ids of a generated space, and every dataset drawn from it, depend on it.
     """
     verb_map: dict[int, int] = {}
     object_map: dict[int, int] = {}
@@ -203,58 +250,3 @@ def compose(l_o, l_v, space: HoiLabelSpace):
     hit_o = np.take(l_o.astype(np.int64) > 0, space.objects_by_hoi(), axis=-1)  # one object per class
     hit_v = _as_counts(l_v) @ space.verb_hoi > 0
     return (hit_o & hit_v).view(np.uint8)
-
-
-# ---- line-oriented label-space text, a dataset archive's ``space`` entry ----
-# One class per line: hoi_id<TAB>verb_name[,verb_name...]<TAB>object_name
-# Ids are dense from 0; verb/object id tables follow first appearance order.
-
-
-def format_space(space: HoiLabelSpace) -> str:
-    lines = []
-    for c in range(space.num_hois):
-        verbs = ",".join(space.verb_names[v] for v in space.verbs_of(c))
-        obj = space.object_names[space.object_of(c)]
-        lines.append(f"{c}\t{verbs}\t{obj}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_space(lines) -> HoiLabelSpace:
-    """Parse label-space lines (see ``format_space``) into a space; errors
-    name the 1-based line."""
-    verb_ids: dict[str, int] = {}
-    object_ids: dict[str, int] = {}
-    entries = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ParseError(f"expected 3 tab-separated fields, got {len(parts)}", line=lineno)
-        hoi_str, verb_field, obj_name = parts
-        try:
-            hoi_id = int(hoi_str)
-        except ValueError:
-            raise ParseError(f"bad interaction id {hoi_str!r}", line=lineno, column=1) from None
-        if hoi_id in entries:
-            raise ParseError(f"interaction id {hoi_id} repeated", line=lineno)
-        verb_list = [v for v in verb_field.split(",") if v]
-        if not verb_list:
-            raise ParseError("empty verb list", line=lineno, column=2)
-        for name in verb_list:
-            verb_ids.setdefault(name, len(verb_ids))
-        object_ids.setdefault(obj_name, len(object_ids))
-        entries[hoi_id] = (frozenset(verb_ids[v] for v in verb_list), object_ids[obj_name])
-
-    if not entries:
-        raise ParseError("no interaction definitions found", line=1)
-    num_hois = len(entries)
-    missing = sorted(set(range(num_hois)) - set(entries))
-    if missing:
-        raise ParseError(f"interaction ids not dense from 0: missing {missing[0]}", line=1)
-
-    verb_names = tuple(sorted(verb_ids, key=verb_ids.get))
-    object_names = tuple(sorted(object_ids, key=object_ids.get))
-    defs = [entries[c] for c in range(num_hois)]
-    return build_space(defs, verb_names=verb_names, object_names=object_names)

@@ -74,8 +74,8 @@ from .synthdata import Dataset, unpack_labels
 BRANCH_MODES = ("both", "vo_only", "sp_only")
 
 # elements per block of a pass over a whole flat buffer (the gradient check
-# here, trainer.sgd_step) or of an elementwise pass over the rows of a score
-# matrix (sigmoid, fuse_scores): 256 KiB of float64, so the few arrays a
+# here, trainer.sgd_step) or over the rows of a score matrix
+# (evaluator.detections_from_model): 256 KiB of float64, so the few arrays a
 # block touches stay in a 2 MiB L2 cache, and its temporaries are no larger
 FLAT_BLOCK = 32768
 
@@ -284,21 +284,17 @@ def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     may be ``z`` itself) or a new array. With ``e = exp(-|z|)`` it is
     ``1 / (1 + e)`` where ``z >= 0`` and ``e / (1 + e)`` elsewhere, so neither
     branch overflows; ``e / (1 + e)`` is taken everywhere first and then
-    overwritten on the ``z >= 0`` side. Rows are taken about ``FLAT_BLOCK``
-    elements at a time, so the temporaries stay that small."""
+    overwritten on the ``z >= 0`` side. Its temporaries are the size of
+    ``z``, so scoring passes it one ``FLAT_BLOCK`` row block at a time."""
     if out is None:
         out = np.empty_like(z, dtype=np.float64)
-    z_rows, out_rows = np.atleast_1d(z), np.atleast_1d(out)  # views, so out is written
-    rows = max(1, FLAT_BLOCK // max(1, math.prod(z.shape[1:])))
-    for start in range(0, len(z_rows), rows):
-        zc, e = z_rows[start : start + rows], out_rows[start : start + rows]
-        pos = zc >= 0  # taken before e overwrites zc, when out is z
-        np.abs(zc, out=e)
-        np.negative(e, out=e)
-        np.exp(e, out=e)
-        den = e + 1.0
-        np.divide(e, den, out=e)  # a plain divide: a masked one runs 2-10x slower
-        np.divide(1.0, den, out=e, where=pos)
+    pos = z >= 0  # taken before e overwrites z, when out is z
+    e = np.abs(z, out=out)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    den = e + 1.0
+    np.divide(e, den, out=e)  # a plain divide: a masked one runs 2-10x slower
+    np.divide(1.0, den, out=e, where=pos)
     return out
 
 
@@ -611,16 +607,12 @@ def fuse_scores(s_h, s_o, s_sp, s_vo, branch_mode: str = "both",
             raise OutOfRange(f"{name}={val[bad].flat[0]} outside [0, 1]")
     # a dropped branch multiplies by 1, which leaves every bit as it is
     factors = {"both": (s_vo, s_sp), "vo_only": (s_vo,), "sp_only": (s_sp,)}[branch_mode]
-    pair = (s_h * s_o)[:, None]
+    prod = (s_h * s_o)[:, None] * factors[0]
+    for f in factors[1:]:
+        prod *= f
     if out is None:
-        out = np.empty_like(s_sp)
-    rows = max(1, FLAT_BLOCK // max(1, s_sp.shape[1]))
-    for start in range(0, len(out), rows):  # a row block's product is done before out is written
-        block = slice(start, start + rows)
-        prod = pair[block] * factors[0][block]
-        for f in factors[1:]:
-            prod *= f[block]
-        out[block] = prod
+        return prod
+    out[...] = prod  # only now, as out may be one of the factors
     return out
 
 

@@ -28,13 +28,7 @@ from .errors import (
     InvalidConfig,
     ParseError,
 )
-from .label_algebra import (
-    HoiLabelSpace,
-    build_space,
-    canonical_defs,
-    format_space,
-    parse_space,
-)
+from .label_algebra import HoiLabelSpace, build_space, canonical_defs
 from .spatial import check_boxes
 
 SCORE_RANGE = (0.5, 1.0)  # detector scores, uniform over [low, high)
@@ -187,7 +181,7 @@ def random_hoi_defs(
                 taken.add(cand)
                 verbs = tuple(sorted({v, v2}))
         defs.append((verbs, o))
-    # appearance-ordered ids so built spaces round-trip the text format exactly
+    # ids in order of first appearance; generated data depends on this order
     return canonical_defs(defs)
 
 
@@ -355,10 +349,74 @@ def class_counts(data: Dataset, space: HoiLabelSpace) -> np.ndarray:
     return counts
 
 
+# ---- archives: dataset, split and detections files ----
+# Each is one uncompressed ``np.savez`` archive (a zip of ``.npy`` entries):
+# the file's own entries, then the label space its classes belong to as
+#   verb_hoi, object_hoi       (V, C), (O, C)   uint8 0/1
+#   verb_names, object_names   (V,), (O,)       unicode
+# (``SPACE_ENTRIES``), which ``read_archive`` builds into a ``HoiLabelSpace``.
+
+SPACE_ENTRIES = ("verb_hoi", "object_hoi", "verb_names", "object_names")
+_ZIP_MAGIC = b"PK\x03\x04"
+# what np.load and the zip reader raise on bytes that are not a valid archive;
+# an entry's header may declare any shape, hence OverflowError and MemoryError
+_ARCHIVE_ERRORS = (
+    ValueError, OSError, EOFError, zipfile.BadZipFile, zlib.error, NotImplementedError,
+    OverflowError, MemoryError,
+)
+
+
+def write_archive(path, arrays: dict[str, np.ndarray], space: HoiLabelSpace):
+    """Write ``arrays`` and then ``space``'s entries to ``path`` as one
+    uncompressed archive, an entry per key in order. The bytes depend only
+    on the values: numpy writes every zip entry with the same fixed timestamp."""
+    names = {key: np.array(getattr(space, key), dtype=str) for key in SPACE_ENTRIES[2:]}
+    # a file handle, because np.savez appends ".npz" to a path without it
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays, verb_hoi=space.verb_hoi, object_hoi=space.object_hoi, **names)
+
+
+def read_archive(path, kind: str, entries: tuple, names=None, space=None):
+    """(arrays, the label space the file holds): the entries ``names`` (all
+    of ``entries`` when None) of the archive at ``path``, and its space
+    entries built into a ``HoiLabelSpace``, which checks them. Anything that
+    is not an archive of exactly ``entries`` and ``SPACE_ENTRIES`` raises
+    ``ParseError``, which calls the file a ``kind`` archive, and a name table
+    that is not a 1-D unicode array ``DimensionMismatch``. Given ``space``,
+    that of the dataset the file is read with (``--data`` on the command
+    line), a file of another space raises ``InconsistentLabel``."""
+    with open(path, "rb") as fh:
+        # np.load would also take a lone .npy array or a pickle
+        if fh.read(len(_ZIP_MAGIC)) != _ZIP_MAGIC:
+            raise ParseError(f"not a {kind} archive (a zip of .npy entries)")
+        fh.seek(0)
+        try:
+            # allow_pickle=False: an object array would unpickle, and so run,
+            # code taken from the file
+            with np.load(fh, allow_pickle=False) as archive:
+                expected = sorted(entries + SPACE_ENTRIES)
+                if sorted(archive.files) != expected:
+                    raise ParseError(f"archive entries {sorted(archive.files)}, expected {expected}")
+                arrays = {name: archive[name] for name in (names or entries) + SPACE_ENTRIES}
+        except _ARCHIVE_ERRORS as exc:
+            raise ParseError(f"not a {kind} archive: {exc}") from None
+    for name, arr in arrays.items():
+        if not isinstance(arr, np.ndarray):
+            raise ParseError(f"entry {name!r} is not a .npy array")
+    tables = [arrays.pop(key) for key in SPACE_ENTRIES]
+    for key, table in zip(SPACE_ENTRIES[2:], tables[2:]):
+        if table.ndim != 1 or table.dtype.kind != "U":
+            raise DimensionMismatch(f"entry {key!r} is {table.dtype} {table.shape}, "
+                                    "expected a 1-D unicode array")
+    own = HoiLabelSpace(*tables[:2], *(tuple(table.tolist()) for table in tables[2:]))
+    if space is not None and own != space:
+        raise InconsistentLabel(f"{path} holds another label space than --data")
+    return arrays, own
+
+
 # ---- dataset file ----
-# One uncompressed ``np.savez`` archive (a zip of ``.npy`` entries). Each
-# ``Dataset`` column is an entry named after its field, with the dtype and
-# shape ``empty_dataset`` gives it: N rows, feature width D, C classes.
+# Each ``Dataset`` column is an entry named after its field, with the dtype
+# and shape ``empty_dataset`` gives it: N rows, feature width D, C classes.
 #   image_id, object_id                   (N,)            int64
 #   human_box, object_box                 (N, 4)          float64
 #   human_score, object_score             (N,)            float64
@@ -369,59 +427,16 @@ def class_counts(data: Dataset, space: HoiLabelSpace) -> np.ndarray:
 # are zero. A file with one byte per class is the wrong width, so it fails
 # with ``DimensionMismatch`` on ``label`` (at C = 1, where the widths agree,
 # with ``InconsistentLabel``, as its 1 is a bit beyond the last class).
-# The entry ``space`` is a 0-d unicode array holding ``format_space(space)``.
 
 COLUMNS = tuple(f.name for f in fields(Dataset))
-ENTRIES = COLUMNS + ("space",)
 # the columns load_dataset reads with labels_only: all that class counts need
 LABEL_COLUMNS = ("label", "object_id")
-_ZIP_MAGIC = b"PK\x03\x04"
-# what np.load and the zip reader raise on bytes that are not a valid archive;
-# an entry's header may declare any shape, hence OverflowError and MemoryError
-_ARCHIVE_ERRORS = (
-    ValueError, OSError, EOFError, zipfile.BadZipFile, zlib.error, NotImplementedError,
-    OverflowError, MemoryError,
-)
 
 
 def save_dataset(data: Dataset, space: HoiLabelSpace, path):
     """Write ``data`` and its label space to ``path`` as one archive, with
     the entries listed above."""
-    columns = {name: getattr(data, name) for name in COLUMNS}
-    write_archive(path, columns | {"space": np.array(format_space(space))})
-
-
-def write_archive(path, arrays: dict[str, np.ndarray]):
-    """Write ``arrays`` to ``path`` as one uncompressed archive, an entry
-    per key in order. The bytes depend only on the values: numpy writes
-    every zip entry with the same fixed timestamp."""
-    # a file handle, because np.savez appends ".npz" to a path without it
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
-
-
-def read_archive(path, kind: str, entries: tuple, names=None) -> dict[str, np.ndarray]:
-    """The entries ``names`` (all of ``entries`` when None) of the archive
-    at ``path``; anything that is not an archive of exactly ``entries``
-    raises ``ParseError``, which calls the file a ``kind`` archive."""
-    with open(path, "rb") as fh:
-        # np.load would also take a lone .npy array or a pickle
-        if fh.read(len(_ZIP_MAGIC)) != _ZIP_MAGIC:
-            raise ParseError(f"not a {kind} archive (a zip of .npy entries)")
-        fh.seek(0)
-        try:
-            # allow_pickle=False: an object array would unpickle, and so run,
-            # code taken from the file
-            with np.load(fh, allow_pickle=False) as archive:
-                if sorted(archive.files) != sorted(entries):
-                    raise ParseError(f"archive entries {sorted(archive.files)}, expected {sorted(entries)}")
-                arrays = {name: archive[name] for name in names or entries}
-        except _ARCHIVE_ERRORS as exc:
-            raise ParseError(f"not a {kind} archive: {exc}") from None
-    for name, arr in arrays.items():
-        if not isinstance(arr, np.ndarray):
-            raise ParseError(f"entry {name!r} is not a .npy array")
-    return arrays
+    write_archive(path, {name: getattr(data, name) for name in COLUMNS}, space)
 
 
 def _check_rows(bad: np.ndarray, error, name: str, what: str, shown=None):
@@ -434,8 +449,9 @@ def _check_rows(bad: np.ndarray, error, name: str, what: str, shown=None):
     raise error(f"entry {name!r}, row {k}: {what}{quoted}")
 
 
-def load_dataset(path, labels_only: bool = False):
-    """Load (dataset, space) from a file ``save_dataset`` wrote.
+def load_dataset(path, labels_only: bool = False, space: HoiLabelSpace | None = None):
+    """Load (dataset, space) from a file ``save_dataset`` wrote; given
+    ``space``, a file of another space raises ``InconsistentLabel``.
 
     The archive must hold exactly the entries above, and every column is
     checked whole:
@@ -449,22 +465,16 @@ def load_dataset(path, labels_only: bool = False):
         no active class, or an active class's object differs from
         ``object_id``.
     Each error names the entry; the value checks also name its first bad row.
-    Bytes that are not such an archive raise ``ParseError``.
+    Bytes that are not such an archive raise ``ParseError``, and the space
+    entries raise what ``read_archive`` raises.
 
-    With ``labels_only``, only the ``label``, ``object_id`` and ``space``
+    With ``labels_only``, only the ``label``, ``object_id`` and space
     entries are read, and checked as above; N is the label's row count, and
     every other column of the dataset is None. That is enough for
     ``class_counts`` and ``zeroshot.apply_split``.
     """
     columns = LABEL_COLUMNS if labels_only else COLUMNS
-    arrays = read_archive(path, "dataset", ENTRIES, columns + ("space",))
-    text = arrays["space"]
-    if text.ndim != 0 or text.dtype.kind != "U":
-        raise ParseError(f"entry 'space' is {text.dtype} {text.shape}, expected a unicode string")
-    try:
-        space = parse_space(text.item().splitlines(keepends=True))
-    except ParseError as exc:
-        raise ParseError(f"entry 'space': {exc}") from None
+    arrays, space = read_archive(path, "dataset", COLUMNS, columns, space)
 
     first, feat = arrays[columns[0]], arrays.get("human_feat")
     n = first.shape[0] if first.ndim else 0

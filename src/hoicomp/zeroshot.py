@@ -5,8 +5,9 @@ while guaranteeing that every verb and every object still occurs in some
 remaining (seen) class. Candidates are scanned greedily by training-instance
 count, rarest first or most frequent first; a candidate joins the unseen set
 only if removing it keeps coverage, otherwise it is skipped. The greedy scan
-is deterministic given the counts and the tie-break seed, and the resulting
-split can be exported/imported as a small text file so runs stay comparable.
+is deterministic given the counts and the tie-break seed. A split carries
+its label space, and a split file holds it beside the unseen ids, so runs
+stay comparable and a split is read only beside data of its own space.
 
 Applying a split to a training set copies its label alone: rows whose every
 class is unseen stay, with an all-zero label, and every other column is the
@@ -21,24 +22,26 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rng as rngmod
-from .errors import DimensionMismatch, InfeasibleSplit, InvalidConfig, ParseError, read_text_lines
+from .errors import DimensionMismatch, InfeasibleSplit, InvalidConfig, ParseError
 from .label_algebra import HoiLabelSpace
-from .synthdata import Dataset
+from .synthdata import Dataset, read_archive, write_archive
 
 STRATEGIES = ("rare_first", "nonrare_first")
 
 
 @dataclass(frozen=True)
 class ZeroShotSplit:
+    """The classes of ``space`` held out of training, and how they were
+    chosen; every other class is seen."""
+
     unseen: frozenset
-    seen: frozenset
+    space: HoiLabelSpace
     strategy: str
     seed: int = 0
 
-
-def _split(unseen, num_hois: int, strategy: str, seed: int) -> ZeroShotSplit:
-    unseen = frozenset(unseen)
-    return ZeroShotSplit(unseen, frozenset(range(num_hois)) - unseen, strategy, seed)
+    @property
+    def seen(self) -> frozenset:
+        return frozenset(range(self.space.num_hois)) - self.unseen
 
 
 def _uncovered(space: HoiLabelSpace, seen: np.ndarray) -> str | None:
@@ -104,7 +107,7 @@ def make_split(
         raise InfeasibleSplit(
             f"only {len(unseen)} of {n_unseen} unseen classes selectable under coverage{detail}"
         )
-    return _split(unseen, num_hois, strategy, tie_break_seed)
+    return ZeroShotSplit(frozenset(unseen), space, strategy, tie_break_seed)
 
 
 def apply_split(train: Dataset, split: ZeroShotSplit) -> Dataset:
@@ -139,59 +142,52 @@ def zeroshot_partition(split: ZeroShotSplit) -> dict[str, frozenset]:
     return {"unseen": split.unseen, "seen": split.seen}
 
 
-# ---- split file: strategy/seed header, an [unseen] line, then one unseen id
-# per line (none for a split with no unseen classes) ----
+# ---- split file ----
+# One uncompressed ``np.savez`` archive with the entries
+#   unseen     (K,)  int64, the unseen class ids, ascending and distinct
+#   strategy   ()    unicode, one of ``STRATEGIES``
+#   seed       ()    int64, the tie-break seed, >= 0
+# and then its label space, as ``synthdata.read_archive`` reads it.
 
-
-def format_split(split: ZeroShotSplit) -> str:
-    lines = [f"strategy\t{split.strategy}", f"seed\t{split.seed}", "[unseen]"]
-    lines.extend(str(c) for c in sorted(split.unseen))
-    return "\n".join(lines) + "\n"
+SPLIT_ENTRIES = ("unseen", "strategy", "seed")
 
 
 def save_split(split: ZeroShotSplit, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_split(split))
+    """Write ``split`` to ``path`` as the archive above."""
+    write_archive(path, {"unseen": np.array(sorted(split.unseen), dtype=np.int64),
+                         "strategy": np.array(split.strategy),
+                         "seed": np.array(split.seed, dtype=np.int64)}, split.space)
 
 
 def load_split(path, space: HoiLabelSpace) -> ZeroShotSplit:
-    strategy = None
-    seed = 0
-    unseen: set[int] = set()
-    in_ids = False
-    for lineno, raw in enumerate(read_text_lines(path), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line == "[unseen]":
-            in_ids = True
-            continue
-        if in_ids:
-            try:
-                c = int(line)
-            except ValueError:
-                raise ParseError(f"bad class id {line!r}", line=lineno) from None
-            if not 0 <= c < space.num_hois:
-                raise ParseError(f"class id {c} outside label space", line=lineno)
-            unseen.add(c)
-        else:
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ParseError("bad header line", line=lineno)
-            if parts[0] == "strategy":
-                strategy = parts[1]
-            elif parts[0] == "seed":
-                try:
-                    seed = int(parts[1])
-                except ValueError:
-                    raise ParseError(f"bad seed {parts[1]!r}", line=lineno) from None
-    if strategy not in STRATEGIES:
-        raise ParseError(f"missing or unknown strategy {strategy!r}")
-    if not in_ids:  # a file cut short before its id list is no split
-        raise ParseError("missing [unseen] line")
+    """The split at ``path``, which must hold ``space``. Bytes that are not
+    an archive of exactly the entries above raise ``ParseError``, and so do
+    an unknown strategy, a negative seed, and unseen ids that are not
+    ascending and distinct or lie outside the space. An entry of another
+    dtype or shape raises ``DimensionMismatch``, a file of another space
+    ``InconsistentLabel``, and a split that leaves a verb or an object in no
+    seen class ``InfeasibleSplit``."""
+    arrays, _ = read_archive(path, "split", SPLIT_ENTRIES, space=space)
+    unseen, strategy, seed = (arrays[name] for name in SPLIT_ENTRIES)
+    for arr, name, ok, want in (
+        (unseen, "unseen", unseen.dtype == np.int64 and unseen.ndim == 1, "int64 (K,)"),
+        (strategy, "strategy", strategy.dtype.kind == "U" and strategy.ndim == 0, "a unicode string"),
+        (seed, "seed", seed.dtype == np.int64 and seed.ndim == 0, "int64 ()"),
+    ):
+        if not ok:
+            raise DimensionMismatch(f"entry {name!r} is {arr.dtype} {arr.shape}, expected {want}")
+    if strategy.item() not in STRATEGIES:
+        raise ParseError(f"entry 'strategy': unknown strategy {strategy.item()!r}")
+    if seed < 0:
+        raise ParseError(f"entry 'seed': seed {int(seed)} is negative")
+    if (np.diff(unseen) <= 0).any():
+        raise ParseError("entry 'unseen': class ids are not ascending and distinct")
+    outside = (unseen < 0) | (unseen >= space.num_hois)
+    if outside.any():
+        raise ParseError(f"entry 'unseen': class id {int(unseen[outside][0])} outside label space")
     seen = np.ones(space.num_hois, dtype=bool)
-    seen[sorted(unseen)] = False
+    seen[unseen] = False
     blocker = _uncovered(space, seen)
     if blocker is not None:
         raise InfeasibleSplit(f"split leaves {blocker} in no seen class")
-    return _split(unseen, space.num_hois, strategy, seed)
+    return ZeroShotSplit(frozenset(unseen.tolist()), space, strategy.item(), int(seed))

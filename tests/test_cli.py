@@ -11,8 +11,9 @@ from hoicomp import rng as rngmod
 from hoicomp.cli import main
 from hoicomp.evaluator import Detections, save_detections
 from hoicomp.network import NetworkConfig
-from hoicomp.synthdata import DatasetConfig, load_dataset, unpack_labels
+from hoicomp.synthdata import SPACE_ENTRIES, DatasetConfig, load_dataset, unpack_labels
 from hoicomp.trainer import TrainConfig, make_minibatch
+from hoicomp.zeroshot import ZeroShotSplit, save_split
 
 from test_file_fuzz import write_valid_files
 from test_network import save_unbuilt
@@ -182,7 +183,7 @@ class TestEval:
         assert run("eval", "--data", test, "--train-data", data, *split,
                    "--checkpoint", out / "checkpoint.ckpt", "--out", out2) == 0
         from_train = sorted(key for name, key in read if name == data.name)
-        assert from_train == ["label", "object_id", "space"]
+        assert from_train == sorted(["label", "object_id", *SPACE_ENTRIES])
         for name in ("report.txt", "report.tsv"):
             assert (out / name).read_bytes() == (out2 / name).read_bytes(), name
 
@@ -193,7 +194,7 @@ class TestEval:
                           object_box=insts.object_box,
                           score=0.9 * unpack_labels(insts.label, space.num_hois))
         dets_path = tmp_path / "dets.npz"
-        save_detections(dets, dets_path)
+        save_detections(dets, space, dets_path)
         out = tmp_path / "eval"
         assert run("eval", "--data", test, "--detections", dets_path, "--out", out) == 0
         text = (out / "report.txt").read_text()
@@ -229,7 +230,8 @@ class TestEval:
         data, test = dataset
         empty = tmp_path / "empty.npz"  # no pairs
         save_detections(Detections(image_id=np.zeros(0, dtype=np.int64), human_box=np.zeros((0, 4)),
-                                   object_box=np.zeros((0, 4)), score=np.zeros((0, 6))), empty)
+                                   object_box=np.zeros((0, 4)), score=np.zeros((0, 6))),
+                        load_dataset(test)[1], empty)
         assert run("eval", "--data", test, "--detections", empty, "--out", tmp_path / "e") == 0
         assert "map_full=0.0\n" in capsys.readouterr().out
 
@@ -537,8 +539,9 @@ def test_bad_setting_fails_before_output(dataset, request, tmp_path, capsys, com
 # 0 alone, "SPLIT0" a valid split with class 0 unseen, "CKPT" a checkpoint
 # trained on DATA, "BYTES" DATA with one byte per class in its label (the
 # format before labels were bits), "OTHER" a training set of another label
-# space with as many classes, "OUT" the run's own --out, and "MISSING" a
-# path where nothing is
+# space with as many classes, "OTHER_SPLIT" a split that make-splits made of
+# OTHER, "OTHER_DETS" the detections of CKPT on OTHER's test set, "OUT" the
+# run's own --out, and "MISSING" a path where nothing is
 BAD_INPUTS = [
     ["train", "--data", "MISSING"],
     ["train", "--data", "DATA", "--test", "MISSING"],
@@ -566,9 +569,12 @@ BAD_INPUTS = [
     ["train", "--data", "CLASS0", "--split", "SPLIT0"],
     ["train", "--data", "BYTES"],
     ["eval", "--data", "TEST", "--train-data", "BYTES", "--checkpoint", "CKPT"],
-    # each extra dataset file must hold the label space of --data
+    # each file read beside --data must hold its label space
     ["train", "--data", "DATA", "--test", "OTHER"],
     ["eval", "--data", "TEST", "--train-data", "OTHER", "--checkpoint", "CKPT"],
+    ["train", "--data", "DATA", "--split", "OTHER_SPLIT"],
+    ["eval", "--data", "TEST", "--split", "OTHER_SPLIT", "--checkpoint", "CKPT"],
+    ["eval", "--data", "TEST", "--detections", "OTHER_DETS"],
     # the test set would overwrite the training set
     ["gen-data", "--test-out", "OUT"],
     # a list with no number would train nothing
@@ -590,7 +596,8 @@ def test_bad_input_fails_before_output(dataset, checkpoint, tmp_path, capsys, ar
     paths = {"DATA": data, "TEST": test, "CKPT": checkpoint, "MISSING": tmp_path / "missing",
              "EMPTY": tmp_path / "empty.tsv", "CLASS0": tmp_path / "class0.tsv",
              "SPLIT0": tmp_path / "split0.txt", "BYTES": tmp_path / "bytes.tsv",
-             "OTHER": tmp_path / "foreign.tsv", "OUT": out}
+             "OTHER": tmp_path / "foreign.tsv", "OTHER_SPLIT": tmp_path / "foreign.split",
+             "OTHER_DETS": tmp_path / "foreign" / "detections.npz", "OUT": out}
     if "EMPTY" in argv:
         assert run("gen-data", "--seed", 7, "--out", paths["EMPTY"], *TINY_DATA, "--n-train", 0) == 0
     if "CLASS0" in argv:
@@ -601,11 +608,18 @@ def test_bad_input_fails_before_output(dataset, checkpoint, tmp_path, capsys, ar
         train_set, space = load_dataset(data)
         paths["BYTES"].write_bytes(data.read_bytes())
         replace_entry(paths["BYTES"], "label", unpack_labels(train_set.label, space.num_hois))
-    if "OTHER" in argv:
+    if {"OTHER", "OTHER_SPLIT", "OTHER_DETS"} & set(argv):
         assert run("gen-data", "--seed", 8, "--out", paths["OTHER"], *TINY_DATA) == 0
-        assert load_dataset(paths["OTHER"])[1].hoi_names != load_dataset(data)[1].hoi_names
+        assert load_dataset(paths["OTHER"])[1] != load_dataset(data)[1]
+    if "OTHER_SPLIT" in argv:
+        assert run("make-splits", "--data", paths["OTHER"], "--n-unseen", 1,
+                   "--out", paths["OTHER_SPLIT"]) == 0
+    if "OTHER_DETS" in argv:
+        assert run("eval", "--data", f"{paths['OTHER']}.test", "--checkpoint", checkpoint,
+                   "--dets-out", "--out", paths["OTHER_DETS"].parent) == 0
     if "SPLIT0" in argv:
-        paths["SPLIT0"].write_text("strategy\trare_first\nseed\t0\n[unseen]\n0\n", encoding="utf-8")
+        save_split(ZeroShotSplit(frozenset({0}), load_dataset(data)[1], "rare_first"),
+                   paths["SPLIT0"])
     flags = {"eval": [], "gen-data": TINY_DATA}.get(argv[0], TINY_TRAIN)
     capsys.readouterr()
     code = run(*(paths.get(a, a) for a in argv), *flags, "--out", out)
@@ -686,12 +700,14 @@ class TestConfigFile:
         assert capsys.readouterr().err.startswith("error:")
 
     def test_non_utf8_split_file(self, dataset, tmp_path, capsys):
+        # a text split, the format before split files were archives, with a
+        # byte that is not UTF-8
         data, _ = dataset
         bad = tmp_path / "split.txt"
         bad.write_bytes(b"strategy\trare_first\nseed\t0\n[unseen]\n0\xff\n")
-        assert run("train", "--data", data, "--split", bad, "--out", tmp_path / "o", *TINY_TRAIN) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "line 4" in err
+        out = tmp_path / "o"
+        code = run("train", "--data", data, "--split", bad, "--out", out, *TINY_TRAIN)
+        assert "not a split archive" in assert_failed_before_output(code, capsys, out)
 
     def test_text_format_data_file(self, tmp_path, capsys):
         old = tmp_path / "old.tsv"  # the tab-separated format that preceded the archive
@@ -800,8 +816,9 @@ def test_corrupt_input_files_exit_cleanly(walk_inputs, tmp_path, capsys, command
 @pytest.mark.parametrize("command", [c for c in sorted(subparsers())
                                      if ("--split", "split.txt") in file_flags(c)])
 def test_split_cut_before_its_id_list_fails(walk_inputs, tmp_path, capsys, command):
-    # the walk's truncated split keeps its strategy line and loses [unseen]
+    # the walk's truncated split archive keeps its first entries' bytes and
+    # loses the zip directory that lists them
     root, inputs = walk_inputs
     cut = root / "bad" / "split.txt"
-    assert b"[unseen]" not in cut.read_bytes()
+    assert b"unseen.npy" in cut.read_bytes() and b"PK\x05\x06" not in cut.read_bytes()
     assert run_cleanly([command, *inputs[command], "--split", cut], tmp_path, capsys) == 1

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hoicomp.errors import (
     DimensionMismatch,
+    InconsistentLabel,
     InvalidBox,
     InvalidConfig,
     NonFiniteInput,
@@ -832,10 +833,11 @@ class TestEvalAllocations:
 
 
 def saved(tmp_path, dets, **entries):
-    """The path of ``dets`` saved, with each of ``entries`` set in the
-    archive, or dropped from it where its value is None."""
+    """The path of ``dets`` saved in ``micro_space`` of their score width,
+    with each of ``entries`` set in the archive, or dropped from it where
+    its value is None."""
     path = tmp_path / "dets.npz"
-    save_detections(dets, path)
+    save_detections(dets, micro_space(dets.score.shape[1]), path)
     for name, value in entries.items():
         replace_entry(path, name, value)
     return path
@@ -852,13 +854,15 @@ class TestFiles:
         dets, _ = random_micro_case(rng, max_items=20)
         assert len(dets.image_id) > 1
         path, again = saved(tmp_path, dets), tmp_path / "again.npz"
+        space = micro_space(dets.score.shape[1])
         with np.load(path) as archive:
-            assert archive.files == ["image_id", "human_box", "object_box", "score"]
-        loaded = load_detections(path)
+            assert archive.files == ["image_id", "human_box", "object_box", "score",
+                                     "verb_hoi", "object_hoi", "verb_names", "object_names"]
+        loaded = load_detections(path, space)
         assert_tables_equal(loaded, dets)
         for f in fields(dets):
             assert getattr(loaded, f.name).tobytes() == getattr(dets, f.name).tobytes(), f.name
-        save_detections(loaded, again)
+        save_detections(loaded, space, again)
         assert again.read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize("name, value", [
@@ -867,13 +871,20 @@ class TestFiles:
     ], ids=["missing", "extra"])
     def test_archive_of_other_entries_rejected(self, tmp_path, name, value):
         with pytest.raises(ParseError, match="archive entries"):
-            load_detections(saved(tmp_path, two_pairs(), **{name: value}))
+            load_detections(saved(tmp_path, two_pairs(), **{name: value}), micro_space(2))
 
     def test_dataset_file_rejected(self, tmp_path, toy_space):
         path = tmp_path / "data.ds"
         save_dataset(make_row(toy_space, [0]), toy_space, path)
         with pytest.raises(ParseError, match="archive entries"):
-            load_detections(path)
+            load_detections(path, toy_space)
+
+    def test_file_of_another_space_rejected(self, tmp_path, toy_space):
+        # as many classes, so the scores would be read as other classes' scores
+        path = saved(tmp_path, two_pairs())
+        for space in (micro_space(3), build_space([((0,), 0), ((1,), 0)])):
+            with pytest.raises(InconsistentLabel, match="dets.npz holds another label space"):
+                load_detections(path, space)
 
     @pytest.mark.parametrize("name, value, got", [
         ("image_id", np.zeros(2, dtype=np.int32), r"int32 \(2,\)"),
@@ -882,31 +893,31 @@ class TestFiles:
     ], ids=["image_id", "score", "human_box"])
     def test_column_of_another_dtype_or_shape_rejected(self, tmp_path, name, value, got):
         with pytest.raises(DimensionMismatch, match=f"{name} is {got}, expected"):
-            load_detections(saved(tmp_path, two_pairs(), **{name: value}))
+            load_detections(saved(tmp_path, two_pairs(), **{name: value}), micro_space(2))
 
     def test_id_outside_int64_rejected(self, tmp_path):
         # such an id can only be stored in another dtype, and only int64 loads
         ids = np.array([0, 2**63], dtype=np.uint64)
         with pytest.raises(DimensionMismatch, match="image_id is uint64"):
-            load_detections(saved(tmp_path, two_pairs(), image_id=ids))
+            load_detections(saved(tmp_path, two_pairs(), image_id=ids), micro_space(2))
 
     @pytest.mark.parametrize("name", ["human_box", "object_box"])
     def test_bad_box_names_column_and_row(self, tmp_path, name):
         boxes = np.array([[0.0, 0.0, 10.0, 10.0], [-1.0, 0.0, 10.0, 10.0]])
         with pytest.raises(InvalidBox, match=f"{name} row 1: negative coordinates"):
-            load_detections(saved(tmp_path, two_pairs(), **{name: boxes}))
+            load_detections(saved(tmp_path, two_pairs(), **{name: boxes}), micro_space(2))
 
     def test_non_finite_score_rejected(self, tmp_path):
         # loaded, a nan would break the score sort and misrank class 1
         for first, pair in ((np.nan, 0), (-np.inf, 0), (0.1, 1)):
             score = np.array([[0.2, first], [0.5, np.inf]])
             with pytest.raises(NonFiniteInput, match=f"score pair {pair}, class 1: non-finite"):
-                load_detections(saved(tmp_path, two_pairs(), score=score))
+                load_detections(saved(tmp_path, two_pairs(), score=score), micro_space(2))
 
     def test_empty_file_loads(self, tmp_path):
         # an archive with no pairs
         path = saved(tmp_path, detections([], num_classes=2))
-        dets = load_detections(path)
+        dets = load_detections(path, micro_space(2))
         assert len(dets) == 0 and dets.image_id.shape == (0,) and dets.score.shape == (0, 2)
         report = evaluate(dets, ground_truths([(0, Box(0, 0, 1, 1), Box(0, 0, 1, 1), 1)]),
                           micro_space(2))
@@ -923,7 +934,7 @@ class TestFiles:
         ):
             path.write_text(text)
             with pytest.raises(ParseError, match=r"not a detections archive \(a zip of .npy entries\)"):
-                load_detections(path)
+                load_detections(path, micro_space(2))
 
     def test_ground_truths_from_instances(self, toy_space):
         inst = make_row(toy_space, [0, 1], image_id=5)

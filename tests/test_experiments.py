@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import fields, replace
 
 import pytest
@@ -102,6 +103,28 @@ def test_run_rows_works_out_a_report_basis_per_rare_threshold(splits_applied, tr
     results = run_rows(train_set, test_set, space, rows, split=split)
     assert len(splits_applied) == 2 and len(trainings) == 1
     assert results[0].report.ap.tobytes() == results[2].report.ap.tobytes()
+
+
+def test_run_rows_keeps_no_model_past_its_last_row(monkeypatch):
+    # rows A B A C: A is kept for its second row, then dropped, and only
+    # the last row's result holds a model
+    train_set, test_set, space = generate(default_dataset_config(**SMALL["dataset_overrides"]))
+    base = TrainConfig(**SMALL["train_overrides"])
+    a, b, c = (replace(base, seed=seed) for seed in (1, 2, 3))
+    models, alive_at_training = [], []
+
+    def recorded(*args, **kwargs):
+        alive_at_training.append([ref() is not None for ref in models])
+        params, log = train(*args, **kwargs)
+        models.append(weakref.ref(params))
+        return params, log
+
+    monkeypatch.setattr(experiments, "train", recorded)
+    results = run_rows(train_set, test_set, space, [(cfg, Scoring()) for cfg in (a, b, a, c)])
+    assert alive_at_training == [[], [True], [False, False]]
+    assert [r.params is not None for r in results] == [False, False, False, True]
+    assert results[-1].params is models[2]()
+    assert [ref() is not None for ref in models] == [False, False, True]
 
 
 # (a valid config, a field, a value it refuses, the error, its message)

@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hoicomp.cli import load_flat_config
-from hoicomp.errors import HoicompError, read_text_lines
+from hoicomp.errors import HoicompError
 from hoicomp.evaluator import Detections, load_detections, save_detections
-from hoicomp.label_algebra import build_space, format_space, parse_space
+from hoicomp.label_algebra import build_space
 from hoicomp.network import NetworkConfig, init_params, load_params, save_params
 from hoicomp.synthdata import load_dataset, save_dataset
 from hoicomp.trainer import read_metrics_log, write_metrics_log
@@ -51,18 +51,18 @@ def mutate(data, blob: bytes) -> bytes:
 
 def write_valid_files(root):
     """Write one valid file per format under ``root``; returns the space
-    the split loader checks against."""
+    the dataset, split and detections files hold, which the split and
+    detections loaders check against."""
     space = build_space(TOY_DEFS, verb_names=("ride", "feed"), object_names=("horse", "bicycle"))
     rng = np.random.default_rng(0)
     data = make_dataset([make_row(space, [c], image_id=c // 2, rng=rng) for c in (0, 1, 2, 0)])
     save_dataset(data, space, root / "data.tsv")
-    (root / "space.txt").write_text(format_space(space), encoding="utf-8")
-    save_split(ZeroShotSplit(unseen=frozenset({0}), seen=frozenset({1, 2}), strategy="rare_first",
-                             seed=3), root / "split.txt")
+    save_split(ZeroShotSplit(unseen=frozenset({0}), space=space, strategy="rare_first", seed=3),
+               root / "split.txt")
     box = np.tile([1.0, 2.0, 30.0, 40.5], (4, 1))
     dets = Detections(image_id=np.arange(4), human_box=box, object_box=box,
                       score=0.25 * np.arange(12.0).reshape(4, 3))
-    save_detections(dets, root / "dets.npz")
+    save_detections(dets, space, root / "dets.npz")
     (root / "run.cfg").write_text("command=train\niterations=5\nlr=0.01\n# comment\nno_balance=true\n")
     net = NetworkConfig(num_hois=3, feature_dim=2, hidden=2, vo_hidden=2, sp_hidden=2, spatial_dim=4)
     save_params(init_params(net, rng), root / "model.ckpt", meta={"seed": 1})
@@ -74,16 +74,15 @@ def write_valid_files(root):
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
-    """One valid file per format, and the space the split loader checks against."""
+    """One valid file per format, and the space the files hold."""
     root = tmp_path_factory.mktemp("formats")
     return root, write_valid_files(root)
 
 
-LOADERS = {  # file name -> load(path, space)
+LOADERS = {  # file name -> load(path, space); the split and detections files are archives too
     "data.tsv": lambda path, space: load_dataset(path),
-    "space.txt": lambda path, space: parse_space(read_text_lines(path)),  # an archive's space entry
     "split.txt": load_split,
-    "dets.npz": lambda path, space: load_detections(path),
+    "dets.npz": load_detections,
     "run.cfg": lambda path, space: load_flat_config(path),
     "model.ckpt": lambda path, space: load_params(path),
     "metrics.log": lambda path, space: read_metrics_log(path),

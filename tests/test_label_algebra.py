@@ -7,19 +7,27 @@ from hoicomp.errors import (
     DanglingId,
     DimensionMismatch,
     DuplicateHoi,
+    DuplicateName,
     EmptyDefinition,
-    ParseError,
+    InconsistentLabel,
+    NotOneObject,
+    OutOfRange,
 )
-from hoicomp.label_algebra import (
-    build_space,
-    compose,
-    decompose,
-    format_space,
-    parse_space,
+from hoicomp.evaluator import DETECTIONS_ENTRIES, Detections, load_detections, save_detections
+from hoicomp.label_algebra import HoiLabelSpace, build_space, compose, decompose
+from hoicomp.synthdata import (
+    COLUMNS,
+    SPACE_ENTRIES,
+    empty_dataset,
+    load_dataset,
+    random_hoi_defs,
+    read_archive,
+    save_dataset,
 )
-from hoicomp.synthdata import random_hoi_defs
+from hoicomp.zeroshot import SPLIT_ENTRIES, ZeroShotSplit, load_split, save_split
 
 from conftest import TOY_DEFS, TOY_OBJECTS, TOY_VERBS, draw_space
+from test_synthdata import replace_entry
 
 
 # ---- independent oracles working from the raw definitions ----
@@ -229,38 +237,147 @@ class TestProperties:
         np.testing.assert_array_equal(v12, v1 | v2)
 
 
+def toy_arrays(**changes):
+    """The toy space's four fields as hand-built arrays, with ``changes``."""
+    return {
+        "verb_hoi": np.array([[1, 0, 1], [0, 1, 0]], dtype=np.uint8),
+        "object_hoi": np.array([[1, 1, 0], [0, 0, 1]], dtype=np.uint8),
+        "verb_names": TOY_VERBS,
+        "object_names": TOY_OBJECTS,
+    } | changes
+
+
+def matrix(rows):
+    return np.array(rows, dtype=np.uint8)
+
+
+class TestSpaceRules:
+    def test_toy_arrays_build_the_toy_space(self, toy_space):
+        assert HoiLabelSpace(**toy_arrays()) == toy_space
+
+    @pytest.mark.parametrize("changes, error, message", [
+        ({"verb_hoi": matrix([1, 0, 1])}, DimensionMismatch,
+         "verb_hoi is uint8 (3,), expected a 2-D uint8 matrix"),
+        ({"object_hoi": np.array([[1, 1, 0], [0, 0, 1]])}, DimensionMismatch, "object_hoi is int64"),
+        ({"object_hoi": [[1, 1, 0], [0, 0, 1]]}, DimensionMismatch, "object_hoi is list"),
+        ({"verb_hoi": matrix([[1, 0], [0, 1]])}, DimensionMismatch,
+         "verb_hoi has 2 classes, object_hoi 3"),
+        ({"verb_names": ("ride",)}, DimensionMismatch, "1 verb names for the 2 rows of verb_hoi"),
+        ({"object_names": TOY_OBJECTS + ("cup",)}, DimensionMismatch,
+         "3 object names for the 2 rows of object_hoi"),
+        ({"verb_hoi": matrix([[2, 0, 1], [0, 1, 0]])}, OutOfRange, "verb_hoi holds 2"),
+        ({"verb_hoi": matrix([[], []]), "object_hoi": matrix([[], []])}, EmptyDefinition,
+         "the label space has no classes"),
+        ({"verb_hoi": matrix([[1, 0, 0], [0, 1, 0]])}, EmptyDefinition, "class 2 has no verbs"),
+        ({"object_hoi": matrix([[1, 1, 0], [0, 0, 0]])}, NotOneObject, "class 2 has 0 objects"),
+        ({"object_hoi": matrix([[1, 1, 1], [0, 0, 1]])}, NotOneObject, "class 2 has 2 objects"),
+        ({"verb_hoi": matrix([[1, 1, 1], [0, 0, 0]])}, DuplicateHoi,
+         "class 1 duplicates an earlier (verb set, object) pair"),
+        ({"verb_hoi": matrix([[1, 0, 1], [0, 1, 0], [0, 0, 0]]), "verb_names": TOY_VERBS + ("sip",)},
+         DanglingId, "verb id 2 appears in no interaction"),
+        ({"object_hoi": matrix([[1, 1, 0], [0, 0, 1], [0, 0, 0]]),
+          "object_names": TOY_OBJECTS + ("cup",)}, DanglingId, "object id 2 appears in no interaction"),
+        ({"verb_names": ("ride", "ride")}, DuplicateName, "verb name 'ride' names two verb ids"),
+        ({"object_names": ("horse", "horse")}, DuplicateName, "object name 'horse'"),
+    ], ids=["1-d", "dtype", "not-an-array", "class-counts", "short-names", "long-names",
+            "not-0/1", "no-classes", "no-verb", "no-object", "two-objects", "duplicate",
+            "dangling-verb", "dangling-object", "verb-names", "object-names"])
+    def test_rule(self, changes, error, message):
+        with pytest.raises(error) as err:
+            HoiLabelSpace(**toy_arrays(**changes))
+        assert message in str(err.value)
+
+    def test_equality_compares_matrices_and_names(self, toy_space):
+        assert toy_space == build_space(TOY_DEFS, verb_names=TOY_VERBS, object_names=TOY_OBJECTS)
+        assert toy_space != build_space(TOY_DEFS)  # default names
+        assert toy_space != build_space(TOY_DEFS[:2] + (((0,), 1), ((1,), 1)),
+                                        verb_names=TOY_VERBS, object_names=TOY_OBJECTS)
+        assert toy_space != build_space(((((0,), 1), ((1,), 1), ((0,), 0))),
+                                        verb_names=TOY_VERBS, object_names=TOY_OBJECTS)
+        assert toy_space != "ride-horse"
+        with pytest.raises(TypeError):
+            hash(toy_space)
+
+    def test_hoi_names_derived_when_first_read(self, toy_space):
+        assert "hoi_names" not in vars(toy_space)
+        assert toy_space.hoi_names == ("ride-horse", "feed-horse", "ride-bicycle")
+        assert build_space([((0, 1), 0)], verb_names=("hold", "sip"),
+                           object_names=("cup",)).hoi_names == ("hold+sip-cup",)
+
+
+def write_each_kind(space, root):
+    """A dataset, a detections and a split file holding ``space`` under
+    ``root``: {kind: (path, the archive's entries)}."""
+    files = {kind: root / name for kind, name in
+             (("dataset", "data.ds"), ("detections", "dets.npz"), ("split", "split.npz"))}
+    save_dataset(empty_dataset(0, 2, space.num_hois), space, files["dataset"])
+    box = np.zeros((0, 4))
+    save_detections(Detections(image_id=np.zeros(0, dtype=np.int64), human_box=box, object_box=box,
+                               score=np.zeros((0, space.num_hois))), space, files["detections"])
+    save_split(ZeroShotSplit(frozenset(), space, "rare_first"), files["split"])
+    entries = {"dataset": COLUMNS, "detections": DETECTIONS_ENTRIES, "split": SPLIT_ENTRIES}
+    return {kind: (path, entries[kind]) for kind, path in files.items()}
+
+
+def stored_space(path, kind, entries):
+    return read_archive(path, kind, entries)[1]
+
+
 class TestSpaceFile:
-    def test_roundtrip(self, toy_space):
-        loaded = parse_space(format_space(toy_space).splitlines(keepends=True))
-        np.testing.assert_array_equal(loaded.verb_hoi, toy_space.verb_hoi)
-        np.testing.assert_array_equal(loaded.object_hoi, toy_space.object_hoi)
-        assert loaded.verb_names == TOY_VERBS
-        assert loaded.object_names == TOY_OBJECTS
+    def test_roundtrip(self, toy_space, tmp_path):
+        for kind, (path, entries) in write_each_kind(toy_space, tmp_path).items():
+            loaded = stored_space(path, kind, entries)
+            assert loaded == toy_space, kind
+            assert loaded.verb_names == TOY_VERBS and loaded.object_names == TOY_OBJECTS
+        # a multi-verb class
+        cups = build_space([((0, 1), 0), ((0,), 1)], verb_names=("hold", "sip"),
+                           object_names=("cup", "bottle"))
+        (tmp_path / "cups").mkdir()
+        for kind, (path, entries) in write_each_kind(cups, tmp_path / "cups").items():
+            loaded = stored_space(path, kind, entries)
+            assert loaded == cups and loaded.verbs_of(0) == (0, 1), kind
 
-    def test_roundtrip_random(self):
+    def test_roundtrip_random(self, tmp_path):
         rng = np.random.default_rng(3)
-        space, _ = draw_space(rng)
-        loaded = parse_space(format_space(space).splitlines(keepends=True))
-        np.testing.assert_array_equal(loaded.verb_hoi, space.verb_hoi)
-        np.testing.assert_array_equal(loaded.object_hoi, space.object_hoi)
+        for k in range(10):
+            space, _ = draw_space(rng)
+            other, _ = draw_space(rng)
+            root = tmp_path / str(k)
+            root.mkdir()
+            files = write_each_kind(space, root)
+            for kind, (path, entries) in files.items():
+                assert stored_space(path, kind, entries) == space, kind
+            load_dataset(files["dataset"][0], space=space)
+            load_split(files["split"][0], space)
+            load_detections(files["detections"][0], space)
+            if other != space:
+                for kind, load in (("dataset", lambda path, other: load_dataset(path, space=other)),
+                                   ("split", load_split), ("detections", load_detections)):
+                    with pytest.raises(InconsistentLabel, match="another label space than --data"):
+                        load(files[kind][0], other)
 
-    def test_multi_verb_line(self):
-        space = parse_space(["0\thold,sip\tcup\n", "1\thold\tbottle\n"])
-        assert space.verbs_of(0) == (0, 1)
-        assert space.num_verbs == 2
+    def test_format_is_stable(self, toy_space, tmp_path):
+        entries = {
+            "verb_hoi": np.array([[1, 0, 1], [0, 1, 0]], dtype=np.uint8),
+            "object_hoi": np.array([[1, 1, 0], [0, 0, 1]], dtype=np.uint8),
+            "verb_names": np.array(["ride", "feed"], dtype="<U4"),
+            "object_names": np.array(["horse", "bicycle"], dtype="<U7"),
+        }
+        for kind, (path, own) in write_each_kind(toy_space, tmp_path).items():
+            with np.load(path) as archive:
+                assert archive.files == list(own + SPACE_ENTRIES), kind
+                for name, want in entries.items():
+                    np.testing.assert_array_equal(archive[name], want)
+                    assert archive[name].dtype == want.dtype, (kind, name)
 
-    def test_bad_field_count(self):
-        with pytest.raises(ParseError) as err:
-            parse_space(["0\tride\n"])
-        assert err.value.line == 1
-
-    def test_non_dense_ids(self):
-        with pytest.raises(ParseError):
-            parse_space(["0\tride\thorse\n", "2\tfeed\thorse\n"])
-
-    def test_repeated_id(self):
-        with pytest.raises(ParseError):
-            parse_space(["0\tride\thorse\n", "0\tfeed\thorse\n"])
-
-    def test_format_is_stable(self, toy_space):
-        assert format_space(toy_space) == "0\tride\thorse\n1\tfeed\thorse\n2\tride\tbicycle\n"
+    @pytest.mark.parametrize("name, value, message", [
+        ("verb_names", np.array([b"ride", b"feed"]), "entry 'verb_names' is |S4 (2,)"),
+        ("object_names", np.array([["horse", "bicycle"]]), "entry 'object_names' is <U7 (1, 2)"),
+        ("object_names", np.array("horse"), "entry 'object_names' is <U5 ()"),
+    ])
+    def test_name_entry_of_another_type(self, toy_space, tmp_path, name, value, message):
+        path, _ = write_each_kind(toy_space, tmp_path)["dataset"]
+        replace_entry(path, name, value)
+        with pytest.raises(DimensionMismatch) as err:
+            load_dataset(path)
+        assert message in str(err.value)

@@ -14,11 +14,11 @@ from hoicomp.errors import (
     ParseError,
 )
 from hoicomp.evaluator import ground_truths_from_instances
-from hoicomp.label_algebra import build_space, format_space
+from hoicomp.label_algebra import build_space
 from hoicomp.synthdata import (
     COLUMNS,
-    ENTRIES,
     LABEL_COLUMNS,
+    SPACE_ENTRIES,
     DatasetConfig,
     class_counts,
     empty_dataset,
@@ -251,7 +251,7 @@ class TestPackedLabels:
         np.testing.assert_array_equal(class_counts(data, space), label_oracle.class_counts(label))
 
         unseen = frozenset(int(c) for c in np.flatnonzero(rng.random(num_hois) < 0.3))
-        split = ZeroShotSplit(unseen, frozenset(range(num_hois)) - unseen, "rare_first")
+        split = ZeroShotSplit(unseen, space, "rare_first")
         stripped = apply_split(data, split)
         want = label_oracle.apply_split(label, unseen)
         assert stripped.label.tobytes() == packed(want).tobytes()  # padding stays zero
@@ -330,8 +330,8 @@ class TestFileFormat:
             save_dataset(loaded, space, tmp_path / "again.tsv")
             assert (tmp_path / "again.tsv").read_bytes() == path.read_bytes()
             with np.load(path) as archive:  # a plain numpy archive, names as given
-                assert archive.files == list(ENTRIES)
-                assert archive["space"].item() == format_space(space)
+                assert archive.files == list(COLUMNS + SPACE_ENTRIES)
+            assert loaded_space == space
 
     def test_empty_instances(self, tmp_path, toy_space):
         path = tmp_path / "empty.tsv"
@@ -494,8 +494,8 @@ class TestFileFormat:
         monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__",
                             lambda archive, key: read.append(key) or getitem(archive, key))
         labels, labels_space = load_dataset(two_rows, labels_only=True)
-        assert sorted(read) == sorted(LABEL_COLUMNS + ("space",))
-        assert format_space(labels_space) == format_space(space) and len(labels) == len(full)
+        assert sorted(read) == sorted(LABEL_COLUMNS + SPACE_ENTRIES)
+        assert labels_space == space and len(labels) == len(full)
         for name in COLUMNS:
             if name in LABEL_COLUMNS:
                 np.testing.assert_array_equal(getattr(labels, name), getattr(full, name))

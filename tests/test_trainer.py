@@ -195,7 +195,7 @@ class TestTrainOnSplit:
     def test_split_leaving_no_labelled_row_is_an_empty_training_set(self, split_data):
         train_set, space, _, _ = split_data
         every = frozenset(range(space.num_hois))
-        split = ZeroShotSplit(unseen=every, seen=frozenset(), strategy="rare_first")
+        split = ZeroShotSplit(unseen=every, space=space, strategy="rare_first")
         unlabelled = apply_split(train_set, split)
         with pytest.raises(InvalidConfig, match="training set is empty"):
             train(unlabelled, space, TrainConfig(iterations=1), net_cfg=NET)

@@ -4,11 +4,18 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from hoicomp.errors import DimensionMismatch, InfeasibleSplit, InvalidConfig, ParseError
+from hoicomp.errors import (
+    DimensionMismatch,
+    InconsistentLabel,
+    InfeasibleSplit,
+    InvalidConfig,
+    ParseError,
+)
 from hoicomp.label_algebra import build_space
 from hoicomp.experiments import default_dataset_config
-from hoicomp.synthdata import Dataset, class_counts, generate, random_hoi_defs
+from hoicomp.synthdata import SPACE_ENTRIES, Dataset, class_counts, generate, random_hoi_defs
 from hoicomp.zeroshot import (
+    SPLIT_ENTRIES,
     ZeroShotSplit,
     apply_split,
     frequency_partition,
@@ -162,13 +169,13 @@ class TestMakeSplit:
 class TestApplySplit:
     def test_empty_unseen_unchanged(self, toy_space):
         insts = make_dataset([make_row(toy_space, [0]) for _ in range(3)])
-        split = ZeroShotSplit(unseen=frozenset(), seen=frozenset({0, 1, 2}), strategy="rare_first")
+        split = ZeroShotSplit(unseen=frozenset(), space=toy_space, strategy="rare_first")
         out = apply_split(insts, split)
         assert_datasets_equal(out, insts)
 
     def test_pure_unseen_row_stays_unlabelled(self, toy_space):
         insts = make_dataset([make_row(toy_space, [0]), make_row(toy_space, [1])])
-        split = ZeroShotSplit(unseen=frozenset({0}), seen=frozenset({1, 2}), strategy="rare_first")
+        split = ZeroShotSplit(unseen=frozenset({0}), space=toy_space, strategy="rare_first")
         out = apply_split(insts, split)
         assert dense(out, toy_space).tolist() == [[0, 0, 0], [0, 1, 0]]
         assert dense(insts, toy_space).tolist() == [[1, 0, 0], [0, 1, 0]]  # input untouched
@@ -177,7 +184,7 @@ class TestApplySplit:
 
     def test_mixed_label_keeps_seen_bits(self, toy_space):
         inst = make_row(toy_space, [0, 1])  # ride-horse + feed-horse
-        split = ZeroShotSplit(unseen=frozenset({0}), seen=frozenset({1, 2}), strategy="rare_first")
+        split = ZeroShotSplit(unseen=frozenset({0}), space=toy_space, strategy="rare_first")
         out = apply_split(inst, split)
         assert dense(out, toy_space).tolist() == [[0, 1, 0]]
         assert dense(inst, toy_space).tolist() == [[1, 1, 0]]  # input untouched
@@ -236,64 +243,109 @@ class TestPartitions:
         assert part["rare"] == {0, 1}
         assert part["nonrare"] == {2, 3}
 
-    def test_zeroshot_partition(self):
-        split = ZeroShotSplit(unseen=frozenset({1}), seen=frozenset({0, 2}), strategy="rare_first")
+    def test_zeroshot_partition(self, toy_space):
+        split = ZeroShotSplit(unseen=frozenset({1}), space=toy_space, strategy="rare_first")
         part = zeroshot_partition(split)
         assert part == {"unseen": {1}, "seen": {0, 2}}
+
+
+def split_file(path, space, ids=(), **changes):
+    """Write a split archive by hand: unseen ``ids`` of ``space``, strategy
+    rare_first and seed 0, with each entry in ``changes`` set, or dropped
+    where its value is None; returns ``path``."""
+    entries = {"unseen": np.array(ids, dtype=np.int64), "strategy": np.array("rare_first"),
+               "seed": np.array(0, dtype=np.int64), "verb_hoi": space.verb_hoi,
+               "object_hoi": space.object_hoi, "verb_names": np.array(space.verb_names),
+               "object_names": np.array(space.object_names)} | changes
+    with open(path, "wb") as fh:
+        np.savez(fh, **{name: value for name, value in entries.items() if value is not None})
+    return path
 
 
 class TestSplitFile:
     def test_roundtrip(self, toy_space, tmp_path):
         split = make_split(np.array([5, 1, 3]), toy_space, 1, "rare_first", tie_break_seed=17)
-        path = tmp_path / "split.txt"
+        path = tmp_path / "split.npz"
         save_split(split, path)
         loaded = load_split(path, toy_space)
+        assert loaded == split
         assert loaded.unseen == split.unseen
         assert loaded.seen == split.seen
         assert loaded.strategy == "rare_first"
         assert loaded.seed == 17
+        assert loaded.space == toy_space
+        with np.load(path) as archive:
+            assert archive.files == list(SPLIT_ENTRIES + SPACE_ENTRIES)
 
     def test_external_list_import(self, toy_space, tmp_path):
-        path = tmp_path / "imported.txt"
-        path.write_text("strategy\trare_first\nseed\t0\n[unseen]\n0\n")
-        loaded = load_split(path, toy_space)
+        # an id list made outside make_split, written with the space's entries
+        loaded = load_split(split_file(tmp_path / "imported.npz", toy_space, [0]), toy_space)
         assert loaded.unseen == {0}
 
     @pytest.mark.parametrize("ids, missing", [
         ("0\n1\n", "verb 'feed'"), ("0\n2\n", "verb 'ride'"), ("2\n", "object 'bicycle'"),
     ])
     def test_uncovered_split(self, toy_space, tmp_path, ids, missing):
-        path = tmp_path / "uncovered.txt"
-        path.write_text("strategy\trare_first\nseed\t0\n[unseen]\n" + ids)
+        path = split_file(tmp_path / "uncovered.npz", toy_space, [int(c) for c in ids.split()])
         with pytest.raises(InfeasibleSplit, match=missing):
             load_split(path, toy_space)
 
     def test_bad_id(self, toy_space, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("strategy\trare_first\nseed\t0\n[unseen]\n99\n")
-        with pytest.raises(ParseError):
-            load_split(path, toy_space)
+        for ids in ([99], [-1], [0, 3]):
+            with pytest.raises(ParseError, match="outside label space"):
+                load_split(split_file(tmp_path / "bad.npz", toy_space, ids), toy_space)
+
+    def test_ids_not_ascending_and_distinct(self, toy_space, tmp_path):
+        for ids in ([1, 0], [0, 0]):
+            with pytest.raises(ParseError, match="not ascending and distinct"):
+                load_split(split_file(tmp_path / "bad.npz", toy_space, ids), toy_space)
 
     def test_bad_seed(self, toy_space, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("strategy\trare_first\nseed\tabc\n[unseen]\n1\n")
-        with pytest.raises(ParseError):
+        path = split_file(tmp_path / "bad.npz", toy_space, [0], seed=np.array(-1))
+        with pytest.raises(ParseError, match="seed -1 is negative"):
+            load_split(path, toy_space)
+
+    def test_unknown_strategy(self, toy_space, tmp_path):
+        path = split_file(tmp_path / "bad.npz", toy_space, [0], strategy=np.array("alphabetical"))
+        with pytest.raises(ParseError, match="unknown strategy 'alphabetical'"):
             load_split(path, toy_space)
 
     def test_missing_strategy(self, toy_space, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("[unseen]\n1\n")
-        with pytest.raises(ParseError):
+        path = split_file(tmp_path / "bad.npz", toy_space, [0], strategy=None)
+        with pytest.raises(ParseError, match="archive entries"):
             load_split(path, toy_space)
 
-    @pytest.mark.parametrize("text", ["strategy\trare_first", "strategy\trare_first\nseed\t0\n"])
-    def test_missing_unseen_line(self, toy_space, tmp_path, text):
-        path = tmp_path / "cut.txt"
-        path.write_text(text)
-        with pytest.raises(ParseError, match=r"missing \[unseen\] line"):
+    @pytest.mark.parametrize("name, value", [
+        ("unseen", None), ("verb_hoi", None), ("seen", np.array([1, 2])),
+    ], ids=["missing-unseen", "missing-space-entry", "extra"])
+    def test_entries_must_match(self, toy_space, tmp_path, name, value):
+        with pytest.raises(ParseError, match="archive entries"):
+            load_split(split_file(tmp_path / "bad.npz", toy_space, [0], **{name: value}), toy_space)
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("unseen", np.array([0], dtype=np.int32), "entry 'unseen' is int32 (1,), expected int64 (K,)"),
+        ("strategy", np.array(["rare_first"]), "entry 'strategy' is <U10 (1,), expected a unicode"),
+        ("seed", np.array(0.0), "entry 'seed' is float64 (), expected int64 ()"),
+    ])
+    def test_entry_of_another_type(self, toy_space, tmp_path, name, value, message):
+        with pytest.raises(DimensionMismatch) as err:
+            load_split(split_file(tmp_path / "bad.npz", toy_space, [0], **{name: value}), toy_space)
+        assert message in str(err.value)
+
+    def test_split_of_another_space(self, toy_space, tmp_path):
+        other = build_space(TOY_DEFS, verb_names=("ride", "wash"), object_names=("horse", "bicycle"))
+        path = tmp_path / "other.npz"
+        save_split(ZeroShotSplit(frozenset({0}), other, "rare_first"), path)
+        with pytest.raises(InconsistentLabel, match="other.npz holds another label space"):
+            load_split(path, toy_space)
+
+    def test_text_split_file_rejected(self, toy_space, tmp_path):
+        # the format before split files were archives
+        path = tmp_path / "split.txt"
+        path.write_text("strategy\trare_first\nseed\t0\n[unseen]\n0\n")
+        with pytest.raises(ParseError, match=r"not a split archive \(a zip of .npy entries\)"):
             load_split(path, toy_space)
 
     def test_empty_unseen_list_loads(self, toy_space, tmp_path):
-        path = tmp_path / "none.txt"
-        path.write_text("strategy\trare_first\nseed\t0\n[unseen]\n")
+        path = split_file(tmp_path / "none.npz", toy_space)
         assert load_split(path, toy_space).unseen == frozenset()
