@@ -33,6 +33,11 @@ class DuplicateName(HoicompError):
     """A verb or object name table gives one name to two ids."""
 
 
+class UnstorableName(HoicompError):
+    """A verb or object name ends in a NUL character, which numpy's unicode
+    arrays, and so every file that holds a label space, drop."""
+
+
 # ---- geometry ----
 
 class InvalidBox(HoicompError):

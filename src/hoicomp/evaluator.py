@@ -39,6 +39,16 @@ known-object mode those whose objects have pools of one size) go to
 positive; it takes AP over blocks of their rows, with each class's bits
 those of a one-class pass. Known-object pools come from one (object, image)
 table; a pair outside its class's pool ranks as if its score were -inf.
+
+AP reads a class's scores only when the class has ground truth, so
+``experiments.evaluate_params`` scores only those classes: at the
+``hico-600`` benchmark's shape, about 140 of 600. ``detections_from_model``
+then keeps both branches' last-layer products whole, since a product of a
+column subset may round otherwise, and takes the classes' columns from
+them a row block at a time; the sigmoid and the fuse after it are
+elementwise, so each score has the bits of its column in the full table.
+``evaluate`` reads each class from its column through ``classes``, and
+every AP and mean is the full table's.
 """
 
 from __future__ import annotations
@@ -253,13 +263,14 @@ def _pools(dets: Detections, gts: GroundTruths, space: HoiLabelSpace, mode: str)
 
 
 def _class_hits(dets: Detections, gts: GroundTruths, space: HoiLabelSpace, mode: str,
-                threshold: float, classes: np.ndarray) -> list[tuple]:
+                threshold: float, classes: np.ndarray, column: np.ndarray) -> list[tuple]:
     """The true positives of the classes in ``classes``, grouped by the
     length of the class's pool: one ``(group, length, row, rank)`` per
     length, where ``group`` holds the classes of that pool length in
     ascending order and TP k is at ``rank[k]`` in the matching order
     (descending score, equal scores in pair order) of class
-    ``group[row[k]]``, rows ascending. Default mode has one pool, so one
+    ``group[row[k]]``, rows ascending. Class c's scores are column
+    ``column[c]`` of ``dets.score``. Default mode has one pool, so one
     group."""
     if not len(classes):  # no ground truth at all
         return []
@@ -270,11 +281,11 @@ def _class_hits(dets: Detections, gts: GroundTruths, space: HoiLabelSpace, mode:
     rank = np.empty(len(gt), dtype=np.int64)
     by_class = np.argsort(hoi, kind="stable")
     cuts = np.searchsorted(hoi[by_class], classes).tolist() + [len(hoi)]
-    for c, lo, hi in zip(classes.tolist(), cuts[:-1], cuts[1:]):
+    for c, k, lo, hi in zip(classes.tolist(), column[classes].tolist(), cuts[:-1], cuts[1:]):
         if lo == hi:
             continue
         cand = by_class[lo:hi]
-        col = dets.score[:, c]
+        col = dets.score[:, k]
         if pools is not None:  # pairs outside the pool rank below every score
             col = np.where(pools[obj[c]], col, -np.inf)
         s = col[pair[cand]]
@@ -330,6 +341,8 @@ def evaluate(
     mode: str = "default",
     partition: dict[str, frozenset] | None = None,
     iou_threshold: float = IOU_THRESHOLD,
+    *,
+    classes: np.ndarray | None = None,
 ) -> EvalReport:
     """Per-class AP and partition means over a detection/ground-truth set.
 
@@ -337,23 +350,37 @@ def evaluate(
     beside ``full``. Classes with no ground truth in their pool are NaN in
     ``ap`` and excluded from every mean. A table with pairs must score every
     class of ``space``, or ``DimensionMismatch`` is raised.
+
+    ``classes``, distinct class ids, says instead that score column k is
+    class ``classes[k]``'s, as ``detections_from_model`` gives them for the
+    same ``classes``. Only classes with ground truth are read, so they must
+    all be among them (``DimensionMismatch`` otherwise); every AP is then
+    that of the full table.
     """
     if mode not in EVAL_MODES:
         raise InvalidConfig(f"mode must be one of {EVAL_MODES}")
     num_hois = space.num_hois
+    scored = np.arange(num_hois) if classes is None else np.asarray(classes, dtype=np.int64)
     pairs, width = dets.score.shape
-    if pairs and width != num_hois:
-        raise DimensionMismatch(f"detections score {width} classes, the label space has {num_hois}")
+    if pairs and width != len(scored):
+        want = f"the label space has {num_hois}" if classes is None else f"classes holds {len(scored)}"
+        raise DimensionMismatch(f"detections score {width} classes, {want}")
     outside = (gts.hoi_id < 0) | (gts.hoi_id >= num_hois)
     if outside.any():
         raise UnknownHoiId(f"ground truth class {gts.hoi_id[outside][0]} outside label space")
     if not pairs:  # an empty table, such as an empty file, scores every class alike
-        dets = replace(dets, score=np.zeros((0, num_hois)))
+        dets = replace(dets, score=np.zeros((0, len(scored))))
 
     npos = np.bincount(gts.hoi_id, minlength=num_hois)
-    classes = np.flatnonzero(npos)  # a class without ground truth has no AP to compute
+    found = np.flatnonzero(npos)  # a class without ground truth has no AP to compute
+    column = np.full(num_hois, -1)  # class -> its score column
+    column[scored] = np.arange(len(scored))
+    unscored = found[column[found] < 0]
+    if unscored.size:
+        raise DimensionMismatch(f"class {unscored[0]} has ground truth but no score column")
     ap = np.full(num_hois, np.nan)
-    for group, length, row, rank in _class_hits(dets, gts, space, mode, iou_threshold, classes):
+    for group, length, row, rank in _class_hits(dets, gts, space, mode, iou_threshold, found,
+                                                column):
         ap[group] = average_precisions(row, rank, npos[group], length)
 
     means = {"full": _nan_mean(ap)}
@@ -370,6 +397,12 @@ def _nan_mean(values: np.ndarray) -> float:
     if valid.size == 0:
         return float("nan")
     return float(valid.mean())
+
+
+def ground_truth_classes(data: Dataset) -> np.ndarray:
+    """Ascending ids of the classes ``ground_truths_from_instances(data)``
+    holds: every label bit set in some row."""
+    return np.flatnonzero(unpack_labels(np.bitwise_or.reduce(data.label, axis=0)[None])[0])
 
 
 def ground_truths_from_instances(data: Dataset) -> GroundTruths:
@@ -433,13 +466,16 @@ def _surviving_rows(test: Dataset, scoring: Scoring) -> np.ndarray:
     return order[np.where(image_passes[image_of], strict, relaxed)]
 
 
-def detections_from_model(test: Dataset, params: ModelParams,
-                          scoring: Scoring = Scoring()) -> Detections:
+def detections_from_model(test: Dataset, params: ModelParams, scoring: Scoring = Scoring(),
+                          classes: np.ndarray | None = None) -> Detections:
     """Score surviving test pairs with the model's branches fused as
     ``scoring.branch_mode`` says: one detection row per pair, pairs in
-    image-id order, with a score for every class. All pairs are scored in
-    one pass; the spatial-human branch reads their boxes through
-    ``forward_spatial_human_boxes``, so no spatial map is drawn.
+    image-id order, with a score for every class, or, given ``classes``
+    (distinct class ids), for those alone: column k then holds class
+    ``classes[k]``'s scores, with the bits of its column in the full table.
+    All pairs are scored in one pass; the spatial-human branch reads their
+    boxes through ``forward_spatial_human_boxes``, so no spatial map is
+    drawn. A branch the mode drops is not computed.
 
     Pairs are filtered by ``scoring``'s detector cutoffs; an image whose
     pairs all fail them is retried once with both cutoffs scaled by the
@@ -448,20 +484,36 @@ def detections_from_model(test: Dataset, params: ModelParams,
     surviving = _surviving_rows(test, scoring)
 
     pairs = test[surviving]
-    s_sp = forward_spatial_human_boxes(pairs.human_feat, pairs.human_box, pairs.object_box, params)
-    s_vo = forward_verb_object(pairs.verb_feat, pairs.object_feat, params)
-    # each branch's logits become its probabilities and then the score in
-    # place, so the score matrix is the one pairs x classes array left; a
-    # row block at a time, so each step reads rows the step before left in cache
-    rows = max(1, FLAT_BLOCK // max(1, s_vo.shape[1]))
-    for start in range(0, len(s_vo), rows):
+    mode = scoring.branch_mode
+    logits = []  # of the fused branches: spatial-human, then verb-object
+    if mode != "vo_only":
+        logits.append(forward_spatial_human_boxes(pairs.human_feat, pairs.human_box,
+                                                  pairs.object_box, params))
+    if mode != "sp_only":
+        logits.append(forward_verb_object(pairs.verb_feat, pairs.object_feat, params))
+    score = logits[-1]  # the scores go into the last branch's logit buffer
+    n, width = score.shape
+    if classes is not None:  # packed from its start: no block's scores reach a later block's rows
+        score = score.reshape(-1)[: n * len(classes)].reshape(n, len(classes))
+    # each branch's logits become its probabilities and then the score, a
+    # row block at a time, so each step reads rows the step before left in
+    # cache. Sigmoid and fuse are elementwise, so the columns taken from
+    # the whole products keep their bits.
+    rows = max(1, FLAT_BLOCK // max(1, width))
+    for start in range(0, n, rows):
         block = slice(start, start + rows)
-        sp, vo = sigmoid(s_sp[block], out=s_sp[block]), sigmoid(s_vo[block], out=s_vo[block])
-        fuse_scores(pairs.human_score[block], pairs.object_score[block], sp, vo,
-                    scoring.branch_mode, out=vo)
+        probs = [s[block] for s in logits]
+        # a NaN logit in any column makes fuse_scores raise on the full
+        # table, so a block that holds one keeps every column and raises too
+        if classes is not None and not any(np.isnan(p.min()) for p in probs):
+            probs = [p[:, classes] for p in probs]
+        probs = [sigmoid(p, out=p) for p in probs]
+        # with one branch, it stands for both; fuse_scores reads only it
+        fuse_scores(pairs.human_score[block], pairs.object_score[block], probs[0], probs[-1],
+                    mode, out=score[block])
     return Detections(
         image_id=pairs.image_id, human_box=pairs.human_box, object_box=pairs.object_box,
-        score=s_vo,
+        score=score,
     )
 
 

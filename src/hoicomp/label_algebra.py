@@ -28,6 +28,7 @@ from .errors import (
     EmptyDefinition,
     NotOneObject,
     OutOfRange,
+    UnstorableName,
 )
 
 
@@ -48,7 +49,9 @@ class HoiLabelSpace:
     0/1 (``OutOfRange``); there is a class, each with a verb
     (``EmptyDefinition``) and one object (``NotOneObject``), no two alike
     (``DuplicateHoi``); every verb, then object, is in one (``DanglingId``),
-    and names differ (``DuplicateName``). ``==`` compares matrices and names.
+    and no name ends in a NUL character, which a file would drop
+    (``UnstorableName``), and names differ (``DuplicateName``). ``==``
+    compares matrices and names.
     """
 
     verb_hoi: np.ndarray
@@ -91,6 +94,10 @@ class HoiLabelSpace:
             if unused.size:
                 raise DanglingId(f"{kind} id {int(unused[0])} appears in no interaction")
         for kind, m, names in tables:
+            k = next((k for k, name in enumerate(names) if name.endswith("\x00")), None)
+            if k is not None:
+                raise UnstorableName(f"{kind} name {names[k]!r} ends in a NUL character, "
+                                     "which a label-space file drops")
             k = _first_repeat(names)
             if k is not None:
                 raise DuplicateName(f"{kind} name {names[k]!r} names two {kind} ids")
@@ -163,10 +170,13 @@ def build_space(
     Class c gets the verbs and object of ``hoi_defs[c]`` and is named
     ``verb+verb-object`` from the name tables. Verb/object counts are
     inferred from the name tables when given, otherwise from the largest id
-    used. The space checks itself (see ``HoiLabelSpace``); an id beyond a
-    given name table raises ``DimensionMismatch`` before that.
+    used. The space checks itself (see ``HoiLabelSpace``); a negative id,
+    or one beyond a given name table, raises ``DimensionMismatch`` before
+    that.
     """
     defs = [(sorted(int(v) for v in verbs), int(obj)) for verbs, obj in hoi_defs]
+    if min((min([obj, *verbs]) for verbs, obj in defs), default=0) < 0:
+        raise DimensionMismatch("definition uses a negative id")  # numpy would wrap it
     max_verb = max((v for verbs, _ in defs for v in verbs), default=-1)
     max_obj = max((o for _, o in defs), default=-1)
     num_verbs = len(verb_names) if verb_names is not None else max_verb + 1

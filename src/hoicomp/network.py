@@ -637,7 +637,7 @@ def save_params(params: ModelParams, path, meta: dict | None = None):
         fh.write(CHECKPOINT_MAGIC.encode() + b"\n")
         fh.write(json.dumps(header, sort_keys=True).encode())
         fh.write(_DATA_MARKER)
-        fh.write(params.flat.astype("<f8", copy=False).tobytes())
+        fh.write(np.ascontiguousarray(params.flat, dtype="<f8").data)  # the buffer itself, no copy
 
 
 def _header_config(entries) -> NetworkConfig:

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hoicomp import evaluator, experiments
 from hoicomp.errors import (
     DimensionMismatch,
     InconsistentLabel,
     InvalidBox,
     InvalidConfig,
     NonFiniteInput,
+    OutOfRange,
     ParseError,
     UnknownHoiId,
 )
@@ -28,13 +30,16 @@ from hoicomp.evaluator import (
     evaluate,
     format_report,
     format_report_table,
+    ground_truth_classes,
     ground_truths_from_instances,
     load_detections,
     save_detections,
 )
-from hoicomp.experiments import default_dataset_config
+from hoicomp.experiments import default_dataset_config, evaluate_params
 from hoicomp.label_algebra import build_space
 from hoicomp.network import (
+    BRANCH_MODES,
+    ModelParams,
     NetworkConfig,
     forward_spatial_human,
     forward_spatial_human_boxes,
@@ -44,7 +49,13 @@ from hoicomp.network import (
     sigmoid,
 )
 from hoicomp.spatial import spatial_vector
-from hoicomp.synthdata import DatasetConfig, generate, random_hoi_defs, save_dataset
+from hoicomp.synthdata import (
+    DatasetConfig,
+    generate,
+    random_hoi_defs,
+    save_dataset,
+    unpack_labels,
+)
 from hoicomp.trainer import TrainConfig, train
 from hoicomp.zeroshot import frequency_partition
 
@@ -805,6 +816,149 @@ class TestColumnOracle:
         assert dets.score.tobytes() == want.tobytes()
 
 
+def with_coverage(test_set, num_hois, coverage):
+    """``test_set`` with its labels changed so that its ground truth covers
+    every class, all classes but the last, all but the first and a middle
+    one, only the first class, or none; "natural" keeps it as generated.
+    Needs at least as many rows as classes."""
+    dense = unpack_labels(test_set.label, num_hois)
+    rows = np.arange(len(test_set))
+    if coverage not in ("natural", "none"):
+        dense[rows, rows % num_hois] = 1
+    dropped = {"natural": [], "every": [], "all_but_one": [num_hois - 1],
+               "all_but_two": [0, num_hois // 2], "one": np.arange(1, num_hois),
+               "none": np.arange(num_hois)}[coverage]
+    dense[:, dropped] = 0
+    return replace(test_set, label=np.packbits(dense, axis=1))
+
+
+COVERAGES = ("natural", "every", "all_but_one", "all_but_two", "one", "none")
+
+
+def means_bits(report):
+    return {name: float(value).hex() for name, value in report.means.items()}
+
+
+class TestScoredClasses:
+    """``evaluate_params`` scores only the classes with test ground truth;
+    its report equals that of the full score table, bit for bit."""
+
+    @pytest.mark.parametrize("coverage", COVERAGES)
+    @pytest.mark.parametrize("branch_mode", BRANCH_MODES)
+    @pytest.mark.parametrize("mode", EVAL_MODES)
+    def test_report_equals_full_table(self, trained, mode, branch_mode, coverage):
+        name, test_set, space, params = trained
+        test_set = with_coverage(test_set, space.num_hois, coverage)
+        classes = ground_truth_classes(test_set)
+        if name == "hico-600" and coverage == "natural":
+            assert len(classes) < space.num_hois / 4  # most classes lack ground truth
+        counts = np.arange(space.num_hois) % 50
+        scoring = Scoring(branch_mode=branch_mode, eval_mode=mode)
+        got = evaluate_params(params, test_set, space, counts, scoring=scoring)
+        want = evaluate(detections_from_model(test_set, params, scoring),
+                        ground_truths_from_instances(test_set), space, mode=mode,
+                        partition=frequency_partition(counts, scoring.rare_threshold))
+        assert got.ap.tobytes() == want.ap.tobytes()
+        assert means_bits(got) == means_bits(want)
+        assert np.flatnonzero(~np.isnan(got.ap)).tolist() == classes.tolist()
+
+    @pytest.mark.parametrize("coverage", COVERAGES)
+    def test_only_ground_truth_classes_are_scored(self, trained, monkeypatch, coverage):
+        # where every class has ground truth, every class is scored, as before
+        _, test_set, space, params = trained
+        test_set = with_coverage(test_set, space.num_hois, coverage)
+        widths = []
+        full = experiments.detections_from_model
+
+        def recorded(*args):
+            dets = full(*args)
+            widths.append(dets.score.shape[1])
+            return dets
+
+        monkeypatch.setattr(experiments, "detections_from_model", recorded)
+        evaluate_params(params, test_set, space, np.zeros(space.num_hois))
+        assert widths == [len(ground_truth_classes(test_set))]
+
+    @pytest.mark.parametrize("branch_mode", BRANCH_MODES)
+    def test_columns_keep_their_bits(self, trained, branch_mode):
+        _, test_set, space, params = trained
+        scoring = Scoring(branch_mode=branch_mode)
+        full = detections_from_model(test_set, params, scoring)
+        rng = np.random.default_rng(0)
+        last = space.num_hois - 1
+        for classes in (ground_truth_classes(test_set), np.arange(space.num_hois), [last], [],
+                        rng.choice(space.num_hois, 7, replace=False)):  # in no order
+            part = detections_from_model(test_set, params, scoring, np.asarray(classes, dtype=int))
+            assert part.score.tobytes() == full.score[:, classes].tobytes()
+            for name in ("image_id", "human_box", "object_box"):
+                assert getattr(part, name).tobytes() == getattr(full, name).tobytes()
+
+    @pytest.mark.parametrize("branch_mode, computed", [
+        ("both", ["sp", "vo"]), ("vo_only", ["vo"]), ("sp_only", ["sp"]),
+    ])
+    def test_dropped_branch_is_not_computed(self, trained, monkeypatch, branch_mode, computed):
+        _, test_set, space, params = trained
+        calls = []
+        for branch, name in (("sp", "forward_spatial_human_boxes"), ("vo", "forward_verb_object")):
+            forward = getattr(evaluator, name)
+
+            def counted(*args, forward=forward, branch=branch):
+                calls.append(branch)
+                return forward(*args)
+
+            monkeypatch.setattr(evaluator, name, counted)
+        scoring = Scoring(branch_mode=branch_mode)
+        detections_from_model(test_set, params, scoring)
+        evaluate_params(params, test_set, space, np.zeros(space.num_hois), scoring=scoring)
+        assert calls == computed * 2
+
+    @pytest.mark.parametrize("block, message", [("vo_b3", "s_vo=nan"), ("sp_b2", "s_sp=nan")])
+    def test_nan_in_an_unscored_column_raises_as_the_full_table(self, trained, block, message):
+        # fuse_scores rejects a NaN probability in any column of the table
+        _, test_set, space, params = trained
+        test_set = with_coverage(test_set, space.num_hois, "all_but_one")
+        bad = ModelParams(params.cfg, params.flat.copy())
+        getattr(bad, block)[space.num_hois - 1] = np.nan  # the one class without ground truth
+        with pytest.raises(OutOfRange, match=message) as full:
+            detections_from_model(test_set, bad)
+        with pytest.raises(OutOfRange) as narrow:
+            evaluate_params(bad, test_set, space, np.zeros(space.num_hois))
+        assert str(narrow.value) == str(full.value)
+
+    def test_model_of_another_width_raises_as_the_full_table(self, trained):
+        _, test_set, space, params = trained
+        space = micro_space(space.num_hois + 1)
+        with pytest.raises(DimensionMismatch, match="the label space has") as full:
+            evaluate(detections_from_model(test_set, params), ground_truths_from_instances(test_set),
+                     space)
+        with pytest.raises(DimensionMismatch) as narrow:
+            evaluate_params(params, test_set, space, None)
+        assert str(narrow.value) == str(full.value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_evaluate_reads_columns_through_classes(self, seed):
+        # any distinct classes that hold every ground-truth class, in any order
+        rng = np.random.default_rng(seed)
+        dets, gts = random_micro_case(rng, num_classes=5, max_items=8)
+        space = micro_space(5)
+        extra = rng.choice(5, int(rng.integers(0, 3)), replace=False)
+        classes = rng.permutation(np.union1d(gts.hoi_id, extra))
+        part = replace(dets, score=dets.score[:, classes])
+        for mode in EVAL_MODES:
+            want = evaluate(dets, gts, space, mode=mode).ap
+            assert evaluate(part, gts, space, mode=mode, classes=classes).ap.tobytes() == want.tobytes()
+
+    def test_classes_must_hold_every_ground_truth_class(self):
+        box = Box(0, 0, 10, 10)
+        gts = ground_truths([(0, box, box, 0), (0, box, box, 2)])
+        dets = detections([(0, box, box, 0.5, 0.5)])
+        with pytest.raises(DimensionMismatch, match="class 2 has ground truth but no score column"):
+            evaluate(dets, gts, micro_space(3), classes=np.array([0, 1]))
+        with pytest.raises(DimensionMismatch, match="detections score 2 classes, classes holds 3"):
+            evaluate(dets, gts, micro_space(3), classes=np.array([0, 1, 2]))
+
+
 class TestEvalAllocations:
     def test_scoring_and_matching_peak(self, trained):
         # traced peak of one scoring and matching pass above the memory live
@@ -830,6 +984,19 @@ class TestEvalAllocations:
         peak = peak_above_live(lambda: evaluate(dets, gts, space),
                                warm_up=lambda: evaluate(dets, gts, space))
         assert peak < 1.52e6, peak / 1e6
+
+    def test_scored_classes_peak(self, trained):
+        # traced peak of one evaluate_params call above the memory live
+        # before it, after a warm-up call: 11.06 MB (3000 x 60, every class
+        # scored) and 11.68 MB (1000 x 600, 137 classes scored), as when
+        # every class is scored. Taking the scored columns of both branches
+        # whole, rather than a row block at a time, takes it to 12.78 MB,
+        # and a second full-size score matrix adds 4.8 MB
+        _, test_set, space, params = trained
+        counts = np.zeros(space.num_hois)
+        peak = peak_above_live(lambda: evaluate_params(params, test_set, space, counts),
+                               warm_up=lambda: evaluate_params(params, test_set, space, counts))
+        assert peak < 12.3e6, peak / 1e6
 
 
 def saved(tmp_path, dets, **entries):

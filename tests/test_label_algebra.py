@@ -12,6 +12,7 @@ from hoicomp.errors import (
     InconsistentLabel,
     NotOneObject,
     OutOfRange,
+    UnstorableName,
 )
 from hoicomp.evaluator import DETECTIONS_ENTRIES, Detections, load_detections, save_detections
 from hoicomp.label_algebra import HoiLabelSpace, build_space, compose, decompose
@@ -286,6 +287,28 @@ class TestSpaceRules:
         with pytest.raises(error) as err:
             HoiLabelSpace(**toy_arrays(**changes))
         assert message in str(err.value)
+
+    @pytest.mark.parametrize("defs", [[((-1,), 0), ((0,), 0)], [((0,), -1), ((1,), 0)]],
+                             ids=["verb", "object"])
+    def test_negative_id(self, defs):
+        # indexing with -1 would set the last id: the verb case built b-object0
+        with pytest.raises(DimensionMismatch, match="definition uses a negative id"):
+            build_space(defs, verb_names=("a", "b"))
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"verb_names": ("ride", "ride\x00")}, "verb name 'ride\\x00' ends in a NUL character"),
+        ({"object_names": ("horse\x00", "bicycle")}, "object name 'horse\\x00' ends in a NUL"),
+    ], ids=["verb", "object"])
+    def test_name_ending_in_nul(self, tmp_path, changes, message):
+        # a file drops trailing NULs, so "ride\x00" would load back as a second "ride"
+        path = tmp_path / "data.ds"
+        with pytest.raises(UnstorableName) as err:
+            save_dataset(empty_dataset(0, 2, 3), HoiLabelSpace(**toy_arrays(**changes)), path)
+        assert message in str(err.value)
+        with pytest.raises(UnstorableName):
+            build_space(TOY_DEFS, **{"verb_names": TOY_VERBS, "object_names": TOY_OBJECTS,
+                                     **changes})
+        assert not path.exists()
 
     def test_equality_compares_matrices_and_names(self, toy_space):
         assert toy_space == build_space(TOY_DEFS, verb_names=TOY_VERBS, object_names=TOY_OBJECTS)

@@ -793,6 +793,15 @@ class TestCheckpoint:
         save_params(p, b, meta={"seed": 22})
         assert a.read_bytes() == b.read_bytes()
 
+    def test_save_writes_the_buffer_itself(self, tmp_path):
+        # the 600-class default network's buffer is 5.5 MB; writing it
+        # through a bytes copy made the traced peak one buffer more
+        p = init_params(NetworkConfig(num_hois=600), np.random.default_rng(0))
+        path = tmp_path / "model.ckpt"
+        peak = peak_above_live(lambda: save_params(p, path))
+        assert peak < 0.1 * p.flat.nbytes, peak / p.flat.nbytes
+        assert path.read_bytes().endswith(b"\n[data]\n" + p.flat.astype("<f8").tobytes())
+
     def _saved(self, tmp_path):
         path = tmp_path / "model.ckpt"
         save_params(tiny_params(23), path)
