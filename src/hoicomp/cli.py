@@ -54,7 +54,6 @@ from .experiments import (
     DEFAULT_SPACE_SIZE,
     RunResult,
     default_dataset_config,
-    evaluate_params,
     report_basis,
     run_rows,
     with_compose,
@@ -434,17 +433,13 @@ def _cmd_eval(args) -> int:
     split = load_split(args.split, space) if args.split else None
     _, counts, partition = report_basis(train_set, space, split, scoring.rare_threshold)
 
-    if args.checkpoint and not args.dets_out:  # scores only the classes AP reads
+    if args.checkpoint:
         params, _ = load_params(args.checkpoint)
-        report = evaluate_params(params, test_set, space, counts, partition, scoring)
-    else:  # a detections file holds every class's scores
-        if args.checkpoint:
-            params, _ = load_params(args.checkpoint)
-            dets = detections_from_model(test_set, params, scoring)
-        else:
-            dets = load_detections(args.detections, space)
-        gts = ground_truths_from_instances(test_set)
-        report = evaluate(dets, gts, space, mode=scoring.eval_mode, partition=partition)
+        dets = detections_from_model(test_set, params, scoring)
+    else:
+        dets = load_detections(args.detections, space)
+    gts = ground_truths_from_instances(test_set)
+    report = evaluate(dets, gts, space, mode=scoring.eval_mode, partition=partition)
     out_dir = _out_dir(args)
     _report_files(report, space, counts, out_dir)
     if args.dets_out:

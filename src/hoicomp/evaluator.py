@@ -508,7 +508,7 @@ def detections_from_model(test: Dataset, params: ModelParams, scoring: Scoring =
         if classes is not None and not any(np.isnan(p.min()) for p in probs):
             probs = [p[:, classes] for p in probs]
         probs = [sigmoid(p, out=p) for p in probs]
-        # with one branch, it stands for both; fuse_scores reads only it
+        # with one branch, it stands for both; fuse_scores reads and checks only it
         fuse_scores(pairs.human_score[block], pairs.object_score[block], probs[0], probs[-1],
                     mode, out=score[block])
     return Detections(

@@ -112,8 +112,8 @@ def evaluate_params(
     the report of ``evaluate(detections_from_model(...), ...)``, bit for bit.
 
     ``partition=None`` means rare/nonrare over ``counts`` at
-    ``scoring.rare_threshold``, or only ``full`` when ``counts`` is None
-    too; ``run_rows`` always passes ``report_basis``'s partition.
+    ``scoring.rare_threshold``; ``run_rows`` always passes
+    ``report_basis``'s partition.
 
     Only the classes with test ground truth are scored, since AP reads no
     other (about 140 of 600 at the ``hico-600`` benchmark's shape): each
@@ -121,7 +121,7 @@ def evaluate_params(
     Where that is every class, or where the model or the labels are not of
     ``space``'s width (which ``evaluate`` rejects), every class is scored.
     """
-    if partition is None and counts is not None:
+    if partition is None:
         partition = frequency_partition(counts, rare_threshold=scoring.rare_threshold)
     classes = ground_truth_classes(test_set)
     if (len(classes) == space.num_hois or params.cfg.num_hois != space.num_hois

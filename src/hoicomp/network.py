@@ -590,6 +590,8 @@ def fuse_scores(s_h, s_o, s_sp, s_vo, branch_mode: str = "both",
 
     Ablation modes replace one branch's factor with 1: ``vo_only`` ignores
     the spatial-human branch, ``sp_only`` ignores the verb-object branch.
+    An ignored branch's probabilities are neither read nor range-checked,
+    so one array may stand for both branches.
     """
     if branch_mode not in BRANCH_MODES:
         raise InvalidConfig(f"branch_mode must be one of {BRANCH_MODES}")
@@ -599,14 +601,17 @@ def fuse_scores(s_h, s_o, s_sp, s_vo, branch_mode: str = "both",
             f"s_h {s_h.shape}, s_o {s_o.shape}, s_sp {s_sp.shape} and s_vo {s_vo.shape} "
             "are not (n,), (n,), (n, C) and (n, C)"
         )
-    for name, val in (("s_h", s_h), ("s_o", s_o), ("s_sp", s_sp), ("s_vo", s_vo)):
+    branches = {"both": (("s_sp", s_sp), ("s_vo", s_vo)), "vo_only": (("s_vo", s_vo),),
+                "sp_only": (("s_sp", s_sp),)}[branch_mode]
+    for name, val in (("s_h", s_h), ("s_o", s_o), *branches):
         if val.size and 0.0 <= val.min() and val.max() <= 1.0:  # a nan fails both
             continue
         bad = ~((0.0 <= val) & (val <= 1.0))
         if bad.any():
             raise OutOfRange(f"{name}={val[bad].flat[0]} outside [0, 1]")
-    # a dropped branch multiplies by 1, which leaves every bit as it is
-    factors = {"both": (s_vo, s_sp), "vo_only": (s_vo,), "sp_only": (s_sp,)}[branch_mode]
+    # a dropped branch multiplies by 1, which leaves every bit as it is;
+    # the verb-object factor goes first
+    factors = [val for _, val in reversed(branches)]
     prod = (s_h * s_o)[:, None] * factors[0]
     for f in factors[1:]:
         prod *= f

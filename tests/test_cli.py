@@ -9,7 +9,7 @@ import pytest
 from hoicomp import cli
 from hoicomp import rng as rngmod
 from hoicomp.cli import main
-from hoicomp.evaluator import Detections, ground_truth_classes, save_detections
+from hoicomp.evaluator import Detections, save_detections
 from hoicomp.network import NetworkConfig
 from hoicomp.synthdata import SPACE_ENTRIES, DatasetConfig, load_dataset, unpack_labels
 from hoicomp.trainer import TrainConfig, make_minibatch
@@ -211,29 +211,6 @@ class TestEval:
                    scored / "detections.npz", "--out", loaded) == 0
         for name in ("report.txt", "report.tsv"):
             assert (scored / name).read_bytes() == (loaded / name).read_bytes(), name
-
-    def test_report_is_the_same_with_and_without_dets_out(self, tmp_path):
-        # without --dets-out, eval scores only the classes with test ground
-        # truth; a test set this small leaves some class without any
-        data = tmp_path / "d.ds"
-        n_test = TINY_DATA.index("--n-test") + 1
-        flags = TINY_DATA[:n_test] + [12] + TINY_DATA[n_test + 1:]
-        assert run("gen-data", "--seed", 7, "--out", data, *flags) == 0
-        test = data.with_suffix(".ds.test")
-        test_set, space = load_dataset(test)
-        assert len(ground_truth_classes(test_set)) < space.num_hois
-        ckpt = tmp_path / "run" / "checkpoint.ckpt"
-        assert run("train", "--data", data, "--out", ckpt.parent, *TINY_TRAIN) == 0
-        for eval_mode in ("default", "known_object"):
-            for branch in ("both", "vo_only", "sp_only"):
-                outs = []
-                for extra in ([], ["--dets-out"]):
-                    outs.append(tmp_path / f"{eval_mode}-{branch}{len(extra)}")
-                    assert run("eval", "--data", test, "--train-data", data, "--checkpoint", ckpt,
-                               "--eval-mode", eval_mode, "--branch", branch, *extra,
-                               "--out", outs[-1]) == 0
-                for name in ("report.txt", "report.tsv"):
-                    assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
     def test_requires_exactly_one_source(self, dataset, tmp_path, capsys):
         data, test = dataset

@@ -912,17 +912,23 @@ class TestScoredClasses:
         evaluate_params(params, test_set, space, np.zeros(space.num_hois), scoring=scoring)
         assert calls == computed * 2
 
-    @pytest.mark.parametrize("block, message", [("vo_b3", "s_vo=nan"), ("sp_b2", "s_sp=nan")])
-    def test_nan_in_an_unscored_column_raises_as_the_full_table(self, trained, block, message):
-        # fuse_scores rejects a NaN probability in any column of the table
+    @pytest.mark.parametrize("block, branch_mode, message", [
+        ("vo_b3", "both", "s_vo=nan"), ("sp_b2", "both", "s_sp=nan"),
+        ("vo_b3", "vo_only", "s_vo=nan"), ("sp_b2", "sp_only", "s_sp=nan"),
+    ])
+    def test_nan_in_an_unscored_column_raises_as_the_full_table(self, trained, block,
+                                                                branch_mode, message):
+        # fuse_scores rejects a NaN probability in any column of a fused
+        # branch, and names that branch
         _, test_set, space, params = trained
         test_set = with_coverage(test_set, space.num_hois, "all_but_one")
         bad = ModelParams(params.cfg, params.flat.copy())
         getattr(bad, block)[space.num_hois - 1] = np.nan  # the one class without ground truth
+        scoring = Scoring(branch_mode=branch_mode)
         with pytest.raises(OutOfRange, match=message) as full:
-            detections_from_model(test_set, bad)
+            detections_from_model(test_set, bad, scoring)
         with pytest.raises(OutOfRange) as narrow:
-            evaluate_params(bad, test_set, space, np.zeros(space.num_hois))
+            evaluate_params(bad, test_set, space, np.zeros(space.num_hois), scoring=scoring)
         assert str(narrow.value) == str(full.value)
 
     def test_model_of_another_width_raises_as_the_full_table(self, trained):
@@ -932,7 +938,7 @@ class TestScoredClasses:
             evaluate(detections_from_model(test_set, params), ground_truths_from_instances(test_set),
                      space)
         with pytest.raises(DimensionMismatch) as narrow:
-            evaluate_params(params, test_set, space, None)
+            evaluate_params(params, test_set, space, np.zeros(space.num_hois))
         assert str(narrow.value) == str(full.value)
 
     @settings(max_examples=60, deadline=None)

@@ -62,15 +62,6 @@ def comparison_oracle(seed, zero_shot):
     return split, *reports
 
 
-def test_evaluate_params_without_counts_or_partition_reports_full_alone():
-    train_set, test_set, space = generate(default_dataset_config(seed=0, n_train=300, n_test=100))
-    params, _ = train(train_set, space, TrainConfig(iterations=2))
-    report = evaluate_params(params, test_set, space, None)
-    assert set(report.means) == {"full"}
-    assert report.map_full == evaluate_params(params, test_set, space, class_counts(
-        train_set, space)).map_full
-
-
 @pytest.mark.parametrize("zero_shot", [False, True], ids=["vcl", "zero_shot"])
 def test_comparison_equals_its_written_out_runs(zero_shot):
     compare = zero_shot_comparison if zero_shot else vcl_comparison

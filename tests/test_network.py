@@ -665,6 +665,16 @@ class TestFuseScores:
         with pytest.raises(InvalidConfig, match="branch_mode must be one of"):
             fuse_scores([0.5], [0.5], s_sp, s_vo, branch_mode="nope")
 
+    def test_ignored_branch_is_not_checked(self):
+        # one array may stand for both branches: only the fused one is checked
+        good, bad = np.array([[0.5]]), np.array([[np.nan]])
+        assert fuse_scores([0.5], [0.5], bad, good, "vo_only").tolist() == [[0.125]]
+        assert fuse_scores([0.5], [0.5], good, bad, "sp_only").tolist() == [[0.125]]
+        with pytest.raises(OutOfRange, match="s_vo=nan"):
+            fuse_scores([0.5], [0.5], bad, bad, "vo_only")
+        with pytest.raises(OutOfRange, match="s_sp=nan"):
+            fuse_scores([0.5], [0.5], bad, bad, "sp_only")
+
     def test_shapes(self):
         s_sp, s_vo = self._scores()
         assert fuse_scores(np.empty(0), np.empty(0), np.empty((0, 2)), np.empty((0, 2))).shape == (0, 2)
