@@ -49,6 +49,12 @@ them a row block at a time; the sigmoid and the fuse after it are
 elementwise, so each score has the bits of its column in the full table.
 ``evaluate`` reads each class from its column through ``classes``, and
 every AP and mean is the full table's.
+
+The data layouts scoring reads belong to other modules. The label bits
+are ``synthdata``'s: a dataset's ground truths come from
+``synthdata.label_pairs`` and its classes from ``synthdata.active_classes``.
+The raster is ``spatial``'s: a pair's spatial logits come from its boxes
+through ``network``, which reads the raster through ``spatial.rect_sums``.
 """
 
 from __future__ import annotations
@@ -70,7 +76,7 @@ from .network import (
 )
 from .spatial import check_boxes
 from .spatial import spatial_vector  # no caller here; kept importable because perfbench wraps it
-from .synthdata import Dataset, read_archive, unpack_labels, write_archive
+from .synthdata import Dataset, active_classes, label_pairs, read_archive, write_archive
 
 EVAL_MODES = ("default", "known_object")
 IOU_THRESHOLD = 0.5
@@ -401,17 +407,14 @@ def _nan_mean(values: np.ndarray) -> float:
 
 def ground_truth_classes(data: Dataset) -> np.ndarray:
     """Ascending ids of the classes ``ground_truths_from_instances(data)``
-    holds: every label bit set in some row."""
-    return np.flatnonzero(unpack_labels(np.bitwise_or.reduce(data.label, axis=0)[None])[0])
+    holds: every class set in some row's label."""
+    return active_classes(data.label)
 
 
 def ground_truths_from_instances(data: Dataset) -> GroundTruths:
     """One ground truth per active label bit of each instance, in row order
-    and by class within a row. A label's padding bits are zero, so every bit
-    that unpacks set is a class."""
-    rows, byte = np.nonzero(data.label)  # only the label bytes with a bit set are unpacked
-    k, bit = np.nonzero(unpack_labels(data.label[rows, byte][:, None]))
-    rows, classes = rows[k], 8 * byte[k] + bit
+    and by class within a row (``synthdata.label_pairs``)."""
+    rows, classes = label_pairs(data.label)
     return GroundTruths(
         image_id=data.image_id[rows],
         hoi_id=classes.astype(np.int64),

@@ -137,10 +137,6 @@ class HoiLabelSpace:
             for c in range(self.num_hois)
         )
 
-    def object_of(self, hoi_id: int) -> int:
-        """Object id of one interaction class."""
-        return int(np.argmax(self.object_hoi[:, hoi_id]))
-
     def verbs_of(self, hoi_id: int) -> tuple[int, ...]:
         """Verb ids of one interaction class, ascending."""
         return tuple(int(v) for v in np.flatnonzero(self.verb_hoi[:, hoi_id]))

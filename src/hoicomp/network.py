@@ -12,10 +12,10 @@ momentum are buffers of the same layout, and the checkpoint stores it as is.
 The spatial-human head reads the rasterized two-channel box map of
 ``spatial.spatial_vector`` in training, as 0/1 bytes that ``_sp_forward``
 scales straight into its float input, so no float copy of the raster is
-made. Its width must be ``2 * GRID_SIZE**2`` (``check_raster_width``).
-Scoring gets the same logits without the raster: each channel is one
-rectangle of cells, so its product with the channel's rows of ``sp_w1`` is
-four lookups in a 2-D prefix sum of those rows
+made. Its width must be ``spatial.RASTER_WIDTH`` (``check_raster_width``);
+the cells' layout within a row is ``spatial``'s alone. Scoring gets the
+same logits without the raster: ``spatial.rect_sums`` gives the raster's
+product with the raster rows of ``sp_w1`` from the boxes
 (``forward_spatial_human_boxes``). The two differ only by rounding.
 
 Training holds three parameter-sized buffers, parameters, gradients and
@@ -68,7 +68,7 @@ from .errors import (
     OutOfRange,
     ParseError,
 )
-from .spatial import GRID_SIZE, cell_spans, spatial_vector
+from .spatial import RASTER_WIDTH, rect_sums, spatial_vector
 from .synthdata import Dataset, unpack_labels
 
 BRANCH_MODES = ("both", "vo_only", "sp_only")
@@ -97,7 +97,7 @@ class NetworkConfig:
     hidden: int = 64
     vo_hidden: int = 128
     sp_hidden: int = 64
-    spatial_dim: int = 2 * GRID_SIZE * GRID_SIZE
+    spatial_dim: int = RASTER_WIDTH
 
     def __post_init__(self):
         for f in fields(self):
@@ -382,53 +382,20 @@ def forward_spatial_human(human_feat, spatial, params: ModelParams) -> np.ndarra
     return _sp_forward(human_x, spatial_x, params)[0]
 
 
-def _raster_products(human_box: np.ndarray, object_box: np.ndarray,
-                     params: ModelParams) -> np.ndarray:
-    """(n, sp_hidden) products of the boxes' rasters with the raster rows
-    of ``sp_w1``: per channel, the sum of those rows over its rectangle of
-    cells, from four lookups in their 2-D prefix sum."""
-    cfg = params.cfg
-    start, stop = cell_spans(human_box, object_box)  # (n, channel, axis x/y)
-    w_map = params.sp_w1[cfg.hidden :].reshape(2, GRID_SIZE, GRID_SIZE, cfg.sp_hidden)
-    # table[c, y, x] sums channel c's rows over cell rows < y and columns < x:
-    # the running sums of np.cumsum along y, then x, one slice at a time
-    table = np.zeros((2, GRID_SIZE + 1, GRID_SIZE + 1, cfg.sp_hidden))
-    acc = table[:, 1:, 1:]
-    acc[...] = w_map
-    for k in range(1, GRID_SIZE):
-        acc[:, k] += acc[:, k - 1]
-    for k in range(1, GRID_SIZE):
-        acc[:, :, k] += acc[:, :, k - 1]
-    ch = np.arange(2)
-    x0, y0, x1, y1 = start[..., 0], start[..., 1], stop[..., 0], stop[..., 1]
-    out = np.empty((len(start), cfg.sp_hidden))
-    rows = max(1, FLAT_BLOCK // (2 * cfg.sp_hidden))
-    for b in (slice(k, k + rows) for k in range(0, len(out), rows)):  # elementwise, in row blocks
-        rect = (table[ch, y1[b], x1[b]] - table[ch, y0[b], x1[b]]
-                - table[ch, y1[b], x0[b]] + table[ch, y0[b], x0[b]])
-        np.sum(rect, axis=1, out=out[b])
-    return out
-
-
 def check_raster_width(cfg: NetworkConfig):
     """Raise ``DimensionMismatch`` unless ``cfg.spatial_dim`` is the width
     of ``spatial.spatial_vector``'s rows, the one raster boxes give."""
-    if cfg.spatial_dim != 2 * GRID_SIZE * GRID_SIZE:
-        raise DimensionMismatch(
-            f"spatial input is {cfg.spatial_dim} wide, expected {2 * GRID_SIZE * GRID_SIZE}"
-        )
+    if cfg.spatial_dim != RASTER_WIDTH:
+        raise DimensionMismatch(f"spatial input is {cfg.spatial_dim} wide, expected {RASTER_WIDTH}")
 
 
 def forward_spatial_human_boxes(human_feat, human_box, object_box,
                                 params: ModelParams) -> np.ndarray:
     """(n, C) logits of the spatial-human head for (n, D) human features and
     their (n, 4) human and object boxes: ``forward_spatial_human`` of the
-    boxes' ``spatial_vector`` rows, up to rounding, without drawing them.
-
-    A channel's raster is 1 on one rectangle of cells (``cell_spans``), so
-    its product with the channel's rows of ``sp_w1`` is the sum of those rows
-    over the rectangle: four lookups in their 2-D prefix sum, built once per
-    call. Raises ``DegenerateBox`` where ``spatial_vector`` would."""
+    boxes' ``spatial_vector`` rows, up to rounding, without drawing them:
+    ``spatial.rect_sums`` gives the raster's product with the raster rows
+    of ``sp_w1``. Raises ``DegenerateBox`` where ``spatial_vector`` would."""
     human_x = _as_2d(human_feat, params.shared_w.shape[0], "human feature")
     human_box = _as_2d(human_box, 4, "human box")
     object_box = _as_2d(object_box, 4, "object box")
@@ -436,7 +403,8 @@ def forward_spatial_human_boxes(human_feat, human_box, object_box,
     cfg = params.cfg
     check_raster_width(cfg)
     h_act = _layer(human_x, params.shared_w, params.shared_b) @ params.sp_w1[: cfg.hidden]
-    h_act += spatial_input_scale(params) * _raster_products(human_box, object_box, params)
+    raster = rect_sums(human_box, object_box, params.sp_w1[cfg.hidden :])
+    h_act += spatial_input_scale(params) * raster
     h_act += params.sp_b1
     np.maximum(h_act, 0.0, out=h_act)
     return _layer(h_act, params.sp_w2, params.sp_b2, relu=False)
@@ -497,6 +465,17 @@ def _sp_backward(g_out: np.ndarray, cache, p: ModelParams, grads: dict):
     g_sh = (g1 @ (w_h if len(g1) == 1 else np.ascontiguousarray(w_h))) * (z[:, :h] > 0)
     grads["shared_w"] += human_x.T @ g_sh
     grads["shared_b"] += g_sh.sum(axis=0)
+
+
+def _nonfinite_block(params: ModelParams) -> str | None:
+    """Name of the first block of ``params`` that holds a NaN or an inf,
+    checked ``FLAT_BLOCK`` elements at a time; None when all are finite."""
+    flat = params.flat
+    for start in range(0, flat.size, FLAT_BLOCK):
+        finite = np.isfinite(flat[start : start + FLAT_BLOCK])
+        if not finite.all():
+            return params.block_at(start + int(np.argmin(finite)))
+    return None
 
 
 def loss_and_grads(real: RealBatch, comp: CompBatch | None, params: ModelParams,
@@ -567,12 +546,9 @@ def loss_and_grads(real: RealBatch, comp: CompBatch | None, params: ModelParams,
             block.fill(0.0)
     for backward_fn, logits, cache, targets, coef in terms:
         backward_fn(_bce_grad(logits, targets, w, coef), cache, params, blocks)
-    g = grads.flat
-    for start in range(0, g.size, FLAT_BLOCK):
-        finite = np.isfinite(g[start : start + FLAT_BLOCK])
-        if not finite.all():
-            bad = grads.block_at(start + int(np.argmin(finite)))
-            raise NonFiniteGradient(f"gradient block {bad} is non-finite")
+    bad = _nonfinite_block(grads)
+    if bad is not None:
+        raise NonFiniteGradient(f"gradient block {bad} is non-finite")
 
     return total, components, grads
 
@@ -673,6 +649,10 @@ def _header_config(entries) -> NetworkConfig:
 
 
 def load_params(path) -> tuple[ModelParams, dict]:
+    """(parameters, meta) of a checkpoint ``save_params`` wrote. A file
+    that is not one raises ``DimensionMismatch`` or ``ParseError``, and so
+    does one whose parameters hold a NaN or an inf: ``ParseError``, naming
+    the file and the first such block."""
     with open(path, "rb") as fh:
         blob = fh.read()
     magic, _, rest = blob.partition(b"\n")
@@ -691,5 +671,8 @@ def load_params(path) -> tuple[ModelParams, dict]:
     size = 8 * _flat_size(cfg)
     if len(data) != size:  # truncated, or bytes after the last block
         raise DimensionMismatch(f"checkpoint has {len(data)} data bytes, expected {size}")
-    flat = np.frombuffer(data, dtype="<f8").astype(np.float64)
-    return ModelParams(cfg, flat), header.get("meta", {})
+    params = ModelParams(cfg, np.frombuffer(data, dtype="<f8").astype(np.float64))
+    bad = _nonfinite_block(params)
+    if bad is not None:
+        raise ParseError(f"checkpoint {path}: block {bad} holds a non-finite value")
+    return params, header.get("meta", {})

@@ -10,6 +10,12 @@ follow a Zipf law over class rank, giving the long tail. The detector-score
 range, the box-geometry jitter and the share of two-verb classes are module
 constants (``SCORE_RANGE``, ``GEOM_JITTER``, ``MULTI_VERB_FRAC``), not
 ``DatasetConfig`` fields.
+
+This module owns the packed label layout of ``Dataset.label``, and no
+other module does arithmetic on its bits. They read and change labels
+through ``unpack_labels`` (dense 0/1 rows), ``label_pairs`` (the (row,
+class) pair of each set bit), ``active_classes`` (the classes set in some
+row) and ``clear_classes`` (labels with some classes zeroed).
 """
 
 from __future__ import annotations
@@ -93,6 +99,31 @@ def unpack_labels(label: np.ndarray, num_hois: int | None = None) -> np.ndarray:
     """The dense (N, C) uint8 0/1 rows of packed labels: ``num_hois``
     columns, or every bit of each row, zero padding included, when None."""
     return np.unpackbits(label, axis=1, count=num_hois)
+
+
+def label_pairs(label: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, classes): the row and class of every set bit of packed labels,
+    in row order and by class within a row, as ``np.nonzero`` of
+    ``unpack_labels(label)`` gives them. Only the bytes with a bit set are
+    unpacked."""
+    rows, byte = np.nonzero(label)
+    k, bit = np.nonzero(unpack_labels(label[rows, byte][:, None]))
+    return rows[k], 8 * byte[k] + bit
+
+
+def active_classes(label: np.ndarray) -> np.ndarray:
+    """Ascending ids of the classes set in some row of packed labels: the
+    classes of one row that ORs every row's bytes."""
+    return label_pairs(np.bitwise_or.reduce(label, axis=0, keepdims=True))[1]
+
+
+def clear_classes(label: np.ndarray, classes) -> np.ndarray:
+    """A copy of the packed labels with the bits of ``classes``, an
+    iterable of class ids, zeroed: ``label`` ANDed with one packed row of
+    the other classes."""
+    keep = np.ones(8 * label.shape[1], dtype=bool)
+    keep[sorted(classes)] = False
+    return label & np.packbits(keep)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,9 @@ stay comparable and a split is read only beside data of its own space.
 Applying a split to a training set copies its label alone: rows whose every
 class is unseen stay, with an all-zero label, and every other column is the
 input's own array. Training draws only rows with an active label
-(``trainer.group_by_image``), so such rows are never trained on.
+(``trainer.group_by_image``), so such rows are never trained on. The label
+bits are ``synthdata``'s: a split names classes, and
+``synthdata.clear_classes`` turns them into bits.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from . import rng as rngmod
 from .errors import DimensionMismatch, InfeasibleSplit, InvalidConfig, ParseError
 from .label_algebra import HoiLabelSpace
-from .synthdata import Dataset, read_archive, write_archive
+from .synthdata import Dataset, clear_classes, read_archive, write_archive
 
 STRATEGIES = ("rare_first", "nonrare_first")
 
@@ -117,12 +119,10 @@ def apply_split(train: Dataset, split: ZeroShotSplit) -> Dataset:
     instances keep their seen bits, and instances whose labels are entirely
     unseen stay as rows with an all-zero label, which training never draws.
     Every other column is shared with ``train``, so treat the result as
-    read-only. The inputs are left unchanged. The new label is the packed
-    label ANDed with a packed row of the seen classes.
+    read-only. The inputs are left unchanged. ``synthdata.clear_classes``
+    zeroes the bits.
     """
-    seen = np.ones(8 * train.label.shape[1], dtype=bool)
-    seen[sorted(split.unseen)] = False
-    return replace(train, label=train.label & np.packbits(seen))
+    return replace(train, label=clear_classes(train.label, split.unseen))
 
 
 # ---- reporting partitions ----

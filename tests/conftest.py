@@ -92,7 +92,7 @@ def make_row(
         verb_feat=verb_feat,
         object_feat=object_feat,
         label=label,
-        object_id=np.array([space.object_of(hoi_ids[0])], dtype=np.int64),
+        object_id=np.array([space.objects_by_hoi()[hoi_ids[0]]], dtype=np.int64),
     )
 
 

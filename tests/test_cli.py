@@ -10,7 +10,7 @@ from hoicomp import cli
 from hoicomp import rng as rngmod
 from hoicomp.cli import main
 from hoicomp.evaluator import Detections, save_detections
-from hoicomp.network import NetworkConfig
+from hoicomp.network import NetworkConfig, load_params, save_params
 from hoicomp.synthdata import SPACE_ENTRIES, DatasetConfig, load_dataset, unpack_labels
 from hoicomp.trainer import TrainConfig, make_minibatch
 from hoicomp.zeroshot import ZeroShotSplit, save_split
@@ -540,8 +540,9 @@ def test_bad_setting_fails_before_output(dataset, request, tmp_path, capsys, com
 # trained on DATA, "BYTES" DATA with one byte per class in its label (the
 # format before labels were bits), "OTHER" a training set of another label
 # space with as many classes, "OTHER_SPLIT" a split that make-splits made of
-# OTHER, "OTHER_DETS" the detections of CKPT on OTHER's test set, "OUT" the
-# run's own --out, and "MISSING" a path where nothing is
+# OTHER, "OTHER_DETS" the detections of CKPT on OTHER's test set, "NAN_CKPT"
+# CKPT with a NaN in vo_b3, "OUT" the run's own --out, and "MISSING" a path
+# where nothing is
 BAD_INPUTS = [
     ["train", "--data", "MISSING"],
     ["train", "--data", "DATA", "--test", "MISSING"],
@@ -557,6 +558,9 @@ BAD_INPUTS = [
     ["eval", "--data", "TEST", "--split", "MISSING", "--checkpoint", "CKPT"],
     ["eval", "--data", "TEST", "--checkpoint", "MISSING"],
     ["eval", "--data", "TEST", "--detections", "MISSING"],
+    # a checkpoint is checked whole, so also under a branch that would not read the NaN
+    ["eval", "--data", "TEST", "--checkpoint", "NAN_CKPT", "--branch", "both"],
+    ["eval", "--data", "TEST", "--checkpoint", "NAN_CKPT", "--branch", "sp_only"],
     ["sweep", "--data", "MISSING", "--test", "TEST", "--param", "lambda1", "--values", "1"],
     ["sweep", "--data", "DATA", "--test", "MISSING", "--param", "lambda1", "--values", "1"],
     ["sweep", "--data", "DATA", "--test", "TEST", "--param", "lambda2", "--values", "1,nan"],
@@ -597,7 +601,12 @@ def test_bad_input_fails_before_output(dataset, checkpoint, tmp_path, capsys, ar
              "EMPTY": tmp_path / "empty.tsv", "CLASS0": tmp_path / "class0.tsv",
              "SPLIT0": tmp_path / "split0.txt", "BYTES": tmp_path / "bytes.tsv",
              "OTHER": tmp_path / "foreign.tsv", "OTHER_SPLIT": tmp_path / "foreign.split",
-             "OTHER_DETS": tmp_path / "foreign" / "detections.npz", "OUT": out}
+             "OTHER_DETS": tmp_path / "foreign" / "detections.npz",
+             "NAN_CKPT": tmp_path / "nan.ckpt", "OUT": out}
+    if "NAN_CKPT" in argv:
+        params, meta = load_params(checkpoint)
+        params.vo_b3[3] = np.nan
+        save_params(params, paths["NAN_CKPT"], meta)
     if "EMPTY" in argv:
         assert run("gen-data", "--seed", 7, "--out", paths["EMPTY"], *TINY_DATA, "--n-train", 0) == 0
     if "CLASS0" in argv:
@@ -724,8 +733,8 @@ class TestConfigFile:
 EDGE_VALUES = {int: ("0", "-1"), float: ("0", "-1", "nan", "inf")}
 
 # the fuzzed format each flag naming an input file reads; None: not a file
-READS = {"data": "data.tsv", "test": "data.tsv", "train_data": "data.tsv",
-         "split": "split.txt", "checkpoint": "model.ckpt", "detections": "dets.npz",
+READS = {"data": "data.ds", "test": "data.ds", "train_data": "data.ds",
+         "split": "split.npz", "checkpoint": "model.ckpt", "detections": "dets.npz",
          "values": None}
 
 
@@ -814,11 +823,11 @@ def test_corrupt_input_files_exit_cleanly(walk_inputs, tmp_path, capsys, command
 
 
 @pytest.mark.parametrize("command", [c for c in sorted(subparsers())
-                                     if ("--split", "split.txt") in file_flags(c)])
+                                     if ("--split", "split.npz") in file_flags(c)])
 def test_split_cut_before_its_id_list_fails(walk_inputs, tmp_path, capsys, command):
     # the walk's truncated split archive keeps its first entries' bytes and
     # loses the zip directory that lists them
     root, inputs = walk_inputs
-    cut = root / "bad" / "split.txt"
+    cut = root / "bad" / "split.npz"
     assert b"unseen.npy" in cut.read_bytes() and b"PK\x05\x06" not in cut.read_bytes()
     assert run_cleanly([command, *inputs[command], "--split", cut], tmp_path, capsys) == 1

@@ -56,9 +56,9 @@ def write_valid_files(root):
     space = build_space(TOY_DEFS, verb_names=("ride", "feed"), object_names=("horse", "bicycle"))
     rng = np.random.default_rng(0)
     data = make_dataset([make_row(space, [c], image_id=c // 2, rng=rng) for c in (0, 1, 2, 0)])
-    save_dataset(data, space, root / "data.tsv")
+    save_dataset(data, space, root / "data.ds")
     save_split(ZeroShotSplit(unseen=frozenset({0}), space=space, strategy="rare_first", seed=3),
-               root / "split.txt")
+               root / "split.npz")
     box = np.tile([1.0, 2.0, 30.0, 40.5], (4, 1))
     dets = Detections(image_id=np.arange(4), human_box=box, object_box=box,
                       score=0.25 * np.arange(12.0).reshape(4, 3))
@@ -80,8 +80,8 @@ def files(tmp_path_factory):
 
 
 LOADERS = {  # file name -> load(path, space); the split and detections files are archives too
-    "data.tsv": lambda path, space: load_dataset(path),
-    "split.txt": load_split,
+    "data.ds": lambda path, space: load_dataset(path),
+    "split.npz": load_split,
     "dets.npz": load_detections,
     "run.cfg": lambda path, space: load_flat_config(path),
     "model.ckpt": lambda path, space: load_params(path),

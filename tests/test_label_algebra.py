@@ -80,7 +80,7 @@ class TestBuildSpace:
             assert (space.object_hoi.sum(axis=1) >= 1).all()
             seen = set()
             for c in range(space.num_hois):
-                key = (space.verbs_of(c), space.object_of(c))
+                key = (space.verbs_of(c), int(space.objects_by_hoi()[c]))
                 assert key not in seen
                 seen.add(key)
 

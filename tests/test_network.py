@@ -867,6 +867,33 @@ class TestCheckpoint:
         with pytest.raises(DimensionMismatch):
             load_params(path)
 
+    # vo_b3[3] = nan is the repro: before the check, scoring failed on
+    # s_vo=nan naming neither file nor block, and sp_only scored the file
+    @pytest.mark.parametrize("blocks", [("vo_b3",), ("shared_w",), ("sp_b2",), ("vo_w3", "sp_w1")],
+                             ids="+".join)
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_names_file_and_first_block(self, tmp_path, blocks, value):
+        p = tiny_params(24)
+        for name in blocks:
+            getattr(p, name).flat[3 % getattr(p, name).size] = value
+        path = tmp_path / "model.ckpt"
+        save_params(p, path)
+        first = min(blocks, key=BLOCK_NAMES.index)
+        want = f"checkpoint {path}: block {first} holds a non-finite value"
+        with pytest.raises(ParseError) as err:
+            load_params(path)
+        assert str(err.value) == want
+
+    def test_non_finite_parameter_past_the_first_flat_block(self, tmp_path):
+        cfg = NetworkConfig(num_hois=5)
+        p = init_params(cfg, np.random.default_rng(0))
+        p.sp_w1[-1, -1] = np.nan
+        assert p.cfg.layout["sp_w1"][1] > 10 * FLAT_BLOCK
+        path = tmp_path / "model.ckpt"
+        save_params(p, path)
+        with pytest.raises(ParseError, match="block sp_w1 holds a non-finite value$"):
+            load_params(path)
+
     @pytest.mark.parametrize("width", ["hidden", "vo_hidden", "sp_hidden"])
     def test_zero_width(self, tmp_path, width):
         path = tmp_path / "model.ckpt"

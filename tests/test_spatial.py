@@ -1,10 +1,19 @@
+import re
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from hoicomp.errors import DegenerateBox, InvalidBox
-from hoicomp.spatial import GRID_SIZE, ascii_art, cell_spans, check_boxes, spatial_vector
+from hoicomp.errors import DegenerateBox, DimensionMismatch, InvalidBox
+from hoicomp.spatial import (
+    GRID_SIZE,
+    RASTER_WIDTH,
+    ascii_art,
+    cell_spans,
+    check_boxes,
+    rect_sums,
+    spatial_vector,
+)
 
 
 class Box(NamedTuple):
@@ -252,6 +261,69 @@ class TestCellSpans:
         human[1, coord] = np.nan
         with np.errstate(invalid="ignore"), pytest.raises(DegenerateBox, match="pair 1"):
             cell_spans(human, obj)
+
+
+def covered(human, obj):
+    """The pairs whose boxes each cover some cell center: those
+    ``spatial_vector`` accepts."""
+    return broadcast_raster(human, obj).reshape(len(human), 2, -1).any(axis=2).all(axis=1)
+
+
+class TestRectSums:
+    """``rect_sums`` is the raster's product with a weight matrix. The
+    weights are positive, so no product is a cancellation and a relative
+    bound holds on every entry."""
+
+    @staticmethod
+    def assert_product(human, obj, m=5):
+        weights = np.random.default_rng(m).uniform(1.0, 2.0, (RASTER_WIDTH, m))
+        got = rect_sums(human, obj, weights)
+        assert got.dtype == np.float64 and got.shape == (len(human), m)
+        np.testing.assert_allclose(got, spatial_vector(human, obj) @ weights, rtol=1e-12, atol=0)
+
+    def test_random_boxes(self):
+        rng = np.random.default_rng(51)
+        human, obj = random_boxes(rng, 300), random_boxes(rng, 300)
+        keep = covered(human, obj)
+        assert keep.sum() > 250
+        self.assert_product(human[keep], obj[keep], m=7)
+
+    def test_lattice_boxes(self):
+        human, obj = lattice_pairs(np.random.default_rng(52), 400)
+        keep = covered(human, obj)
+        self.assert_product(human[keep], obj[keep], m=3)
+
+    def test_one_cell_and_full_frame_rectangles(self):
+        boxes = np.array([box for box, (x0, x1, y0, y1) in EDGE_CASES if x0 < x1 and y0 < y1]
+                         + [(0.0, 0.0, 1.0, 1.0), (63.0, 63.0, 64.0, 64.0), (63.0, 0.0, 64.0, 1.0)])
+        full = np.array([FULL] * len(boxes))
+        for human, obj in ((full, boxes), (boxes, full)):  # each channel of one cell
+            self.assert_product(human, obj)
+
+    def test_empty_batch(self):
+        got = rect_sums(np.empty((0, 4)), np.empty((0, 4)), np.ones((RASTER_WIDTH, 3)))
+        assert got.shape == (0, 3)
+
+    def test_raises_degenerate_box_where_spatial_vector_does(self):
+        human, obj = lattice_pairs(np.random.default_rng(53), 400)
+        weights = np.ones((RASTER_WIDTH, 2))
+        raised = 0
+        pairs = [(human[k : k + 1], obj[k : k + 1]) for k in range(len(human))]
+        for pair in [(human, obj), *pairs]:
+            try:
+                spatial_vector(*pair)
+            except DegenerateBox as want:
+                raised += 1
+                with pytest.raises(DegenerateBox, match=f"^{re.escape(str(want))}$"):
+                    rect_sums(*pair, weights)
+            else:
+                rect_sums(*pair, weights)
+        assert 1 < raised < len(human)  # the whole batch and some of its pairs
+
+    @pytest.mark.parametrize("shape", [(RASTER_WIDTH,), (RASTER_WIDTH - 1, 2), (1, RASTER_WIDTH)])
+    def test_weights_of_another_shape(self, shape):
+        with pytest.raises(DimensionMismatch):
+            rect_sums(np.array([FULL]), np.array([FULL]), np.ones(shape))
 
 
 class TestRendering:

@@ -20,12 +20,15 @@ from hoicomp.synthdata import (
     LABEL_COLUMNS,
     SPACE_ENTRIES,
     DatasetConfig,
+    active_classes,
     class_counts,
+    clear_classes,
     empty_dataset,
     generate,
     load_dataset,
     random_hoi_defs,
     label_bytes,
+    label_pairs,
     save_dataset,
     unpack_labels,
     zipf_probs,
@@ -139,7 +142,7 @@ class TestGenerate:
             for k in range(len(data)):
                 assert labels[k].any()
                 for c in np.flatnonzero(labels[k]):
-                    assert space.object_of(int(c)) == data.object_id[k]
+                    assert space.objects_by_hoi()[c] == data.object_id[k]
 
     def test_scores_in_range(self):
         train, _, _ = generate(small_config())
@@ -265,6 +268,30 @@ class TestPackedLabels:
         assert gts.hoi_id.tolist() == [c for _, c in pairs]
         assert gts.image_id.tolist() == [int(data.image_id[k]) for k, _ in pairs]
 
+    @pytest.mark.parametrize("num_hois", [1, 7, 8, 9, 17, 63, 64])
+    @pytest.mark.parametrize("last", [True, False])
+    def test_label_helpers_equal_the_dense_oracle(self, num_hois, last):
+        """``label_pairs`` gives the (row, class) pairs of ``unpack_labels``,
+        ``active_classes`` the classes some row holds, and ``clear_classes``
+        clears the classes it is given and nothing else. With ``last`` every
+        row holds the last class, which sits in the last byte beside the
+        padding bits when ``num_hois`` is not a multiple of 8."""
+        rng = np.random.default_rng(num_hois)
+        label = (rng.random((12, num_hois)) < 0.2).astype(np.uint8)
+        label[:, -1] = last
+        bits = packed(label)
+        rows, classes = label_pairs(bits)
+        pairs = list(zip(rows.tolist(), classes.tolist()))
+        assert pairs == label_oracle.ground_truth_rows(label)
+        assert pairs == list(zip(*(a.tolist() for a in np.nonzero(unpack_labels(bits)))))
+        assert (num_hois - 1 in classes) == last
+        assert active_classes(bits).tolist() == np.flatnonzero(label.any(axis=0)).tolist()
+        drawn = frozenset(int(c) for c in np.flatnonzero(rng.random(num_hois) < 0.3))
+        for cleared in (drawn, {num_hois - 1}, set(), set(range(num_hois)), {0, num_hois - 1}):
+            want = label_oracle.apply_split(label, cleared)
+            assert clear_classes(bits, cleared).tobytes() == packed(want).tobytes()
+        np.testing.assert_array_equal(bits, packed(label))  # input unchanged
+
 
 # the one-byte label row of a 3-class space with class 6, a padding bit, set
 PADDING_BYTE = int(packed([[0, 0, 0, 0, 0, 0, 1, 0]])[0, 0])
@@ -282,7 +309,7 @@ def first_label_error(bits, object_id, space):
         ("bit beyond the last class", lambda k: bits[k, space.num_hois :].any(), False),
         ("no active interaction", lambda k: not bits[k].any(), False),
         ("an active class's object differs from object_id",
-         lambda k: any(space.object_of(int(c)) != object_id[k] for c in np.flatnonzero(label[k])),
+         lambda k: any(space.objects_by_hoi()[c] != object_id[k] for c in np.flatnonzero(label[k])),
          True),
     )
     for what, bad, quoted in checks:

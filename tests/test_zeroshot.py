@@ -50,7 +50,7 @@ def covers(space, unseen):
     objects = set()
     for c in seen:
         verbs.update(space.verbs_of(c))
-        objects.add(space.object_of(c))
+        objects.add(int(space.objects_by_hoi()[c]))
     return verbs == set(range(space.num_verbs)) and objects == set(range(space.num_objects))
 
 
@@ -231,7 +231,7 @@ class TestApplySplit:
         for label in dense(out, space):
             for c in np.flatnonzero(label):
                 verbs.update(space.verbs_of(int(c)))
-                objects.add(space.object_of(int(c)))
+                objects.add(int(space.objects_by_hoi()[c]))
         assert verbs == set(range(space.num_verbs))
         assert objects == set(range(space.num_objects))
 
