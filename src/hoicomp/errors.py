@@ -123,8 +123,8 @@ class InfeasibleSplit(HoicompError):
 # ---- evaluation ----
 
 class UnknownHoiId(HoicompError):
-    """A ground truth refers to an interaction id outside the label space;
-    detections carry no ids."""
+    """An interaction id outside the label space: a ground truth's, or one
+    of the classes asked to be scored; detections carry no ids."""
 
 
 def read_text_lines(path) -> list[str]:

@@ -43,12 +43,15 @@ table; a pair outside its class's pool ranks as if its score were -inf.
 AP reads a class's scores only when the class has ground truth, so
 ``experiments.evaluate_params`` scores only those classes: at the
 ``hico-600`` benchmark's shape, about 140 of 600. ``detections_from_model``
-then keeps both branches' last-layer products whole, since a product of a
-column subset may round otherwise, and takes the classes' columns from
-them a row block at a time; the sigmoid and the fuse after it are
-elementwise, so each score has the bits of its column in the full table.
-``evaluate`` reads each class from its column through ``classes``, and
-every AP and mean is the full table's.
+then asks both branches' forwards for those classes alone, and each
+branch's last layer multiplies by only their weight columns; no
+(pairs x all classes) logits are built. A product of a column subset may
+round otherwise than the full product, so a narrowed score equals its
+column in the full table to rounding, not bit for bit. ``evaluate`` reads
+each class from its column through ``classes``. In every case checked, at
+the benchmark workloads' shapes, each AP and mean still equalled the full
+table's bit for bit. ``eval`` on a checkpoint, and with ``--dets-out``,
+scores the full table.
 
 The data layouts scoring reads belong to other modules. The label bits
 are ``synthdata``'s: a dataset's ground truths come from
@@ -69,6 +72,7 @@ from .network import (
     BRANCH_MODES,
     FLAT_BLOCK,
     ModelParams,
+    check_classes,
     forward_spatial_human_boxes,
     forward_verb_object,
     fuse_scores,
@@ -357,16 +361,17 @@ def evaluate(
     ``ap`` and excluded from every mean. A table with pairs must score every
     class of ``space``, or ``DimensionMismatch`` is raised.
 
-    ``classes``, distinct class ids, says instead that score column k is
-    class ``classes[k]``'s, as ``detections_from_model`` gives them for the
-    same ``classes``. Only classes with ground truth are read, so they must
-    all be among them (``DimensionMismatch`` otherwise); every AP is then
-    that of the full table.
+    ``classes``, distinct class ids of ``space`` (``network.check_classes``
+    raises otherwise), says instead that score column k is class
+    ``classes[k]``'s, as ``detections_from_model`` gives them for the same
+    ``classes``. Only classes with ground truth are read, so they must all
+    be among them (``DimensionMismatch`` otherwise); every AP is then the
+    one a full table with these columns would give.
     """
     if mode not in EVAL_MODES:
         raise InvalidConfig(f"mode must be one of {EVAL_MODES}")
     num_hois = space.num_hois
-    scored = np.arange(num_hois) if classes is None else np.asarray(classes, dtype=np.int64)
+    scored = np.arange(num_hois) if classes is None else check_classes(classes, num_hois)
     pairs, width = dets.score.shape
     if pairs and width != len(scored):
         want = f"the label space has {num_hois}" if classes is None else f"classes holds {len(scored)}"
@@ -474,16 +479,20 @@ def detections_from_model(test: Dataset, params: ModelParams, scoring: Scoring =
     """Score surviving test pairs with the model's branches fused as
     ``scoring.branch_mode`` says: one detection row per pair, pairs in
     image-id order, with a score for every class, or, given ``classes``
-    (distinct class ids), for those alone: column k then holds class
-    ``classes[k]``'s scores, with the bits of its column in the full table.
-    All pairs are scored in one pass; the spatial-human branch reads their
-    boxes through ``forward_spatial_human_boxes``, so no spatial map is
-    drawn. A branch the mode drops is not computed.
+    (distinct class ids, ``network.check_classes``), for those alone:
+    column k then holds class ``classes[k]``'s scores. Each branch's last
+    layer is then taken over those classes' weight columns only, so a
+    score equals its column in the full table to rounding, not bit for
+    bit. All pairs are scored in one pass; the spatial-human branch reads
+    their boxes through ``forward_spatial_human_boxes``, so no spatial map
+    is drawn. A branch the mode drops is not computed.
 
     Pairs are filtered by ``scoring``'s detector cutoffs; an image whose
     pairs all fail them is retried once with both cutoffs scaled by the
     fallback factor.
     """
+    if classes is not None:
+        classes = check_classes(classes, params.cfg.num_hois)
     surviving = _surviving_rows(test, scoring)
 
     pairs = test[surviving]
@@ -491,26 +500,18 @@ def detections_from_model(test: Dataset, params: ModelParams, scoring: Scoring =
     logits = []  # of the fused branches: spatial-human, then verb-object
     if mode != "vo_only":
         logits.append(forward_spatial_human_boxes(pairs.human_feat, pairs.human_box,
-                                                  pairs.object_box, params))
+                                                  pairs.object_box, params, classes))
     if mode != "sp_only":
-        logits.append(forward_verb_object(pairs.verb_feat, pairs.object_feat, params))
+        logits.append(forward_verb_object(pairs.verb_feat, pairs.object_feat, params, classes))
     score = logits[-1]  # the scores go into the last branch's logit buffer
     n, width = score.shape
-    if classes is not None:  # packed from its start: no block's scores reach a later block's rows
-        score = score.reshape(-1)[: n * len(classes)].reshape(n, len(classes))
     # each branch's logits become its probabilities and then the score, a
     # row block at a time, so each step reads rows the step before left in
-    # cache. Sigmoid and fuse are elementwise, so the columns taken from
-    # the whole products keep their bits.
+    # cache
     rows = max(1, FLAT_BLOCK // max(1, width))
     for start in range(0, n, rows):
         block = slice(start, start + rows)
-        probs = [s[block] for s in logits]
-        # a NaN logit in any column makes fuse_scores raise on the full
-        # table, so a block that holds one keeps every column and raises too
-        if classes is not None and not any(np.isnan(p.min()) for p in probs):
-            probs = [p[:, classes] for p in probs]
-        probs = [sigmoid(p, out=p) for p in probs]
+        probs = [sigmoid(s[block], out=s[block]) for s in logits]
         # with one branch, it stands for both; fuse_scores reads and checks only it
         fuse_scores(pairs.human_score[block], pairs.object_score[block], probs[0], probs[-1],
                     mode, out=score[block])

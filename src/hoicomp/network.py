@@ -41,7 +41,13 @@ False). Training and scoring build their layers with the one ``_layer``,
 and the verb-object branch runs the one ``_vo_forward`` in both; scoring
 keeps no cache, so each layer's input is freed once the next is built.
 Scoring turns logits into probabilities, and those into fused scores, in
-place (``sigmoid`` and ``fuse_scores`` take ``out``).
+place (``sigmoid`` and ``fuse_scores`` take ``out``). Scoring may also ask
+the forwards for some classes alone (``classes``, checked by
+``check_classes``): each head's last layer then multiplies by only those
+columns of its weight and adds only those of its bias. A product of a
+column subset may round otherwise than the full one, so those logits equal
+the full table's columns to rounding, not bit for bit. Without
+``classes`` a forward gathers nothing and computes what training does.
 
 Targets are multi-label, so every loss term is per-class sigmoid binary
 cross entropy, class-reweighted, summed over classes and averaged over
@@ -67,6 +73,7 @@ from .errors import (
     NonFiniteLoss,
     OutOfRange,
     ParseError,
+    UnknownHoiId,
 )
 from .spatial import RASTER_WIDTH, rect_sums, spatial_vector
 from .synthdata import Dataset, unpack_labels
@@ -318,17 +325,49 @@ def _layer(x: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool = True,
     return a
 
 
-def _vo_forward(verb_x: np.ndarray, obj_x: np.ndarray, p: ModelParams, cache: bool = True):
+def check_classes(classes, num_hois: int) -> np.ndarray:
+    """``classes`` as an int64 array of distinct class ids of a
+    ``num_hois``-class label space: 1-D and of an integer dtype (an empty
+    list passes too), each id in ``[0, num_hois)`` and none repeated. A bad
+    shape or dtype and a repeated id raise ``DimensionMismatch``, an id
+    outside the space ``UnknownHoiId``."""
+    ids = np.asarray(classes)
+    if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
+        raise DimensionMismatch(f"classes is {ids.dtype} {ids.shape}, expected 1-D integer ids")
+    if ids.size:
+        low, high = ids.min(), ids.max()
+        if low < 0 or high >= num_hois:
+            raise UnknownHoiId(f"class {low if low < 0 else high} outside the "
+                               f"{num_hois}-class label space")
+    ids = ids.astype(np.int64, copy=False)
+    ordered = np.sort(ids)
+    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+    if repeated.size:
+        raise DimensionMismatch(f"class {repeated[0]} is listed twice in classes")
+    return ids
+
+
+def _output_layer(w: np.ndarray, b: np.ndarray, classes: np.ndarray | None):
+    """A head's last-layer weight and bias, or only their ``classes`` columns."""
+    if classes is None:
+        return w, b
+    return w[:, classes], b[classes]
+
+
+def _vo_forward(verb_x: np.ndarray, obj_x: np.ndarray, p: ModelParams, cache: bool = True,
+                classes: np.ndarray | None = None):
     """(logits, cache) of the verb-object head. The cache is
     ``(verb_x, obj_x, z, h1, h2)`` for ``_vo_backward``; without ``cache``
-    it is None, and each layer's input is freed once the next is built."""
+    it is None, and each layer's input is freed once the next is built.
+    Given ``classes`` (checked ids), the last layer computes only their
+    logit columns, in that order; training passes none."""
     h = p.cfg.hidden
     x = np.empty((len(verb_x), 2 * h))  # z: the verb and object streams side by side
     _layer(verb_x, p.shared_w, p.shared_b, out=x[:, :h])
     _layer(obj_x, p.obj_w, p.obj_b, out=x[:, h:])
     kept = [verb_x, obj_x]
     for w, b, relu in ((p.vo_w1, p.vo_b1, True), (p.vo_w2, p.vo_b2, True),
-                       (p.vo_w3, p.vo_b3, False)):
+                       (*_output_layer(p.vo_w3, p.vo_b3, classes), False)):
         if cache:
             kept.append(x)
         x = _layer(x, w, b, relu=relu)
@@ -364,13 +403,21 @@ def _check_rows(*arrays):
         raise DimensionMismatch(f"inputs have different row counts {sorted(rows)}")
 
 
-def forward_verb_object(verb_feat, object_feat, params: ModelParams) -> np.ndarray:
-    """(n, C) logits of the verb-object head for (n, D) verb and object features."""
+def forward_verb_object(verb_feat, object_feat, params: ModelParams,
+                        classes=None) -> np.ndarray:
+    """(n, C) logits of the verb-object head for (n, D) verb and object
+    features. Given ``classes``, distinct class ids (``check_classes``), it
+    is (n, K): column k is class ``classes[k]``'s, the last layer taken as
+    ``h @ vo_w3[:, classes] + vo_b3[classes]``. That product of a column
+    subset may round otherwise than the full one, so a column equals its
+    full-width logits to rounding, not bit for bit."""
     d = params.shared_w.shape[0]
     verb_x = _as_2d(verb_feat, d, "verb feature")
     obj_x = _as_2d(object_feat, d, "object feature")
     _check_rows(verb_x, obj_x)
-    return _vo_forward(verb_x, obj_x, params, cache=False)[0]
+    if classes is not None:
+        classes = check_classes(classes, params.cfg.num_hois)
+    return _vo_forward(verb_x, obj_x, params, False, classes)[0]
 
 
 def forward_spatial_human(human_feat, spatial, params: ModelParams) -> np.ndarray:
@@ -389,25 +436,29 @@ def check_raster_width(cfg: NetworkConfig):
         raise DimensionMismatch(f"spatial input is {cfg.spatial_dim} wide, expected {RASTER_WIDTH}")
 
 
-def forward_spatial_human_boxes(human_feat, human_box, object_box,
-                                params: ModelParams) -> np.ndarray:
+def forward_spatial_human_boxes(human_feat, human_box, object_box, params: ModelParams,
+                                classes=None) -> np.ndarray:
     """(n, C) logits of the spatial-human head for (n, D) human features and
     their (n, 4) human and object boxes: ``forward_spatial_human`` of the
     boxes' ``spatial_vector`` rows, up to rounding, without drawing them:
     ``spatial.rect_sums`` gives the raster's product with the raster rows
-    of ``sp_w1``. Raises ``DegenerateBox`` where ``spatial_vector`` would."""
+    of ``sp_w1``. Raises ``DegenerateBox`` where ``spatial_vector`` would.
+    Given ``classes``, it is (n, K) as in ``forward_verb_object``, the last
+    layer taken as ``h @ sp_w2[:, classes] + sp_b2[classes]``."""
     human_x = _as_2d(human_feat, params.shared_w.shape[0], "human feature")
     human_box = _as_2d(human_box, 4, "human box")
     object_box = _as_2d(object_box, 4, "object box")
     _check_rows(human_x, human_box, object_box)
     cfg = params.cfg
     check_raster_width(cfg)
+    if classes is not None:
+        classes = check_classes(classes, cfg.num_hois)
     h_act = _layer(human_x, params.shared_w, params.shared_b) @ params.sp_w1[: cfg.hidden]
     raster = rect_sums(human_box, object_box, params.sp_w1[cfg.hidden :])
     h_act += spatial_input_scale(params) * raster
     h_act += params.sp_b1
     np.maximum(h_act, 0.0, out=h_act)
-    return _layer(h_act, params.sp_w2, params.sp_b2, relu=False)
+    return _layer(h_act, *_output_layer(params.sp_w2, params.sp_b2, classes), relu=False)
 
 
 # ---- loss and gradients ----

@@ -9,7 +9,7 @@ import pytest
 from hoicomp import cli
 from hoicomp import rng as rngmod
 from hoicomp.cli import main
-from hoicomp.evaluator import Detections, save_detections
+from hoicomp.evaluator import Detections, ground_truth_classes, save_detections
 from hoicomp.network import NetworkConfig, load_params, save_params
 from hoicomp.synthdata import SPACE_ENTRIES, DatasetConfig, load_dataset, unpack_labels
 from hoicomp.trainer import TrainConfig, make_minibatch
@@ -158,6 +158,27 @@ class TestEval:
         assert run("eval", "--data", test, "--train-data", data,
                    "--checkpoint", out / "checkpoint.ckpt", "--out", out2) == 0
         assert (out / "report.txt").read_text() == (out2 / "report.txt").read_text()
+
+    @pytest.mark.parametrize("branch", ["both", "vo_only", "sp_only"])
+    @pytest.mark.parametrize("eval_mode", ["default", "known_object"])
+    def test_checkpoint_eval_matches_train_report_without_every_class(self, tmp_path, branch,
+                                                                      eval_mode):
+        # a test set that lacks some classes: train scores only its
+        # ground-truth classes, eval --checkpoint the full table
+        data = tmp_path / "d.ds"
+        assert run("gen-data", "--seed", 5, "--out", data, "--num-verbs", 4, "--num-objects", 4,
+                   "--num-hois", 12, "--n-train", 120, "--n-test", 8, "--feature-dim", 6) == 0
+        test = data.with_suffix(".ds.test")
+        insts, space = load_dataset(test)
+        assert 0 < len(ground_truth_classes(insts)) < space.num_hois
+        scoring = ["--branch", branch, "--eval-mode", eval_mode]
+        trained, scored = tmp_path / "train", tmp_path / "eval"
+        assert run("train", "--data", data, "--test", test, "--seed", 3, "--out", trained,
+                   *scoring, *TINY_TRAIN) == 0
+        assert run("eval", "--data", test, "--train-data", data, *scoring,
+                   "--checkpoint", trained / "checkpoint.ckpt", "--out", scored) == 0
+        for name in ("report.txt", "report.tsv"):
+            assert (trained / name).read_bytes() == (scored / name).read_bytes(), name
 
     @pytest.mark.parametrize("with_split", [False, True])
     def test_train_data_is_read_for_its_labels_only(self, dataset, tmp_path, monkeypatch,

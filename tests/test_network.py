@@ -16,6 +16,7 @@ from hoicomp.errors import (
     NonFiniteLoss,
     OutOfRange,
     ParseError,
+    UnknownHoiId,
 )
 from hoicomp.network import (
     BLOCK_NAMES,
@@ -26,6 +27,7 @@ from hoicomp.network import (
     NetworkConfig,
     RealBatch,
     block_shapes,
+    check_classes,
     forward_spatial_human,
     forward_spatial_human_boxes,
     forward_verb_object,
@@ -191,15 +193,21 @@ def plain_product(s_h, s_o, s_sp, s_vo, branch_mode="both"):
     return s_h[:, None] * s_o[:, None] * s_vo * s_sp
 
 
-def whole_array_vo_logits(verb_x, obj_x, p):
+def whole_array_vo_logits(verb_x, obj_x, p, classes=None):
+    """The verb-object logits; given ``classes``, the last layer is
+    ``h2 @ vo_w3[:, classes] + vo_b3[classes]``."""
+    cols = slice(None) if classes is None else classes
     sv = np.maximum(verb_x @ p.shared_w + p.shared_b, 0.0)
     so = np.maximum(obj_x @ p.obj_w + p.obj_b, 0.0)
     h1 = np.maximum(np.concatenate([sv, so], axis=1) @ p.vo_w1 + p.vo_b1, 0.0)
     h2 = np.maximum(h1 @ p.vo_w2 + p.vo_b2, 0.0)
-    return h2 @ p.vo_w3 + p.vo_b3
+    return h2 @ p.vo_w3[:, cols] + p.vo_b3[cols]
 
 
-def whole_array_box_logits(human_x, human_box, object_box, p):
+def whole_array_box_logits(human_x, human_box, object_box, p, classes=None):
+    """The spatial-human logits of the boxes; given ``classes``, the last
+    layer is ``h @ sp_w2[:, classes] + sp_b2[classes]``."""
+    cols = slice(None) if classes is None else classes
     cfg = p.cfg
     start, stop = cell_spans(human_box, object_box)
     w_map = p.sp_w1[cfg.hidden :].reshape(2, GRID_SIZE, GRID_SIZE, cfg.sp_hidden)
@@ -210,7 +218,7 @@ def whole_array_box_logits(human_x, human_box, object_box, p):
     rect = table[ch, y1, x1] - table[ch, y0, x1] - table[ch, y1, x0] + table[ch, y0, x0]
     sh = np.maximum(human_x @ p.shared_w + p.shared_b, 0.0)
     h_pre = sh @ p.sp_w1[: cfg.hidden] + spatial_input_scale(p) * rect.sum(axis=1)
-    return np.maximum(h_pre + p.sp_b1, 0.0) @ p.sp_w2 + p.sp_b2
+    return np.maximum(h_pre + p.sp_b1, 0.0) @ p.sp_w2[:, cols] + p.sp_b2[cols]
 
 
 # logits where the two formulas meet (0.0, -0.0), where exp(-|z|) is the
@@ -778,6 +786,82 @@ class TestInPlaceScoring:
         s[1, 1], s[2, 0] = -0.25, np.nan
         with pytest.raises(OutOfRange, match=r"s_vo=-0.25 outside"):
             fuse_scores(np.ones(3), np.ones(3), np.full((3, 2), 0.5), s)
+
+
+class TestScoredClasses:
+    """The forwards given ``classes``: the last layer over those columns
+    alone, bit for bit as the whole-array forms take it, and the full
+    logits' columns to rounding. Without ``classes`` nothing changes."""
+
+    @pytest.fixture(scope="class")
+    def params(self):
+        return init_params(NetworkConfig(num_hois=600), np.random.default_rng(62))
+
+    @staticmethod
+    def _inputs(n, seed):
+        rng = np.random.default_rng(seed)
+        verb, obj, human = (rng.standard_normal((n, 32)) for _ in range(3))
+        return verb, obj, human, random_boxes(rng, n), random_boxes(rng, n)
+
+    @staticmethod
+    def _forwards(verb, obj, human, human_box, object_box, params, *classes):
+        return (forward_verb_object(verb, obj, params, *classes),
+                forward_spatial_human_boxes(human, human_box, object_box, params, *classes))
+
+    @pytest.mark.parametrize("n", [1, 7, 1000])
+    def test_no_classes_keeps_the_bits(self, params, n):
+        verb, obj, human, human_box, object_box = self._inputs(n, n)
+        vo, sp = self._forwards(verb, obj, human, human_box, object_box, params, None)
+        assert vo.tobytes() == whole_array_vo_logits(verb, obj, params).tobytes()
+        want = whole_array_box_logits(human, human_box, object_box, params)
+        assert sp.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 1000])
+    @pytest.mark.parametrize("classes", [[], np.array([], dtype=np.int64)])
+    def test_no_class_gives_no_column(self, params, n, classes):
+        for logits in self._forwards(*self._inputs(n, n + 2), params, classes):
+            assert logits.shape == (n, 0)
+
+    @pytest.mark.parametrize("n", [1, 7, 1000])
+    def test_unsorted_classes_give_their_columns(self, params, n):
+        verb, obj, human, human_box, object_box = self._inputs(n, n + 1)
+        rng = np.random.default_rng(n)
+        full = self._forwards(verb, obj, human, human_box, object_box, params)
+        for classes in (rng.choice(600, 137, replace=False), np.array([599, 0, 300]),
+                        np.array([5], dtype=np.uint8), np.arange(600)[::-1]):
+            vo, sp = self._forwards(verb, obj, human, human_box, object_box, params, classes)
+            want_vo = whole_array_vo_logits(verb, obj, params, classes)
+            want_sp = whole_array_box_logits(human, human_box, object_box, params, classes)
+            assert vo.tobytes() == want_vo.tobytes()
+            assert sp.tobytes() == want_sp.tobytes()
+            for got, whole in zip((vo, sp), full):
+                np.testing.assert_allclose(got, whole[:, classes], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("classes, error, message", [
+        ([600], UnknownHoiId, "class 600 outside the 600-class label space"),
+        ([-1], UnknownHoiId, "class -1 outside"),
+        ([3, -2, 700], UnknownHoiId, "class -2 outside"),
+        ([3, 3], DimensionMismatch, "class 3 is listed twice"),
+        ([8, 1, 5, 1, 8], DimensionMismatch, "class 1 is listed twice"),
+        ([[1, 2]], DimensionMismatch, r"int64 \(1, 2\), expected 1-D"),
+        (4, DimensionMismatch, "expected 1-D"),
+        ([1.0, 2.0], DimensionMismatch, "float64"),
+        ([True], DimensionMismatch, "bool"),
+        (["1"], DimensionMismatch, "expected 1-D integer ids"),
+    ])
+    def test_bad_classes(self, params, classes, error, message):
+        with pytest.raises(error, match=message):
+            check_classes(classes, 600)
+        inputs = self._inputs(2, 0)
+        with pytest.raises(error, match=message):
+            forward_verb_object(*inputs[:2], params, classes)
+        with pytest.raises(error, match=message):
+            forward_spatial_human_boxes(*inputs[2:], params, classes)
+
+    def test_checked_classes_are_int64(self):
+        for classes in ([], [2, 0], np.array([4], dtype=np.uint64), np.array([1], dtype=np.int8)):
+            ids = check_classes(classes, 5)
+            assert ids.dtype == np.int64 and ids.tolist() == list(np.asarray(classes))
 
 
 class TestCheckpoint:
